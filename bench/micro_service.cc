@@ -94,43 +94,6 @@ void BM_ServiceIngest(benchmark::State& state) {
 BENCHMARK(BM_ServiceIngest)->Arg(1)->Arg(16)->Arg(64)->Arg(256)
     ->UseRealTime()->Unit(benchmark::kMillisecond);
 
-// The write-absorbing tier at fixed batch size: range(0) is the memtable
-// budget in MiB (0 = record-at-a-time tuple path). Stop() stays inside the
-// timed region, so the final flush's full-rebuild merge is paid here too —
-// items/s is therefore NOT the acknowledgment rate (serve_smoke
-// --memtable-sweep measures that); the number to read here is the
-// apply-time collapse (tree insert -> memtable append) in the
-// queue_wait/apply counters that attribute the ingest thread's time per
-// batch.
-void BM_ServiceIngestMemtable(benchmark::State& state) {
-  const size_t n = 50000;
-  const size_t memtable_mib = static_cast<size_t>(state.range(0));
-  const auto points = MakePoints(n);
-  ServiceStats stats;
-  for (auto _ : state) {
-    ServiceOptions options;
-    options.anonymizer.base_k = 10;
-    options.queue_capacity = 4096;
-    options.max_batch = 64;
-    options.snapshot_every = 0;  // measure ingest, not snapshot builds
-    options.lsm.memtable_bytes = memtable_mib << 20;
-    AnonymizationService service(kDim, CubeDomain(0, 1000), options);
-    for (const auto& p : points) {
-      (void)service.Ingest(p);
-    }
-    stats = service.Stats();  // pre-Stop: the steady-state attribution
-    service.Stop();
-    benchmark::DoNotOptimize(service.inserted());
-  }
-  state.counters["queue_wait_ms/batch"] = stats.mean_queue_wait_ms();
-  state.counters["apply_ms/batch"] = stats.mean_apply_ms();
-  state.counters["merges"] = static_cast<double>(stats.merges);
-  state.SetItemsProcessed(static_cast<int64_t>(n) *
-                          static_cast<int64_t>(state.iterations()));
-}
-BENCHMARK(BM_ServiceIngestMemtable)->Arg(0)->Arg(4)->Arg(16)->Arg(64)
-    ->UseRealTime()->Unit(benchmark::kMillisecond);
-
 // Reader-path latency against a published snapshot. range(0) toggles a
 // background producer hammering Ingest: readers only copy the published
 // snapshot pointer, so the two variants should time the same.

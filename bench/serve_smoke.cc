@@ -3,9 +3,7 @@
 //
 //   serve_smoke [--records N] [--batch B] [--writers W] [--readers R]
 //               [--shards S] [--shard-by hash|range] [--snapshot-every E]
-//               [--memtable-bytes N] [--merge-every N]
-//               [--merge-mode full|delta]
-//               [--sweep "1,2,4,8"] [--memtable-sweep "0,4,16,64"]
+//               [--sweep "1,2,4,8"]
 //               [--replicas "0,1,2,4"] [--dp-sweep "0.1,0.5,1,2"]
 //               [--json PATH]
 //
@@ -23,24 +21,6 @@
 // scaling evidence for the sharded tentpole. Writers scale with the shard
 // count in sweep mode (max(W, shards)) so client concurrency is never the
 // artificial ceiling.
-//
-// --memtable-sweep runs the ingest workload once per memtable size (MiB,
-// 0 = the record-at-a-time path) — and, for each nonzero size, once per
-// merge mode (full rebuild vs in-place delta merge, at identical flush
-// cadence; pass --merge-every to force a record-count cadence) — and
-// writes BENCH_ingest.json with aggregate ingest throughput, per-merge
-// and total merge times, snapshot publish times with fragment-reuse
-// counts, plus p99 release staleness — how many
-// acknowledged records the served snapshot trailed by when each release
-// was sampled. The pair is the write-absorption trade stated honestly:
-// absorbing acknowledgments into the memtable decouples them from tree
-// maintenance (ingest throughput rises), while the records reach the
-// index at the next merge (staleness bounds how far the published view
-// lags). The sweep drives the service in-process — producers call
-// Ingest() and readers poll the stitched snapshot directly — because the
-// loopback HTTP hop costs several microseconds per record and would bury
-// the ingest tier it measures; the HTTP path itself is exercised by the
-// main mode, which also accepts --memtable-bytes/--merge-every.
 //
 // --replicas runs the read-scaling sweep and writes BENCH_replicas.json:
 // once per replica count N, a durable leader ingests the stream over HTTP
@@ -128,16 +108,7 @@ struct RunConfig {
   /// of the ingest budget goes to publication — the cost sharding divides:
   /// at the same cadence an N-shard service rebuilds trees 1/N the size.
   uint64_t snapshot_every = 0;
-  /// LSM ingest tier (0/0 = record-at-a-time path). See LsmOptions.
-  size_t memtable_bytes = 0;
-  uint64_t merge_every = 0;
-  /// How flushes reach the tree (full rebuild vs in-place delta merge).
-  MergeMode merge_mode = MergeMode::kFull;
 };
-
-const char* MergeModeName(MergeMode mode) {
-  return mode == MergeMode::kDelta ? "delta" : "full";
-}
 
 struct RunResult {
   bool ok = false;
@@ -150,14 +121,6 @@ struct RunResult {
   /// Records the served snapshot trailed acknowledged ingest by, sampled
   /// per successful /release request.
   double staleness_p50 = 0, staleness_p99 = 0, staleness_max = 0;
-  uint64_t merges = 0;
-  uint64_t delta_merges = 0;
-  uint64_t merge_escalations = 0;
-  double last_merge_ms = 0, merge_ms_total = 0;
-  double snapshot_build_ms_total = 0;
-  uint64_t fragments_reused = 0, fragments_built = 0;
-  double queue_wait_ms = 0, apply_ms = 0;
-  uint64_t batches = 0;
 };
 
 RunResult RunOnce(const RunConfig& cfg) {
@@ -168,9 +131,6 @@ RunResult RunOnce(const RunConfig& cfg) {
   ShardedServiceOptions service_options;
   service_options.service.anonymizer.base_k = 10;
   service_options.service.snapshot_every = cfg.snapshot_every;
-  service_options.service.lsm.memtable_bytes = cfg.memtable_bytes;
-  service_options.service.lsm.merge_every = cfg.merge_every;
-  service_options.service.lsm.merge_mode = cfg.merge_mode;
   service_options.sharding.num_shards = cfg.shards;
   service_options.sharding.shard_by = cfg.shard_by;
   auto service_or =
@@ -334,17 +294,6 @@ RunResult RunOnce(const RunConfig& cfg) {
   for (const ServiceStats& s : stats.shards) {
     result.per_shard_inserted.push_back(s.inserted);
   }
-  result.merges = stats.total.merges;
-  result.delta_merges = stats.total.delta_merges;
-  result.merge_escalations = stats.total.merge_escalations;
-  result.last_merge_ms = stats.total.last_merge_ms;
-  result.merge_ms_total = stats.total.merge_ms_total;
-  result.snapshot_build_ms_total = stats.total.snapshot_build_ms_total;
-  result.fragments_reused = stats.total.fragments_reused;
-  result.fragments_built = stats.total.fragments_built;
-  result.queue_wait_ms = stats.total.queue_wait_ms;
-  result.apply_ms = stats.total.apply_ms;
-  result.batches = stats.total.batches;
 
   bench::TablePrinter table(
       {"side", "requests", "throughput", "p50 ms", "p95 ms", "p99 ms"});
@@ -359,141 +308,15 @@ RunResult RunOnce(const RunConfig& cfg) {
                 bench::Fmt(result.release.p95),
                 bench::Fmt(result.release.p99)});
   table.Print();
-  if (cfg.memtable_bytes > 0 || cfg.merge_every > 0) {
-    std::cout << "memtable: merges=" << result.merges
-              << " staleness p50=" << bench::Fmt(result.staleness_p50, 0)
-              << " p99=" << bench::Fmt(result.staleness_p99, 0)
-              << " max=" << bench::Fmt(result.staleness_max, 0)
-              << " records behind\n";
-  }
+  std::cout << "staleness p50=" << bench::Fmt(result.staleness_p50, 0)
+            << " p99=" << bench::Fmt(result.staleness_p99, 0)
+            << " max=" << bench::Fmt(result.staleness_max, 0)
+            << " records behind\n";
   const PartitionSet base_release =
       stitched->Release(stitched->info().base_k);
   std::cout << "final snapshot: epoch=" << stitched->info().epoch
             << " records=" << stitched->info().records
             << " partitions=" << base_release.num_partitions() << "\n";
-  result.ok = true;
-  return result;
-}
-
-/// One point of the write-absorption sweep: W in-process producers push
-/// the record stream through Ingest() while R readers poll the stitched
-/// snapshot and log how far it trails acknowledged ingest. Ingest
-/// throughput is measured at acknowledgment (producers joined) — the
-/// quantity write absorption improves; Stop() (final flush + publish)
-/// runs after the clock so deferred merges show up as staleness, not as
-/// hidden ingest time.
-RunResult RunIngestPoint(const RunConfig& cfg) {
-  RunResult result;
-  Domain domain;
-  domain.lo = {0, 0};
-  domain.hi = {100, 100};
-  ShardedServiceOptions service_options;
-  service_options.service.anonymizer.base_k = 10;
-  service_options.service.snapshot_every = cfg.snapshot_every;
-  service_options.service.queue_capacity = 8192;
-  service_options.service.lsm.memtable_bytes = cfg.memtable_bytes;
-  service_options.service.lsm.merge_every = cfg.merge_every;
-  service_options.service.lsm.merge_mode = cfg.merge_mode;
-  service_options.sharding.num_shards = cfg.shards;
-  service_options.sharding.shard_by = cfg.shard_by;
-  auto service_or =
-      ShardedAnonymizationService::Create(2, domain, service_options);
-  if (!service_or.ok()) {
-    std::cerr << "service: " << service_or.status() << "\n";
-    return result;
-  }
-  ShardedAnonymizationService& service = **service_or;
-
-  std::atomic<uint64_t> acked{0};
-  std::atomic<bool> writers_done{false};
-  std::atomic<bool> failed{false};
-  std::mutex mu;
-  std::vector<double> staleness_records;
-
-  Timer wall;
-  std::vector<std::thread> threads;
-  for (size_t w = 0; w < cfg.writers; ++w) {
-    threads.emplace_back([&, w] {
-      std::vector<double> point(2);
-      for (size_t i = w; i < cfg.records; i += cfg.writers) {
-        point[0] = static_cast<double>(i % 97);
-        point[1] = static_cast<double>((i * 7) % 89);
-        if (!service.Ingest(point, static_cast<int32_t>(i % 5)).ok()) {
-          failed.store(true);
-          return;
-        }
-        acked.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (size_t r = 0; r < cfg.readers; ++r) {
-    threads.emplace_back([&] {
-      std::vector<double> stale;
-      while (!writers_done.load(std::memory_order_relaxed)) {
-        const uint64_t acked_now = acked.load(std::memory_order_relaxed);
-        const auto stitched = service.CurrentStitched();
-        // No stitched release yet means every acked record is unreadable —
-        // staleness is the full acked count, not zero.
-        const uint64_t covered =
-            stitched != nullptr ? stitched->info().records : 0;
-        stale.push_back(acked_now > covered
-                            ? static_cast<double>(acked_now - covered)
-                            : 0.0);
-        std::this_thread::yield();
-      }
-      std::lock_guard<std::mutex> lock(mu);
-      staleness_records.insert(staleness_records.end(), stale.begin(),
-                               stale.end());
-    });
-  }
-  for (size_t w = 0; w < cfg.writers; ++w) threads[w].join();
-  const double ingest_seconds = wall.ElapsedSeconds();
-  writers_done.store(true, std::memory_order_relaxed);
-  for (size_t t = cfg.writers; t < threads.size(); ++t) threads[t].join();
-  service.Stop();
-
-  const auto stitched = service.CurrentStitched();
-  if (failed.load() || stitched == nullptr ||
-      stitched->info().records != cfg.records) {
-    std::cerr << "FAIL: acked=" << acked.load() << " want=" << cfg.records
-              << " snapshot_records="
-              << (stitched != nullptr ? stitched->info().records : 0)
-              << "\n";
-    return result;
-  }
-  result.ingest_rec_per_s =
-      static_cast<double>(cfg.records) / std::max(ingest_seconds, 1e-9);
-  // Each staleness sample is one snapshot poll — the sweep's analogue of
-  // a release request.
-  result.release_req_per_s = static_cast<double>(staleness_records.size()) /
-                             std::max(ingest_seconds, 1e-9);
-  result.staleness_p50 = Percentile(&staleness_records, 50);
-  result.staleness_p99 = Percentile(&staleness_records, 99);
-  if (!staleness_records.empty()) {
-    result.staleness_max = staleness_records.back();  // sorted by Percentile
-  }
-  const ShardedServiceStats stats = service.Stats();
-  result.merges = stats.total.merges;
-  result.delta_merges = stats.total.delta_merges;
-  result.merge_escalations = stats.total.merge_escalations;
-  result.last_merge_ms = stats.total.last_merge_ms;
-  result.merge_ms_total = stats.total.merge_ms_total;
-  result.snapshot_build_ms_total = stats.total.snapshot_build_ms_total;
-  result.fragments_reused = stats.total.fragments_reused;
-  result.fragments_built = stats.total.fragments_built;
-  result.queue_wait_ms = stats.total.queue_wait_ms;
-  result.apply_ms = stats.total.apply_ms;
-  result.batches = stats.total.batches;
-  std::cout << "ingest " << bench::Fmt(result.ingest_rec_per_s, 0)
-            << " rec/s; merges=" << result.merges << " (delta="
-            << result.delta_merges << ", merge_ms_total="
-            << bench::Fmt(result.merge_ms_total, 0) << ", publish_ms_total="
-            << bench::Fmt(result.snapshot_build_ms_total, 0)
-            << ", fragments_reused=" << result.fragments_reused
-            << ") apply=" << bench::Fmt(result.apply_ms, 0) << "ms over "
-            << result.batches << " batches; staleness p50="
-            << bench::Fmt(result.staleness_p50, 0) << " p99="
-            << bench::Fmt(result.staleness_p99, 0) << " records behind\n";
   result.ok = true;
   return result;
 }
@@ -791,7 +614,6 @@ int main(int argc, char** argv) {
   cfg.records = bench::Scaled(50000);
   std::string json_path;
   std::vector<size_t> sweep;
-  std::vector<size_t> memtable_sweep_mib;
   std::vector<size_t> replica_sweep;
   bool have_replica_sweep = false;
   std::vector<double> dp_sweep;
@@ -825,37 +647,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) return 2;
       cfg.snapshot_every = std::strtoul(v, nullptr, 10);
-    } else if (arg == "--memtable-bytes" || arg == "--memtable_bytes") {
-      const char* v = next();
-      if (v == nullptr) return 2;
-      cfg.memtable_bytes = std::strtoul(v, nullptr, 10);
-    } else if (arg == "--merge-every" || arg == "--merge_every") {
-      const char* v = next();
-      if (v == nullptr) return 2;
-      cfg.merge_every = std::strtoul(v, nullptr, 10);
-    } else if (arg == "--merge-mode" || arg == "--merge_mode") {
-      const char* v = next();
-      if (v == nullptr) return 2;
-      const std::string mode = v;
-      if (mode == "full") {
-        cfg.merge_mode = MergeMode::kFull;
-      } else if (mode == "delta") {
-        cfg.merge_mode = MergeMode::kDelta;
-      } else {
-        return 2;
-      }
-    } else if (arg == "--memtable-sweep" || arg == "--memtable_sweep") {
-      const char* v = next();
-      if (v == nullptr) return 2;
-      const std::string spec = v;
-      size_t start = 0;
-      while (start <= spec.size()) {
-        size_t end = spec.find(',', start);
-        if (end == std::string::npos) end = spec.size();
-        memtable_sweep_mib.push_back(std::strtoul(
-            spec.substr(start, end - start).c_str(), nullptr, 10));
-        start = end + 1;
-      }
     } else if (arg == "--shard-by" || arg == "--shard_by") {
       const char* v = next();
       if (v == nullptr) return 2;
@@ -912,10 +703,7 @@ int main(int argc, char** argv) {
       std::cerr << "usage: serve_smoke [--records N] [--batch B] "
                    "[--writers W] [--readers R] [--shards S] "
                    "[--shard-by hash|range] [--snapshot-every E] "
-                   "[--memtable-bytes N] [--merge-every N] "
-                   "[--merge-mode full|delta] "
                    "[--sweep \"1,2,4,8\"] "
-                   "[--memtable-sweep \"0,4,16,64\"] "
                    "[--replicas \"0,1,2,4\"] "
                    "[--dp-sweep \"0.1,0.5,1,2\"] [--json PATH]\n";
       return 2;
@@ -1063,107 +851,6 @@ int main(int argc, char** argv) {
         << "  \"readers\": " << cfg.readers << ",\n"
         << "  \"snapshot_every\": " << cfg.snapshot_every << ",\n"
         << "  \"shard_by\": \"" << ShardByName(cfg.shard_by) << "\",\n"
-        << "  \"sweep\": [\n"
-        << entries << "\n  ]\n}\n";
-    std::cout << "\nwrote " << json_path << "\n";
-    return 0;
-  }
-
-  if (!memtable_sweep_mib.empty()) {
-    // Write-absorption sweep: the same record stream, once per memtable
-    // size (0 = the record-at-a-time path). Snapshot cadence stays fixed
-    // across points so the staleness comparison is apples to apples. The
-    // default cadence is one publication per run: every publication builds
-    // a full stitched release — an O(total records) cost both modes pay
-    // identically — so frequent publishes measure release construction,
-    // not the ingest tier. Pass --snapshot-every for mixed workloads; the
-    // staleness columns always report the freshness cost of deferral.
-    if (json_path.empty()) json_path = "BENCH_ingest.json";
-    if (cfg.snapshot_every == 0) cfg.snapshot_every = cfg.records;
-    bench::PrintHeader("serve_smoke — write-absorbing ingest sweep",
-                       "ingest throughput and release staleness per "
-                       "memtable size");
-    std::string entries;
-    double baseline = 0;
-    for (const size_t mib : memtable_sweep_mib) {
-      // Each nonzero point runs twice — once per merge mode — so the sweep
-      // emits the full-vs-delta merge-time and publish-time comparison at
-      // identical cadence. The memtable-off point has no merges to mode.
-      std::vector<MergeMode> modes =
-          mib == 0 ? std::vector<MergeMode>{MergeMode::kFull}
-                   : std::vector<MergeMode>{MergeMode::kFull,
-                                            MergeMode::kDelta};
-      for (const MergeMode mode : modes) {
-        RunConfig run = cfg;
-        run.memtable_bytes = mib << 20;
-        // The off point is the record-at-a-time baseline: neither trigger
-        // may enable the LSM tier there, whatever --merge-every says.
-        if (mib == 0) run.merge_every = 0;
-        run.merge_mode = mode;
-        std::cout << "\n== memtable="
-                  << (mib == 0 ? std::string("off")
-                               : std::to_string(mib) + " MiB, merge_mode=" +
-                                     MergeModeName(mode))
-                  << " ==\n";
-        const RunResult result = RunIngestPoint(run);
-        if (!result.ok) return 1;
-        if (baseline == 0) baseline = result.ingest_rec_per_s;
-        std::cout << "aggregate ingest: "
-                  << bench::Fmt(result.ingest_rec_per_s, 0) << " rec/s ("
-                  << bench::Fmt(result.ingest_rec_per_s / baseline, 2)
-                  << "x of memtable-off)\n";
-        const double avg_merge_ms =
-            result.merges == 0
-                ? 0.0
-                : result.merge_ms_total /
-                      static_cast<double>(result.merges);
-        if (!entries.empty()) entries += ",\n";
-        entries += "    {\"memtable_mib\": " + std::to_string(mib) +
-                   ", \"merge_mode\": \"" +
-                   (mib == 0 ? "off" : MergeModeName(mode)) + "\"" +
-                   ", \"ingest_records_per_second\": " +
-                   std::to_string(result.ingest_rec_per_s) +
-                   ", \"speedup_vs_off\": " +
-                   std::to_string(result.ingest_rec_per_s /
-                                  std::max(baseline, 1e-9)) +
-                   ", \"release_requests_per_second\": " +
-                   std::to_string(result.release_req_per_s) +
-                   ", \"staleness_p50_records\": " +
-                   std::to_string(result.staleness_p50) +
-                   ", \"staleness_p99_records\": " +
-                   std::to_string(result.staleness_p99) +
-                   ", \"staleness_max_records\": " +
-                   std::to_string(result.staleness_max) +
-                   ", \"merges\": " + std::to_string(result.merges) +
-                   ", \"delta_merges\": " +
-                   std::to_string(result.delta_merges) +
-                   ", \"merge_escalations\": " +
-                   std::to_string(result.merge_escalations) +
-                   ", \"avg_merge_ms\": " + std::to_string(avg_merge_ms) +
-                   ", \"last_merge_ms\": " +
-                   std::to_string(result.last_merge_ms) +
-                   ", \"merge_ms_total\": " +
-                   std::to_string(result.merge_ms_total) +
-                   ", \"snapshot_build_ms_total\": " +
-                   std::to_string(result.snapshot_build_ms_total) +
-                   ", \"fragments_reused\": " +
-                   std::to_string(result.fragments_reused) +
-                   ", \"fragments_built\": " +
-                   std::to_string(result.fragments_built) +
-                   ", \"queue_wait_ms\": " +
-                   std::to_string(result.queue_wait_ms) +
-                   ", \"apply_ms\": " + std::to_string(result.apply_ms) +
-                   ", \"batches\": " + std::to_string(result.batches) + "}";
-      }
-    }
-    std::ofstream out(json_path);
-    out << "{\n"
-        << "  \"records\": " << cfg.records << ",\n"
-        << "  \"batch\": " << cfg.batch << ",\n"
-        << "  \"writers\": " << cfg.writers << ",\n"
-        << "  \"readers\": " << cfg.readers << ",\n"
-        << "  \"shards\": " << cfg.shards << ",\n"
-        << "  \"snapshot_every\": " << cfg.snapshot_every << ",\n"
         << "  \"sweep\": [\n"
         << entries << "\n  ]\n}\n";
     std::cout << "\nwrote " << json_path << "\n";

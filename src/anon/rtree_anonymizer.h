@@ -118,11 +118,6 @@ class IncrementalAnonymizer {
   size_t size() const { return tree_.size(); }
   const RPlusTree& tree() const { return tree_; }
 
-  /// Mutable access for the LSM delta merge, which folds flushed memtable
-  /// runs into the live tree in place instead of adopting a rebuilt one.
-  /// Callers own the invariant burden (see RPlusTree::mutable_root).
-  RPlusTree* mutable_tree() { return &tree_; }
-
   /// Replaces the (empty) tree with one restored from persistent storage —
   /// the crash-recovery entry point (src/durability/recovery.h). The
   /// adopted tree must share this anonymizer's dimensionality and

@@ -12,12 +12,6 @@ namespace kanon {
 
 StatusOr<RecoveryResult> RecoverInto(const RecoveryOptions& options,
                                      IncrementalAnonymizer* anonymizer) {
-  return RecoverInto(options, anonymizer, WalTailSink());
-}
-
-StatusOr<RecoveryResult> RecoverInto(const RecoveryOptions& options,
-                                     IncrementalAnonymizer* anonymizer,
-                                     const WalTailSink& tail_sink) {
   KANON_CHECK_MSG(anonymizer->size() == 0,
                   "recovery requires a fresh anonymizer");
   Env* env = options.env != nullptr ? options.env : Env::Default();
@@ -55,21 +49,14 @@ StatusOr<RecoveryResult> RecoverInto(const RecoveryOptions& options,
   KANON_RETURN_IF_ERROR(ReplayWal(
       options.dir, dim, result.checkpoint_lsn + 1,
       [&](uint64_t lsn, std::span<const double> point, int32_t sensitive) {
-        if (tail_sink) {
-          tail_sink(lsn, point, sensitive);
-        } else {
-          anonymizer->Insert(point, lsn - 1, sensitive);
-        }
+        anonymizer->Insert(point, lsn - 1, sensitive);
       },
       &replay, env));
   result.replayed = replay.replayed;
   result.skipped = replay.skipped;
   result.truncated_torn_tail = replay.truncated_tail;
   result.next_lsn = std::max(result.checkpoint_lsn, replay.max_lsn) + 1;
-  // With a sink the tree holds only the checkpoint; the tail records live
-  // in the sink's destination, but they are recovered all the same.
-  result.recovered = tail_sink ? result.checkpoint_records + result.replayed
-                               : anonymizer->size();
+  result.recovered = anonymizer->size();
   return result;
 }
 

@@ -2,7 +2,6 @@
 #define KANON_DURABILITY_RECOVERY_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "anon/rtree_anonymizer.h"
@@ -45,23 +44,6 @@ struct RecoveryResult {
 /// caller resumes ingest with rid == next_lsn - 1 for the next record.
 StatusOr<RecoveryResult> RecoverInto(const RecoveryOptions& options,
                                      IncrementalAnonymizer* anonymizer);
-
-/// Receives one replayed WAL-tail record. LSNs arrive strictly increasing;
-/// the record's id is lsn - 1.
-using WalTailSink =
-    std::function<void(uint64_t lsn, std::span<const double> point,
-                       int32_t sensitive)>;
-
-/// Like RecoverInto above, but routes replayed WAL-tail records into
-/// `tail_sink` instead of inserting them into the tree — the LSM ingest
-/// tier's entry point: the checkpointed tree is adopted as usual (it
-/// covers everything at or below the checkpoint LSN, because checkpoints
-/// force a memtable flush) while the un-checkpointed tail lands back in
-/// the memtable, exactly where un-flushed acknowledged records live in
-/// steady state. LSN idempotence is unchanged.
-StatusOr<RecoveryResult> RecoverInto(const RecoveryOptions& options,
-                                     IncrementalAnonymizer* anonymizer,
-                                     const WalTailSink& tail_sink);
 
 }  // namespace kanon
 

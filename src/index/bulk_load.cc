@@ -3,15 +3,35 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <span>
 #include <utility>
 
 #include "common/check.h"
 #include "index/hilbert.h"
+#include "index/node.h"
 #include "storage/external_sort.h"
 
 namespace kanon {
 
 namespace {
+
+/// The record arrays being carved into a tree, in (curve key, rid) sorted
+/// order. This is the input currency of the region-disciplined top-down
+/// build; concurrent subtree builds touch disjoint index ranges, so no
+/// synchronization is needed.
+struct BuildArrays {
+  BuildArrays() = default;
+  explicit BuildArrays(size_t d) : dim(d) {}
+
+  size_t dim = 0;
+  std::vector<double> points;  // row-major, rids.size() * dim
+  std::vector<uint64_t> rids;
+  std::vector<int32_t> sensitive;
+
+  std::span<const double> row(size_t i) const {
+    return {points.data() + i * dim, dim};
+  }
+};
 
 /// Chunks an ordered rid list into groups of target_size, folding a
 /// too-small tail into the previous group, and computes group MBRs.
@@ -252,8 +272,11 @@ std::unique_ptr<Node> MakeLeaf(const BuildArrays& arrays,
   return leaf;
 }
 
-}  // namespace
-
+/// Builds the region-disciplined subtree over rows [begin, end) of
+/// `arrays` constrained to `region`: a single (possibly overfull) leaf
+/// when the range fits or refuses every admissible cut, otherwise an
+/// internal node over recursively carved children. The result is a pure
+/// function of the sorted record range and the region.
 std::unique_ptr<Node> BuildSubtree(BuildArrays* arrays,
                                    const RTreeConfig& config,
                                    const Region& region, size_t begin,
@@ -275,6 +298,8 @@ std::unique_ptr<Node> BuildSubtree(BuildArrays* arrays,
   }
   return node;
 }
+
+}  // namespace
 
 StatusOr<RPlusTree> SortedBulkLoadTree(const Dataset& dataset,
                                        const RTreeConfig& config,

@@ -2,12 +2,9 @@
 #define KANON_INDEX_BULK_LOAD_H_
 
 #include <cstdint>
-#include <memory>
-#include <span>
 #include <vector>
 
 #include "common/status.h"
-#include "index/node.h"
 #include "common/thread_pool.h"
 #include "data/dataset.h"
 #include "index/mbr.h"
@@ -84,39 +81,6 @@ StatusOr<RPlusTree> SortedBulkLoadTree(const Dataset& dataset,
                                        CurveOrder order, int grid_bits,
                                        BufferPool* pool, size_t run_records,
                                        ThreadPool* workers = nullptr);
-
-/// The record arrays being carved into a tree, in (curve key, rid) sorted
-/// order. This is the input currency of the region-disciplined top-down
-/// build; concurrent subtree builds touch disjoint index ranges, so no
-/// synchronization is needed.
-struct BuildArrays {
-  BuildArrays() = default;
-  explicit BuildArrays(size_t d) : dim(d) {}
-
-  size_t dim = 0;
-  std::vector<double> points;  // row-major, rids.size() * dim
-  std::vector<uint64_t> rids;
-  std::vector<int32_t> sensitive;
-
-  std::span<const double> row(size_t i) const {
-    return {points.data() + i * dim, dim};
-  }
-};
-
-/// Builds the region-disciplined subtree over rows [begin, end) of
-/// `arrays` constrained to `region`: a single (possibly overfull) leaf
-/// when the range fits or refuses every admissible cut, otherwise an
-/// internal node over recursively carved children. This is the same code
-/// path SortedBulkLoadTree runs below its root-level cut — exposed so the
-/// LSM delta merge can locally rebuild just the sub-ranges a flushed
-/// delta touches while inheriting every structural invariant (region
-/// tiling, occupancy window, admissibility-gated splits) and the same
-/// determinism guarantee (the result is a pure function of the sorted
-/// record range and the region).
-std::unique_ptr<Node> BuildSubtree(BuildArrays* arrays,
-                                   const RTreeConfig& config,
-                                   const Region& region, size_t begin,
-                                   size_t end);
 
 }  // namespace kanon
 

@@ -74,14 +74,6 @@ class RPlusTree {
   int height() const;
   const Node* root() const { return root_.get(); }
 
-  /// Mutable structural access for in-place bulk surgery — the LSM delta
-  /// merge splices locally rebuilt subtrees directly into the node
-  /// structure. Single-writer only, and the caller must leave every
-  /// structural invariant intact (CheckInvariants verifies; the region
-  /// tiling in particular must be preserved exactly, since it is what
-  /// routes all later inserts and rebuilds).
-  Node* mutable_root() { return root_.get(); }
-
   /// Leaves in left-to-right tree order — the "sequential ordering of nodes
   /// on the same tree level" the leaf-scan algorithm (Fig 5) relies on.
   std::vector<const Node*> OrderedLeaves() const;

@@ -12,7 +12,6 @@
 #include "common/version.h"
 #include "durability/checkpoint.h"
 #include "durability/wal.h"
-#include "metrics/histogram.h"
 #include "net/http_parser.h"
 #include "net/http_status.h"
 
@@ -743,7 +742,6 @@ HttpResponse AnonHttpFrontend::HandleReplManifest(const std::string& dir,
       std::to_string(opts.anonymizer.leaf_capacity_factor) +
       ",\"max_fanout\":" + std::to_string(opts.anonymizer.max_fanout) +
       ",\"compact\":" + std::string(opts.anonymizer.compact ? "1" : "0") +
-      ",\"lsm\":" + std::string(opts.lsm.enabled() ? "1" : "0") +
       ",\"dp_height\":" + std::to_string(opts.dp_height) +
       ",\"durable_lsn\":" + std::to_string(stats.wal_synced_lsn) +
       ",\"epoch\":" + std::to_string(epoch) +
@@ -945,29 +943,9 @@ HttpResponse AnonHttpFrontend::HandleMetrics() {
   AppendPromMetric(&out, "kanon_wal_poisoned", "gauge",
                stats.wal_poisoned ? 1 : 0);
 
-  // Write-absorbing LSM ingest tier (all zero while the memtable is off).
-  AppendPromMetric(&out, "kanon_memtable_enabled", "gauge",
-               stats.memtable_enabled ? 1 : 0);
-  AppendPromMetric(&out, "kanon_memtable_records", "gauge",
-               static_cast<double>(stats.memtable_records));
-  AppendPromMetric(&out, "kanon_memtable_bytes", "gauge",
-               static_cast<double>(stats.memtable_bytes));
-  AppendPromMetric(&out, "kanon_merges_total", "counter",
-               static_cast<double>(stats.merges));
-  AppendPromMetric(&out, "kanon_delta_merges_total", "counter",
-               static_cast<double>(stats.delta_merges));
-  AppendPromMetric(&out, "kanon_merge_escalations_total", "counter",
-               static_cast<double>(stats.merge_escalations));
-  AppendPromMetric(&out, "kanon_last_merge_ms", "gauge", stats.last_merge_ms);
-  AppendPromMetric(&out, "kanon_merge_ms_total", "counter",
-               stats.merge_ms_total);
   AppendPromMetric(&out, "kanon_snapshot_build_ms_total", "counter",
                stats.snapshot_build_ms_total);
-  AppendPromMetric(&out, "kanon_fragments_reused_total", "counter",
-               static_cast<double>(stats.fragments_reused));
-  AppendPromMetric(&out, "kanon_fragments_built_total", "counter",
-               static_cast<double>(stats.fragments_built));
-  // Ingest-thread time attribution: what the memtable actually absorbs.
+  // Ingest-thread time attribution.
   AppendPromMetric(&out, "kanon_ingest_queue_wait_ms_total", "counter",
                stats.queue_wait_ms);
   AppendPromMetric(&out, "kanon_ingest_apply_ms_total", "counter",
@@ -1002,10 +980,6 @@ HttpResponse AnonHttpFrontend::HandleMetrics() {
       {"kanon_shard_recovered_total", "counter", &ServiceStats::recovered},
       {"kanon_shard_wal_appended_total", "counter",
        &ServiceStats::wal_appended},
-      {"kanon_shard_memtable_records", "gauge",
-       &ServiceStats::memtable_records},
-      {"kanon_shard_memtable_bytes", "gauge", &ServiceStats::memtable_bytes},
-      {"kanon_shard_merges_total", "counter", &ServiceStats::merges},
   };
   for (const PerShardSeries& series : kPerShard) {
     out += "# TYPE " + std::string(series.name) + " " + series.type + "\n";
@@ -1027,37 +1001,6 @@ HttpResponse AnonHttpFrontend::HandleMetrics() {
            "\n";
   }
 
-  // Merge-duration distribution, one histogram per shard (each shard's
-  // single-writer thread merges independently, so mixing their samples
-  // would blur exactly the signal the label preserves). Buckets come from
-  // the shard's bounded sample ring; _count is the ring's exact size while
-  // _sum is reconstructed from bucket midpoints (the ring keeps no total).
-  out += "# TYPE kanon_merge_duration_ms histogram\n";
-  for (size_t i = 0; i < sharded.shards.size(); ++i) {
-    const ServiceStats& s = sharded.shards[i];
-    if (s.merge_samples == 0) continue;
-    const std::string shard_label = "shard=\"" + std::to_string(i) + "\"";
-    const Histogram& hist = s.merge_duration_ms;
-    const double n = static_cast<double>(s.merge_samples);
-    double cumulative = 0.0;
-    double sum = 0.0;
-    for (size_t b = 0; b < hist.num_bins(); ++b) {
-      cumulative += hist.mass[b] * n;
-      const double le =
-          hist.lo + hist.BinWidth() * static_cast<double>(b + 1);
-      sum += hist.mass[b] * n * (le - hist.BinWidth() / 2.0);
-      out += "kanon_merge_duration_ms_bucket{" + shard_label + ",le=\"" +
-             FmtDoubleShort(le) + "\"} " +
-             std::to_string(static_cast<uint64_t>(cumulative + 0.5)) + "\n";
-    }
-    out += "kanon_merge_duration_ms_bucket{" + shard_label +
-           ",le=\"+Inf\"} " + std::to_string(s.merge_samples) + "\n";
-    out += "kanon_merge_duration_ms_sum{" + shard_label + "} " +
-           FmtDoubleShort(sum) + "\n";
-    out += "kanon_merge_duration_ms_count{" + shard_label + "} " +
-           std::to_string(s.merge_samples) + "\n";
-  }
-
   // Listener counters, when the server wired itself in.
   if (server_stats_ != nullptr) {
     const HttpServerStats http = server_stats_();
@@ -1073,9 +1016,9 @@ HttpResponse AnonHttpFrontend::HandleMetrics() {
                  static_cast<double>(http.timeouts));
   }
 
-  // Per-endpoint request counts and latency distribution. The histogram is
-  // built from the bounded sample ring via metrics/histogram's equi-width
-  // SampleHistogram, rendered cumulatively the Prometheus way.
+  // Per-endpoint request counts and latency distribution. The histogram
+  // counts every request into fixed buckets, rendered cumulatively the
+  // Prometheus way, so `le` sets never change and +Inf equals _count.
   out += "# TYPE kanon_http_requests_total counter\n";
   for (size_t e = 0; e < kNumEndpoints; ++e) {
     EndpointMetrics& em = metrics_[e];
@@ -1094,19 +1037,15 @@ HttpResponse AnonHttpFrontend::HandleMetrics() {
     if (em.count == 0) continue;
     const std::string label =
         std::string(EndpointName(static_cast<Endpoint>(e)));
-    const Histogram hist =
-        SampleHistogram(em.latencies_ms, options_.latency_bins);
-    const double n = static_cast<double>(em.latencies_ms.size());
-    double cumulative = 0.0;
-    for (size_t b = 0; b < hist.num_bins(); ++b) {
-      cumulative += hist.mass[b] * n;
-      const double le = hist.lo + hist.BinWidth() * static_cast<double>(b + 1);
+    uint64_t cumulative = 0;
+    for (size_t b = 0; b < kLatencyBucketsMs.size(); ++b) {
+      cumulative += em.buckets[b];
       out += "kanon_http_request_latency_ms_bucket{endpoint=\"" + label +
-             "\",le=\"" + FmtDoubleShort(le) + "\"} " +
-             std::to_string(static_cast<uint64_t>(cumulative + 0.5)) + "\n";
+             "\",le=\"" + FmtDoubleShort(kLatencyBucketsMs[b]) + "\"} " +
+             std::to_string(cumulative) + "\n";
     }
     out += "kanon_http_request_latency_ms_bucket{endpoint=\"" + label +
-           "\",le=\"+Inf\"} " + std::to_string(em.latencies_ms.size()) + "\n";
+           "\",le=\"+Inf\"} " + std::to_string(em.count) + "\n";
     out += "kanon_http_request_latency_ms_sum{endpoint=\"" + label + "\"} " +
            FmtDoubleShort(em.sum_ms) + "\n";
     out += "kanon_http_request_latency_ms_count{endpoint=\"" + label +
@@ -1127,12 +1066,12 @@ void AnonHttpFrontend::Observe(Endpoint endpoint, int http_status,
   ++em.by_code[http_status];
   ++em.count;
   em.sum_ms += latency_ms;
-  if (em.latencies_ms.size() < options_.latency_samples) {
-    em.latencies_ms.push_back(latency_ms);
-  } else if (!em.latencies_ms.empty()) {
-    em.latencies_ms[em.next] = latency_ms;
-    em.next = (em.next + 1) % em.latencies_ms.size();
-  }
+  // First bound >= latency: Prometheus buckets are upper-inclusive.
+  const size_t b = static_cast<size_t>(
+      std::lower_bound(kLatencyBucketsMs.begin(), kLatencyBucketsMs.end(),
+                       latency_ms) -
+      kLatencyBucketsMs.begin());
+  ++em.buckets[b];
 }
 
 }  // namespace kanon::net

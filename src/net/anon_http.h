@@ -30,12 +30,6 @@ constexpr size_t kNumEndpoints = 7;
 const char* EndpointName(Endpoint endpoint);
 
 struct AnonHttpOptions {
-  /// Per-endpoint latency reservoir (a ring of the most recent samples;
-  /// bounds memory on a long-running server while keeping the histogram
-  /// representative of current traffic).
-  size_t latency_samples = 8192;
-  /// Buckets rendered per endpoint in the /metrics latency histogram.
-  size_t latency_bins = 12;
   /// Advisory Retry-After (seconds) attached to 429/503 ingest responses.
   unsigned retry_after_s = 1;
   /// Env for the replication endpoints' reads of WAL segments and
@@ -171,7 +165,7 @@ class DpServing {
 ///                          ServiceStats and durability counters, per-shard
 ///                          series with a shard label, kanon_build_info,
 ///                          queue depth, listener stats and per-endpoint
-///                          latency histograms (built on metrics/histogram).
+///                          latency histograms (fixed log-spaced buckets).
 ///   GET  /repl/manifest    Replication bootstrap metadata for one shard
 ///                          (?shard=i, default 0): checkpoint manifest,
 ///                          durable (fsynced) LSN horizon and the current
@@ -225,10 +219,18 @@ class AnonHttpFrontend {
   const DpBudgetLedger& dp_ledger() const { return dp_.ledger(); }
 
  private:
+  /// Upper bounds (ms) of the kanon_http_request_latency_ms buckets:
+  /// log-spaced by powers of two from 1/16 ms to 4 s, plus the implicit
+  /// +Inf. Fixed in code so every scrape exposes the same `le` set.
+  static constexpr std::array<double, 17> kLatencyBucketsMs = {
+      0.0625, 0.125, 0.25, 0.5, 1, 2, 4, 8, 16,
+      32, 64, 128, 256, 512, 1024, 2048, 4096};
+
   struct EndpointMetrics {
     std::mutex mu;
-    std::vector<double> latencies_ms;  // ring, bounded by latency_samples
-    size_t next = 0;
+    // Per-bucket (non-cumulative) counts against kLatencyBucketsMs; the
+    // last slot counts requests slower than every finite bound.
+    std::array<uint64_t, kLatencyBucketsMs.size() + 1> buckets{};
     double sum_ms = 0.0;
     uint64_t count = 0;
     std::map<int, uint64_t> by_code;

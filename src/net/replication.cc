@@ -89,7 +89,6 @@ StatusOr<LeaderManifest> ReplicationClient::FetchManifest() {
   m.leaf_capacity_factor = JsonU64(body, "leaf_capacity_factor", 2);
   m.max_fanout = JsonU64(body, "max_fanout", 16);
   m.compact = JsonU64(body, "compact", 1) != 0;
-  m.lsm = JsonU64(body, "lsm") != 0;
   m.dp_height = JsonU64(body, "dp_height", 10);
   m.durable_lsn = JsonU64(body, "durable_lsn");
   m.epoch = JsonU64(body, "epoch");
@@ -254,13 +253,6 @@ bool ReplicatedFollower::BootstrapOnce() {
   }
   core_->ConfigureFromLeader(m.base_k, m.leaf_capacity_factor, m.max_fanout,
                              m.compact, m.dp_height);
-  if (m.lsm && !lsm_warned_) {
-    lsm_warned_ = true;
-    std::fprintf(stderr,
-                 "repl: leader runs an LSM memtable; follower releases are "
-                 "epoch-aligned but may not be byte-identical until the "
-                 "leader's memtable is flushed\n");
-  }
   if (m.checkpoint_lsn > 0) {
     auto bytes_or = client_.FetchCheckpoint(m.checkpoint_lsn);
     if (!bytes_or.ok()) {

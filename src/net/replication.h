@@ -36,7 +36,6 @@ struct LeaderManifest {
   size_t leaf_capacity_factor = 0;
   size_t max_fanout = 0;
   bool compact = true;
-  bool lsm = false;
   /// DP grid height the leader bins publication cells at (0 = DP off).
   /// Adopted by the follower so both sides' DP releases share one grid.
   size_t dp_height = 10;
@@ -226,7 +225,6 @@ class ReplicatedFollower {
 
   // Replication-thread-only state (no synchronization needed).
   bool bootstrapped_ = false;
-  bool lsm_warned_ = false;
   uint64_t consecutive_failures_ = 0;
   uint64_t jitter_state_ = 0;
 };

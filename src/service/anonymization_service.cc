@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "common/timer.h"
-#include "dp/dp_hierarchy.h"
 
 namespace kanon {
 
@@ -19,20 +18,6 @@ AnonymizationService::AnonymizationService(Deferred, size_t dim,
       anonymizer_(dim, options_.anonymizer, &domain_) {
   KANON_CHECK(dim >= 1 && domain_.dim() == dim);
   KANON_CHECK(options_.max_batch >= 1);
-  if (options_.lsm.enabled()) {
-    memtable_ = std::make_unique<Memtable>(dim);
-    MergeOptions merge;
-    merge.memtable_bytes = options_.lsm.memtable_bytes;
-    merge.merge_every = options_.lsm.merge_every;
-    merge.threads = options_.anonymizer.threads;
-    merge.curve = options_.anonymizer.curve;
-    merge.grid_bits = options_.anonymizer.grid_bits;
-    merge.memory_budget_bytes = options_.anonymizer.memory_budget_bytes;
-    merge.page_size = options_.anonymizer.page_size;
-    merge.sort_run_records = options_.anonymizer.sort_run_records;
-    merge.mode = options_.lsm.merge_mode;
-    merger_ = std::make_unique<MergeScheduler>(dim, merge);
-  }
 }
 
 AnonymizationService::AnonymizationService(size_t dim, Domain domain,
@@ -60,24 +45,8 @@ Status AnonymizationService::InitDurability() {
   RecoveryOptions recovery_options;
   recovery_options.dir = d.wal_dir;
   recovery_options.env = env;
-  if (memtable_ != nullptr) {
-    // The checkpoint tree is authoritative (checkpoints force a flush);
-    // the WAL tail replays into the memtable, exactly where un-flushed
-    // acknowledged records live in steady state.
-    KANON_ASSIGN_OR_RETURN(
-        recovery_,
-        RecoverInto(recovery_options, &anonymizer_,
-                    [this](uint64_t lsn, std::span<const double> point,
-                           int32_t sensitive) {
-                      memtable_->Append(point, lsn - 1, sensitive);
-                    }));
-    since_merge_ = memtable_->size();
-    memtable_records_.store(memtable_->size(), std::memory_order_relaxed);
-    memtable_bytes_.store(memtable_->bytes(), std::memory_order_relaxed);
-  } else {
-    KANON_ASSIGN_OR_RETURN(recovery_,
-                           RecoverInto(recovery_options, &anonymizer_));
-  }
+  KANON_ASSIGN_OR_RETURN(recovery_,
+                         RecoverInto(recovery_options, &anonymizer_));
   next_rid_ = recovery_.next_lsn - 1;
   WalOptions wal_options;
   wal_options.fsync_every = d.fsync_every;
@@ -164,25 +133,12 @@ ServiceStats AnonymizationService::Stats() const {
       last_build_ms_.load(std::memory_order_relaxed);
   stats.snapshot_build_ms_total =
       build_ms_total_.load(std::memory_order_relaxed);
-  stats.fragments_reused = fragments_reused_.load(std::memory_order_relaxed);
-  stats.fragments_built = fragments_built_.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(samples_mu_);
     stats.batch_sizes = SampleHistogram(batch_samples_, 16);
-    stats.merge_duration_ms = SampleHistogram(merge_samples_, 16);
-    stats.merge_samples = merge_samples_.size();
   }
   stats.queue_wait_ms = queue_wait_ms_.load(std::memory_order_relaxed);
   stats.apply_ms = apply_ms_.load(std::memory_order_relaxed);
-  stats.memtable_enabled = memtable_ != nullptr;
-  stats.memtable_records = memtable_records_.load(std::memory_order_relaxed);
-  stats.memtable_bytes = memtable_bytes_.load(std::memory_order_relaxed);
-  stats.merges = merges_.load(std::memory_order_relaxed);
-  stats.delta_merges = delta_merges_.load(std::memory_order_relaxed);
-  stats.merge_escalations =
-      merge_escalations_.load(std::memory_order_relaxed);
-  stats.last_merge_ms = last_merge_ms_.load(std::memory_order_relaxed);
-  stats.merge_ms_total = merge_ms_total_.load(std::memory_order_relaxed);
   if (const auto snapshot = CurrentSnapshot()) {
     stats.snapshot_age_s = snapshot->info().AgeSeconds();
   }
@@ -230,7 +186,6 @@ void AnonymizationService::IngestLoop() {
                           apply_timer.ElapsedMillis(),
                       std::memory_order_relaxed);
     }
-    MaybeMerge(/*force=*/false);
     if (PublishPending()) {
       // Drain whatever producers managed to enqueue before the request so
       // the published snapshot is current, then service every waiter that
@@ -251,18 +206,8 @@ void AnonymizationService::IngestLoop() {
     MaybeCheckpoint(/*force=*/false);
     if (n == 0 && queue_.closed() && queue_.pending() == 0) break;
   }
-  // Flush the memtable so the final snapshot is a flush boundary: every
-  // acknowledged record sits in the tree, none is left pending below the
-  // k bound, and the release is the deterministic bulk-load view of the
-  // full stream. (Runs even when degraded — merging is pure memory work
-  // and the resident records are already WAL-acknowledged.)
-  MaybeMerge(/*force=*/true);
-  // Final snapshot: cover every record that was ever ingested (and, after
-  // a final flush, from tree leaves alone — no overlay groups).
-  // merged_since_publish_ catches flushes the current snapshot does not
-  // reflect, including ones from earlier iterations with no records after.
-  if (merged_since_publish_ || since_snapshot_ > 0 ||
-      snapshots_.load(std::memory_order_relaxed) == 0) {
+  // Final snapshot: cover every record that was ever ingested.
+  if (since_snapshot_ > 0 || snapshots_.load(std::memory_order_relaxed) == 0) {
     Publish();
   }
   // Graceful stop makes everything durable: every record fsynced, and a
@@ -316,20 +261,9 @@ void AnonymizationService::ApplyBatch(const IngestBatch& batch) {
     }
   }
   for (size_t i = 0; i < logged; ++i) {
-    if (memtable_ != nullptr) {
-      // LSM path: absorb into the run — O(dim) copies, no tree
-      // maintenance. The record reaches the index at the next merge.
-      memtable_->Append(batch.point(i), next_rid_++, batch.sensitives[i]);
-    } else {
-      anonymizer_.Insert(batch.point(i), next_rid_++, batch.sensitives[i]);
-    }
+    anonymizer_.Insert(batch.point(i), next_rid_++, batch.sensitives[i]);
   }
   if (logged == 0) return;
-  if (memtable_ != nullptr) {
-    since_merge_ += logged;
-    memtable_records_.store(memtable_->size(), std::memory_order_relaxed);
-    memtable_bytes_.store(memtable_->bytes(), std::memory_order_relaxed);
-  }
   inserted_.fetch_add(logged, std::memory_order_release);
   batches_.fetch_add(1, std::memory_order_relaxed);
   since_snapshot_ += logged;
@@ -369,45 +303,6 @@ void AnonymizationService::EnterDegraded(const std::string& reason) {
                                   std::memory_order_acq_rel);
 }
 
-bool AnonymizationService::MaybeMerge(bool force) {
-  if (memtable_ == nullptr || memtable_->empty()) return true;
-  if (!force && !merger_->ShouldMerge(*memtable_, since_merge_)) return true;
-  Timer timer;
-  StatusOr<MergeStats> merged =
-      merger_->MergeInto(anonymizer_.mutable_tree(), *memtable_, domain_);
-  if (!merged.ok()) {
-    EnterDegraded("memtable merge failed: " + merged.status().ToString());
-    return false;
-  }
-  // Keep the fragment cache truthful about the post-merge tree: a delta
-  // merge retired exactly the leaves it spliced out, a full rebuild
-  // replaced every node. Evicting before any new leaves are cached also
-  // makes freed-pointer key collisions (allocator address reuse) harmless.
-  if (merged->mode == MergeMode::kDelta) {
-    for (const Node* leaf : merged->retired_leaves) {
-      fragment_cache_.erase(leaf);
-    }
-    delta_merges_.fetch_add(1, std::memory_order_relaxed);
-    merge_escalations_.fetch_add(merged->escalations,
-                                 std::memory_order_relaxed);
-  } else {
-    fragment_cache_.clear();
-  }
-  memtable_->Clear();
-  since_merge_ = 0;
-  merged_since_publish_ = true;
-  const double ms = timer.ElapsedMillis();
-  memtable_records_.store(0, std::memory_order_relaxed);
-  memtable_bytes_.store(0, std::memory_order_relaxed);
-  merges_.fetch_add(1, std::memory_order_relaxed);
-  last_merge_ms_.store(ms, std::memory_order_relaxed);
-  merge_ms_total_.store(merge_ms_total_.load(std::memory_order_relaxed) + ms,
-                        std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(samples_mu_);
-  if (merge_samples_.size() < kMaxBatchSamples) merge_samples_.push_back(ms);
-  return true;
-}
-
 void AnonymizationService::MaybeCheckpoint(bool force) {
   if (checkpointer_ == nullptr) return;
   if (health_.load(std::memory_order_acquire) != ServiceHealth::kServing) {
@@ -418,12 +313,6 @@ void AnonymizationService::MaybeCheckpoint(bool force) {
             : (cadence == 0 || since_checkpoint_ < cadence)) {
     return;
   }
-  // Flush first: the checkpoint claims everything at or below next_rid_,
-  // so memtable residents must be in the tree before it is written —
-  // otherwise a crash after the WAL truncation behind this checkpoint
-  // would lose them. This keeps the manifest authoritative and recovery's
-  // tail-into-memtable replay exact.
-  if (!MaybeMerge(/*force=*/true)) return;
   // Everything at or below the checkpoint LSN must survive a crash even if
   // its WAL segment is truncated right after, so sync first. A sync
   // failure poisons the WAL: nothing past synced_lsn can be proven
@@ -458,12 +347,10 @@ void AnonymizationService::MaybeCheckpoint(bool force) {
   last_checkpoint_lsn_.store(next_rid_, std::memory_order_relaxed);
 }
 
-bool AnonymizationService::Publish() {
+void AnonymizationService::Publish() {
   const RPlusTree& tree = anonymizer_.tree();
-  const size_t base_k = options_.anonymizer.base_k;
-  const size_t resident = memtable_ != nullptr ? memtable_->size() : 0;
-  // Fewer than k records held in total cannot be k-anonymized at all.
-  if (tree.size() + resident < base_k) return false;
+  // Fewer than k records cannot be k-anonymized at all.
+  if (tree.size() < options_.anonymizer.base_k) return;
   // Publish implies durable: a release should never cover records a crash
   // could still un-assign (the WAL would hand their LSNs to different
   // records on restart). This also pins the replication contract — a
@@ -473,109 +360,20 @@ bool AnonymizationService::Publish() {
   // snapshot is still published (the records are in the tree and serving
   // reads is exactly what a degraded service keeps doing).
   if (wal_ != nullptr && !wal_->poisoned()) (void)wal_->Sync();
-  Timer timer;
-  // Assemble the snapshot as shared per-leaf fragments. In LSM mode the
-  // tree changes only through merges, and every merge evicts exactly the
-  // leaves it replaced from fragment_cache_, so a surviving entry is still
-  // byte-accurate — publication cost tracks the merge churn, not the tree
-  // size. Without the memtable the tree mutates record-at-a-time between
-  // publications (leaf contents change in place), so nothing is cacheable
-  // and every fragment is built fresh.
-  const bool cache_fragments = memtable_ != nullptr;
-  std::vector<LeafFragment> fragments;
-  for (const Node* leaf : tree.OrderedLeaves()) {
-    if (leaf->leaf_size() == 0) continue;  // post-deletion empty leaf
-    if (cache_fragments) {
-      const auto it = fragment_cache_.find(leaf);
-      if (it != fragment_cache_.end()) {
-        fragments.push_back(it->second);
-        fragments_reused_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-    }
-    auto group = std::make_shared<LeafGroup>();
-    group->rids = leaf->rids;
-    group->mbr = leaf->mbr;
-    group->region = ClipRegionToDomain(leaf->region, domain_);
-    if (!options_.anonymizer.compact && !group->region.empty()) {
-      // Publish index regions instead of tight MBRs (the uncompacted view).
-      group->mbr = group->region;
-    }
-    if (cache_fragments) fragment_cache_.emplace(leaf, group);
-    fragments_built_.fetch_add(1, std::memory_order_relaxed);
-    fragments.push_back(std::move(group));
-  }
-  // Between flushes the memtable contributes curve-sorted overlay groups
-  // so releases cover tree + memtable consistently. Each group holds
-  // >= base_k records; a residue below base_k is withheld (never released
-  // under the k bound) and surfaces as memtable_pending. Overlay groups
-  // change with every absorbed record, so they are never cached.
-  size_t overlay_records = 0;
-  size_t pending = 0;
-  if (resident > 0) {
-    const size_t target = std::max(
-        base_k * options_.anonymizer.leaf_capacity_factor, 2 * base_k);
-    std::vector<LeafGroup> overlay = memtable_->OverlayGroups(
-        domain_, options_.anonymizer.curve, options_.anonymizer.grid_bits,
-        base_k, target, &pending);
-    for (LeafGroup& group : overlay) {
-      overlay_records += group.rids.size();
-      fragments.push_back(
-          std::make_shared<const LeafGroup>(std::move(group)));
-    }
-  }
-  // The releasable records (tree + overlay, excluding the withheld
-  // residue) must themselves clear the k bound — e.g. a tiny tree from an
-  // early forced flush plus a sub-k memtable cannot publish yet.
-  if (tree.size() + overlay_records < base_k) return false;
-  SnapshotInfo info;
-  info.records = tree.size() + overlay_records;
-  info.memtable_records = overlay_records;
-  info.memtable_pending = pending;
-  info.base_k = base_k;
-  const PartitionSet base = LeafScan(fragments, info.base_k);
-  info.num_partitions = base.num_partitions();
-  info.min_partition = base.min_partition_size();
-  info.max_partition = base.max_partition_size();
-  info.avg_ncp = AverageBoxNcp(base, domain_);
-  info.build_ms = timer.ElapsedMillis();
-  info.created = std::chrono::steady_clock::now();
-  info.epoch = snapshots_.fetch_add(1, std::memory_order_relaxed) + 1;
-  last_build_ms_.store(info.build_ms, std::memory_order_relaxed);
+  const uint64_t epoch = snapshots_.load(std::memory_order_relaxed) + 1;
+  std::shared_ptr<const Snapshot> snapshot = BuildSnapshot(
+      tree, domain_, options_.anonymizer, options_.dp_height, epoch);
+  const double build_ms = snapshot->info().build_ms;
+  snapshots_.store(epoch, std::memory_order_relaxed);
+  last_build_ms_.store(build_ms, std::memory_order_relaxed);
   build_ms_total_.store(
-      build_ms_total_.load(std::memory_order_relaxed) + info.build_ms,
+      build_ms_total_.load(std::memory_order_relaxed) + build_ms,
       std::memory_order_relaxed);
-  // Exact DP grid cell counts over every resident — tree records plus all
-  // memtable residents, *including* the sub-k residue withheld from the
-  // k-anonymous view above (DP protects them with noise, not suppression;
-  // leaving them out would bias every noisy count near their cells). The
-  // counts are a pure multiset accumulation, so per-shard vectors sum and
-  // a follower replaying the same records reproduces them exactly.
-  DpCells dp_cells;
-  if (options_.dp_height > 0) {
-    const DpGrid grid(domain_, options_.dp_height);
-    auto cells = std::make_shared<std::vector<uint64_t>>();
-    for (const Node* leaf : tree.OrderedLeaves()) {
-      AccumulateCells(grid, leaf->points.data(), leaf->leaf_size(),
-                      cells.get());
-    }
-    if (memtable_ != nullptr && memtable_->size() > 0) {
-      AccumulateCells(grid, memtable_->point(0).data(), memtable_->size(),
-                      cells.get());
-    }
-    if (cells->empty()) cells->assign(grid.num_leaves(), 0);
-    dp_cells = std::move(cells);
-  }
-  auto snapshot = std::make_shared<const Snapshot>(
-      std::move(fragments), domain_, info, std::move(dp_cells),
-      options_.dp_height);
   {
     std::lock_guard<std::mutex> lock(current_mu_);
     current_ = std::move(snapshot);
   }
   since_snapshot_ = 0;
-  merged_since_publish_ = false;
-  return true;
 }
 
 }  // namespace kanon

@@ -6,7 +6,6 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "anon/rtree_anonymizer.h"
@@ -15,8 +14,6 @@
 #include "durability/checkpoint.h"
 #include "durability/recovery.h"
 #include "durability/wal.h"
-#include "lsm/memtable.h"
-#include "lsm/merge.h"
 #include "service/ingest_queue.h"
 #include "service/service_stats.h"
 #include "service/snapshot.h"
@@ -53,37 +50,11 @@ struct DurabilityOptions {
   bool enabled() const { return !wal_dir.empty(); }
 };
 
-/// The write-absorbing LSM ingest tier (off by default — zero triggers
-/// keep the seed record-at-a-time path). When enabled, the single-writer
-/// thread appends acknowledged records to an in-memory Memtable (after
-/// WAL-logging them as always) instead of inserting into the tree one at
-/// a time, and a MergeScheduler periodically folds the run back into the
-/// R⁺-tree with the parallel sorted bulk loader. Checkpoints and Stop()
-/// force a flush, so the checkpoint manifest stays authoritative and the
-/// final snapshot is always a flush boundary.
-struct LsmOptions {
-  /// Flush the memtable into the tree once it holds about this many bytes
-  /// (0 = no byte trigger).
-  size_t memtable_bytes = 0;
-  /// Flush every this many absorbed records (0 = no record trigger).
-  uint64_t merge_every = 0;
-  /// How a flush reaches the tree: kFull rebuilds the whole tree per flush
-  /// (the reference backend); kDelta routes the run onto the live tree and
-  /// locally rebuilds only the touched sub-ranges (see MergeMode). Delta
-  /// merges also make publication incremental: per-leaf release fragments
-  /// untouched by merges are reused across snapshots.
-  MergeMode merge_mode = MergeMode::kFull;
-
-  bool enabled() const { return memtable_bytes > 0 || merge_every > 0; }
-};
-
 /// Tuning knobs of the serving layer.
 struct ServiceOptions {
   /// Index configuration (base_k, split heuristics, constraints...). The
   /// bulk-loading backend selector is ignored — live inserts go through
-  /// the record-at-a-time path, or through the memtable when the LSM tier
-  /// is on, in which case the kSortedBulkLoad knobs (threads, curve,
-  /// grid_bits, memory budget, sort_run_records) configure the merges.
+  /// the record-at-a-time path.
   RTreeAnonymizerOptions anonymizer;
 
   /// Capacity of the ingest queue, in records. This is the burst the
@@ -105,11 +76,6 @@ struct ServiceOptions {
   /// Write-ahead logging, checkpointing and crash recovery (off unless a
   /// WAL directory is set — see DurabilityOptions).
   DurabilityOptions durability;
-
-  /// Write-absorbing memtable + batch merge (off unless a trigger is set —
-  /// see LsmOptions). The merge reuses the anonymizer's kSortedBulkLoad
-  /// knobs (threads, curve, grid_bits, memory budget).
-  LsmOptions lsm;
 
   /// Height of the canonical DP bisection grid (dp/dp_hierarchy.h) whose
   /// exact per-cell counts every published snapshot carries, enabling the
@@ -135,11 +101,7 @@ struct ServiceOptions {
 ///   readers  --GetRelease(k1)-- <--shared_ptr swap-- [current snapshot]
 ///
 /// The live tree is touched by exactly one thread, so the index needs no
-/// locks and keeps its single-threaded insert speed. With the LSM tier on
-/// (ServiceOptions::lsm), the same thread absorbs batches into a Memtable
-/// instead and periodically merges the run into the tree in bulk — same
-/// single-writer architecture, an order of magnitude less per-record work.
-/// Readers never see the
+/// locks and keeps its single-threaded insert speed. Readers never see the
 /// live tree: they copy the current Snapshot pointer (a constant-time
 /// critical section — snapshots are built entirely off-lock) and run the
 /// leaf scan over its frozen leaf groups, so GetRelease neither blocks
@@ -244,17 +206,10 @@ class AnonymizationService {
   /// Flips kServing -> kDegraded (read-only) recording the first reason.
   /// Idempotent; later calls keep the original reason.
   void EnterDegraded(const std::string& reason);
-  /// Checkpoints when since_checkpoint_ crosses the configured cadence
-  /// (forcing a memtable flush first, so the checkpoint covers every
-  /// acknowledged record and the manifest stays authoritative).
+  /// Checkpoints when since_checkpoint_ crosses the configured cadence.
   void MaybeCheckpoint(bool force);
-  /// Merges the memtable into the tree when a flush trigger fires (always
-  /// on force). Returns false only when the merge itself failed — the
-  /// service is degraded then. No-op when the LSM tier is off.
-  bool MaybeMerge(bool force);
-  /// Publishes iff at least base_k records are held (tree + memtable).
-  /// Returns true when a snapshot was actually published.
-  bool Publish();
+  /// Publishes iff the tree holds at least base_k records.
+  void Publish();
   bool PublishPending() const {
     return publish_requested_.load(std::memory_order_acquire) >
            publish_serviced_.load(std::memory_order_acquire);
@@ -268,35 +223,6 @@ class AnonymizationService {
   IncrementalAnonymizer anonymizer_;  // ingest thread only
   uint64_t next_rid_ = 0;             // ingest thread only
   uint64_t since_snapshot_ = 0;       // ingest thread only
-
-  // LSM ingest tier (null when options_.lsm is disabled). Ingest thread
-  // only, like the tree the memtable feeds; readers see its records via
-  // snapshot overlay groups and the stats mirrors below.
-  std::unique_ptr<Memtable> memtable_;
-  std::unique_ptr<MergeScheduler> merger_;
-  uint64_t since_merge_ = 0;  // records absorbed since the last flush
-  // A merge adopted a rebuilt tree that no published snapshot reflects
-  // yet. Guarantees the final snapshot is a flush boundary even when the
-  // flush happened earlier (e.g. recovery replayed a WAL tail that the
-  // first scheduled merge absorbed with no records following it).
-  bool merged_since_publish_ = false;
-  std::atomic<uint64_t> memtable_records_{0};
-  std::atomic<uint64_t> memtable_bytes_{0};
-  std::atomic<uint64_t> merges_{0};
-  std::atomic<uint64_t> delta_merges_{0};
-  std::atomic<uint64_t> merge_escalations_{0};
-  std::atomic<double> last_merge_ms_{0.0};
-  std::atomic<double> merge_ms_total_{0.0};
-
-  // Per-leaf release-fragment cache (ingest thread only), keyed by leaf
-  // node identity. Valid because in LSM mode the tree mutates only through
-  // merges, which report exactly which leaves they retired: a delta merge
-  // evicts its retired leaves, a full rebuild clears the cache. Entries
-  // are shared with published snapshots, so eviction never invalidates a
-  // reader's release — it only stops future reuse.
-  std::unordered_map<const Node*, LeafFragment> fragment_cache_;
-  std::atomic<uint64_t> fragments_reused_{0};
-  std::atomic<uint64_t> fragments_built_{0};
 
   // Durability (null / unused when options_.durability is disabled). The
   // WAL writer and checkpointer are driven exclusively by the ingest
@@ -335,13 +261,12 @@ class AnonymizationService {
   std::atomic<double> last_build_ms_{0.0};
   std::atomic<double> build_ms_total_{0.0};
 
-  // Batch-size / merge-duration samples for the histograms, capped so a
-  // long-running service cannot grow them unboundedly (counters keep exact
-  // totals regardless).
+  // Batch-size samples for the histogram, capped so a long-running
+  // service cannot grow them unboundedly (counters keep exact totals
+  // regardless).
   static constexpr size_t kMaxBatchSamples = 1 << 16;
   mutable std::mutex samples_mu_;
   std::vector<double> batch_samples_;
-  std::vector<double> merge_samples_;
 
   // Ingest-thread time split (written by the ingest thread only; the
   // load+store is not a race because there is exactly one writer).

@@ -5,9 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "anon/leaf_scan.h"
-#include "common/timer.h"
-#include "dp/dp_hierarchy.h"
 #include "index/tree_persistence.h"
 #include "service/snapshot.h"
 
@@ -125,54 +122,21 @@ bool FollowerCore::PublishEpoch(uint64_t epoch) {
       tree.size() == published_records_.load(std::memory_order_relaxed)) {
     return false;
   }
-  // Mirrors AnonymizationService::Publish() minus WAL and memtable: the
-  // follower replays records in LSN order into an identically-configured
-  // tree, so the leaf groups — and therefore every k1 release — come out
+  // The leader publishes through the same BuildSnapshot: the follower
+  // replays records in LSN order into an identically configured tree, so
+  // the leaf groups, every k1 release and the DP cell counts come out
   // identical to the leader's at the same (epoch, records) point.
-  Timer timer;
-  std::vector<LeafGroup> leaves = ExtractLeafGroups(tree, &domain_);
-  if (!options_.anonymizer.compact) {
-    for (LeafGroup& group : leaves) {
-      if (!group.region.empty()) group.mbr = group.region;
-    }
-  }
-  SnapshotInfo info;
-  info.records = tree.size();
-  info.base_k = base_k;
-  const PartitionSet base = LeafScan(leaves, info.base_k);
-  info.num_partitions = base.num_partitions();
-  info.min_partition = base.min_partition_size();
-  info.max_partition = base.max_partition_size();
-  info.avg_ncp = AverageBoxNcp(base, domain_);
-  info.build_ms = timer.ElapsedMillis();
-  info.created = std::chrono::steady_clock::now();
-  info.epoch = epoch;
-  // DP cell counts from the replayed tree: the leader computed the same
-  // accumulation over the same record multiset, so a follower at the
-  // leader's (epoch, records) point carries an identical vector — which is
-  // what makes its /release/dp bodies byte-identical to the leader's.
-  DpCells dp_cells;
-  if (options_.dp_height > 0) {
-    const DpGrid grid(domain_, options_.dp_height);
-    auto cells = std::make_shared<std::vector<uint64_t>>();
-    for (const Node* leaf : tree.OrderedLeaves()) {
-      AccumulateCells(grid, leaf->points.data(), leaf->leaf_size(),
-                      cells.get());
-    }
-    if (cells->empty()) cells->assign(grid.num_leaves(), 0);
-    dp_cells = std::move(cells);
-  }
-  auto snapshot = std::make_shared<const Snapshot>(
-      std::move(leaves), domain_, info, std::move(dp_cells),
-      options_.dp_height);
+  std::shared_ptr<const Snapshot> snapshot = BuildSnapshot(
+      tree, domain_, options_.anonymizer, options_.dp_height, epoch);
+  const uint64_t records = snapshot->info().records;
 
   StitchedInfo stitched;
-  stitched.records = info.records;
+  stitched.records = records;
   stitched.base_k = base_k;
   stitched.num_shards = 1;
   stitched.epoch = epoch;
   stitched.shard_epochs = {epoch};
-  stitched.shard_records = {info.records};
+  stitched.shard_records = {records};
   auto current = std::make_shared<const StitchedSnapshot>(
       std::vector<std::shared_ptr<const Snapshot>>{std::move(snapshot)},
       domain_, stitched);
@@ -181,7 +145,7 @@ bool FollowerCore::PublishEpoch(uint64_t epoch) {
     current_ = std::move(current);
   }
   epoch_.store(epoch, std::memory_order_release);
-  published_records_.store(info.records, std::memory_order_release);
+  published_records_.store(records, std::memory_order_release);
   return true;
 }
 

@@ -34,19 +34,9 @@ std::string FormatServiceStats(const ServiceStats& stats) {
      << " apply_ms=" << stats.apply_ms
      << " mean_queue_wait_ms=" << stats.mean_queue_wait_ms()
      << " mean_apply_ms=" << stats.mean_apply_ms() << "\n";
-  if (stats.memtable_enabled) {
-    os << "memtable: records=" << stats.memtable_records
-       << " bytes=" << stats.memtable_bytes << " merges=" << stats.merges
-       << " delta_merges=" << stats.delta_merges
-       << " escalations=" << stats.merge_escalations
-       << " last_merge_ms=" << stats.last_merge_ms
-       << " merge_ms_total=" << stats.merge_ms_total << "\n";
-  }
   os << "snapshots: published=" << stats.snapshots
      << " last_build_ms=" << stats.last_snapshot_build_ms
      << " build_ms_total=" << stats.snapshot_build_ms_total
-     << " fragments_reused=" << stats.fragments_reused
-     << " fragments_built=" << stats.fragments_built
      << " age_s=" << stats.snapshot_age_s;
   if (stats.durable) {
     os << "\ndurability: recovered=" << stats.recovered

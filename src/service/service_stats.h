@@ -41,32 +41,11 @@ struct ServiceStats {
   double snapshot_build_ms_total = 0.0;  // total time building snapshots
   double snapshot_age_s = 0.0;  // 0 before the first publication
 
-  // Per-leaf release-fragment reuse across snapshot publications (nonzero
-  // only in LSM mode, where merges report exactly which leaves changed).
-  uint64_t fragments_reused = 0;  // fragments carried over unchanged
-  uint64_t fragments_built = 0;   // fragments (re)built
-
   // Ingest-thread time attribution: of the thread's life, how much was
   // spent waiting to drain the queue vs applying batches (WAL append +
-  // memtable/tree work). The per-batch apply cost is what the memtable
-  // absorbs — mean_apply_ms() is the attributable number.
+  // tree inserts); mean_apply_ms() is the per-batch apply cost.
   double queue_wait_ms = 0.0;
   double apply_ms = 0.0;
-
-  // Write-absorbing LSM ingest tier (see ServiceOptions::lsm; all zero
-  // when the memtable is off).
-  bool memtable_enabled = false;
-  uint64_t memtable_records = 0;  // resident (un-merged) records right now
-  uint64_t memtable_bytes = 0;    // approximate resident footprint
-  uint64_t merges = 0;            // memtable flushes merged into the tree
-  uint64_t delta_merges = 0;      // of `merges`, in-place delta merges
-  uint64_t merge_escalations = 0; // delta rebuild sites escalated upward
-  double last_merge_ms = 0.0;
-  double merge_ms_total = 0.0;    // total time in merges
-  /// Distribution of merge durations (over up to the last 64Ki merges;
-  /// `merges` keeps the exact total regardless).
-  Histogram merge_duration_ms;
-  uint64_t merge_samples = 0;  // samples backing merge_duration_ms
 
   // Durability counters (all zero when the service runs without a WAL).
   bool durable = false;          // a WAL directory is configured

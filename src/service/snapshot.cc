@@ -2,10 +2,62 @@
 
 #include <algorithm>
 
+#include "common/check.h"
+#include "common/timer.h"
+#include "dp/dp_hierarchy.h"
+
 namespace kanon {
 
 PartitionSet Snapshot::Release(size_t k1) const {
   return LeafScan(fragments_, std::max(k1, info_.base_k));
+}
+
+std::shared_ptr<const Snapshot> BuildSnapshot(
+    const RPlusTree& tree, const Domain& domain,
+    const RTreeAnonymizerOptions& anonymizer, size_t dp_height,
+    uint64_t epoch) {
+  KANON_CHECK(tree.size() >= anonymizer.base_k);
+  Timer timer;
+  std::vector<LeafFragment> fragments;
+  for (const Node* leaf : tree.OrderedLeaves()) {
+    if (leaf->leaf_size() == 0) continue;  // post-deletion empty leaf
+    auto group = std::make_shared<LeafGroup>();
+    group->rids = leaf->rids;
+    group->mbr = leaf->mbr;
+    group->region = ClipRegionToDomain(leaf->region, domain);
+    if (!anonymizer.compact && !group->region.empty()) {
+      // Publish index regions instead of tight MBRs (the uncompacted view).
+      group->mbr = group->region;
+    }
+    fragments.push_back(std::move(group));
+  }
+  SnapshotInfo info;
+  info.epoch = epoch;
+  info.records = tree.size();
+  info.base_k = anonymizer.base_k;
+  const PartitionSet base = LeafScan(fragments, info.base_k);
+  info.num_partitions = base.num_partitions();
+  info.min_partition = base.min_partition_size();
+  info.max_partition = base.max_partition_size();
+  info.avg_ncp = AverageBoxNcp(base, domain);
+  info.build_ms = timer.ElapsedMillis();
+  info.created = std::chrono::steady_clock::now();
+  // Exact DP grid cell counts over every record. The accumulation is a
+  // pure function of the record multiset, so per-shard vectors sum and a
+  // follower replaying the same records reproduces them exactly.
+  DpCells dp_cells;
+  if (dp_height > 0) {
+    const DpGrid grid(domain, dp_height);
+    auto cells = std::make_shared<std::vector<uint64_t>>();
+    for (const Node* leaf : tree.OrderedLeaves()) {
+      AccumulateCells(grid, leaf->points.data(), leaf->leaf_size(),
+                      cells.get());
+    }
+    if (cells->empty()) cells->assign(grid.num_leaves(), 0);
+    dp_cells = std::move(cells);
+  }
+  return std::make_shared<const Snapshot>(std::move(fragments), domain, info,
+                                          std::move(dp_cells), dp_height);
 }
 
 double AverageBoxNcp(const PartitionSet& ps, const Domain& domain) {

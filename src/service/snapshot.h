@@ -8,8 +8,10 @@
 
 #include "anon/leaf_scan.h"
 #include "anon/partition.h"
+#include "anon/rtree_anonymizer.h"
 #include "data/dataset.h"
 #include "index/bulk_load.h"
+#include "index/rplus_tree.h"
 
 namespace kanon {
 
@@ -21,16 +23,6 @@ struct SnapshotInfo {
   size_t base_k = 0;        // minimum granularity any release can request
   double build_ms = 0.0;    // leaf extraction + base release + summary time
   std::chrono::steady_clock::time_point created{};
-
-  // LSM ingest tier (zero when the memtable is off or empty). Of `records`,
-  // `memtable_records` live in curve-sorted memtable overlay groups rather
-  // than tree leaves — still k-bound, Lemma 1 applies to them identically.
-  // `memtable_pending` counts residents withheld from this snapshot
-  // entirely: fewer than base_k were in the memtable, and releasing a
-  // group below the k bound is never allowed. They are acknowledged and
-  // durable, and the next flush covers them.
-  uint64_t memtable_records = 0;
-  uint64_t memtable_pending = 0;
 
   // Quality of the base_k release (the finest publishable view).
   size_t num_partitions = 0;
@@ -52,10 +44,8 @@ struct SnapshotInfo {
 /// k1 >= base_k — and any number of them — jointly k-anonymous, so a
 /// snapshot can serve arbitrarily many Release calls from arbitrarily many
 /// threads with no synchronization at all.
-/// One immutable per-leaf release fragment, shareable between snapshots.
-/// Consecutive snapshots of a delta-merged tree differ only in the leaves
-/// the merges spliced, so the service reuses every other fragment verbatim
-/// and publication cost tracks the churn, not the dataset size.
+/// One immutable per-leaf release fragment: the leaf's record ids, its
+/// published box and its domain-clipped region.
 using LeafFragment = std::shared_ptr<const LeafGroup>;
 
 /// Exact per-cell resident counts over the canonical DP bisection grid
@@ -68,31 +58,14 @@ using DpCells = std::shared_ptr<const std::vector<uint64_t>>;
 
 class Snapshot {
  public:
-  /// Shared-fragment constructor — the service's publication path. The
-  /// snapshot holds refcounts; fragments also alive in the service's
-  /// cache (or in older snapshots) are never copied.
+  /// Snapshots come from BuildSnapshot below.
   Snapshot(std::vector<LeafFragment> fragments, Domain domain,
-           SnapshotInfo info, DpCells dp_cells = nullptr,
-           size_t dp_height = 0)
+           SnapshotInfo info, DpCells dp_cells, size_t dp_height)
       : fragments_(std::move(fragments)),
         domain_(std::move(domain)),
         info_(info),
         dp_cells_(std::move(dp_cells)),
         dp_height_(dp_height) {}
-
-  /// Owning constructor: wraps each group in its own fragment (followers
-  /// and tests that build leaf groups directly).
-  Snapshot(std::vector<LeafGroup> leaves, Domain domain, SnapshotInfo info,
-           DpCells dp_cells = nullptr, size_t dp_height = 0)
-      : domain_(std::move(domain)),
-        info_(info),
-        dp_cells_(std::move(dp_cells)),
-        dp_height_(dp_height) {
-    fragments_.reserve(leaves.size());
-    for (LeafGroup& g : leaves) {
-      fragments_.push_back(std::make_shared<const LeafGroup>(std::move(g)));
-    }
-  }
 
   Snapshot(const Snapshot&) = delete;
   Snapshot& operator=(const Snapshot&) = delete;
@@ -101,10 +74,7 @@ class Snapshot {
   const Domain& domain() const { return domain_; }
   const std::vector<LeafFragment>& fragments() const { return fragments_; }
 
-  /// Exact DP grid cell counts of every resident this snapshot's publisher
-  /// held — including sub-k memtable residue withheld from the k-anonymous
-  /// view (the DP mechanism protects individuals with noise, not
-  /// suppression, so withholding them would bias the noisy counts). Null
+  /// Exact DP grid cell counts of every record this snapshot covers. Null
   /// when the publisher ran with DP accounting off (dp_height 0).
   const DpCells& dp_cells() const { return dp_cells_; }
   size_t dp_height() const { return dp_height_; }
@@ -122,6 +92,20 @@ class Snapshot {
   DpCells dp_cells_;
   size_t dp_height_ = 0;
 };
+
+/// Builds the release point of `tree` as publication `epoch`: one
+/// fragment per non-empty leaf in tree order (region clipped to `domain`;
+/// with anonymizer.compact off the region replaces the tight MBR), the
+/// base_k release's quality summary, and the exact DP cell counts at
+/// `dp_height` (none at 0). The leader's service and a replication
+/// follower both publish through this one function, so a follower that
+/// replayed the leader's records into an identically configured tree
+/// serves byte-identical releases at the same (epoch, records) point.
+/// The caller guarantees tree.size() >= anonymizer.base_k.
+std::shared_ptr<const Snapshot> BuildSnapshot(
+    const RPlusTree& tree, const Domain& domain,
+    const RTreeAnonymizerOptions& anonymizer, size_t dp_height,
+    uint64_t epoch);
 
 /// Mean per-record, per-attribute extent ratio of a partition set against
 /// `domain` — the numeric-attribute NCP, computable without the backing

@@ -186,8 +186,6 @@ ShardedAnonymizationService::CurrentStitched() const {
       info.shard_records[i] = si.records;
       info.records += si.records;
       info.epoch += si.epoch;
-      info.memtable_records += si.memtable_records;
-      info.memtable_pending += si.memtable_pending;
     }
     parts.push_back(std::move(part));
   }
@@ -261,18 +259,7 @@ ShardedServiceStats ShardedAnonymizationService::Stats() const {
     total.wal_poisoned = total.wal_poisoned || s.wal_poisoned;
     total.queue_wait_ms += s.queue_wait_ms;
     total.apply_ms += s.apply_ms;
-    total.memtable_enabled = total.memtable_enabled || s.memtable_enabled;
-    total.memtable_records += s.memtable_records;
-    total.memtable_bytes += s.memtable_bytes;
-    total.merges += s.merges;
-    total.delta_merges += s.delta_merges;
-    total.merge_escalations += s.merge_escalations;
-    total.last_merge_ms = std::max(total.last_merge_ms, s.last_merge_ms);
-    total.merge_ms_total += s.merge_ms_total;
-    total.merge_samples += s.merge_samples;
     total.snapshot_build_ms_total += s.snapshot_build_ms_total;
-    total.fragments_reused += s.fragments_reused;
-    total.fragments_built += s.fragments_built;
     stats.shards.push_back(std::move(s));
   }
   // Staleness of the stitched view is its stalest covered slice.

@@ -24,14 +24,6 @@ struct StitchedInfo {
   uint64_t epoch = 0;
   std::vector<uint64_t> shard_epochs;   // size num_shards, 0 = unpublished
   std::vector<uint64_t> shard_records;  // size num_shards
-
-  /// LSM ingest tier, summed over covered shards: of `records`, how many
-  /// are served from memtable overlay groups (k-bound like tree leaves),
-  /// and how many acknowledged residents each snapshot withheld because
-  /// fewer than base_k sat in that shard's memtable (released after its
-  /// next flush). See SnapshotInfo.
-  uint64_t memtable_records = 0;
-  uint64_t memtable_pending = 0;
 };
 
 /// An immutable multi-shard release point: one epoch snapshot per shard

@@ -2,11 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 
 #include "anon/rtree_anonymizer.h"
 #include "common/random.h"
+#include "scratch_dir.h"
 
 namespace kanon {
 namespace {
@@ -92,13 +92,13 @@ TEST(AnonymizedTableTest, WriteCsvProducesParseableFile) {
   ASSERT_TRUE(ps.ok());
   auto table = AnonymizedTable::FromPartitions(d, *std::move(ps));
   ASSERT_TRUE(table.ok());
-  const std::string path = ::testing::TempDir() + "/anon_table.csv";
+  const testutil::ScratchDir dir;
+  const std::string path = dir.file("anon_table.csv");
   ASSERT_TRUE(table->WriteCsv(path, d.schema()).ok());
   std::ifstream in(path);
   std::string line;
   size_t lines = 0;
   while (std::getline(in, line)) ++lines;
-  std::remove(path.c_str());
   EXPECT_EQ(lines, 201u);  // header + one row per record
 }
 

@@ -2,14 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "common/random.h"
 #include "data/csv.h"
 #include "data/schema.h"
+#include "scratch_dir.h"
 
 namespace kanon {
 namespace {
@@ -78,12 +77,8 @@ TEST(CliParseTest, ThreadsFlag) {
 class CliRunTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Per-test file names: ctest runs suites in parallel, and a shared
-    // /tmp/cli_in.csv would let concurrent CliRunTests clobber each other.
-    const std::string tag =
-        ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    input_ = ::testing::TempDir() + "/cli_in_" + tag + ".csv";
-    output_ = ::testing::TempDir() + "/cli_out_" + tag + ".csv";
+    input_ = dir_.file("in.csv");
+    output_ = dir_.file("out.csv");
     Rng rng(1);
     std::ofstream out(input_);
     for (int i = 0; i < 1000; ++i) {
@@ -91,11 +86,6 @@ class CliRunTest : public ::testing::Test {
           << "," << rng.Uniform(8) << "\n";
     }
   }
-  void TearDown() override {
-    std::remove(input_.c_str());
-    std::remove(output_.c_str());
-  }
-
   size_t CountOutputRows() {
     std::ifstream in(output_);
     std::string line;
@@ -104,6 +94,7 @@ class CliRunTest : public ::testing::Test {
     return rows;
   }
 
+  testutil::ScratchDir dir_;
   std::string input_;
   std::string output_;
 };
@@ -123,16 +114,15 @@ TEST_F(CliRunTest, InferColumnsReportsUnreadableFile) {
 }
 
 TEST_F(CliRunTest, InferColumnsReportsEmptyFile) {
-  const std::string empty = ::testing::TempDir() + "/cli_empty.csv";
+  const std::string empty = dir_.file("empty.csv");
   { std::ofstream out(empty); }
   auto columns = InferColumns(empty);
   ASSERT_FALSE(columns.ok());
   EXPECT_EQ(columns.status().code(), StatusCode::kInvalidArgument);
-  std::remove(empty.c_str());
 }
 
 TEST_F(CliRunTest, EmptyInputProducesClearCliError) {
-  const std::string empty = ::testing::TempDir() + "/cli_empty_in.csv";
+  const std::string empty = dir_.file("empty_in.csv");
   { std::ofstream out(empty); }
   CliOptions o;
   o.input = empty;
@@ -140,7 +130,6 @@ TEST_F(CliRunTest, EmptyInputProducesClearCliError) {
   std::ostringstream log;
   EXPECT_EQ(cli::Run(o, log), 1);
   EXPECT_NE(log.str().find("empty"), std::string::npos) << log.str();
-  std::remove(empty.c_str());
 }
 
 TEST_F(CliRunTest, RTreePipelineEndToEnd) {
@@ -236,6 +225,23 @@ TEST(CliServeParseTest, ParsesFlagsAndRejectsUnknown) {
   cli::ServeOptions unknown;
   const char* bad[] = {"serve", "--input", "a", "--frobnicate"};
   EXPECT_FALSE(cli::ParseServeArgs(4, bad, &unknown));
+}
+
+// The write-absorbing ingest tier and its flags are gone: an old command
+// line that still passes them is a usage error (kanon_cli prints usage and
+// exits 2 whenever ParseServeArgs fails), never silently ignored.
+TEST(CliServeParseTest, RemovedIngestTierFlagsAreUsageErrors) {
+  const std::vector<std::vector<const char*>> removed = {
+      {"serve", "--input", "a.csv", "--memtable-bytes", "1"},
+      {"serve", "--input", "a.csv", "--merge-mode", "delta"},
+      {"serve", "--input", "a.csv", "--merge-every", "20000"},
+  };
+  for (const auto& argv : removed) {
+    cli::ServeOptions o;
+    EXPECT_FALSE(cli::ParseServeArgs(static_cast<int>(argv.size()),
+                                     argv.data(), &o))
+        << argv[3];
+  }
 }
 
 TEST(CliServeParseTest, DurabilityFlagsBothSpellings) {
@@ -386,8 +392,7 @@ TEST_F(CliRunTest, ServeModeEndToEnd) {
 }
 
 TEST_F(CliRunTest, ServeModeDurableRestartRecovers) {
-  const std::string wal_dir = ::testing::TempDir() + "/cli_wal_dir";
-  std::filesystem::remove_all(wal_dir);
+  const std::string wal_dir = dir_.file("wal");
 
   cli::ServeOptions o;
   o.input = input_;
@@ -413,7 +418,6 @@ TEST_F(CliRunTest, ServeModeDurableRestartRecovers) {
         << log.str();
     EXPECT_NE(log.str().find("records=1000"), std::string::npos);
   }
-  std::filesystem::remove_all(wal_dir);
 }
 
 TEST_F(CliRunTest, ServeModeShardedEndToEnd) {
@@ -437,8 +441,7 @@ TEST_F(CliRunTest, ServeModeShardedEndToEnd) {
 }
 
 TEST_F(CliRunTest, ServeModeShardedDurableRestartRecoversPerShard) {
-  const std::string wal_dir = ::testing::TempDir() + "/cli_shard_wal_dir";
-  std::filesystem::remove_all(wal_dir);
+  const std::string wal_dir = dir_.file("wal");
 
   cli::ServeOptions o;
   o.input = input_;
@@ -476,7 +479,6 @@ TEST_F(CliRunTest, ServeModeShardedDurableRestartRecoversPerShard) {
     EXPECT_EQ(cli::RunServe(o, log), 1);
     EXPECT_NE(log.str().find("--shards=2"), std::string::npos) << log.str();
   }
-  std::filesystem::remove_all(wal_dir);
 }
 
 TEST_F(CliRunTest, ServeModeMissingInputFails) {
@@ -488,7 +490,7 @@ TEST_F(CliRunTest, ServeModeMissingInputFails) {
 }
 
 TEST_F(CliRunTest, SchemaSpecDrivesNames) {
-  const std::string spec_path = ::testing::TempDir() + "/cli_spec.txt";
+  const std::string spec_path = dir_.file("spec.txt");
   {
     std::ofstream out(spec_path);
     out << "attribute alpha numeric\nattribute beta numeric\n"
@@ -504,7 +506,6 @@ TEST_F(CliRunTest, SchemaSpecDrivesNames) {
   std::ifstream in(output_);
   std::string header;
   std::getline(in, header);
-  std::remove(spec_path.c_str());
   EXPECT_EQ(header, "alpha,beta,code");
 }
 

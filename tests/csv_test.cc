@@ -2,24 +2,23 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
+
+#include "scratch_dir.h"
 
 namespace kanon {
 namespace {
 
 class CsvTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    path_ = ::testing::TempDir() + "/kanon_csv_test.csv";
-  }
-  void TearDown() override { std::remove(path_.c_str()); }
+  void SetUp() override { path_ = dir_.file("table.csv"); }
 
   void WriteFile(const std::string& content) {
     std::ofstream out(path_);
     out << content;
   }
 
+  testutil::ScratchDir dir_;
   std::string path_;
 };
 

@@ -3,41 +3,36 @@
 
 // The shared differential-equivalence oracle. The repo's strongest
 // correctness arguments are differential: two pipelines that are allowed
-// to differ in execution strategy (thread count, merge cadence, shard
-// layout, crash/recovery boundaries, full vs delta merges) must agree on
-// what they publish. This header is the single vocabulary those
-// comparisons are written in, at three strictness levels:
+// to differ in execution strategy (thread count, publication cadence,
+// bulk vs record-at-a-time loading) must agree on what they publish. This
+// header is the single vocabulary those comparisons are written in, at
+// three strictness levels:
 //
 //   * byte identity       — SnapshotBytes: the serialized tree stream,
-//     for pipelines that promise the exact same tree (full rebuilds at
-//     any thread count; delta merges at a fixed flush cadence).
+//     for pipelines that promise the exact same tree (sorted bulk loads
+//     at any thread count).
 //   * release identity    — ExpectSameRelease: identical partitions in
 //     order (rids and box bounds), for same-tree pipelines compared at
 //     the published-output level.
-//   * equivalence         — ExpectEquivalentTrees / SortedRids /
-//     ExpectKBoundCoveringRelease: same record multiset, structural
-//     invariants, k-bound disjoint covering output, equal range-query
-//     answers — for pipelines that legitimately build different trees
-//     over the same records (delta merges across cadences, bulk-rebuilt
-//     vs tuple-loaded trees).
+//   * equivalence         — ExpectEquivalentTrees: same record multiset,
+//     structural invariants and equal range-query answers, for pipelines
+//     that legitimately build different trees over the same records
+//     (bulk-loaded vs tuple-loaded trees).
 //
 // A "shared stream fixtures" section at the bottom holds the
-// deterministic record stream and scratch-directory helpers the LSM,
-// delta-merge and shard tests all feed the oracle with.
+// deterministic record stream the service and bulk-load tests feed the
+// oracle with.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "anon/partition.h"
-#include "common/check.h"
 #include "common/random.h"
 #include "data/dataset.h"
 #include "index/mbr.h"
@@ -66,37 +61,14 @@ inline void ExpectSameRelease(const PartitionSet& a, const PartitionSet& b) {
   }
 }
 
-/// Every released rid, sorted (duplicates kept): the record-set currency
-/// for comparisons where partition boundaries legitimately differ.
-inline std::vector<RecordId> SortedRids(const PartitionSet& ps) {
-  std::vector<RecordId> rids;
-  for (const Partition& p : ps.partitions) {
-    rids.insert(rids.end(), p.rids.begin(), p.rids.end());
-  }
-  std::sort(rids.begin(), rids.end());
-  return rids;
-}
-
-/// Release-level equivalence without a backing dataset: every partition
-/// holds at least k records and the released rids are exactly
-/// `want_rids` (sorted). Because SortedRids keeps duplicates, a record
-/// released twice fails against a duplicate-free expectation — this is
-/// the disjoint + covering check in rid space.
-inline void ExpectKBoundCoveringRelease(const PartitionSet& ps, size_t k,
-                                        const std::vector<RecordId>& want_rids) {
-  const Status anonymous = ps.CheckKAnonymous(k);
-  EXPECT_TRUE(anonymous.ok()) << anonymous;
-  EXPECT_EQ(SortedRids(ps), want_rids);
-}
-
 // ---------------------------------------------------------------------------
 // Tree-level oracles.
 
 /// One record as the oracle compares it: (rid, sensitive, coordinates).
 using RecordRow = std::tuple<uint64_t, int32_t, std::vector<double>>;
 
-/// The tree's record multiset in canonical (sorted) order — what a merge
-/// strategy must preserve exactly, however it arranges the leaves.
+/// The tree's record multiset in canonical (sorted) order — what every
+/// loading strategy must preserve exactly, however it arranges the leaves.
 inline std::vector<RecordRow> TreeRecordMultiset(const RPlusTree& tree) {
   std::vector<RecordRow> rows;
   rows.reserve(tree.size());
@@ -130,10 +102,10 @@ inline std::vector<char> SnapshotBytes(const RPlusTree& tree) {
   return bytes;
 }
 
-/// The differential equivalence oracle pinning the delta-merge contract:
-/// `got` (e.g. a delta-merged tree) is a valid anonymization index over
-/// exactly the records of `want` (e.g. the full-rebuild reference), even
-/// though the two trees may arrange them differently. Checks, in order:
+/// The differential equivalence oracle: `got` (e.g. a bulk-loaded tree)
+/// is a valid anonymization index over exactly the records of `want`
+/// (e.g. the tuple-loaded reference), even though the two trees may
+/// arrange them differently. Checks, in order:
 /// structural invariants on `got` (occupancy floor k, disjoint leaf
 /// MBRs, exactly-once coverage), identical record multisets, and equal
 /// range-query answers over `num_queries` seeded random boxes in
@@ -170,24 +142,6 @@ inline void ExpectEquivalentTrees(const RPlusTree& got, const RPlusTree& want,
 // ---------------------------------------------------------------------------
 // Shared stream fixtures.
 
-/// Scratch directory that cleans up after itself (WAL/checkpoint tests).
-class TempDir {
- public:
-  TempDir() {
-    char tmpl[] = "/tmp/kanon_test_XXXXXX";
-    KANON_CHECK(mkdtemp(tmpl) != nullptr);
-    path_ = tmpl;
-  }
-  ~TempDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path_, ec);
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
-
 inline Domain SquareDomain(double lo, double hi) {
   Domain d;
   d.lo = {lo, lo};
@@ -195,7 +149,7 @@ inline Domain SquareDomain(double lo, double hi) {
   return d;
 }
 
-/// The deterministic pseudo-grid stream the LSM, shard and HTTP tests
+/// The deterministic pseudo-grid stream the service, shard and HTTP tests
 /// use. Duplicate-heavy by construction (97·89 distinct points), which
 /// exercises key ties and unsplittable groups.
 inline std::vector<double> GridPoint(size_t i) {

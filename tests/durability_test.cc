@@ -13,28 +13,14 @@
 #include "durability/recovery.h"
 #include "durability/wal.h"
 #include "service/anonymization_service.h"
+#include "scratch_dir.h"
 
 namespace kanon {
 namespace {
 
 namespace fs = std::filesystem;
 
-class TempDir {
- public:
-  TempDir() {
-    char tmpl[] = "/tmp/kanon_durability_XXXXXX";
-    KANON_CHECK(mkdtemp(tmpl) != nullptr);
-    path_ = tmpl;
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
+using testutil::ScratchDir;
 
 struct Entry {
   uint64_t lsn;
@@ -73,7 +59,7 @@ TEST(Crc32Test, KnownVectorsAndChaining) {
 }
 
 TEST(DurabilityWalTest, RoundTrip) {
-  TempDir dir;
+  ScratchDir dir;
   const size_t dim = 3;
   Rng rng(7);
   std::vector<Entry> written;
@@ -110,7 +96,7 @@ TEST(DurabilityWalTest, RoundTrip) {
 }
 
 TEST(DurabilityWalTest, TornTailIsTruncatedNotFatal) {
-  TempDir dir;
+  ScratchDir dir;
   const size_t dim = 2;
   {
     auto wal = WalWriter::Open(dir.path(), dim, 1);
@@ -147,7 +133,7 @@ TEST(DurabilityWalTest, TornTailIsTruncatedNotFatal) {
 }
 
 TEST(DurabilityWalTest, CorruptEntryInFinalSegmentTruncates) {
-  TempDir dir;
+  ScratchDir dir;
   const size_t dim = 2;
   {
     auto wal = WalWriter::Open(dir.path(), dim, 1);
@@ -175,7 +161,7 @@ TEST(DurabilityWalTest, CorruptEntryInFinalSegmentTruncates) {
 }
 
 TEST(DurabilityWalTest, SegmentRotationAndTruncation) {
-  TempDir dir;
+  ScratchDir dir;
   const size_t dim = 2;
   WalOptions options;
   options.segment_bytes = 256;  // a handful of entries per segment
@@ -206,7 +192,7 @@ TEST(DurabilityWalTest, SegmentRotationAndTruncation) {
 }
 
 TEST(DurabilityCheckpointTest, ManifestRoundTripIsAtomic) {
-  TempDir dir;
+  ScratchDir dir;
   CheckpointManifest manifest;
   manifest.dim = 2;
   manifest.min_leaf = 3;
@@ -259,7 +245,7 @@ std::vector<std::vector<double>> RandomPoints(size_t n, uint64_t seed) {
 }
 
 TEST(DurabilityRecoveryTest, CheckpointPlusWalTail) {
-  TempDir dir;
+  ScratchDir dir;
   const auto points = RandomPoints(200, 11);
   IncrementalAnonymizer original(2, SmallAnonOptions());
   {
@@ -304,7 +290,7 @@ TEST(DurabilityRecoveryTest, CheckpointPlusWalTail) {
 }
 
 TEST(DurabilityRecoveryTest, FreshDirectoryRecoversToEmpty) {
-  TempDir dir;
+  ScratchDir dir;
   IncrementalAnonymizer anonymizer(2, SmallAnonOptions());
   RecoveryOptions options;
   options.dir = dir.path() + "/does_not_exist_yet";
@@ -316,7 +302,7 @@ TEST(DurabilityRecoveryTest, FreshDirectoryRecoversToEmpty) {
 }
 
 TEST(DurabilityRecoveryTest, DetectsCorruptCheckpoint) {
-  TempDir dir;
+  ScratchDir dir;
   IncrementalAnonymizer original(2, SmallAnonOptions());
   const auto points = RandomPoints(60, 13);
   for (size_t i = 0; i < points.size(); ++i) {
@@ -347,7 +333,7 @@ TEST(DurabilityRecoveryTest, DetectsCorruptCheckpoint) {
 }
 
 TEST(DurabilityRecoveryTest, RejectsMismatchedConfiguration) {
-  TempDir dir;
+  ScratchDir dir;
   IncrementalAnonymizer original(2, SmallAnonOptions());
   const auto points = RandomPoints(40, 17);
   for (size_t i = 0; i < points.size(); ++i) {
@@ -377,7 +363,7 @@ ServiceOptions DurableServiceOptions(const std::string& dir) {
 }
 
 TEST(DurabilityServiceTest, RestartRecoversEverything) {
-  TempDir dir;
+  ScratchDir dir;
   Domain domain;
   domain.lo = {0, 0};
   domain.hi = {1000, 1000};

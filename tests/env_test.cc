@@ -3,36 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "common/check.h"
+#include "scratch_dir.h"
 
 namespace kanon {
 namespace {
 
-class TempDir {
- public:
-  TempDir() {
-    char tmpl[] = "/tmp/kanon_env_XXXXXX";
-    KANON_CHECK(mkdtemp(tmpl) != nullptr);
-    path_ = tmpl;
-  }
-  ~TempDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path_, ec);
-  }
-  const std::string& path() const { return path_; }
-  std::string file(const std::string& name) const {
-    return path_ + "/" + name;
-  }
-
- private:
-  std::string path_;
-};
+using testutil::ScratchDir;
 
 /// A WritableFile whose AppendPartial transfers at most `chunk` bytes per
 /// call — the short-write torture case the public Append loop must absorb.
@@ -70,7 +51,7 @@ TEST(EnvTest, AppendResumesShortWrites) {
 
 TEST(EnvTest, PosixWriteReadRoundtrip) {
   Env* env = Env::Default();
-  TempDir dir;
+  ScratchDir dir;
   const std::string path = dir.file("data.bin");
   std::string payload(100000, '\0');
   for (size_t i = 0; i < payload.size(); ++i) {
@@ -103,7 +84,7 @@ TEST(EnvTest, PosixWriteReadRoundtrip) {
 
 TEST(EnvTest, PosixMissingFileIsNotFound) {
   Env* env = Env::Default();
-  TempDir dir;
+  ScratchDir dir;
   EXPECT_EQ(env->NewRandomAccessFile(dir.file("nope")).status().code(),
             StatusCode::kNotFound);
   std::string s;
@@ -116,7 +97,7 @@ TEST(EnvTest, PosixMissingFileIsNotFound) {
 
 TEST(EnvTest, PosixRandomRWFileAndTruncate) {
   Env* env = Env::Default();
-  TempDir dir;
+  ScratchDir dir;
   const std::string path = dir.file("rw.bin");
   auto file = env->NewRandomRWFile(path, /*truncate=*/true);
   ASSERT_TRUE(file.ok());
@@ -136,7 +117,7 @@ TEST(EnvTest, PosixRandomRWFileAndTruncate) {
 
 TEST(EnvTest, PosixListRenameRemove) {
   Env* env = Env::Default();
-  TempDir dir;
+  ScratchDir dir;
   for (const char* name : {"a", "b", "c"}) {
     auto f = env->NewWritableFile(dir.file(name));
     ASSERT_TRUE(f.ok());
@@ -160,7 +141,7 @@ TEST(EnvTest, PosixListRenameRemove) {
 
 TEST(EnvTest, PosixCreateDirs) {
   Env* env = Env::Default();
-  TempDir dir;
+  ScratchDir dir;
   const std::string nested = dir.path() + "/x/y/z";
   ASSERT_TRUE(env->CreateDirs(nested).ok());
   EXPECT_TRUE(env->FileExists(nested));
@@ -170,7 +151,7 @@ TEST(EnvTest, PosixCreateDirs) {
 
 TEST(EnvTest, TempRWFileIsUsable) {
   Env* env = Env::Default();
-  TempDir dir;
+  ScratchDir dir;
   auto file = env->NewTempRWFile(dir.path());
   ASSERT_TRUE(file.ok()) << file.status();
   ASSERT_TRUE((*file)->WriteAt(0, "data", 4).ok());
@@ -185,7 +166,7 @@ TEST(EnvTest, TempRWFileIsUsable) {
 }
 
 TEST(EnvTest, FaultInjectionFailNthWrite) {
-  TempDir dir;
+  ScratchDir dir;
   FaultInjectionOptions options;
   options.fail_nth_write = 2;
   options.torn_writes = false;
@@ -202,7 +183,7 @@ TEST(EnvTest, FaultInjectionFailNthWrite) {
 }
 
 TEST(EnvTest, FaultInjectionTornWritePersistsPrefix) {
-  TempDir dir;
+  ScratchDir dir;
   FaultInjectionOptions options;
   options.fail_nth_write = 1;
   options.torn_writes = true;
@@ -224,7 +205,7 @@ TEST(EnvTest, FaultInjectionTornWritePersistsPrefix) {
 }
 
 TEST(EnvTest, FaultInjectionFailNthSync) {
-  TempDir dir;
+  ScratchDir dir;
   FaultInjectionOptions options;
   options.fail_nth_sync = 1;
   FaultInjectionEnv env(Env::Default(), options);
@@ -236,7 +217,7 @@ TEST(EnvTest, FaultInjectionFailNthSync) {
 }
 
 TEST(EnvTest, FaultInjectionCorruptNthRead) {
-  TempDir dir;
+  ScratchDir dir;
   const std::string path = dir.file("r");
   {
     auto f = Env::Default()->NewWritableFile(path);
@@ -259,7 +240,7 @@ TEST(EnvTest, FaultInjectionCorruptNthRead) {
 }
 
 TEST(EnvTest, FaultInjectionBreakIsPersistent) {
-  TempDir dir;
+  ScratchDir dir;
   FaultInjectionOptions options;
   options.break_after_ops = 3;
   FaultInjectionEnv env(Env::Default(), options);
@@ -275,7 +256,7 @@ TEST(EnvTest, FaultInjectionBreakIsPersistent) {
 }
 
 TEST(EnvTest, FaultInjectionPathFilter) {
-  TempDir dir;
+  ScratchDir dir;
   FaultInjectionOptions options;
   options.fail_nth_write = 1;
   options.torn_writes = false;
@@ -293,7 +274,7 @@ TEST(EnvTest, FaultInjectionPathFilter) {
 
 TEST(EnvTest, FaultInjectionDeterministicSchedule) {
   auto run = [](uint64_t seed) {
-    TempDir dir;
+    ScratchDir dir;
     FaultInjectionOptions options;
     options.seed = seed;
     options.mean_ops_between_faults = 10;

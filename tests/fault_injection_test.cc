@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <filesystem>
 #include <vector>
 
 #include "anon/rtree_anonymizer.h"
@@ -16,28 +14,12 @@
 #include "storage/buffer_pool.h"
 #include "storage/external_sort.h"
 #include "storage/spill_file.h"
+#include "scratch_dir.h"
 
 namespace kanon {
 namespace {
 
-namespace fs = std::filesystem;
-
-class TempDir {
- public:
-  TempDir() {
-    char tmpl[] = "/tmp/kanon_fault_XXXXXX";
-    KANON_CHECK(mkdtemp(tmpl) != nullptr);
-    path_ = tmpl;
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
+using testutil::ScratchDir;
 
 RTreeAnonymizerOptions SmallAnonOptions() {
   RTreeAnonymizerOptions options;
@@ -213,7 +195,7 @@ TEST(FaultInjectionTest, RecoveryAfterRearm) {
 // ---------------------------------------------------------------------------
 
 TEST(FaultInjectionWalTest, SyncFailurePoisonsWriterPermanently) {
-  TempDir dir;
+  ScratchDir dir;
   FaultInjectionOptions fault_options;
   fault_options.fail_nth_sync = 2;  // sync #1 durably creates the segment
   FaultInjectionEnv env(Env::Default(), fault_options);
@@ -236,7 +218,7 @@ TEST(FaultInjectionWalTest, SyncFailurePoisonsWriterPermanently) {
 }
 
 TEST(FaultInjectionWalTest, AppendRetryAfterTornWriteKeepsLsnsDense) {
-  TempDir dir;
+  ScratchDir dir;
   FaultInjectionOptions fault_options;
   fault_options.fail_nth_write = 5;  // write #1 is the segment header
   fault_options.torn_writes = true;  // persist a prefix, then fail
@@ -290,7 +272,7 @@ TEST(FaultInjectionWalTest, AppendRetryAfterTornWriteKeepsLsnsDense) {
 // ---------------------------------------------------------------------------
 
 TEST(FaultInjectionCheckpointTest, FailedCheckpointLeavesManifestAndWal) {
-  TempDir dir;
+  ScratchDir dir;
   IncrementalAnonymizer anonymizer(2, SmallAnonOptions());
   auto wal = WalWriter::Open(dir.path(), 2, 1);
   ASSERT_TRUE(wal.ok());
@@ -349,7 +331,7 @@ TEST(FaultInjectionCheckpointTest, FailedCheckpointLeavesManifestAndWal) {
 // ---------------------------------------------------------------------------
 
 TEST(FaultInjectionServiceTest, DiskDeathDegradesToReadOnlyThenRecovers) {
-  TempDir dir;
+  ScratchDir dir;
   const auto points = RandomPoints(600, 17);
 
   // The disk dies after ~100 records' worth of WAL traffic: well past the
@@ -413,7 +395,7 @@ TEST(FaultInjectionServiceTest, DiskDeathDegradesToReadOnlyThenRecovers) {
 }
 
 TEST(FaultInjectionServiceTest, TransientWriteFaultRetriesWithoutDegrading) {
-  TempDir dir;
+  ScratchDir dir;
   const auto points = RandomPoints(120, 23);
 
   // Exactly one torn write mid-stream, then a healthy disk: the retry path
@@ -454,7 +436,7 @@ TEST(FaultInjectionServiceTest, SeededFaultMatrixNeverBreaksRecovery) {
   // but it must never crash, and a fault-free restart must always recover a
   // dense, k-anonymous prefix. CI runs this under every sanitizer.
   for (uint64_t seed = 1; seed <= 5; ++seed) {
-    TempDir dir;
+    ScratchDir dir;
     const auto points = RandomPoints(300, seed);
     FaultInjectionOptions fault_options;
     fault_options.seed = seed;

@@ -1,12 +1,12 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <set>
 
 #include "data/adult.h"
 #include "data/agrawal_generator.h"
 #include "data/landsend_generator.h"
+#include "scratch_dir.h"
 
 namespace kanon {
 namespace {
@@ -126,7 +126,8 @@ TEST(AdultTest, SynthesizeMatchesSchemaAndRanges) {
 }
 
 TEST(AdultTest, LoadParsesRawUciFormat) {
-  const std::string path = ::testing::TempDir() + "/adult_sample.data";
+  const testutil::ScratchDir dir;
+  const std::string path = dir.file("adult_sample.data");
   {
     std::ofstream out(path);
     out << "39, State-gov, 77516, Bachelors, 13, Never-married, "
@@ -139,7 +140,6 @@ TEST(AdultTest, LoadParsesRawUciFormat) {
            "Not-in-family, White, Male, 0, 0, 40, United-States, <=50K\n";
   }
   auto ds = Adult::Load(path);
-  std::remove(path.c_str());
   ASSERT_TRUE(ds.ok());
   // Third row has a missing workclass and is dropped.
   ASSERT_EQ(ds->num_records(), 2u);

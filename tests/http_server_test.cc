@@ -4,7 +4,9 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -808,6 +810,101 @@ TEST(HttpServerTest, DpReleaseByteIdenticalAcrossShardCounts) {
   ASSERT_TRUE(dp.ok());
   ASSERT_EQ(dp->status, 200);
   EXPECT_NE(dp->body, bodies[0]);
+}
+
+/// One endpoint's kanon_http_request_latency_ms histogram as exposed.
+struct ScrapedHistogram {
+  std::vector<std::string> les;   // bucket bounds in exposition order
+  std::vector<uint64_t> buckets;  // cumulative counts, same order
+  uint64_t count = 0;
+  bool has_count = false;
+};
+
+/// Parses every kanon_http_request_latency_ms series of a /metrics body,
+/// keyed by endpoint label.
+std::map<std::string, ScrapedHistogram> ScrapeLatencyHistograms(
+    const std::string& body) {
+  std::map<std::string, ScrapedHistogram> out;
+  const std::string bucket =
+      "kanon_http_request_latency_ms_bucket{endpoint=\"";
+  const std::string count =
+      "kanon_http_request_latency_ms_count{endpoint=\"";
+  size_t pos = 0;
+  while (pos < body.size()) {
+    size_t eol = body.find('\n', pos);
+    if (eol == std::string::npos) eol = body.size();
+    const std::string line = body.substr(pos, eol - pos);
+    pos = eol + 1;
+    const bool is_bucket = line.rfind(bucket, 0) == 0;
+    const bool is_count = line.rfind(count, 0) == 0;
+    if (!is_bucket && !is_count) continue;
+    const size_t name_begin = (is_bucket ? bucket : count).size();
+    const std::string endpoint =
+        line.substr(name_begin, line.find('"', name_begin) - name_begin);
+    const uint64_t value =
+        std::strtoull(line.c_str() + line.rfind(' ') + 1, nullptr, 10);
+    ScrapedHistogram& h = out[endpoint];
+    if (is_count) {
+      h.count = value;
+      h.has_count = true;
+      continue;
+    }
+    const size_t le_begin = line.find("le=\"") + 4;
+    h.les.push_back(
+        line.substr(le_begin, line.find('"', le_begin) - le_begin));
+    h.buckets.push_back(value);
+  }
+  return out;
+}
+
+/// The latency histogram follows the Prometheus exposition format: fixed
+/// `le` bounds (identical across scrapes and endpoints), monotonic
+/// cumulative buckets, and a +Inf bucket equal to _count.
+TEST(HttpServerTest, LatencyHistogramBucketsAreFixedAcrossScrapes) {
+  ServerUnderTest s = StartServer(SmallServiceOptions(5), /*use_epoll=*/true);
+  HttpClient client = ConnectTo(*s.server);
+  ASSERT_EQ(client.Post("/ingest", GridBody(60))->status, 200);
+  ASSERT_NE(s.service->PublishNow(), nullptr);
+  ASSERT_EQ(client.Get("/release/query?k1=10&summary=1")->status, 200);
+  ASSERT_EQ(client.Get("/healthz")->status, 200);
+  auto first = client.Get("/metrics");
+  ASSERT_TRUE(first.ok());
+  ASSERT_EQ(first->status, 200);
+
+  // More traffic of different cost between the scrapes.
+  for (size_t i = 0; i < 5; ++i) {
+    ASSERT_EQ(client.Post("/ingest", GridBody(200, 1000 * (i + 1)))->status,
+              200);
+    ASSERT_EQ(client.Get("/release/query?k1=20")->status, 200);
+  }
+  ASSERT_EQ(client.Get("/nope")->status, 404);
+  auto second = client.Get("/metrics");
+  ASSERT_TRUE(second.ok());
+  ASSERT_EQ(second->status, 200);
+
+  const auto a = ScrapeLatencyHistograms(first->body);
+  const auto b = ScrapeLatencyHistograms(second->body);
+  ASSERT_TRUE(a.count("ingest") && a.count("release")) << first->body;
+  ASSERT_TRUE(b.count("ingest") && b.count("release") && b.count("metrics"))
+      << second->body;
+  const std::vector<std::string>& les = b.at("ingest").les;
+  ASSERT_GE(les.size(), 2u);
+  EXPECT_EQ(les.back(), "+Inf");
+  for (const auto* scrape : {&a, &b}) {
+    for (const auto& [endpoint, h] : *scrape) {
+      EXPECT_EQ(h.les, les) << endpoint;
+      ASSERT_TRUE(h.has_count) << endpoint;
+      ASSERT_FALSE(h.buckets.empty()) << endpoint;
+      for (size_t i = 1; i < h.buckets.size(); ++i) {
+        EXPECT_LE(h.buckets[i - 1], h.buckets[i])
+            << endpoint << " le=" << h.les[i];
+      }
+      EXPECT_EQ(h.buckets.back(), h.count) << endpoint;
+    }
+  }
+  EXPECT_EQ(b.at("ingest").count, a.at("ingest").count + 5);
+  EXPECT_EQ(b.at("release").count, a.at("release").count + 5);
+  s.service->Stop();
 }
 
 TEST(HttpServerTest, SerializeResponseFramesBody) {

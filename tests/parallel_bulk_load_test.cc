@@ -151,6 +151,37 @@ TEST(ParallelBulkLoadTest, AllIdenticalPointsYieldOneOverfullLeaf) {
   EXPECT_EQ(SnapshotBytes(*tree), SnapshotBytes(*serial));
 }
 
+TEST(ParallelBulkLoadTest, DuplicateCurveKeysStayEquivalentToTupleLoad) {
+  // A spread base plus a growing pile of identical points: the duplicates
+  // share one curve key, concentrate in one leaf neighborhood and force
+  // key ties across cut boundaries. The bulk-loaded tree may arrange the
+  // records differently from the tuple-loaded one (unsplittable groups go
+  // overfull, never underfull or double-covered), but it must hold the
+  // same records and answer every range query the same.
+  Dataset d(Schema::Numeric(2));
+  Rng rng(17);
+  for (size_t i = 0; i < 1800; ++i) {
+    if (i % 6 == 5) {
+      d.Append({42.5, 42.5}, static_cast<int32_t>(i % 4));
+    } else {
+      d.Append({rng.UniformDouble(0, 100), rng.UniformDouble(0, 100)},
+               static_cast<int32_t>(i % 4));
+    }
+  }
+  const RTreeConfig config = SmallConfig();
+  RPlusTree tuple(2, config);
+  for (size_t i = 0; i < d.num_records(); ++i) {
+    tuple.Insert(d.row(i), i, d.sensitive(i));
+  }
+  const Domain domain = d.ComputeDomain();
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    auto bulk = BuildWithThreads(d, config, threads, 256, 16);
+    ASSERT_TRUE(bulk.ok()) << bulk.status();
+    testutil::ExpectEquivalentTrees(*bulk, tuple, config.min_leaf, domain,
+                                    /*seed=*/threads);
+  }
+}
+
 TEST(ParallelBulkLoadTest, LeafConstraintRespectedAtEveryThreadCount) {
   // Admissibility gate: every leaf must keep >= 2 distinct sensitive
   // values; a cut producing a single-valued half is vetoed. The gate is a

@@ -13,7 +13,6 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -28,28 +27,14 @@
 #include "net/http_client.h"
 #include "net/http_server.h"
 #include "shard/sharded_service.h"
+#include "scratch_dir.h"
 
 namespace kanon::net {
 namespace {
 
 namespace fs = std::filesystem;
 
-class TempDir {
- public:
-  TempDir() {
-    char tmpl[] = "/tmp/kanon_repl_XXXXXX";
-    KANON_CHECK(mkdtemp(tmpl) != nullptr);
-    path_ = tmpl;
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
+using testutil::ScratchDir;
 
 struct Entry {
   uint64_t lsn;
@@ -83,7 +68,7 @@ std::vector<Entry> Decode(std::string_view frames, Status* status) {
 }
 
 TEST(ReadWalRangeTest, MidLogStartAndLsnCap) {
-  TempDir dir;
+  ScratchDir dir;
   WriteWal(dir.path(), 100, /*segment_bytes=*/1024);
   auto range = ReadWalRange(dir.path(), 2, /*from_lsn=*/41, /*max_lsn=*/100,
                             /*max_bytes=*/1u << 20);
@@ -112,7 +97,7 @@ TEST(ReadWalRangeTest, MidLogStartAndLsnCap) {
 }
 
 TEST(ReadWalRangeTest, MaxBytesBatchesAndResumes) {
-  TempDir dir;
+  ScratchDir dir;
   WriteWal(dir.path(), 100, 1024);
   // Tiny budget: every batch still makes progress (>= 1 entry), and
   // resuming from last_lsn + 1 walks the whole log without gaps or dups.
@@ -135,7 +120,7 @@ TEST(ReadWalRangeTest, MaxBytesBatchesAndResumes) {
 }
 
 TEST(ReadWalRangeTest, GcdPrefixIsTypedNotFound) {
-  TempDir dir;
+  ScratchDir dir;
   WriteWal(dir.path(), 200, /*segment_bytes=*/512);  // many small segments
   auto removed = TruncateWalBefore(dir.path(), /*checkpoint_lsn=*/100);
   ASSERT_TRUE(removed.ok());
@@ -155,7 +140,7 @@ TEST(ReadWalRangeTest, GcdPrefixIsTypedNotFound) {
 }
 
 TEST(ReadWalRangeTest, TornTailOnNewestSegmentIsNeverShipped) {
-  TempDir dir;
+  ScratchDir dir;
   WriteWal(dir.path(), 50, 1u << 20);
   // Append garbage to the newest (only) segment — a torn in-flight write.
   std::vector<std::string> files;
@@ -177,7 +162,7 @@ TEST(ReadWalRangeTest, TornTailOnNewestSegmentIsNeverShipped) {
 }
 
 TEST(ReadWalRangeTest, SealedSegmentDamageIsCorruption) {
-  TempDir dir;
+  ScratchDir dir;
   WriteWal(dir.path(), 200, /*segment_bytes=*/512);
   std::vector<std::string> files;
   for (const auto& e : fs::directory_iterator(dir.path())) {
@@ -202,7 +187,7 @@ TEST(ReadWalRangeTest, SealedSegmentDamageIsCorruption) {
 }
 
 TEST(DecodeWalFramesTest, CrcDamageStopsDeliveryAtTheBadFrame) {
-  TempDir dir;
+  ScratchDir dir;
   WriteWal(dir.path(), 20, 1u << 20);
   auto range = ReadWalRange(dir.path(), 2, 1, 20, 1u << 20);
   ASSERT_TRUE(range.ok());
@@ -396,7 +381,7 @@ std::string Fetch(uint16_t port, const std::string& target,
 }
 
 TEST(ReplEndpointsTest, ManifestReportsLeaderStateAnd409WithoutDurability) {
-  TempDir dir;
+  ScratchDir dir;
   Leader leader = StartLeader(dir.path());
   IngestAndPublish(leader, 60);
   int status = 0;
@@ -417,8 +402,41 @@ TEST(ReplEndpointsTest, ManifestReportsLeaderStateAnd409WithoutDurability) {
   bare.service->Stop();
 }
 
+// The manifest no longer carries the retired ingest-tier key, and a
+// follower still parses a manifest from an older leader that does.
+TEST(ReplEndpointsTest, ManifestDropsRetiredKeyAndFollowerToleratesIt) {
+  ScratchDir dir;
+  Leader leader = StartLeader(dir.path());
+  IngestAndPublish(leader, 60);
+  const std::string body = Fetch(leader.port(), "/repl/manifest");
+  EXPECT_EQ(body.find("\"lsm\""), std::string::npos) << body;
+  leader.service->Stop();
+
+  const size_t at = body.find(",\"dp_height\"");
+  ASSERT_NE(at, std::string::npos) << body;
+  const std::string older =
+      body.substr(0, at) + ",\"lsm\":0" + body.substr(at);
+  HttpServerOptions http;
+  http.port = 0;
+  http.num_threads = 1;
+  HttpServer canned(http, [&older](const HttpRequest&) {
+    return HttpResponse::Json(200, older);
+  });
+  ASSERT_TRUE(canned.Start().ok());
+  ReplicationClient client("127.0.0.1", canned.port(), 0, 5.0);
+  auto manifest = client.FetchManifest();
+  ASSERT_TRUE(manifest.ok()) << manifest.status();
+  EXPECT_EQ(manifest->dim, 2u);
+  EXPECT_EQ(manifest->base_k, 5u);
+  EXPECT_EQ(manifest->dp_height, 10u);
+  EXPECT_EQ(manifest->durable_lsn, 60u);
+  EXPECT_EQ(manifest->epoch, 1u);
+  EXPECT_EQ(manifest->epoch_records, 60u);
+  canned.Shutdown();
+}
+
 TEST(ReplEndpointsTest, WalEndpointShipsDecodableFramesWithHeaders) {
-  TempDir dir;
+  ScratchDir dir;
   Leader leader = StartLeader(dir.path());
   IngestAndPublish(leader, 40);
 
@@ -453,7 +471,7 @@ TEST(ReplEndpointsTest, WalEndpointShipsDecodableFramesWithHeaders) {
 }
 
 TEST(ReplEndpointsTest, GcdWalRangeIs410OverHttp) {
-  TempDir dir;
+  ScratchDir dir;
   // Small segments + frequent checkpoints: ingesting enough rotates and
   // then GCs the early WAL segments.
   Leader leader = StartLeader(dir.path(), 5, /*checkpoint_every=*/64,
@@ -474,8 +492,8 @@ TEST(ReplEndpointsTest, GcdWalRangeIs410OverHttp) {
 }
 
 TEST(ReplicationE2eTest, FollowerConvergesToByteIdenticalRelease) {
-  TempDir wal;
-  TempDir scratch;
+  ScratchDir wal;
+  ScratchDir scratch;
   Leader leader = StartLeader(wal.path());
   IngestAndPublish(leader, 80);
 
@@ -539,8 +557,8 @@ TEST(ReplicationE2eTest, FollowerConvergesToByteIdenticalRelease) {
 // secret)) — and answers range queries and budget rejections through the
 // same DpServing path.
 TEST(ReplicationE2eTest, FollowerServesByteIdenticalDpRelease) {
-  TempDir wal;
-  TempDir scratch;
+  ScratchDir wal;
+  ScratchDir scratch;
   AnonHttpOptions leader_frontend;
   leader_frontend.dp_key = "replicated-secret";
   Leader leader = StartLeader(wal.path(), /*k=*/5,
@@ -605,8 +623,8 @@ TEST(ReplicationE2eTest, FollowerServesByteIdenticalDpRelease) {
 }
 
 TEST(ReplicationE2eTest, FollowerBootstrapsFromCheckpointThenTails) {
-  TempDir wal;
-  TempDir scratch;
+  ScratchDir wal;
+  ScratchDir scratch;
   // Frequent checkpoints + tiny segments: by 300 records the WAL prefix is
   // gone and a follower MUST use the checkpoint (WAL-only would 410).
   Leader leader = StartLeader(wal.path(), 5, /*checkpoint_every=*/64,
@@ -633,8 +651,8 @@ TEST(ReplicationE2eTest, FollowerBootstrapsFromCheckpointThenTails) {
 }
 
 TEST(ReplicationE2eTest, FollowerReBootstrapsWhenTailedRangeIsGcd) {
-  TempDir wal;
-  TempDir scratch;
+  ScratchDir wal;
+  ScratchDir scratch;
   Leader leader = StartLeader(wal.path(), 5, /*checkpoint_every=*/64,
                               /*segment_bytes=*/512);
   IngestAndPublish(leader, 80);
@@ -666,8 +684,8 @@ TEST(ReplicationE2eTest, FollowerReBootstrapsWhenTailedRangeIsGcd) {
 }
 
 TEST(ReplicationE2eTest, FollowerReconnectsAfterLeaderRestartOnSamePort) {
-  TempDir wal;
-  TempDir scratch;
+  ScratchDir wal;
+  ScratchDir scratch;
   Leader leader = StartLeader(wal.path());
   IngestAndPublish(leader, 60);
   const uint16_t port = leader.port();
@@ -708,8 +726,8 @@ TEST(ReplicationE2eTest, FollowerReconnectsAfterLeaderRestartOnSamePort) {
 }
 
 TEST(ReplicationE2eTest, StalenessDegradesHealthAndOptionallyRejectsReads) {
-  TempDir wal;
-  TempDir scratch;
+  ScratchDir wal;
+  ScratchDir scratch;
   Leader leader = StartLeader(wal.path());
   IngestAndPublish(leader, 40);
 

@@ -115,6 +115,37 @@ TEST(RPlusTreeTest, SearchRangeFindsExactlyMatchingRecords) {
   EXPECT_EQ(std::set<uint64_t>(got.begin(), got.end()), expect);
 }
 
+TEST(RPlusTreeTest, InsertsOutsideTheDataRangeKeepInvariants) {
+  // The tree is built over the middle of the space, then grows records
+  // far below and above it. Regions tile the whole space, so the extreme
+  // records route into the boundary leaves and every one stays findable.
+  RPlusTree tree(2, SmallConfig());
+  Rng rng(21);
+  std::vector<std::vector<double>> points;
+  for (size_t i = 0; i < 600; ++i) {
+    points.push_back(
+        {rng.UniformDouble(400, 600), rng.UniformDouble(400, 600)});
+  }
+  for (size_t i = 0; i < 300; ++i) {
+    const double base = i % 2 == 0 ? -500.0 : 1500.0;
+    points.push_back({base + rng.UniformDouble(0, 100),
+                      base + rng.UniformDouble(0, 100)});
+  }
+  for (size_t i = 0; i < points.size(); ++i) {
+    tree.Insert(points[i], i, static_cast<int32_t>(i % 5));
+  }
+  ASSERT_TRUE(tree.CheckInvariants().ok());
+  testutil::ExpectTreeLeafInvariants(tree, SmallConfig().min_leaf);
+  std::vector<uint64_t> got;
+  tree.SearchRange(Mbr::FromBounds({-1000.0, -1000.0}, {2000.0, 2000.0}),
+                   &got);
+  EXPECT_EQ(std::set<uint64_t>(got.begin(), got.end()).size(),
+            points.size());
+  std::vector<uint64_t> low;
+  tree.SearchRange(Mbr::FromBounds({-500.0, -500.0}, {-400.0, -400.0}), &low);
+  EXPECT_EQ(low.size(), 150u);
+}
+
 TEST(RPlusTreeTest, SearchPrunesWithMbrs) {
   RPlusTree tree(2, SmallConfig());
   InsertRandom(&tree, 2000, 6, 2);

@@ -2,8 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
+
+#include "scratch_dir.h"
 
 namespace kanon {
 namespace {
@@ -102,13 +103,13 @@ TEST(SchemaSpecTest, EmptySpecRejected) {
 }
 
 TEST(SchemaSpecTest, LoadFromFile) {
-  const std::string path = ::testing::TempDir() + "/schema_spec_test.txt";
+  const testutil::ScratchDir dir;
+  const std::string path = dir.file("schema_spec.txt");
   {
     std::ofstream out(path);
     out << kAdultSpec;
   }
   auto schema = LoadSchemaSpec(path);
-  std::remove(path.c_str());
   ASSERT_TRUE(schema.ok());
   EXPECT_EQ(schema->dim(), 3u);
   EXPECT_EQ(LoadSchemaSpec("/nonexistent/x").status().code(),

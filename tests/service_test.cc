@@ -4,12 +4,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <numeric>
 #include <thread>
 #include <vector>
 
+#include "anon/leaf_scan.h"
 #include "common/random.h"
 #include "common/thread.h"
+#include "differential.h"
 #include "service/ingest_queue.h"
 #include "service/service_stats.h"
 
@@ -280,6 +283,105 @@ TEST(ServiceTest, CadencePublishesDuringIngest) {
   ASSERT_NE(snapshot, nullptr);
   EXPECT_EQ(snapshot->info().records, 1000u);
   EXPECT_EQ(snapshot->info().epoch, stats.snapshots);
+}
+
+/// The grid stream of tests/differential.h inserted record-at-a-time
+/// into a fresh anonymizer: the from-scratch tuple-path reference.
+std::unique_ptr<IncrementalAnonymizer> TupleTree(
+    size_t n, const RTreeAnonymizerOptions& options, const Domain* domain) {
+  auto anonymizer =
+      std::make_unique<IncrementalAnonymizer>(2, options, domain);
+  for (size_t i = 0; i < n; ++i) {
+    anonymizer->Insert(testutil::GridPoint(i), i, testutil::GridSensitive(i));
+  }
+  return anonymizer;
+}
+
+// BuildSnapshot is the one publication path of leader and follower. Its
+// fragments are the tree's non-empty leaves in order (regions clipped to
+// the domain; regions replace MBRs when compaction is off), its releases
+// are the leaf scan over them, and its DP cells count every record.
+TEST(SnapshotTest, BuildSnapshotIsTheLeafScanOverExtractedLeaves) {
+  const Domain domain = testutil::SquareDomain(0, 100);
+  for (const bool compact : {true, false}) {
+    RTreeAnonymizerOptions options;
+    options.base_k = 5;
+    options.compact = compact;
+    const auto anonymizer = TupleTree(1500, options, &domain);
+    const RPlusTree& tree = anonymizer->tree();
+    const auto snapshot =
+        BuildSnapshot(tree, domain, options, /*dp_height=*/6, /*epoch=*/7);
+
+    std::vector<LeafGroup> leaves = ExtractLeafGroups(tree, &domain);
+    if (!compact) {
+      for (LeafGroup& g : leaves) {
+        if (!g.region.empty()) g.mbr = g.region;
+      }
+    }
+    ASSERT_EQ(snapshot->fragments().size(), leaves.size());
+    for (size_t i = 0; i < leaves.size(); ++i) {
+      const LeafGroup& got = *snapshot->fragments()[i];
+      EXPECT_EQ(got.rids, leaves[i].rids) << "leaf " << i;
+      EXPECT_TRUE(got.mbr == leaves[i].mbr) << "leaf " << i;
+      EXPECT_TRUE(got.region == leaves[i].region) << "leaf " << i;
+    }
+    for (const size_t k1 : {size_t{5}, size_t{40}}) {
+      testutil::ExpectSameRelease(snapshot->Release(k1),
+                                  LeafScan(leaves, k1));
+    }
+    const SnapshotInfo& info = snapshot->info();
+    EXPECT_EQ(info.epoch, 7u);
+    EXPECT_EQ(info.records, 1500u);
+    EXPECT_EQ(info.base_k, 5u);
+    const PartitionSet base = LeafScan(leaves, 5);
+    EXPECT_EQ(info.num_partitions, base.num_partitions());
+    EXPECT_EQ(info.min_partition, base.min_partition_size());
+    EXPECT_DOUBLE_EQ(info.avg_ncp, AverageBoxNcp(base, domain));
+    ASSERT_NE(snapshot->dp_cells(), nullptr);
+    EXPECT_EQ(snapshot->dp_height(), 6u);
+    const std::vector<uint64_t>& cells = *snapshot->dp_cells();
+    EXPECT_EQ(std::accumulate(cells.begin(), cells.end(), uint64_t{0}),
+              1500u);
+  }
+  RTreeAnonymizerOptions options;
+  options.base_k = 5;
+  const auto anonymizer = TupleTree(50, options, &domain);
+  EXPECT_EQ(BuildSnapshot(anonymizer->tree(), domain, options, 0, 1)
+                ->dp_cells(),
+            nullptr);
+}
+
+// Whatever the publication cadence, the service's final snapshot is the
+// snapshot of a from-scratch tuple-loaded tree over the same stream:
+// publication never changes the tree, so releases are cadence-invariant.
+TEST(ServiceTest, PublishedSnapshotsMatchAFromScratchTupleTree) {
+  const size_t k = 5;
+  const size_t n = 3000;
+  const Domain domain = testutil::SquareDomain(0, 100);
+  ServiceOptions base_options = SmallServiceOptions(k);
+  const auto reference = TupleTree(n, base_options.anonymizer, &domain);
+  const auto want = BuildSnapshot(reference->tree(), domain,
+                                  base_options.anonymizer,
+                                  base_options.dp_height, /*epoch=*/1);
+  for (const uint64_t cadence : {uint64_t{0}, uint64_t{97}, uint64_t{1000}}) {
+    ServiceOptions options = base_options;
+    options.snapshot_every = cadence;
+    AnonymizationService service(2, domain, options);
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(service
+                      .Ingest(testutil::GridPoint(i),
+                              testutil::GridSensitive(i))
+                      .ok());
+    }
+    service.Stop();
+    const auto got = service.CurrentSnapshot();
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(got->info().records, n) << "cadence " << cadence;
+    for (const size_t k1 : {k, size_t{40}, size_t{300}}) {
+      testutil::ExpectSameRelease(got->Release(k1), want->Release(k1));
+    }
+    EXPECT_EQ(*got->dp_cells(), *want->dp_cells()) << "cadence " << cadence;
+  }
 }
 
 TEST(ServiceTest, StatsCountersAreConsistent) {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <filesystem>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -218,6 +219,39 @@ TEST_P(ShardedServiceFanoutTest, StitchedReleaseSatisfiesKBound) {
   EXPECT_EQ(stats.shards.size(), shards);
   service.Stop();
   EXPECT_EQ(service.health(), ServiceHealth::kStopped);
+}
+
+// Publication never changes a shard's tree, so the stitched release after
+// Stop is the same at any per-shard publication cadence, and each cadence's
+// release is k-bound and covers every record exactly once.
+TEST(ShardedServiceTest, StitchedReleaseIsPublicationCadenceInvariant) {
+  constexpr size_t kBaseK = 5;
+  constexpr size_t kRecords = 2400;
+  std::vector<std::shared_ptr<const StitchedSnapshot>> finals;
+  for (const uint64_t cadence : {uint64_t{0}, uint64_t{150}, uint64_t{700}}) {
+    ShardedServiceOptions options = Sharded(kBaseK, 4);
+    options.service.snapshot_every = cadence;
+    auto service_or = ShardedAnonymizationService::Create(
+        2, SquareDomain(0, 100), options);
+    ASSERT_TRUE(service_or.ok()) << service_or.status();
+    for (size_t i = 0; i < kRecords; ++i) {
+      ASSERT_TRUE((*service_or)
+                      ->Ingest(GridPoint(i), static_cast<int32_t>(i % 5))
+                      .ok());
+    }
+    (*service_or)->Stop();
+    finals.push_back((*service_or)->CurrentStitched());
+    ASSERT_NE(finals.back(), nullptr);
+    EXPECT_EQ(finals.back()->info().records, kRecords);
+  }
+  for (const size_t k1 : {kBaseK, size_t{20}, size_t{200}}) {
+    const PartitionSet want = finals[0]->Release(k1);
+    EXPECT_EQ(want.total_records(), kRecords);
+    EXPECT_TRUE(want.CheckKAnonymous(k1).ok()) << "k1=" << k1;
+    for (size_t c = 1; c < finals.size(); ++c) {
+      ExpectSameRelease(finals[c]->Release(k1), want);
+    }
+  }
 }
 
 TEST(ShardedServiceTest, RangeShardingKeepsShardsSpatiallyDisjoint) {

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -10,6 +9,7 @@
 #include "storage/page.h"
 #include "storage/pager.h"
 #include "storage/spill_file.h"
+#include "scratch_dir.h"
 
 namespace kanon {
 namespace {
@@ -268,7 +268,8 @@ TEST(PageChainTest, DrainEmptiesAndFreesPages) {
 }
 
 TEST(NamedFilePagerTest, PersistsAcrossReopen) {
-  const std::string path = ::testing::TempDir() + "/kanon_named_pager.db";
+  const testutil::ScratchDir dir;
+  const std::string path = dir.file("named_pager.db");
   std::vector<char> page(512, 0);
   {
     auto pager = NamedFilePager::Open(path, 512, /*truncate=*/true);
@@ -288,11 +289,11 @@ TEST(NamedFilePagerTest, PersistsAcrossReopen) {
   ASSERT_TRUE((*reopened)->Read(1, page.data()).ok());
   EXPECT_EQ(page[0], 'b');
   EXPECT_EQ(page[511], 'b');
-  std::remove(path.c_str());
 }
 
 TEST(NamedFilePagerTest, ExternalCorruptionSurfacesAsStatus) {
-  const std::string path = ::testing::TempDir() + "/kanon_corrupt_pager.db";
+  const testutil::ScratchDir dir;
+  const std::string path = dir.file("corrupt_pager.db");
   auto pager = NamedFilePager::Open(path, 512, /*truncate=*/true);
   ASSERT_TRUE(pager.ok());
   const PageId id = (*pager)->Allocate();
@@ -312,7 +313,6 @@ TEST(NamedFilePagerTest, ExternalCorruptionSurfacesAsStatus) {
   (*pager)->set_verify_checksums(false);
   EXPECT_TRUE((*pager)->Read(id, page.data()).ok());
   EXPECT_EQ(page[100], 'y');
-  std::remove(path.c_str());
 }
 
 TEST(PagerChecksumTest, InMemoryCorruptionDetectedOnMemPager) {

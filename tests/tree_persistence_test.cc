@@ -2,11 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <set>
 
 #include "common/random.h"
+#include "scratch_dir.h"
 
 namespace kanon {
 namespace {
@@ -164,7 +164,8 @@ TEST(TreePersistenceTest, MidIncrementalLoadMatchesUnpersistedRun) {
     }
   }
 
-  const std::string path = ::testing::TempDir() + "/kanon_mid_load_tree.db";
+  const testutil::ScratchDir dir;
+  const std::string path = dir.file("mid_load_tree.db");
   auto snapshot = SaveTreeToFile(first_half, path);
   ASSERT_TRUE(snapshot.ok()) << snapshot.status();
   auto resumed = LoadTreeFromFile(path, *snapshot, 2, SmallConfig());
@@ -172,7 +173,6 @@ TEST(TreePersistenceTest, MidIncrementalLoadMatchesUnpersistedRun) {
   for (size_t i = points.size() / 2; i < points.size(); ++i) {
     resumed->Insert(points[i], i, static_cast<int32_t>(i % 4));
   }
-  std::remove(path.c_str());
 
   ASSERT_TRUE(resumed->CheckInvariants().ok());
   EXPECT_EQ(resumed->size(), uninterrupted.size());
@@ -189,7 +189,8 @@ TEST(TreePersistenceTest, MidIncrementalLoadMatchesUnpersistedRun) {
 
 TEST(TreePersistenceTest, FileSnapshotChecksumCatchesBitRot) {
   const RPlusTree tree = BuildRandom(600, 9);
-  const std::string path = ::testing::TempDir() + "/kanon_bitrot_tree.db";
+  const testutil::ScratchDir dir;
+  const std::string path = dir.file("bitrot_tree.db");
   auto snapshot = SaveTreeToFile(tree, path);
   ASSERT_TRUE(snapshot.ok());
   {
@@ -204,7 +205,6 @@ TEST(TreePersistenceTest, FileSnapshotChecksumCatchesBitRot) {
   auto loaded = LoadTreeFromFile(path, *snapshot, 2, SmallConfig());
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -380,21 +380,6 @@ bool ParseServeArgs(int argc, const char* const* argv,
       if (v == nullptr) return false;
       options->shard_by = v;
       if (!ShardByFromName(options->shard_by).ok()) return false;
-    } else if (arg == "--memtable-bytes" || arg == "--memtable_bytes") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->memtable_bytes = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--merge-every" || arg == "--merge_every") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->merge_every = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--merge-mode" || arg == "--merge_mode") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->merge_mode = v;
-      if (options->merge_mode != "full" && options->merge_mode != "delta") {
-        return false;
-      }
     } else if (arg == "--follow") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -447,19 +432,12 @@ bool ParseServeArgs(int argc, const char* const* argv,
       return false;
     }
   }
-  // --merge-mode=delta is a memtable flush policy: without the LSM tier
-  // there is no flush to pick a mode for.
-  if (options->merge_mode == "delta" && options->memtable_bytes == 0 &&
-      options->merge_every == 0) {
-    return false;
-  }
   if (!options->follow.empty()) {
     // A follower's records arrive only via replication: local ingest and
     // durability paths are contradictions, not defaults to ignore.
     return !options->listen.empty() && !options->domain.empty() &&
            options->input.empty() && options->wal_dir.empty() &&
-           options->shards == 1 && options->memtable_bytes == 0 &&
-           options->merge_every == 0 && !options->recover_only;
+           options->shards == 1 && !options->recover_only;
   }
   // A record source is required: --input, or HTTP ingest (--listen plus
   // --domain, which supplies the dimensionality --input would have), or a
@@ -620,16 +598,7 @@ int RunServe(const ServeOptions& options, std::ostream& log) {
   service_options.durability.wal_dir = options.wal_dir;
   service_options.durability.fsync_every = options.fsync_every;
   service_options.durability.checkpoint_every = options.checkpoint_every;
-  service_options.lsm.memtable_bytes = options.memtable_bytes;
-  service_options.lsm.merge_every = options.merge_every;
-  service_options.lsm.merge_mode =
-      options.merge_mode == "delta" ? MergeMode::kDelta : MergeMode::kFull;
   service_options.dp_height = options.dp_height;
-  if (service_options.lsm.enabled()) {
-    log << "memtable: bytes=" << options.memtable_bytes
-        << " merge_every=" << options.merge_every
-        << " merge_mode=" << options.merge_mode << "\n";
-  }
 
   // KANON_FAULT_SEED routes all durability I/O through a FaultInjectionEnv
   // — the operational fault drill. The same seed injects the same faults,

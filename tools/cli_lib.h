@@ -107,9 +107,8 @@ struct ServeOptions {
   // bootstraps from the leader's checkpoint, tails its WAL, and serves
   // /release, /healthz and /metrics from its own snapshots while
   // redirecting POST /ingest to the leader (421). Requires --listen and
-  // --domain; mutually exclusive with --input, --wal-dir, --shards > 1
-  // and the memtable flags (replication of an LSM leader is epoch-aligned
-  // but not byte-identical, so the follower refuses local write paths).
+  // --domain; mutually exclusive with --input, --wal-dir and --shards > 1
+  // (the follower refuses local write paths).
   std::string follow;
   /// Staleness bound: when the follower has not confirmed being caught up
   /// with the leader for this long, /healthz degrades to 503 (and
@@ -121,20 +120,6 @@ struct ServeOptions {
   std::string stale_reads = "serve";
   /// Idle poll cadence against the leader's /repl/wal.
   uint64_t repl_poll_ms = 50;
-
-  // Write-absorbing LSM ingest tier (--memtable-bytes / --merge-every;
-  // off when both are 0). Acknowledged records accumulate in a per-shard
-  // in-memory sorted run and are merged into the R⁺-tree in bulk when the
-  // run reaches memtable_bytes, every merge_every records (if set), at
-  // checkpoints, and on shutdown.
-  size_t memtable_bytes = 0;
-  uint64_t merge_every = 0;
-  // How a flush reaches the tree (--merge-mode full|delta): "full"
-  // rebuilds the whole tree per flush (the reference backend), "delta"
-  // locally rebuilds only the sub-ranges the flushed run touches and
-  // reuses unchanged per-leaf release fragments across snapshots.
-  // Requires the memtable to be on.
-  std::string merge_mode = "full";
 
   // Differentially private releases (--dp-height / --dp-budget /
   // --dp-lifetime-budget / --dp-key / --dp-metrics-utility). dp_height

@@ -27,19 +27,6 @@
 #                               lands across N independent WAL directories
 #                               and the conservation invariant must hold
 #                               per shard (recovered_i == next_lsn_i - 1)
-#        KANON_MEMTABLE=1       serve and recover with the write-absorbing
-#                               memtable on (small budget + short merge
-#                               cadence), so the SIGKILL lands while acked
-#                               records are memtable-resident — durable only
-#                               in the WAL — and sometimes mid-merge; the
-#                               same conservation and k-bound invariants
-#                               must hold from the replayed tail
-#        KANON_DELTA=1          like KANON_MEMTABLE, but flushes merge with
-#                               --merge-mode delta: kills land mid-delta-
-#                               merge and recovery replays onto delta-built
-#                               trees — conservation and the k bound must
-#                               be merge-strategy-independent (implies the
-#                               memtable flags)
 #        KANON_REPL=1           replication chaos mode: one leader + one
 #                               --follow read replica; each iteration
 #                               SIGKILLs the leader mid-tail and restarts it
@@ -62,17 +49,6 @@ SHARDS=${KANON_SHARDS:-1}
 SHARD_ARGS=""
 if [ "$SHARDS" -gt 1 ]; then
   SHARD_ARGS="--shards $SHARDS"
-fi
-# Memtable mode: 1 MiB budget / 3000-record cadence keeps several merges in
-# flight over a 20k-row stream, so kills land both between and during
-# flushes. The same flags go to the recovery pass — replayed tail records
-# land in a fresh memtable there too. KANON_DELTA additionally routes every
-# flush through the incremental delta merge (and implies the memtable).
-if [ -n "${KANON_MEMTABLE:-}" ] || [ -n "${KANON_DELTA:-}" ]; then
-  SHARD_ARGS="$SHARD_ARGS --memtable-bytes 1048576 --merge-every 3000"
-fi
-if [ -n "${KANON_DELTA:-}" ]; then
-  SHARD_ARGS="$SHARD_ARGS --merge-mode delta"
 fi
 
 mkdir -p "$WORKDIR"

@@ -14,17 +14,6 @@
 # Env:   KANON_SHARDS=N   serve with N shards (default 1): ingest fans out
 #                         across shard queues and the release below is the
 #                         stitched per-shard snapshot
-#        KANON_MEMTABLE=1 serve with the write-absorbing memtable on (small
-#                         budget + short merge cadence): the same endpoint
-#                         shapes and the zero-lost-acks drain invariant
-#                         must hold when acked records sit memtable-resident
-#                         at SIGTERM, and /metrics must export the
-#                         kanon_memtable_*/kanon_merges_total series
-#        KANON_DELTA=1    like KANON_MEMTABLE but flushes merge with
-#                         --merge-mode delta (implies the memtable flags);
-#                         /metrics must additionally export the
-#                         kanon_delta_merges_total series with a non-zero
-#                         value by drain time
 #        KANON_DP=1       serve with a small --dp-budget and drive the DP
 #                         read side: /release/dp must answer the same bytes
 #                         twice (memoized release), /release/dp/query must
@@ -45,15 +34,6 @@ SHARDS=${KANON_SHARDS:-1}
 SHARD_ARGS=""
 if [ "$SHARDS" -gt 1 ]; then
   SHARD_ARGS="--shards $SHARDS"
-fi
-if [ -n "${KANON_DELTA:-}" ]; then
-  # A short cadence so flushes outgrow the run*delta_full_fraction >= tree
-  # full-rebuild heuristic within the 4000-row stream: the later flushes
-  # must actually take the delta path for the metrics assertion below.
-  SHARD_ARGS="$SHARD_ARGS --memtable-bytes 262144 --merge-every 400"
-  SHARD_ARGS="$SHARD_ARGS --merge-mode delta"
-elif [ -n "${KANON_MEMTABLE:-}" ]; then
-  SHARD_ARGS="$SHARD_ARGS --memtable-bytes 262144 --merge-every 1500"
 fi
 if [ -n "${KANON_DP:-}" ]; then
   # A budget that fits one 0.9-epsilon draw but not a second distinct one:
@@ -136,30 +116,6 @@ if [ "$SHARDS" -gt 1 ]; then
       "$WORKDIR/metrics.txt" \
       || fail "/metrics is missing per-shard series for shard $s"
   done
-fi
-if [ -n "${KANON_MEMTABLE:-}" ] || [ -n "${KANON_DELTA:-}" ]; then
-  for metric in kanon_memtable_enabled kanon_memtable_records \
-                kanon_memtable_bytes kanon_merges_total \
-                kanon_merge_duration_ms; do
-    grep -q "$metric" "$WORKDIR/metrics.txt" \
-      || fail "/metrics is missing $metric"
-  done
-  grep -q "^kanon_memtable_enabled 1$" "$WORKDIR/metrics.txt" \
-    || fail "/metrics kanon_memtable_enabled != 1"
-fi
-if [ -n "${KANON_DELTA:-}" ]; then
-  for metric in kanon_delta_merges_total kanon_merge_escalations_total \
-                kanon_fragments_reused_total kanon_fragments_built_total; do
-    grep -q "$metric" "$WORKDIR/metrics.txt" \
-      || fail "/metrics is missing $metric"
-  done
-  # 4000 rows over a 400-record cadence: once the tree outgrows
-  # 400 * delta_full_fraction records, every later flush must take the
-  # delta path.
-  DELTA_MERGES=$(sed -n 's/^kanon_delta_merges_total \([0-9]*\).*/\1/p' \
-    "$WORKDIR/metrics.txt")
-  [ -n "$DELTA_MERGES" ] && [ "$DELTA_MERGES" -ge 1 ] \
-    || fail "/metrics kanon_delta_merges_total=$DELTA_MERGES, want >= 1"
 fi
 if [ -n "${KANON_DP:-}" ]; then
   # The DP release must be memoized: two GETs with the same epsilon return

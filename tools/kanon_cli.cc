@@ -100,8 +100,6 @@ void Usage() {
       "                 [--max-body-bytes N]\n"
       "                 [--domain LO:HI[,LO:HI...]] [--serve-seconds S]\n"
       "                 [--shards N] [--shard-by hash|range]\n"
-      "                 [--memtable-bytes N] [--merge-every N]\n"
-      "                 [--merge-mode full|delta]\n"
       "                 [--follow LEADER:PORT] [--max-staleness-ms MS]\n"
       "                 [--stale-reads serve|reject] [--repl-poll-ms MS]\n"
       "                 [--dp-height H] [--dp-budget EPS]\n"
