@@ -112,7 +112,6 @@ struct RunConfig {
 
 struct RunResult {
   bool ok = false;
-  bool epoll = false;
   double ingest_rec_per_s = 0;
   double release_req_per_s = 0;
   SideStats ingest;
@@ -153,10 +152,7 @@ RunResult RunOnce(const RunConfig& cfg) {
     std::cerr << "server: " << s << "\n";
     return result;
   }
-  frontend.SetBackendLabel(server.using_epoll() ? "epoll" : "poll");
-  result.epoll = server.using_epoll();
-  std::cout << "listening on 127.0.0.1:" << server.bound_port() << " ("
-            << (server.using_epoll() ? "epoll" : "poll") << ", "
+  std::cout << "listening on 127.0.0.1:" << server.bound_port() << " (epoll, "
             << cfg.shards << " shard" << (cfg.shards == 1 ? "" : "s")
             << ")\n";
 
@@ -929,7 +925,7 @@ int main(int argc, char** argv) {
       << "  \"readers\": " << cfg.readers << ",\n"
       << "  \"shards\": " << cfg.shards << ",\n"
       << "  \"shard_by\": \"" << ShardByName(cfg.shard_by) << "\",\n"
-      << "  \"backend\": \"" << (result.epoll ? "epoll" : "poll") << "\",\n"
+      << "  \"backend\": \"epoll\",\n"
       << "  \"ingest_records_per_second\": " << result.ingest_rec_per_s
       << ",\n"
       << "  \"release_requests_per_second\": " << result.release_req_per_s

@@ -69,10 +69,9 @@ int main(int argc, char** argv) {
       std::cerr << s << "\n";
       return 1;
     }
-    frontend->SetBackendLabel(server->using_epoll() ? "epoll" : "poll");
     port = server->bound_port();
-    std::cout << "started local 2-shard server on 127.0.0.1:" << port << " ("
-              << (server->using_epoll() ? "epoll" : "poll") << ")\n";
+    std::cout << "started local 2-shard server on 127.0.0.1:" << port
+              << " (epoll)\n";
   }
 
   net::HttpClient writer;

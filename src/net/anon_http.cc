@@ -8,8 +8,6 @@
 #include <cstring>
 
 #include "common/env.h"
-#include "common/timer.h"
-#include "common/version.h"
 #include "durability/checkpoint.h"
 #include "durability/wal.h"
 #include "net/http_parser.h"
@@ -24,12 +22,6 @@ namespace {
 std::string FmtDouble(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string FmtDoubleShort(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", v);
   return buf;
 }
 
@@ -76,15 +68,10 @@ Status ParseFlagParam(const std::string& value, std::string_view name,
   return Status::OK();
 }
 
-/// The shared "no shard has published yet" 503, with the caller's
-/// configured Retry-After cadence.
-HttpResponse NothingPublished(unsigned retry_after_s) {
-  HttpResponse resp = HttpResponse::FromStatus(Status::Unavailable(
+/// The shared "no shard has published yet" 503.
+HttpResponse NothingPublished() {
+  return HttpResponse::FromStatus(Status::Unavailable(
       "no shard has published yet; ingest at least base_k records"));
-  for (auto& [name, value] : resp.headers) {
-    if (name == "Retry-After") value = std::to_string(retry_after_s);
-  }
-  return resp;
 }
 
 /// Parses the optional epsilon of the DP endpoints. Absent epsilon means
@@ -139,38 +126,6 @@ Status ParseBoundsParam(const std::string& value, size_t dim,
 }
 
 }  // namespace
-
-void AppendPromMetric(std::string* out, std::string_view name,
-                      std::string_view type, double value,
-                      std::string_view labels) {
-  out->append("# TYPE ");
-  out->append(name);
-  out->append(" ");
-  out->append(type);
-  out->append("\n");
-  out->append(name);
-  if (!labels.empty()) {
-    out->append("{");
-    out->append(labels);
-    out->append("}");
-  }
-  out->append(" ");
-  out->append(FmtDoubleShort(value));
-  out->append("\n");
-}
-
-const char* EndpointName(Endpoint endpoint) {
-  switch (endpoint) {
-    case Endpoint::kIngest: return "ingest";
-    case Endpoint::kRelease: return "release";
-    case Endpoint::kDp: return "dp";
-    case Endpoint::kHealthz: return "healthz";
-    case Endpoint::kMetrics: return "metrics";
-    case Endpoint::kRepl: return "repl";
-    case Endpoint::kOther: return "other";
-  }
-  return "other";
-}
 
 Status ParseRecordLine(std::string_view line, size_t dim,
                        std::vector<double>* point, int32_t* sensitive) {
@@ -254,73 +209,41 @@ AnonHttpFrontend::AnonHttpFrontend(ShardedAnonymizationService* service,
     : service_(service),
       options_(options),
       dp_(DpServingOptions{options_.dp_budget, options_.dp_lifetime_budget,
-                           options_.dp_key, options_.dp_metrics_utility,
-                           options_.retry_after_s}) {}
+                           options_.dp_key, options_.dp_metrics_utility}),
+      router_(MakeRoutes()) {}
 
-HttpResponse AnonHttpFrontend::Handle(const HttpRequest& request) {
-  Timer timer;
-  Endpoint endpoint = Endpoint::kOther;
-  HttpResponse response = Route(request, &endpoint);
-  Observe(endpoint, response.status, timer.ElapsedMillis());
-  return response;
-}
-
-HttpResponse AnonHttpFrontend::Route(const HttpRequest& request,
-                                     Endpoint* endpoint) {
-  const std::string& path = request.path;
-  if (path == "/ingest") {
-    *endpoint = Endpoint::kIngest;
-    if (request.method != "POST") {
-      return HttpResponse::Json(
-          405, HttpErrorBody(Status::InvalidArgument(
-                   "POST records to /ingest (got " + request.method + ")")));
-    }
-    return HandleIngest(request);
-  }
-  if (path == "/release" || path == "/release/query") {
-    *endpoint = Endpoint::kRelease;
-    if (request.method != "GET") {
-      return HttpResponse::Json(
-          405, HttpErrorBody(Status::InvalidArgument(
-                   "GET releases from " + path + " (got " + request.method +
-                   ")")));
-    }
-    return HandleRelease(request);
-  }
-  if (path == "/release/dp" || path == "/release/dp/query") {
-    *endpoint = Endpoint::kDp;
-    if (request.method != "GET") {
-      return HttpResponse::Json(
-          405, HttpErrorBody(Status::InvalidArgument(
-                   "GET releases from " + path + " (got " + request.method +
-                   ")")));
-    }
-    return HandleDp(request);
-  }
-  if (path == "/healthz") {
-    *endpoint = Endpoint::kHealthz;
-    return HandleHealthz();
-  }
-  if (path == "/metrics") {
-    *endpoint = Endpoint::kMetrics;
-    return HandleMetrics();
-  }
-  if (path == "/repl/manifest" || path == "/repl/wal" ||
-      path.rfind("/repl/checkpoint/", 0) == 0) {
-    *endpoint = Endpoint::kRepl;
-    if (request.method != "GET") {
-      return HttpResponse::Json(
-          405, HttpErrorBody(Status::InvalidArgument(
-                   "GET " + path + " (got " + request.method + ")")));
-    }
-    return HandleRepl(request);
-  }
-  *endpoint = Endpoint::kOther;
-  return HttpResponse::FromStatus(
-      Status::NotFound("no route for " + path +
-                       " (have /ingest, /release, /release/query, "
-                       "/release/dp, /release/dp/query, /healthz, /metrics, "
-                       "/repl/*)"));
+std::vector<Route> AnonHttpFrontend::MakeRoutes() {
+  const auto release = [this](const HttpRequest& request) {
+    return RenderRelease(service_->CurrentStitched().get(), request);
+  };
+  const auto dp_release = [this](const HttpRequest& request) {
+    return dp_.HandleRelease(service_->CurrentStitched().get(), request);
+  };
+  const auto dp_query = [this](const HttpRequest& request) {
+    return dp_.HandleQuery(service_->CurrentStitched().get(), request);
+  };
+  const auto repl = [this](ReplHandler handler) {
+    return [this, handler](const HttpRequest& request) {
+      return HandleRepl(request, handler);
+    };
+  };
+  return {
+      {"/ingest", "POST", "ingest",
+       [this](const HttpRequest& request) { return HandleIngest(request); }},
+      {"/release", "GET", "release", release},
+      {"/release/query", "GET", "release", release},
+      {"/release/dp", "GET", "dp", dp_release},
+      {"/release/dp/query", "GET", "dp", dp_query},
+      {"/healthz", "GET", "healthz",
+       [this](const HttpRequest&) { return HandleHealthz(); }},
+      {"/metrics", "GET", "metrics",
+       [this](const HttpRequest&) { return HandleMetrics(); }},
+      {"/repl/manifest", "GET", "repl",
+       repl(&AnonHttpFrontend::HandleReplManifest)},
+      {"/repl/wal", "GET", "repl", repl(&AnonHttpFrontend::HandleReplWal)},
+      {"/repl/checkpoint/", "GET", "repl",
+       repl(&AnonHttpFrontend::HandleReplCheckpoint)},
+  };
 }
 
 HttpResponse AnonHttpFrontend::HandleIngest(const HttpRequest& request) {
@@ -358,14 +281,12 @@ HttpResponse AnonHttpFrontend::HandleIngest(const HttpRequest& request) {
       if (s.code() == StatusCode::kFailedPrecondition) {
         s = Status::Unavailable("service is stopping: " + s.message());
       }
-      HttpResponse resp = HttpResponse::Json(
-          HttpStatusFromStatusCode(s.code()),
-          "{\"error\":\"" + std::string(StatusCodeToString(s.code())) +
-              "\",\"message\":\"" + JsonEscape(s.message()) +
-              "\",\"line\":" + std::to_string(line_number) +
-              ",\"accepted\":" + std::to_string(accepted) + "}");
-      resp.headers.emplace_back("Retry-After",
-                                std::to_string(options_.retry_after_s));
+      HttpResponse resp = HttpResponse::FromStatus(s);
+      resp.body = "{\"error\":\"" +
+                  std::string(StatusCodeToString(s.code())) +
+                  "\",\"message\":\"" + JsonEscape(s.message()) +
+                  "\",\"line\":" + std::to_string(line_number) +
+                  ",\"accepted\":" + std::to_string(accepted) + "}";
       accepted_.fetch_add(accepted, std::memory_order_relaxed);
       return resp;
     }
@@ -376,22 +297,9 @@ HttpResponse AnonHttpFrontend::HandleIngest(const HttpRequest& request) {
       200, "{\"accepted\":" + std::to_string(accepted) + "}");
 }
 
-HttpResponse AnonHttpFrontend::HandleRelease(const HttpRequest& request) {
-  return RenderRelease(service_->CurrentStitched().get(), request,
-                       options_.retry_after_s);
-}
-
-HttpResponse AnonHttpFrontend::HandleDp(const HttpRequest& request) {
-  const auto stitched = service_->CurrentStitched();
-  if (request.path == "/release/dp") {
-    return dp_.HandleRelease(stitched.get(), request);
-  }
-  return dp_.HandleQuery(stitched.get(), request);
-}
-
 HttpResponse RenderRelease(const StitchedSnapshot* stitched,
                            const HttpRequest& request,
-                           unsigned retry_after_s) {
+                           unsigned /*retry_after_s*/) {
   const auto params = ParseQuery(request.query);
   if (const std::string* bad =
           UnknownQueryParam(params, {"k1", "summary", "rids"})) {
@@ -422,7 +330,7 @@ HttpResponse RenderRelease(const StitchedSnapshot* stitched,
     }
   }
 
-  if (stitched == nullptr) return NothingPublished(retry_after_s);
+  if (stitched == nullptr) return NothingPublished();
   const StitchedInfo& info = stitched->info();
   const size_t effective_k1 = std::max(k1, info.base_k);
   const PartitionSet release = stitched->Release(effective_k1);
@@ -471,7 +379,6 @@ DpNoiseKey ServingKey(const std::string& secret) {
 DpServing::DpServing(const DpServingOptions& options)
     : key_(ServingKey(options.key_secret)),
       utility_in_metrics_(options.utility_in_metrics),
-      retry_after_s_(options.retry_after_s),
       ledger_([&options] {
         DpLedgerOptions ledger_options;
         ledger_options.budget = options.budget;
@@ -502,16 +409,12 @@ HttpResponse DpServing::HandleRelease(const StitchedSnapshot* stitched,
   if (Status s = ParseEpsilonParam(params, &epsilon); !s.ok()) {
     return HttpResponse::FromStatus(s);
   }
-  if (stitched == nullptr) return NothingPublished(retry_after_s_);
+  if (stitched == nullptr) return NothingPublished();
   auto release_or = Acquire(*stitched, epsilon);
   if (!release_or.ok()) {
     // kResourceExhausted -> 429 (budget spent for this release point),
     // kFailedPrecondition -> 409 (publisher runs with DP off).
-    HttpResponse resp = HttpResponse::FromStatus(release_or.status());
-    for (auto& [name, value] : resp.headers) {
-      if (name == "Retry-After") value = std::to_string(retry_after_s_);
-    }
-    return resp;
+    return HttpResponse::FromStatus(release_or.status());
   }
   // The epoch is transport metadata, not part of the released body: a
   // stitched epoch is the sum of per-shard epochs and would differ across
@@ -540,7 +443,7 @@ HttpResponse DpServing::HandleQuery(const StitchedSnapshot* stitched,
     return HttpResponse::FromStatus(Status::InvalidArgument(
         "lo and hi are required (comma-separated per-dimension bounds)"));
   }
-  if (stitched == nullptr) return NothingPublished(retry_after_s_);
+  if (stitched == nullptr) return NothingPublished();
   const size_t dim = stitched->domain().dim();
   std::vector<double> lo;
   std::vector<double> hi;
@@ -558,13 +461,7 @@ HttpResponse DpServing::HandleQuery(const StitchedSnapshot* stitched,
     }
   }
   auto release_or = Acquire(*stitched, epsilon);
-  if (!release_or.ok()) {
-    HttpResponse resp = HttpResponse::FromStatus(release_or.status());
-    for (auto& [name, value] : resp.headers) {
-      if (name == "Retry-After") value = std::to_string(retry_after_s_);
-    }
-    return resp;
-  }
+  if (!release_or.ok()) return HttpResponse::FromStatus(release_or.status());
   const DpRelease& release = **release_or;
   const Mbr query = Mbr::FromBounds(lo, hi);
   // Answered from the memoized noisy hierarchy only — post-processing of
@@ -639,11 +536,10 @@ void DpServing::AppendMetrics(std::string* out,
   }
   AppendPromMetric(out, "kanon_release_utility_queries", "gauge",
                    static_cast<double>(report.num_queries));
-  out->append("# TYPE kanon_release_avg_range_error gauge\n");
-  out->append("kanon_release_avg_range_error{semantics=\"kanon\"} " +
-              FmtDoubleShort(report.kanon_avg_rel_error) + "\n");
-  out->append("kanon_release_avg_range_error{semantics=\"dp\"} " +
-              FmtDoubleShort(report.dp_avg_rel_error) + "\n");
+  AppendPromMetric(out, "kanon_release_avg_range_error", "gauge",
+                   report.kanon_avg_rel_error, "semantics=\"kanon\"");
+  AppendPromSample(out, "kanon_release_avg_range_error", "semantics=\"dp\"",
+                   report.dp_avg_rel_error);
 }
 
 HttpResponse AnonHttpFrontend::HandleHealthz() {
@@ -670,17 +566,17 @@ HttpResponse AnonHttpFrontend::HandleHealthz() {
             JsonEscape(service_->degraded_reason()) + "\"";
   }
   body += "}";
-  HttpResponse resp = HttpResponse::Json(
-      health == ServiceHealth::kServing ? 200 : 503, std::move(body));
-  if (resp.status == 503) {
-    // Degraded healthz backs probers off like every other 503.
-    resp.headers.emplace_back("Retry-After",
-                              std::to_string(options_.retry_after_s));
-  }
+  // Degraded healthz backs probers off like every other 503.
+  HttpResponse resp =
+      health == ServiceHealth::kServing
+          ? HttpResponse::Json(200, "")
+          : HttpResponse::FromStatus(Status::Unavailable("not serving"));
+  resp.body = std::move(body);
   return resp;
 }
 
-HttpResponse AnonHttpFrontend::HandleRepl(const HttpRequest& request) {
+HttpResponse AnonHttpFrontend::HandleRepl(const HttpRequest& request,
+                                          ReplHandler handler) {
   const DurabilityOptions& durability = service_->options().service.durability;
   if (!durability.enabled()) {
     return HttpResponse::FromStatus(Status::FailedPrecondition(
@@ -701,13 +597,7 @@ HttpResponse AnonHttpFrontend::HandleRepl(const HttpRequest& request) {
   }
   const std::string dir = ShardWalDir(durability.wal_dir, shard);
   Env* env = options_.repl_env != nullptr ? options_.repl_env : Env::Default();
-  if (request.path == "/repl/manifest") {
-    return HandleReplManifest(dir, shard, env);
-  }
-  if (request.path == "/repl/wal") {
-    return HandleReplWal(request, dir, shard, env);
-  }
-  return HandleReplCheckpoint(dir, request.path, env);
+  return (this->*handler)(request, dir, shard, env);
 }
 
 namespace {
@@ -722,7 +612,8 @@ HttpResponse ReplGone(const std::string& message) {
 
 }  // namespace
 
-HttpResponse AnonHttpFrontend::HandleReplManifest(const std::string& dir,
+HttpResponse AnonHttpFrontend::HandleReplManifest(const HttpRequest&,
+                                                  const std::string& dir,
                                                   size_t shard, Env* env) {
   const AnonymizationService* svc = service_->shard(shard);
   const ServiceStats stats = svc->Stats();
@@ -768,9 +659,10 @@ HttpResponse AnonHttpFrontend::HandleReplManifest(const std::string& dir,
   return HttpResponse::Json(200, std::move(body));
 }
 
-HttpResponse AnonHttpFrontend::HandleReplCheckpoint(const std::string& dir,
-                                                    const std::string& path,
-                                                    Env* env) {
+HttpResponse AnonHttpFrontend::HandleReplCheckpoint(
+    const HttpRequest& request, const std::string& dir, size_t /*shard*/,
+    Env* env) {
+  const std::string& path = request.path;
   const std::string lsn_str = path.substr(std::strlen("/repl/checkpoint/"));
   char* end = nullptr;
   const unsigned long long lsn = std::strtoull(lsn_str.c_str(), &end, 10);
@@ -888,11 +780,6 @@ HttpResponse AnonHttpFrontend::HandleMetrics() {
   const ServiceStats& stats = sharded.total;
   std::string out;
   out.reserve(16 << 10);
-
-  // Build identity first: dashboards join every other series against it.
-  out += "# TYPE kanon_build_info gauge\n";
-  out += "kanon_build_info{version=\"" + std::string(kVersionString) +
-         "\",backend=\"" + backend_label_ + "\"} 1\n";
   AppendPromMetric(&out, "kanon_shards", "gauge",
                static_cast<double>(service_->num_shards()));
 
@@ -1001,77 +888,7 @@ HttpResponse AnonHttpFrontend::HandleMetrics() {
            "\n";
   }
 
-  // Listener counters, when the server wired itself in.
-  if (server_stats_ != nullptr) {
-    const HttpServerStats http = server_stats_();
-    AppendPromMetric(&out, "kanon_http_connections_accepted_total", "counter",
-                 static_cast<double>(http.connections_accepted));
-    AppendPromMetric(&out, "kanon_http_connections_refused_total", "counter",
-                 static_cast<double>(http.connections_refused));
-    AppendPromMetric(&out, "kanon_http_open_connections", "gauge",
-                 static_cast<double>(http.open_connections));
-    AppendPromMetric(&out, "kanon_http_parse_errors_total", "counter",
-                 static_cast<double>(http.parse_errors));
-    AppendPromMetric(&out, "kanon_http_timeouts_total", "counter",
-                 static_cast<double>(http.timeouts));
-  }
-
-  // Per-endpoint request counts and latency distribution. The histogram
-  // counts every request into fixed buckets, rendered cumulatively the
-  // Prometheus way, so `le` sets never change and +Inf equals _count.
-  out += "# TYPE kanon_http_requests_total counter\n";
-  for (size_t e = 0; e < kNumEndpoints; ++e) {
-    EndpointMetrics& em = metrics_[e];
-    std::lock_guard<std::mutex> lock(em.mu);
-    for (const auto& [code, count] : em.by_code) {
-      out += "kanon_http_requests_total{endpoint=\"" +
-             std::string(EndpointName(static_cast<Endpoint>(e))) +
-             "\",code=\"" + std::to_string(code) + "\"} " +
-             std::to_string(count) + "\n";
-    }
-  }
-  out += "# TYPE kanon_http_request_latency_ms histogram\n";
-  for (size_t e = 0; e < kNumEndpoints; ++e) {
-    EndpointMetrics& em = metrics_[e];
-    std::lock_guard<std::mutex> lock(em.mu);
-    if (em.count == 0) continue;
-    const std::string label =
-        std::string(EndpointName(static_cast<Endpoint>(e)));
-    uint64_t cumulative = 0;
-    for (size_t b = 0; b < kLatencyBucketsMs.size(); ++b) {
-      cumulative += em.buckets[b];
-      out += "kanon_http_request_latency_ms_bucket{endpoint=\"" + label +
-             "\",le=\"" + FmtDoubleShort(kLatencyBucketsMs[b]) + "\"} " +
-             std::to_string(cumulative) + "\n";
-    }
-    out += "kanon_http_request_latency_ms_bucket{endpoint=\"" + label +
-           "\",le=\"+Inf\"} " + std::to_string(em.count) + "\n";
-    out += "kanon_http_request_latency_ms_sum{endpoint=\"" + label + "\"} " +
-           FmtDoubleShort(em.sum_ms) + "\n";
-    out += "kanon_http_request_latency_ms_count{endpoint=\"" + label +
-           "\"} " + std::to_string(em.count) + "\n";
-  }
-
-  HttpResponse resp;
-  resp.status = 200;
-  resp.content_type = "text/plain; version=0.0.4; charset=utf-8";
-  resp.body = std::move(out);
-  return resp;
-}
-
-void AnonHttpFrontend::Observe(Endpoint endpoint, int http_status,
-                               double latency_ms) {
-  EndpointMetrics& em = metrics_[static_cast<size_t>(endpoint)];
-  std::lock_guard<std::mutex> lock(em.mu);
-  ++em.by_code[http_status];
-  ++em.count;
-  em.sum_ms += latency_ms;
-  // First bound >= latency: Prometheus buckets are upper-inclusive.
-  const size_t b = static_cast<size_t>(
-      std::lower_bound(kLatencyBucketsMs.begin(), kLatencyBucketsMs.end(),
-                       latency_ms) -
-      kLatencyBucketsMs.begin());
-  ++em.buckets[b];
+  return router_.Metrics(out);
 }
 
 }  // namespace kanon::net

@@ -1,10 +1,9 @@
 #ifndef KANON_NET_ANON_HTTP_H_
 #define KANON_NET_ANON_HTTP_H_
 
-#include <array>
+#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -12,26 +11,12 @@
 
 #include "dp/dp_ledger.h"
 #include "net/http_server.h"
+#include "net/router.h"
 #include "shard/sharded_service.h"
 
 namespace kanon::net {
 
-/// Endpoint families the front-end tracks metrics for.
-enum class Endpoint : size_t {
-  kIngest = 0,
-  kRelease,
-  kDp,
-  kHealthz,
-  kMetrics,
-  kRepl,
-  kOther,
-};
-constexpr size_t kNumEndpoints = 7;
-const char* EndpointName(Endpoint endpoint);
-
 struct AnonHttpOptions {
-  /// Advisory Retry-After (seconds) attached to 429/503 ingest responses.
-  unsigned retry_after_s = 1;
   /// Env for the replication endpoints' reads of WAL segments and
   /// checkpoint files (nullptr = Env::Default()). Kept separate from the
   /// service's durability env so fault injection on the write path does
@@ -70,7 +55,6 @@ struct DpServingOptions {
   /// Publish the truth-derived utility pair in /metrics (trusted-plane
   /// only; see AnonHttpOptions::dp_metrics_utility).
   bool utility_in_metrics = false;
-  unsigned retry_after_s = 1;
 };
 
 /// The DP serving half shared by the leader frontend and the replication
@@ -120,7 +104,6 @@ class DpServing {
 
   const DpNoiseKey key_;
   const bool utility_in_metrics_;
-  const unsigned retry_after_s_;
   DpBudgetLedger ledger_;
 
   std::mutex util_mu_;
@@ -163,9 +146,9 @@ class DpServing {
 ///                          per-shard health in the body.
 ///   GET  /metrics          Prometheus text exposition: aggregate
 ///                          ServiceStats and durability counters, per-shard
-///                          series with a shard label, kanon_build_info,
-///                          queue depth, listener stats and per-endpoint
-///                          latency histograms (fixed log-spaced buckets).
+///                          series with a shard label, queue depth, and the
+///                          Router's build info, listener stats and
+///                          per-endpoint latency histograms.
 ///   GET  /repl/manifest    Replication bootstrap metadata for one shard
 ///                          (?shard=i, default 0): checkpoint manifest,
 ///                          durable (fsynced) LSN horizon and the current
@@ -185,6 +168,8 @@ class DpServing {
 ///                          X-Kanon-Epoch, X-Kanon-Epoch-Records carry the
 ///                          tailing state machine's inputs.
 ///
+/// The paths form one Router table: 404, 405 + Allow, HEAD on the GET
+/// routes and the per-endpoint request series are the Router's.
 /// Handle() is thread-safe and is exactly the HttpHandler the HttpServer
 /// worker pool runs; it may block inside Ingest under kBlock backpressure,
 /// which is the intended end-to-end backpressure path: a full shard queue
@@ -195,18 +180,16 @@ class AnonHttpFrontend {
                             AnonHttpOptions options = {});
 
   /// The handler to hand to HttpServer.
-  HttpResponse Handle(const HttpRequest& request);
-
-  /// Optional: lets /metrics include listener-level counters. Set before
-  /// the server starts taking traffic.
-  void SetServerStats(std::function<HttpServerStats()> fn) {
-    server_stats_ = std::move(fn);
+  HttpResponse Handle(const HttpRequest& request) {
+    return router_.Handle(request);
   }
 
-  /// Event backend label for kanon_build_info ("epoll" / "poll"). Set
-  /// after HttpServer::Start, before traffic.
+  /// See Router::SetServerStats and Router::SetBackendLabel.
+  void SetServerStats(std::function<HttpServerStats()> fn) {
+    router_.SetServerStats(std::move(fn));
+  }
   void SetBackendLabel(std::string backend) {
-    backend_label_ = std::move(backend);
+    router_.SetBackendLabel(std::move(backend));
   }
 
   /// Records ingested over HTTP and acknowledged with 200 (the
@@ -219,45 +202,31 @@ class AnonHttpFrontend {
   const DpBudgetLedger& dp_ledger() const { return dp_.ledger(); }
 
  private:
-  /// Upper bounds (ms) of the kanon_http_request_latency_ms buckets:
-  /// log-spaced by powers of two from 1/16 ms to 4 s, plus the implicit
-  /// +Inf. Fixed in code so every scrape exposes the same `le` set.
-  static constexpr std::array<double, 17> kLatencyBucketsMs = {
-      0.0625, 0.125, 0.25, 0.5, 1, 2, 4, 8, 16,
-      32, 64, 128, 256, 512, 1024, 2048, 4096};
+  /// A /repl/* handler, run on the shard the request names.
+  using ReplHandler = HttpResponse (AnonHttpFrontend::*)(
+      const HttpRequest& request, const std::string& dir, size_t shard,
+      Env* env);
 
-  struct EndpointMetrics {
-    std::mutex mu;
-    // Per-bucket (non-cumulative) counts against kLatencyBucketsMs; the
-    // last slot counts requests slower than every finite bound.
-    std::array<uint64_t, kLatencyBucketsMs.size() + 1> buckets{};
-    double sum_ms = 0.0;
-    uint64_t count = 0;
-    std::map<int, uint64_t> by_code;
-  };
-
-  HttpResponse Route(const HttpRequest& request, Endpoint* endpoint);
+  std::vector<Route> MakeRoutes();
   HttpResponse HandleIngest(const HttpRequest& request);
-  HttpResponse HandleRelease(const HttpRequest& request);
-  HttpResponse HandleDp(const HttpRequest& request);
   HttpResponse HandleHealthz();
   HttpResponse HandleMetrics();
-  HttpResponse HandleRepl(const HttpRequest& request);
-  HttpResponse HandleReplManifest(const std::string& dir, size_t shard,
+  /// Checks durability and the ?shard= parameter, then runs `handler`.
+  HttpResponse HandleRepl(const HttpRequest& request, ReplHandler handler);
+  HttpResponse HandleReplManifest(const HttpRequest& request,
+                                  const std::string& dir, size_t shard,
                                   Env* env);
-  HttpResponse HandleReplCheckpoint(const std::string& dir,
-                                    const std::string& path, Env* env);
+  HttpResponse HandleReplCheckpoint(const HttpRequest& request,
+                                    const std::string& dir, size_t shard,
+                                    Env* env);
   HttpResponse HandleReplWal(const HttpRequest& request,
                              const std::string& dir, size_t shard, Env* env);
-  void Observe(Endpoint endpoint, int http_status, double latency_ms);
 
   ShardedAnonymizationService* const service_;
   const AnonHttpOptions options_;
   DpServing dp_;
-  std::function<HttpServerStats()> server_stats_;
-  std::string backend_label_ = "inproc";
   std::atomic<uint64_t> accepted_{0};
-  std::array<EndpointMetrics, kNumEndpoints> metrics_;
+  Router router_;
 };
 
 /// Parses one ingest line — a JSON array "[1, 2.5, 3]" or bare CSV
@@ -275,16 +244,13 @@ std::string PartitionsJson(const PartitionSet& ps, bool with_rids);
 /// Renders a full GET /release(/query) response off a stitched snapshot —
 /// deterministic byte-for-byte in the snapshot's contents, which is what
 /// lets a replication follower at the same epoch serve the identical body.
-/// `stitched` == nullptr yields the 503 "nothing published yet" response.
+/// `stitched` == nullptr yields the 503 "nothing published yet" response,
+/// with the Retry-After of HttpResponse::FromStatus. `retry_after_s` is
+/// ignored; it stays for source compatibility with older callers.
 /// Shared by AnonHttpFrontend and the follower frontend.
 HttpResponse RenderRelease(const StitchedSnapshot* stitched,
-                           const HttpRequest& request, unsigned retry_after_s);
-
-/// Appends one `# TYPE` + sample line in the Prometheus text exposition.
-/// Shared by the leader's /metrics and the follower's.
-void AppendPromMetric(std::string* out, std::string_view name,
-                      std::string_view type, double value,
-                      std::string_view labels = "");
+                           const HttpRequest& request,
+                           unsigned retry_after_s = 1);
 
 }  // namespace kanon::net
 

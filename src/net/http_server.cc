@@ -7,6 +7,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -36,14 +37,6 @@ HttpResponse HttpResponse::Json(int status, std::string body) {
   HttpResponse resp;
   resp.status = status;
   resp.content_type = "application/json";
-  resp.body = std::move(body);
-  return resp;
-}
-
-HttpResponse HttpResponse::Text(int status, std::string body) {
-  HttpResponse resp;
-  resp.status = status;
-  resp.content_type = "text/plain; charset=utf-8";
   resp.body = std::move(body);
   return resp;
 }
@@ -93,7 +86,19 @@ HttpServer::~HttpServer() { Shutdown(); }
 
 Status HttpServer::Start() {
   if (started_.load()) return Status::FailedPrecondition("already started");
+  if (Status s = OpenFds(); !s.ok()) {
+    CloseFds();
+    return s;
+  }
+  if (options_.num_threads > 0) {
+    pool_ = std::make_unique<ThreadPool>(options_.num_threads);
+  }
+  started_.store(true);
+  loop_thread_ = JoinableThread([this] { Loop(); });
+  return Status::OK();
+}
 
+Status HttpServer::OpenFds() {
   listen_fd_ = socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) return Errno("socket");
   const int one = 1;
@@ -106,58 +111,33 @@ Status HttpServer::Start() {
   std::string host = options_.host.empty() ? "0.0.0.0" : options_.host;
   if (host == "localhost") host = "127.0.0.1";
   if (inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
     return Status::InvalidArgument("unparseable IPv4 listen host: " + host);
   }
   if (bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
       0) {
-    const Status s = Errno(("bind " + host + ":" +
-                            std::to_string(options_.port)).c_str());
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return s;
+    return Errno(
+        ("bind " + host + ":" + std::to_string(options_.port)).c_str());
   }
   sockaddr_in bound{};
   socklen_t bound_len = sizeof(bound);
   if (getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
                   &bound_len) != 0) {
-    const Status s = Errno("getsockname");
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return s;
+    return Errno("getsockname");
   }
   port_ = ntohs(bound.sin_port);
-  if (listen(listen_fd_, options_.backlog) != 0) {
-    const Status s = Errno("listen");
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return s;
-  }
+  if (listen(listen_fd_, options_.backlog) != 0) return Errno("listen");
 
   int pipe_fds[2];
-  if (pipe(pipe_fds) != 0) {
-    const Status s = Errno("pipe");
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return s;
-  }
+  if (pipe(pipe_fds) != 0) return Errno("pipe");
   wake_r_ = pipe_fds[0];
   wake_w_ = pipe_fds[1];
   KANON_RETURN_IF_ERROR(SetNonBlocking(wake_r_));
   KANON_RETURN_IF_ERROR(SetNonBlocking(wake_w_));
 
-  poller_ = Poller::Create(options_.use_epoll);
-  using_epoll_ = poller_->is_epoll();
-  KANON_RETURN_IF_ERROR(poller_->Add(listen_fd_, /*read=*/true, false));
-  KANON_RETURN_IF_ERROR(poller_->Add(wake_r_, /*read=*/true, false));
-
-  if (options_.num_threads > 0) {
-    pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-  }
-  started_.store(true);
-  loop_thread_ = JoinableThread([this] { Loop(); });
-  return Status::OK();
+  epoll_fd_ = epoll_create1(EPOLL_CLOEXEC);
+  if (epoll_fd_ < 0) return Errno("epoll_create1");
+  KANON_RETURN_IF_ERROR(Watch(EPOLL_CTL_ADD, listen_fd_, true, false));
+  return Watch(EPOLL_CTL_ADD, wake_r_, true, false);
 }
 
 void HttpServer::Shutdown() {
@@ -167,11 +147,24 @@ void HttpServer::Shutdown() {
     Wake();
     loop_thread_.Join();
     if (pool_ != nullptr) pool_->Shutdown();
-    if (listen_fd_ >= 0) ::close(listen_fd_);
-    if (wake_r_ >= 0) ::close(wake_r_);
-    if (wake_w_ >= 0) ::close(wake_w_);
-    listen_fd_ = wake_r_ = wake_w_ = -1;
+    CloseFds();
   });
+}
+
+void HttpServer::CloseFds() {
+  for (int* fd : {&listen_fd_, &wake_r_, &wake_w_, &epoll_fd_}) {
+    if (*fd >= 0) ::close(*fd);
+    *fd = -1;
+  }
+}
+
+Status HttpServer::Watch(int op, int fd, bool read, bool write) {
+  epoll_event ev{};
+  ev.data.fd = fd;
+  if (read) ev.events |= EPOLLIN | EPOLLRDHUP;
+  if (write) ev.events |= EPOLLOUT;
+  if (epoll_ctl(epoll_fd_, op, fd, &ev) != 0) return Errno("epoll_ctl");
+  return Status::OK();
 }
 
 HttpServerStats HttpServer::stats() const {
@@ -209,7 +202,7 @@ int HttpServer::NextTimeoutMs(Clock::time_point now) const {
 }
 
 void HttpServer::Loop() {
-  std::vector<PollEvent> events;
+  epoll_event events[128];
   bool listener_closed = false;
   Clock::time_point drain_deadline = Clock::time_point::max();
 
@@ -218,7 +211,7 @@ void HttpServer::Loop() {
     if (draining_.load()) {
       if (!listener_closed) {
         listener_closed = true;
-        poller_->Remove(listen_fd_);
+        epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
         drain_deadline =
             now + std::chrono::duration_cast<Clock::duration>(
                       std::chrono::duration<double>(options_.drain_timeout_s));
@@ -233,18 +226,19 @@ void HttpServer::Loop() {
       if (conns_.empty() || now >= drain_deadline) break;
     }
 
-    auto waited = poller_->Wait(NextTimeoutMs(now), &events);
-    if (!waited.ok()) break;  // poller failure: nothing recoverable below
+    const int n = epoll_wait(epoll_fd_, events, 128, NextTimeoutMs(now));
+    if (n < 0 && errno != EINTR) break;  // nothing recoverable below
 
-    for (const PollEvent& ev : events) {
-      if (ev.fd == listen_fd_) {
+    for (int i = 0; i < n; ++i) {
+      const int fd = events[i].data.fd;
+      if (fd == listen_fd_) {
         if (!listener_closed) AcceptPending();
-      } else if (ev.fd == wake_r_) {
+      } else if (fd == wake_r_) {
         char buf[256];
         while (read(wake_r_, buf, sizeof(buf)) > 0) {
         }
       } else {
-        HandleConnEvent(ev.fd, ev);
+        HandleConnEvent(fd, events[i].events);
       }
     }
     DrainCompletions();
@@ -292,7 +286,7 @@ void HttpServer::AcceptPending() {
     conn.deadline = Clock::now() + std::chrono::duration_cast<Clock::duration>(
                                        std::chrono::duration<double>(
                                            options_.idle_timeout_s));
-    if (!poller_->Add(fd, /*read=*/true, false).ok()) {
+    if (!Watch(EPOLL_CTL_ADD, fd, /*read=*/true, false).ok()) {
       ::close(fd);
       continue;
     }
@@ -311,22 +305,22 @@ void HttpServer::UpdateReadDeadline(Conn* conn) {
                          std::chrono::duration<double>(timeout));
 }
 
-void HttpServer::HandleConnEvent(int fd, const PollEvent& ev) {
+void HttpServer::HandleConnEvent(int fd, uint32_t events) {
   auto it = conns_.find(fd);
   if (it == conns_.end()) return;  // destroyed earlier this batch
   Conn* conn = &it->second;
 
-  if (ev.error) {
+  if ((events & (EPOLLERR | EPOLLHUP)) != 0) {  // the connection is dead
     DestroyConn(fd);
     return;
   }
-  if (ev.writable && !conn->out.empty()) {
+  if ((events & EPOLLOUT) != 0 && !conn->out.empty()) {
     FlushWrites(fd, conn);
     it = conns_.find(fd);
     if (it == conns_.end()) return;
     conn = &it->second;
   }
-  if (!ev.readable) return;
+  if ((events & (EPOLLIN | EPOLLRDHUP)) == 0) return;
 
   char buf[16 << 10];
   while (true) {
@@ -373,7 +367,7 @@ void HttpServer::Advance(int fd, Conn* conn) {
       requests_.fetch_add(1, std::memory_order_relaxed);
       conn->handling = true;
       conn->deadline = Clock::time_point::max();  // handler's clock now
-      poller_->Modify(fd, /*read=*/false, /*write=*/false);
+      Watch(EPOLL_CTL_MOD, fd, /*read=*/false, /*write=*/false);
       Dispatch(fd, conn->gen, std::move(request));
       return;
     case HttpParseResult::kNeedMore:
@@ -388,7 +382,7 @@ void HttpServer::Advance(int fd, Conn* conn) {
         if (conns_.find(fd) == conns_.end()) return;
       }
       UpdateReadDeadline(conn);
-      poller_->Modify(fd, /*read=*/true, /*write=*/!conn->out.empty());
+      Watch(EPOLL_CTL_MOD, fd, /*read=*/true, /*write=*/!conn->out.empty());
       return;
     case HttpParseResult::kError: {
       parse_errors_.fetch_add(1, std::memory_order_relaxed);
@@ -410,6 +404,11 @@ void HttpServer::Dispatch(int fd, uint64_t gen, HttpRequest request) {
     done.fd = fd;
     done.gen = gen;
     done.bytes = SerializeResponse(response, keep_alive);
+    // HEAD gets the GET's header block, Content-Length included, and no
+    // body (RFC 9110 §9.3.2): the body is the serialization's tail.
+    if (request.method == "HEAD") {
+      done.bytes.resize(done.bytes.size() - response.body.size());
+    }
     done.close_after = !keep_alive;
     {
       std::lock_guard<std::mutex> lock(completions_mu_);
@@ -461,7 +460,7 @@ void HttpServer::FlushWrites(int fd, Conn* conn) {
           Clock::now() + std::chrono::duration_cast<Clock::duration>(
                              std::chrono::duration<double>(
                                  options_.write_timeout_s));
-      poller_->Modify(fd, /*read=*/false, /*write=*/true);
+      Watch(EPOLL_CTL_MOD, fd, /*read=*/false, /*write=*/true);
       return;
     }
     DestroyConn(fd);
@@ -483,7 +482,7 @@ void HttpServer::FlushWrites(int fd, Conn* conn) {
     return;
   }
   UpdateReadDeadline(conn);
-  poller_->Modify(fd, /*read=*/true, /*write=*/false);
+  Watch(EPOLL_CTL_MOD, fd, /*read=*/true, /*write=*/false);
   if (!conn->handling) Advance(fd, conn);  // next pipelined request, if any
 }
 
@@ -515,7 +514,7 @@ void HttpServer::SweepTimeouts(Clock::time_point now) {
 void HttpServer::DestroyConn(int fd) {
   auto it = conns_.find(fd);
   if (it == conns_.end()) return;
-  poller_->Remove(fd);
+  epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   ::close(fd);
   conns_.erase(it);
   open_connections_.store(conns_.size(), std::memory_order_relaxed);

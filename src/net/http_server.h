@@ -16,7 +16,6 @@
 #include "common/thread.h"
 #include "common/thread_pool.h"
 #include "net/http_parser.h"
-#include "net/poller.h"
 
 namespace kanon::net {
 
@@ -32,14 +31,14 @@ struct HttpResponse {
   bool close_connection = false;
 
   static HttpResponse Json(int status, std::string body);
-  static HttpResponse Text(int status, std::string body);
   /// An error response via the shared StatusCode -> HTTP map
   /// (net/http_status.h), with the canonical JSON error body.
   static HttpResponse FromStatus(const Status& status);
 };
 
-/// Serializes `resp` into wire bytes. `keep_alive` decides the Connection
-/// header (and is overridden by resp.close_connection). Exposed for tests.
+/// Serializes `resp` into wire bytes, the body last. `keep_alive` decides
+/// the Connection header (and is overridden by resp.close_connection).
+/// Exposed for tests.
 std::string SerializeResponse(const HttpResponse& resp, bool keep_alive);
 
 /// Request handler. Runs on a worker-pool thread (or on the event loop
@@ -72,9 +71,6 @@ struct HttpServerOptions {
   /// Shutdown(): how long in-flight requests may take to finish before
   /// their connections are force-closed.
   double drain_timeout_s = 10.0;
-  /// False forces the portable poll() event loop even where epoll exists
-  /// (tests exercise both paths on Linux this way).
-  bool use_epoll = true;
 };
 
 /// Point-in-time counters of the listener (all cumulative since Start).
@@ -89,8 +85,8 @@ struct HttpServerStats {
 };
 
 /// A dependency-free, multi-threaded HTTP/1.1 server: one event-loop
-/// thread multiplexes all sockets through epoll (poll fallback); complete
-/// requests are dispatched to a worker pool; responses flow back to the
+/// thread multiplexes all sockets through epoll(7); complete requests
+/// are dispatched to a worker pool; responses flow back to the
 /// loop over a completion queue and a self-pipe wakeup. Connections are
 /// strictly pipelined-in-order: one request per connection is in flight at
 /// a time, later pipelined requests stay buffered until the response ships.
@@ -101,9 +97,11 @@ struct HttpServerStats {
 ///
 /// The loop never blocks on a handler and handlers never touch sockets, so
 /// a handler blocked on ingest backpressure delays only its own
-/// connection. Shutdown() is the graceful-drain half of SIGTERM handling:
-/// stop accepting, cut idle connections, let in-flight requests finish
-/// (bounded by drain_timeout_s), then join the loop and the pool.
+/// connection. A HEAD request gets its handler's headers, Content-Length
+/// included, and never a body. Shutdown() is the graceful-drain half of
+/// SIGTERM handling: stop accepting, cut idle connections, let in-flight
+/// requests finish (bounded by drain_timeout_s), then join the loop and
+/// the pool.
 class HttpServer {
  public:
   HttpServer(HttpServerOptions options, HttpHandler handler);
@@ -113,7 +111,8 @@ class HttpServer {
   HttpServer& operator=(const HttpServer&) = delete;
 
   /// Binds, listens and starts the event loop + worker pool. On success
-  /// port() returns the actual bound port (the --port 0 contract).
+  /// port() returns the actual bound port (the --port 0 contract); an
+  /// error (epoll_create1 included) leaves nothing open.
   Status Start();
 
   uint16_t port() const { return port_; }
@@ -121,7 +120,9 @@ class HttpServer {
   /// serving CLI and scripts use when started with --listen :0.
   uint16_t bound_port() const { return port_; }
   const std::string& host() const { return options_.host; }
-  bool using_epoll() const { return using_epoll_; }
+  /// Always true: epoll is the only event loop. Kept for callers that
+  /// label the backend in their output.
+  bool using_epoll() const { return true; }
 
   /// Graceful drain (see class comment). Idempotent, thread-safe, callable
   /// from a signal-watching thread.
@@ -153,7 +154,8 @@ class HttpServer {
 
   void Loop();
   void AcceptPending();
-  void HandleConnEvent(int fd, const PollEvent& ev);
+  /// `events` is the epoll_event mask reported for `fd`.
+  void HandleConnEvent(int fd, uint32_t events);
   /// Parses buffered bytes and dispatches at most one request.
   void Advance(int fd, Conn* conn);
   void Dispatch(int fd, uint64_t gen, HttpRequest request);
@@ -164,6 +166,12 @@ class HttpServer {
   void SweepTimeouts(Clock::time_point now);
   void DestroyConn(int fd);
   void Wake();
+  /// Sets the epoll interest of `fd` (op = EPOLL_CTL_ADD or _MOD).
+  Status Watch(int op, int fd, bool read, bool write);
+  /// Opens the listening socket, the wakeup pipe and the epoll set;
+  /// CloseFds() releases whatever is open.
+  Status OpenFds();
+  void CloseFds();
   int NextTimeoutMs(Clock::time_point now) const;
   void UpdateReadDeadline(Conn* conn);
 
@@ -173,10 +181,9 @@ class HttpServer {
   int listen_fd_ = -1;
   int wake_r_ = -1;
   int wake_w_ = -1;
+  int epoll_fd_ = -1;
   uint16_t port_ = 0;
-  bool using_epoll_ = false;
 
-  std::unique_ptr<Poller> poller_;
   std::unique_ptr<ThreadPool> pool_;
   std::unordered_map<int, Conn> conns_;  // event-loop thread only
   uint64_t next_gen_ = 0;                // event-loop thread only

@@ -411,28 +411,24 @@ std::string StalenessValue(double staleness_ms) {
 
 }  // namespace
 
-HttpResponse FollowerFrontend::Handle(const HttpRequest& request) {
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  const std::string& path = request.path;
-  if (path == "/release" || path == "/release/query") {
-    if (request.method != "GET" && request.method != "HEAD") {
-      return HttpResponse::Json(
-          405, "{\"error\":\"method not allowed\",\"allow\":\"GET\"}");
-    }
-    return HandleReadRelease(request);
-  }
-  if (path == "/release/dp" || path == "/release/dp/query") {
-    if (request.method != "GET" && request.method != "HEAD") {
-      return HttpResponse::Json(
-          405, "{\"error\":\"method not allowed\",\"allow\":\"GET\"}");
-    }
-    return HandleDpRead(request);
-  }
-  if (path == "/ingest") {
-    // A replica never takes writes; 421 tells a misconfigured client which
-    // server does. (308 would make well-behaved clients resubmit there
-    // transparently, but silently rerouting PII ingestion is worse than
-    // failing loudly.)
+FollowerFrontend::FollowerFrontend(ReplicatedFollower* follower)
+    : follower_(follower),
+      dp_(DpServingOptions{follower->options().dp_budget,
+                           follower->options().dp_lifetime_budget,
+                           follower->options().dp_key,
+                           follower->options().dp_metrics_utility}),
+      router_(MakeRoutes()) {}
+
+std::vector<Route> FollowerFrontend::MakeRoutes() {
+  const HttpHandler release = StalenessGated(
+      [](const StitchedSnapshot* stitched, const HttpRequest& request) {
+        return RenderRelease(stitched, request);
+      });
+  // A replica never takes writes; 421 tells a misconfigured client which
+  // server does. (308 would make well-behaved clients resubmit there
+  // transparently, but silently rerouting PII ingestion is worse than
+  // failing loudly.)
+  const auto misdirected = [this](const HttpRequest&) {
     HttpResponse resp = HttpResponse::Json(
         421,
         "{\"error\":\"Misdirected Request\",\"message\":\"this server is a "
@@ -442,65 +438,46 @@ HttpResponse FollowerFrontend::Handle(const HttpRequest& request) {
                         std::to_string(follower_->options().leader_port) +
                         "/ingest");
     return resp;
-  }
-  if (path == "/healthz") {
-    if (request.method != "GET" && request.method != "HEAD") {
-      return HttpResponse::Json(
-          405, "{\"error\":\"method not allowed\",\"allow\":\"GET\"}");
-    }
-    return HandleHealthz();
-  }
-  if (path == "/metrics") {
-    if (request.method != "GET" && request.method != "HEAD") {
-      return HttpResponse::Json(
-          405, "{\"error\":\"method not allowed\",\"allow\":\"GET\"}");
-    }
-    return HandleMetrics();
-  }
-  return HttpResponse::Json(
-      404,
-      "{\"error\":\"not found\",\"paths\":[\"/release\",\"/release/query\","
-      "\"/release/dp\",\"/release/dp/query\",\"/healthz\",\"/metrics\"]}");
+  };
+  return {
+      {"/ingest", "POST", "ingest", misdirected},
+      {"/release", "GET", "release", release},
+      {"/release/query", "GET", "release", release},
+      {"/release/dp", "GET", "dp",
+       StalenessGated([this](const StitchedSnapshot* stitched,
+                             const HttpRequest& request) {
+         return dp_.HandleRelease(stitched, request);
+       })},
+      {"/release/dp/query", "GET", "dp",
+       StalenessGated([this](const StitchedSnapshot* stitched,
+                             const HttpRequest& request) {
+         return dp_.HandleQuery(stitched, request);
+       })},
+      {"/healthz", "GET", "healthz",
+       [this](const HttpRequest&) { return HandleHealthz(); }},
+      {"/metrics", "GET", "metrics",
+       [this](const HttpRequest&) { return HandleMetrics(); }},
+  };
 }
 
-std::unique_ptr<HttpResponse> FollowerFrontend::StaleRejection(
-    double staleness) const {
-  const FollowerCore* core = follower_->core();
-  const bool stale =
-      staleness > static_cast<double>(core->max_staleness_ms());
-  if (!stale || !follower_->options().reject_stale_reads) return nullptr;
-  auto resp = std::make_unique<HttpResponse>(
-      HttpResponse::FromStatus(Status::Unavailable(
-          "replica is stale (" + StalenessValue(staleness) +
-          " ms since last caught up, bound " +
-          std::to_string(core->max_staleness_ms()) + " ms)")));
-  resp->headers.emplace_back("X-Kanon-Staleness-Ms",
-                             StalenessValue(staleness));
-  return resp;
-}
-
-HttpResponse FollowerFrontend::HandleReadRelease(const HttpRequest& request) {
-  const FollowerCore* core = follower_->core();
-  const double staleness = core->staleness_ms();
-  if (auto rejection = StaleRejection(staleness)) return *rejection;
-  HttpResponse resp = RenderRelease(core->CurrentStitched().get(), request,
-                                    follower_->options().retry_after_s);
-  resp.headers.emplace_back("X-Kanon-Staleness-Ms",
-                            StalenessValue(staleness));
-  return resp;
-}
-
-HttpResponse FollowerFrontend::HandleDpRead(const HttpRequest& request) {
-  const FollowerCore* core = follower_->core();
-  const double staleness = core->staleness_ms();
-  if (auto rejection = StaleRejection(staleness)) return *rejection;
-  const auto stitched = core->CurrentStitched();
-  HttpResponse resp = request.path == "/release/dp"
-                          ? dp_.HandleRelease(stitched.get(), request)
-                          : dp_.HandleQuery(stitched.get(), request);
-  resp.headers.emplace_back("X-Kanon-Staleness-Ms",
-                            StalenessValue(staleness));
-  return resp;
+HttpHandler FollowerFrontend::StalenessGated(SnapshotRead read) {
+  return [this, read = std::move(read)](const HttpRequest& request) {
+    const FollowerCore* core = follower_->core();
+    const double staleness = core->staleness_ms();
+    const bool reject =
+        follower_->options().reject_stale_reads &&
+        staleness > static_cast<double>(core->max_staleness_ms());
+    HttpResponse resp =
+        reject
+            ? HttpResponse::FromStatus(Status::Unavailable(
+                  "replica is stale (" + StalenessValue(staleness) +
+                  " ms since last caught up, bound " +
+                  std::to_string(core->max_staleness_ms()) + " ms)"))
+            : read(core->CurrentStitched().get(), request);
+    resp.headers.emplace_back("X-Kanon-Staleness-Ms",
+                              StalenessValue(staleness));
+    return resp;
+  };
 }
 
 HttpResponse FollowerFrontend::HandleHealthz() {
@@ -518,13 +495,11 @@ HttpResponse FollowerFrontend::HandleHealthz() {
           std::to_string(follower_->options().leader_port) + "\"";
   body += ",\"reconnects\":" + std::to_string(follower_->reconnects());
   body += "}";
-  HttpResponse resp = HttpResponse::Json(healthy ? 200 : 503,
-                                         std::move(body));
-  if (resp.status == 503) {
-    resp.headers.emplace_back(
-        "Retry-After",
-        std::to_string(follower_->options().retry_after_s));
-  }
+  // Degraded healthz backs probers off like every other 503.
+  HttpResponse resp =
+      healthy ? HttpResponse::Json(200, "")
+              : HttpResponse::FromStatus(Status::Unavailable("degraded"));
+  resp.body = std::move(body);
   return resp;
 }
 
@@ -533,13 +508,12 @@ HttpResponse FollowerFrontend::HandleMetrics() {
   const ReplState state = follower_->state();
   std::string out;
   out.reserve(4096);
+  out += "# TYPE kanon_repl_state gauge\n";
   for (int i = 0; i < kNumReplStates; ++i) {
-    AppendPromMetric(&out, "kanon_repl_state", "gauge",
-                     state == static_cast<ReplState>(i) ? 1 : 0,
-                     "state=\"" +
-                         std::string(ReplStateName(
-                             static_cast<ReplState>(i))) +
-                         "\"");
+    const auto s = static_cast<ReplState>(i);
+    AppendPromSample(&out, "kanon_repl_state",
+                     "state=\"" + std::string(ReplStateName(s)) + "\"",
+                     state == s ? 1 : 0);
   }
   AppendPromMetric(&out, "kanon_repl_lag_lsn", "gauge",
                    static_cast<double>(follower_->lag_lsn()));
@@ -562,17 +536,10 @@ HttpResponse FollowerFrontend::HandleMetrics() {
                    static_cast<double>(follower_->leader_epoch()));
   AppendPromMetric(&out, "kanon_follower_records", "gauge",
                    static_cast<double>(core->records()));
-  AppendPromMetric(&out, "kanon_follower_requests_total", "counter",
-                   static_cast<double>(
-                       requests_.load(std::memory_order_relaxed)));
   // DP serving: ledger counters + the per-release-point utility pair, same
   // series names as the leader so one dashboard covers both roles.
   dp_.AppendMetrics(&out, core->CurrentStitched().get());
-  HttpResponse resp;
-  resp.status = 200;
-  resp.content_type = "text/plain; version=0.0.4";
-  resp.body = std::move(out);
-  return resp;
+  return router_.Metrics(out);
 }
 
 }  // namespace kanon::net

@@ -8,6 +8,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/env.h"
 #include "common/status.h"
@@ -122,8 +123,6 @@ struct FollowerOptions {
   uint64_t backoff_max_ms = 5000;
   uint64_t jitter_seed = 0;  // 0 = seed from the clock
   size_t max_batch_bytes = 1u << 20;
-  /// Retry-After attached to follower 503s.
-  unsigned retry_after_s = 1;
   /// DP serving knobs (see AnonHttpOptions): the follower keeps its own
   /// budget ledger, but its releases are byte-identical to the leader's at
   /// the same publication point and epsilon — provided the operator gave
@@ -231,7 +230,9 @@ class ReplicatedFollower {
 
 /// The HTTP face of a follower: read endpoints served lock-free off the
 /// core's published snapshot, writes redirected to the leader, health and
-/// metrics wired to the replication state machine.
+/// metrics wired to the replication state machine. The paths form one
+/// Router table, so 404, 405 + Allow, HEAD and the kanon_http_* series
+/// behave exactly as on the leader.
 ///
 ///   GET  /release, /release/query   RenderRelease off the follower's
 ///         snapshot — byte-identical to the leader's at the same epoch —
@@ -250,30 +251,36 @@ class ReplicatedFollower {
 ///         disconnected.
 ///   GET  /metrics  kanon_repl_* series: one-hot state, lag in LSNs and
 ///         ms, reconnect/bootstrap/batch/byte counters, applied LSN and
-///         published epoch.
+///         published epoch; the DP ledger series; and the Router's build
+///         info, listener counters and per-endpoint request series.
 class FollowerFrontend {
  public:
-  explicit FollowerFrontend(ReplicatedFollower* follower)
-      : follower_(follower),
-        dp_(DpServingOptions{follower->options().dp_budget,
-                             follower->options().dp_lifetime_budget,
-                             follower->options().dp_key,
-                             follower->options().dp_metrics_utility,
-                             follower->options().retry_after_s}) {}
+  explicit FollowerFrontend(ReplicatedFollower* follower);
 
-  HttpResponse Handle(const HttpRequest& request);
+  HttpResponse Handle(const HttpRequest& request) {
+    return router_.Handle(request);
+  }
+
+  /// See Router::SetServerStats.
+  void SetServerStats(std::function<HttpServerStats()> fn) {
+    router_.SetServerStats(std::move(fn));
+  }
 
  private:
-  HttpResponse HandleReadRelease(const HttpRequest& request);
-  HttpResponse HandleDpRead(const HttpRequest& request);
+  /// A read answered off one snapshot (nullptr = nothing published yet).
+  using SnapshotRead = std::function<HttpResponse(const StitchedSnapshot*,
+                                                  const HttpRequest&)>;
+
+  std::vector<Route> MakeRoutes();
+  /// Wraps `read` in the staleness policy: rejected past the bound when
+  /// configured so, and stamped with X-Kanon-Staleness-Ms either way.
+  HttpHandler StalenessGated(SnapshotRead read);
   HttpResponse HandleHealthz();
   HttpResponse HandleMetrics();
-  /// Non-null when the staleness policy forbids serving this read.
-  std::unique_ptr<HttpResponse> StaleRejection(double staleness) const;
 
   ReplicatedFollower* const follower_;
   DpServing dp_;
-  std::atomic<uint64_t> requests_{0};
+  Router router_;
 };
 
 }  // namespace kanon::net

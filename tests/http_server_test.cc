@@ -18,9 +18,13 @@
 #include "net/http_status.h"
 #include "service/anonymization_service.h"
 #include "shard/sharded_service.h"
+#include "http_test_util.h"
 
 namespace kanon::net {
 namespace {
+
+using testutil::ExpectHeadThenGetFramed;
+using testutil::ScrapeLatencyHistograms;
 
 Domain SquareDomain(double lo, double hi) {
   Domain d;
@@ -56,7 +60,7 @@ struct ServerUnderTest {
   std::unique_ptr<HttpServer> server;
 };
 
-ServerUnderTest StartServer(ServiceOptions service_options, bool use_epoll,
+ServerUnderTest StartServer(ServiceOptions service_options,
                             size_t num_threads = 2, size_t shards = 1,
                             AnonHttpOptions frontend_options = {}) {
   ServerUnderTest s;
@@ -72,7 +76,6 @@ ServerUnderTest StartServer(ServiceOptions service_options, bool use_epoll,
   HttpServerOptions options;
   options.port = 0;  // ephemeral
   options.num_threads = num_threads;
-  options.use_epoll = use_epoll;
   s.server = std::make_unique<HttpServer>(
       options, [f = s.frontend.get()](const HttpRequest& request) {
         return f->Handle(request);
@@ -88,18 +91,8 @@ HttpClient ConnectTo(const HttpServer& server) {
   return client;
 }
 
-/// Both event backends must behave identically; the fixture runs every
-/// test against epoll (where available) and the portable poll fallback.
-class HttpServerBackendTest : public ::testing::TestWithParam<bool> {};
-
-INSTANTIATE_TEST_SUITE_P(Backends, HttpServerBackendTest,
-                         ::testing::Values(true, false),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Epoll" : "Poll";
-                         });
-
-TEST_P(HttpServerBackendTest, LoopbackIngestThenReleaseEndToEnd) {
-  ServerUnderTest s = StartServer(SmallServiceOptions(5), GetParam());
+TEST(HttpServerTest, LoopbackIngestThenReleaseEndToEnd) {
+  ServerUnderTest s = StartServer(SmallServiceOptions(5));
   HttpClient client = ConnectTo(*s.server);
 
   auto post = client.Post("/ingest", GridBody(40));
@@ -166,35 +159,65 @@ TEST_P(HttpServerBackendTest, LoopbackIngestThenReleaseEndToEnd) {
       std::string::npos);
 }
 
-TEST_P(HttpServerBackendTest, ReportsBackendInUse) {
-  ServerUnderTest s = StartServer(SmallServiceOptions(5), GetParam());
-#if defined(__linux__)
-  EXPECT_EQ(s.server->using_epoll(), GetParam());
-#else
-  EXPECT_FALSE(s.server->using_epoll());
-#endif
-}
-
 TEST(HttpServerTest, UnknownRouteIs404AndBadK1Is400) {
-  ServerUnderTest s = StartServer(SmallServiceOptions(5), true);
+  ServerUnderTest s = StartServer(SmallServiceOptions(5));
   HttpClient client = ConnectTo(*s.server);
 
   auto missing = client.Get("/nope");
   ASSERT_TRUE(missing.ok());
   EXPECT_EQ(missing->status, 404);
   EXPECT_NE(missing->body.find("\"error\":\"NotFound\""), std::string::npos);
+  // The 404 lists the route table, prefix routes included.
+  EXPECT_NE(missing->body.find("/release/dp/query"), std::string::npos)
+      << missing->body;
+  EXPECT_NE(missing->body.find("/repl/checkpoint/*"), std::string::npos)
+      << missing->body;
 
   auto bad_k1 = client.Get("/release/query?k1=zero");
   ASSERT_TRUE(bad_k1.ok());
   EXPECT_EQ(bad_k1->status, 400);
 
+  // Every route names one method; any other is 405 with Allow and the
+  // shared error body.
   auto wrong_method = client.Get("/ingest");
   ASSERT_TRUE(wrong_method.ok());
   EXPECT_EQ(wrong_method->status, 405);
+  ASSERT_NE(wrong_method->FindHeader("allow"), nullptr);
+  EXPECT_EQ(*wrong_method->FindHeader("allow"), "POST");
+  EXPECT_NE(wrong_method->body.find("\"error\":\"InvalidArgument\""),
+            std::string::npos)
+      << wrong_method->body;
+
+  auto post_metrics = client.Post("/metrics", "");
+  ASSERT_TRUE(post_metrics.ok());
+  EXPECT_EQ(post_metrics->status, 405);
+  ASSERT_NE(post_metrics->FindHeader("allow"), nullptr);
+  EXPECT_EQ(*post_metrics->FindHeader("allow"), "GET, HEAD");
+}
+
+// HEAD answers with the GET's headers and no body, so the keep-alive
+// connection stays framed for the next request.
+TEST(HttpServerTest, HeadIsFramedWithoutBodyOnKeepAlive) {
+  ServerUnderTest s = StartServer(SmallServiceOptions(5));
+  ExpectHeadThenGetFramed(s.server->port(), "/healthz");
+  // HEAD rides on GET routes only: on POST /ingest it is a 405.
+  testutil::RawHttpConnection raw(s.server->port());
+  raw.Send("HEAD /ingest HTTP/1.1\r\nHost: t\r\n\r\n");
+  const std::string& wire = raw.ReadHeaderBlocks(1);
+  EXPECT_EQ(wire.rfind("HTTP/1.1 405 ", 0), 0u) << wire;
+  EXPECT_EQ(testutil::RawHeader(wire, "Allow"), "POST") << wire;
+  // Both /healthz requests count under their route's endpoint.
+  HttpClient client = ConnectTo(*s.server);
+  auto metrics = client.Get("/metrics");
+  ASSERT_TRUE(metrics.ok());
+  EXPECT_NE(metrics->body.find("kanon_http_requests_total{endpoint="
+                               "\"healthz\",code=\"200\"} 2"),
+            std::string::npos)
+      << metrics->body;
 }
 
 TEST(HttpServerTest, ReleaseBeforeFirstSnapshotIs503WithRetryAfter) {
-  ServerUnderTest s = StartServer(SmallServiceOptions(5), true);
+  ServerUnderTest s = StartServer(SmallServiceOptions(5));
   HttpClient client = ConnectTo(*s.server);
   auto get = client.Get("/release");
   ASSERT_TRUE(get.ok());
@@ -203,7 +226,7 @@ TEST(HttpServerTest, ReleaseBeforeFirstSnapshotIs503WithRetryAfter) {
 }
 
 TEST(HttpServerTest, MalformedIngestLineIs400WithLineNumber) {
-  ServerUnderTest s = StartServer(SmallServiceOptions(5), true);
+  ServerUnderTest s = StartServer(SmallServiceOptions(5));
   HttpClient client = ConnectTo(*s.server);
   auto post = client.Post("/ingest", "1,2\n3,4\nnot-a-record\n5,6\n");
   ASSERT_TRUE(post.ok());
@@ -213,7 +236,7 @@ TEST(HttpServerTest, MalformedIngestLineIs400WithLineNumber) {
 }
 
 TEST(HttpServerTest, ParserErrorsAnswered400AndConnectionCloses) {
-  ServerUnderTest s = StartServer(SmallServiceOptions(5), true);
+  ServerUnderTest s = StartServer(SmallServiceOptions(5));
   HttpClient client = ConnectTo(*s.server);
   // Hand-roll garbage through the client's socket by abusing Get with a
   // target containing a space — the server's parser must 400 it.
@@ -228,7 +251,7 @@ TEST(HttpServerTest, RejectBackpressureSurfacesAs429) {
   options.queue_capacity = 2;
   options.max_batch = 1;
   options.snapshot_every = 1;  // rebuild the snapshot per record: slow
-  ServerUnderTest s = StartServer(options, true);
+  ServerUnderTest s = StartServer(options);
   HttpClient client = ConnectTo(*s.server);
 
   // A large single-connection burst against a 2-slot queue whose consumer
@@ -253,7 +276,7 @@ TEST(HttpServerTest, RejectBackpressureSurfacesAs429) {
 }
 
 TEST(HttpServerTest, StoppedServiceSurfacesAs503AndHealthzFlips) {
-  ServerUnderTest s = StartServer(SmallServiceOptions(3), true);
+  ServerUnderTest s = StartServer(SmallServiceOptions(3));
   HttpClient client = ConnectTo(*s.server);
   ASSERT_EQ(client.Post("/ingest", GridBody(10))->status, 200);
   s.service->Stop();
@@ -291,7 +314,7 @@ TEST(HttpServerTest, DegradedServiceSurfacesAs503) {
   options.durability.env = &env;
   options.durability.retry_backoff_ms = 1;
   options.durability.retry_backoff_max_ms = 2;
-  ServerUnderTest s = StartServer(options, true);
+  ServerUnderTest s = StartServer(options);
   HttpClient client = ConnectTo(*s.server);
 
   // Keep posting until the broken disk degrades the service; the frontend
@@ -320,7 +343,7 @@ TEST(HttpServerTest, DegradedServiceSurfacesAs503) {
 }
 
 TEST(HttpServerTest, KeepAliveServesManySequentialRequests) {
-  ServerUnderTest s = StartServer(SmallServiceOptions(3), true);
+  ServerUnderTest s = StartServer(SmallServiceOptions(3));
   HttpClient client = ConnectTo(*s.server);
   ASSERT_EQ(client.Post("/ingest", GridBody(10))->status, 200);
   s.service->PublishNow();
@@ -336,7 +359,7 @@ TEST(HttpServerTest, KeepAliveServesManySequentialRequests) {
 TEST(HttpServerTest, ShutdownDrainLosesNoAcknowledgedRecords) {
   ServiceOptions options = SmallServiceOptions(3);
   options.queue_capacity = 64;  // small: writers block mid-drain
-  ServerUnderTest s = StartServer(options, true, /*num_threads=*/4);
+  ServerUnderTest s = StartServer(options, /*num_threads=*/4);
 
   // Writers hammer ingest while the main thread shuts the server down.
   constexpr int kWriters = 3;
@@ -382,7 +405,7 @@ TEST(HttpServerTest, ConcurrentIngestAndReleaseStress) {
   ServiceOptions options = SmallServiceOptions(4);
   options.snapshot_every = 50;  // publish frequently mid-traffic
   ServerUnderTest s =
-      StartServer(options, true, /*num_threads=*/4, /*shards=*/4);
+      StartServer(options, /*num_threads=*/4, /*shards=*/4);
 
   constexpr int kWriters = 2;
   constexpr int kReaders = 2;
@@ -427,7 +450,7 @@ TEST(HttpServerTest, ConcurrentIngestAndReleaseStress) {
 }
 
 TEST(HttpServerTest, EmptyAndBlankIngestBodiesAcceptZero) {
-  ServerUnderTest s = StartServer(SmallServiceOptions(3), true);
+  ServerUnderTest s = StartServer(SmallServiceOptions(3));
   HttpClient client = ConnectTo(*s.server);
   for (const char* body : {"", "\n", "\r\n\n  \n\t\n"}) {
     auto post = client.Post("/ingest", body);
@@ -442,7 +465,7 @@ TEST(HttpServerTest, EmptyAndBlankIngestBodiesAcceptZero) {
 // stitched release covers them all, and the k bound holds on the stitch.
 TEST(HttpServerTest, TwoShardIngestStitchesBothShards) {
   ServerUnderTest s =
-      StartServer(SmallServiceOptions(5), true, /*num_threads=*/2,
+      StartServer(SmallServiceOptions(5), /*num_threads=*/2,
                   /*shards=*/2);
   HttpClient client = ConnectTo(*s.server);
   auto post = client.Post("/ingest", GridBody(200));
@@ -486,7 +509,7 @@ TEST(HttpServerTest, AllShardsDegradedSurfacesAs503) {
   options.durability.retry_backoff_ms = 1;
   options.durability.retry_backoff_max_ms = 2;
   ServerUnderTest s =
-      StartServer(options, true, /*num_threads=*/2, /*shards=*/2);
+      StartServer(options, /*num_threads=*/2, /*shards=*/2);
   HttpClient client = ConnectTo(*s.server);
 
   // Alternate points that hash to both shards until every shard has
@@ -522,7 +545,7 @@ TEST(HttpServerTest, AllShardsDegradedSurfacesAs503) {
 // service is byte-identical — over the same deterministic serializer — to
 // the plain unsharded service fed the same stream.
 TEST(HttpServerTest, SingleShardReleaseMatchesUnshardedByteForByte) {
-  ServerUnderTest s = StartServer(SmallServiceOptions(4), true);
+  ServerUnderTest s = StartServer(SmallServiceOptions(4));
   HttpClient client = ConnectTo(*s.server);
   ASSERT_EQ(client.Post("/ingest", GridBody(150))->status, 200);
   const auto stitched = s.service->PublishNow();
@@ -554,7 +577,7 @@ TEST(HttpServerTest, SingleShardReleaseMatchesUnshardedByteForByte) {
 // error body on every read endpoint, never silently ignored.
 
 TEST(HttpServerTest, UnknownOrMalformedQueryParamsAre400) {
-  ServerUnderTest s = StartServer(SmallServiceOptions(4), true);
+  ServerUnderTest s = StartServer(SmallServiceOptions(4));
   HttpClient client = ConnectTo(*s.server);
   ASSERT_EQ(client.Post("/ingest", GridBody(60))->status, 200);
   ASSERT_NE(s.service->PublishNow(), nullptr);
@@ -600,10 +623,10 @@ TEST(HttpServerTest, UnknownOrMalformedQueryParamsAre400) {
 // --------------------------------------------------------------------------
 // The DP read path end to end.
 
-TEST_P(HttpServerBackendTest, DpReleaseServesNoisyHierarchy) {
+TEST(HttpServerTest, DpReleaseServesNoisyHierarchy) {
   AnonHttpOptions frontend_options;
   frontend_options.dp_key = "test-secret";
-  ServerUnderTest s = StartServer(SmallServiceOptions(4), GetParam(),
+  ServerUnderTest s = StartServer(SmallServiceOptions(4),
                                   /*num_threads=*/2, /*shards=*/1,
                                   frontend_options);
   HttpClient client = ConnectTo(*s.server);
@@ -666,7 +689,7 @@ TEST_P(HttpServerBackendTest, DpReleaseServesNoisyHierarchy) {
 TEST(HttpServerTest, DpBudgetExhaustionIs429AndMemoizedReadsStayFree) {
   AnonHttpOptions frontend_options;
   frontend_options.dp_budget = 1.0;
-  ServerUnderTest s = StartServer(SmallServiceOptions(4), true,
+  ServerUnderTest s = StartServer(SmallServiceOptions(4),
                                   /*num_threads=*/2, /*shards=*/1,
                                   frontend_options);
   HttpClient client = ConnectTo(*s.server);
@@ -701,7 +724,7 @@ TEST(HttpServerTest, DpBudgetExhaustionIs429AndMemoizedReadsStayFree) {
 TEST(HttpServerTest, DpDisabledAnswers409) {
   ServiceOptions options = SmallServiceOptions(4);
   options.dp_height = 0;  // DP cell accounting off
-  ServerUnderTest s = StartServer(options, true);
+  ServerUnderTest s = StartServer(options);
   HttpClient client = ConnectTo(*s.server);
   ASSERT_EQ(client.Post("/ingest", GridBody(40))->status, 200);
   ASSERT_NE(s.service->PublishNow(), nullptr);
@@ -717,7 +740,7 @@ TEST(HttpServerTest, DpDisabledAnswers409) {
 TEST(HttpServerTest, MetricsExposeDpCountersAndOptInUtilityPair) {
   AnonHttpOptions frontend_options;
   frontend_options.dp_metrics_utility = true;  // trusted scrape plane
-  ServerUnderTest s = StartServer(SmallServiceOptions(4), true,
+  ServerUnderTest s = StartServer(SmallServiceOptions(4),
                                   /*num_threads=*/2, /*shards=*/1,
                                   frontend_options);
   HttpClient client = ConnectTo(*s.server);
@@ -756,7 +779,7 @@ TEST(HttpServerTest, MetricsExposeDpCountersAndOptInUtilityPair) {
 // computed from exact counts, so on an untrusted scrape plane it would be
 // an un-noised, un-charged side channel.
 TEST(HttpServerTest, MetricsOmitTruthDerivedUtilityPairByDefault) {
-  ServerUnderTest s = StartServer(SmallServiceOptions(4), true);
+  ServerUnderTest s = StartServer(SmallServiceOptions(4));
   HttpClient client = ConnectTo(*s.server);
   ASSERT_EQ(client.Post("/ingest", GridBody(120))->status, 200);
   ASSERT_NE(s.service->PublishNow(), nullptr);
@@ -783,7 +806,7 @@ TEST(HttpServerTest, DpReleaseByteIdenticalAcrossShardCounts) {
   frontend_options.dp_key = "deployment-secret";
   std::vector<std::string> bodies;
   for (const size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
-    ServerUnderTest s = StartServer(SmallServiceOptions(4), true,
+    ServerUnderTest s = StartServer(SmallServiceOptions(4),
                                     /*num_threads=*/2, shards,
                                     frontend_options);
     HttpClient client = ConnectTo(*s.server);
@@ -800,7 +823,7 @@ TEST(HttpServerTest, DpReleaseByteIdenticalAcrossShardCounts) {
   // A server with a different secret draws different noise: the body
   // cannot be predicted without the key.
   frontend_options.dp_key = "other-secret";
-  ServerUnderTest other = StartServer(SmallServiceOptions(4), true,
+  ServerUnderTest other = StartServer(SmallServiceOptions(4),
                                       /*num_threads=*/2, /*shards=*/1,
                                       frontend_options);
   HttpClient client = ConnectTo(*other.server);
@@ -812,56 +835,11 @@ TEST(HttpServerTest, DpReleaseByteIdenticalAcrossShardCounts) {
   EXPECT_NE(dp->body, bodies[0]);
 }
 
-/// One endpoint's kanon_http_request_latency_ms histogram as exposed.
-struct ScrapedHistogram {
-  std::vector<std::string> les;   // bucket bounds in exposition order
-  std::vector<uint64_t> buckets;  // cumulative counts, same order
-  uint64_t count = 0;
-  bool has_count = false;
-};
-
-/// Parses every kanon_http_request_latency_ms series of a /metrics body,
-/// keyed by endpoint label.
-std::map<std::string, ScrapedHistogram> ScrapeLatencyHistograms(
-    const std::string& body) {
-  std::map<std::string, ScrapedHistogram> out;
-  const std::string bucket =
-      "kanon_http_request_latency_ms_bucket{endpoint=\"";
-  const std::string count =
-      "kanon_http_request_latency_ms_count{endpoint=\"";
-  size_t pos = 0;
-  while (pos < body.size()) {
-    size_t eol = body.find('\n', pos);
-    if (eol == std::string::npos) eol = body.size();
-    const std::string line = body.substr(pos, eol - pos);
-    pos = eol + 1;
-    const bool is_bucket = line.rfind(bucket, 0) == 0;
-    const bool is_count = line.rfind(count, 0) == 0;
-    if (!is_bucket && !is_count) continue;
-    const size_t name_begin = (is_bucket ? bucket : count).size();
-    const std::string endpoint =
-        line.substr(name_begin, line.find('"', name_begin) - name_begin);
-    const uint64_t value =
-        std::strtoull(line.c_str() + line.rfind(' ') + 1, nullptr, 10);
-    ScrapedHistogram& h = out[endpoint];
-    if (is_count) {
-      h.count = value;
-      h.has_count = true;
-      continue;
-    }
-    const size_t le_begin = line.find("le=\"") + 4;
-    h.les.push_back(
-        line.substr(le_begin, line.find('"', le_begin) - le_begin));
-    h.buckets.push_back(value);
-  }
-  return out;
-}
-
 /// The latency histogram follows the Prometheus exposition format: fixed
 /// `le` bounds (identical across scrapes and endpoints), monotonic
 /// cumulative buckets, and a +Inf bucket equal to _count.
 TEST(HttpServerTest, LatencyHistogramBucketsAreFixedAcrossScrapes) {
-  ServerUnderTest s = StartServer(SmallServiceOptions(5), /*use_epoll=*/true);
+  ServerUnderTest s = StartServer(SmallServiceOptions(5));
   HttpClient client = ConnectTo(*s.server);
   ASSERT_EQ(client.Post("/ingest", GridBody(60))->status, 200);
   ASSERT_NE(s.service->PublishNow(), nullptr);

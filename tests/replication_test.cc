@@ -27,6 +27,7 @@
 #include "net/http_client.h"
 #include "net/http_server.h"
 #include "shard/sharded_service.h"
+#include "http_test_util.h"
 #include "scratch_dir.h"
 
 namespace kanon::net {
@@ -34,6 +35,8 @@ namespace {
 
 namespace fs = std::filesystem;
 
+using testutil::ExpectHeadThenGetFramed;
+using testutil::ScrapeLatencyHistograms;
 using testutil::ScratchDir;
 
 struct Entry {
@@ -368,6 +371,31 @@ void WaitFor(const std::function<bool()>& pred, double timeout_s = 10.0) {
         << "condition not reached in " << timeout_s << "s";
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
+}
+
+/// A follower's HTTP face on an ephemeral port, with the listener counters
+/// wired into /metrics the way `kanon_cli serve --follow` wires them.
+struct FollowerServer {
+  std::unique_ptr<FollowerFrontend> frontend;
+  std::unique_ptr<HttpServer> server;
+
+  uint16_t port() const { return server->port(); }
+};
+
+FollowerServer ServeFollower(ReplicatedFollower* follower) {
+  FollowerServer served;
+  served.frontend = std::make_unique<FollowerFrontend>(follower);
+  HttpServerOptions http;
+  http.port = 0;
+  http.num_threads = 2;
+  served.server = std::make_unique<HttpServer>(
+      http, [f = served.frontend.get()](const HttpRequest& request) {
+        return f->Handle(request);
+      });
+  served.frontend->SetServerStats(
+      [srv = served.server.get()] { return srv->stats(); });
+  KANON_CHECK(served.server->Start().ok());
+  return served;
 }
 
 std::string Fetch(uint16_t port, const std::string& target,
@@ -787,6 +815,135 @@ TEST(ReplicationE2eTest, StalenessDegradesHealthAndOptionallyRejectsReads) {
   const std::string metrics = frontend.Handle(metrics_req).body;
   EXPECT_NE(metrics.find("kanon_repl_reconnects_total"), std::string::npos);
   follower.Stop();
+}
+
+// The follower shares the leader's route policy: a 404 in the shared error
+// shape that lists the table, 405 with Allow for a wrong method, and 421
+// with Location only for POST /ingest. The replication thread never runs;
+// routing needs none of it.
+TEST(ReplicationE2eTest, FollowerUnknownRouteIs404AndWrongMethodIs405) {
+  ScratchDir scratch;
+  ReplicatedFollower follower(SquareDomain(),
+                              FastFollowerOptions(9, scratch.path()));
+  FollowerServer served = ServeFollower(&follower);
+  HttpClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", served.port(), 5.0).ok());
+
+  auto missing = client.Get("/nope");
+  ASSERT_TRUE(missing.ok());
+  EXPECT_EQ(missing->status, 404);
+  EXPECT_NE(missing->body.find("\"error\":\"NotFound\""), std::string::npos)
+      << missing->body;
+  EXPECT_NE(missing->body.find("/release/dp/query"), std::string::npos)
+      << missing->body;
+
+  auto get_ingest = client.Get("/ingest");
+  ASSERT_TRUE(get_ingest.ok());
+  EXPECT_EQ(get_ingest->status, 405);
+  ASSERT_NE(get_ingest->FindHeader("allow"), nullptr);
+  EXPECT_EQ(*get_ingest->FindHeader("allow"), "POST");
+  EXPECT_NE(get_ingest->body.find("\"error\":\"InvalidArgument\""),
+            std::string::npos)
+      << get_ingest->body;
+
+  auto post_release = client.Post("/release", "");
+  ASSERT_TRUE(post_release.ok());
+  EXPECT_EQ(post_release->status, 405);
+  ASSERT_NE(post_release->FindHeader("allow"), nullptr);
+  EXPECT_EQ(*post_release->FindHeader("allow"), "GET, HEAD");
+
+  auto post_ingest = client.Post("/ingest", "1,2,3\n");
+  ASSERT_TRUE(post_ingest.ok());
+  EXPECT_EQ(post_ingest->status, 421);
+  EXPECT_NE(post_ingest->FindHeader("location"), nullptr);
+}
+
+TEST(ReplicationE2eTest, FollowerHeadIsFramedWithoutBodyOnKeepAlive) {
+  ScratchDir wal;
+  ScratchDir scratch;
+  Leader leader = StartLeader(wal.path());
+  IngestAndPublish(leader, 40);
+  ReplicatedFollower follower(
+      SquareDomain(), FastFollowerOptions(leader.port(), scratch.path()));
+  follower.Start();
+  WaitFor([&] {
+    return follower.state() == ReplState::kFollowing &&
+           follower.core()->fresh();
+  });
+  FollowerServer served = ServeFollower(&follower);
+  ExpectHeadThenGetFramed(served.port(), "/healthz");
+  ExpectHeadThenGetFramed(served.port(), "/release/query?k1=10");
+  served.server->Shutdown();
+  follower.Stop();
+  leader.service->Stop();
+}
+
+// The follower's /metrics carries the same request accounting as the
+// leader's, from the shared Router: build info, listener counters,
+// per-endpoint request counts and a fixed-bucket latency histogram.
+TEST(ReplicationE2eTest, FollowerMetricsExposeFixedLatencyHistogram) {
+  ScratchDir wal;
+  ScratchDir scratch;
+  Leader leader = StartLeader(wal.path());
+  IngestAndPublish(leader, 60);
+  ReplicatedFollower follower(
+      SquareDomain(), FastFollowerOptions(leader.port(), scratch.path()));
+  follower.Start();
+  WaitFor([&] { return follower.core()->epoch() >= 1; });
+  FollowerServer served = ServeFollower(&follower);
+
+  HttpClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", served.port(), 5.0).ok());
+  ASSERT_EQ(client.Get("/release/query?k1=10&summary=1")->status, 200);
+  auto first = client.Get("/metrics");
+  ASSERT_TRUE(first.ok());
+  ASSERT_EQ(first->status, 200);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_EQ(client.Get("/release?bogus=1")->status, 400);
+    ASSERT_EQ(client.Get("/release")->status, 200);
+  }
+  ASSERT_EQ(client.Get("/nope")->status, 404);
+  auto second = client.Get("/metrics");
+  ASSERT_TRUE(second.ok());
+  ASSERT_EQ(second->status, 200);
+  ASSERT_NE(second->FindHeader("content-type"), nullptr);
+  EXPECT_EQ(*second->FindHeader("content-type"),
+            "text/plain; version=0.0.4; charset=utf-8");
+
+  const auto a = ScrapeLatencyHistograms(first->body);
+  const auto b = ScrapeLatencyHistograms(second->body);
+  ASSERT_TRUE(a.count("release")) << first->body;
+  ASSERT_TRUE(b.count("release") && b.count("metrics") && b.count("other"))
+      << second->body;
+  const std::vector<std::string>& les = b.at("release").les;
+  ASSERT_GE(les.size(), 2u);
+  EXPECT_EQ(les.back(), "+Inf");
+  for (const auto* scrape : {&a, &b}) {
+    for (const auto& [endpoint, h] : *scrape) {
+      EXPECT_EQ(h.les, les) << endpoint;
+      ASSERT_TRUE(h.has_count) << endpoint;
+      ASSERT_FALSE(h.buckets.empty()) << endpoint;
+      EXPECT_EQ(h.buckets.back(), h.count) << endpoint;
+    }
+  }
+  EXPECT_EQ(b.at("release").count, a.at("release").count + 8);
+
+  for (const std::string series : {
+           "kanon_build_info{version=\"",
+           "kanon_http_requests_total{endpoint=\"release\",code=\"200\"} 5",
+           "kanon_http_requests_total{endpoint=\"release\",code=\"400\"} 4",
+           "kanon_http_requests_total{endpoint=\"other\",code=\"404\"} 1",
+           "kanon_http_connections_accepted_total",
+           "kanon_http_open_connections",
+           "kanon_repl_applied_lsn 60",
+       }) {
+    EXPECT_NE(second->body.find(series), std::string::npos)
+        << "missing " << series << " in\n"
+        << second->body;
+  }
+  served.server->Shutdown();
+  follower.Stop();
+  leader.service->Stop();
 }
 
 }  // namespace

@@ -500,6 +500,7 @@ int RunFollower(const ServeOptions& options, std::ostream& log) {
                          [&frontend](const net::HttpRequest& request) {
                            return frontend.Handle(request);
                          });
+  frontend.SetServerStats([&server] { return server.stats(); });
   if (auto s = server.Start(); !s.ok()) {
     log << s << "\n";
     return 1;
@@ -507,8 +508,7 @@ int RunFollower(const ServeOptions& options, std::ostream& log) {
   g_signal.store(0, std::memory_order_relaxed);
   InstallDrainSignalHandlers();
   log << "listening on " << server.host() << ":" << server.bound_port()
-      << " (" << (server.using_epoll() ? "epoll" : "poll") << ", "
-      << options.http_threads << " threads, follower)\n";
+      << " (epoll, " << options.http_threads << " threads, follower)\n";
   log << "following http://" << fopts.leader_host << ":"
       << fopts.leader_port << " max_staleness_ms="
       << options.max_staleness_ms << " stale_reads="
@@ -700,12 +700,11 @@ int RunServe(const ServeOptions& options, std::ostream& log) {
       log << s << "\n";
       return 1;
     }
-    frontend->SetBackendLabel(server->using_epoll() ? "epoll" : "poll");
     g_signal.store(0, std::memory_order_relaxed);
     InstallDrainSignalHandlers();
     log << "listening on " << server->host() << ":" << server->bound_port()
-        << " (" << (server->using_epoll() ? "epoll" : "poll") << ", "
-        << options.http_threads << " threads, " << options.shards
+        << " (epoll, " << options.http_threads << " threads, "
+        << options.shards
         << " shard" << (options.shards == 1 ? "" : "s") << ")\n";
   }
 

@@ -5,8 +5,9 @@
 #
 #   1. every endpoint answers with the documented shape (ingest ack,
 #      release JSON, healthz, Prometheus /metrics),
-#   2. the process exits 0 on SIGTERM after printing "draining", and
-#   3. zero lost acknowledged records: the final snapshot holds at least
+#   2. a wrong method is 405 with Allow, and HEAD answers 200 headers,
+#   3. the process exits 0 on SIGTERM after printing "draining", and
+#   4. zero lost acknowledged records: the final snapshot holds at least
 #      every record a client saw {"accepted":N} for (here: exactly, since
 #      this script is the only writer).
 #
@@ -176,6 +177,19 @@ CODE=$(curl -sS -m 10 -o /dev/null -w '%{http_code}' \
 [ "$CODE" = 400 ] || fail "malformed ingest answered $CODE, want 400"
 CODE=$(curl -sS -m 10 -o /dev/null -w '%{http_code}' "$BASE/nope")
 [ "$CODE" = 404 ] || fail "unknown route answered $CODE, want 404"
+
+# --- Route policy: a wrong method is 405 + Allow, HEAD has no body -------
+CODE=$(curl -sS -m 10 -o /dev/null -D "$WORKDIR/delete.hdr" \
+  -w '%{http_code}' -X DELETE "$BASE/release")
+[ "$CODE" = 405 ] || fail "DELETE /release answered $CODE, want 405"
+grep -qi '^Allow: GET' "$WORKDIR/delete.hdr" \
+  || fail "405 carries no 'Allow: GET': $(cat "$WORKDIR/delete.hdr")"
+curl -sI -m 10 "$BASE/healthz" > "$WORKDIR/head.hdr"
+head -1 "$WORKDIR/head.hdr" | grep -q '^HTTP/1.1 200' \
+  || fail "HEAD /healthz answered: $(head -1 "$WORKDIR/head.hdr")"
+grep -qi '^Content-Length: [1-9]' "$WORKDIR/head.hdr" \
+  || fail "HEAD /healthz lacks the GET's Content-Length"
+echo "route policy ok (405 + Allow, HEAD)"
 
 # --- Graceful drain on SIGTERM -------------------------------------------
 kill -TERM "$PID"
