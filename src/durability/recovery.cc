@@ -4,11 +4,36 @@
 #include <utility>
 
 #include "common/check.h"
-#include "durability/checkpoint.h"
 #include "durability/wal.h"
 #include "index/tree_persistence.h"
 
 namespace kanon {
+
+Status LoadCheckpointInto(const CheckpointManifest& manifest,
+                          const std::string& path,
+                          IncrementalAnonymizer* anonymizer, Env* env) {
+  if (anonymizer->size() != 0) {
+    return Status::FailedPrecondition(
+        "checkpoint adoption requires an empty index");
+  }
+  const size_t dim = anonymizer->tree().dim();
+  const RTreeConfig& config = anonymizer->tree().config();
+  if (manifest.dim != dim) {
+    return Status::InvalidArgument("checkpoint dimensionality mismatch");
+  }
+  if (manifest.min_leaf != config.min_leaf ||
+      manifest.max_leaf != config.max_leaf ||
+      manifest.max_fanout != config.max_fanout) {
+    return Status::InvalidArgument(
+        "checkpoint tree configuration mismatch (was it written with a "
+        "different k?)");
+  }
+  KANON_ASSIGN_OR_RETURN(RPlusTree tree,
+                         LoadTreeFromFile(path, manifest.snapshot, dim, config,
+                                          manifest.page_size, env));
+  anonymizer->AdoptTree(std::move(tree));
+  return Status::OK();
+}
 
 StatusOr<RecoveryResult> RecoverInto(const RecoveryOptions& options,
                                      IncrementalAnonymizer* anonymizer) {
@@ -16,38 +41,21 @@ StatusOr<RecoveryResult> RecoverInto(const RecoveryOptions& options,
                   "recovery requires a fresh anonymizer");
   Env* env = options.env != nullptr ? options.env : Env::Default();
   RecoveryResult result;
-  if (!env->FileExists(options.dir)) return result;
-
-  const size_t dim = anonymizer->tree().dim();
-  const RTreeConfig& config = anonymizer->tree().config();
-
   auto manifest_or = LoadManifest(options.dir, env);
   if (manifest_or.ok()) {
     const CheckpointManifest& m = *manifest_or;
-    if (m.dim != dim) {
-      return Status::InvalidArgument("checkpoint dimensionality mismatch");
-    }
-    if (m.min_leaf != config.min_leaf || m.max_leaf != config.max_leaf ||
-        m.max_fanout != config.max_fanout) {
-      return Status::InvalidArgument(
-          "checkpoint tree configuration mismatch (was the service "
-          "restarted with different k?)");
-    }
-    const std::string path = options.dir + "/" + m.file;
-    KANON_ASSIGN_OR_RETURN(
-        RPlusTree tree,
-        LoadTreeFromFile(path, m.snapshot, dim, config, m.page_size, env));
-    result.checkpoint_records = tree.size();
+    KANON_RETURN_IF_ERROR(
+        LoadCheckpointInto(m, options.dir + "/" + m.file, anonymizer, env));
+    result.checkpoint_records = anonymizer->size();
     result.checkpoint_lsn = m.checkpoint_lsn;
     result.loaded_checkpoint = true;
-    anonymizer->AdoptTree(std::move(tree));
   } else if (manifest_or.status().code() != StatusCode::kNotFound) {
     return manifest_or.status();
   }
 
   WalReplayResult replay;
   KANON_RETURN_IF_ERROR(ReplayWal(
-      options.dir, dim, result.checkpoint_lsn + 1,
+      options.dir, anonymizer->tree().dim(), result.checkpoint_lsn + 1,
       [&](uint64_t lsn, std::span<const double> point, int32_t sensitive) {
         anonymizer->Insert(point, lsn - 1, sensitive);
       },

@@ -7,7 +7,7 @@
 #include "anon/rtree_anonymizer.h"
 #include "common/env.h"
 #include "common/status.h"
-#include "storage/pager.h"
+#include "durability/checkpoint.h"
 
 namespace kanon {
 
@@ -15,7 +15,6 @@ struct RecoveryOptions {
   /// Durability directory holding MANIFEST, checkpoint files and WAL
   /// segments. A missing or empty directory recovers to a fresh state.
   std::string dir;
-  size_t page_size = kDefaultPageSize;
   /// Filesystem to recover from; nullptr uses Env::Default().
   Env* env = nullptr;
 };
@@ -32,13 +31,23 @@ struct RecoveryResult {
   bool truncated_torn_tail = false; // a crash mid-append was cleaned up
 };
 
-/// Rebuilds `anonymizer`'s tree from the durability directory: load the
-/// manifest's checkpoint (validating dimensionality and structural config
-/// against the anonymizer), then replay the WAL tail through the normal
-/// insert path. Replay is idempotent via LSNs — entries at or below the
-/// checkpoint LSN are skipped — so a crash between a checkpoint and the WAL
-/// truncation behind it costs nothing. A torn final WAL entry (crash
-/// mid-append) is truncated away, not fatal.
+/// Adopts the checkpoint `manifest` describes, stored at `path`, as the
+/// tree of the empty `anonymizer`: the one adoption path of crash recovery
+/// and of a read replica's bootstrap. The manifest's dimension and tree
+/// configuration must match the anonymizer's (a different k refuses the
+/// checkpoint), and LoadTreeFromFile checks the page image's CRC before any
+/// page is trusted. `env` = nullptr uses Env::Default().
+Status LoadCheckpointInto(const CheckpointManifest& manifest,
+                          const std::string& path,
+                          IncrementalAnonymizer* anonymizer,
+                          Env* env = nullptr);
+
+/// Rebuilds `anonymizer`'s tree from the durability directory: adopt the
+/// manifest's checkpoint (LoadCheckpointInto), then replay the WAL tail
+/// through the normal insert path. Replay is idempotent via LSNs — entries
+/// at or below the checkpoint LSN are skipped — so a crash between a
+/// checkpoint and the WAL truncation behind it costs nothing. A torn final
+/// WAL entry (crash mid-append) is truncated away, not fatal.
 ///
 /// The anonymizer must be freshly constructed (empty). On success the
 /// caller resumes ingest with rid == next_lsn - 1 for the next record.

@@ -1,9 +1,11 @@
 #include "durability/wal.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 
 #include "common/check.h"
 #include "common/crc32.h"
@@ -19,11 +21,14 @@ constexpr uint32_t kWalVersion = 1;
 constexpr size_t kSegmentHeaderSize = 4 * sizeof(uint32_t) + sizeof(uint64_t) +
                                       sizeof(uint32_t);
 
+// Entry frame: payload length u32 | crc32(payload) u32
+constexpr size_t kFrameSize = 2 * sizeof(uint32_t);
+
 size_t PayloadSize(size_t dim) {
   return sizeof(uint64_t) + sizeof(int32_t) + dim * sizeof(double);
 }
 
-size_t EntrySize(size_t dim) { return 2 * sizeof(uint32_t) + PayloadSize(dim); }
+size_t EntrySize(size_t dim) { return kFrameSize + PayloadSize(dim); }
 
 std::string SegmentName(uint64_t first_lsn) {
   char buf[40];
@@ -42,13 +47,9 @@ bool ParseSegmentName(const std::string& name, uint64_t* first_lsn) {
       name.compare(24, 4, ".log") != 0) {
     return false;
   }
-  uint64_t lsn = 0;
-  for (size_t i = 4; i < 24; ++i) {
-    if (name[i] < '0' || name[i] > '9') return false;
-    lsn = lsn * 10 + static_cast<uint64_t>(name[i] - '0');
-  }
-  *first_lsn = lsn;
-  return true;
+  const char* last = name.data() + 24;
+  const auto [ptr, ec] = std::from_chars(name.data() + 4, last, *first_lsn);
+  return ec == std::errc() && ptr == last;
 }
 
 struct SegmentFile {
@@ -56,9 +57,10 @@ struct SegmentFile {
   uint64_t first_lsn = 0;
 };
 
-/// Segment files in `dir`, ordered by first LSN.
+/// Segment files in `dir`, ordered by first LSN; none if `dir` is missing.
 StatusOr<std::vector<SegmentFile>> ListSegments(const std::string& dir,
                                                 Env* env) {
+  if (!env->FileExists(dir)) return std::vector<SegmentFile>{};
   KANON_ASSIGN_OR_RETURN(const std::vector<std::string> names,
                          env->ListDir(dir));
   std::vector<SegmentFile> segments;
@@ -76,56 +78,146 @@ StatusOr<std::vector<SegmentFile>> ListSegments(const std::string& dir,
 }
 
 void EncodeHeader(char* buf, size_t dim, uint64_t first_lsn) {
-  uint32_t v;
-  size_t off = 0;
-  auto put32 = [&](uint32_t x) {
-    std::memcpy(buf + off, &x, sizeof(x));
-    off += sizeof(x);
-  };
-  put32(kWalMagic);
-  put32(kWalVersion);
-  put32(static_cast<uint32_t>(dim));
-  put32(0);  // reserved
-  std::memcpy(buf + off, &first_lsn, sizeof(first_lsn));
-  off += sizeof(first_lsn);
-  v = Crc32(buf, off);
-  std::memcpy(buf + off, &v, sizeof(v));
+  const uint32_t words[4] = {kWalMagic, kWalVersion,
+                             static_cast<uint32_t>(dim), /*reserved=*/0};
+  std::memcpy(buf, words, sizeof(words));
+  std::memcpy(buf + sizeof(words), &first_lsn, sizeof(first_lsn));
+  const uint32_t crc = Crc32(buf, kSegmentHeaderSize - sizeof(crc));
+  std::memcpy(buf + kSegmentHeaderSize - sizeof(crc), &crc, sizeof(crc));
 }
 
 /// Returns InvalidArgument on a header that is well-formed but for a
 /// different stream shape, Corruption on a damaged one.
 Status DecodeHeader(const char* buf, size_t dim, uint64_t* first_lsn) {
-  uint32_t magic, version, stored_dim, reserved, crc;
-  size_t off = 0;
-  auto get32 = [&](uint32_t* x) {
-    std::memcpy(x, buf + off, sizeof(*x));
-    off += sizeof(*x);
-  };
-  get32(&magic);
-  get32(&version);
-  get32(&stored_dim);
-  get32(&reserved);
-  std::memcpy(first_lsn, buf + off, sizeof(*first_lsn));
-  off += sizeof(*first_lsn);
-  get32(&crc);
-  if (Crc32(buf, off - sizeof(crc)) != crc) {
+  uint32_t words[4], crc;  // magic, version, dim, reserved
+  std::memcpy(words, buf, sizeof(words));
+  std::memcpy(first_lsn, buf + sizeof(words), sizeof(*first_lsn));
+  std::memcpy(&crc, buf + kSegmentHeaderSize - sizeof(crc), sizeof(crc));
+  if (Crc32(buf, kSegmentHeaderSize - sizeof(crc)) != crc) {
     return Status::Corruption("wal segment header failed checksum");
   }
-  if (magic != kWalMagic || version != kWalVersion) {
+  if (words[0] != kWalMagic || words[1] != kWalVersion) {
     return Status::Corruption("not a wal segment");
   }
-  if (stored_dim != dim) {
+  if (words[2] != dim) {
     return Status::InvalidArgument("wal segment dimensionality mismatch");
   }
   return Status::OK();
 }
 
-}  // namespace
+/// One decoded entry; `point` holds dim coordinates.
+struct WalEntry {
+  explicit WalEntry(size_t dim) : point(dim) {}
+  uint64_t lsn = 0;
+  int32_t sensitive = 0;
+  std::vector<double> point;
+};
 
-Status SyncDirectory(const std::string& dir, Env* env) {
-  if (env == nullptr) env = Env::Default();
-  return env->SyncDir(dir);
+/// Writes one entry, EntrySize(point.size()) bytes, to `buf`.
+void EncodeEntry(uint64_t lsn, std::span<const double> point,
+                 int32_t sensitive, char* buf) {
+  const uint32_t payload_size =
+      static_cast<uint32_t>(PayloadSize(point.size()));
+  char* payload = buf + kFrameSize;
+  std::memcpy(payload, &lsn, sizeof(lsn));
+  std::memcpy(payload + sizeof(lsn), &sensitive, sizeof(sensitive));
+  std::memcpy(payload + sizeof(lsn) + sizeof(sensitive), point.data(),
+              point.size_bytes());
+  const uint32_t crc = Crc32(payload, payload_size);
+  std::memcpy(buf, &payload_size, sizeof(payload_size));
+  std::memcpy(buf + sizeof(payload_size), &crc, sizeof(crc));
 }
+
+/// The one reader of the entry layout: decodes the entry at the front of
+/// `bytes` into `*entry`. Returns false for a damaged entry (short,
+/// mis-sized or failed checksum: a torn write or bit rot). An intact entry
+/// whose LSN is not above `*prev_lsn` or is below `first_lsn` is Corruption
+/// wherever it sits; otherwise *prev_lsn advances to it.
+StatusOr<bool> DecodeEntry(std::string_view bytes, uint64_t first_lsn,
+                           uint64_t* prev_lsn, WalEntry* entry) {
+  const size_t payload_size = PayloadSize(entry->point.size());
+  if (bytes.size() < kFrameSize + payload_size) return false;
+  uint32_t stored_size = 0, stored_crc = 0;
+  std::memcpy(&stored_size, bytes.data(), sizeof(stored_size));
+  std::memcpy(&stored_crc, bytes.data() + sizeof(stored_size),
+              sizeof(stored_crc));
+  const char* payload = bytes.data() + kFrameSize;
+  if (stored_size != payload_size ||
+      Crc32(payload, payload_size) != stored_crc) {
+    return false;
+  }
+  std::memcpy(&entry->lsn, payload, sizeof(entry->lsn));
+  std::memcpy(&entry->sensitive, payload + sizeof(entry->lsn),
+              sizeof(entry->sensitive));
+  std::memcpy(entry->point.data(),
+              payload + sizeof(entry->lsn) + sizeof(entry->sensitive),
+              entry->point.size() * sizeof(double));
+  if (entry->lsn <= *prev_lsn || entry->lsn < first_lsn) {
+    return Status::Corruption("wal lsn " + std::to_string(entry->lsn) +
+                              " out of order after lsn " +
+                              std::to_string(*prev_lsn));
+  }
+  *prev_lsn = entry->lsn;
+  return true;
+}
+
+/// Offset of the damage a scan of the newest segment stopped at (0 = the
+/// header), if any.
+using TornAt = std::optional<uint64_t>;
+
+/// Receives each intact entry and its raw bytes; returns false to stop.
+using EntryVisitor = std::function<bool(const WalEntry&, std::string_view)>;
+
+/// Visits the intact entries of one segment in log order, reading one
+/// entry per ReadAt. The rule every segment reader shares:
+///  * damage (short or failed header; short, mis-sized or checksum-failed
+///    entry) in the newest segment ends the scan: a crash mid-append;
+///  * damage in a sealed segment is Corruption: those bytes were fsynced
+///    before a later segment was opened, so it is bit rot;
+///  * an intact entry whose LSN is not above the previous one (`*prev_lsn`,
+///    carried across segments) or is below the header's first LSN is
+///    Corruption in any segment (DecodeEntry).
+StatusOr<TornAt> ScanSegment(const SegmentFile& segment, size_t dim,
+                             bool newest, uint64_t* prev_lsn,
+                             const EntryVisitor& visit, Env* env) {
+  KANON_ASSIGN_OR_RETURN(std::unique_ptr<RandomAccessFile> file,
+                         env->NewRandomAccessFile(segment.path));
+  auto damaged = [&](uint64_t offset) -> StatusOr<TornAt> {
+    if (!newest) {
+      return Status::Corruption("damage at offset " + std::to_string(offset) +
+                                " of sealed wal segment " + segment.path);
+    }
+    return TornAt(offset);
+  };
+  char header[kSegmentHeaderSize];
+  size_t got = 0;
+  KANON_RETURN_IF_ERROR(file->ReadAt(0, header, sizeof(header), &got));
+  // A short header is a crash between segment creation and its fsync.
+  if (got != sizeof(header)) return damaged(0);
+  uint64_t first_lsn = 0;
+  {
+    const Status s = DecodeHeader(header, dim, &first_lsn);
+    if (s.code() == StatusCode::kCorruption) return damaged(0);
+    KANON_RETURN_IF_ERROR(s);
+  }
+  WalEntry entry(dim);
+  std::vector<char> raw(EntrySize(dim));
+  for (uint64_t offset = sizeof(header);; offset += raw.size()) {
+    KANON_RETURN_IF_ERROR(file->ReadAt(offset, raw.data(), raw.size(), &got));
+    if (got == 0) return TornAt();  // clean end of segment
+    const std::string_view bytes(raw.data(), got);
+    const StatusOr<bool> intact =
+        DecodeEntry(bytes, first_lsn, prev_lsn, &entry);
+    if (!intact.ok()) {
+      return Status::Corruption(intact.status().message() + " in " +
+                                segment.path);
+    }
+    if (!*intact) return damaged(offset);
+    if (!visit(entry, bytes)) return TornAt();
+  }
+}
+
+}  // namespace
 
 StatusOr<std::unique_ptr<WalWriter>> WalWriter::Open(const std::string& dir,
                                                      size_t dim,
@@ -141,11 +233,6 @@ StatusOr<std::unique_ptr<WalWriter>> WalWriter::Open(const std::string& dir,
   writer->synced_lsn_.store(next_lsn - 1, std::memory_order_relaxed);
   KANON_RETURN_IF_ERROR(writer->OpenSegment(next_lsn));
   return writer;
-}
-
-WalWriter::~WalWriter() {
-  // Best-effort flush on the WritableFile's destructor; durable shutdown
-  // goes through Sync() explicitly.
 }
 
 Status WalWriter::OpenSegment(uint64_t first_lsn) {
@@ -165,13 +252,7 @@ Status WalWriter::OpenSegment(uint64_t first_lsn) {
   // Make the segment's existence itself durable before logging into it. A
   // sync failure here poisons the writer like any other: the new segment's
   // durable state is unknown.
-  {
-    const Status sync = file_->Sync();
-    if (!sync.ok()) {
-      poisoned_.store(true, std::memory_order_release);
-      return sync;
-    }
-  }
+  KANON_RETURN_IF_ERROR(SyncFile());
   KANON_RETURN_IF_ERROR(env_->SyncDir(dir_));
   segment_bytes_written_ = sizeof(header);
   synced_segment_bytes_ = sizeof(header);
@@ -232,18 +313,10 @@ Status WalWriter::Append(uint64_t lsn, std::span<const double> point,
       return open;
     }
   }
-  const uint32_t payload_size = static_cast<uint32_t>(PayloadSize(dim_));
-  char* buf = entry_buf_.data();
-  char* payload = buf + 2 * sizeof(uint32_t);
-  std::memcpy(payload, &lsn, sizeof(lsn));
-  std::memcpy(payload + sizeof(lsn), &sensitive, sizeof(sensitive));
-  std::memcpy(payload + sizeof(lsn) + sizeof(sensitive), point.data(),
-              dim_ * sizeof(double));
-  const uint32_t crc = Crc32(payload, payload_size);
-  std::memcpy(buf, &payload_size, sizeof(payload_size));
-  std::memcpy(buf + sizeof(payload_size), &crc, sizeof(crc));
+  EncodeEntry(lsn, point, sensitive, entry_buf_.data());
   {
-    const Status append = file_->Append(buf, entry_buf_.size());
+    const Status append =
+        file_->Append(entry_buf_.data(), entry_buf_.size());
     if (!append.ok()) {
       // The entry did not advance the log's logical state (last_lsn_ is
       // untouched); the caller may retry this same LSN after recovery.
@@ -274,16 +347,18 @@ Status WalWriter::Sync() {
   return SyncInternal();
 }
 
-Status WalWriter::SyncInternal() {
+Status WalWriter::SyncFile() {
   const Status sync = file_->Sync();
-  if (!sync.ok()) {
-    // fsync-gate: the kernel may have dropped the dirty pages on failure,
-    // so retrying fsync on this fd can report success without the data
-    // ever reaching disk. The writer is done; only entries at or below the
-    // current synced_lsn are proven durable.
-    poisoned_.store(true, std::memory_order_release);
-    return sync;
-  }
+  // fsync-gate: the kernel may have dropped the dirty pages on failure, so
+  // retrying fsync on this fd can report success without the data ever
+  // reaching disk. The writer is done; only entries at or below the current
+  // synced_lsn are proven durable.
+  if (!sync.ok()) poisoned_.store(true, std::memory_order_release);
+  return sync;
+}
+
+Status WalWriter::SyncInternal() {
+  KANON_RETURN_IF_ERROR(SyncFile());
   synced_segment_bytes_ = segment_bytes_written_;
   unsynced_entries_.clear();
   unsynced_ = 0;
@@ -303,94 +378,6 @@ WalStats WalWriter::stats() const {
   return stats;
 }
 
-namespace {
-
-/// Replays one segment. The file is truncated back to the last intact entry
-/// only when `may_tear` — i.e. this is the newest segment.
-Status ReplaySegment(const SegmentFile& segment, size_t dim,
-                     uint64_t from_lsn, bool may_tear,
-                     const std::function<void(uint64_t, std::span<const double>,
-                                              int32_t)>& apply,
-                     WalReplayResult* result, Env* env) {
-  KANON_ASSIGN_OR_RETURN(std::unique_ptr<RandomAccessFile> file,
-                         env->NewRandomAccessFile(segment.path));
-
-  auto tear = [&](uint64_t valid_bytes) -> Status {
-    if (!may_tear) {
-      return Status::Corruption("corrupt entry in sealed wal segment " +
-                                segment.path);
-    }
-    KANON_ASSIGN_OR_RETURN(const uint64_t size, env->FileSize(segment.path));
-    result->truncated_tail = true;
-    result->truncated_bytes += size - valid_bytes;
-    return env->TruncateFile(segment.path, valid_bytes);
-  };
-
-  uint64_t offset = 0;
-  char header[kSegmentHeaderSize];
-  {
-    size_t got = 0;
-    KANON_RETURN_IF_ERROR(file->ReadAt(0, header, sizeof(header), &got));
-    if (got != sizeof(header)) {
-      // Not even a whole header: a crash between segment creation and the
-      // header fsync. Nothing in the file is meaningful.
-      return tear(0);
-    }
-    offset = sizeof(header);
-  }
-  uint64_t first_lsn = 0;
-  {
-    const Status s = DecodeHeader(header, dim, &first_lsn);
-    if (s.code() == StatusCode::kCorruption) return tear(0);
-    KANON_RETURN_IF_ERROR(s);
-  }
-
-  const size_t payload_size = PayloadSize(dim);
-  std::vector<char> payload(payload_size);
-  std::vector<double> point(dim);
-  uint64_t valid_end = offset;
-  for (;;) {
-    uint32_t stored_size = 0, stored_crc = 0;
-    char frame[2 * sizeof(uint32_t)];
-    size_t got = 0;
-    KANON_RETURN_IF_ERROR(file->ReadAt(offset, frame, sizeof(frame), &got));
-    if (got == 0) break;  // clean end of segment
-    if (got != sizeof(frame)) return tear(valid_end);
-    offset += got;
-    std::memcpy(&stored_size, frame, sizeof(stored_size));
-    std::memcpy(&stored_crc, frame + sizeof(stored_size),
-                sizeof(stored_crc));
-    if (stored_size != payload_size) return tear(valid_end);
-    KANON_RETURN_IF_ERROR(
-        file->ReadAt(offset, payload.data(), payload_size, &got));
-    if (got != payload_size) return tear(valid_end);
-    offset += got;
-    if (Crc32(payload.data(), payload_size) != stored_crc) {
-      return tear(valid_end);
-    }
-    uint64_t lsn = 0;
-    int32_t sensitive = 0;
-    std::memcpy(&lsn, payload.data(), sizeof(lsn));
-    std::memcpy(&sensitive, payload.data() + sizeof(lsn), sizeof(sensitive));
-    std::memcpy(point.data(), payload.data() + sizeof(lsn) + sizeof(sensitive),
-                dim * sizeof(double));
-    if (lsn <= result->max_lsn || lsn < segment.first_lsn) {
-      return Status::Corruption("non-monotonic LSN in " + segment.path);
-    }
-    result->max_lsn = lsn;
-    valid_end = offset;
-    if (lsn < from_lsn) {
-      ++result->skipped;
-    } else {
-      apply(lsn, point, sensitive);
-      ++result->replayed;
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Status ReplayWal(
     const std::string& dir, size_t dim, uint64_t from_lsn,
     const std::function<void(uint64_t lsn, std::span<const double> point,
@@ -398,14 +385,32 @@ Status ReplayWal(
     WalReplayResult* result, Env* env) {
   if (env == nullptr) env = Env::Default();
   *result = WalReplayResult();
-  if (!env->FileExists(dir)) return Status::OK();
   KANON_ASSIGN_OR_RETURN(const std::vector<SegmentFile> segments,
                          ListSegments(dir, env));
   result->segments = segments.size();
+  auto deliver = [&](const WalEntry& entry, std::string_view) {
+    if (entry.lsn < from_lsn) {
+      ++result->skipped;
+    } else {
+      apply(entry.lsn, entry.point, entry.sensitive);
+      ++result->replayed;
+    }
+    return true;
+  };
   for (size_t i = 0; i < segments.size(); ++i) {
     const bool newest = i + 1 == segments.size();
-    KANON_RETURN_IF_ERROR(
-        ReplaySegment(segments[i], dim, from_lsn, newest, apply, result, env));
+    KANON_ASSIGN_OR_RETURN(const TornAt torn_at,
+                           ScanSegment(segments[i], dim, newest,
+                                       &result->max_lsn, deliver, env));
+    if (torn_at) {
+      // A crash mid-append: cut the newest segment back to its intact
+      // prefix so the next replay and the next writer see a clean log.
+      const std::string& path = segments[i].path;
+      KANON_ASSIGN_OR_RETURN(const uint64_t size, env->FileSize(path));
+      result->truncated_tail = true;
+      result->truncated_bytes += size - *torn_at;
+      KANON_RETURN_IF_ERROR(env->TruncateFile(path, *torn_at));
+    }
   }
   return Status::OK();
 }
@@ -416,7 +421,6 @@ StatusOr<WalRangeResult> ReadWalRange(const std::string& dir, size_t dim,
   if (env == nullptr) env = Env::Default();
   KANON_CHECK(from_lsn >= 1);
   WalRangeResult result;
-  if (!env->FileExists(dir)) return result;
   KANON_ASSIGN_OR_RETURN(const std::vector<SegmentFile> segments,
                          ListSegments(dir, env));
   if (segments.empty()) return result;
@@ -427,87 +431,30 @@ StatusOr<WalRangeResult> ReadWalRange(const std::string& dir, size_t dim,
         " were truncated by a checkpoint; bootstrap from a newer checkpoint");
   }
 
-  const size_t payload_size = PayloadSize(dim);
-  std::vector<char> entry(EntrySize(dim));
-  char* const frame = entry.data();
-  char* const payload = entry.data() + 2 * sizeof(uint32_t);
   uint64_t prev_lsn = 0;
-  for (size_t i = 0; i < segments.size(); ++i) {
+  bool done = false;
+  auto take = [&](const WalEntry& entry, std::string_view raw) {
+    done = entry.lsn > max_lsn;
+    if (!done && entry.lsn >= from_lsn) {
+      if (result.first_lsn == 0) result.first_lsn = entry.lsn;
+      result.last_lsn = entry.lsn;
+      result.frames.append(raw);
+      done = result.frames.size() >= max_bytes;
+    }
+    return !done;
+  };
+  for (size_t i = 0; i < segments.size() && !done; ++i) {
     // Entirely below the requested range: every entry here has an LSN below
     // the next segment's first.
     if (i + 1 < segments.size() && segments[i + 1].first_lsn <= from_lsn) {
       continue;
     }
+    // A torn end of the newest segment is an in-flight append: the scan
+    // stops before it. The caller's max_lsn (<= synced_lsn) keeps
+    // everything shipped on the fully fsynced prefix.
     const bool newest = i + 1 == segments.size();
-    // The newest segment is being actively appended to; any anomaly there
-    // is an in-flight tail, which ends the scan without error. The caller's
-    // max_lsn (<= synced_lsn) keeps everything actually shipped on the
-    // fully-fsynced prefix.
-    auto seal_error = [&](const char* what) -> StatusOr<WalRangeResult> {
-      return Status::Corruption(std::string(what) +
-                                " in sealed wal segment " + segments[i].path);
-    };
-    KANON_ASSIGN_OR_RETURN(std::unique_ptr<RandomAccessFile> file,
-                           env->NewRandomAccessFile(segments[i].path));
-    char header[kSegmentHeaderSize];
-    size_t got = 0;
-    KANON_RETURN_IF_ERROR(file->ReadAt(0, header, sizeof(header), &got));
-    if (got != sizeof(header)) {
-      if (newest) break;
-      return seal_error("short header");
-    }
-    uint64_t first_lsn = 0;
-    {
-      const Status s = DecodeHeader(header, dim, &first_lsn);
-      if (s.code() == StatusCode::kCorruption) {
-        if (newest) break;
-        return seal_error("corrupt header");
-      }
-      KANON_RETURN_IF_ERROR(s);
-    }
-    uint64_t offset = sizeof(header);
-    for (;;) {
-      KANON_RETURN_IF_ERROR(
-          file->ReadAt(offset, frame, 2 * sizeof(uint32_t), &got));
-      if (got == 0) break;  // clean end of segment
-      if (got != 2 * sizeof(uint32_t)) {
-        if (newest) break;
-        return seal_error("torn frame");
-      }
-      uint32_t stored_size = 0, stored_crc = 0;
-      std::memcpy(&stored_size, frame, sizeof(stored_size));
-      std::memcpy(&stored_crc, frame + sizeof(stored_size),
-                  sizeof(stored_crc));
-      if (stored_size != payload_size) {
-        if (newest) break;
-        return seal_error("frame size mismatch");
-      }
-      KANON_RETURN_IF_ERROR(file->ReadAt(offset + 2 * sizeof(uint32_t),
-                                         payload, payload_size, &got));
-      if (got != payload_size) {
-        if (newest) break;
-        return seal_error("torn payload");
-      }
-      if (Crc32(payload, payload_size) != stored_crc) {
-        if (newest) break;
-        return seal_error("payload checksum mismatch");
-      }
-      uint64_t lsn = 0;
-      std::memcpy(&lsn, payload, sizeof(lsn));
-      if (lsn <= prev_lsn || lsn < first_lsn) {
-        if (newest) break;
-        return seal_error("non-monotonic LSN");
-      }
-      prev_lsn = lsn;
-      offset += entry.size();
-      if (lsn > max_lsn) return result;
-      if (lsn >= from_lsn) {
-        if (result.first_lsn == 0) result.first_lsn = lsn;
-        result.last_lsn = lsn;
-        result.frames.append(entry.data(), entry.size());
-        if (result.frames.size() >= max_bytes) return result;
-      }
-    }
+    KANON_RETURN_IF_ERROR(
+        ScanSegment(segments[i], dim, newest, &prev_lsn, take, env).status());
   }
   return result;
 }
@@ -516,36 +463,17 @@ Status DecodeWalFrames(
     std::string_view frames, size_t dim,
     const std::function<void(uint64_t lsn, std::span<const double> point,
                              int32_t sensitive)>& apply) {
-  const size_t payload_size = PayloadSize(dim);
-  std::vector<double> point(dim);
-  size_t off = 0;
-  while (off < frames.size()) {
-    if (frames.size() - off < 2 * sizeof(uint32_t)) {
-      return Status::Corruption("short wal frame header");
+  WalEntry entry(dim);
+  uint64_t prev_lsn = 0;
+  for (size_t off = 0; off < frames.size(); off += EntrySize(dim)) {
+    KANON_ASSIGN_OR_RETURN(
+        const bool intact,
+        DecodeEntry(frames.substr(off), /*first_lsn=*/0, &prev_lsn, &entry));
+    if (!intact) {
+      return Status::Corruption("damaged wal frame at byte " +
+                                std::to_string(off));
     }
-    uint32_t stored_size = 0, stored_crc = 0;
-    std::memcpy(&stored_size, frames.data() + off, sizeof(stored_size));
-    std::memcpy(&stored_crc, frames.data() + off + sizeof(stored_size),
-                sizeof(stored_crc));
-    off += 2 * sizeof(uint32_t);
-    if (stored_size != payload_size) {
-      return Status::Corruption("wal frame size mismatch");
-    }
-    if (frames.size() - off < payload_size) {
-      return Status::Corruption("short wal frame payload");
-    }
-    const char* payload = frames.data() + off;
-    if (Crc32(payload, payload_size) != stored_crc) {
-      return Status::Corruption("wal frame failed checksum");
-    }
-    uint64_t lsn = 0;
-    int32_t sensitive = 0;
-    std::memcpy(&lsn, payload, sizeof(lsn));
-    std::memcpy(&sensitive, payload + sizeof(lsn), sizeof(sensitive));
-    std::memcpy(point.data(), payload + sizeof(lsn) + sizeof(sensitive),
-                dim * sizeof(double));
-    off += payload_size;
-    apply(lsn, point, sensitive);
+    apply(entry.lsn, entry.point, entry.sensitive);
   }
   return Status::OK();
 }

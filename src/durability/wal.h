@@ -76,8 +76,6 @@ class WalWriter {
                                                    WalOptions options = {},
                                                    Env* env = nullptr);
 
-  ~WalWriter();
-
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
@@ -109,6 +107,8 @@ class WalWriter {
   /// durable prefix, rotate, re-append the un-synced entries, fsync.
   Status RecoverSegment();
   Status SyncInternal();
+  /// fsyncs the current segment; a failure poisons the writer.
+  Status SyncFile();
 
   const std::string dir_;
   const size_t dim_;
@@ -147,12 +147,16 @@ struct WalReplayResult {
   uint64_t truncated_bytes = 0;   // bytes removed by that truncation
 };
 
-/// Replays every intact entry with lsn >= from_lsn in log order. A torn or
-/// corrupt suffix of the *final* segment — the signature of a crash
-/// mid-append — is physically truncated back to the last intact entry, so
-/// the next replay (and the next writer) sees a clean log. Corruption in
-/// any earlier segment is a hard error: those bytes were complete before a
-/// later segment was opened, so damage there is bit rot, not a torn write.
+/// Replays every intact entry with lsn >= from_lsn in log order. All three
+/// readers below share one segment scanner and one rule:
+///  * a torn or damaged suffix of the *newest* segment — the signature of a
+///    crash mid-append — ends the scan; ReplayWal physically truncates it
+///    back to the last intact entry, so the next replay (and the next
+///    writer) sees a clean log;
+///  * damage in any earlier, sealed segment is Corruption: those bytes were
+///    fsynced before a later segment was opened, so it is bit rot;
+///  * a checksum-valid entry whose LSN is not above the previous one, or is
+///    below its segment header's first LSN, is Corruption in any segment.
 Status ReplayWal(
     const std::string& dir, size_t dim, uint64_t from_lsn,
     const std::function<void(uint64_t lsn, std::span<const double> point,
@@ -186,19 +190,20 @@ struct WalRangeResult {
 ///  * NotFound — `from_lsn` predates the oldest surviving segment (a
 ///    checkpoint truncated that range away). The caller needs a fresh
 ///    checkpoint, not a retry.
-///  * Corruption — damage in a sealed (non-newest) segment: bit rot, a
-///    serving-side disk problem. A torn or damaged tail of the *newest*
-///    segment is not an error; the scan just ends before it (those bytes
-///    are an in-flight append, not yet durable).
+///  * Corruption — damage in a sealed segment or an out-of-order LSN (see
+///    ReplayWal). A torn or damaged tail of the *newest* segment is not an
+///    error; the range just ends before it (those bytes are an in-flight
+///    append, not yet durable).
 StatusOr<WalRangeResult> ReadWalRange(const std::string& dir, size_t dim,
                                       uint64_t from_lsn, uint64_t max_lsn,
                                       size_t max_bytes, Env* env = nullptr);
 
 /// Decodes a WalRangeResult::frames byte string (the follower half of
-/// ReadWalRange). Any defect — short frame, size or checksum mismatch —
-/// returns Corruption without delivering the defective entry or anything
-/// after it; a tailing client must drop the connection and re-request from
-/// its last applied LSN rather than resynchronize mid-stream.
+/// ReadWalRange) with the same entry codec. Any defect — short frame, size
+/// or checksum mismatch, an LSN not above the previous frame's — returns
+/// Corruption without delivering the defective entry or anything after it;
+/// a tailing client must drop the connection and re-request from its last
+/// applied LSN rather than resynchronize mid-stream.
 Status DecodeWalFrames(
     std::string_view frames, size_t dim,
     const std::function<void(uint64_t lsn, std::span<const double> point,
@@ -211,11 +216,6 @@ Status DecodeWalFrames(
 StatusOr<size_t> TruncateWalBefore(const std::string& dir,
                                    uint64_t checkpoint_lsn,
                                    Env* env = nullptr);
-
-/// fsyncs a directory so renames/creations/unlinks inside it survive a
-/// crash. Shared by the WAL (segment creation) and the checkpoint manifest
-/// protocol.
-Status SyncDirectory(const std::string& dir, Env* env = nullptr);
 
 }  // namespace kanon
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -37,35 +38,73 @@ std::string_view TrimWs(std::string_view s) {
   return s;
 }
 
-/// First query key not in `allowed`, or nullptr. Read endpoints reject
-/// unknown parameters instead of ignoring them: a typo (epsilo=0.1) that
-/// silently serves the default would look honored while it is not.
-const std::string* UnknownQueryParam(
-    const std::vector<std::pair<std::string, std::string>>& params,
-    std::initializer_list<std::string_view> allowed) {
+/// InvalidArgument naming the first query key not in `allowed`. Read
+/// endpoints reject unknown parameters instead of ignoring them: a typo
+/// (epsilo=0.1) that silently serves the default would look honored while
+/// it is not.
+Status CheckQueryKeys(const QueryParams& params,
+                      std::initializer_list<std::string_view> allowed) {
   for (const auto& [key, value] : params) {
-    bool known = false;
-    for (const std::string_view a : allowed) {
-      if (key == a) {
-        known = true;
-        break;
-      }
+    if (std::find(allowed.begin(), allowed.end(), key) != allowed.end()) {
+      continue;
     }
-    if (!known) return &key;
+    std::string have;
+    for (const std::string_view a : allowed) {
+      if (!have.empty()) have += ", ";
+      have += a;
+    }
+    return Status::InvalidArgument("unknown query parameter '" + key +
+                                   "' (have " + have + ")");
   }
-  return nullptr;
+  return Status::OK();
 }
 
-/// Strict boolean flag: only "0" and "1" are meaningful; anything else is
-/// the caller asking for something this server does not do.
-Status ParseFlagParam(const std::string& value, std::string_view name,
-                      bool* out) {
-  if (value != "0" && value != "1") {
-    return Status::InvalidArgument(std::string(name) +
-                                   " must be 0 or 1, got '" + value + "'");
+/// Strict unsigned integer: the whole value must be decimal digits.
+bool ParseU64Param(std::string_view value, uint64_t* out) {
+  const char* last = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), last, *out);
+  return ec == std::errc() && ptr == last;
+}
+
+/// Reads the optional integer query parameter `key` into *out (untouched
+/// when absent). A value that is not a whole decimal integer >= `min` is
+/// InvalidArgument: a malformed value must not silently become the default.
+Status ParseUintParam(const QueryParams& params, std::string_view key,
+                      uint64_t min, uint64_t* out) {
+  const std::string* v = QueryParam(params, key);
+  if (v != nullptr && (!ParseU64Param(*v, out) || *out < min)) {
+    return Status::InvalidArgument(std::string(key) +
+                                   " must be an integer >= " +
+                                   std::to_string(min) + ", got '" + *v + "'");
   }
-  *out = value == "1";
   return Status::OK();
+}
+
+/// Hard cap on one /repl/wal response body; requests asking for more are
+/// clamped (the follower just asks again from its new position).
+constexpr uint64_t kReplMaxBatchBytes = 8u << 20;
+
+/// Reads the optional flag `key` into *out (untouched when absent). Only
+/// "0" and "1" are meaningful; anything else is the caller asking for
+/// something this server does not do.
+Status ParseFlagParam(const QueryParams& params, std::string_view key,
+                      bool* out) {
+  const std::string* v = QueryParam(params, key);
+  if (v == nullptr) return Status::OK();
+  if (*v != "0" && *v != "1") {
+    return Status::InvalidArgument(std::string(key) +
+                                   " must be 0 or 1, got '" + *v + "'");
+  }
+  *out = *v == "1";
+  return Status::OK();
+}
+
+/// 410 Gone with the standard error-body shape: the requested replication
+/// artifact was superseded (checkpoint GC'd, WAL range truncated). The
+/// client's move is a fresh /repl/manifest, not a retry.
+HttpResponse ReplGone(const std::string& message) {
+  return HttpResponse::Json(
+      410, "{\"error\":\"Gone\",\"message\":\"" + JsonEscape(message) + "\"}");
 }
 
 /// The shared "no shard has published yet" 503.
@@ -207,9 +246,8 @@ std::string PartitionsJson(const PartitionSet& ps, bool with_rids) {
 AnonHttpFrontend::AnonHttpFrontend(ShardedAnonymizationService* service,
                                    AnonHttpOptions options)
     : service_(service),
-      options_(options),
-      dp_(DpServingOptions{options_.dp_budget, options_.dp_lifetime_budget,
-                           options_.dp_key, options_.dp_metrics_utility}),
+      dp_(DpServingOptions{options.dp_budget, options.dp_lifetime_budget,
+                           options.dp_key, options.dp_metrics_utility}),
       router_(MakeRoutes()) {}
 
 std::vector<Route> AnonHttpFrontend::MakeRoutes() {
@@ -301,33 +339,20 @@ HttpResponse RenderRelease(const StitchedSnapshot* stitched,
                            const HttpRequest& request,
                            unsigned /*retry_after_s*/) {
   const auto params = ParseQuery(request.query);
-  if (const std::string* bad =
-          UnknownQueryParam(params, {"k1", "summary", "rids"})) {
-    return HttpResponse::FromStatus(Status::InvalidArgument(
-        "unknown query parameter '" + *bad + "' (have k1, summary, rids)"));
+  if (Status s = CheckQueryKeys(params, {"k1", "summary", "rids"}); !s.ok()) {
+    return HttpResponse::FromStatus(s);
   }
-  size_t k1 = 0;  // 0 = the snapshot's base granularity
+  uint64_t k1 = 0;  // 0 = the snapshot's base granularity
   bool summary = false;
   bool with_rids = false;
-  if (const std::string* v = QueryParam(params, "k1")) {
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(v->c_str(), &end, 10);
-    if (end == v->c_str() || *end != '\0' || parsed == 0) {
-      return HttpResponse::FromStatus(
-          Status::InvalidArgument("k1 must be a positive integer, got '" +
-                                  *v + "'"));
-    }
-    k1 = static_cast<size_t>(parsed);
+  if (Status s = ParseUintParam(params, "k1", 1, &k1); !s.ok()) {
+    return HttpResponse::FromStatus(s);
   }
-  if (const std::string* v = QueryParam(params, "summary")) {
-    if (Status s = ParseFlagParam(*v, "summary", &summary); !s.ok()) {
-      return HttpResponse::FromStatus(s);
-    }
+  if (Status s = ParseFlagParam(params, "summary", &summary); !s.ok()) {
+    return HttpResponse::FromStatus(s);
   }
-  if (const std::string* v = QueryParam(params, "rids")) {
-    if (Status s = ParseFlagParam(*v, "rids", &with_rids); !s.ok()) {
-      return HttpResponse::FromStatus(s);
-    }
+  if (Status s = ParseFlagParam(params, "rids", &with_rids); !s.ok()) {
+    return HttpResponse::FromStatus(s);
   }
 
   if (stitched == nullptr) return NothingPublished();
@@ -401,9 +426,8 @@ StatusOr<std::shared_ptr<const DpRelease>> DpServing::Acquire(
 HttpResponse DpServing::HandleRelease(const StitchedSnapshot* stitched,
                                       const HttpRequest& request) {
   const auto params = ParseQuery(request.query);
-  if (const std::string* bad = UnknownQueryParam(params, {"epsilon"})) {
-    return HttpResponse::FromStatus(Status::InvalidArgument(
-        "unknown query parameter '" + *bad + "' (have epsilon)"));
+  if (Status s = CheckQueryKeys(params, {"epsilon"}); !s.ok()) {
+    return HttpResponse::FromStatus(s);
   }
   double epsilon = 0.0;
   if (Status s = ParseEpsilonParam(params, &epsilon); !s.ok()) {
@@ -428,10 +452,8 @@ HttpResponse DpServing::HandleRelease(const StitchedSnapshot* stitched,
 HttpResponse DpServing::HandleQuery(const StitchedSnapshot* stitched,
                                     const HttpRequest& request) {
   const auto params = ParseQuery(request.query);
-  if (const std::string* bad =
-          UnknownQueryParam(params, {"epsilon", "lo", "hi"})) {
-    return HttpResponse::FromStatus(Status::InvalidArgument(
-        "unknown query parameter '" + *bad + "' (have lo, hi, epsilon)"));
+  if (Status s = CheckQueryKeys(params, {"lo", "hi", "epsilon"}); !s.ok()) {
+    return HttpResponse::FromStatus(s);
   }
   double epsilon = 0.0;
   if (Status s = ParseEpsilonParam(params, &epsilon); !s.ok()) {
@@ -582,39 +604,26 @@ HttpResponse AnonHttpFrontend::HandleRepl(const HttpRequest& request,
     return HttpResponse::FromStatus(Status::FailedPrecondition(
         "replication requires a durable leader (start with --wal-dir)"));
   }
-  const auto params = ParseQuery(request.query);
-  size_t shard = 0;
+  const QueryParams params = ParseQuery(request.query);
+  uint64_t shard = 0;
   if (const std::string* v = QueryParam(params, "shard")) {
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(v->c_str(), &end, 10);
-    if (end == v->c_str() || *end != '\0' ||
-        parsed >= service_->num_shards()) {
+    if (!ParseU64Param(*v, &shard) || shard >= service_->num_shards()) {
       return HttpResponse::FromStatus(Status::InvalidArgument(
           "shard must be in [0, " + std::to_string(service_->num_shards()) +
           "), got '" + *v + "'"));
     }
-    shard = static_cast<size_t>(parsed);
   }
-  const std::string dir = ShardWalDir(durability.wal_dir, shard);
-  Env* env = options_.repl_env != nullptr ? options_.repl_env : Env::Default();
-  return (this->*handler)(request, dir, shard, env);
+  return (this->*handler)(request, params,
+                          ShardWalDir(durability.wal_dir, shard), shard);
 }
-
-namespace {
-
-/// 410 Gone with the standard error-body shape: the requested replication
-/// artifact was superseded (checkpoint GC'd, WAL range truncated). The
-/// client's move is a fresh /repl/manifest, not a retry.
-HttpResponse ReplGone(const std::string& message) {
-  return HttpResponse::Json(
-      410, "{\"error\":\"Gone\",\"message\":\"" + JsonEscape(message) + "\"}");
-}
-
-}  // namespace
 
 HttpResponse AnonHttpFrontend::HandleReplManifest(const HttpRequest&,
+                                                  const QueryParams& params,
                                                   const std::string& dir,
-                                                  size_t shard, Env* env) {
+                                                  size_t shard) {
+  if (Status s = CheckQueryKeys(params, {"shard"}); !s.ok()) {
+    return HttpResponse::FromStatus(s);
+  }
   const AnonymizationService* svc = service_->shard(shard);
   const ServiceStats stats = svc->Stats();
   uint64_t epoch = 0;
@@ -637,7 +646,7 @@ HttpResponse AnonHttpFrontend::HandleReplManifest(const HttpRequest&,
       ",\"durable_lsn\":" + std::to_string(stats.wal_synced_lsn) +
       ",\"epoch\":" + std::to_string(epoch) +
       ",\"epoch_records\":" + std::to_string(epoch_records);
-  const auto manifest_or = LoadManifest(dir, env);
+  const auto manifest_or = LoadManifest(dir);
   if (manifest_or.ok()) {
     const CheckpointManifest& m = *manifest_or;
     body += ",\"checkpoint_lsn\":" + std::to_string(m.checkpoint_lsn) +
@@ -660,17 +669,19 @@ HttpResponse AnonHttpFrontend::HandleReplManifest(const HttpRequest&,
 }
 
 HttpResponse AnonHttpFrontend::HandleReplCheckpoint(
-    const HttpRequest& request, const std::string& dir, size_t /*shard*/,
-    Env* env) {
+    const HttpRequest& request, const QueryParams& params,
+    const std::string& dir, size_t /*shard*/) {
+  if (Status s = CheckQueryKeys(params, {"shard"}); !s.ok()) {
+    return HttpResponse::FromStatus(s);
+  }
   const std::string& path = request.path;
   const std::string lsn_str = path.substr(std::strlen("/repl/checkpoint/"));
-  char* end = nullptr;
-  const unsigned long long lsn = std::strtoull(lsn_str.c_str(), &end, 10);
-  if (end == lsn_str.c_str() || *end != '\0' || lsn == 0) {
+  uint64_t lsn = 0;
+  if (!ParseU64Param(lsn_str, &lsn) || lsn == 0) {
     return HttpResponse::FromStatus(Status::InvalidArgument(
         "expected /repl/checkpoint/<lsn>, got '" + path + "'"));
   }
-  const auto manifest_or = LoadManifest(dir, env);
+  const auto manifest_or = LoadManifest(dir);
   if (!manifest_or.ok()) {
     if (manifest_or.status().code() == StatusCode::kNotFound) {
       return ReplGone("no checkpoint exists yet; re-fetch /repl/manifest");
@@ -685,7 +696,8 @@ HttpResponse AnonHttpFrontend::HandleReplCheckpoint(
                     "); re-fetch /repl/manifest");
   }
   std::string bytes;
-  const Status read = ReadFileToString(env, dir + "/" + m.file, &bytes);
+  const Status read =
+      ReadFileToString(Env::Default(), dir + "/" + m.file, &bytes);
   if (!read.ok()) {
     if (read.code() == StatusCode::kNotFound) {
       // GC'd between the manifest load and this read.
@@ -702,34 +714,29 @@ HttpResponse AnonHttpFrontend::HandleReplCheckpoint(
   return resp;
 }
 
-HttpResponse AnonHttpFrontend::HandleReplWal(const HttpRequest& request,
+HttpResponse AnonHttpFrontend::HandleReplWal(const HttpRequest&,
+                                             const QueryParams& params,
                                              const std::string& dir,
-                                             size_t shard, Env* env) {
-  const auto params = ParseQuery(request.query);
-  uint64_t from_lsn = 0;
-  if (const std::string* v = QueryParam(params, "from_lsn")) {
-    char* end = nullptr;
-    from_lsn = std::strtoull(v->c_str(), &end, 10);
-    if (end == v->c_str() || *end != '\0') from_lsn = 0;
+                                             size_t shard) {
+  if (Status s = CheckQueryKeys(
+          params, {"shard", "from_lsn", "max_lsn", "max_bytes"});
+      !s.ok()) {
+    return HttpResponse::FromStatus(s);
   }
-  if (from_lsn == 0) {
+  uint64_t from_lsn = 0;
+  const std::string* from = QueryParam(params, "from_lsn");
+  if (from == nullptr || !ParseU64Param(*from, &from_lsn) || from_lsn == 0) {
     return HttpResponse::FromStatus(Status::InvalidArgument(
         "from_lsn must be a positive integer (the first LSN wanted)"));
   }
-  size_t max_bytes = 1u << 20;
-  if (const std::string* v = QueryParam(params, "max_bytes")) {
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(v->c_str(), &end, 10);
-    if (end != v->c_str() && *end == '\0' && parsed > 0) {
-      max_bytes = static_cast<size_t>(parsed);
-    }
+  uint64_t max_bytes = 1u << 20;
+  if (Status s = ParseUintParam(params, "max_bytes", 1, &max_bytes); !s.ok()) {
+    return HttpResponse::FromStatus(s);
   }
-  max_bytes = std::min(max_bytes, options_.repl_max_batch_bytes);
+  max_bytes = std::min(max_bytes, kReplMaxBatchBytes);
   uint64_t max_lsn = 0;  // 0 = durable horizon only
-  if (const std::string* v = QueryParam(params, "max_lsn")) {
-    char* end = nullptr;
-    max_lsn = std::strtoull(v->c_str(), &end, 10);
-    if (end == v->c_str() || *end != '\0') max_lsn = 0;
+  if (Status s = ParseUintParam(params, "max_lsn", 0, &max_lsn); !s.ok()) {
+    return HttpResponse::FromStatus(s);
   }
 
   const AnonymizationService* svc = service_->shard(shard);
@@ -741,7 +748,7 @@ HttpResponse AnonHttpFrontend::HandleReplWal(const HttpRequest& request,
   if (max_lsn > 0) cap = std::min(cap, max_lsn);
 
   auto range_or = ReadWalRange(dir, service_->dim(), from_lsn, cap,
-                               max_bytes, env);
+                               static_cast<size_t>(max_bytes));
   if (!range_or.ok()) {
     if (range_or.status().code() == StatusCode::kNotFound) {
       return ReplGone(range_or.status().message());

@@ -17,14 +17,6 @@
 namespace kanon::net {
 
 struct AnonHttpOptions {
-  /// Env for the replication endpoints' reads of WAL segments and
-  /// checkpoint files (nullptr = Env::Default()). Kept separate from the
-  /// service's durability env so fault injection on the write path does
-  /// not leak into replication serving unless a test wires it there.
-  Env* repl_env = nullptr;
-  /// Hard cap on one /repl/wal response body; requests asking for more are
-  /// clamped (the follower just asks again from its new position).
-  size_t repl_max_batch_bytes = 8u << 20;
   /// Total epsilon spendable per release point on /release/dp (<= 0 =
   /// unlimited).
   double dp_budget = 4.0;
@@ -160,7 +152,9 @@ class DpServing {
 ///                          superseded and GC'd — re-fetch the manifest.
 ///   GET  /repl/wal         ?from_lsn=&max_bytes=&max_lsn=&shard= —
 ///                          CRC-framed WAL entries straight from the
-///                          segment files, capped at the durable horizon.
+///                          segment files, capped at the durable horizon
+///                          and at 8 MiB per response. A malformed value
+///                          or an unknown key on any /repl path is a 400.
 ///                          410 Gone when from_lsn was truncated behind a
 ///                          checkpoint (the typed "need a new checkpoint"
 ///                          signal); response headers X-Kanon-First-Lsn,
@@ -202,10 +196,11 @@ class AnonHttpFrontend {
   const DpBudgetLedger& dp_ledger() const { return dp_.ledger(); }
 
  private:
-  /// A /repl/* handler, run on the shard the request names.
+  /// A /repl/* handler, run on the shard the request names. Each one
+  /// rejects query keys it does not know.
   using ReplHandler = HttpResponse (AnonHttpFrontend::*)(
-      const HttpRequest& request, const std::string& dir, size_t shard,
-      Env* env);
+      const HttpRequest& request, const QueryParams& params,
+      const std::string& dir, size_t shard);
 
   std::vector<Route> MakeRoutes();
   HttpResponse HandleIngest(const HttpRequest& request);
@@ -214,16 +209,16 @@ class AnonHttpFrontend {
   /// Checks durability and the ?shard= parameter, then runs `handler`.
   HttpResponse HandleRepl(const HttpRequest& request, ReplHandler handler);
   HttpResponse HandleReplManifest(const HttpRequest& request,
-                                  const std::string& dir, size_t shard,
-                                  Env* env);
+                                  const QueryParams& params,
+                                  const std::string& dir, size_t shard);
   HttpResponse HandleReplCheckpoint(const HttpRequest& request,
-                                    const std::string& dir, size_t shard,
-                                    Env* env);
+                                    const QueryParams& params,
+                                    const std::string& dir, size_t shard);
   HttpResponse HandleReplWal(const HttpRequest& request,
-                             const std::string& dir, size_t shard, Env* env);
+                             const QueryParams& params,
+                             const std::string& dir, size_t shard);
 
   ShardedAnonymizationService* const service_;
-  const AnonHttpOptions options_;
   DpServing dp_;
   std::atomic<uint64_t> accepted_{0};
   Router router_;

@@ -233,9 +233,8 @@ std::string UrlDecode(std::string_view s) {
   return out;
 }
 
-std::vector<std::pair<std::string, std::string>> ParseQuery(
-    std::string_view query) {
-  std::vector<std::pair<std::string, std::string>> params;
+QueryParams ParseQuery(std::string_view query) {
+  QueryParams params;
   size_t start = 0;
   while (start <= query.size()) {
     size_t end = query.find('&', start);
@@ -255,9 +254,7 @@ std::vector<std::pair<std::string, std::string>> ParseQuery(
   return params;
 }
 
-const std::string* QueryParam(
-    const std::vector<std::pair<std::string, std::string>>& params,
-    std::string_view key) {
+const std::string* QueryParam(const QueryParams& params, std::string_view key) {
   for (const auto& [k, v] : params) {
     if (k == key) return &v;
   }

@@ -108,15 +108,15 @@ class HttpParser {
   bool continue_announced_ = false;
 };
 
+/// Decoded query key/value pairs, in request order.
+using QueryParams = std::vector<std::pair<std::string, std::string>>;
+
 /// Splits a raw query string ("a=1&b=x%20y") into decoded key/value pairs.
 /// '+' decodes to space; malformed %-escapes are kept verbatim.
-std::vector<std::pair<std::string, std::string>> ParseQuery(
-    std::string_view query);
+QueryParams ParseQuery(std::string_view query);
 
 /// Returns the first value for `key` in parsed query params, or nullptr.
-const std::string* QueryParam(
-    const std::vector<std::pair<std::string, std::string>>& params,
-    std::string_view key);
+const std::string* QueryParam(const QueryParams& params, std::string_view key);
 
 /// Percent-decodes `s` ('+' becomes space). Malformed escapes pass through.
 std::string UrlDecode(std::string_view s);

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/env.h"
 #include "durability/wal.h"
 #include "net/http_status.h"
 
@@ -23,6 +24,10 @@ const char* ReplStateName(ReplState state) {
 }
 
 namespace {
+
+/// Bytes of WAL frames asked for per /repl/wal poll (the leader clamps
+/// larger asks to its own cap).
+constexpr size_t kMaxBatchBytes = 1u << 20;
 
 /// Extracts the number following `"key":` in a flat JSON object emitted by
 /// our own serializer (no whitespace, unique keys). Returns `fallback`
@@ -136,14 +141,13 @@ StatusOr<std::string> ReplicationClient::FetchCheckpoint(uint64_t lsn) {
 }
 
 StatusOr<WalBatch> ReplicationClient::FetchWal(uint64_t from_lsn,
-                                               uint64_t max_lsn,
-                                               size_t max_bytes) {
+                                               uint64_t max_lsn) {
   KANON_ASSIGN_OR_RETURN(
       ClientResponse resp,
       Fetch("/repl/wal?shard=" + std::to_string(shard_) +
             "&from_lsn=" + std::to_string(from_lsn) +
             "&max_lsn=" + std::to_string(max_lsn) +
-            "&max_bytes=" + std::to_string(max_bytes)));
+            "&max_bytes=" + std::to_string(kMaxBatchBytes)));
   if (resp.status == 410) {
     return Status::NotFound("leader WAL range gone: " + ErrorMessage(resp));
   }
@@ -166,8 +170,7 @@ ReplicatedFollower::ReplicatedFollower(Domain domain, FollowerOptions options)
       core_(std::make_unique<FollowerCore>(domain.dim(), std::move(domain),
                                            options_.core)),
       client_(options_.leader_host, options_.leader_port, options_.shard,
-              options_.request_timeout_s),
-      env_(options_.env != nullptr ? options_.env : Env::Default()) {
+              options_.request_timeout_s) {
   jitter_state_ = options_.jitter_seed != 0
                       ? options_.jitter_seed
                       : static_cast<uint64_t>(
@@ -268,10 +271,11 @@ bool ReplicatedFollower::BootstrapOnce() {
     const std::string path =
         options_.scratch_dir + "/follower-checkpoint-" +
         std::to_string(m.checkpoint_lsn) + ".db";
+    Env* env = Env::Default();
     Status wrote = [&]() -> Status {
-      (void)env_->CreateDirs(options_.scratch_dir);
+      (void)env->CreateDirs(options_.scratch_dir);
       KANON_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> file,
-                             env_->NewWritableFile(path, /*truncate=*/true));
+                             env->NewWritableFile(path, /*truncate=*/true));
       KANON_RETURN_IF_ERROR(
           file->Append(bytes_or->data(), bytes_or->size()));
       return file->Close();
@@ -279,9 +283,9 @@ bool ReplicatedFollower::BootstrapOnce() {
     if (wrote.ok()) {
       // AdoptCheckpoint CRC-verifies the download against the manifest
       // before any page is trusted.
-      wrote = core_->AdoptCheckpoint(m.checkpoint, path, env_);
+      wrote = core_->AdoptCheckpoint(m.checkpoint, path);
     }
-    (void)env_->RemoveFile(path);
+    (void)env->RemoveFile(path);
     if (!wrote.ok()) {
       std::fprintf(stderr, "repl: checkpoint adoption failed: %s\n",
                    wrote.ToString().c_str());
@@ -310,8 +314,7 @@ ReplicatedFollower::TailResult ReplicatedFollower::TailOnce() {
   // "anything new?" poll.
   const uint64_t max_lsn =
       target_records > applied ? target_records : applied;
-  auto batch_or =
-      client_.FetchWal(applied + 1, max_lsn, options_.max_batch_bytes);
+  auto batch_or = client_.FetchWal(applied + 1, max_lsn);
   if (!batch_or.ok()) {
     if (batch_or.status().code() == StatusCode::kNotFound) {
       // The range we need was truncated behind a newer checkpoint: the

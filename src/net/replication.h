@@ -10,7 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/env.h"
 #include "common/status.h"
 #include "net/anon_http.h"
 #include "net/http_client.h"
@@ -76,8 +75,8 @@ class ReplicationClient {
 
   StatusOr<LeaderManifest> FetchManifest();
   StatusOr<std::string> FetchCheckpoint(uint64_t lsn);
-  StatusOr<WalBatch> FetchWal(uint64_t from_lsn, uint64_t max_lsn,
-                              size_t max_bytes);
+  /// Asks for at most 1 MiB of frames per call.
+  StatusOr<WalBatch> FetchWal(uint64_t from_lsn, uint64_t max_lsn);
 
   /// Drops the connection so the next fetch reconnects from scratch.
   void Disconnect() { client_.Close(); }
@@ -122,7 +121,6 @@ struct FollowerOptions {
   uint64_t backoff_initial_ms = 100;
   uint64_t backoff_max_ms = 5000;
   uint64_t jitter_seed = 0;  // 0 = seed from the clock
-  size_t max_batch_bytes = 1u << 20;
   /// DP serving knobs (see AnonHttpOptions): the follower keeps its own
   /// budget ledger, but its releases are byte-identical to the leader's at
   /// the same publication point and epsilon — provided the operator gave
@@ -132,7 +130,6 @@ struct FollowerOptions {
   double dp_lifetime_budget = 0.0;
   std::string dp_key;
   bool dp_metrics_utility = false;
-  Env* env = nullptr;  // nullptr = Env::Default()
 };
 
 /// A read replica: bootstraps a FollowerCore from the leader's checkpoint,
@@ -208,7 +205,6 @@ class ReplicatedFollower {
   const FollowerOptions options_;
   std::unique_ptr<FollowerCore> core_;
   ReplicationClient client_;
-  Env* const env_;
 
   std::thread thread_;
   std::mutex mu_;

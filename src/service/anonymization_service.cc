@@ -231,6 +231,24 @@ void AnonymizationService::IngestLoop() {
   publish_cv_.notify_all();
 }
 
+template <typename Op>
+Status AnonymizationService::WithRetries(Op op) {
+  const DurabilityOptions& d = options_.durability;
+  Status status = op();
+  uint64_t backoff_ms = d.retry_backoff_ms;
+  for (size_t attempt = 0;
+       !status.ok() && attempt < kWalRetryLimit && !wal_->poisoned();
+       ++attempt) {
+    wal_retries_.fetch_add(1, std::memory_order_relaxed);
+    if (backoff_ms > 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
+      backoff_ms = std::min(backoff_ms * 2, d.retry_backoff_max_ms);
+    }
+    status = op();
+  }
+  return status;
+}
+
 void AnonymizationService::ApplyBatch(const IngestBatch& batch) {
   if (health_.load(std::memory_order_acquire) == ServiceHealth::kDegraded) {
     // Producers may have raced records into the queue before Ingest began
@@ -249,9 +267,10 @@ void AnonymizationService::ApplyBatch(const IngestBatch& batch) {
     // of the batch is applied — continuing would put records in the tree
     // that exist nowhere durable.
     for (size_t i = 0; i < batch.size(); ++i) {
-      const Status status =
-          AppendWithRetry(next_rid_ + i + 1, batch.point(i),
-                          batch.sensitives[i]);
+      const Status status = WithRetries([&] {
+        return wal_->Append(next_rid_ + i + 1, batch.point(i),
+                            batch.sensitives[i]);
+      });
       if (!status.ok()) {
         EnterDegraded("wal append failed: " + status.ToString());
         dropped_.fetch_add(batch.size() - i, std::memory_order_relaxed);
@@ -272,25 +291,6 @@ void AnonymizationService::ApplyBatch(const IngestBatch& batch) {
   if (batch_samples_.size() < kMaxBatchSamples) {
     batch_samples_.push_back(static_cast<double>(logged));
   }
-}
-
-Status AnonymizationService::AppendWithRetry(uint64_t lsn,
-                                             std::span<const double> point,
-                                             int32_t sensitive) {
-  const DurabilityOptions& d = options_.durability;
-  Status status = wal_->Append(lsn, point, sensitive);
-  uint64_t backoff_ms = d.retry_backoff_ms;
-  for (size_t attempt = 0;
-       !status.ok() && attempt < d.wal_retry_limit && !wal_->poisoned();
-       ++attempt) {
-    wal_retries_.fetch_add(1, std::memory_order_relaxed);
-    if (backoff_ms > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-      backoff_ms = std::min(backoff_ms * 2, d.retry_backoff_max_ms);
-    }
-    status = wal_->Append(lsn, point, sensitive);
-  }
-  return status;
 }
 
 void AnonymizationService::EnterDegraded(const std::string& reason) {
@@ -322,18 +322,8 @@ void AnonymizationService::MaybeCheckpoint(bool force) {
     EnterDegraded("wal sync before checkpoint failed: " + status.ToString());
     return;
   }
-  const DurabilityOptions& d = options_.durability;
-  status = checkpointer_->Checkpoint(anonymizer_.tree(), next_rid_);
-  uint64_t backoff_ms = d.retry_backoff_ms;
-  for (size_t attempt = 0; !status.ok() && attempt < d.wal_retry_limit;
-       ++attempt) {
-    wal_retries_.fetch_add(1, std::memory_order_relaxed);
-    if (backoff_ms > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-      backoff_ms = std::min(backoff_ms * 2, d.retry_backoff_max_ms);
-    }
-    status = checkpointer_->Checkpoint(anonymizer_.tree(), next_rid_);
-  }
+  status = WithRetries(
+      [&] { return checkpointer_->Checkpoint(anonymizer_.tree(), next_rid_); });
   if (!status.ok()) {
     // Checkpoint failure alone does not lose any record (the WAL still has
     // them all), but it means the WAL can never be truncated again —

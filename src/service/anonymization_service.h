@@ -20,6 +20,12 @@
 
 namespace kanon {
 
+/// How many times a failed WAL append or checkpoint is retried (the WAL
+/// runs segment recovery between attempts) before the service degrades to
+/// read-only. Transient faults — a blip of ENOSPC, an interrupted write —
+/// heal here; persistent ones degrade in bounded time.
+inline constexpr size_t kWalRetryLimit = 4;
+
 /// Durability knobs of the serving layer. Durability is off by default
 /// (wal_dir empty): the seed service was purely in-memory and stays that
 /// way unless a WAL directory is configured.
@@ -37,11 +43,6 @@ struct DurabilityOptions {
   /// a FaultInjectionEnv here exercises every failure path below. Must
   /// outlive the service.
   Env* env = nullptr;
-  /// How many times a failed WAL append or checkpoint is retried (the WAL
-  /// runs segment recovery between attempts) before the service degrades
-  /// to read-only. Transient faults — a blip of ENOSPC, an interrupted
-  /// write — heal here; persistent ones degrade in bounded time.
-  size_t wal_retry_limit = 4;
   /// First retry backoff; doubles per attempt up to the max. 0 retries
   /// immediately (unit tests).
   uint64_t retry_backoff_ms = 1;
@@ -198,11 +199,12 @@ class AnonymizationService {
 
   void IngestLoop();
   void ApplyBatch(const IngestBatch& batch);
-  /// Appends to the WAL with bounded exponential-backoff retries (the WAL
-  /// recovers its segment between attempts). Gives up immediately once the
-  /// WAL is poisoned — no retry can make an unprovable fsync provable.
-  Status AppendWithRetry(uint64_t lsn, std::span<const double> point,
-                         int32_t sensitive);
+  /// Runs a WAL append or a checkpoint with bounded exponential-backoff
+  /// retries (the WAL recovers its segment between append attempts). Gives
+  /// up immediately once the WAL is poisoned — no retry can make an
+  /// unprovable fsync provable.
+  template <typename Op>
+  Status WithRetries(Op op);
   /// Flips kServing -> kDegraded (read-only) recording the first reason.
   /// Idempotent; later calls keep the original reason.
   void EnterDegraded(const std::string& reason);

@@ -5,7 +5,7 @@
 #include <utility>
 #include <vector>
 
-#include "index/tree_persistence.h"
+#include "durability/recovery.h"
 #include "service/snapshot.h"
 
 namespace kanon {
@@ -44,40 +44,13 @@ void FollowerCore::ConfigureFromLeader(size_t base_k,
   opts.leaf_capacity_factor = leaf_capacity_factor;
   opts.max_fanout = max_fanout;
   opts.compact = compact;
-  anonymizer_ = std::make_unique<IncrementalAnonymizer>(
-      dim_, options_.anonymizer, &domain_);
-  records_.store(0, std::memory_order_release);
-  applied_lsn_.store(0, std::memory_order_release);
+  ResetForBootstrap();
 }
 
 Status FollowerCore::AdoptCheckpoint(const CheckpointManifest& manifest,
-                                     const std::string& local_path,
-                                     Env* env) {
-  if (anonymizer_->size() != 0) {
-    return Status::FailedPrecondition(
-        "checkpoint adoption requires a fresh core (ResetForBootstrap "
-        "first)");
-  }
-  if (manifest.dim != dim_) {
-    return Status::InvalidArgument(
-        "leader checkpoint dimensionality mismatch");
-  }
-  const RTreeConfig& config = anonymizer_->tree().config();
-  if (manifest.min_leaf != config.min_leaf ||
-      manifest.max_leaf != config.max_leaf ||
-      manifest.max_fanout != config.max_fanout) {
-    return Status::InvalidArgument(
-        "leader checkpoint tree configuration mismatch (is the follower "
-        "running with the leader's k?)");
-  }
-  // LoadTreeFromFile verifies manifest.snapshot.crc32 over the page image
-  // before any page is trusted — a truncated or corrupted download fails
-  // here instead of becoming a silently wrong replica.
-  KANON_ASSIGN_OR_RETURN(
-      RPlusTree tree,
-      LoadTreeFromFile(local_path, manifest.snapshot, dim_, config,
-                       manifest.page_size, env));
-  anonymizer_->AdoptTree(std::move(tree));
+                                     const std::string& local_path) {
+  KANON_RETURN_IF_ERROR(
+      LoadCheckpointInto(manifest, local_path, anonymizer_.get()));
   records_.store(anonymizer_->size(), std::memory_order_release);
   applied_lsn_.store(manifest.checkpoint_lsn, std::memory_order_release);
   return Status::OK();

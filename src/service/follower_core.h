@@ -54,12 +54,12 @@ class FollowerCore {
                            size_t max_fanout, bool compact,
                            size_t dp_height);
 
-  /// Adopts a leader checkpoint already downloaded to `local_path` (and
-  /// CRC-verified by LoadTreeFromFile against manifest.snapshot.crc32).
+  /// Adopts a leader checkpoint already downloaded to `local_path` through
+  /// LoadCheckpointInto, which also CRC-checks the download.
   /// Requires a fresh core (ResetForBootstrap first when re-bootstrapping).
   /// On success applied_lsn() == manifest.checkpoint_lsn.
   Status AdoptCheckpoint(const CheckpointManifest& manifest,
-                         const std::string& local_path, Env* env = nullptr);
+                         const std::string& local_path);
 
   /// Discards the index and replay position for a re-bootstrap (the leader
   /// GC'd the WAL range we were tailing). The last published snapshot stays

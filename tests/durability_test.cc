@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -189,6 +191,197 @@ TEST(DurabilityWalTest, SegmentRotationAndTruncation) {
   const auto entries = CollectReplay(dir.path(), dim, 26, &after);
   EXPECT_EQ(after.replayed, 25u);
   for (const auto& e : entries) EXPECT_GT(e.lsn, 25u);
+}
+
+// The three WAL readers — ReplayWal (crash recovery), ReadWalRange (the
+// leader's /repl/wal) and DecodeWalFrames (the follower) — must agree on a
+// damaged log: the same intact prefix, and Corruption in the same cases.
+
+constexpr size_t kReaderDim = 2;
+constexpr uint64_t kReaderEntries = 40;
+// Segment layout at dim 2 (see wal.h): a 28-byte header, then entries of
+// [u32 len][u32 crc] + [u64 lsn][i32 sensitive][2 × f64].
+constexpr long kHeaderBytes = 28;
+constexpr long kEntryBytes = 8 + 8 + 4 + 2 * 8;
+constexpr long kPayloadOffset = 8;
+
+std::vector<std::string> SegmentPaths(const std::string& dir) {
+  std::vector<std::string> paths;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    paths.push_back(e.path().string());
+  }
+  std::sort(paths.begin(), paths.end());  // zero-padded names: log order
+  return paths;
+}
+
+/// Writes kReaderEntries entries over several small segments and returns
+/// the segment paths in log order.
+std::vector<std::string> WriteSegmentedWal(const std::string& dir) {
+  WalOptions options;
+  options.fsync_every = 0;
+  options.segment_bytes = 256;
+  auto wal = WalWriter::Open(dir, kReaderDim, 1, options);
+  KANON_CHECK(wal.ok());
+  for (uint64_t lsn = 1; lsn <= kReaderEntries; ++lsn) {
+    const std::vector<double> p = {static_cast<double>(lsn),
+                                   static_cast<double>(lsn * 3 % 11)};
+    KANON_CHECK((*wal)->Append(lsn, p, static_cast<int32_t>(lsn % 4)).ok());
+  }
+  KANON_CHECK((*wal)->Sync().ok());
+  return SegmentPaths(dir);
+}
+
+void FlipByte(const std::string& path, long offset) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  f.seekg(offset);
+  char c = 0;
+  f.read(&c, 1);
+  f.seekp(offset);
+  f.put(static_cast<char>(c ^ 0x40));
+}
+
+void AppendBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::app);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+std::string ReadBytes(const std::string& path, long offset, long n) {
+  std::ifstream in(path, std::ios::binary);
+  in.seekg(offset);
+  std::string bytes(static_cast<size_t>(n), '\0');
+  in.read(bytes.data(), n);
+  return bytes;
+}
+
+/// Entries the newest segment holds.
+uint64_t NewestEntries(const std::vector<std::string>& paths) {
+  return static_cast<uint64_t>((FileSize(paths.back()) - kHeaderBytes) /
+                               kEntryBytes);
+}
+
+struct ReaderOutcome {
+  StatusCode range_code = StatusCode::kOk;
+  StatusCode replay_code = StatusCode::kOk;
+  std::vector<Entry> shipped;   // ReadWalRange, then DecodeWalFrames
+  std::vector<Entry> replayed;  // ReplayWal
+  bool truncated = false;
+};
+
+/// Runs the read-only range read (and the follower's decode of it) first,
+/// then recovery's replay, which may truncate.
+ReaderOutcome ReadWithEveryReader(const std::string& dir) {
+  ReaderOutcome out;
+  auto collect = [](std::vector<Entry>* into) {
+    return [into](uint64_t lsn, std::span<const double> point,
+                  int32_t sensitive) {
+      into->push_back({lsn, {point.begin(), point.end()}, sensitive});
+    };
+  };
+  auto range = ReadWalRange(dir, kReaderDim, 1, UINT64_MAX, 1u << 20);
+  out.range_code = range.status().code();
+  if (range.ok()) {
+    const Status decoded =
+        DecodeWalFrames(range->frames, kReaderDim, collect(&out.shipped));
+    EXPECT_TRUE(decoded.ok()) << decoded;
+  }
+  WalReplayResult replay;
+  out.replay_code =
+      ReplayWal(dir, kReaderDim, 1, collect(&out.replayed), &replay).code();
+  out.truncated = replay.truncated_tail;
+  return out;
+}
+
+void ExpectSamePrefix(const ReaderOutcome& out, uint64_t last_lsn,
+                      bool truncated) {
+  ASSERT_EQ(out.range_code, StatusCode::kOk);
+  ASSERT_EQ(out.replay_code, StatusCode::kOk);
+  EXPECT_EQ(out.truncated, truncated);
+  ASSERT_EQ(out.shipped.size(), last_lsn);
+  ASSERT_EQ(out.replayed.size(), last_lsn);
+  for (size_t i = 0; i < last_lsn; ++i) {
+    EXPECT_EQ(out.shipped[i].lsn, i + 1);
+    EXPECT_EQ(out.replayed[i].lsn, i + 1);
+    EXPECT_EQ(out.shipped[i].point, out.replayed[i].point);
+    EXPECT_EQ(out.shipped[i].sensitive, out.replayed[i].sensitive);
+  }
+}
+
+void ExpectBothCorrupt(const ReaderOutcome& out) {
+  EXPECT_EQ(out.range_code, StatusCode::kCorruption);
+  EXPECT_EQ(out.replay_code, StatusCode::kCorruption);
+}
+
+TEST(DurabilityWalReaderTest, TornBytesOnNewestSegment) {
+  ScratchDir dir;
+  const auto paths = WriteSegmentedWal(dir.path());
+  ASSERT_GT(paths.size(), 2u);
+  AppendBytes(paths.back(), std::string("\x24\x00\x00\x00\xde\xad", 6));
+  ExpectSamePrefix(ReadWithEveryReader(dir.path()), kReaderEntries,
+                   /*truncated=*/true);
+  // Recovery cut the torn bytes off: every reader now sees a clean log.
+  ExpectSamePrefix(ReadWithEveryReader(dir.path()), kReaderEntries,
+                   /*truncated=*/false);
+}
+
+TEST(DurabilityWalReaderTest, FlippedPayloadByteInNewestSegment) {
+  ScratchDir dir;
+  const auto paths = WriteSegmentedWal(dir.path());
+  const uint64_t newest = NewestEntries(paths);
+  ASSERT_GE(newest, 3u);
+  // Damage the newest segment's third entry: its first two survive.
+  FlipByte(paths.back(),
+           kHeaderBytes + 2 * kEntryBytes + kPayloadOffset + 12);
+  const uint64_t last_intact = kReaderEntries - newest + 2;
+  ExpectSamePrefix(ReadWithEveryReader(dir.path()), last_intact,
+                   /*truncated=*/true);
+  EXPECT_EQ(FileSize(paths.back()), kHeaderBytes + 2 * kEntryBytes);
+}
+
+TEST(DurabilityWalReaderTest, FlippedByteInSealedSegment) {
+  ScratchDir dir;
+  const auto paths = WriteSegmentedWal(dir.path());
+  ASSERT_GT(paths.size(), 2u);
+  const long size = FileSize(paths[1]);
+  FlipByte(paths[1], kHeaderBytes + kEntryBytes + kPayloadOffset + 12);
+  ExpectBothCorrupt(ReadWithEveryReader(dir.path()));
+  EXPECT_EQ(FileSize(paths[1]), size);  // sealed damage is never truncated
+}
+
+TEST(DurabilityWalReaderTest, HeaderOnlyNewestSegment) {
+  ScratchDir dir;
+  WriteSegmentedWal(dir.path());
+  // A writer that opened its segment and crashed before the first append.
+  ASSERT_TRUE(
+      WalWriter::Open(dir.path(), kReaderDim, kReaderEntries + 1).ok());
+  const auto paths = SegmentPaths(dir.path());
+  ASSERT_EQ(FileSize(paths.back()), kHeaderBytes);
+  ExpectSamePrefix(ReadWithEveryReader(dir.path()), kReaderEntries,
+                   /*truncated=*/false);
+}
+
+TEST(DurabilityWalReaderTest, BackwardsLsnWithValidChecksumInNewestSegment) {
+  ScratchDir dir;
+  const auto paths = WriteSegmentedWal(dir.path());
+  // Re-append the newest segment's first entry: a checksum-valid entry
+  // whose LSN goes backwards.
+  const std::string first_entry =
+      ReadBytes(paths.back(), kHeaderBytes, kEntryBytes);
+  AppendBytes(paths.back(), first_entry);
+  ExpectBothCorrupt(ReadWithEveryReader(dir.path()));
+
+  // The follower's decoder applies the same rule to frames on the wire.
+  std::string frames;
+  for (const std::string& path : paths) {
+    frames += ReadBytes(path, kHeaderBytes, FileSize(path) - kHeaderBytes);
+  }
+  std::vector<uint64_t> delivered;
+  const Status decoded = DecodeWalFrames(
+      frames, kReaderDim,
+      [&](uint64_t lsn, std::span<const double>, int32_t) {
+        delivered.push_back(lsn);
+      });
+  EXPECT_EQ(decoded.code(), StatusCode::kCorruption);
+  EXPECT_EQ(delivered.size(), kReaderEntries);
 }
 
 TEST(DurabilityCheckpointTest, ManifestRoundTripIsAtomic) {

@@ -498,6 +498,31 @@ TEST(ReplEndpointsTest, WalEndpointShipsDecodableFramesWithHeaders) {
   leader.service->Stop();
 }
 
+TEST(ReplEndpointsTest, MalformedOrUnknownQueryParamsAre400) {
+  ScratchDir dir;
+  Leader leader = StartLeader(dir.path());
+  IngestAndPublish(leader, 20);
+  for (const std::string target :
+       {"/repl/wal?from_lsn=1&max_bytes=abc",
+        "/repl/wal?from_lsn=1&max_bytes=0",
+        "/repl/wal?from_lsn=1&max_lsn=-1",
+        "/repl/wal?from_lsn=1&max_lsn=7x",
+        "/repl/wal?from_lsn=1&bogus=1",
+        "/repl/manifest?bogus=1",
+        "/repl/checkpoint/1?from_lsn=1"}) {
+    int status = 0;
+    const std::string body = Fetch(leader.port(), target, &status);
+    EXPECT_EQ(status, 400) << target << ": " << body;
+  }
+  // The keys the follower sends stay valid.
+  int status = 0;
+  (void)Fetch(leader.port(),
+              "/repl/wal?shard=0&from_lsn=1&max_lsn=20&max_bytes=1048576",
+              &status);
+  EXPECT_EQ(status, 200);
+  leader.service->Stop();
+}
+
 TEST(ReplEndpointsTest, GcdWalRangeIs410OverHttp) {
   ScratchDir dir;
   // Small segments + frequent checkpoints: ingesting enough rotates and
