@@ -53,9 +53,7 @@ int main() {
         snapshot && snapshot->info().epoch != last_epoch) {
       last_epoch = snapshot->info().epoch;
       std::cout << "snapshot " << last_epoch << ": records="
-                << snapshot->info().records << " partitions="
-                << snapshot->info().num_partitions << " min|G|="
-                << snapshot->info().min_partition << " build="
+                << snapshot->info().records << " build="
                 << snapshot->info().build_ms << "ms\n";
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(1));

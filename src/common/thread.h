@@ -1,15 +1,9 @@
 #ifndef KANON_COMMON_THREAD_H_
 #define KANON_COMMON_THREAD_H_
 
-#include <condition_variable>
-#include <deque>
 #include <functional>
-#include <mutex>
 #include <thread>
 #include <utility>
-#include <vector>
-
-#include "common/check.h"
 
 namespace kanon {
 
@@ -38,114 +32,6 @@ class JoinableThread {
 
  private:
   std::thread thread_;
-};
-
-/// A bounded multi-producer multi-consumer blocking queue. Producers block
-/// (Push) or fail fast (TryPush) when the queue is at capacity; consumers
-/// block until an item arrives, the queue closes, or a caller-supplied wake
-/// condition fires. Close() makes every subsequent push fail and lets
-/// consumers drain the remaining items before Pop/PopBatch report exhaustion.
-template <typename T>
-class BoundedQueue {
- public:
-  explicit BoundedQueue(size_t capacity) : capacity_(capacity) {
-    KANON_CHECK(capacity >= 1);
-  }
-
-  BoundedQueue(const BoundedQueue&) = delete;
-  BoundedQueue& operator=(const BoundedQueue&) = delete;
-
-  size_t capacity() const { return capacity_; }
-  size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return items_.size();
-  }
-
-  /// Blocks while the queue is full. Returns false iff the queue was closed
-  /// (the item is dropped).
-  bool Push(T item) {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_full_.wait(lock,
-                   [&] { return closed_ || items_.size() < capacity_; });
-    if (closed_) return false;
-    items_.push_back(std::move(item));
-    lock.unlock();
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// Non-blocking push. Returns false when the queue is full or closed.
-  bool TryPush(T item) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (closed_ || items_.size() >= capacity_) return false;
-      items_.push_back(std::move(item));
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// Blocks until an item is available or the queue is closed and empty
-  /// (returns false).
-  bool Pop(T* out) {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
-    if (items_.empty()) return false;
-    *out = std::move(items_.front());
-    items_.pop_front();
-    lock.unlock();
-    not_full_.notify_one();
-    return true;
-  }
-
-  /// Appends up to `max` items to `out` in FIFO order, blocking until at
-  /// least one is available, the queue is closed and empty, or `wake`
-  /// (checked under the queue lock) returns true. Returns the number of
-  /// items appended; 0 means the queue is drained-and-closed or `wake`
-  /// fired on an empty queue.
-  size_t PopBatch(std::vector<T>* out, size_t max,
-                  const std::function<bool()>& wake = nullptr) {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_empty_.wait(lock, [&] {
-      return closed_ || !items_.empty() || (wake != nullptr && wake());
-    });
-    const size_t n = std::min(max, items_.size());
-    for (size_t i = 0; i < n; ++i) {
-      out->push_back(std::move(items_.front()));
-      items_.pop_front();
-    }
-    lock.unlock();
-    if (n > 0) not_full_.notify_all();
-    return n;
-  }
-
-  /// Closes the queue: pushes fail from now on, blocked producers and
-  /// consumers wake. Items already queued remain poppable.
-  void Close() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      closed_ = true;
-    }
-    not_empty_.notify_all();
-    not_full_.notify_all();
-  }
-
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return closed_;
-  }
-
-  /// Wakes blocked consumers so they re-evaluate their `wake` condition
-  /// (used to deliver out-of-band control signals, e.g. "publish now").
-  void Notify() { not_empty_.notify_all(); }
-
- private:
-  const size_t capacity_;
-  mutable std::mutex mu_;
-  std::condition_variable not_empty_;
-  std::condition_variable not_full_;
-  std::deque<T> items_;
-  bool closed_ = false;
 };
 
 }  // namespace kanon

@@ -26,18 +26,6 @@ size_t BinOf(const Histogram& h, double value) {
 
 }  // namespace
 
-Histogram SampleHistogram(std::span<const double> samples, size_t num_bins) {
-  Histogram h;
-  if (samples.empty()) return h;
-  const auto [lo, hi] = std::minmax_element(samples.begin(), samples.end());
-  h.lo = *lo;
-  h.hi = *hi;
-  h.mass.assign(std::max<size_t>(1, num_bins), 0.0);
-  const double w = 1.0 / static_cast<double>(samples.size());
-  for (const double v : samples) h.mass[BinOf(h, v)] += w;
-  return h;
-}
-
 Histogram OriginalHistogram(const Dataset& dataset, size_t attr,
                             size_t num_bins) {
   KANON_CHECK(!dataset.empty() && attr < dataset.dim());

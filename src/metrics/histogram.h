@@ -1,7 +1,6 @@
 #ifndef KANON_METRICS_HISTOGRAM_H_
 #define KANON_METRICS_HISTOGRAM_H_
 
-#include <span>
 #include <vector>
 
 #include "anon/partition.h"
@@ -21,11 +20,6 @@ struct Histogram {
                         : (hi - lo) / static_cast<double>(mass.size());
   }
 };
-
-/// Equi-width histogram over raw samples, with bounds taken from the sample
-/// min/max. Not tied to a Dataset — used e.g. by the serving layer for its
-/// ingest batch-size distribution. Empty input yields an empty histogram.
-Histogram SampleHistogram(std::span<const double> samples, size_t num_bins);
 
 /// Histogram of the original data on attribute `attr`: each record adds
 /// 1/n to the bin containing its exact value.

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "common/env.h"
 #include "durability/checkpoint.h"
@@ -134,27 +135,34 @@ Status ParseEpsilonParam(
   return Status::OK();
 }
 
+/// Appends the comma-separated finite numbers of `list` to `out`;
+/// InvalidArgument names the first field that is not one.
+Status ParseNumberList(std::string_view list, std::vector<double>* out) {
+  size_t start = 0;
+  while (start <= list.size()) {
+    size_t end = list.find(',', start);
+    if (end == std::string_view::npos) end = list.size();
+    const std::string field(TrimWs(list.substr(start, end - start)));
+    char* parse_end = nullptr;
+    const double v = std::strtod(field.c_str(), &parse_end);
+    if (field.empty() || parse_end == field.c_str() || *parse_end != '\0' ||
+        !std::isfinite(v)) {
+      return Status::InvalidArgument("unparseable number '" + field + "'");
+    }
+    out->push_back(v);
+    start = end + 1;
+  }
+  return Status::OK();
+}
+
 /// Parses a comma-separated list of exactly `dim` finite numbers (the
 /// per-dimension bounds of a DP range query).
 Status ParseBoundsParam(const std::string& value, size_t dim,
                         std::string_view name, std::vector<double>* out) {
   out->clear();
-  size_t start = 0;
-  while (start <= value.size()) {
-    size_t end = value.find(',', start);
-    if (end == std::string::npos) end = value.size();
-    const std::string field(
-        TrimWs(std::string_view(value.data() + start, end - start)));
-    char* parse_end = nullptr;
-    const double v = std::strtod(field.c_str(), &parse_end);
-    if (field.empty() || parse_end == field.c_str() || *parse_end != '\0' ||
-        !std::isfinite(v)) {
-      return Status::InvalidArgument(std::string(name) +
-                                     " has an unparseable number in '" +
-                                     value + "'");
-    }
-    out->push_back(v);
-    start = end + 1;
+  if (Status s = ParseNumberList(value, out); !s.ok()) {
+    return Status::InvalidArgument(std::string(name) + " has an " +
+                                   s.message() + " in '" + value + "'");
   }
   if (out->size() != dim) {
     return Status::InvalidArgument(
@@ -181,28 +189,19 @@ Status ParseRecordLine(std::string_view line, size_t dim,
     s.remove_suffix(1);
   }
   // Both accepted forms are now a comma-separated list of numbers.
-  size_t start = 0;
-  const std::string flat(s);
-  while (start <= flat.size()) {
-    size_t end = flat.find(',', start);
-    if (end == std::string::npos) end = flat.size();
-    const std::string field(TrimWs(
-        std::string_view(flat.data() + start, end - start)));
-    if (field.empty()) {
-      return Status::InvalidArgument("empty field in record: " +
-                                     std::string(line));
-    }
-    char* parse_end = nullptr;
-    const double v = std::strtod(field.c_str(), &parse_end);
-    if (parse_end == field.c_str() || *parse_end != '\0' || !std::isfinite(v)) {
-      return Status::InvalidArgument("unparseable number '" + field +
-                                     "' in record: " + std::string(line));
-    }
-    point->push_back(v);
-    start = end + 1;
+  if (Status parsed = ParseNumberList(s, point); !parsed.ok()) {
+    return Status::InvalidArgument(parsed.message() +
+                                   " in record: " + std::string(line));
   }
   if (point->size() == dim + 1) {
-    *sensitive = static_cast<int32_t>(point->back());
+    const double code = point->back();
+    if (code != std::trunc(code) ||
+        code < std::numeric_limits<int32_t>::min() ||
+        code > std::numeric_limits<int32_t>::max()) {
+      return Status::InvalidArgument(
+          "sensitive code is not a 32-bit integer: " + std::string(line));
+    }
+    *sensitive = static_cast<int32_t>(code);
     point->pop_back();
   } else if (point->size() != dim) {
     return Status::InvalidArgument(
@@ -244,10 +243,9 @@ std::string PartitionsJson(const PartitionSet& ps, bool with_rids) {
 }
 
 AnonHttpFrontend::AnonHttpFrontend(ShardedAnonymizationService* service,
-                                   AnonHttpOptions options)
+                                   const DpServingOptions& dp)
     : service_(service),
-      dp_(DpServingOptions{options.dp_budget, options.dp_lifetime_budget,
-                           options.dp_key, options.dp_metrics_utility}),
+      dp_(dp),
       router_(MakeRoutes()) {}
 
 std::vector<Route> AnonHttpFrontend::MakeRoutes() {
@@ -784,116 +782,51 @@ HttpResponse AnonHttpFrontend::HandleReplWal(const HttpRequest&,
 
 HttpResponse AnonHttpFrontend::HandleMetrics() {
   const ShardedServiceStats sharded = service_->Stats();
-  const ServiceStats& stats = sharded.total;
   std::string out;
   out.reserve(16 << 10);
   AppendPromMetric(&out, "kanon_shards", "gauge",
-               static_cast<double>(service_->num_shards()));
-
-  // Serving-layer counters (aggregated across shards; per-shard series
-  // with a shard label follow below).
-  AppendPromMetric(&out, "kanon_enqueued_total", "counter",
-               static_cast<double>(stats.enqueued));
-  AppendPromMetric(&out, "kanon_rejected_total", "counter",
-               static_cast<double>(stats.rejected));
-  AppendPromMetric(&out, "kanon_inserted_total", "counter",
-               static_cast<double>(stats.inserted));
-  AppendPromMetric(&out, "kanon_batches_total", "counter",
-               static_cast<double>(stats.batches));
-  AppendPromMetric(&out, "kanon_snapshots_total", "counter",
-               static_cast<double>(stats.snapshots));
-  AppendPromMetric(&out, "kanon_queue_depth", "gauge",
-               static_cast<double>(stats.queue_depth));
-  AppendPromMetric(&out, "kanon_snapshot_age_seconds", "gauge",
-               stats.snapshot_age_s);
-  AppendPromMetric(&out, "kanon_last_snapshot_build_ms", "gauge",
-               stats.last_snapshot_build_ms);
-
-  // Durability counters (all zero without a WAL; exported regardless so
-  // dashboards need no conditional wiring).
-  AppendPromMetric(&out, "kanon_durable", "gauge", stats.durable ? 1 : 0);
-  AppendPromMetric(&out, "kanon_recovered_total", "counter",
-               static_cast<double>(stats.recovered));
-  AppendPromMetric(&out, "kanon_wal_appended_total", "counter",
-               static_cast<double>(stats.wal_appended));
-  AppendPromMetric(&out, "kanon_wal_bytes_total", "counter",
-               static_cast<double>(stats.wal_bytes));
-  AppendPromMetric(&out, "kanon_wal_syncs_total", "counter",
-               static_cast<double>(stats.wal_syncs));
-  AppendPromMetric(&out, "kanon_wal_synced_lsn", "gauge",
-               static_cast<double>(stats.wal_synced_lsn));
-  AppendPromMetric(&out, "kanon_checkpoints_total", "counter",
-               static_cast<double>(stats.checkpoints));
-  AppendPromMetric(&out, "kanon_last_checkpoint_lsn", "gauge",
-               static_cast<double>(stats.last_checkpoint_lsn));
-  AppendPromMetric(&out, "kanon_wal_retries_total", "counter",
-               static_cast<double>(stats.wal_retries));
-  AppendPromMetric(&out, "kanon_wal_recoveries_total", "counter",
-               static_cast<double>(stats.wal_recoveries));
-  AppendPromMetric(&out, "kanon_unavailable_total", "counter",
-               static_cast<double>(stats.unavailable));
-  AppendPromMetric(&out, "kanon_dropped_total", "counter",
-               static_cast<double>(stats.dropped));
-  AppendPromMetric(&out, "kanon_wal_poisoned", "gauge",
-               stats.wal_poisoned ? 1 : 0);
-
-  AppendPromMetric(&out, "kanon_snapshot_build_ms_total", "counter",
-               stats.snapshot_build_ms_total);
-  // Ingest-thread time attribution.
-  AppendPromMetric(&out, "kanon_ingest_queue_wait_ms_total", "counter",
-               stats.queue_wait_ms);
-  AppendPromMetric(&out, "kanon_ingest_apply_ms_total", "counter",
-               stats.apply_ms);
+                   static_cast<double>(service_->num_shards()));
+  // Serving-layer and durability counters, merged across shards (all zero
+  // without a WAL; exported regardless so dashboards need no conditional
+  // wiring).
+  for (const ServiceCounter& counter : kServiceCounters) {
+    AppendPromMetric(&out, counter.name, counter.type,
+                     CounterValue(counter, sharded.total));
+  }
 
   // Differentially private release subsystem: ledger counters plus the
   // per-release-point utility pair (k-anon vs DP range-query error).
   dp_.AppendMetrics(&out, service_->CurrentStitched().get());
 
-  // Health as a one-hot state vector (the Prometheus idiom for enums).
-  out += "# TYPE kanon_health gauge\n";
-  for (const ServiceHealth h : {ServiceHealth::kServing,
-                                ServiceHealth::kDegraded,
-                                ServiceHealth::kStopped}) {
-    out += "kanon_health{state=\"" + std::string(ServiceHealthName(h)) +
-           "\"} " + (stats.health == h ? "1" : "0") + "\n";
-  }
+  AppendPromOneHot(&out, "kanon_health", sharded.total.health,
+                   kNumServiceHealths, ServiceHealthName);
 
-  // Per-shard series. Only the counters that vary interestingly across
-  // shards get a labeled breakdown; everything else stays aggregate to
-  // keep the exposition small at high shard counts.
-  struct PerShardSeries {
-    const char* name;
-    const char* type;
-    uint64_t ServiceStats::* field;
-  };
-  static constexpr PerShardSeries kPerShard[] = {
-      {"kanon_shard_enqueued_total", "counter", &ServiceStats::enqueued},
-      {"kanon_shard_rejected_total", "counter", &ServiceStats::rejected},
-      {"kanon_shard_inserted_total", "counter", &ServiceStats::inserted},
-      {"kanon_shard_snapshots_total", "counter", &ServiceStats::snapshots},
-      {"kanon_shard_recovered_total", "counter", &ServiceStats::recovered},
-      {"kanon_shard_wal_appended_total", "counter",
-       &ServiceStats::wal_appended},
-  };
-  for (const PerShardSeries& series : kPerShard) {
-    out += "# TYPE " + std::string(series.name) + " " + series.type + "\n";
+  // Per-shard series with a shard label: the per_shard counters, then the
+  // per_shard gauges, then whether each shard is degraded.
+  const auto per_shard = [&](std::string_view name, std::string_view type,
+                             auto value) {
     for (size_t i = 0; i < sharded.shards.size(); ++i) {
-      out += std::string(series.name) + "{shard=\"" + std::to_string(i) +
-             "\"} " + std::to_string(sharded.shards[i].*series.field) + "\n";
+      const std::string label = "shard=\"" + std::to_string(i) + "\"";
+      if (i == 0) {
+        AppendPromMetric(&out, name, type, value(sharded.shards[i]), label);
+      } else {
+        AppendPromSample(&out, name, label, value(sharded.shards[i]));
+      }
+    }
+  };
+  for (const std::string_view type : {"counter", "gauge"}) {
+    for (const ServiceCounter& counter : kServiceCounters) {
+      if (!counter.per_shard || counter.type != type) continue;
+      const std::string name =
+          "kanon_shard_" + std::string(counter.name + std::strlen("kanon_"));
+      per_shard(name, type, [&](const ServiceStats& s) {
+        return CounterValue(counter, s);
+      });
     }
   }
-  out += "# TYPE kanon_shard_queue_depth gauge\n";
-  for (size_t i = 0; i < sharded.shards.size(); ++i) {
-    out += "kanon_shard_queue_depth{shard=\"" + std::to_string(i) + "\"} " +
-           std::to_string(sharded.shards[i].queue_depth) + "\n";
-  }
-  out += "# TYPE kanon_shard_degraded gauge\n";
-  for (size_t i = 0; i < sharded.shards.size(); ++i) {
-    out += "kanon_shard_degraded{shard=\"" + std::to_string(i) + "\"} " +
-           (sharded.shards[i].health == ServiceHealth::kDegraded ? "1"
-                                                                 : "0") +
-           "\n";
-  }
+  per_shard("kanon_shard_degraded", "gauge", [](const ServiceStats& s) {
+    return s.health == ServiceHealth::kDegraded ? 1.0 : 0.0;
+  });
 
   return router_.Metrics(out);
 }

@@ -16,36 +16,26 @@
 
 namespace kanon::net {
 
-struct AnonHttpOptions {
+/// Configuration of the DP serving half (see DpServing), for the leader
+/// frontend and the follower alike.
+struct DpServingOptions {
   /// Total epsilon spendable per release point on /release/dp (<= 0 =
   /// unlimited).
-  double dp_budget = 4.0;
+  double budget = 4.0;
   /// Total epsilon spendable across *all* release points (<= 0 =
   /// unlimited): the cap on cumulative per-record loss over the service
   /// lifetime (see DpBudgetLedger).
-  double dp_lifetime_budget = 0.0;
+  double lifetime_budget = 0.0;
   /// Operator secret the server-held noise key is derived from. Empty =
   /// a fresh random key per process (still DP; not reproducible across
   /// servers). Give every shard/leader/follower of one deployment the
   /// same secret (--dp-key) for byte-identical releases. Never accepted
   /// from requests, never serialized anywhere.
-  std::string dp_key;
+  std::string key_secret;
   /// Publish the truth-derived kanon_release_avg_range_error utility pair
   /// in /metrics. Off by default: the statistic is computed against exact
   /// counts outside the DP accounting, so it is only safe when /metrics
   /// is scraped from a trusted operator plane (see DESIGN.md §17).
-  bool dp_metrics_utility = false;
-};
-
-/// Configuration of the shared DP serving half (see DpServing).
-struct DpServingOptions {
-  double budget = 4.0;           // per release point, <= 0 = unlimited
-  double lifetime_budget = 0.0;  // across all points, <= 0 = unlimited
-  /// Operator secret the noise key is derived from; empty = random
-  /// per-process key. See AnonHttpOptions::dp_key.
-  std::string key_secret;
-  /// Publish the truth-derived utility pair in /metrics (trusted-plane
-  /// only; see AnonHttpOptions::dp_metrics_utility).
   bool utility_in_metrics = false;
 };
 
@@ -171,7 +161,7 @@ class DpServing {
 class AnonHttpFrontend {
  public:
   explicit AnonHttpFrontend(ShardedAnonymizationService* service,
-                            AnonHttpOptions options = {});
+                            const DpServingOptions& dp = {});
 
   /// The handler to hand to HttpServer.
   HttpResponse Handle(const HttpRequest& request) {

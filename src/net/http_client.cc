@@ -15,9 +15,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <chrono>
-#include <thread>
-
 namespace kanon::net {
 
 namespace {
@@ -222,31 +219,6 @@ StatusOr<ClientResponse> HttpClient::RoundTrip(
     }
     buf.append(chunk, static_cast<size_t>(n));
   }
-}
-
-StatusOr<ClientResponse> GetWithRetry(HttpClient& client,
-                                      const std::string& host, uint16_t port,
-                                      const std::string& target,
-                                      const RetryOptions& retry) {
-  Status last = Status::IoError("no attempts made");
-  double backoff_s = retry.backoff_initial_s;
-  for (int attempt = 0; attempt < retry.max_attempts; ++attempt) {
-    if (attempt > 0) {
-      std::this_thread::sleep_for(std::chrono::duration<double>(backoff_s));
-      backoff_s = std::min(backoff_s * 2, retry.backoff_max_s);
-    }
-    if (!client.connected()) {
-      const Status s = client.Connect(host, port, retry.timeout_s);
-      if (!s.ok()) {
-        last = s;
-        continue;
-      }
-    }
-    StatusOr<ClientResponse> resp = client.Get(target);
-    if (resp.ok()) return resp;
-    last = resp.status();
-  }
-  return last;
 }
 
 }  // namespace kanon::net

@@ -62,26 +62,6 @@ class HttpClient {
   std::string residual_;  // bytes read past the previous response
 };
 
-/// Caps for GetWithRetry.
-struct RetryOptions {
-  int max_attempts = 3;            // total tries, including the first
-  double backoff_initial_s = 0.05; // sleep before the 2nd try
-  double backoff_max_s = 1.0;      // exponential backoff cap
-  double timeout_s = 5.0;          // per-attempt connect + socket timeout
-};
-
-/// Issues a GET, (re)connecting `client` to host:port as needed, and
-/// retries *transport* failures (connect refused, timeout, torn response)
-/// up to max_attempts with capped exponential backoff. HTTP error statuses
-/// are returned as-is — a 503 is an answer, not a transport fault, and the
-/// caller decides how to react to it. On a transport failure the
-/// connection is already closed (RoundTrip's contract), so the next
-/// attempt reconnects from scratch.
-StatusOr<ClientResponse> GetWithRetry(HttpClient& client,
-                                      const std::string& host, uint16_t port,
-                                      const std::string& target,
-                                      const RetryOptions& retry = {});
-
 }  // namespace kanon::net
 
 #endif  // KANON_NET_HTTP_CLIENT_H_

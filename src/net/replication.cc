@@ -416,10 +416,7 @@ std::string StalenessValue(double staleness_ms) {
 
 FollowerFrontend::FollowerFrontend(ReplicatedFollower* follower)
     : follower_(follower),
-      dp_(DpServingOptions{follower->options().dp_budget,
-                           follower->options().dp_lifetime_budget,
-                           follower->options().dp_key,
-                           follower->options().dp_metrics_utility}),
+      dp_(follower->options().dp),
       router_(MakeRoutes()) {}
 
 std::vector<Route> FollowerFrontend::MakeRoutes() {
@@ -508,16 +505,10 @@ HttpResponse FollowerFrontend::HandleHealthz() {
 
 HttpResponse FollowerFrontend::HandleMetrics() {
   const FollowerCore* core = follower_->core();
-  const ReplState state = follower_->state();
   std::string out;
   out.reserve(4096);
-  out += "# TYPE kanon_repl_state gauge\n";
-  for (int i = 0; i < kNumReplStates; ++i) {
-    const auto s = static_cast<ReplState>(i);
-    AppendPromSample(&out, "kanon_repl_state",
-                     "state=\"" + std::string(ReplStateName(s)) + "\"",
-                     state == s ? 1 : 0);
-  }
+  AppendPromOneHot(&out, "kanon_repl_state", follower_->state(),
+                   kNumReplStates, ReplStateName);
   AppendPromMetric(&out, "kanon_repl_lag_lsn", "gauge",
                    static_cast<double>(follower_->lag_lsn()));
   const double staleness = core->staleness_ms();

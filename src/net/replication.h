@@ -121,15 +121,12 @@ struct FollowerOptions {
   uint64_t backoff_initial_ms = 100;
   uint64_t backoff_max_ms = 5000;
   uint64_t jitter_seed = 0;  // 0 = seed from the clock
-  /// DP serving knobs (see AnonHttpOptions): the follower keeps its own
-  /// budget ledger, but its releases are byte-identical to the leader's at
-  /// the same publication point and epsilon — provided the operator gave
-  /// both the same noise-key secret (dp_key). An empty dp_key means a
-  /// random per-process key: still DP, not leader-identical.
-  double dp_budget = 4.0;
-  double dp_lifetime_budget = 0.0;
-  std::string dp_key;
-  bool dp_metrics_utility = false;
+  /// DP serving: the follower keeps its own budget ledger, but its
+  /// releases are byte-identical to the leader's at the same publication
+  /// point and epsilon — provided the operator gave both the same
+  /// noise-key secret. An empty secret means a random per-process key:
+  /// still DP, not leader-identical.
+  DpServingOptions dp;
 };
 
 /// A read replica: bootstraps a FollowerCore from the leader's checkpoint,

@@ -107,6 +107,21 @@ void AppendPromMetric(std::string* out, std::string_view name,
 void AppendPromSample(std::string* out, std::string_view name,
                       std::string_view labels, double value);
 
+/// Appends an enum as a one-hot gauge, the Prometheus idiom for enums: a
+/// `# TYPE` line, then `name{state="<state_name(s)>"}` for each of the
+/// `num_states` values s of Enum, 1 for `active` and 0 for the rest.
+template <typename Enum>
+void AppendPromOneHot(std::string* out, std::string_view name, Enum active,
+                      int num_states, const char* (*state_name)(Enum)) {
+  out->append("# TYPE ").append(name).append(" gauge\n");
+  for (int i = 0; i < num_states; ++i) {
+    const auto state = static_cast<Enum>(i);
+    AppendPromSample(out, name,
+                     "state=\"" + std::string(state_name(state)) + "\"",
+                     state == active ? 1 : 0);
+  }
+}
+
 }  // namespace kanon::net
 
 #endif  // KANON_NET_ROUTER_H_

@@ -133,10 +133,6 @@ ServiceStats AnonymizationService::Stats() const {
       last_build_ms_.load(std::memory_order_relaxed);
   stats.snapshot_build_ms_total =
       build_ms_total_.load(std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(samples_mu_);
-    stats.batch_sizes = SampleHistogram(batch_samples_, 16);
-  }
   stats.queue_wait_ms = queue_wait_ms_.load(std::memory_order_relaxed);
   stats.apply_ms = apply_ms_.load(std::memory_order_relaxed);
   if (const auto snapshot = CurrentSnapshot()) {
@@ -287,10 +283,6 @@ void AnonymizationService::ApplyBatch(const IngestBatch& batch) {
   batches_.fetch_add(1, std::memory_order_relaxed);
   since_snapshot_ += logged;
   since_checkpoint_ += logged;
-  std::lock_guard<std::mutex> lock(samples_mu_);
-  if (batch_samples_.size() < kMaxBatchSamples) {
-    batch_samples_.push_back(static_cast<double>(logged));
-  }
 }
 
 void AnonymizationService::EnterDegraded(const std::string& reason) {

@@ -263,13 +263,6 @@ class AnonymizationService {
   std::atomic<double> last_build_ms_{0.0};
   std::atomic<double> build_ms_total_{0.0};
 
-  // Batch-size samples for the histogram, capped so a long-running
-  // service cannot grow them unboundedly (counters keep exact totals
-  // regardless).
-  static constexpr size_t kMaxBatchSamples = 1 << 16;
-  mutable std::mutex samples_mu_;
-  std::vector<double> batch_samples_;
-
   // Ingest-thread time split (written by the ingest thread only; the
   // load+store is not a race because there is exactly one writer).
   std::atomic<double> queue_wait_ms_{0.0};

@@ -120,9 +120,6 @@ class FollowerCore {
   std::shared_ptr<const StitchedSnapshot> CurrentStitched() const;
 
   size_t dim() const { return dim_; }
-  const RTreeAnonymizerOptions& anonymizer_options() const {
-    return options_.anonymizer;
-  }
 
  private:
   const size_t dim_;

@@ -1,5 +1,6 @@
 #include "service/service_stats.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace kanon {
@@ -16,6 +17,34 @@ const char* ServiceHealthName(ServiceHealth health) {
   return "unknown";
 }
 
+double CounterValue(const ServiceCounter& counter, const ServiceStats& stats) {
+  return std::visit(
+      [&](auto field) { return static_cast<double>(stats.*field); },
+      counter.field);
+}
+
+void MergeShardStats(const ServiceStats& shard, ServiceStats* total) {
+  for (const ServiceCounter& counter : kServiceCounters) {
+    std::visit(
+        [&](auto field) {
+          auto& into = total->*field;
+          const auto value = shard.*field;
+          switch (counter.merge) {
+            case ShardMerge::kSum:
+              into += value;
+              break;
+            case ShardMerge::kMax:
+              into = std::max(into, value);
+              break;
+            case ShardMerge::kAny:
+              into = into || value;
+              break;
+          }
+        },
+        counter.field);
+  }
+}
+
 std::string FormatServiceStats(const ServiceStats& stats) {
   std::ostringstream os;
   os << "ingest: enqueued=" << stats.enqueued
@@ -23,12 +52,7 @@ std::string FormatServiceStats(const ServiceStats& stats) {
      << " queued=" << stats.queue_depth << "\n";
   os << "batches: count=" << stats.batches << " mean_size=";
   os.precision(1);
-  os << std::fixed << stats.mean_batch();
-  if (!stats.batch_sizes.mass.empty()) {
-    os << " size_range=[" << stats.batch_sizes.lo << ", "
-       << stats.batch_sizes.hi << "]";
-  }
-  os << "\n";
+  os << std::fixed << stats.mean_batch() << "\n";
   os.precision(2);
   os << "ingest_thread: queue_wait_ms=" << stats.queue_wait_ms
      << " apply_ms=" << stats.apply_ms

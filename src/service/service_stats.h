@@ -3,8 +3,7 @@
 
 #include <cstdint>
 #include <string>
-
-#include "metrics/histogram.h"
+#include <variant>
 
 namespace kanon {
 
@@ -19,6 +18,7 @@ namespace kanon {
 /// degraded through Stop() so the final report shows what happened; only a
 /// restart (which re-runs recovery) returns to kServing.
 enum class ServiceHealth { kServing, kDegraded, kStopped };
+constexpr int kNumServiceHealths = 3;
 
 /// Lower-case human name ("serving", "degraded", "stopped").
 const char* ServiceHealthName(ServiceHealth health);
@@ -32,10 +32,6 @@ struct ServiceStats {
   uint64_t batches = 0;    // tree critical sections taken
   uint64_t snapshots = 0;  // snapshot publications (== current epoch)
   size_t queue_depth = 0;  // records waiting right now
-
-  /// Distribution of drained batch sizes — how well batching amortizes the
-  /// tree critical section (mean batch size = inserted / batches).
-  Histogram batch_sizes;
 
   double last_snapshot_build_ms = 0.0;
   double snapshot_build_ms_total = 0.0;  // total time building snapshots
@@ -78,6 +74,90 @@ struct ServiceStats {
     return batches == 0 ? 0.0 : apply_ms / static_cast<double>(batches);
   }
 };
+
+/// How ShardedAnonymizationService::Stats() folds one counter of every
+/// shard into the service total.
+enum class ShardMerge {
+  kSum,  // counts, per-shard LSN horizons and cumulative times add up
+  kMax,  // the worst shard: its latest build time, its stalest snapshot
+  kAny,  // a flag is raised if any shard raised it
+};
+
+/// One exported service counter: a ServiceStats field, its Prometheus
+/// series and its shard-merge rule.
+struct ServiceCounter {
+  const char* name;  // the aggregate series, "kanon_..."
+  const char* type;  // "counter" or "gauge"
+  ShardMerge merge;
+  /// Also exported per shard as kanon_shard_<name without "kanon_">
+  /// {shard="i"}; the rest stay aggregate so the exposition stays small at
+  /// high shard counts.
+  bool per_shard;
+  std::variant<uint64_t ServiceStats::*, double ServiceStats::*,
+               bool ServiceStats::*>
+      field;
+};
+
+/// Every exported service counter, in /metrics order. The shard
+/// aggregation and the leader's /metrics both iterate this table; only
+/// `health` and `degraded_reason` are merged and rendered by hand.
+inline constexpr ServiceCounter kServiceCounters[] = {
+    {"kanon_enqueued_total", "counter", ShardMerge::kSum, true,
+     &ServiceStats::enqueued},
+    {"kanon_rejected_total", "counter", ShardMerge::kSum, true,
+     &ServiceStats::rejected},
+    {"kanon_inserted_total", "counter", ShardMerge::kSum, true,
+     &ServiceStats::inserted},
+    {"kanon_batches_total", "counter", ShardMerge::kSum, false,
+     &ServiceStats::batches},
+    {"kanon_snapshots_total", "counter", ShardMerge::kSum, true,
+     &ServiceStats::snapshots},
+    {"kanon_queue_depth", "gauge", ShardMerge::kSum, true,
+     &ServiceStats::queue_depth},
+    {"kanon_snapshot_age_seconds", "gauge", ShardMerge::kMax, false,
+     &ServiceStats::snapshot_age_s},
+    {"kanon_last_snapshot_build_ms", "gauge", ShardMerge::kMax, false,
+     &ServiceStats::last_snapshot_build_ms},
+    {"kanon_durable", "gauge", ShardMerge::kAny, false,
+     &ServiceStats::durable},
+    {"kanon_recovered_total", "counter", ShardMerge::kSum, true,
+     &ServiceStats::recovered},
+    {"kanon_wal_appended_total", "counter", ShardMerge::kSum, true,
+     &ServiceStats::wal_appended},
+    {"kanon_wal_bytes_total", "counter", ShardMerge::kSum, false,
+     &ServiceStats::wal_bytes},
+    {"kanon_wal_syncs_total", "counter", ShardMerge::kSum, false,
+     &ServiceStats::wal_syncs},
+    {"kanon_wal_synced_lsn", "gauge", ShardMerge::kSum, false,
+     &ServiceStats::wal_synced_lsn},
+    {"kanon_checkpoints_total", "counter", ShardMerge::kSum, false,
+     &ServiceStats::checkpoints},
+    {"kanon_last_checkpoint_lsn", "gauge", ShardMerge::kSum, false,
+     &ServiceStats::last_checkpoint_lsn},
+    {"kanon_wal_retries_total", "counter", ShardMerge::kSum, false,
+     &ServiceStats::wal_retries},
+    {"kanon_wal_recoveries_total", "counter", ShardMerge::kSum, false,
+     &ServiceStats::wal_recoveries},
+    {"kanon_unavailable_total", "counter", ShardMerge::kSum, false,
+     &ServiceStats::unavailable},
+    {"kanon_dropped_total", "counter", ShardMerge::kSum, false,
+     &ServiceStats::dropped},
+    {"kanon_wal_poisoned", "gauge", ShardMerge::kAny, false,
+     &ServiceStats::wal_poisoned},
+    {"kanon_snapshot_build_ms_total", "counter", ShardMerge::kSum, false,
+     &ServiceStats::snapshot_build_ms_total},
+    {"kanon_ingest_queue_wait_ms_total", "counter", ShardMerge::kSum, false,
+     &ServiceStats::queue_wait_ms},
+    {"kanon_ingest_apply_ms_total", "counter", ShardMerge::kSum, false,
+     &ServiceStats::apply_ms},
+};
+
+/// `counter`'s field of `stats` as a sample value.
+double CounterValue(const ServiceCounter& counter, const ServiceStats& stats);
+
+/// Folds every kServiceCounters field of one shard's `shard` stats into
+/// `total` by the counter's merge rule.
+void MergeShardStats(const ServiceStats& shard, ServiceStats* total);
 
 /// One-paragraph rendering for CLI / bench output.
 std::string FormatServiceStats(const ServiceStats& stats);

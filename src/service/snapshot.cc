@@ -35,11 +35,6 @@ std::shared_ptr<const Snapshot> BuildSnapshot(
   info.epoch = epoch;
   info.records = tree.size();
   info.base_k = anonymizer.base_k;
-  const PartitionSet base = LeafScan(fragments, info.base_k);
-  info.num_partitions = base.num_partitions();
-  info.min_partition = base.min_partition_size();
-  info.max_partition = base.max_partition_size();
-  info.avg_ncp = AverageBoxNcp(base, domain);
   info.build_ms = timer.ElapsedMillis();
   info.created = std::chrono::steady_clock::now();
   // Exact DP grid cell counts over every record. The accumulation is a

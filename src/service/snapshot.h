@@ -15,20 +15,13 @@
 
 namespace kanon {
 
-/// Metadata of one published snapshot, including the quality summary of its
-/// base-granularity release.
+/// Metadata of one published snapshot.
 struct SnapshotInfo {
   uint64_t epoch = 0;       // monotonically increasing publication counter
   uint64_t records = 0;     // live records covered (releasable) by this snapshot
   size_t base_k = 0;        // minimum granularity any release can request
-  double build_ms = 0.0;    // leaf extraction + base release + summary time
+  double build_ms = 0.0;    // leaf extraction time
   std::chrono::steady_clock::time_point created{};
-
-  // Quality of the base_k release (the finest publishable view).
-  size_t num_partitions = 0;
-  size_t min_partition = 0;
-  size_t max_partition = 0;
-  double avg_ncp = 0.0;  // mean per-record, per-attribute extent ratio
 
   double AgeSeconds() const {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -95,9 +88,8 @@ class Snapshot {
 
 /// Builds the release point of `tree` as publication `epoch`: one
 /// fragment per non-empty leaf in tree order (region clipped to `domain`;
-/// with anonymizer.compact off the region replaces the tight MBR), the
-/// base_k release's quality summary, and the exact DP cell counts at
-/// `dp_height` (none at 0). The leader's service and a replication
+/// with anonymizer.compact off the region replaces the tight MBR) and the
+/// exact DP cell counts at `dp_height` (none at 0). The leader's service and a replication
 /// follower both publish through this one function, so a follower that
 /// replayed the leader's records into an identically configured tree
 /// serves byte-identical releases at the same (epoch, records) point.

@@ -1,6 +1,5 @@
 #include "shard/sharded_service.h"
 
-#include <algorithm>
 #include <sstream>
 
 #include "common/check.h"
@@ -231,41 +230,12 @@ uint64_t ShardedAnonymizationService::inserted() const {
 ShardedServiceStats ShardedAnonymizationService::Stats() const {
   ShardedServiceStats stats;
   stats.shards.reserve(shards_.size());
-  ServiceStats& total = stats.total;
-  double max_age = 0.0;
   for (const auto& shard : shards_) {
-    ServiceStats s = shard->Stats();
-    total.enqueued += s.enqueued;
-    total.rejected += s.rejected;
-    total.inserted += s.inserted;
-    total.batches += s.batches;
-    total.snapshots += s.snapshots;
-    total.queue_depth += s.queue_depth;
-    total.last_snapshot_build_ms =
-        std::max(total.last_snapshot_build_ms, s.last_snapshot_build_ms);
-    max_age = std::max(max_age, s.snapshot_age_s);
-    total.durable = total.durable || s.durable;
-    total.recovered += s.recovered;
-    total.wal_appended += s.wal_appended;
-    total.wal_bytes += s.wal_bytes;
-    total.wal_syncs += s.wal_syncs;
-    total.wal_synced_lsn += s.wal_synced_lsn;
-    total.checkpoints += s.checkpoints;
-    total.last_checkpoint_lsn += s.last_checkpoint_lsn;
-    total.wal_retries += s.wal_retries;
-    total.wal_recoveries += s.wal_recoveries;
-    total.unavailable += s.unavailable;
-    total.dropped += s.dropped;
-    total.wal_poisoned = total.wal_poisoned || s.wal_poisoned;
-    total.queue_wait_ms += s.queue_wait_ms;
-    total.apply_ms += s.apply_ms;
-    total.snapshot_build_ms_total += s.snapshot_build_ms_total;
-    stats.shards.push_back(std::move(s));
+    stats.shards.push_back(shard->Stats());
+    MergeShardStats(stats.shards.back(), &stats.total);
   }
-  // Staleness of the stitched view is its stalest covered slice.
-  total.snapshot_age_s = max_age;
-  total.health = health();
-  total.degraded_reason = degraded_reason();
+  stats.total.health = health();
+  stats.total.degraded_reason = degraded_reason();
   return stats;
 }
 

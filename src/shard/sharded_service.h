@@ -24,10 +24,9 @@ struct ShardedServiceOptions {
   ShardingOptions sharding;
 };
 
-/// Aggregate + per-shard counters. `total` sums every additive counter and
-/// carries the aggregated health (degraded if any shard is degraded);
-/// non-additive fields (batch-size histogram) are left empty on the total
-/// and available per shard.
+/// Aggregate + per-shard counters. `total` merges every kServiceCounters
+/// field by its row's rule and carries the aggregated health (degraded if
+/// any shard is degraded) and the first shard's degraded reason.
 struct ShardedServiceStats {
   ServiceStats total;
   std::vector<ServiceStats> shards;

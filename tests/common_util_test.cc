@@ -45,77 +45,6 @@ TEST(JoinableThreadTest, JoinsOnDestruction) {
   EXPECT_TRUE(ran.load());
 }
 
-TEST(BoundedQueueTest, FifoOrderAndCapacity) {
-  BoundedQueue<int> q(2);
-  EXPECT_EQ(q.capacity(), 2u);
-  EXPECT_TRUE(q.TryPush(1));
-  EXPECT_TRUE(q.TryPush(2));
-  EXPECT_FALSE(q.TryPush(3));  // full
-  int v = 0;
-  EXPECT_TRUE(q.Pop(&v));
-  EXPECT_EQ(v, 1);
-  EXPECT_TRUE(q.TryPush(3));
-  EXPECT_TRUE(q.Pop(&v));
-  EXPECT_EQ(v, 2);
-  EXPECT_TRUE(q.Pop(&v));
-  EXPECT_EQ(v, 3);
-}
-
-TEST(BoundedQueueTest, PopBatchChunksInOrder) {
-  BoundedQueue<int> q(16);
-  for (int i = 0; i < 10; ++i) ASSERT_TRUE(q.TryPush(i));
-  std::vector<int> out;
-  EXPECT_EQ(q.PopBatch(&out, 4), 4u);
-  EXPECT_EQ(q.PopBatch(&out, 4), 4u);
-  EXPECT_EQ(q.PopBatch(&out, 4), 2u);
-  ASSERT_EQ(out.size(), 10u);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(out[i], i);
-}
-
-TEST(BoundedQueueTest, CloseDrainsThenReportsExhaustion) {
-  BoundedQueue<int> q(4);
-  ASSERT_TRUE(q.TryPush(7));
-  q.Close();
-  EXPECT_FALSE(q.TryPush(8));  // closed
-  EXPECT_FALSE(q.Push(9));
-  int v = 0;
-  EXPECT_TRUE(q.Pop(&v));  // queued item survives Close
-  EXPECT_EQ(v, 7);
-  EXPECT_FALSE(q.Pop(&v));  // drained + closed
-  std::vector<int> out;
-  EXPECT_EQ(q.PopBatch(&out, 4), 0u);
-}
-
-TEST(BoundedQueueTest, PushUnblocksWhenConsumerDrains) {
-  BoundedQueue<int> q(1);
-  ASSERT_TRUE(q.TryPush(0));
-  std::atomic<bool> pushed{false};
-  JoinableThread producer([&] {
-    EXPECT_TRUE(q.Push(1));  // blocks until the pop below
-    pushed.store(true);
-  });
-  int v = 0;
-  EXPECT_TRUE(q.Pop(&v));
-  EXPECT_TRUE(q.Pop(&v));  // waits for the producer's item
-  EXPECT_EQ(v, 1);
-  producer.Join();
-  EXPECT_TRUE(pushed.load());
-}
-
-TEST(BoundedQueueTest, PopBatchWakeConditionInterruptsWait) {
-  BoundedQueue<int> q(4);
-  std::atomic<bool> wake{false};
-  JoinableThread waker([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    wake.store(true);
-    q.Notify();
-  });
-  std::vector<int> out;
-  // Blocks on the empty queue until the wake condition fires; returns 0.
-  EXPECT_EQ(q.PopBatch(&out, 4, [&] { return wake.load(); }), 0u);
-  EXPECT_TRUE(out.empty());
-}
-
 TEST(RecordBatchTest, AppendRowAndClear) {
   RecordBatch batch(3);
   const double a[] = {1, 2, 3};

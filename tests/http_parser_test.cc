@@ -327,6 +327,12 @@ TEST(ParseRecordLineTest, RejectsWrongArityAndNonFinite) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(ParseRecordLine("a,b", 2, &point, &sensitive).code(),
             StatusCode::kInvalidArgument);
+  // The sensitive code must be an integer within int32.
+  for (const char* line : {"1,2,1e12", "1,2,0.5", "[1,2,-3e9]"}) {
+    EXPECT_EQ(ParseRecordLine(line, 2, &point, &sensitive).code(),
+              StatusCode::kInvalidArgument)
+        << line;
+  }
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "service/anonymization_service.h"
 #include "shard/sharded_service.h"
 #include "http_test_util.h"
+#include "scratch_dir.h"
 
 namespace kanon::net {
 namespace {
@@ -62,7 +63,7 @@ struct ServerUnderTest {
 
 ServerUnderTest StartServer(ServiceOptions service_options,
                             size_t num_threads = 2, size_t shards = 1,
-                            AnonHttpOptions frontend_options = {}) {
+                            DpServingOptions frontend_options = {}) {
   ServerUnderTest s;
   ShardedServiceOptions sharded_options;
   sharded_options.service = service_options;
@@ -486,6 +487,124 @@ TEST(HttpServerTest, TwoShardIngestStitchesBothShards) {
   EXPECT_TRUE(stitched->Release(5).CheckKAnonymous(5).ok());
 }
 
+/// The value of the sample line whose name and labels are `series` (e.g.
+/// `kanon_shards` or `kanon_shard_inserted_total{shard="0"}`), or -1 when
+/// no such line exists.
+double ScrapedValue(const std::string& body, const std::string& series) {
+  const std::string needle = "\n" + series + " ";
+  const size_t at = body.find(needle);
+  if (at == std::string::npos) return -1;
+  return std::strtod(body.c_str() + at + needle.size(), nullptr);
+}
+
+// Pins the whole leader exposition surface: every series typed once, in
+// one order, with the deterministic counters agreeing between the
+// aggregate and the per-shard breakdown.
+TEST(HttpServerTest, MetricsExposeEveryServiceSeriesOnce) {
+  const testutil::ScratchDir dir;
+  ServiceOptions options = SmallServiceOptions(5);
+  options.durability.wal_dir = dir.path();
+  ServerUnderTest s = StartServer(options, /*num_threads=*/2, /*shards=*/2);
+  HttpClient client = ConnectTo(*s.server);
+  constexpr size_t kRecords = 200;
+  auto post = client.Post("/ingest", GridBody(kRecords));
+  ASSERT_TRUE(post.ok()) << post.status();
+  ASSERT_EQ(post->status, 200);
+  ASSERT_NE(s.service->PublishNow(), nullptr);
+  auto metrics = client.Get("/metrics");
+  ASSERT_TRUE(metrics.ok()) << metrics.status();
+  ASSERT_EQ(metrics->status, 200);
+  const std::string& body = metrics->body;
+
+  std::vector<std::string> types;
+  std::map<std::string, int> typed;
+  size_t pos = 0;
+  while ((pos = body.find("# TYPE ", pos)) != std::string::npos) {
+    const size_t eol = body.find('\n', pos);
+    const std::string line = body.substr(pos + 7, eol - pos - 7);
+    types.push_back(line);
+    ++typed[line.substr(0, line.find(' '))];
+    pos = eol;
+  }
+  const std::vector<std::string> expected = {
+      "kanon_build_info gauge",
+      "kanon_shards gauge",
+      "kanon_enqueued_total counter",
+      "kanon_rejected_total counter",
+      "kanon_inserted_total counter",
+      "kanon_batches_total counter",
+      "kanon_snapshots_total counter",
+      "kanon_queue_depth gauge",
+      "kanon_snapshot_age_seconds gauge",
+      "kanon_last_snapshot_build_ms gauge",
+      "kanon_durable gauge",
+      "kanon_recovered_total counter",
+      "kanon_wal_appended_total counter",
+      "kanon_wal_bytes_total counter",
+      "kanon_wal_syncs_total counter",
+      "kanon_wal_synced_lsn gauge",
+      "kanon_checkpoints_total counter",
+      "kanon_last_checkpoint_lsn gauge",
+      "kanon_wal_retries_total counter",
+      "kanon_wal_recoveries_total counter",
+      "kanon_unavailable_total counter",
+      "kanon_dropped_total counter",
+      "kanon_wal_poisoned gauge",
+      "kanon_snapshot_build_ms_total counter",
+      "kanon_ingest_queue_wait_ms_total counter",
+      "kanon_ingest_apply_ms_total counter",
+      "kanon_dp_budget gauge",
+      "kanon_dp_lifetime_budget gauge",
+      "kanon_dp_lifetime_spent gauge",
+      "kanon_dp_releases_total counter",
+      "kanon_dp_cache_hits_total counter",
+      "kanon_dp_rejected_total counter",
+      "kanon_dp_evicted_total counter",
+      "kanon_dp_budget_spent gauge",
+      "kanon_dp_height gauge",
+      "kanon_health gauge",
+      "kanon_shard_enqueued_total counter",
+      "kanon_shard_rejected_total counter",
+      "kanon_shard_inserted_total counter",
+      "kanon_shard_snapshots_total counter",
+      "kanon_shard_recovered_total counter",
+      "kanon_shard_wal_appended_total counter",
+      "kanon_shard_queue_depth gauge",
+      "kanon_shard_degraded gauge",
+      "kanon_http_connections_accepted_total counter",
+      "kanon_http_connections_refused_total counter",
+      "kanon_http_open_connections gauge",
+      "kanon_http_parse_errors_total counter",
+      "kanon_http_timeouts_total counter",
+      "kanon_http_requests_total counter",
+      "kanon_http_request_latency_ms histogram",
+  };
+  EXPECT_EQ(types, expected) << body;
+  for (const auto& [name, count] : typed) {
+    EXPECT_EQ(count, 1) << name << " is typed " << count << " times";
+  }
+
+  for (const std::string& type : expected) {
+    const std::string name = type.substr(0, type.find(' '));
+    if (!name.starts_with("kanon_shard_")) continue;
+    for (const char* shard : {"0", "1"}) {
+      EXPECT_GE(ScrapedValue(body, name + "{shard=\"" + shard + "\"}"), 0)
+          << name << " has no series for shard " << shard;
+    }
+  }
+  EXPECT_EQ(ScrapedValue(body, "kanon_shards"), 2);
+  EXPECT_EQ(ScrapedValue(body, "kanon_durable"), 1);
+  EXPECT_EQ(ScrapedValue(body, "kanon_health{state=\"serving\"}"), 1);
+  EXPECT_EQ(ScrapedValue(body, "kanon_health{state=\"degraded\"}"), 0);
+  EXPECT_EQ(ScrapedValue(body, "kanon_inserted_total"), kRecords);
+  EXPECT_EQ(ScrapedValue(body, "kanon_enqueued_total"), kRecords);
+  EXPECT_EQ(ScrapedValue(body, "kanon_wal_appended_total"), kRecords);
+  EXPECT_EQ(ScrapedValue(body, "kanon_shard_inserted_total{shard=\"0\"}") +
+                ScrapedValue(body, "kanon_shard_inserted_total{shard=\"1\"}"),
+            kRecords);
+  s.service->Stop();
+}
+
 // When every shard's disk dies, ingest answers 503 on whichever shard a
 // record routes to and /healthz reports the fleet degraded.
 TEST(HttpServerTest, AllShardsDegradedSurfacesAs503) {
@@ -624,8 +743,8 @@ TEST(HttpServerTest, UnknownOrMalformedQueryParamsAre400) {
 // The DP read path end to end.
 
 TEST(HttpServerTest, DpReleaseServesNoisyHierarchy) {
-  AnonHttpOptions frontend_options;
-  frontend_options.dp_key = "test-secret";
+  DpServingOptions frontend_options;
+  frontend_options.key_secret = "test-secret";
   ServerUnderTest s = StartServer(SmallServiceOptions(4),
                                   /*num_threads=*/2, /*shards=*/1,
                                   frontend_options);
@@ -687,8 +806,8 @@ TEST(HttpServerTest, DpReleaseServesNoisyHierarchy) {
 }
 
 TEST(HttpServerTest, DpBudgetExhaustionIs429AndMemoizedReadsStayFree) {
-  AnonHttpOptions frontend_options;
-  frontend_options.dp_budget = 1.0;
+  DpServingOptions frontend_options;
+  frontend_options.budget = 1.0;
   ServerUnderTest s = StartServer(SmallServiceOptions(4),
                                   /*num_threads=*/2, /*shards=*/1,
                                   frontend_options);
@@ -738,8 +857,8 @@ TEST(HttpServerTest, DpDisabledAnswers409) {
 }
 
 TEST(HttpServerTest, MetricsExposeDpCountersAndOptInUtilityPair) {
-  AnonHttpOptions frontend_options;
-  frontend_options.dp_metrics_utility = true;  // trusted scrape plane
+  DpServingOptions frontend_options;
+  frontend_options.utility_in_metrics = true;  // trusted scrape plane
   ServerUnderTest s = StartServer(SmallServiceOptions(4),
                                   /*num_threads=*/2, /*shards=*/1,
                                   frontend_options);
@@ -802,8 +921,8 @@ TEST(HttpServerTest, MetricsOmitTruthDerivedUtilityPairByDefault) {
 // multiset at 1, 2 and 4 shards (partition releases cannot promise this —
 // shard routing changes the trees — but the DP grid is data-independent).
 TEST(HttpServerTest, DpReleaseByteIdenticalAcrossShardCounts) {
-  AnonHttpOptions frontend_options;
-  frontend_options.dp_key = "deployment-secret";
+  DpServingOptions frontend_options;
+  frontend_options.key_secret = "deployment-secret";
   std::vector<std::string> bodies;
   for (const size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
     ServerUnderTest s = StartServer(SmallServiceOptions(4),
@@ -822,7 +941,7 @@ TEST(HttpServerTest, DpReleaseByteIdenticalAcrossShardCounts) {
 
   // A server with a different secret draws different noise: the body
   // cannot be predicted without the key.
-  frontend_options.dp_key = "other-secret";
+  frontend_options.key_secret = "other-secret";
   ServerUnderTest other = StartServer(SmallServiceOptions(4),
                                       /*num_threads=*/2, /*shards=*/1,
                                       frontend_options);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <limits>
@@ -217,6 +218,62 @@ TEST_P(ShardedServiceFanoutTest, StitchedReleaseSatisfiesKBound) {
   const ShardedServiceStats stats = service.Stats();
   EXPECT_EQ(stats.total.inserted, kRecords);
   EXPECT_EQ(stats.shards.size(), shards);
+  // Every counter merges by its rule: counts and times sum, build time and
+  // staleness take the worst shard, flags are true if any shard's is.
+  ServiceStats want;
+  for (const ServiceStats& s : stats.shards) {
+    want.enqueued += s.enqueued;
+    want.rejected += s.rejected;
+    want.inserted += s.inserted;
+    want.batches += s.batches;
+    want.snapshots += s.snapshots;
+    want.queue_depth += s.queue_depth;
+    want.recovered += s.recovered;
+    want.wal_appended += s.wal_appended;
+    want.wal_bytes += s.wal_bytes;
+    want.wal_syncs += s.wal_syncs;
+    want.wal_synced_lsn += s.wal_synced_lsn;
+    want.checkpoints += s.checkpoints;
+    want.last_checkpoint_lsn += s.last_checkpoint_lsn;
+    want.wal_retries += s.wal_retries;
+    want.wal_recoveries += s.wal_recoveries;
+    want.unavailable += s.unavailable;
+    want.dropped += s.dropped;
+    want.queue_wait_ms += s.queue_wait_ms;
+    want.apply_ms += s.apply_ms;
+    want.snapshot_build_ms_total += s.snapshot_build_ms_total;
+    want.last_snapshot_build_ms =
+        std::max(want.last_snapshot_build_ms, s.last_snapshot_build_ms);
+    want.snapshot_age_s = std::max(want.snapshot_age_s, s.snapshot_age_s);
+    want.durable = want.durable || s.durable;
+    want.wal_poisoned = want.wal_poisoned || s.wal_poisoned;
+  }
+  const ServiceStats& total = stats.total;
+  EXPECT_EQ(total.enqueued, want.enqueued);
+  EXPECT_EQ(total.rejected, want.rejected);
+  EXPECT_EQ(total.inserted, want.inserted);
+  EXPECT_EQ(total.batches, want.batches);
+  EXPECT_EQ(total.snapshots, want.snapshots);
+  EXPECT_EQ(total.queue_depth, want.queue_depth);
+  EXPECT_EQ(total.recovered, want.recovered);
+  EXPECT_EQ(total.wal_appended, want.wal_appended);
+  EXPECT_EQ(total.wal_bytes, want.wal_bytes);
+  EXPECT_EQ(total.wal_syncs, want.wal_syncs);
+  EXPECT_EQ(total.wal_synced_lsn, want.wal_synced_lsn);
+  EXPECT_EQ(total.checkpoints, want.checkpoints);
+  EXPECT_EQ(total.last_checkpoint_lsn, want.last_checkpoint_lsn);
+  EXPECT_EQ(total.wal_retries, want.wal_retries);
+  EXPECT_EQ(total.wal_recoveries, want.wal_recoveries);
+  EXPECT_EQ(total.unavailable, want.unavailable);
+  EXPECT_EQ(total.dropped, want.dropped);
+  EXPECT_DOUBLE_EQ(total.queue_wait_ms, want.queue_wait_ms);
+  EXPECT_DOUBLE_EQ(total.apply_ms, want.apply_ms);
+  EXPECT_DOUBLE_EQ(total.snapshot_build_ms_total,
+                   want.snapshot_build_ms_total);
+  EXPECT_DOUBLE_EQ(total.last_snapshot_build_ms, want.last_snapshot_build_ms);
+  EXPECT_DOUBLE_EQ(total.snapshot_age_s, want.snapshot_age_s);
+  EXPECT_EQ(total.durable, want.durable);
+  EXPECT_EQ(total.wal_poisoned, want.wal_poisoned);
   service.Stop();
   EXPECT_EQ(service.health(), ServiceHealth::kStopped);
 }

@@ -453,6 +453,12 @@ bool ParseServeArgs(int argc, const char* const* argv,
 
 namespace {
 
+/// The --dp-* flags as the DP serving half of either role takes them.
+net::DpServingOptions DpOptions(const ServeOptions& options) {
+  return {options.dp_budget, options.dp_lifetime_budget, options.dp_key,
+          options.dp_metrics_utility};
+}
+
 /// `kanon_cli serve --follow`: run as a read replica. Mirrors RunServe's
 /// operational surface (the "listening on" line, signal-driven drain,
 /// --serve-seconds, the "final snapshot:" report) so the same harnesses
@@ -477,10 +483,7 @@ int RunFollower(const ServeOptions& options, std::ostream& log) {
   fopts.core.dp_height = options.dp_height;  // manifest overrides at bootstrap
   fopts.reject_stale_reads = options.stale_reads == "reject";
   fopts.poll_interval_ms = options.repl_poll_ms;
-  fopts.dp_budget = options.dp_budget;
-  fopts.dp_lifetime_budget = options.dp_lifetime_budget;
-  fopts.dp_key = options.dp_key;
-  fopts.dp_metrics_utility = options.dp_metrics_utility;
+  fopts.dp = DpOptions(options);
   fopts.scratch_dir =
       "/tmp/kanon-follower-" + std::to_string(::getpid());
 
@@ -684,13 +687,8 @@ int RunServe(const ServeOptions& options, std::ostream& log) {
     http_options.port = port;
     http_options.num_threads = options.http_threads;
     http_options.parser.max_body_bytes = options.max_body_bytes;
-    net::AnonHttpOptions frontend_options;
-    frontend_options.dp_budget = options.dp_budget;
-    frontend_options.dp_lifetime_budget = options.dp_lifetime_budget;
-    frontend_options.dp_key = options.dp_key;
-    frontend_options.dp_metrics_utility = options.dp_metrics_utility;
-    frontend = std::make_unique<net::AnonHttpFrontend>(&service,
-                                                       frontend_options);
+    frontend =
+        std::make_unique<net::AnonHttpFrontend>(&service, DpOptions(options));
     server = std::make_unique<net::HttpServer>(
         http_options, [f = frontend.get()](const net::HttpRequest& request) {
           return f->Handle(request);

@@ -111,6 +111,10 @@ grep -q "kanon_inserted_total $ROWS" "$WORKDIR/metrics.txt" \
   || fail "/metrics inserted_total != $ROWS"
 grep -q "^kanon_shards $SHARDS$" "$WORKDIR/metrics.txt" \
   || fail "/metrics kanon_shards != $SHARDS"
+TYPED_TWICE=$(grep '^# TYPE' "$WORKDIR/metrics.txt" | awk '{print $3}' \
+  | sort | uniq -d)
+[ -z "$TYPED_TWICE" ] \
+  || fail "/metrics types these names more than once: $TYPED_TWICE"
 if [ "$SHARDS" -gt 1 ]; then
   for s in $(seq 0 $((SHARDS - 1))); do
     grep -q "kanon_shard_inserted_total{shard=\"$s\"}" \
