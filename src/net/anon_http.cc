@@ -39,13 +39,18 @@ std::string_view TrimWs(std::string_view s) {
   return s;
 }
 
-/// InvalidArgument naming the first query key not in `allowed`. Read
-/// endpoints reject unknown parameters instead of ignoring them: a typo
-/// (epsilo=0.1) that silently serves the default would look honored while
-/// it is not.
+/// InvalidArgument naming the first query key not in `allowed`, or the
+/// first key given twice. Read endpoints reject unknown parameters instead
+/// of ignoring them: a typo (epsilo=0.1) that silently serves the default
+/// would look honored while it is not. A repeated key is ambiguous the same
+/// way: QueryParam reads the first value and would drop the second.
 Status CheckQueryKeys(const QueryParams& params,
                       std::initializer_list<std::string_view> allowed) {
   for (const auto& [key, value] : params) {
+    if (QueryParam(params, key) != &value) {
+      return Status::InvalidArgument("duplicate query parameter '" + key +
+                                     "'");
+    }
     if (std::find(allowed.begin(), allowed.end(), key) != allowed.end()) {
       continue;
     }

@@ -21,11 +21,11 @@ struct ClientResponse {
 };
 
 /// A blocking HTTP/1.1 client over one keep-alive connection — drives the
-/// server from tests, the serve_smoke bench, the examples, and the
-/// replication tailer. Not a general client: no TLS, no redirects, no
-/// chunked responses (the server never sends them). Every socket operation
-/// — including connect — is bounded by the timeout passed to Connect, so a
-/// peer that dies mid-request surfaces as an IoError instead of a hang.
+/// server from tests, kbench, the examples, and the replication tailer.
+/// Not a general client: no TLS, no redirects, no chunked responses (the
+/// server never sends them). Every socket operation — including connect —
+/// is bounded by the timeout passed to Connect, so a peer that dies
+/// mid-request surfaces as an IoError instead of a hang.
 class HttpClient {
  public:
   HttpClient() = default;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
+#include <charconv>
 
 namespace kanon::net {
 
@@ -177,15 +177,22 @@ HttpParseResult HttpParser::Next(HttpRequest* out) {
                          "transfer-encoding not supported; send "
                          "Content-Length-framed bodies"));
   }
+  // Content-Length is 1*DIGIT and appears at most once (RFC 9112 §6.3): a
+  // sign, or a second field that frames differently, would let the bytes
+  // after the first framing smuggle in a pipelined request.
+  if (std::count_if(req.headers.begin(), req.headers.end(), [](const auto& h) {
+        return h.first == "content-length";
+      }) > 1) {
+    return Fail(400, Status::InvalidArgument("repeated Content-Length"));
+  }
   size_t content_length = 0;
   if (const std::string* cl = req.FindHeader("content-length")) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(cl->c_str(), &end, 10);
-    if (end == cl->c_str() || *end != '\0') {
+    const char* last = cl->data() + cl->size();
+    const auto [end, ec] = std::from_chars(cl->data(), last, content_length);
+    if (end == cl->data() || end != last) {
       return Fail(400, Status::InvalidArgument("bad Content-Length: " + *cl));
     }
-    content_length = static_cast<size_t>(v);
-    if (content_length > limits_.max_body_bytes) {
+    if (ec != std::errc() || content_length > limits_.max_body_bytes) {
       return Fail(413, Status::InvalidArgument(
                            "body of " + *cl + " bytes exceeds limit of " +
                            std::to_string(limits_.max_body_bytes)));

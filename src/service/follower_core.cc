@@ -102,17 +102,9 @@ bool FollowerCore::PublishEpoch(uint64_t epoch) {
   std::shared_ptr<const Snapshot> snapshot = BuildSnapshot(
       tree, domain_, options_.anonymizer, options_.dp_height, epoch);
   const uint64_t records = snapshot->info().records;
-
-  StitchedInfo stitched;
-  stitched.records = records;
-  stitched.base_k = base_k;
-  stitched.num_shards = 1;
-  stitched.epoch = epoch;
-  stitched.shard_epochs = {epoch};
-  stitched.shard_records = {records};
   auto current = std::make_shared<const StitchedSnapshot>(
       std::vector<std::shared_ptr<const Snapshot>>{std::move(snapshot)},
-      domain_, stitched);
+      domain_);
   {
     std::lock_guard<std::mutex> lock(current_mu_);
     current_ = std::move(current);

@@ -170,27 +170,13 @@ std::shared_ptr<const StitchedSnapshot>
 ShardedAnonymizationService::CurrentStitched() const {
   std::vector<std::shared_ptr<const Snapshot>> parts;
   parts.reserve(shards_.size());
-  StitchedInfo info;
-  info.num_shards = shards_.size();
-  info.base_k = options_.service.anonymizer.base_k;
-  info.shard_epochs.resize(shards_.size(), 0);
-  info.shard_records.resize(shards_.size(), 0);
   bool any = false;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    std::shared_ptr<const Snapshot> part = shards_[i]->CurrentSnapshot();
-    if (part != nullptr) {
-      any = true;
-      const SnapshotInfo& si = part->info();
-      info.shard_epochs[i] = si.epoch;
-      info.shard_records[i] = si.records;
-      info.records += si.records;
-      info.epoch += si.epoch;
-    }
-    parts.push_back(std::move(part));
+  for (const auto& shard : shards_) {
+    parts.push_back(shard->CurrentSnapshot());
+    any = any || parts.back() != nullptr;
   }
   if (!any) return nullptr;
-  return std::make_shared<const StitchedSnapshot>(std::move(parts), domain_,
-                                                  std::move(info));
+  return std::make_shared<const StitchedSnapshot>(std::move(parts), domain_);
 }
 
 std::shared_ptr<const StitchedSnapshot>

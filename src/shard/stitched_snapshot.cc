@@ -2,6 +2,23 @@
 
 namespace kanon {
 
+StitchedSnapshot::StitchedSnapshot(
+    std::vector<std::shared_ptr<const Snapshot>> parts, Domain domain)
+    : parts_(std::move(parts)), domain_(std::move(domain)) {
+  info_.num_shards = parts_.size();
+  info_.shard_epochs.resize(parts_.size(), 0);
+  info_.shard_records.resize(parts_.size(), 0);
+  for (size_t i = 0; i < parts_.size(); ++i) {
+    if (parts_[i] == nullptr) continue;
+    const SnapshotInfo& si = parts_[i]->info();
+    info_.base_k = si.base_k;
+    info_.shard_epochs[i] = si.epoch;
+    info_.shard_records[i] = si.records;
+    info_.records += si.records;
+    info_.epoch += si.epoch;
+  }
+}
+
 StatusOr<DpCells> StitchedSnapshot::SummedDpCells(size_t* height) const {
   auto sum = std::make_shared<std::vector<uint64_t>>();
   size_t h = 0;

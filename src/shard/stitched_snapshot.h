@@ -37,11 +37,12 @@ struct StitchedInfo {
 /// it with no synchronization.
 class StitchedSnapshot {
  public:
+  /// Derives the info from the parts: part i's epoch and records fill
+  /// shard_epochs[i] and shard_records[i] (0 for a null part), and epoch
+  /// and records are their sums. At least one part must be non-null; it
+  /// supplies base_k.
   StitchedSnapshot(std::vector<std::shared_ptr<const Snapshot>> parts,
-                   Domain domain, StitchedInfo info)
-      : parts_(std::move(parts)),
-        domain_(std::move(domain)),
-        info_(std::move(info)) {}
+                   Domain domain);
 
   StitchedSnapshot(const StitchedSnapshot&) = delete;
   StitchedSnapshot& operator=(const StitchedSnapshot&) = delete;

@@ -707,6 +707,9 @@ TEST(HttpServerTest, UnknownOrMalformedQueryParamsAre400) {
       "/release/query?epsilon=1",
       "/release/query?k1=8&summary=yes",
       "/release/query?k1=8&rids=2",
+      // A repeated key is ambiguous: neither value may silently win.
+      "/release/query?k1=8&k1=64",
+      "/release/dp?epsilon=1&epsilon=0.1",
       // /release/dp: unknown key, junk epsilon, and the retired client
       // seed parameter (noise now comes only from the server-held key).
       "/release/dp?eps=1",

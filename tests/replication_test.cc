@@ -12,6 +12,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -276,13 +277,14 @@ Domain SquareDomain() {
 Leader StartLeader(const std::string& wal_dir, size_t k = 5,
                    uint64_t checkpoint_every = 100000,
                    size_t segment_bytes = 16u << 20, uint16_t port = 0,
-                   DpServingOptions frontend_options = {}) {
+                   DpServingOptions frontend_options = {},
+                   uint64_t snapshot_every = 0) {
   Leader leader;
   ShardedServiceOptions options;
   options.service.anonymizer.base_k = k;
   options.service.queue_capacity = 512;
   options.service.max_batch = 32;
-  options.service.snapshot_every = 0;  // publish on demand
+  options.service.snapshot_every = snapshot_every;  // 0: publish on demand
   options.service.durability.wal_dir = wal_dir;
   options.service.durability.fsync_every = 8;
   options.service.durability.checkpoint_every = checkpoint_every;
@@ -476,6 +478,7 @@ TEST(ReplEndpointsTest, MalformedOrUnknownQueryParamsAre400) {
         "/repl/wal?from_lsn=1&max_lsn=-1",
         "/repl/wal?from_lsn=1&max_lsn=7x",
         "/repl/wal?from_lsn=1&bogus=1",
+        "/repl/wal?from_lsn=1&from_lsn=5",
         "/repl/manifest?bogus=1",
         "/repl/checkpoint/1?from_lsn=1"}) {
     int status = 0;
@@ -568,6 +571,93 @@ TEST(ReplicationE2eTest, FollowerConvergesToByteIdenticalRelease) {
 
   server.Shutdown();
   follower.Stop();
+  leader.service->Stop();
+}
+
+// Replicas under write load: two followers tail a leader that publishes
+// every 200 records while HTTP writers post and a reader polls a replica.
+// Publication points therefore land mid-traffic, not only at quiescent
+// PublishNow calls. Once ingest stops and the leader publishes, every
+// replica must reach the leader's (epoch, records) point and serve the
+// byte-identical release.
+TEST(ReplicationE2eTest, FollowersConvergeUnderConcurrentIngest) {
+  ScratchDir wal;
+  Leader leader = StartLeader(wal.path(), 5, /*checkpoint_every=*/100000,
+                              /*segment_bytes=*/16u << 20, /*port=*/0,
+                              /*frontend_options=*/{},
+                              /*snapshot_every=*/200);
+  constexpr int kFollowers = 2;
+  std::vector<std::unique_ptr<ScratchDir>> scratch;
+  std::vector<std::unique_ptr<ReplicatedFollower>> followers;
+  std::vector<FollowerServer> served;
+  for (int f = 0; f < kFollowers; ++f) {
+    scratch.push_back(std::make_unique<ScratchDir>());
+    followers.push_back(std::make_unique<ReplicatedFollower>(
+        SquareDomain(),
+        FastFollowerOptions(leader.port(), scratch.back()->path())));
+    followers.back()->Start();
+    served.push_back(ServeFollower(followers.back().get()));
+  }
+
+  constexpr int kWriters = 2;
+  constexpr int kPostsPerWriter = 30;
+  constexpr size_t kBatch = 50;
+  std::atomic<bool> done{false};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      HttpClient client;
+      ASSERT_TRUE(client.Connect("127.0.0.1", leader.port(), 5.0).ok());
+      for (int i = 0; i < kPostsPerWriter; ++i) {
+        std::string body;
+        for (size_t j = 0; j < kBatch; ++j) {
+          const size_t v = w * 100000 + i * kBatch + j;
+          body += std::to_string(v % 97) + "," +
+                  std::to_string((v * 7) % 89) + "," +
+                  std::to_string(v % 5) + "\n";
+        }
+        auto post = client.Post("/ingest", body);
+        ASSERT_TRUE(post.ok()) << post.status();
+        ASSERT_EQ(post->status, 200) << post->body;
+      }
+    });
+  }
+  std::thread reader([&] {
+    HttpClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", served[0].port(), 5.0).ok());
+    while (!done.load(std::memory_order_relaxed)) {
+      auto get = client.Get("/release/query?k1=10&summary=1");
+      ASSERT_TRUE(get.ok()) << get.status();
+      // 503 until the replica's first publication.
+      ASSERT_TRUE(get->status == 200 || get->status == 503) << get->status;
+    }
+  });
+  for (std::thread& t : writers) t.join();
+  done.store(true, std::memory_order_relaxed);
+  reader.join();
+
+  const auto published = leader.service->PublishNow();
+  ASSERT_NE(published, nullptr);
+  const StitchedInfo info = published->info();
+  EXPECT_EQ(info.records, uint64_t{kWriters * kPostsPerWriter * kBatch});
+  EXPECT_GE(info.epoch, 10u);
+  for (const auto& follower : followers) {
+    WaitFor([&] {
+      return follower->core()->epoch() == info.epoch &&
+             follower->core()->published_records() == info.records;
+    });
+  }
+  for (const std::string target :
+       {"/release", "/release/query?k1=10&rids=1"}) {
+    SCOPED_TRACE(target);
+    const std::string expected = Fetch(leader.port(), target);
+    for (const FollowerServer& replica : served) {
+      EXPECT_EQ(Fetch(replica.port(), target), expected);
+    }
+  }
+
+  for (FollowerServer& replica : served) replica.server->Shutdown();
+  for (const auto& follower : followers) follower->Stop();
   leader.service->Stop();
 }
 
