@@ -35,10 +35,8 @@ Mbr ClipRegionToDomain(const Region& region, const Domain& domain);
 /// of the member records (leaf MBRs are tight) — i.e. output is compacted.
 PartitionSet LeafScan(std::span<const LeafGroup> leaves, size_t k1);
 
-/// Shared-fragment variant: the same scan over leaves held by pointer. The
-/// service's snapshots share unchanged per-leaf fragments across
-/// publications (a delta merge retires only the leaves it spliced), so the
-/// scan must not require a contiguous owned array.
+/// Shared-fragment variant: the same scan over leaves held by pointer, the
+/// form in which a service snapshot stores its per-leaf fragments.
 PartitionSet LeafScan(
     std::span<const std::shared_ptr<const LeafGroup>> leaves, size_t k1);
 

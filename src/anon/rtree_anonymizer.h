@@ -117,6 +117,7 @@ class IncrementalAnonymizer {
 
   size_t size() const { return tree_.size(); }
   const RPlusTree& tree() const { return tree_; }
+  const RTreeAnonymizerOptions& options() const { return options_; }
 
   /// Replaces the (empty) tree with one restored from persistent storage —
   /// the crash-recovery entry point (src/durability/recovery.h). The

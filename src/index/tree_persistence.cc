@@ -273,8 +273,8 @@ StatusOr<TreeSnapshot> SaveTreeToFile(const RPlusTree& tree,
                                       const std::string& path,
                                       size_t page_size, Env* env) {
   KANON_ASSIGN_OR_RETURN(auto pager,
-                         NamedFilePager::Open(path, page_size,
-                                              /*truncate=*/true, env));
+                         FilePager::Open(path, page_size,
+                                         /*truncate=*/true, env));
   KANON_ASSIGN_OR_RETURN(TreeSnapshot snapshot, SaveTree(tree, pager.get()));
   KANON_CHECK(snapshot.first_page == 0);  // fresh pager allocates from 0
   KANON_RETURN_IF_ERROR(pager->Sync());
@@ -286,8 +286,8 @@ StatusOr<RPlusTree> LoadTreeFromFile(const std::string& path,
                                      const RTreeConfig& config,
                                      size_t page_size, Env* env) {
   KANON_ASSIGN_OR_RETURN(auto pager,
-                         NamedFilePager::Open(path, page_size,
-                                              /*truncate=*/false, env));
+                         FilePager::Open(path, page_size,
+                                         /*truncate=*/false, env));
   return LoadTree(pager.get(), snapshot, dim, config);
 }
 

@@ -14,6 +14,7 @@
 #include "durability/wal.h"
 #include "net/http_parser.h"
 #include "net/http_status.h"
+#include "net/replication.h"
 
 namespace kanon::net {
 
@@ -63,13 +64,6 @@ Status CheckQueryKeys(const QueryParams& params,
                                    "' (have " + have + ")");
   }
   return Status::OK();
-}
-
-/// Strict unsigned integer: the whole value must be decimal digits.
-bool ParseU64Param(std::string_view value, uint64_t* out) {
-  const char* last = value.data() + value.size();
-  const auto [ptr, ec] = std::from_chars(value.data(), last, *out);
-  return ec == std::errc() && ptr == last;
 }
 
 /// Reads the optional integer query parameter `key` into *out (untouched
@@ -215,6 +209,12 @@ Status ParseRecordLine(std::string_view line, size_t dim,
         " with a sensitive code): " + std::string(line));
   }
   return Status::OK();
+}
+
+bool ParseU64Param(std::string_view value, uint64_t* out) {
+  const char* last = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), last, *out);
+  return ec == std::errc() && ptr == last;
 }
 
 std::string PartitionsJson(const PartitionSet& ps, bool with_rids) {
@@ -628,47 +628,29 @@ HttpResponse AnonHttpFrontend::HandleReplManifest(const HttpRequest&,
     return HttpResponse::FromStatus(s);
   }
   const AnonymizationService* svc = service_->shard(shard);
-  const ServiceStats stats = svc->Stats();
-  uint64_t epoch = 0;
-  uint64_t epoch_records = 0;
-  if (const auto snapshot = svc->CurrentSnapshot()) {
-    epoch = snapshot->info().epoch;
-    epoch_records = snapshot->info().records;
-  }
   const ServiceOptions& opts = service_->options().service;
-  std::string body =
-      "{\"shards\":" + std::to_string(service_->num_shards()) +
-      ",\"shard\":" + std::to_string(shard) +
-      ",\"dim\":" + std::to_string(service_->dim()) +
-      ",\"base_k\":" + std::to_string(opts.anonymizer.base_k) +
-      ",\"leaf_capacity_factor\":" +
-      std::to_string(opts.anonymizer.leaf_capacity_factor) +
-      ",\"max_fanout\":" + std::to_string(opts.anonymizer.max_fanout) +
-      ",\"compact\":" + std::string(opts.anonymizer.compact ? "1" : "0") +
-      ",\"dp_height\":" + std::to_string(opts.dp_height) +
-      ",\"durable_lsn\":" + std::to_string(stats.wal_synced_lsn) +
-      ",\"epoch\":" + std::to_string(epoch) +
-      ",\"epoch_records\":" + std::to_string(epoch_records);
-  const auto manifest_or = LoadManifest(dir);
-  if (manifest_or.ok()) {
-    const CheckpointManifest& m = *manifest_or;
-    body += ",\"checkpoint_lsn\":" + std::to_string(m.checkpoint_lsn) +
-            ",\"checkpoint\":{\"file\":\"" + JsonEscape(m.file) +
-            "\",\"page_size\":" + std::to_string(m.page_size) +
-            ",\"min_leaf\":" + std::to_string(m.min_leaf) +
-            ",\"max_leaf\":" + std::to_string(m.max_leaf) +
-            ",\"max_fanout\":" + std::to_string(m.max_fanout) +
-            ",\"first_page\":" + std::to_string(m.snapshot.first_page) +
-            ",\"byte_size\":" + std::to_string(m.snapshot.byte_size) +
-            ",\"record_count\":" + std::to_string(m.snapshot.record_count) +
-            ",\"crc32\":" + std::to_string(m.snapshot.crc32) + "}";
-  } else if (manifest_or.status().code() == StatusCode::kNotFound) {
-    body += ",\"checkpoint_lsn\":0";  // fresh leader: bootstrap is WAL-only
-  } else {
-    return HttpResponse::FromStatus(manifest_or.status());
+  LeaderManifest m;
+  m.shards = service_->num_shards();
+  m.shard = shard;
+  m.dim = service_->dim();
+  m.base_k = opts.anonymizer.base_k;
+  m.leaf_capacity_factor = opts.anonymizer.leaf_capacity_factor;
+  m.max_fanout = opts.anonymizer.max_fanout;
+  m.compact = opts.anonymizer.compact;
+  m.dp_height = opts.dp_height;
+  m.durable_lsn = svc->Stats().wal_synced_lsn;
+  if (const auto snapshot = svc->CurrentSnapshot()) {
+    m.epoch = snapshot->info().epoch;
+    m.epoch_records = snapshot->info().records;
   }
-  body += "}";
-  return HttpResponse::Json(200, std::move(body));
+  auto checkpoint_or = LoadManifest(dir);
+  if (checkpoint_or.ok()) {
+    m.checkpoint = std::move(checkpoint_or).value();
+    m.checkpoint_lsn = m.checkpoint.checkpoint_lsn;
+  } else if (checkpoint_or.status().code() != StatusCode::kNotFound) {
+    return HttpResponse::FromStatus(checkpoint_or.status());
+  }  // else a fresh leader: bootstrap is WAL-only
+  return HttpResponse::Json(200, EncodeLeaderManifest(m));
 }
 
 HttpResponse AnonHttpFrontend::HandleReplCheckpoint(
@@ -770,19 +752,8 @@ HttpResponse AnonHttpFrontend::HandleReplWal(const HttpRequest&,
     epoch = snapshot->info().epoch;
     epoch_records = snapshot->info().records;
   }
-  HttpResponse resp;
-  resp.status = 200;
-  resp.content_type = "application/octet-stream";
-  resp.body = std::move(range.frames);
-  resp.headers.emplace_back("X-Kanon-First-Lsn",
-                            std::to_string(range.first_lsn));
-  resp.headers.emplace_back("X-Kanon-Last-Lsn", std::to_string(range.last_lsn));
-  resp.headers.emplace_back("X-Kanon-Durable-Lsn",
-                            std::to_string(durable_lsn));
-  resp.headers.emplace_back("X-Kanon-Epoch", std::to_string(epoch));
-  resp.headers.emplace_back("X-Kanon-Epoch-Records",
-                            std::to_string(epoch_records));
-  return resp;
+  return EncodeWalBatch({std::move(range.frames), range.first_lsn,
+                         range.last_lsn, durable_lsn, epoch, epoch_records});
 }
 
 HttpResponse AnonHttpFrontend::HandleMetrics() {

@@ -221,6 +221,11 @@ class AnonHttpFrontend {
 Status ParseRecordLine(std::string_view line, size_t dim,
                        std::vector<double>* point, int32_t* sensitive);
 
+/// Strict unsigned integer: the whole value must be decimal digits (no
+/// sign, no space) and fit in 64 bits. Query parameters and the /repl
+/// codec both parse through it, so no malformed number becomes a default.
+bool ParseU64Param(std::string_view value, uint64_t* out);
+
 /// Renders the partition list of a release as a JSON array (deterministic
 /// formatting: %.17g round-trips doubles exactly). Shared by the endpoint
 /// and by tests asserting HTTP and in-process releases are identical.

@@ -1,15 +1,20 @@
 #include "net/replication.h"
 
+#include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/env.h"
+#include "durability/recovery.h"
 #include "durability/wal.h"
 #include "net/http_status.h"
+#include "service/snapshot.h"
 
 namespace kanon::net {
 
@@ -29,46 +34,219 @@ namespace {
 /// larger asks to its own cap).
 constexpr size_t kMaxBatchBytes = 1u << 20;
 
-/// Extracts the number following `"key":` in a flat JSON object emitted by
-/// our own serializer (no whitespace, unique keys). Returns `fallback`
-/// when the key is absent.
-uint64_t JsonU64(const std::string& body, const std::string& key,
-                 uint64_t fallback = 0) {
-  const std::string needle = "\"" + key + "\":";
-  const size_t at = body.find(needle);
-  if (at == std::string::npos) return fallback;
-  return std::strtoull(body.c_str() + at + needle.size(), nullptr, 10);
+int64_t NowNs() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
 }
 
-std::string JsonStr(const std::string& body, const std::string& key) {
-  const std::string needle = "\"" + key + "\":\"";
-  const size_t at = body.find(needle);
-  if (at == std::string::npos) return "";
-  const size_t begin = at + needle.size();
-  const size_t end = body.find('"', begin);
-  if (end == std::string::npos) return "";
-  return body.substr(begin, end - begin);
+// ---------------------------------------------------------------------------
+// The /repl wire codec. Each field list below is walked by both the encoder
+// and the decoder, so a key's name and position are written down once.
+
+template <typename Manifest, typename Visit>
+void ForEachManifestField(Manifest& m, Visit&& visit) {
+  visit("shards", m.shards);
+  visit("shard", m.shard);
+  visit("dim", m.dim);
+  visit("base_k", m.base_k);
+  visit("leaf_capacity_factor", m.leaf_capacity_factor);
+  visit("max_fanout", m.max_fanout);
+  visit("compact", m.compact);
+  visit("dp_height", m.dp_height);
+  visit("durable_lsn", m.durable_lsn);
+  visit("epoch", m.epoch);
+  visit("epoch_records", m.epoch_records);
+  visit("checkpoint_lsn", m.checkpoint_lsn);
 }
 
-uint64_t HeaderU64(const ClientResponse& resp, std::string_view name) {
-  const std::string* v = resp.FindHeader(name);
-  if (v == nullptr) return 0;
-  return std::strtoull(v->c_str(), nullptr, 10);
+/// The nested "checkpoint" object, present when checkpoint_lsn > 0.
+template <typename Checkpoint, typename Visit>
+void ForEachCheckpointField(Checkpoint& c, Visit&& visit) {
+  visit("file", c.file);
+  visit("page_size", c.page_size);
+  visit("min_leaf", c.min_leaf);
+  visit("max_leaf", c.max_leaf);
+  visit("max_fanout", c.max_fanout);
+  visit("first_page", c.snapshot.first_page);
+  visit("byte_size", c.snapshot.byte_size);
+  visit("record_count", c.snapshot.record_count);
+  visit("crc32", c.snapshot.crc32);
 }
 
+template <typename Batch, typename Visit>
+void ForEachWalHeader(Batch& b, Visit&& visit) {
+  visit("X-Kanon-First-Lsn", b.first_lsn);
+  visit("X-Kanon-Last-Lsn", b.last_lsn);
+  visit("X-Kanon-Durable-Lsn", b.durable_lsn);
+  visit("X-Kanon-Epoch", b.epoch);
+  visit("X-Kanon-Epoch-Records", b.epoch_records);
+}
+
+/// One past the JSON value that starts at s[i] (a string, an object or
+/// array, or a bare scalar); npos when the input ends first.
+size_t ValueEnd(std::string_view s, size_t i) {
+  int depth = 0;
+  for (bool in_string = false; i < s.size(); ++i) {
+    const char c = s[i];
+    if (in_string) {
+      if (c == '\\') ++i;
+      in_string = c != '"';
+      if (!in_string && depth == 0) return i + 1;
+    } else if (c == '"') {
+      in_string = true;
+    } else if (c == '{' || c == '[') {
+      ++depth;
+    } else if (c == '}' || c == ']' || c == ',') {
+      if (depth == 0) return i;
+      if (c != ',' && --depth == 0) return i + 1;
+    }
+  }
+  return std::string_view::npos;
+}
+
+/// Members of one compact JSON object as our serializer writes it: keys
+/// as written, values as raw text ("12", "\"a\"", "{...}").
+using JsonMembers = std::vector<std::pair<std::string_view, std::string_view>>;
+
+StatusOr<JsonMembers> SplitJsonObject(std::string_view s) {
+  const Status bad = Status::Corruption("malformed JSON object");
+  if (s == "{}") return JsonMembers{};
+  if (s.empty() || s.front() != '{') return bad;
+  JsonMembers members;
+  for (size_t i = 1;;) {
+    if (i >= s.size() || s[i] != '"') return bad;
+    const size_t colon = ValueEnd(s, i);
+    if (colon >= s.size() || s[colon] != ':') return bad;
+    const size_t end = ValueEnd(s, colon + 1);
+    if (end >= s.size() || end == colon + 1) return bad;
+    members.emplace_back(s.substr(i + 1, colon - i - 2),
+                         s.substr(colon + 1, end - colon - 1));
+    if (s[end] == '}' && end + 1 == s.size()) return members;
+    if (s[end] != ',') return bad;
+    i = end + 1;
+  }
+}
+
+/// Decodes every field `for_each` visits out of the JSON object `body`.
+/// Each must be present: a whole decimal number that fits the field, or a
+/// string without escapes for string fields.
+template <typename ForEach>
+StatusOr<JsonMembers> ReadFields(std::string_view body, ForEach&& for_each) {
+  KANON_ASSIGN_OR_RETURN(JsonMembers members, SplitJsonObject(body));
+  Status status;
+  for_each([&](std::string_view key, auto& value) {
+    using T = std::decay_t<decltype(value)>;
+    const auto it = std::find_if(members.begin(), members.end(),
+                                 [key](const auto& m) { return m.first == key; });
+    const std::string_view raw = it == members.end() ? "" : it->second;
+    bool ok;
+    if constexpr (std::is_same_v<T, std::string>) {
+      ok = raw.size() >= 2 && raw.front() == '"' && raw.back() == '"' &&
+           raw.find('\\') == std::string_view::npos;
+      if (ok) value = raw.substr(1, raw.size() - 2);
+    } else {
+      uint64_t v = 0;
+      ok = ParseU64Param(raw, &v) && v <= std::numeric_limits<T>::max();
+      value = static_cast<T>(v);
+    }
+    if (!ok && status.ok()) {
+      status = Status::Corruption("leader manifest key \"" +
+                                  std::string(key) +
+                                  "\" is missing or malformed");
+    }
+  });
+  if (!status.ok()) return status;
+  return members;
+}
+
+/// The leader's error document, for logs.
 std::string ErrorMessage(const ClientResponse& resp) {
-  const std::string msg = JsonStr(resp.body, "message");
-  return msg.empty() ? ("HTTP " + std::to_string(resp.status)) : msg;
+  return "HTTP " + std::to_string(resp.status) + " " + resp.body;
 }
 
 }  // namespace
 
+std::string EncodeLeaderManifest(const LeaderManifest& manifest) {
+  std::string out = "{";
+  const auto put = [&out](std::string_view key, const auto& value) {
+    if (out.back() != '{') out += ',';
+    out += '"';
+    out += key;
+    out += "\":";
+    if constexpr (std::is_same_v<std::decay_t<decltype(value)>,
+                                 std::string>) {
+      out += '"' + JsonEscape(value) + '"';
+    } else {
+      out += std::to_string(static_cast<uint64_t>(value));
+    }
+  };
+  ForEachManifestField(manifest, put);
+  if (manifest.checkpoint_lsn > 0) {
+    out += ",\"checkpoint\":{";
+    ForEachCheckpointField(manifest.checkpoint, put);
+    out += '}';
+  }
+  out += '}';
+  return out;
+}
+
+StatusOr<LeaderManifest> DecodeLeaderManifest(std::string_view body) {
+  LeaderManifest m;
+  KANON_ASSIGN_OR_RETURN(
+      const JsonMembers members,
+      ReadFields(body, [&m](auto visit) { ForEachManifestField(m, visit); }));
+  if (m.dim == 0 || m.base_k == 0) {
+    return Status::Corruption("leader manifest has zero dim/base_k");
+  }
+  if (m.checkpoint_lsn > 0) {
+    std::string_view nested;
+    for (const auto& [name, raw] : members) {
+      if (name == "checkpoint") nested = raw;
+    }
+    KANON_RETURN_IF_ERROR(ReadFields(nested, [&m](auto visit) {
+                            ForEachCheckpointField(m.checkpoint, visit);
+                          }).status());
+    if (m.checkpoint.file.empty() || m.checkpoint.page_size == 0) {
+      return Status::Corruption("leader manifest checkpoint malformed");
+    }
+    m.checkpoint.dim = static_cast<uint32_t>(m.dim);
+    m.checkpoint.checkpoint_lsn = m.checkpoint_lsn;
+  }
+  return m;
+}
+
+HttpResponse EncodeWalBatch(WalBatch batch) {
+  HttpResponse resp;
+  resp.status = 200;
+  resp.content_type = "application/octet-stream";
+  ForEachWalHeader(batch, [&resp](std::string_view name, uint64_t value) {
+    resp.headers.emplace_back(std::string(name), std::to_string(value));
+  });
+  resp.body = std::move(batch.frames);
+  return resp;
+}
+
+StatusOr<WalBatch> DecodeWalBatch(ClientResponse response) {
+  WalBatch batch;
+  Status status;
+  ForEachWalHeader(batch, [&](std::string_view name, uint64_t& value) {
+    std::string lower(name);  // ClientResponse lowercases header names
+    for (char& c : lower) c = static_cast<char>(std::tolower(c));
+    const std::string* raw = response.FindHeader(lower);
+    if (status.ok() && (raw == nullptr || !ParseU64Param(*raw, &value))) {
+      status = Status::Corruption("leader /repl/wal answer lacks a numeric " +
+                                  std::string(name) + " header");
+    }
+  });
+  if (!status.ok()) return status;
+  batch.frames = std::move(response.body);
+  return batch;
+}
+
 ReplicationClient::ReplicationClient(std::string host, uint16_t port,
-                                     size_t shard, double timeout_s)
-    : host_(std::move(host)),
-      port_(port),
-      shard_(shard),
-      timeout_s_(timeout_s) {}
+                                     double timeout_s)
+    : host_(std::move(host)), port_(port), timeout_s_(timeout_s) {}
 
 StatusOr<ClientResponse> ReplicationClient::Fetch(const std::string& target) {
   if (!client_.connected()) {
@@ -78,56 +256,17 @@ StatusOr<ClientResponse> ReplicationClient::Fetch(const std::string& target) {
 }
 
 StatusOr<LeaderManifest> ReplicationClient::FetchManifest() {
-  KANON_ASSIGN_OR_RETURN(
-      ClientResponse resp,
-      Fetch("/repl/manifest?shard=" + std::to_string(shard_)));
+  KANON_ASSIGN_OR_RETURN(ClientResponse resp, Fetch("/repl/manifest"));
   if (resp.status != 200) {
     return Status::Unavailable("leader /repl/manifest: " +
                                ErrorMessage(resp));
   }
-  const std::string& body = resp.body;
-  LeaderManifest m;
-  m.shards = JsonU64(body, "shards", 1);
-  m.shard = JsonU64(body, "shard");
-  m.dim = JsonU64(body, "dim");
-  m.base_k = JsonU64(body, "base_k");
-  m.leaf_capacity_factor = JsonU64(body, "leaf_capacity_factor", 2);
-  m.max_fanout = JsonU64(body, "max_fanout", 16);
-  m.compact = JsonU64(body, "compact", 1) != 0;
-  m.dp_height = JsonU64(body, "dp_height", 10);
-  m.durable_lsn = JsonU64(body, "durable_lsn");
-  m.epoch = JsonU64(body, "epoch");
-  m.epoch_records = JsonU64(body, "epoch_records");
-  m.checkpoint_lsn = JsonU64(body, "checkpoint_lsn");
-  if (m.dim == 0 || m.base_k == 0) {
-    return Status::Corruption("leader manifest missing dim/base_k: " + body);
-  }
-  if (m.checkpoint_lsn > 0) {
-    m.checkpoint.dim = m.dim;
-    m.checkpoint.checkpoint_lsn = m.checkpoint_lsn;
-    m.checkpoint.file = JsonStr(body, "file");
-    m.checkpoint.page_size = JsonU64(body, "page_size");
-    m.checkpoint.min_leaf = JsonU64(body, "min_leaf");
-    m.checkpoint.max_leaf = JsonU64(body, "max_leaf");
-    m.checkpoint.max_fanout = JsonU64(body, "max_fanout");
-    m.checkpoint.snapshot.first_page = JsonU64(body, "first_page");
-    m.checkpoint.snapshot.byte_size = JsonU64(body, "byte_size");
-    m.checkpoint.snapshot.record_count = JsonU64(body, "record_count");
-    m.checkpoint.snapshot.crc32 =
-        static_cast<uint32_t>(JsonU64(body, "crc32"));
-    if (m.checkpoint.file.empty() || m.checkpoint.page_size == 0) {
-      return Status::Corruption("leader manifest checkpoint malformed: " +
-                                body);
-    }
-  }
-  return m;
+  return DecodeLeaderManifest(resp.body);
 }
 
 StatusOr<std::string> ReplicationClient::FetchCheckpoint(uint64_t lsn) {
-  KANON_ASSIGN_OR_RETURN(
-      ClientResponse resp,
-      Fetch("/repl/checkpoint/" + std::to_string(lsn) +
-            "?shard=" + std::to_string(shard_)));
+  KANON_ASSIGN_OR_RETURN(ClientResponse resp,
+                         Fetch("/repl/checkpoint/" + std::to_string(lsn)));
   if (resp.status == 410) {
     return Status::NotFound("leader checkpoint " + std::to_string(lsn) +
                             " superseded: " + ErrorMessage(resp));
@@ -144,8 +283,7 @@ StatusOr<WalBatch> ReplicationClient::FetchWal(uint64_t from_lsn,
                                                uint64_t max_lsn) {
   KANON_ASSIGN_OR_RETURN(
       ClientResponse resp,
-      Fetch("/repl/wal?shard=" + std::to_string(shard_) +
-            "&from_lsn=" + std::to_string(from_lsn) +
+      Fetch("/repl/wal?from_lsn=" + std::to_string(from_lsn) +
             "&max_lsn=" + std::to_string(max_lsn) +
             "&max_bytes=" + std::to_string(kMaxBatchBytes)));
   if (resp.status == 410) {
@@ -154,30 +292,18 @@ StatusOr<WalBatch> ReplicationClient::FetchWal(uint64_t from_lsn,
   if (resp.status != 200) {
     return Status::Unavailable("leader /repl/wal: " + ErrorMessage(resp));
   }
-  WalBatch batch;
-  batch.first_lsn = HeaderU64(resp, "x-kanon-first-lsn");
-  batch.last_lsn = HeaderU64(resp, "x-kanon-last-lsn");
-  batch.durable_lsn = HeaderU64(resp, "x-kanon-durable-lsn");
-  batch.epoch = HeaderU64(resp, "x-kanon-epoch");
-  batch.epoch_records = HeaderU64(resp, "x-kanon-epoch-records");
-  batch.frames = std::move(resp.body);
-  bytes_total_.fetch_add(batch.frames.size(), std::memory_order_relaxed);
-  return batch;
+  bytes_total_.fetch_add(resp.body.size(), std::memory_order_relaxed);
+  return DecodeWalBatch(std::move(resp));
 }
 
 ReplicatedFollower::ReplicatedFollower(Domain domain, FollowerOptions options)
     : options_(std::move(options)),
-      core_(std::make_unique<FollowerCore>(domain.dim(), std::move(domain),
-                                           options_.core)),
-      client_(options_.leader_host, options_.leader_port, options_.shard,
+      domain_(std::move(domain)),
+      client_(options_.leader_host, options_.leader_port,
               options_.request_timeout_s) {
   jitter_state_ = options_.jitter_seed != 0
                       ? options_.jitter_seed
-                      : static_cast<uint64_t>(
-                            std::chrono::steady_clock::now()
-                                .time_since_epoch()
-                                .count()) |
-                            1;
+                      : static_cast<uint64_t>(NowNs()) | 1;
 }
 
 ReplicatedFollower::~ReplicatedFollower() { Stop(); }
@@ -228,8 +354,7 @@ void ReplicatedFollower::Backoff() {
   SleepFor(delay);
 }
 
-void ReplicatedFollower::OnTransportFault(const Status& status) {
-  (void)status;
+void ReplicatedFollower::OnTransportFault() {
   reconnects_.fetch_add(1, std::memory_order_relaxed);
   ++consecutive_failures_;
   client_.Disconnect();
@@ -240,22 +365,34 @@ bool ReplicatedFollower::BootstrapOnce() {
   SetState(ReplState::kBootstrapping);
   auto manifest_or = client_.FetchManifest();
   if (!manifest_or.ok()) {
-    OnTransportFault(manifest_or.status());
+    OnTransportFault();
     return false;
   }
   const LeaderManifest& m = *manifest_or;
-  if (m.dim != core_->dim()) {
+  if (m.dim != domain_.dim() || m.shards != 1) {
     // A config error, not a transient: keep retrying (the operator may
-    // repoint --follow), but say why.
+    // repoint --follow), but say why. One shard of a sharded leader would
+    // be served as if it were the whole release, so nothing is published.
     std::fprintf(stderr,
-                 "repl: leader dim %zu != follower domain dim %zu; "
-                 "check --domain\n",
-                 m.dim, core_->dim());
+                 "repl: leader has %zu shards and dim %zu; a follower needs "
+                 "1 shard and dim %zu (check --follow and --domain)\n",
+                 m.shards, m.dim, domain_.dim());
     ++consecutive_failures_;
     return false;
   }
-  core_->ConfigureFromLeader(m.base_k, m.leaf_capacity_factor, m.max_fanout,
-                             m.compact, m.dp_height);
+  // Bootstrapping (again) starts from an empty tree shaped by the leader.
+  // The last published snapshot stays up: readers keep the old but
+  // consistent release until this bootstrap publishes a newer one.
+  RTreeAnonymizerOptions shape;
+  shape.base_k = m.base_k;
+  shape.leaf_capacity_factor = m.leaf_capacity_factor;
+  shape.max_fanout = m.max_fanout;
+  shape.compact = m.compact;
+  anonymizer_ =
+      std::make_unique<IncrementalAnonymizer>(m.dim, shape, &domain_);
+  dp_height_ = m.dp_height;
+  records_.store(0, std::memory_order_release);
+  applied_lsn_.store(0, std::memory_order_release);
   if (m.checkpoint_lsn > 0) {
     auto bytes_or = client_.FetchCheckpoint(m.checkpoint_lsn);
     if (!bytes_or.ok()) {
@@ -265,7 +402,7 @@ bool ReplicatedFollower::BootstrapOnce() {
         ++consecutive_failures_;
         return false;
       }
-      OnTransportFault(bytes_or.status());
+      OnTransportFault();
       return false;
     }
     const std::string path =
@@ -281,30 +418,98 @@ bool ReplicatedFollower::BootstrapOnce() {
       return file->Close();
     }();
     if (wrote.ok()) {
-      // AdoptCheckpoint CRC-verifies the download against the manifest
+      // LoadCheckpointInto CRC-verifies the download against the manifest
       // before any page is trusted.
-      wrote = core_->AdoptCheckpoint(m.checkpoint, path);
+      wrote = LoadCheckpointInto(m.checkpoint, path, anonymizer_.get());
     }
     (void)env->RemoveFile(path);
     if (!wrote.ok()) {
       std::fprintf(stderr, "repl: checkpoint adoption failed: %s\n",
                    wrote.ToString().c_str());
-      core_->ResetForBootstrap();
       ++consecutive_failures_;
       return false;
     }
+    records_.store(anonymizer_->size(), std::memory_order_release);
+    applied_lsn_.store(m.checkpoint_lsn, std::memory_order_release);
   }
   leader_durable_lsn_.store(m.durable_lsn, std::memory_order_relaxed);
   leader_epoch_.store(m.epoch, std::memory_order_relaxed);
   leader_epoch_records_.store(m.epoch_records, std::memory_order_relaxed);
   consecutive_failures_ = 0;
   bootstrapped_ = true;
-  core_->NoteBootstrap();
+  bootstraps_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
+Status ReplicatedFollower::Apply(uint64_t lsn, std::span<const double> point,
+                                 int32_t sensitive) {
+  // The client re-requests from applied_lsn()+1 after any transport fault,
+  // so a gap here means a protocol bug, not a flaky network.
+  const uint64_t applied = applied_lsn_.load(std::memory_order_relaxed);
+  if (lsn != applied + 1) {
+    return Status::Internal("replication gap: expected lsn " +
+                            std::to_string(applied + 1) + ", got " +
+                            std::to_string(lsn));
+  }
+  if (point.size() != domain_.dim()) {
+    return Status::Corruption("replicated entry has wrong dimensionality");
+  }
+  // Same identity as leader recovery replay: record id == lsn - 1, so the
+  // follower's rid space is bit-compatible with the leader's.
+  anonymizer_->Insert(point, static_cast<RecordId>(lsn - 1), sensitive);
+  records_.store(anonymizer_->size(), std::memory_order_release);
+  applied_lsn_.store(lsn, std::memory_order_release);
+  return Status::OK();
+}
+
+bool ReplicatedFollower::PublishEpoch(uint64_t epoch) {
+  const RPlusTree& tree = anonymizer_->tree();
+  if (tree.size() < anonymizer_->options().base_k) return false;
+  // Idempotence is on the (epoch, records) pair, not a monotonic epoch: a
+  // restarted leader renumbers epochs from 1 (its counter is in-memory),
+  // and the follower must keep matching its publication points rather
+  // than freeze on the old number.
+  if (epoch == epoch_.load(std::memory_order_relaxed) &&
+      tree.size() == published_records_.load(std::memory_order_relaxed)) {
+    return false;
+  }
+  // The leader publishes through the same BuildSnapshot: the follower
+  // replays records in LSN order into an identically shaped tree, so the
+  // leaf groups, every k1 release and the DP cell counts come out
+  // identical to the leader's at the same (epoch, records) point.
+  std::shared_ptr<const Snapshot> snapshot =
+      BuildSnapshot(tree, domain_, anonymizer_->options(), dp_height_, epoch);
+  const uint64_t records = snapshot->info().records;
+  auto current = std::make_shared<const StitchedSnapshot>(
+      std::vector<std::shared_ptr<const Snapshot>>{std::move(snapshot)},
+      domain_);
+  {
+    std::lock_guard<std::mutex> lock(current_mu_);
+    current_ = std::move(current);
+  }
+  epoch_.store(epoch, std::memory_order_release);
+  published_records_.store(records, std::memory_order_release);
+  return true;
+}
+
+void ReplicatedFollower::MarkCaughtUp() {
+  caught_up_ns_.store(NowNs(), std::memory_order_release);
+}
+
+double ReplicatedFollower::staleness_ms() const {
+  const int64_t at = caught_up_ns_.load(std::memory_order_acquire);
+  if (at == 0) return std::numeric_limits<double>::infinity();
+  return static_cast<double>(NowNs() - at) / 1e6;
+}
+
+std::shared_ptr<const StitchedSnapshot> ReplicatedFollower::CurrentStitched()
+    const {
+  std::lock_guard<std::mutex> lock(current_mu_);
+  return current_;
+}
+
 ReplicatedFollower::TailResult ReplicatedFollower::TailOnce() {
-  const uint64_t applied = core_->applied_lsn();
+  const uint64_t applied = applied_lsn();
   const uint64_t target_records =
       leader_epoch_records_.load(std::memory_order_relaxed);
   // Cap at the leader's published record count: the follower applies
@@ -318,15 +523,14 @@ ReplicatedFollower::TailResult ReplicatedFollower::TailOnce() {
   if (!batch_or.ok()) {
     if (batch_or.status().code() == StatusCode::kNotFound) {
       // The range we need was truncated behind a newer checkpoint: the
-      // typed "need a new checkpoint" signal. Start over from the
-      // manifest; readers keep the last published snapshot meanwhile.
+      // typed "need a new checkpoint" signal. Bootstrap again; readers
+      // keep the last published snapshot meanwhile.
       std::fprintf(stderr, "repl: %s; re-bootstrapping\n",
                    batch_or.status().message().c_str());
-      core_->ResetForBootstrap();
       bootstrapped_ = false;
       return TailResult::kImmediate;
     }
-    OnTransportFault(batch_or.status());
+    OnTransportFault();
     return TailResult::kFault;
   }
   WalBatch batch = std::move(batch_or).value();
@@ -341,38 +545,33 @@ ReplicatedFollower::TailResult ReplicatedFollower::TailOnce() {
     batches_.fetch_add(1, std::memory_order_relaxed);
     Status apply_error;
     const Status decoded = DecodeWalFrames(
-        batch.frames, core_->dim(),
+        batch.frames, domain_.dim(),
         [&](uint64_t lsn, std::span<const double> point, int32_t sensitive) {
           if (!apply_error.ok()) return;  // skip the rest of a bad batch
-          apply_error = core_->Apply(lsn, point, sensitive);
+          apply_error = Apply(lsn, point, sensitive);
         });
     // Entries before a defective frame are individually CRC-verified and
     // already applied — that progress is kept. The connection is dropped
     // and the next request starts from applied_lsn()+1, so the damaged
     // frame is re-fetched, never skipped.
     if (!decoded.ok() || !apply_error.ok()) {
-      OnTransportFault(decoded.ok() ? apply_error : decoded);
+      OnTransportFault();
       return TailResult::kFault;
     }
     applied_any = true;
   }
 
-  const uint64_t now_applied = core_->applied_lsn();
-  if (batch.epoch_records > 0 && now_applied == batch.epoch_records) {
-    // At a leader publication point: publish it here too. PublishEpoch is
-    // idempotent on the (epoch, records) pair — and deliberately not
-    // monotonic in epoch, since a restarted leader renumbers from 1.
-    if (core_->PublishEpoch(batch.epoch)) {
-      core_->MarkCaughtUp();
-    }
+  if (batch.epoch_records > 0 && applied_lsn() == batch.epoch_records) {
+    // At a leader publication point: publish it here too.
+    if (PublishEpoch(batch.epoch)) MarkCaughtUp();
   }
   if (!applied_any) {
     // Empty batch under the epoch cap: everything the leader has published
     // is applied here (published implies durable implies fetchable, so a
     // publication we lacked would have produced entries).
-    core_->MarkCaughtUp();
+    MarkCaughtUp();
   }
-  SetState(core_->fresh() ? ReplState::kFollowing : ReplState::kLagging);
+  SetState(fresh() ? ReplState::kFollowing : ReplState::kLagging);
   return applied_any ? TailResult::kImmediate : TailResult::kIdle;
 }
 
@@ -395,7 +594,7 @@ void ReplicatedFollower::RunLoop() {
       case TailResult::kImmediate:
         break;
       case TailResult::kIdle:
-        if (!core_->fresh()) SetState(ReplState::kLagging);
+        if (!fresh()) SetState(ReplState::kLagging);
         if (!SleepFor(options_.poll_interval_ms)) return;
         break;
       case TailResult::kFault:
@@ -462,18 +661,18 @@ std::vector<Route> FollowerFrontend::MakeRoutes() {
 
 HttpHandler FollowerFrontend::StalenessGated(SnapshotRead read) {
   return [this, read = std::move(read)](const HttpRequest& request) {
-    const FollowerCore* core = follower_->core();
-    const double staleness = core->staleness_ms();
+    const FollowerOptions& options = follower_->options();
+    const double staleness = follower_->staleness_ms();
     const bool reject =
-        follower_->options().reject_stale_reads &&
-        staleness > static_cast<double>(core->max_staleness_ms());
+        options.reject_stale_reads &&
+        staleness > static_cast<double>(options.max_staleness_ms);
     HttpResponse resp =
         reject
             ? HttpResponse::FromStatus(Status::Unavailable(
                   "replica is stale (" + StalenessValue(staleness) +
                   " ms since last caught up, bound " +
-                  std::to_string(core->max_staleness_ms()) + " ms)"))
-            : read(core->CurrentStitched().get(), request);
+                  std::to_string(options.max_staleness_ms) + " ms)"))
+            : read(follower_->CurrentStitched().get(), request);
     resp.headers.emplace_back("X-Kanon-Staleness-Ms",
                               StalenessValue(staleness));
     return resp;
@@ -481,16 +680,15 @@ HttpHandler FollowerFrontend::StalenessGated(SnapshotRead read) {
 }
 
 HttpResponse FollowerFrontend::HandleHealthz() {
-  const FollowerCore* core = follower_->core();
   const ReplState state = follower_->state();
-  const bool healthy = state == ReplState::kFollowing && core->fresh();
+  const bool healthy = state == ReplState::kFollowing && follower_->fresh();
   std::string body = "{\"status\":\"";
   body += healthy ? "serving" : "degraded";
   body += "\",\"role\":\"follower\",\"repl_state\":\"";
   body += ReplStateName(state);
-  body += "\",\"applied_lsn\":" + std::to_string(core->applied_lsn());
-  body += ",\"epoch\":" + std::to_string(core->epoch());
-  body += ",\"staleness_ms\":" + StalenessValue(core->staleness_ms());
+  body += "\",\"applied_lsn\":" + std::to_string(follower_->applied_lsn());
+  body += ",\"epoch\":" + std::to_string(follower_->epoch());
+  body += ",\"staleness_ms\":" + StalenessValue(follower_->staleness_ms());
   body += ",\"leader\":\"" + follower_->options().leader_host + ":" +
           std::to_string(follower_->options().leader_port) + "\"";
   body += ",\"reconnects\":" + std::to_string(follower_->reconnects());
@@ -504,35 +702,34 @@ HttpResponse FollowerFrontend::HandleHealthz() {
 }
 
 HttpResponse FollowerFrontend::HandleMetrics() {
-  const FollowerCore* core = follower_->core();
   std::string out;
   out.reserve(4096);
   AppendPromOneHot(&out, "kanon_repl_state", follower_->state(),
                    kNumReplStates, ReplStateName);
   AppendPromMetric(&out, "kanon_repl_lag_lsn", "gauge",
                    static_cast<double>(follower_->lag_lsn()));
-  const double staleness = core->staleness_ms();
+  const double staleness = follower_->staleness_ms();
   AppendPromMetric(&out, "kanon_repl_lag_ms", "gauge",
                    std::isfinite(staleness) ? staleness : -1);
   AppendPromMetric(&out, "kanon_repl_reconnects_total", "counter",
                    static_cast<double>(follower_->reconnects()));
   AppendPromMetric(&out, "kanon_repl_bootstraps_total", "counter",
-                   static_cast<double>(core->bootstraps()));
+                   static_cast<double>(follower_->bootstraps()));
   AppendPromMetric(&out, "kanon_repl_batches_total", "counter",
                    static_cast<double>(follower_->batches()));
   AppendPromMetric(&out, "kanon_repl_bytes_total", "counter",
                    static_cast<double>(follower_->bytes_total()));
   AppendPromMetric(&out, "kanon_repl_applied_lsn", "gauge",
-                   static_cast<double>(core->applied_lsn()));
+                   static_cast<double>(follower_->applied_lsn()));
   AppendPromMetric(&out, "kanon_repl_epoch", "gauge",
-                   static_cast<double>(core->epoch()));
+                   static_cast<double>(follower_->epoch()));
   AppendPromMetric(&out, "kanon_repl_leader_epoch", "gauge",
                    static_cast<double>(follower_->leader_epoch()));
   AppendPromMetric(&out, "kanon_follower_records", "gauge",
-                   static_cast<double>(core->records()));
+                   static_cast<double>(follower_->records()));
   // DP serving: ledger counters + the per-release-point utility pair, same
   // series names as the leader so one dashboard covers both roles.
-  dp_.AppendMetrics(&out, core->CurrentStitched().get());
+  dp_.AppendMetrics(&out, follower_->CurrentStitched().get());
   return router_.Metrics(out);
 }
 

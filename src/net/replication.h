@@ -6,14 +6,18 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "anon/rtree_anonymizer.h"
 #include "common/status.h"
+#include "durability/checkpoint.h"
 #include "net/anon_http.h"
 #include "net/http_client.h"
-#include "service/follower_core.h"
+#include "shard/stitched_snapshot.h"
 
 namespace kanon::net {
 
@@ -27,9 +31,10 @@ enum class ReplState : int {
 constexpr int kNumReplStates = 4;
 const char* ReplStateName(ReplState state);
 
-/// Everything /repl/manifest reports, parsed.
+/// Everything /repl/manifest reports. EncodeLeaderManifest (the leader) and
+/// DecodeLeaderManifest (ReplicationClient) are the one codec of its body.
 struct LeaderManifest {
-  size_t shards = 1;
+  size_t shards = 0;
   size_t shard = 0;
   size_t dim = 0;
   size_t base_k = 0;
@@ -37,8 +42,7 @@ struct LeaderManifest {
   size_t max_fanout = 0;
   bool compact = true;
   /// DP grid height the leader bins publication cells at (0 = DP off).
-  /// Adopted by the follower so both sides' DP releases share one grid.
-  size_t dp_height = 10;
+  size_t dp_height = 0;
   uint64_t durable_lsn = 0;
   uint64_t epoch = 0;
   uint64_t epoch_records = 0;
@@ -46,8 +50,15 @@ struct LeaderManifest {
   CheckpointManifest checkpoint;  // valid only when checkpoint_lsn > 0
 };
 
-/// One /repl/wal response: raw CRC-framed entries plus the tailing state
-/// machine's inputs from the X-Kanon-* headers.
+std::string EncodeLeaderManifest(const LeaderManifest& manifest);
+/// A known key that is missing, or whose value is not a whole decimal
+/// number (a string for the checkpoint file), is Corruption; unknown keys
+/// are skipped, so an older or newer leader's extra keys do no harm.
+StatusOr<LeaderManifest> DecodeLeaderManifest(std::string_view body);
+
+/// One /repl/wal answer: CRC-framed entries as the body, the tailing state
+/// machine's inputs as X-Kanon-* headers. EncodeWalBatch and DecodeWalBatch
+/// are its one codec; a missing or non-numeric header is Corruption.
 struct WalBatch {
   std::string frames;
   uint64_t first_lsn = 0;
@@ -56,6 +67,9 @@ struct WalBatch {
   uint64_t epoch = 0;         // leader's latest published epoch (0 = none)
   uint64_t epoch_records = 0; // records covered by that epoch
 };
+
+HttpResponse EncodeWalBatch(WalBatch batch);
+StatusOr<WalBatch> DecodeWalBatch(ClientResponse response);
 
 /// Typed HTTP client for the leader's /repl endpoints. Maps protocol
 /// signals onto Status codes the state machine dispatches on:
@@ -66,12 +80,12 @@ struct WalBatch {
 ///   transport faults    -> IoError      (as reported by HttpClient —
 ///                                        includes timeouts and torn
 ///                                        responses; reconnect + backoff)
+///   malformed answer    -> Corruption   (handled like a transport fault)
 /// A torn or CRC-damaged body is never partially surfaced: the caller
 /// re-requests everything after its last applied LSN.
 class ReplicationClient {
  public:
-  ReplicationClient(std::string host, uint16_t port, size_t shard,
-                    double timeout_s);
+  ReplicationClient(std::string host, uint16_t port, double timeout_s);
 
   StatusOr<LeaderManifest> FetchManifest();
   StatusOr<std::string> FetchCheckpoint(uint64_t lsn);
@@ -85,15 +99,11 @@ class ReplicationClient {
     return bytes_total_.load(std::memory_order_relaxed);
   }
 
-  const std::string& host() const { return host_; }
-  uint16_t port() const { return port_; }
-
  private:
   StatusOr<ClientResponse> Fetch(const std::string& target);
 
   const std::string host_;
   const uint16_t port_;
-  const size_t shard_;
   const double timeout_s_;
   HttpClient client_;
   std::atomic<uint64_t> bytes_total_{0};
@@ -102,11 +112,10 @@ class ReplicationClient {
 struct FollowerOptions {
   std::string leader_host = "127.0.0.1";
   uint16_t leader_port = 0;
-  size_t shard = 0;
-  /// Core publication/staleness knobs. The anonymizer configuration inside
-  /// is overwritten from the leader manifest at bootstrap (base_k and tree
-  /// shape must match the leader or releases would diverge).
-  FollowerCoreOptions core;
+  /// A follower whose last caught-up confirmation is older than this is
+  /// stale: its releases may lag the leader arbitrarily. /healthz degrades
+  /// off fresh(), and reads optionally get rejected (reject_stale_reads).
+  uint64_t max_staleness_ms = 5000;
   /// Directory for the checkpoint download (must exist or be creatable).
   std::string scratch_dir = "/tmp";
   /// With stale reads rejected, /release answers 503 past the staleness
@@ -129,13 +138,18 @@ struct FollowerOptions {
   DpServingOptions dp;
 };
 
-/// A read replica: bootstraps a FollowerCore from the leader's checkpoint,
-/// tails its WAL, and publishes epoch snapshots — all on one background
-/// thread, resilient to every fault the protocol can express. The thread
-/// never exits on error: leader down means capped-backoff reconnects, a
-/// GC'd WAL range means an automatic re-bootstrap, a torn batch means
-/// re-requesting from the last applied LSN. Serving threads read the core
-/// lock-free the whole time.
+/// A read replica of a 1-shard leader: an IncrementalAnonymizer fed by
+/// checkpoint adoption and in-order WAL application, publishing snapshots
+/// at the *leader's* epochs so a caught-up follower's /release body is
+/// byte-identical to the leader's. Each bootstrap builds a fresh anonymizer
+/// shaped only by the leader's manifest (base_k, leaf capacity, fanout,
+/// compaction, DP grid height), so no local flag can diverge the trees.
+///
+/// One background thread does it all and never exits on error: leader down
+/// means capped-backoff reconnects, a GC'd WAL range means bootstrapping
+/// again, a torn or malformed answer means re-requesting from the last
+/// applied LSN, and a sharded leader is refused (nothing published).
+/// Serving threads read the const accessors and CurrentStitched().
 class ReplicatedFollower {
  public:
   ReplicatedFollower(Domain domain, FollowerOptions options);
@@ -152,8 +166,29 @@ class ReplicatedFollower {
   ReplState state() const {
     return static_cast<ReplState>(state_.load(std::memory_order_acquire));
   }
-  FollowerCore* core() { return core_.get(); }
-  const FollowerCore* core() const { return core_.get(); }
+  uint64_t applied_lsn() const {
+    return applied_lsn_.load(std::memory_order_acquire);
+  }
+  /// Last published (leader) epoch; 0 = nothing published yet. May move
+  /// backward across a leader restart (see PublishEpoch).
+  uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
+  uint64_t records() const { return records_.load(std::memory_order_acquire); }
+  /// Record count of the last published snapshot (0 = nothing published).
+  uint64_t published_records() const {
+    return published_records_.load(std::memory_order_acquire);
+  }
+  uint64_t bootstraps() const {
+    return bootstraps_.load(std::memory_order_relaxed);
+  }
+  /// Milliseconds since the last caught-up confirmation; infinite before
+  /// the first one (stale until proven fresh).
+  double staleness_ms() const;
+  bool fresh() const {
+    return staleness_ms() <= static_cast<double>(options_.max_staleness_ms);
+  }
+  /// The current release point as a 1-shard stitched snapshot, the shape
+  /// RenderRelease consumes. Null until the first publication.
+  std::shared_ptr<const StitchedSnapshot> CurrentStitched() const;
 
   uint64_t reconnects() const {
     return reconnects_.load(std::memory_order_relaxed);
@@ -172,7 +207,7 @@ class ReplicatedFollower {
   /// LSNs known durable on the leader but not yet applied here.
   uint64_t lag_lsn() const {
     const uint64_t durable = leader_durable_lsn();
-    const uint64_t applied = core_->applied_lsn();
+    const uint64_t applied = applied_lsn();
     return durable > applied ? durable - applied : 0;
   }
 
@@ -186,12 +221,19 @@ class ReplicatedFollower {
   };
 
   void RunLoop();
-  /// One bootstrap attempt; true on success (core adopted a starting
-  /// point), false on a retryable failure (backoff applied by the caller).
+  /// One bootstrap attempt; false on a retryable failure (backoff applied
+  /// by the caller).
   bool BootstrapOnce();
   /// One tail poll against the leader's /repl/wal.
   TailResult TailOnce();
-  void OnTransportFault(const Status& status);
+  /// Applies one WAL entry; `lsn` must be exactly applied_lsn() + 1.
+  Status Apply(uint64_t lsn, std::span<const double> point,
+               int32_t sensitive);
+  /// Publishes the index as leader epoch `epoch`; false when it holds fewer
+  /// than base_k records or (epoch, records) is already published.
+  bool PublishEpoch(uint64_t epoch);
+  void MarkCaughtUp();  // resets the staleness clock
+  void OnTransportFault();
   /// Sleeps the capped-exponential-backoff delay (interruptible by Stop).
   void Backoff();
   bool SleepFor(uint64_t ms);  // false when Stop interrupted the wait
@@ -200,7 +242,7 @@ class ReplicatedFollower {
   }
 
   const FollowerOptions options_;
-  std::unique_ptr<FollowerCore> core_;
+  const Domain domain_;
   ReplicationClient client_;
 
   std::thread thread_;
@@ -209,20 +251,32 @@ class ReplicatedFollower {
   bool stopping_ = false;
 
   std::atomic<int> state_{static_cast<int>(ReplState::kBootstrapping)};
+  std::atomic<uint64_t> applied_lsn_{0};
+  std::atomic<uint64_t> records_{0};  // == anonymizer_->size()
+  std::atomic<uint64_t> epoch_{0};
+  std::atomic<uint64_t> published_records_{0};
+  std::atomic<uint64_t> bootstraps_{0};
+  /// steady_clock nanos of the last MarkCaughtUp; 0 = never.
+  std::atomic<int64_t> caught_up_ns_{0};
   std::atomic<uint64_t> reconnects_{0};
   std::atomic<uint64_t> batches_{0};
   std::atomic<uint64_t> leader_durable_lsn_{0};
   std::atomic<uint64_t> leader_epoch_{0};
   std::atomic<uint64_t> leader_epoch_records_{0};
 
+  mutable std::mutex current_mu_;
+  std::shared_ptr<const StitchedSnapshot> current_;
+
   // Replication-thread-only state (no synchronization needed).
+  std::unique_ptr<IncrementalAnonymizer> anonymizer_;  // null until bootstrap
+  size_t dp_height_ = 0;  // from the manifest, like the tree shape
   bool bootstrapped_ = false;
   uint64_t consecutive_failures_ = 0;
   uint64_t jitter_state_ = 0;
 };
 
 /// The HTTP face of a follower: read endpoints served lock-free off the
-/// core's published snapshot, writes redirected to the leader, health and
+/// follower's published snapshot, writes redirected to the leader, health and
 /// metrics wired to the replication state machine. The paths form one
 /// Router table, so 404, 405 + Allow, HEAD and the kanon_http_* series
 /// behave exactly as on the leader.

@@ -30,13 +30,6 @@ struct SnapshotInfo {
   }
 };
 
-/// An immutable, shareable release point of the anonymization service: the
-/// ordered leaf groups of the index at publication time (MBRs already
-/// compacted) plus the data domain. Because partitions released from a
-/// snapshot are unions of whole leaves, Lemma 1 makes every granularity
-/// k1 >= base_k — and any number of them — jointly k-anonymous, so a
-/// snapshot can serve arbitrarily many Release calls from arbitrarily many
-/// threads with no synchronization at all.
 /// One immutable per-leaf release fragment: the leaf's record ids, its
 /// published box and its domain-clipped region.
 using LeafFragment = std::shared_ptr<const LeafGroup>;
@@ -49,6 +42,13 @@ using LeafFragment = std::shared_ptr<const LeafGroup>;
 /// hierarchy leaves the process.
 using DpCells = std::shared_ptr<const std::vector<uint64_t>>;
 
+/// An immutable, shareable release point of the anonymization service: the
+/// ordered leaf groups of the index at publication time (MBRs already
+/// compacted) plus the data domain. Because partitions released from a
+/// snapshot are unions of whole leaves, Lemma 1 makes every granularity
+/// k1 >= base_k — and any number of them — jointly k-anonymous, so a
+/// snapshot can serve arbitrarily many Release calls from arbitrarily many
+/// threads with no synchronization at all.
 class Snapshot {
  public:
   /// Snapshots come from BuildSnapshot below.

@@ -59,6 +59,21 @@ StatusOr<std::unique_ptr<FilePager>> FilePager::Create(size_t page_size,
   return std::unique_ptr<FilePager>(new FilePager(page_size, std::move(file)));
 }
 
+StatusOr<std::unique_ptr<FilePager>> FilePager::Open(
+    const std::string& path, size_t page_size, bool truncate, Env* env) {
+  if (env == nullptr) env = Env::Default();
+  KANON_ASSIGN_OR_RETURN(auto file, env->NewRandomRWFile(path, truncate));
+  std::unique_ptr<FilePager> pager(new FilePager(page_size, std::move(file)));
+  if (!truncate) {
+    KANON_ASSIGN_OR_RETURN(const uint64_t size, env->FileSize(path));
+    pager->num_pages_ =
+        (static_cast<size_t>(size) + page_size - 1) / page_size;
+  }
+  return pager;
+}
+
+Status FilePager::Sync() { return file_->Sync(); }
+
 Status FilePager::DoRead(PageId id, char* buf) {
   size_t n = 0;
   KANON_RETURN_IF_ERROR(file_->ReadAt(
@@ -69,36 +84,6 @@ Status FilePager::DoRead(PageId id, char* buf) {
 }
 
 Status FilePager::DoWrite(PageId id, const char* buf) {
-  return file_->WriteAt(static_cast<uint64_t>(id) * page_size_, buf,
-                        page_size_);
-}
-
-StatusOr<std::unique_ptr<NamedFilePager>> NamedFilePager::Open(
-    const std::string& path, size_t page_size, bool truncate, Env* env) {
-  if (env == nullptr) env = Env::Default();
-  KANON_ASSIGN_OR_RETURN(auto file, env->NewRandomRWFile(path, truncate));
-  std::unique_ptr<NamedFilePager> pager(
-      new NamedFilePager(page_size, std::move(file), path));
-  if (!truncate) {
-    KANON_ASSIGN_OR_RETURN(const uint64_t size, env->FileSize(path));
-    pager->num_pages_ =
-        (static_cast<size_t>(size) + page_size - 1) / page_size;
-  }
-  return pager;
-}
-
-Status NamedFilePager::Sync() { return file_->Sync(); }
-
-Status NamedFilePager::DoRead(PageId id, char* buf) {
-  size_t n = 0;
-  KANON_RETURN_IF_ERROR(file_->ReadAt(
-      static_cast<uint64_t>(id) * page_size_, buf, page_size_, &n));
-  // Reading a page that was allocated but never written: return zeros.
-  if (n != page_size_) std::memset(buf + n, 0, page_size_ - n);
-  return Status::OK();
-}
-
-Status NamedFilePager::DoWrite(PageId id, const char* buf) {
   return file_->WriteAt(static_cast<uint64_t>(id) * page_size_, buf,
                         page_size_);
 }

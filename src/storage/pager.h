@@ -22,8 +22,8 @@ struct PagerStats {
   uint64_t total() const { return reads + writes; }
 };
 
-/// Page-granular backing store. Three implementations: a real temp-file
-/// pager, a named-file pager (durable artifacts), and an in-memory pager
+/// Page-granular backing store. Two implementations: a file pager (temp
+/// file or named durable artifact), and an in-memory pager
 /// (identical accounting, used by unit tests and by benches that want
 /// repeatable timings without disk noise).
 ///
@@ -86,9 +86,13 @@ class Pager {
   std::vector<uint8_t> checksummed_;  // 1 iff checksums_[id] is meaningful
 };
 
-/// Pager over an anonymous temporary file (unlinked on open, so it vanishes
-/// with the process). All I/O goes through the Env so fault-injection
-/// harnesses can interpose on it.
+/// Pager over a file, with all I/O through the Env so fault-injection
+/// harnesses can interpose on it. Create() backs it with an anonymous temp
+/// file (unlinked on open, so it vanishes with the process); Open() with a
+/// named file that outlives the process — the backing store of durable
+/// artifacts (tree checkpoints, see src/durability/), made crash-durable by
+/// Sync(). I/O is unbuffered positional pread/pwrite, so a Sync() never
+/// races a stale user buffer.
 class FilePager : public Pager {
  public:
   /// Creates a pager over a temp file in `dir` ("" = system default).
@@ -96,6 +100,16 @@ class FilePager : public Pager {
   static StatusOr<std::unique_ptr<FilePager>> Create(
       size_t page_size = kDefaultPageSize, const std::string& dir = "",
       Env* env = nullptr);
+
+  /// Opens `path`, creating the file when missing. With `truncate` any
+  /// existing contents are discarded (fresh checkpoint); without it the
+  /// existing pages are addressable (recovery reads them back).
+  static StatusOr<std::unique_ptr<FilePager>> Open(
+      const std::string& path, size_t page_size = kDefaultPageSize,
+      bool truncate = false, Env* env = nullptr);
+
+  /// fsyncs the backing file; the Status is the durability evidence.
+  Status Sync();
 
  private:
   FilePager(size_t page_size, std::unique_ptr<RandomRWFile> file)
@@ -105,38 +119,6 @@ class FilePager : public Pager {
   Status DoWrite(PageId id, const char* buf) override;
 
   std::unique_ptr<RandomRWFile> file_;
-};
-
-/// Pager over a named file that outlives the process — the backing store of
-/// durable artifacts (tree checkpoints, see src/durability/). Unlike
-/// FilePager the file stays visible on disk and the caller controls its
-/// lifetime; Sync() makes the contents crash-durable. I/O is unbuffered
-/// positional pread/pwrite, so a Sync() never races a stale user buffer.
-class NamedFilePager : public Pager {
- public:
-  /// Opens `path`, creating the file when missing. With `truncate` any
-  /// existing contents are discarded (fresh checkpoint); without it the
-  /// existing pages are addressable (recovery reads them back). `env` =
-  /// nullptr uses Env::Default().
-  static StatusOr<std::unique_ptr<NamedFilePager>> Open(
-      const std::string& path, size_t page_size = kDefaultPageSize,
-      bool truncate = false, Env* env = nullptr);
-
-  const std::string& path() const { return path_; }
-
-  /// fsyncs the backing file; the Status is the durability evidence.
-  Status Sync();
-
- private:
-  NamedFilePager(size_t page_size, std::unique_ptr<RandomRWFile> file,
-                 std::string path)
-      : Pager(page_size), file_(std::move(file)), path_(std::move(path)) {}
-
-  Status DoRead(PageId id, char* buf) override;
-  Status DoWrite(PageId id, const char* buf) override;
-
-  std::unique_ptr<RandomRWFile> file_;
-  std::string path_;
 };
 
 /// Pager over heap memory with identical I/O accounting.

@@ -278,9 +278,10 @@ Leader StartLeader(const std::string& wal_dir, size_t k = 5,
                    uint64_t checkpoint_every = 100000,
                    size_t segment_bytes = 16u << 20, uint16_t port = 0,
                    DpServingOptions frontend_options = {},
-                   uint64_t snapshot_every = 0) {
+                   uint64_t snapshot_every = 0, size_t shards = 1) {
   Leader leader;
   ShardedServiceOptions options;
+  options.sharding.num_shards = shards;
   options.service.anonymizer.base_k = k;
   options.service.queue_capacity = 512;
   options.service.max_batch = 32;
@@ -421,7 +422,7 @@ TEST(ReplEndpointsTest, ManifestDropsRetiredKeyAndFollowerToleratesIt) {
     return HttpResponse::Json(200, older);
   });
   ASSERT_TRUE(canned.Start().ok());
-  ReplicationClient client("127.0.0.1", canned.port(), 0, 5.0);
+  ReplicationClient client("127.0.0.1", canned.port(), 5.0);
   auto manifest = client.FetchManifest();
   ASSERT_TRUE(manifest.ok()) << manifest.status();
   EXPECT_EQ(manifest->dim, 2u);
@@ -431,6 +432,59 @@ TEST(ReplEndpointsTest, ManifestDropsRetiredKeyAndFollowerToleratesIt) {
   EXPECT_EQ(manifest->epoch, 1u);
   EXPECT_EQ(manifest->epoch_records, 60u);
   canned.Shutdown();
+}
+
+/// A stand-in leader on an ephemeral port that answers with `handler`.
+std::unique_ptr<HttpServer> ServeCanned(HttpHandler handler) {
+  HttpServerOptions http;
+  http.port = 0;
+  http.num_threads = 1;
+  auto server = std::make_unique<HttpServer>(http, std::move(handler));
+  KANON_CHECK(server->Start().ok());
+  return server;
+}
+
+// A known manifest key that is missing or not a decimal number is
+// Corruption, never a silent default: a follower that guessed the leader's
+// dp_height or crc32 would serve releases that diverge from the leader's.
+TEST(ReplEndpointsTest, FetchManifestRejectsMissingOrNonNumericKnownKeys) {
+  ScratchDir dir;
+  Leader leader = StartLeader(dir.path(), 5, /*checkpoint_every=*/64,
+                              /*segment_bytes=*/512);
+  IngestAndPublish(leader, 300);
+  std::string body;
+  WaitFor([&] {
+    body = Fetch(leader.port(), "/repl/manifest");
+    return body.find("\"crc32\":") != std::string::npos;
+  });
+  leader.service->Stop();
+
+  // Cuts the first `"key":value` member (with its leading comma) out of
+  // `json`, or replaces its value.
+  const auto edit = [](std::string json, const std::string& key,
+                       const std::string* value) {
+    const size_t at = json.find(",\"" + key + "\":");
+    KANON_CHECK(at != std::string::npos);
+    const size_t end = json.find_first_of(",}", at + 1);
+    return json.substr(0, at) +
+           (value == nullptr ? "" : ",\"" + key + "\":" + *value) +
+           json.substr(end);
+  };
+  const std::string quoted_five = "\"5\"";
+  for (const std::string& broken :
+       {edit(body, "dp_height", nullptr),
+        edit(body, "base_k", &quoted_five),
+        edit(body, "crc32", nullptr)}) {
+    SCOPED_TRACE(broken);
+    const auto canned = ServeCanned([&broken](const HttpRequest&) {
+      return HttpResponse::Json(200, broken);
+    });
+    ReplicationClient client("127.0.0.1", canned->port(), 5.0);
+    const auto manifest = client.FetchManifest();
+    ASSERT_FALSE(manifest.ok());
+    EXPECT_EQ(manifest.status().code(), StatusCode::kCorruption);
+    canned->Shutdown();
+  }
 }
 
 TEST(ReplEndpointsTest, WalEndpointShipsDecodableFramesWithHeaders) {
@@ -524,12 +578,12 @@ TEST(ReplicationE2eTest, FollowerConvergesToByteIdenticalRelease) {
   ReplicatedFollower follower(
       SquareDomain(), FastFollowerOptions(leader.port(), scratch.path()));
   follower.Start();
-  WaitFor([&] { return follower.core()->epoch() >= 1; });
+  WaitFor([&] { return follower.epoch() >= 1; });
   WaitFor([&] {
     return follower.state() == ReplState::kFollowing &&
-           follower.core()->fresh();
+           follower.fresh();
   });
-  EXPECT_EQ(follower.core()->applied_lsn(), 80u);
+  EXPECT_EQ(follower.applied_lsn(), 80u);
 
   // The follower's own HTTP face serves the same bytes as the leader's.
   FollowerFrontend frontend(&follower);
@@ -548,7 +602,7 @@ TEST(ReplicationE2eTest, FollowerConvergesToByteIdenticalRelease) {
 
   // More records + a new epoch: the follower catches up incrementally.
   IngestAndPublish(leader, 40, /*offset=*/80);
-  WaitFor([&] { return follower.core()->epoch() >= 2; });
+  WaitFor([&] { return follower.epoch() >= 2; });
   EXPECT_EQ(Fetch(leader.port(), "/release"), Fetch(server.port(), "/release"));
 
   // Write redirection and health.
@@ -643,8 +697,8 @@ TEST(ReplicationE2eTest, FollowersConvergeUnderConcurrentIngest) {
   EXPECT_GE(info.epoch, 10u);
   for (const auto& follower : followers) {
     WaitFor([&] {
-      return follower->core()->epoch() == info.epoch &&
-             follower->core()->published_records() == info.records;
+      return follower->epoch() == info.epoch &&
+             follower->published_records() == info.records;
     });
   }
   for (const std::string target :
@@ -684,7 +738,7 @@ TEST(ReplicationE2eTest, FollowerServesByteIdenticalDpRelease) {
   options.dp.utility_in_metrics = true;
   ReplicatedFollower follower(SquareDomain(), options);
   follower.Start();
-  WaitFor([&] { return follower.core()->epoch() >= 1; });
+  WaitFor([&] { return follower.epoch() >= 1; });
 
   FollowerFrontend frontend(&follower);
   HttpServerOptions http;
@@ -724,7 +778,7 @@ TEST(ReplicationE2eTest, FollowerServesByteIdenticalDpRelease) {
 
   // The next publication point is again byte-identical once caught up.
   IngestAndPublish(leader, 30, /*offset=*/90);
-  WaitFor([&] { return follower.core()->epoch() >= 2; });
+  WaitFor([&] { return follower.epoch() >= 2; });
   EXPECT_EQ(Fetch(leader.port(), "/release/dp?epsilon=0.5"),
             Fetch(server.port(), "/release/dp?epsilon=0.5"));
 
@@ -745,9 +799,9 @@ TEST(ReplicationE2eTest, FollowerBootstrapsFromCheckpointThenTails) {
   ReplicatedFollower follower(
       SquareDomain(), FastFollowerOptions(leader.port(), scratch.path()));
   follower.Start();
-  WaitFor([&] { return follower.core()->epoch() >= 1; });
-  EXPECT_EQ(follower.core()->applied_lsn(), 300u);
-  EXPECT_GE(follower.core()->bootstraps(), 1u);
+  WaitFor([&] { return follower.epoch() >= 1; });
+  EXPECT_EQ(follower.applied_lsn(), 300u);
+  EXPECT_GE(follower.bootstraps(), 1u);
   EXPECT_EQ(Fetch(leader.port(), "/release/query?k1=12&rids=1"),
             [&] {
               FollowerFrontend frontend(&follower);
@@ -771,14 +825,14 @@ TEST(ReplicationE2eTest, FollowerReBootstrapsWhenTailedRangeIsGcd) {
   ReplicatedFollower follower(
       SquareDomain(), FastFollowerOptions(leader.port(), scratch.path()));
   follower.Start();
-  WaitFor([&] { return follower.core()->epoch() >= 1; });
-  const uint64_t bootstraps_before = follower.core()->bootstraps();
+  WaitFor([&] { return follower.epoch() >= 1; });
+  const uint64_t bootstraps_before = follower.bootstraps();
 
   // Pile on enough records to checkpoint + GC the segments the follower
   // already consumed, then keep going: if its position is ever truncated
   // away it re-bootstraps without operator action.
   IngestAndPublish(leader, 400, /*offset=*/80);
-  WaitFor([&] { return follower.core()->published_records() == 480u; });
+  WaitFor([&] { return follower.published_records() == 480u; });
   EXPECT_EQ(Fetch(leader.port(), "/release"), [&] {
     FollowerFrontend frontend(&follower);
     HttpRequest request;
@@ -789,7 +843,7 @@ TEST(ReplicationE2eTest, FollowerReBootstrapsWhenTailedRangeIsGcd) {
   // (The re-bootstrap is opportunistic: it only triggers if the poll gap
   // spanned the GC. Either way the follower converged; when it did
   // re-bootstrap the counter says so.)
-  EXPECT_GE(follower.core()->bootstraps(), bootstraps_before);
+  EXPECT_GE(follower.bootstraps(), bootstraps_before);
   follower.Stop();
   leader.service->Stop();
 }
@@ -804,7 +858,7 @@ TEST(ReplicationE2eTest, FollowerReconnectsAfterLeaderRestartOnSamePort) {
   ReplicatedFollower follower(
       SquareDomain(), FastFollowerOptions(port, scratch.path()));
   follower.Start();
-  WaitFor([&] { return follower.core()->epoch() >= 1; });
+  WaitFor([&] { return follower.epoch() >= 1; });
 
   // Leader goes away; the follower keeps serving its snapshot and enters
   // reconnect backoff.
@@ -814,7 +868,7 @@ TEST(ReplicationE2eTest, FollowerReconnectsAfterLeaderRestartOnSamePort) {
   leader.frontend.reset();
   leader.service.reset();
   WaitFor([&] { return follower.state() == ReplState::kDisconnected; });
-  EXPECT_NE(follower.core()->CurrentStitched(), nullptr);
+  EXPECT_NE(follower.CurrentStitched(), nullptr);
 
   // Same port, same WAL dir: recovery brings the records back, the
   // follower reconnects by itself and resumes from its applied LSN. The
@@ -822,8 +876,8 @@ TEST(ReplicationE2eTest, FollowerReconnectsAfterLeaderRestartOnSamePort) {
   // the follower must still republish, keying on (epoch, records).
   Leader revived = StartLeader(wal.path(), 5, 100000, 16u << 20, port);
   IngestAndPublish(revived, 30, /*offset=*/60);
-  WaitFor([&] { return follower.core()->applied_lsn() == 90u; });
-  WaitFor([&] { return follower.core()->published_records() == 90u; });
+  WaitFor([&] { return follower.applied_lsn() == 90u; });
+  WaitFor([&] { return follower.published_records() == 90u; });
   EXPECT_GE(follower.reconnects(), 1u);
   EXPECT_EQ(Fetch(revived.port(), "/release"), [&] {
     FollowerFrontend frontend(&follower);
@@ -843,11 +897,11 @@ TEST(ReplicationE2eTest, StalenessDegradesHealthAndOptionallyRejectsReads) {
   IngestAndPublish(leader, 40);
 
   FollowerOptions options = FastFollowerOptions(leader.port(), scratch.path());
-  options.core.max_staleness_ms = 200;  // tight bound for the test
+  options.max_staleness_ms = 200;  // tight bound for the test
   options.reject_stale_reads = true;
   ReplicatedFollower follower(SquareDomain(), options);
   follower.Start();
-  WaitFor([&] { return follower.core()->epoch() >= 1; });
+  WaitFor([&] { return follower.epoch() >= 1; });
 
   FollowerFrontend frontend(&follower);
   HttpRequest release;
@@ -871,7 +925,7 @@ TEST(ReplicationE2eTest, StalenessDegradesHealthAndOptionallyRejectsReads) {
   // that carries Retry-After.
   leader.server->Shutdown();
   leader.service->Stop();
-  WaitFor([&] { return !follower.core()->fresh(); });
+  WaitFor([&] { return !follower.fresh(); });
   {
     HttpRequest healthz;
     healthz.method = "GET";
@@ -898,6 +952,65 @@ TEST(ReplicationE2eTest, StalenessDegradesHealthAndOptionallyRejectsReads) {
   const std::string metrics = frontend.Handle(metrics_req).body;
   EXPECT_NE(metrics.find("kanon_repl_reconnects_total"), std::string::npos);
   follower.Stop();
+}
+
+// A sharded leader is refused: shard 0 alone would be served as if it were
+// the whole release. The follower publishes nothing and stays unhealthy.
+TEST(ReplicationE2eTest, FollowerRefusesShardedLeader) {
+  ScratchDir wal;
+  ScratchDir scratch;
+  Leader leader = StartLeader(wal.path(), 5, /*checkpoint_every=*/100000,
+                              /*segment_bytes=*/16u << 20, /*port=*/0,
+                              /*frontend_options=*/{}, /*snapshot_every=*/0,
+                              /*shards=*/2);
+  IngestAndPublish(leader, 200);
+
+  ReplicatedFollower follower(
+      SquareDomain(), FastFollowerOptions(leader.port(), scratch.path()));
+  follower.Start();
+  FollowerServer served = ServeFollower(&follower);
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  EXPECT_EQ(follower.epoch(), 0u);
+  EXPECT_EQ(follower.CurrentStitched(), nullptr);
+  EXPECT_NE(follower.state(), ReplState::kFollowing);
+  int status = 0;
+  (void)Fetch(served.port(), "/healthz", &status);
+  EXPECT_EQ(status, 503);
+  served.server->Shutdown();
+  follower.Stop();
+  leader.service->Stop();
+}
+
+// A /repl/wal 200 without its X-Kanon-* headers is a transport fault, not a
+// zero leader horizon: the follower must not report itself caught up.
+TEST(ReplicationE2eTest, FollowerTreatsHeaderlessWalAnswerAsFault) {
+  ScratchDir scratch;
+  const auto canned = ServeCanned([](const HttpRequest& request) {
+    if (request.path == "/repl/manifest") {
+      return HttpResponse::Json(
+          200,
+          "{\"shards\":1,\"shard\":0,\"dim\":2,\"base_k\":5,"
+          "\"leaf_capacity_factor\":2,\"max_fanout\":16,\"compact\":1,"
+          "\"dp_height\":10,\"durable_lsn\":500,\"epoch\":3,"
+          "\"epoch_records\":500,\"checkpoint_lsn\":0}");
+    }
+    HttpResponse empty;
+    empty.status = 200;
+    empty.content_type = "application/octet-stream";
+    return empty;
+  });
+  ReplicatedFollower follower(
+      SquareDomain(), FastFollowerOptions(canned->port(), scratch.path()));
+  follower.Start();
+  FollowerServer served = ServeFollower(&follower);
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  EXPECT_NE(follower.state(), ReplState::kFollowing);
+  int status = 0;
+  (void)Fetch(served.port(), "/healthz", &status);
+  EXPECT_EQ(status, 503);
+  served.server->Shutdown();
+  follower.Stop();
+  canned->Shutdown();
 }
 
 // The follower shares the leader's route policy: a 404 in the shared error
@@ -951,7 +1064,7 @@ TEST(ReplicationE2eTest, FollowerHeadIsFramedWithoutBodyOnKeepAlive) {
   follower.Start();
   WaitFor([&] {
     return follower.state() == ReplState::kFollowing &&
-           follower.core()->fresh();
+           follower.fresh();
   });
   FollowerServer served = ServeFollower(&follower);
   ExpectHeadThenGetFramed(served.port(), "/healthz");
@@ -972,7 +1085,7 @@ TEST(ReplicationE2eTest, FollowerMetricsExposeFixedLatencyHistogram) {
   ReplicatedFollower follower(
       SquareDomain(), FastFollowerOptions(leader.port(), scratch.path()));
   follower.Start();
-  WaitFor([&] { return follower.core()->epoch() >= 1; });
+  WaitFor([&] { return follower.epoch() >= 1; });
   FollowerServer served = ServeFollower(&follower);
 
   HttpClient client;

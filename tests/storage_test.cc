@@ -272,7 +272,7 @@ TEST(NamedFilePagerTest, PersistsAcrossReopen) {
   const std::string path = dir.file("named_pager.db");
   std::vector<char> page(512, 0);
   {
-    auto pager = NamedFilePager::Open(path, 512, /*truncate=*/true);
+    auto pager = FilePager::Open(path, 512, /*truncate=*/true);
     ASSERT_TRUE(pager.ok()) << pager.status();
     const PageId a = (*pager)->Allocate();
     const PageId b = (*pager)->Allocate();
@@ -283,7 +283,7 @@ TEST(NamedFilePagerTest, PersistsAcrossReopen) {
     ASSERT_TRUE((*pager)->Sync().ok());
   }
   // Unlike FilePager (anonymous temp file), the data survives the pager.
-  auto reopened = NamedFilePager::Open(path, 512);
+  auto reopened = FilePager::Open(path, 512);
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ((*reopened)->num_pages(), 2u);
   ASSERT_TRUE((*reopened)->Read(1, page.data()).ok());
@@ -294,7 +294,7 @@ TEST(NamedFilePagerTest, PersistsAcrossReopen) {
 TEST(NamedFilePagerTest, ExternalCorruptionSurfacesAsStatus) {
   const testutil::ScratchDir dir;
   const std::string path = dir.file("corrupt_pager.db");
-  auto pager = NamedFilePager::Open(path, 512, /*truncate=*/true);
+  auto pager = FilePager::Open(path, 512, /*truncate=*/true);
   ASSERT_TRUE(pager.ok());
   const PageId id = (*pager)->Allocate();
   std::vector<char> page(512, 'x');

@@ -478,9 +478,7 @@ int RunFollower(const ServeOptions& options, std::ostream& log) {
     domain.lo.push_back(lo);
     domain.hi.push_back(hi);
   }
-  fopts.core.anonymizer.base_k = options.k;  // manifest overrides at bootstrap
-  fopts.core.max_staleness_ms = options.max_staleness_ms;
-  fopts.core.dp_height = options.dp_height;  // manifest overrides at bootstrap
+  fopts.max_staleness_ms = options.max_staleness_ms;
   fopts.reject_stale_reads = options.stale_reads == "reject";
   fopts.poll_interval_ms = options.repl_poll_ms;
   fopts.dp = DpOptions(options);
@@ -534,15 +532,14 @@ int RunFollower(const ServeOptions& options, std::ostream& log) {
   server.Shutdown();
   follower.Stop();
 
-  const FollowerCore* core = follower.core();
   log << "repl: state=" << net::ReplStateName(follower.state())
-      << " applied_lsn=" << core->applied_lsn()
-      << " epoch=" << core->epoch()
+      << " applied_lsn=" << follower.applied_lsn()
+      << " epoch=" << follower.epoch()
       << " reconnects=" << follower.reconnects()
-      << " bootstraps=" << core->bootstraps()
+      << " bootstraps=" << follower.bootstraps()
       << " batches=" << follower.batches()
       << " bytes=" << follower.bytes_total() << "\n";
-  const auto stitched = core->CurrentStitched();
+  const auto stitched = follower.CurrentStitched();
   if (stitched == nullptr) {
     log << "no snapshot published: the leader published nothing the "
            "follower could replicate\n";

@@ -48,8 +48,9 @@
 // leader. --max-staleness-ms bounds how stale the replica may get before
 // /healthz degrades; --stale-reads reject turns stale /release into 503.
 // Requires --listen and --domain (which must match the leader's
-// dimensionality); the anonymizer configuration is taken from the
-// leader's manifest, not local flags.
+// dimensionality); the tree shape is taken only from the leader's
+// manifest, not local flags (--k does nothing here), and a sharded leader
+// is refused.
 //
 // Every serving role also exposes differentially private releases:
 // GET /release/dp?epsilon= serves noisy consistent hierarchical counts
