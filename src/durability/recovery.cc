@@ -9,9 +9,8 @@
 
 namespace kanon {
 
-Status LoadCheckpointInto(const CheckpointManifest& manifest,
-                          const std::string& path,
-                          IncrementalAnonymizer* anonymizer, Env* env) {
+Status LoadCheckpointInto(const CheckpointManifest& manifest, Pager* pager,
+                          IncrementalAnonymizer* anonymizer) {
   if (anonymizer->size() != 0) {
     return Status::FailedPrecondition(
         "checkpoint adoption requires an empty index");
@@ -29,8 +28,7 @@ Status LoadCheckpointInto(const CheckpointManifest& manifest,
         "different k?)");
   }
   KANON_ASSIGN_OR_RETURN(RPlusTree tree,
-                         LoadTreeFromFile(path, manifest.snapshot, dim, config,
-                                          manifest.page_size, env));
+                         LoadTree(pager, manifest.snapshot, dim, config));
   anonymizer->AdoptTree(std::move(tree));
   return Status::OK();
 }
@@ -44,8 +42,11 @@ StatusOr<RecoveryResult> RecoverInto(const RecoveryOptions& options,
   auto manifest_or = LoadManifest(options.dir, env);
   if (manifest_or.ok()) {
     const CheckpointManifest& m = *manifest_or;
-    KANON_RETURN_IF_ERROR(
-        LoadCheckpointInto(m, options.dir + "/" + m.file, anonymizer, env));
+    KANON_ASSIGN_OR_RETURN(auto pager,
+                           FilePager::Open(options.dir + "/" + m.file,
+                                           m.page_size, /*truncate=*/false,
+                                           env));
+    KANON_RETURN_IF_ERROR(LoadCheckpointInto(m, pager.get(), anonymizer));
     result.checkpoint_records = anonymizer->size();
     result.checkpoint_lsn = m.checkpoint_lsn;
     result.loaded_checkpoint = true;

@@ -8,6 +8,7 @@
 #include "common/env.h"
 #include "common/status.h"
 #include "durability/checkpoint.h"
+#include "storage/pager.h"
 
 namespace kanon {
 
@@ -31,16 +32,15 @@ struct RecoveryResult {
   bool truncated_torn_tail = false; // a crash mid-append was cleaned up
 };
 
-/// Adopts the checkpoint `manifest` describes, stored at `path`, as the
-/// tree of the empty `anonymizer`: the one adoption path of crash recovery
-/// and of a read replica's bootstrap. The manifest's dimension and tree
-/// configuration must match the anonymizer's (a different k refuses the
-/// checkpoint), and LoadTreeFromFile checks the page image's CRC before any
-/// page is trusted. `env` = nullptr uses Env::Default().
-Status LoadCheckpointInto(const CheckpointManifest& manifest,
-                          const std::string& path,
-                          IncrementalAnonymizer* anonymizer,
-                          Env* env = nullptr);
+/// Adopts the checkpoint `manifest` describes as the tree of the empty
+/// `anonymizer`: the one adoption path of crash recovery (the checkpoint
+/// file's pages) and of a read replica's bootstrap (the downloaded pages,
+/// in memory). `pager` holds the pages laid out as SaveTreeToFile wrote
+/// them. The manifest's dimension and tree configuration must match the
+/// anonymizer's (a different k refuses the checkpoint), and LoadTree checks
+/// the page image's CRC before the tree is adopted.
+Status LoadCheckpointInto(const CheckpointManifest& manifest, Pager* pager,
+                          IncrementalAnonymizer* anonymizer);
 
 /// Rebuilds `anonymizer`'s tree from the durability directory: adopt the
 /// manifest's checkpoint (LoadCheckpointInto), then replay the WAL tail

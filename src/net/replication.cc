@@ -10,11 +10,11 @@
 #include <utility>
 #include <vector>
 
-#include "common/env.h"
 #include "durability/recovery.h"
 #include "durability/wal.h"
 #include "net/http_status.h"
 #include "service/snapshot.h"
+#include "storage/pager.h"
 
 namespace kanon::net {
 
@@ -405,27 +405,25 @@ bool ReplicatedFollower::BootstrapOnce() {
       OnTransportFault();
       return false;
     }
-    const std::string path =
-        options_.scratch_dir + "/follower-checkpoint-" +
-        std::to_string(m.checkpoint_lsn) + ".db";
-    Env* env = Env::Default();
-    Status wrote = [&]() -> Status {
-      (void)env->CreateDirs(options_.scratch_dir);
-      KANON_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> file,
-                             env->NewWritableFile(path, /*truncate=*/true));
-      KANON_RETURN_IF_ERROR(
-          file->Append(bytes_or->data(), bytes_or->size()));
-      return file->Close();
+    // The download never touches disk: its pages go into a MemPager (the
+    // last one zero-padded) and LoadCheckpointInto CRC-verifies them
+    // against the manifest before the tree is adopted.
+    const Status adopted = [&]() -> Status {
+      const size_t page_size = m.checkpoint.page_size;
+      MemPager pager(page_size);
+      std::vector<char> page(page_size);
+      for (size_t at = 0; at < bytes_or->size(); at += page_size) {
+        const size_t n = std::min(page_size, bytes_or->size() - at);
+        std::copy_n(bytes_or->data() + at, n, page.begin());
+        std::fill(page.begin() + n, page.end(), 0);
+        KANON_RETURN_IF_ERROR(pager.Write(pager.Allocate(), page.data()));
+      }
+      *bytes_or = std::string();  // free the download before LoadTree
+      return LoadCheckpointInto(m.checkpoint, &pager, anonymizer_.get());
     }();
-    if (wrote.ok()) {
-      // LoadCheckpointInto CRC-verifies the download against the manifest
-      // before any page is trusted.
-      wrote = LoadCheckpointInto(m.checkpoint, path, anonymizer_.get());
-    }
-    (void)env->RemoveFile(path);
-    if (!wrote.ok()) {
+    if (!adopted.ok()) {
       std::fprintf(stderr, "repl: checkpoint adoption failed: %s\n",
-                   wrote.ToString().c_str());
+                   adopted.ToString().c_str());
       ++consecutive_failures_;
       return false;
     }

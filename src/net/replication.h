@@ -116,8 +116,6 @@ struct FollowerOptions {
   /// stale: its releases may lag the leader arbitrarily. /healthz degrades
   /// off fresh(), and reads optionally get rejected (reject_stale_reads).
   uint64_t max_staleness_ms = 5000;
-  /// Directory for the checkpoint download (must exist or be creatable).
-  std::string scratch_dir = "/tmp";
   /// With stale reads rejected, /release answers 503 past the staleness
   /// bound instead of serving with a degraded-health header.
   bool reject_stale_reads = false;

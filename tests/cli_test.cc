@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "data/csv.h"
@@ -72,6 +76,22 @@ TEST(CliParseTest, ThreadsFlag) {
   EXPECT_FALSE(Parse({"--input", "a", "--output", "b", "--threads"}, &bad));
   EXPECT_FALSE(
       Parse({"--input", "a", "--output", "b", "--threads", "0"}, &bad));
+}
+
+// A malformed number is a usage error, never the prefix that happens to
+// parse or a default: the whole token must be a number.
+TEST(CliParseTest, MalformedValuesAreUsageErrors) {
+  const std::vector<std::pair<const char*, const char*>> malformed = {
+      {"--k", "5x"},
+      {"--entropy", "abc"},
+      {"--bias", "1,x"},
+      {"--recursive", "2,x"},
+  };
+  for (const auto& [flag, value] : malformed) {
+    CliOptions o;
+    EXPECT_FALSE(Parse({"--input", "a", "--output", "b", flag, value}, &o))
+        << flag << " " << value;
+  }
 }
 
 class CliRunTest : public ::testing::Test {
@@ -210,13 +230,13 @@ TEST(CliServeParseTest, ParsesFlagsAndRejectsUnknown) {
   ASSERT_TRUE(cli::ParseServeArgs(static_cast<int>(argv.size()),
                                   argv.data(), &o));
   EXPECT_EQ(o.input, "a.csv");
-  EXPECT_EQ(o.k, 25u);
+  EXPECT_EQ(o.service.service.anonymizer.base_k, 25u);
   EXPECT_EQ(o.producers, 4u);
   EXPECT_DOUBLE_EQ(o.rate, 5000.0);
-  EXPECT_EQ(o.queue_capacity, 128u);
-  EXPECT_EQ(o.max_batch, 32u);
-  EXPECT_EQ(o.snapshot_every, 500u);
-  EXPECT_TRUE(o.reject);
+  EXPECT_EQ(o.service.service.queue_capacity, 128u);
+  EXPECT_EQ(o.service.service.max_batch, 32u);
+  EXPECT_EQ(o.service.service.snapshot_every, 500u);
+  EXPECT_EQ(o.service.service.backpressure, BackpressureMode::kReject);
   EXPECT_EQ(o.releases, (std::vector<size_t>{25, 100}));
 
   cli::ServeOptions missing;
@@ -252,9 +272,9 @@ TEST(CliServeParseTest, DurabilityFlagsBothSpellings) {
       "5000",         "--recover-only"};
   ASSERT_TRUE(cli::ParseServeArgs(static_cast<int>(argv.size()),
                                   argv.data(), &o));
-  EXPECT_EQ(o.wal_dir, "/tmp/wal");
-  EXPECT_EQ(o.fsync_every, 64u);
-  EXPECT_EQ(o.checkpoint_every, 5000u);
+  EXPECT_EQ(o.service.service.durability.wal_dir, "/tmp/wal");
+  EXPECT_EQ(o.service.service.durability.fsync_every, 64u);
+  EXPECT_EQ(o.service.service.durability.checkpoint_every, 5000u);
   EXPECT_TRUE(o.recover_only);
 
   // Underscore spellings are accepted too (matches the service option
@@ -266,8 +286,8 @@ TEST(CliServeParseTest, DurabilityFlagsBothSpellings) {
       "100",        "--recover_only"};
   ASSERT_TRUE(cli::ParseServeArgs(static_cast<int>(underscore.size()),
                                   underscore.data(), &u));
-  EXPECT_EQ(u.wal_dir, "/tmp/wal2");
-  EXPECT_EQ(u.fsync_every, 1u);
+  EXPECT_EQ(u.service.service.durability.wal_dir, "/tmp/wal2");
+  EXPECT_EQ(u.service.service.durability.fsync_every, 1u);
   EXPECT_TRUE(u.recover_only);
 
   // --recover-only without --wal-dir is malformed.
@@ -286,14 +306,16 @@ TEST(CliServeParseTest, HttpFlags) {
       "0:100,-5:5",     "--serve-seconds", "2.5"};
   ASSERT_TRUE(cli::ParseServeArgs(static_cast<int>(argv.size()),
                                   argv.data(), &o));
-  EXPECT_EQ(o.listen, "0.0.0.0:8080");
-  EXPECT_EQ(o.http_threads, 8u);
-  EXPECT_EQ(o.max_body_bytes, 1024u);
-  ASSERT_EQ(o.domain.size(), 2u);
-  EXPECT_DOUBLE_EQ(o.domain[0].first, 0.0);
-  EXPECT_DOUBLE_EQ(o.domain[0].second, 100.0);
-  EXPECT_DOUBLE_EQ(o.domain[1].first, -5.0);
-  EXPECT_DOUBLE_EQ(o.domain[1].second, 5.0);
+  EXPECT_TRUE(o.listen);
+  EXPECT_EQ(o.http.host, "0.0.0.0");
+  EXPECT_EQ(o.http.port, 8080);
+  EXPECT_EQ(o.http.num_threads, 8u);
+  EXPECT_EQ(o.http.parser.max_body_bytes, 1024u);
+  ASSERT_EQ(o.domain.dim(), 2u);
+  EXPECT_DOUBLE_EQ(o.domain.lo[0], 0.0);
+  EXPECT_DOUBLE_EQ(o.domain.hi[0], 100.0);
+  EXPECT_DOUBLE_EQ(o.domain.lo[1], -5.0);
+  EXPECT_DOUBLE_EQ(o.domain.hi[1], 5.0);
   EXPECT_DOUBLE_EQ(o.serve_seconds, 2.5);
   // HTTP-only serving: --input is not required when --listen + --domain
   // supply the record source and dimensionality.
@@ -325,15 +347,15 @@ TEST(CliServeParseTest, ShardFlags) {
                                    "range"};
   ASSERT_TRUE(cli::ParseServeArgs(static_cast<int>(argv.size()),
                                   argv.data(), &o));
-  EXPECT_EQ(o.shards, 4u);
-  EXPECT_EQ(o.shard_by, "range");
+  EXPECT_EQ(o.service.sharding.num_shards, 4u);
+  EXPECT_EQ(o.service.sharding.shard_by, ShardBy::kRange);
 
   cli::ServeOptions defaults;
   std::vector<const char*> plain = {"serve", "--input", "a.csv"};
   ASSERT_TRUE(cli::ParseServeArgs(static_cast<int>(plain.size()),
                                   plain.data(), &defaults));
-  EXPECT_EQ(defaults.shards, 1u);
-  EXPECT_EQ(defaults.shard_by, "hash");
+  EXPECT_EQ(defaults.service.sharding.num_shards, 1u);
+  EXPECT_EQ(defaults.service.sharding.shard_by, ShardBy::kHash);
 
   cli::ServeOptions underscore;
   std::vector<const char*> us = {"serve", "--input", "a.csv", "--shard_by",
@@ -351,6 +373,94 @@ TEST(CliServeParseTest, ShardFlags) {
                                 "roundrobin"};
   EXPECT_FALSE(cli::ParseServeArgs(static_cast<int>(b.size()), b.data(),
                                    &bogus));
+}
+
+// Every serve flag value is parsed whole: a trailing letter, a sign on an
+// unsigned, a non-finite bound or a non-number in a list is a usage error
+// (kanon_cli prints usage and exits 2), not a silently different value.
+TEST(CliServeParseTest, MalformedValuesAreUsageErrors) {
+  const std::vector<std::pair<const char*, const char*>> malformed = {
+      {"--snapshot-every", "abc"}, {"--k", "5x"},
+      {"--k", "-1"},               {"--fsync-every", "-1"},
+      {"--queue", "12x"},          {"--rate", "fast"},
+      {"--domain", "0:1x0"},       {"--domain", "0:inf"},
+      {"--release", "10,x"},       {"--max-staleness-ms", "5s"},
+  };
+  for (const auto& [flag, value] : malformed) {
+    cli::ServeOptions o;
+    const std::vector<const char*> argv = {"serve", "--input", "a.csv", flag,
+                                           value};
+    EXPECT_FALSE(cli::ParseServeArgs(static_cast<int>(argv.size()),
+                                     argv.data(), &o))
+        << flag << " " << value;
+  }
+}
+
+// The replica and DP flags land in the library option each one sets, in
+// both spellings (an underscore reads as a hyphen).
+TEST(CliServeParseTest, EveryFlagParses) {
+  for (const bool underscore : {false, true}) {
+    auto spell = [underscore](std::string flag) {
+      if (underscore) std::replace(flag.begin() + 2, flag.end(), '-', '_');
+      return flag;
+    };
+    const std::vector<std::string> args = {
+        "serve",
+        "--follow", "http://10.0.0.7:8080/",
+        "--listen", ":0",
+        "--domain", "0:1",
+        spell("--max-staleness-ms"), "700",
+        spell("--stale-reads"), "reject",
+        spell("--repl-poll-ms"), "7",
+        spell("--dp-height"), "12",
+        spell("--dp-budget"), "2.5",
+        spell("--dp-lifetime-budget"), "9",
+        spell("--dp-key"), "s3cret",
+        spell("--dp-metrics-utility")};
+    std::vector<const char*> argv;
+    for (const std::string& arg : args) argv.push_back(arg.c_str());
+    cli::ServeOptions o;
+    ASSERT_TRUE(cli::ParseServeArgs(static_cast<int>(argv.size()),
+                                    argv.data(), &o))
+        << "underscore=" << underscore;
+    EXPECT_TRUE(o.follow);
+    EXPECT_EQ(o.follower.leader_host, "10.0.0.7");
+    EXPECT_EQ(o.follower.leader_port, 8080);
+    EXPECT_EQ(o.follower.max_staleness_ms, 700u);
+    EXPECT_TRUE(o.follower.reject_stale_reads);
+    EXPECT_EQ(o.follower.poll_interval_ms, 7u);
+    EXPECT_EQ(o.service.service.dp_height, 12u);
+    EXPECT_DOUBLE_EQ(o.dp.budget, 2.5);
+    EXPECT_DOUBLE_EQ(o.dp.lifetime_budget, 9.0);
+    EXPECT_EQ(o.dp.key_secret, "s3cret");
+    EXPECT_TRUE(o.dp.utility_in_metrics);
+  }
+
+  // --follow without the scheme; --stale-reads serve is the default policy.
+  cli::ServeOptions plain;
+  const std::vector<const char*> p = {
+      "serve",    "--follow", "127.0.0.1:9000", "--listen",    ":0",
+      "--domain", "0:1",      "--stale-reads",  "serve"};
+  ASSERT_TRUE(
+      cli::ParseServeArgs(static_cast<int>(p.size()), p.data(), &plain));
+  EXPECT_EQ(plain.follower.leader_host, "127.0.0.1");
+  EXPECT_EQ(plain.follower.leader_port, 9000);
+  EXPECT_FALSE(plain.follower.reject_stale_reads);
+
+  // Out-of-bounds values are usage errors too.
+  const std::vector<std::vector<const char*>> bad = {
+      {"serve", "--follow", "127.0.0.1:0", "--listen", ":0", "--domain", "0:1"},
+      {"serve", "--follow", "leader:x", "--listen", ":0", "--domain", "0:1"},
+      {"serve", "--input", "a.csv", "--dp-height", "40"},
+      {"serve", "--input", "a.csv", "--stale-reads", "maybe"},
+      {"serve", "--input", "a.csv", "--repl-poll-ms", "0"},
+  };
+  for (const auto& argv : bad) {
+    cli::ServeOptions o;
+    EXPECT_FALSE(cli::ParseServeArgs(static_cast<int>(argv.size()),
+                                     argv.data(), &o))
+        << argv[1] << " " << argv[2];
+  }
 }
 
 TEST(CliServeParseTest, ListenAddressForms) {
@@ -377,11 +487,11 @@ TEST(CliServeParseTest, ListenAddressForms) {
 TEST_F(CliRunTest, ServeModeEndToEnd) {
   cli::ServeOptions o;
   o.input = input_;
-  o.k = 20;
+  o.service.service.anonymizer.base_k = 20;
   o.producers = 3;
-  o.queue_capacity = 64;
-  o.max_batch = 16;
-  o.snapshot_every = 250;
+  o.service.service.queue_capacity = 64;
+  o.service.service.max_batch = 16;
+  o.service.service.snapshot_every = 250;
   o.releases = {20, 50};
   std::ostringstream log;
   EXPECT_EQ(cli::RunServe(o, log), 0) << log.str();
@@ -396,11 +506,11 @@ TEST_F(CliRunTest, ServeModeDurableRestartRecovers) {
 
   cli::ServeOptions o;
   o.input = input_;
-  o.k = 10;
+  o.service.service.anonymizer.base_k = 10;
   o.producers = 2;
-  o.wal_dir = wal_dir;
-  o.fsync_every = 32;
-  o.checkpoint_every = 400;
+  o.service.service.durability.wal_dir = wal_dir;
+  o.service.service.durability.fsync_every = 32;
+  o.service.service.durability.checkpoint_every = 400;
   {
     std::ostringstream log;
     EXPECT_EQ(cli::RunServe(o, log), 0) << log.str();
@@ -423,9 +533,9 @@ TEST_F(CliRunTest, ServeModeDurableRestartRecovers) {
 TEST_F(CliRunTest, ServeModeShardedEndToEnd) {
   cli::ServeOptions o;
   o.input = input_;
-  o.k = 10;
+  o.service.service.anonymizer.base_k = 10;
   o.producers = 3;
-  o.shards = 4;
+  o.service.sharding.num_shards = 4;
   o.releases = {10, 40};
   std::ostringstream log;
   EXPECT_EQ(cli::RunServe(o, log), 0) << log.str();
@@ -445,12 +555,12 @@ TEST_F(CliRunTest, ServeModeShardedDurableRestartRecoversPerShard) {
 
   cli::ServeOptions o;
   o.input = input_;
-  o.k = 10;
+  o.service.service.anonymizer.base_k = 10;
   o.producers = 2;
-  o.shards = 2;
-  o.wal_dir = wal_dir;
-  o.fsync_every = 32;
-  o.checkpoint_every = 400;
+  o.service.sharding.num_shards = 2;
+  o.service.service.durability.wal_dir = wal_dir;
+  o.service.service.durability.fsync_every = 32;
+  o.service.service.durability.checkpoint_every = 400;
   {
     std::ostringstream log;
     EXPECT_EQ(cli::RunServe(o, log), 0) << log.str();
@@ -473,12 +583,63 @@ TEST_F(CliRunTest, ServeModeShardedDurableRestartRecoversPerShard) {
         << log.str();
   }
   // Reopening the same directory with a different shard count is refused.
-  o.shards = 4;
+  o.service.sharding.num_shards = 4;
   {
     std::ostringstream log;
     EXPECT_EQ(cli::RunServe(o, log), 1);
     EXPECT_NE(log.str().find("--shards=2"), std::string::npos) << log.str();
   }
+}
+
+// `serve --follow` against an in-process durable leader: the follower
+// replicates the leader's published epoch and reports it on the same
+// "final snapshot:" line the leader prints.
+TEST_F(CliRunTest, ServeFollowModeReportsLeadersRelease) {
+  ShardedServiceOptions leader_options;
+  leader_options.service.anonymizer.base_k = 5;
+  leader_options.service.queue_capacity = 512;
+  leader_options.service.max_batch = 32;
+  leader_options.service.snapshot_every = 0;  // publish on demand
+  leader_options.service.durability.wal_dir = dir_.file("leader");
+  leader_options.service.durability.fsync_every = 8;
+  Domain domain;
+  domain.lo = {0, 0};
+  domain.hi = {100, 100};
+  auto leader =
+      ShardedAnonymizationService::Create(2, domain, leader_options);
+  ASSERT_TRUE(leader.ok()) << leader.status();
+  net::AnonHttpFrontend frontend(leader->get(), {});
+  net::HttpServerOptions http;
+  http.num_threads = 2;
+  net::HttpServer server(http, [&frontend](const net::HttpRequest& request) {
+    return frontend.Handle(request);
+  });
+  ASSERT_TRUE(server.Start().ok());
+  for (int i = 0; i < 300; ++i) {
+    const std::vector<double> p = {static_cast<double>(i % 97),
+                                   static_cast<double>((i * 7) % 89)};
+    ASSERT_TRUE((*leader)->Ingest(p, i % 5).ok());
+  }
+  const auto published = (*leader)->PublishNow();
+  ASSERT_NE(published, nullptr);
+
+  const std::string follow = "127.0.0.1:" + std::to_string(server.port());
+  const std::vector<const char*> argv = {
+      "serve",       "--follow", follow.c_str(), "--listen",
+      "127.0.0.1:0", "--domain", "0:100,0:100",  "--serve-seconds",
+      "1.5"};
+  cli::ServeOptions o;
+  ASSERT_TRUE(
+      cli::ParseServeArgs(static_cast<int>(argv.size()), argv.data(), &o));
+  std::ostringstream log;
+  EXPECT_EQ(cli::RunServe(o, log), 0) << log.str();
+  EXPECT_NE(log.str().find("final snapshot: epoch=" +
+                           std::to_string(published->info().epoch) +
+                           " records=300 "),
+            std::string::npos)
+      << log.str();
+  server.Shutdown();
+  (*leader)->Stop();
 }
 
 TEST_F(CliRunTest, ServeModeMissingInputFails) {

@@ -28,6 +28,7 @@
 #include "net/http_client.h"
 #include "net/http_server.h"
 #include "shard/sharded_service.h"
+#include "storage/page.h"
 #include "http_test_util.h"
 #include "scratch_dir.h"
 
@@ -320,11 +321,9 @@ void IngestAndPublish(Leader& leader, size_t n, size_t offset = 0) {
   ASSERT_NE(leader.service->PublishNow(), nullptr);
 }
 
-FollowerOptions FastFollowerOptions(uint16_t leader_port,
-                                    const std::string& scratch) {
+FollowerOptions FastFollowerOptions(uint16_t leader_port) {
   FollowerOptions options;
   options.leader_port = leader_port;
-  options.scratch_dir = scratch;
   options.poll_interval_ms = 5;
   options.backoff_initial_ms = 10;
   options.backoff_max_ms = 100;
@@ -571,12 +570,11 @@ TEST(ReplEndpointsTest, GcdWalRangeIs410OverHttp) {
 
 TEST(ReplicationE2eTest, FollowerConvergesToByteIdenticalRelease) {
   ScratchDir wal;
-  ScratchDir scratch;
   Leader leader = StartLeader(wal.path());
   IngestAndPublish(leader, 80);
 
   ReplicatedFollower follower(
-      SquareDomain(), FastFollowerOptions(leader.port(), scratch.path()));
+      SquareDomain(), FastFollowerOptions(leader.port()));
   follower.Start();
   WaitFor([&] { return follower.epoch() >= 1; });
   WaitFor([&] {
@@ -641,14 +639,11 @@ TEST(ReplicationE2eTest, FollowersConvergeUnderConcurrentIngest) {
                               /*frontend_options=*/{},
                               /*snapshot_every=*/200);
   constexpr int kFollowers = 2;
-  std::vector<std::unique_ptr<ScratchDir>> scratch;
   std::vector<std::unique_ptr<ReplicatedFollower>> followers;
   std::vector<FollowerServer> served;
   for (int f = 0; f < kFollowers; ++f) {
-    scratch.push_back(std::make_unique<ScratchDir>());
     followers.push_back(std::make_unique<ReplicatedFollower>(
-        SquareDomain(),
-        FastFollowerOptions(leader.port(), scratch.back()->path())));
+        SquareDomain(), FastFollowerOptions(leader.port())));
     followers.back()->Start();
     served.push_back(ServeFollower(followers.back().get()));
   }
@@ -723,7 +718,6 @@ TEST(ReplicationE2eTest, FollowersConvergeUnderConcurrentIngest) {
 // same DpServing path.
 TEST(ReplicationE2eTest, FollowerServesByteIdenticalDpRelease) {
   ScratchDir wal;
-  ScratchDir scratch;
   DpServingOptions leader_frontend;
   leader_frontend.key_secret = "replicated-secret";
   Leader leader = StartLeader(wal.path(), /*k=*/5,
@@ -732,7 +726,7 @@ TEST(ReplicationE2eTest, FollowerServesByteIdenticalDpRelease) {
                               leader_frontend);
   IngestAndPublish(leader, 90);
 
-  FollowerOptions options = FastFollowerOptions(leader.port(), scratch.path());
+  FollowerOptions options = FastFollowerOptions(leader.port());
   options.dp.budget = 1.0;
   options.dp.key_secret = "replicated-secret";
   options.dp.utility_in_metrics = true;
@@ -789,7 +783,6 @@ TEST(ReplicationE2eTest, FollowerServesByteIdenticalDpRelease) {
 
 TEST(ReplicationE2eTest, FollowerBootstrapsFromCheckpointThenTails) {
   ScratchDir wal;
-  ScratchDir scratch;
   // Frequent checkpoints + tiny segments: by 300 records the WAL prefix is
   // gone and a follower MUST use the checkpoint (WAL-only would 410).
   Leader leader = StartLeader(wal.path(), 5, /*checkpoint_every=*/64,
@@ -797,7 +790,7 @@ TEST(ReplicationE2eTest, FollowerBootstrapsFromCheckpointThenTails) {
   IngestAndPublish(leader, 300);
 
   ReplicatedFollower follower(
-      SquareDomain(), FastFollowerOptions(leader.port(), scratch.path()));
+      SquareDomain(), FastFollowerOptions(leader.port()));
   follower.Start();
   WaitFor([&] { return follower.epoch() >= 1; });
   EXPECT_EQ(follower.applied_lsn(), 300u);
@@ -817,13 +810,12 @@ TEST(ReplicationE2eTest, FollowerBootstrapsFromCheckpointThenTails) {
 
 TEST(ReplicationE2eTest, FollowerReBootstrapsWhenTailedRangeIsGcd) {
   ScratchDir wal;
-  ScratchDir scratch;
   Leader leader = StartLeader(wal.path(), 5, /*checkpoint_every=*/64,
                               /*segment_bytes=*/512);
   IngestAndPublish(leader, 80);
 
   ReplicatedFollower follower(
-      SquareDomain(), FastFollowerOptions(leader.port(), scratch.path()));
+      SquareDomain(), FastFollowerOptions(leader.port()));
   follower.Start();
   WaitFor([&] { return follower.epoch() >= 1; });
   const uint64_t bootstraps_before = follower.bootstraps();
@@ -850,13 +842,12 @@ TEST(ReplicationE2eTest, FollowerReBootstrapsWhenTailedRangeIsGcd) {
 
 TEST(ReplicationE2eTest, FollowerReconnectsAfterLeaderRestartOnSamePort) {
   ScratchDir wal;
-  ScratchDir scratch;
   Leader leader = StartLeader(wal.path());
   IngestAndPublish(leader, 60);
   const uint16_t port = leader.port();
 
   ReplicatedFollower follower(
-      SquareDomain(), FastFollowerOptions(port, scratch.path()));
+      SquareDomain(), FastFollowerOptions(port));
   follower.Start();
   WaitFor([&] { return follower.epoch() >= 1; });
 
@@ -892,11 +883,10 @@ TEST(ReplicationE2eTest, FollowerReconnectsAfterLeaderRestartOnSamePort) {
 
 TEST(ReplicationE2eTest, StalenessDegradesHealthAndOptionallyRejectsReads) {
   ScratchDir wal;
-  ScratchDir scratch;
   Leader leader = StartLeader(wal.path());
   IngestAndPublish(leader, 40);
 
-  FollowerOptions options = FastFollowerOptions(leader.port(), scratch.path());
+  FollowerOptions options = FastFollowerOptions(leader.port());
   options.max_staleness_ms = 200;  // tight bound for the test
   options.reject_stale_reads = true;
   ReplicatedFollower follower(SquareDomain(), options);
@@ -958,7 +948,6 @@ TEST(ReplicationE2eTest, StalenessDegradesHealthAndOptionallyRejectsReads) {
 // the whole release. The follower publishes nothing and stays unhealthy.
 TEST(ReplicationE2eTest, FollowerRefusesShardedLeader) {
   ScratchDir wal;
-  ScratchDir scratch;
   Leader leader = StartLeader(wal.path(), 5, /*checkpoint_every=*/100000,
                               /*segment_bytes=*/16u << 20, /*port=*/0,
                               /*frontend_options=*/{}, /*snapshot_every=*/0,
@@ -966,7 +955,7 @@ TEST(ReplicationE2eTest, FollowerRefusesShardedLeader) {
   IngestAndPublish(leader, 200);
 
   ReplicatedFollower follower(
-      SquareDomain(), FastFollowerOptions(leader.port(), scratch.path()));
+      SquareDomain(), FastFollowerOptions(leader.port()));
   follower.Start();
   FollowerServer served = ServeFollower(&follower);
   std::this_thread::sleep_for(std::chrono::milliseconds(500));
@@ -984,7 +973,6 @@ TEST(ReplicationE2eTest, FollowerRefusesShardedLeader) {
 // A /repl/wal 200 without its X-Kanon-* headers is a transport fault, not a
 // zero leader horizon: the follower must not report itself caught up.
 TEST(ReplicationE2eTest, FollowerTreatsHeaderlessWalAnswerAsFault) {
-  ScratchDir scratch;
   const auto canned = ServeCanned([](const HttpRequest& request) {
     if (request.path == "/repl/manifest") {
       return HttpResponse::Json(
@@ -1000,7 +988,7 @@ TEST(ReplicationE2eTest, FollowerTreatsHeaderlessWalAnswerAsFault) {
     return empty;
   });
   ReplicatedFollower follower(
-      SquareDomain(), FastFollowerOptions(canned->port(), scratch.path()));
+      SquareDomain(), FastFollowerOptions(canned->port()));
   follower.Start();
   FollowerServer served = ServeFollower(&follower);
   std::this_thread::sleep_for(std::chrono::milliseconds(500));
@@ -1013,14 +1001,67 @@ TEST(ReplicationE2eTest, FollowerTreatsHeaderlessWalAnswerAsFault) {
   canned->Shutdown();
 }
 
+// A checkpoint download with one flipped byte fails LoadTree's CRC check:
+// the follower adopts nothing, publishes nothing and stays unhealthy.
+TEST(ReplicationE2eTest, FollowerRefusesCorruptCheckpoint) {
+  ScratchDir wal;
+  Leader leader = StartLeader(wal.path(), 5, /*checkpoint_every=*/64,
+                              /*segment_bytes=*/512);
+  IngestAndPublish(leader, 300);
+  // Checkpoints are taken in the background: wait for the manifest to
+  // name one.
+  std::string manifest;
+  StatusOr<LeaderManifest> decoded = Status::NotFound("no manifest yet");
+  WaitFor([&] {
+    manifest = Fetch(leader.port(), "/repl/manifest");
+    decoded = DecodeLeaderManifest(manifest);
+    return decoded.ok() && decoded->checkpoint_lsn > 0;
+  });
+  std::string checkpoint = Fetch(
+      leader.port(),
+      "/repl/checkpoint/" + std::to_string(decoded->checkpoint_lsn));
+  // Flip the last byte of the tree stream (part of the last leaf's points,
+  // never zero padding): pages hold a PageId link, then payload.
+  const size_t page_size = decoded->checkpoint.page_size;
+  const size_t payload = page_size - sizeof(PageId);
+  const size_t last = decoded->checkpoint.snapshot.byte_size - 1;
+  const size_t at =
+      last / payload * page_size + sizeof(PageId) + last % payload;
+  ASSERT_LT(at, checkpoint.size());
+  checkpoint[at] ^= 0x01;
+  const auto canned = ServeCanned([&](const HttpRequest& request) {
+    if (request.path == "/repl/manifest") {
+      return HttpResponse::Json(200, manifest);
+    }
+    HttpResponse download;
+    download.status = 200;
+    download.content_type = "application/octet-stream";
+    download.body = checkpoint;
+    return download;
+  });
+  ReplicatedFollower follower(SquareDomain(),
+                              FastFollowerOptions(canned->port()));
+  follower.Start();
+  FollowerServer served = ServeFollower(&follower);
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  EXPECT_EQ(follower.epoch(), 0u);
+  EXPECT_EQ(follower.bootstraps(), 0u);
+  int status = 0;
+  (void)Fetch(served.port(), "/healthz", &status);
+  EXPECT_EQ(status, 503);
+  served.server->Shutdown();
+  follower.Stop();
+  canned->Shutdown();
+  leader.service->Stop();
+}
+
 // The follower shares the leader's route policy: a 404 in the shared error
 // shape that lists the table, 405 with Allow for a wrong method, and 421
 // with Location only for POST /ingest. The replication thread never runs;
 // routing needs none of it.
 TEST(ReplicationE2eTest, FollowerUnknownRouteIs404AndWrongMethodIs405) {
-  ScratchDir scratch;
   ReplicatedFollower follower(SquareDomain(),
-                              FastFollowerOptions(9, scratch.path()));
+                              FastFollowerOptions(9));
   FollowerServer served = ServeFollower(&follower);
   HttpClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", served.port(), 5.0).ok());
@@ -1056,11 +1097,10 @@ TEST(ReplicationE2eTest, FollowerUnknownRouteIs404AndWrongMethodIs405) {
 
 TEST(ReplicationE2eTest, FollowerHeadIsFramedWithoutBodyOnKeepAlive) {
   ScratchDir wal;
-  ScratchDir scratch;
   Leader leader = StartLeader(wal.path());
   IngestAndPublish(leader, 40);
   ReplicatedFollower follower(
-      SquareDomain(), FastFollowerOptions(leader.port(), scratch.path()));
+      SquareDomain(), FastFollowerOptions(leader.port()));
   follower.Start();
   WaitFor([&] {
     return follower.state() == ReplState::kFollowing &&
@@ -1079,11 +1119,10 @@ TEST(ReplicationE2eTest, FollowerHeadIsFramedWithoutBodyOnKeepAlive) {
 // per-endpoint request counts and a fixed-bucket latency histogram.
 TEST(ReplicationE2eTest, FollowerMetricsExposeFixedLatencyHistogram) {
   ScratchDir wal;
-  ScratchDir scratch;
   Leader leader = StartLeader(wal.path());
   IngestAndPublish(leader, 60);
   ReplicatedFollower follower(
-      SquareDomain(), FastFollowerOptions(leader.port(), scratch.path()));
+      SquareDomain(), FastFollowerOptions(leader.port()));
   follower.Start();
   WaitFor([&] { return follower.epoch() >= 1; });
   FollowerServer served = ServeFollower(&follower);

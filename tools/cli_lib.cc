@@ -2,29 +2,27 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <thread>
 
-#include <unistd.h>
-
 #include "common/env.h"
 #include "common/thread.h"
 #include "kanon/kanon.h"
-#include "net/anon_http.h"
-#include "net/http_server.h"
-#include "net/replication.h"
 
 namespace kanon::cli {
 
 namespace {
 
-/// Set by the SIGTERM/SIGINT handler; RunServe polls it while the HTTP
-/// server is up and starts the graceful drain when it flips.
+/// Set by the SIGTERM/SIGINT handler; ServeUntilDrained polls it while the
+/// HTTP server is up and starts the graceful drain when it flips.
 std::atomic<int> g_signal{0};
 
 void OnSignal(int sig) { g_signal.store(sig, std::memory_order_relaxed); }
@@ -58,80 +56,215 @@ StatusOr<Dataset> LoadInput(const std::string& input,
   return ReadNumericCsv(input, schema, csv);
 }
 
+// ---------------------------------------------------------------------------
+// Strict value parsing. Every flag value goes through one of these: the
+// whole token must parse, so a malformed value is a usage error and never
+// silently becomes some other value.
+
+/// An unsigned integer in [min, max]: digits only, no sign, no overflow.
+template <typename T>
+bool ParseUnsigned(std::string_view value, T* out, uint64_t min = 0,
+                   uint64_t max = std::numeric_limits<T>::max()) {
+  uint64_t parsed = 0;
+  if (!net::ParseU64Param(value, &parsed) || parsed < min || parsed > max) {
+    return false;
+  }
+  *out = static_cast<T>(parsed);
+  return true;
+}
+
+/// A finite double, at least `min`.
+bool ParseReal(std::string_view value, double* out,
+               double min = -std::numeric_limits<double>::infinity()) {
+  double parsed = 0.0;
+  const char* last = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), last, parsed);
+  if (ec != std::errc() || ptr != last || !std::isfinite(parsed) ||
+      parsed < min) {
+    return false;
+  }
+  *out = parsed;
+  return true;
+}
+
+using Setter = std::function<bool(std::string_view)>;
+
+Setter Text(std::string* out) {
+  return [out](std::string_view value) {
+    *out = value;
+    return true;
+  };
+}
+
+Setter Switch(bool* out) {
+  return [out](std::string_view) { return *out = true; };
+}
+
+template <typename T>
+Setter Unsigned(T* out, uint64_t min = 0,
+                uint64_t max = std::numeric_limits<T>::max()) {
+  return [=](std::string_view value) {
+    return ParseUnsigned(value, out, min, max);
+  };
+}
+
+Setter Real(double* out,
+            double min = -std::numeric_limits<double>::infinity()) {
+  return [=](std::string_view value) { return ParseReal(value, out, min); };
+}
+
+/// K[,K...]: appends every element to *out.
+Setter UnsignedList(std::vector<size_t>* out) {
+  return [out](std::string_view value) {
+    for (const std::string& field : SplitCsvLine(std::string(value), ',')) {
+      size_t parsed = 0;
+      if (!ParseUnsigned(field, &parsed)) return false;
+      out->push_back(parsed);
+    }
+    return true;
+  };
+}
+
+/// LO:HI[,LO:HI...]: appends one range (LO <= HI) per field to *out.
+Setter Ranges(Domain* out) {
+  return [out](std::string_view value) {
+    for (const std::string& field : SplitCsvLine(std::string(value), ',')) {
+      const std::string_view range = field;
+      const size_t colon = range.find(':');
+      double lo = 0.0;
+      double hi = 0.0;
+      if (colon == std::string_view::npos ||
+          !ParseReal(range.substr(0, colon), &lo) ||
+          !ParseReal(range.substr(colon + 1), &hi) || lo > hi) {
+        return false;
+      }
+      out->lo.push_back(lo);
+      out->hi.push_back(hi);
+    }
+    return out->dim() > 0;
+  };
+}
+
+/// The one parse loop: every token is a `--flag` row of `flags`, followed
+/// by its value unless the row is a switch.
+bool ParseFlags(int argc, const char* const* argv,
+                const std::vector<Flag>& flags) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (!arg.starts_with("--")) return false;
+    std::string name(arg.substr(2));
+    std::replace(name.begin(), name.end(), '_', '-');
+    const auto row =
+        std::find_if(flags.begin(), flags.end(),
+                     [&name](const Flag& flag) { return flag.name == name; });
+    if (row == flags.end()) return false;
+    std::string_view value;
+    if (!row->value.empty()) {
+      if (++i == argc) return false;
+      value = argv[i];
+    }
+    if (!row->set(value)) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
+std::vector<Flag> CliFlags(CliOptions* o) {
+  return {
+      {"input", "FILE", Text(&o->input)},
+      {"output", "FILE", Text(&o->output)},
+      {"k", "K", Unsigned(&o->k, 1)},
+      {"schema", "SPEC", Text(&o->schema_path)},
+      {"columns", "N", Unsigned(&o->columns)},
+      {"skip-header", "", Switch(&o->skip_header)},
+      {"algorithm", "rtree|mondrian|grid", Text(&o->algorithm)},
+      {"ldiversity", "L", Unsigned(&o->ldiversity)},
+      {"entropy", "L", Real(&o->entropy_l)},
+      {"recursive", "C,L",
+       [o](std::string_view value) {
+         const auto parts = SplitCsvLine(std::string(value), ',');
+         return parts.size() == 2 && ParseReal(parts[0], &o->recursive_c) &&
+                ParseUnsigned(parts[1], &o->recursive_l);
+       }},
+      {"alpha", "A", Real(&o->alpha)},
+      {"uncompacted", "", Switch(&o->uncompacted)},
+      {"bias", "COL[,COL...]", UnsignedList(&o->bias)},
+      {"metrics", "", Switch(&o->metrics)},
+      {"threads", "N", Unsigned(&o->threads, 1)},
+  };
+}
+
+std::vector<Flag> ServeFlags(ServeOptions* o) {
+  ServiceOptions& service = o->service.service;
+  return {
+      {"input", "FILE", Text(&o->input)},
+      {"schema", "SPEC", Text(&o->schema_path)},
+      {"columns", "N", Unsigned(&o->columns)},
+      {"skip-header", "", Switch(&o->skip_header)},
+      {"k", "K", Unsigned(&service.anonymizer.base_k, 1)},
+      {"producers", "P", Unsigned(&o->producers, 1)},
+      {"rate", "R", Real(&o->rate)},
+      {"queue", "N", Unsigned(&service.queue_capacity, 1)},
+      {"batch", "B", Unsigned(&service.max_batch, 1)},
+      {"snapshot-every", "N", Unsigned(&service.snapshot_every)},
+      {"reject", "",
+       [&service](std::string_view) {
+         service.backpressure = BackpressureMode::kReject;
+         return true;
+       }},
+      {"release", "K1[,K1...]", UnsignedList(&o->releases)},
+      {"wal-dir", "DIR", Text(&service.durability.wal_dir)},
+      {"fsync-every", "N", Unsigned(&service.durability.fsync_every)},
+      {"checkpoint-every", "N",
+       Unsigned(&service.durability.checkpoint_every)},
+      {"recover-only", "", Switch(&o->recover_only)},
+      {"listen", "HOST:PORT",
+       [o](std::string_view value) {
+         o->listen = ParseListenAddress(std::string(value), &o->http.host,
+                                        &o->http.port);
+         return o->listen;
+       }},
+      {"http-threads", "N", Unsigned(&o->http.num_threads, 1)},
+      {"max-body-bytes", "N", Unsigned(&o->http.parser.max_body_bytes, 1)},
+      {"domain", "LO:HI[,LO:HI...]", Ranges(&o->domain)},
+      {"serve-seconds", "S", Real(&o->serve_seconds, 0.0)},
+      {"shards", "N", Unsigned(&o->service.sharding.num_shards, 1)},
+      {"shard-by", "hash|range",
+       [o](std::string_view value) {
+         const auto by = ShardByFromName(std::string(value));
+         if (by.ok()) o->service.sharding.shard_by = *by;
+         return by.ok();
+       }},
+      {"follow", "LEADER:PORT",
+       [o](std::string_view value) {
+         std::string leader(value);
+         if (leader.starts_with("http://")) leader.erase(0, 7);
+         if (leader.ends_with('/')) leader.pop_back();
+         net::FollowerOptions& f = o->follower;
+         o->follow = ParseListenAddress(leader, &f.leader_host,
+                                        &f.leader_port) &&
+                     f.leader_port != 0;
+         return o->follow;
+       }},
+      {"max-staleness-ms", "MS", Unsigned(&o->follower.max_staleness_ms, 1)},
+      {"stale-reads", "serve|reject",
+       [o](std::string_view value) {
+         o->follower.reject_stale_reads = value == "reject";
+         return value == "serve" || value == "reject";
+       }},
+      {"repl-poll-ms", "MS", Unsigned(&o->follower.poll_interval_ms, 1)},
+      {"dp-height", "H", Unsigned(&service.dp_height, 0, 39)},
+      {"dp-budget", "EPS", Real(&o->dp.budget)},
+      {"dp-lifetime-budget", "EPS", Real(&o->dp.lifetime_budget)},
+      {"dp-key", "SECRET", Text(&o->dp.key_secret)},
+      {"dp-metrics-utility", "", Switch(&o->dp.utility_in_metrics)},
+  };
+}
+
 bool ParseArgs(int argc, const char* const* argv, CliOptions* options) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--input") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->input = v;
-    } else if (arg == "--output") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->output = v;
-    } else if (arg == "--k") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->k = std::strtoul(v, nullptr, 10);
-    } else if (arg == "--columns") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->columns = std::strtoul(v, nullptr, 10);
-    } else if (arg == "--skip-header") {
-      options->skip_header = true;
-    } else if (arg == "--algorithm") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->algorithm = v;
-    } else if (arg == "--schema") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->schema_path = v;
-    } else if (arg == "--ldiversity") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->ldiversity = std::strtoul(v, nullptr, 10);
-    } else if (arg == "--entropy") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->entropy_l = std::strtod(v, nullptr);
-    } else if (arg == "--recursive") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      const auto parts = SplitCsvLine(v, ',');
-      if (parts.size() != 2) return false;
-      options->recursive_c = std::strtod(parts[0].c_str(), nullptr);
-      options->recursive_l = std::strtoul(parts[1].c_str(), nullptr, 10);
-    } else if (arg == "--alpha") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->alpha = std::strtod(v, nullptr);
-    } else if (arg == "--uncompacted") {
-      options->uncompacted = true;
-    } else if (arg == "--bias") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      for (const std::string& field : SplitCsvLine(v, ',')) {
-        options->bias.push_back(std::strtoul(field.c_str(), nullptr, 10));
-      }
-    } else if (arg == "--metrics") {
-      options->metrics = true;
-    } else if (arg == "--threads") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->threads = std::strtoul(v, nullptr, 10);
-      if (options->threads == 0) return false;
-    } else {
-      return false;
-    }
-  }
-  return !options->input.empty() && !options->output.empty() &&
-         options->k >= 1;
+  return ParseFlags(argc, argv, CliFlags(options)) &&
+         !options->input.empty() && !options->output.empty();
 }
 
 StatusOr<size_t> InferColumns(const std::string& path) {
@@ -260,266 +393,68 @@ bool ParseListenAddress(const std::string& spec, std::string* host,
     if (colon > 0) host_part = spec.substr(0, colon);
     port_part = spec.substr(colon + 1);
   }
-  if (port_part.empty()) return false;
-  char* end = nullptr;
-  const unsigned long value = std::strtoul(port_part.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || value > 65535) return false;
+  uint16_t value = 0;
+  if (!ParseUnsigned(port_part, &value)) return false;
   *host = host_part;
-  *port = static_cast<uint16_t>(value);
+  *port = value;
   return true;
 }
 
 bool ParseServeArgs(int argc, const char* const* argv,
                     ServeOptions* options) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--input") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->input = v;
-    } else if (arg == "--schema") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->schema_path = v;
-    } else if (arg == "--k") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->k = std::strtoul(v, nullptr, 10);
-    } else if (arg == "--columns") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->columns = std::strtoul(v, nullptr, 10);
-    } else if (arg == "--skip-header") {
-      options->skip_header = true;
-    } else if (arg == "--producers") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->producers = std::strtoul(v, nullptr, 10);
-    } else if (arg == "--rate") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->rate = std::strtod(v, nullptr);
-    } else if (arg == "--queue") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->queue_capacity = std::strtoul(v, nullptr, 10);
-    } else if (arg == "--batch") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->max_batch = std::strtoul(v, nullptr, 10);
-    } else if (arg == "--snapshot-every") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->snapshot_every = std::strtoul(v, nullptr, 10);
-    } else if (arg == "--reject") {
-      options->reject = true;
-    } else if (arg == "--wal-dir" || arg == "--wal_dir") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->wal_dir = v;
-    } else if (arg == "--fsync-every" || arg == "--fsync_every") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->fsync_every = std::strtoul(v, nullptr, 10);
-    } else if (arg == "--checkpoint-every" || arg == "--checkpoint_every") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->checkpoint_every = std::strtoul(v, nullptr, 10);
-    } else if (arg == "--recover-only" || arg == "--recover_only") {
-      options->recover_only = true;
-    } else if (arg == "--release") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      for (const std::string& field : SplitCsvLine(v, ',')) {
-        options->releases.push_back(std::strtoul(field.c_str(), nullptr, 10));
-      }
-    } else if (arg == "--listen") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->listen = v;
-      std::string host;
-      uint16_t port = 0;
-      if (!ParseListenAddress(options->listen, &host, &port)) return false;
-    } else if (arg == "--http-threads" || arg == "--http_threads") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->http_threads = std::strtoul(v, nullptr, 10);
-      if (options->http_threads == 0) return false;
-    } else if (arg == "--max-body-bytes" || arg == "--max_body_bytes") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->max_body_bytes = std::strtoul(v, nullptr, 10);
-      if (options->max_body_bytes == 0) return false;
-    } else if (arg == "--domain") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      for (const std::string& field : SplitCsvLine(v, ',')) {
-        const size_t colon = field.find(':');
-        if (colon == std::string::npos) return false;
-        const double lo = std::strtod(field.substr(0, colon).c_str(), nullptr);
-        const double hi = std::strtod(field.substr(colon + 1).c_str(), nullptr);
-        if (!(lo <= hi)) return false;
-        options->domain.emplace_back(lo, hi);
-      }
-      if (options->domain.empty()) return false;
-    } else if (arg == "--serve-seconds" || arg == "--serve_seconds") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->serve_seconds = std::strtod(v, nullptr);
-      if (options->serve_seconds < 0.0) return false;
-    } else if (arg == "--shards") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->shards = std::strtoul(v, nullptr, 10);
-      if (options->shards == 0) return false;
-    } else if (arg == "--shard-by" || arg == "--shard_by") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->shard_by = v;
-      if (!ShardByFromName(options->shard_by).ok()) return false;
-    } else if (arg == "--follow") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->follow = v;
-    } else if (arg == "--max-staleness-ms" || arg == "--max_staleness_ms") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->max_staleness_ms = std::strtoull(v, nullptr, 10);
-      if (options->max_staleness_ms == 0) return false;
-    } else if (arg == "--stale-reads" || arg == "--stale_reads") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->stale_reads = v;
-      if (options->stale_reads != "serve" &&
-          options->stale_reads != "reject") {
-        return false;
-      }
-    } else if (arg == "--repl-poll-ms" || arg == "--repl_poll_ms") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->repl_poll_ms = std::strtoull(v, nullptr, 10);
-      if (options->repl_poll_ms == 0) return false;
-    } else if (arg == "--dp-height" || arg == "--dp_height") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      char* end = nullptr;
-      options->dp_height = std::strtoul(v, &end, 10);
-      if (end == v || *end != '\0' || options->dp_height >= 40) return false;
-    } else if (arg == "--dp-budget" || arg == "--dp_budget") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      char* end = nullptr;
-      options->dp_budget = std::strtod(v, &end);
-      if (end == v || *end != '\0') return false;
-    } else if (arg == "--dp-lifetime-budget" ||
-               arg == "--dp_lifetime_budget") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      char* end = nullptr;
-      options->dp_lifetime_budget = std::strtod(v, &end);
-      if (end == v || *end != '\0') return false;
-    } else if (arg == "--dp-key" || arg == "--dp_key") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->dp_key = v;
-    } else if (arg == "--dp-metrics-utility" ||
-               arg == "--dp_metrics_utility") {
-      options->dp_metrics_utility = true;
-    } else {
-      return false;
-    }
-  }
-  if (!options->follow.empty()) {
+  if (!ParseFlags(argc, argv, ServeFlags(options))) return false;
+  const ServeOptions& o = *options;
+  const bool durable = o.service.service.durability.enabled();
+  if (o.follow) {
     // A follower's records arrive only via replication: local ingest and
     // durability paths are contradictions, not defaults to ignore.
-    return !options->listen.empty() && !options->domain.empty() &&
-           options->input.empty() && options->wal_dir.empty() &&
-           options->shards == 1 && !options->recover_only;
+    return o.listen && o.domain.dim() > 0 && o.input.empty() && !durable &&
+           o.service.sharding.num_shards == 1 && !o.recover_only;
   }
   // A record source is required: --input, or HTTP ingest (--listen plus
   // --domain, which supplies the dimensionality --input would have), or a
   // recover-only replay with --domain.
   const bool source_ok =
-      !options->input.empty() ||
-      (!options->domain.empty() &&
-       (!options->listen.empty() || options->recover_only));
-  return source_ok && options->k >= 1 && options->producers >= 1 &&
-         options->queue_capacity >= 1 && options->max_batch >= 1 &&
-         (!options->recover_only || !options->wal_dir.empty());
+      !o.input.empty() ||
+      (o.domain.dim() > 0 && (o.listen || o.recover_only));
+  return source_ok && (!o.recover_only || durable);
 }
 
 namespace {
 
-/// The --dp-* flags as the DP serving half of either role takes them.
-net::DpServingOptions DpOptions(const ServeOptions& options) {
-  return {options.dp_budget, options.dp_lifetime_budget, options.dp_key,
-          options.dp_metrics_utility};
-}
-
-/// `kanon_cli serve --follow`: run as a read replica. Mirrors RunServe's
-/// operational surface (the "listening on" line, signal-driven drain,
-/// --serve-seconds, the "final snapshot:" report) so the same harnesses
-/// drive leaders and followers.
-int RunFollower(const ServeOptions& options, std::ostream& log) {
-  std::string leader = options.follow;
-  if (leader.rfind("http://", 0) == 0) leader = leader.substr(7);
-  if (!leader.empty() && leader.back() == '/') leader.pop_back();
-  net::FollowerOptions fopts;
-  if (!ParseListenAddress(leader, &fopts.leader_host, &fopts.leader_port) ||
-      fopts.leader_port == 0) {
-    log << "invalid --follow address: " << options.follow << "\n";
-    return 1;
-  }
-  Domain domain;
-  for (const auto& [lo, hi] : options.domain) {
-    domain.lo.push_back(lo);
-    domain.hi.push_back(hi);
-  }
-  fopts.max_staleness_ms = options.max_staleness_ms;
-  fopts.reject_stale_reads = options.stale_reads == "reject";
-  fopts.poll_interval_ms = options.repl_poll_ms;
-  fopts.dp = DpOptions(options);
-  fopts.scratch_dir =
-      "/tmp/kanon-follower-" + std::to_string(::getpid());
-
-  net::ReplicatedFollower follower(std::move(domain), fopts);
-  net::FollowerFrontend frontend(&follower);
-
-  net::HttpServerOptions http_options;
-  uint16_t port = 0;
-  if (!ParseListenAddress(options.listen, &http_options.host, &port)) {
-    log << "invalid --listen address: " << options.listen << "\n";
-    return 1;
-  }
-  http_options.port = port;
-  http_options.num_threads = options.http_threads;
-  http_options.parser.max_body_bytes = options.max_body_bytes;
-  net::HttpServer server(http_options,
-                         [&frontend](const net::HttpRequest& request) {
-                           return frontend.Handle(request);
-                         });
-  frontend.SetServerStats([&server] { return server.stats(); });
-  if (auto s = server.Start(); !s.ok()) {
+/// Starts either role's HTTP server on `http`, routing to `frontend`, and
+/// prints the "listening on" line harnesses wait for; `role` closes it.
+/// Null (after logging why) when the listener cannot start.
+template <typename Frontend>
+std::unique_ptr<net::HttpServer> Listen(const net::HttpServerOptions& http,
+                                        Frontend* frontend,
+                                        const std::string& role,
+                                        std::ostream& log) {
+  auto server = std::make_unique<net::HttpServer>(
+      http, [frontend](const net::HttpRequest& request) {
+        return frontend->Handle(request);
+      });
+  frontend->SetServerStats([s = server.get()] { return s->stats(); });
+  if (auto s = server->Start(); !s.ok()) {
     log << s << "\n";
-    return 1;
+    return nullptr;
   }
   g_signal.store(0, std::memory_order_relaxed);
   InstallDrainSignalHandlers();
-  log << "listening on " << server.host() << ":" << server.bound_port()
-      << " (epoll, " << options.http_threads << " threads, follower)\n";
-  log << "following http://" << fopts.leader_host << ":"
-      << fopts.leader_port << " max_staleness_ms="
-      << options.max_staleness_ms << " stale_reads="
-      << options.stale_reads << "\n";
-  follower.Start();
+  log << "listening on " << server->host() << ":" << server->bound_port()
+      << " (epoll, " << http.num_threads << " threads, " << role << ")\n";
+  return server;
+}
 
+/// Serves until SIGTERM/SIGINT (or --serve-seconds for scripted runs),
+/// then drains: the server finishes in-flight requests before the caller
+/// stops whatever owns the records, so every 200 a client saw is
+/// acknowledged.
+void ServeUntilDrained(net::HttpServer* server, double serve_seconds,
+                       std::ostream& log) {
   Timer serving;
   while (g_signal.load(std::memory_order_relaxed) == 0) {
-    if (options.serve_seconds > 0.0 &&
-        serving.ElapsedSeconds() >= options.serve_seconds) {
+    if (serve_seconds > 0.0 && serving.ElapsedSeconds() >= serve_seconds) {
       break;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -529,7 +464,39 @@ int RunFollower(const ServeOptions& options, std::ostream& log) {
       << (sig != 0 ? (sig == SIGTERM ? "SIGTERM" : "SIGINT")
                    : "--serve-seconds elapsed")
       << ")\n";
-  server.Shutdown();
+  server->Shutdown();
+}
+
+/// The "final snapshot:" line of either role.
+void ReportFinalSnapshot(const StitchedSnapshot& stitched,
+                         std::ostream& log) {
+  const StitchedInfo& info = stitched.info();
+  const PartitionSet base_release = stitched.Release(info.base_k);
+  log << "final snapshot: epoch=" << info.epoch
+      << " records=" << info.records
+      << " partitions=" << base_release.num_partitions()
+      << " min_partition=" << base_release.min_partition_size()
+      << " max_partition=" << base_release.max_partition_size()
+      << " avgNCP=" << AverageBoxNcp(base_release, stitched.domain())
+      << "\n";
+}
+
+/// `kanon_cli serve --follow`: run as a read replica, on the same serve
+/// harness as the leader so the same scripts drive both.
+int RunFollower(const ServeOptions& options, std::ostream& log) {
+  net::FollowerOptions follower_options = options.follower;
+  follower_options.dp = options.dp;
+  net::ReplicatedFollower follower(options.domain, follower_options);
+  net::FollowerFrontend frontend(&follower);
+  const auto server = Listen(options.http, &frontend, "follower", log);
+  if (server == nullptr) return 1;
+  log << "following http://" << follower_options.leader_host << ":"
+      << follower_options.leader_port
+      << " max_staleness_ms=" << follower_options.max_staleness_ms
+      << " stale_reads="
+      << (follower_options.reject_stale_reads ? "reject" : "serve") << "\n";
+  follower.Start();
+  ServeUntilDrained(server.get(), options.serve_seconds, log);
   follower.Stop();
 
   log << "repl: state=" << net::ReplStateName(follower.state())
@@ -545,28 +512,19 @@ int RunFollower(const ServeOptions& options, std::ostream& log) {
            "follower could replicate\n";
     return 0;
   }
-  const StitchedInfo& info = stitched->info();
-  const PartitionSet base_release = stitched->Release(info.base_k);
-  log << "final snapshot: epoch=" << info.epoch
-      << " records=" << info.records
-      << " partitions=" << base_release.num_partitions()
-      << " min_partition=" << base_release.min_partition_size()
-      << " max_partition=" << base_release.max_partition_size()
-      << " avgNCP=" << AverageBoxNcp(base_release, stitched->domain())
-      << "\n";
+  ReportFinalSnapshot(*stitched, log);
   return 0;
 }
 
 }  // namespace
 
 int RunServe(const ServeOptions& options, std::ostream& log) {
-  if (!options.follow.empty()) return RunFollower(options, log);
+  if (options.follow) return RunFollower(options, log);
   // Two record sources: a CSV replayed by producer threads (--input) and
   // records POSTed over HTTP (--listen). HTTP-only serving has no file to
   // infer the dimensionality and domain from, so --domain supplies both.
   std::optional<Dataset> dataset;
-  size_t dim = 0;
-  Domain domain;
+  Domain domain = options.domain;
   if (!options.input.empty()) {
     auto loaded = LoadInput(options.input, options.schema_path,
                             options.columns, options.skip_header, log);
@@ -577,28 +535,14 @@ int RunServe(const ServeOptions& options, std::ostream& log) {
     dataset = *std::move(loaded);
     log << "read " << dataset->num_records() << " records\n";
     if (dataset->empty()) return 1;
-    dim = dataset->dim();
     domain = dataset->ComputeDomain();
-  } else {
-    dim = options.domain.size();
-    for (const auto& [lo, hi] : options.domain) {
-      domain.lo.push_back(lo);
-      domain.hi.push_back(hi);
-    }
   }
   const size_t n = dataset ? dataset->num_records() : 0;
-
-  ServiceOptions service_options;
-  service_options.anonymizer.base_k = options.k;
-  service_options.queue_capacity = options.queue_capacity;
-  service_options.max_batch = options.max_batch;
-  service_options.backpressure = options.reject ? BackpressureMode::kReject
-                                                : BackpressureMode::kBlock;
-  service_options.snapshot_every = options.snapshot_every;
-  service_options.durability.wal_dir = options.wal_dir;
-  service_options.durability.fsync_every = options.fsync_every;
-  service_options.durability.checkpoint_every = options.checkpoint_every;
-  service_options.dp_height = options.dp_height;
+  const size_t k = options.service.service.anonymizer.base_k;
+  const size_t shards = options.service.sharding.num_shards;
+  const bool durable = options.service.service.durability.enabled();
+  ShardedServiceOptions service_options = options.service;
+  DurabilityOptions& durability = service_options.service.durability;
 
   // KANON_FAULT_SEED routes all durability I/O through a FaultInjectionEnv
   // — the operational fault drill. The same seed injects the same faults,
@@ -608,8 +552,8 @@ int RunServe(const ServeOptions& options, std::ostream& log) {
   // outright after that many operations.
   std::unique_ptr<FaultInjectionEnv> fault_env;
   const char* fault_seed = std::getenv("KANON_FAULT_SEED");
-  if (fault_seed != nullptr && *fault_seed != '\0' &&
-      !options.wal_dir.empty() && !options.recover_only) {
+  if (fault_seed != nullptr && *fault_seed != '\0' && durable &&
+      !options.recover_only) {
     FaultInjectionOptions fault_options;
     fault_options.seed = std::strtoull(fault_seed, nullptr, 10);
     fault_options.mean_ops_between_faults = 2000;
@@ -620,37 +564,28 @@ int RunServe(const ServeOptions& options, std::ostream& log) {
     if (const char* v = std::getenv("KANON_FAULT_BREAK_AFTER")) {
       fault_options.break_after_ops = std::strtoull(v, nullptr, 10);
     }
-    fault_options.path_filter = options.wal_dir;
+    fault_options.path_filter = durability.wal_dir;
     fault_options.sync_faults = true;
     fault_env =
         std::make_unique<FaultInjectionEnv>(Env::Default(), fault_options);
-    service_options.durability.env = fault_env.get();
+    durability.env = fault_env.get();
     // Fast, bounded degradation under a dead disk: don't spend seconds
     // backing off when the schedule says every retry will fail too.
-    service_options.durability.retry_backoff_ms = 1;
-    service_options.durability.retry_backoff_max_ms = 8;
+    durability.retry_backoff_ms = 1;
+    durability.retry_backoff_max_ms = 8;
     log << "fault injection: seed=" << fault_options.seed
         << " mean_ops=" << fault_options.mean_ops_between_faults
         << " break_after=" << fault_options.break_after_ops << "\n";
   }
-  ShardedServiceOptions sharded_options;
-  sharded_options.service = service_options;
-  sharded_options.sharding.num_shards = options.shards;
-  if (auto by = ShardByFromName(options.shard_by); by.ok()) {
-    sharded_options.sharding.shard_by = *by;
-  } else {
-    log << by.status() << "\n";
-    return 1;
-  }
-  auto service_or =
-      ShardedAnonymizationService::Create(dim, domain, sharded_options);
+  auto service_or = ShardedAnonymizationService::Create(domain.dim(), domain,
+                                                        service_options);
   if (!service_or.ok()) {
     log << service_or.status() << "\n";
     return 1;
   }
   ShardedAnonymizationService& service = **service_or;
-  if (!options.wal_dir.empty()) {
-    if (options.shards == 1) {
+  if (durable) {
+    if (shards == 1) {
       // The single-shard line keeps the exact pre-sharding format — the
       // crash-recovery harness greps it.
       const RecoveryResult& r = service.shard_recovery(0);
@@ -674,33 +609,12 @@ int RunServe(const ServeOptions& options, std::ostream& log) {
   // on" line appears.
   std::unique_ptr<net::AnonHttpFrontend> frontend;
   std::unique_ptr<net::HttpServer> server;
-  if (!options.listen.empty()) {
-    net::HttpServerOptions http_options;
-    uint16_t port = 0;
-    if (!ParseListenAddress(options.listen, &http_options.host, &port)) {
-      log << "invalid --listen address: " << options.listen << "\n";
-      return 1;
-    }
-    http_options.port = port;
-    http_options.num_threads = options.http_threads;
-    http_options.parser.max_body_bytes = options.max_body_bytes;
-    frontend =
-        std::make_unique<net::AnonHttpFrontend>(&service, DpOptions(options));
-    server = std::make_unique<net::HttpServer>(
-        http_options, [f = frontend.get()](const net::HttpRequest& request) {
-          return f->Handle(request);
-        });
-    frontend->SetServerStats([s = server.get()] { return s->stats(); });
-    if (auto s = server->Start(); !s.ok()) {
-      log << s << "\n";
-      return 1;
-    }
-    g_signal.store(0, std::memory_order_relaxed);
-    InstallDrainSignalHandlers();
-    log << "listening on " << server->host() << ":" << server->bound_port()
-        << " (epoll, " << options.http_threads << " threads, "
-        << options.shards
-        << " shard" << (options.shards == 1 ? "" : "s") << ")\n";
+  if (options.listen) {
+    frontend = std::make_unique<net::AnonHttpFrontend>(&service, options.dp);
+    const std::string role =
+        std::to_string(shards) + (shards == 1 ? " shard" : " shards");
+    server = Listen(options.http, frontend.get(), role, log);
+    if (server == nullptr) return 1;
   }
 
   // Each producer streams a stripe of the file at its share of the target
@@ -735,24 +649,7 @@ int RunServe(const ServeOptions& options, std::ostream& log) {
   }  // joins the producers
 
   if (server != nullptr) {
-    // Serve until SIGTERM/SIGINT (or --serve-seconds for scripted runs),
-    // then drain: the server finishes in-flight requests — every 200 the
-    // client saw is acknowledged — before the service flushes its WAL and
-    // publishes the final snapshot. No acknowledged record is lost.
-    Timer serving;
-    while (g_signal.load(std::memory_order_relaxed) == 0) {
-      if (options.serve_seconds > 0.0 &&
-          serving.ElapsedSeconds() >= options.serve_seconds) {
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    const int sig = g_signal.load(std::memory_order_relaxed);
-    log << "draining ("
-        << (sig != 0 ? (sig == SIGTERM ? "SIGTERM" : "SIGINT")
-                     : "--serve-seconds elapsed")
-        << ")\n";
-    server->Shutdown();
+    ServeUntilDrained(server.get(), options.serve_seconds, log);
   }
   service.Stop();
   const double elapsed_s = timer.ElapsedSeconds();
@@ -760,7 +657,7 @@ int RunServe(const ServeOptions& options, std::ostream& log) {
   const ShardedServiceStats sharded_stats = service.Stats();
   const ServiceStats& stats = sharded_stats.total;
   log << FormatServiceStats(stats) << "\n";
-  if (options.shards > 1) {
+  if (shards > 1) {
     for (size_t i = 0; i < sharded_stats.shards.size(); ++i) {
       const ServiceStats& s = sharded_stats.shards[i];
       log << "shard " << i << ": inserted=" << s.inserted
@@ -800,7 +697,7 @@ int RunServe(const ServeOptions& options, std::ostream& log) {
 
   const auto stitched = service.CurrentStitched();
   if (stitched == nullptr) {
-    log << "no snapshot published: fewer than k=" << options.k
+    log << "no snapshot published: fewer than k=" << k
         << " records were ingested\n";
     // A recover-only pass over a near-empty log is not a failure, and
     // neither is a fault run whose disk died before k records landed, nor
@@ -810,15 +707,8 @@ int RunServe(const ServeOptions& options, std::ostream& log) {
                ? 0
                : 1;
   }
+  ReportFinalSnapshot(*stitched, log);
   const StitchedInfo& info = stitched->info();
-  const PartitionSet base_release = stitched->Release(info.base_k);
-  log << "final snapshot: epoch=" << info.epoch
-      << " records=" << info.records
-      << " partitions=" << base_release.num_partitions()
-      << " min_partition=" << base_release.min_partition_size()
-      << " max_partition=" << base_release.max_partition_size()
-      << " avgNCP=" << AverageBoxNcp(base_release, stitched->domain())
-      << "\n";
 
   // A shard smaller than k1 caps what the stitched release can guarantee
   // for its slice, exactly like info.records caps the unsharded check.
@@ -836,7 +726,7 @@ int RunServe(const ServeOptions& options, std::ostream& log) {
       log << release.status() << "\n";
       return 1;
     }
-    const size_t effective_k = std::min(std::max(k1, options.k),
+    const size_t effective_k = std::min(std::max(k1, k),
                                         min_covered_records);
     if (auto s = release->CheckKAnonymous(effective_k); !s.ok()) {
       log << "internal error, refusing to publish k1=" << k1 << ": " << s

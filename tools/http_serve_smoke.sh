@@ -52,6 +52,15 @@ WAL_DIR="$WORKDIR/wal"
 
 fail() { echo "FAIL: $*" >&2; exit 1; }
 
+# --- A malformed flag value is a usage error, before anything listens ----
+"$CLI" serve --listen 127.0.0.1:0 --domain "0:1000,0:1000" \
+  --snapshot-every abc > "$WORKDIR/usage.log" 2>&1
+RC=$?
+[ "$RC" -eq 2 ] || fail "--snapshot-every abc exited $RC, want 2"
+grep -q '^listening on' "$WORKDIR/usage.log" \
+  && fail "--snapshot-every abc started a listener"
+echo "malformed flag value refused (exit 2)"
+
 # --- Start the server (ephemeral port, WAL on, HTTP-only ingest) ---------
 "$CLI" serve --listen 127.0.0.1:0 --domain "0:1000,0:1000" --k "$K" \
   --snapshot-every 500 --wal-dir "$WAL_DIR" $SHARD_ARGS > "$LOG" 2>&1 &

@@ -1,29 +1,15 @@
-// kanon_cli — anonymize a numeric CSV from the command line.
-//
-//   kanon_cli --input data.csv --output anon.csv --k 10
-//             [--schema spec.txt | --columns 8] [--skip-header]
-//             [--algorithm rtree|mondrian|grid]
-//             [--ldiversity L | --entropy L | --recursive C,L | --alpha A]
-//             [--uncompacted] [--bias COL[,COL...]] [--metrics]
-//             [--threads N]
+// kanon_cli — anonymize a numeric CSV from the command line, or serve a
+// stream of records (`kanon_cli serve`). Run it without arguments for the
+// flag synopsis, which is printed from the same tables that parse the flags
+// (tools/cli_lib.cc). Every value is parsed strictly: a malformed or
+// out-of-range value is a usage error (exit 2), never another value.
 //
 // --threads N (rtree only) selects the parallel sorted bulk-load backend
 // on N threads. The pipeline is deterministic: every thread count yields
 // the same partitions.
 //
 // Serve mode streams the CSV through the concurrent incremental
-// anonymization service (src/service/) and reports serving statistics:
-//
-//   kanon_cli serve --input data.csv --k 10
-//             [--schema spec.txt | --columns 8] [--skip-header]
-//             [--producers P] [--rate RECORDS_PER_SEC] [--queue N]
-//             [--batch B] [--snapshot-every N] [--reject]
-//             [--release K1[,K1...]]
-//             [--wal-dir DIR] [--fsync-every N] [--checkpoint-every N]
-//             [--recover-only]
-//             [--listen HOST:PORT] [--http-threads N]
-//             [--max-body-bytes N] [--domain LO:HI[,LO:HI...]]
-//             [--serve-seconds S]
+// anonymization service (src/service/) and reports serving statistics.
 //
 // With --wal-dir the service write-ahead-logs every ingested record and
 // periodically checkpoints the index (src/durability/); restarting with
@@ -77,35 +63,38 @@
 // the thin executable wrapper.
 
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "cli_lib.h"
 
 namespace {
 
+/// Prints `line` (the synopsis lead) followed by every row of `flags` as
+/// "[--name VALUE]", wrapped at 79 columns.
+void PrintSynopsis(std::string line,
+                   const std::vector<kanon::cli::Flag>& flags) {
+  for (const kanon::cli::Flag& flag : flags) {
+    std::string item = "[--" + std::string(flag.name);
+    if (!flag.value.empty()) item += " " + std::string(flag.value);
+    item += "]";
+    if (line.size() + 1 + item.size() > 79) {
+      std::cerr << line << "\n";
+      line = std::string(16, ' ');
+    }
+    line += " " + item;
+  }
+  std::cerr << line << "\n";
+}
+
 void Usage() {
+  kanon::cli::CliOptions cli;
+  PrintSynopsis("usage: kanon_cli", kanon::cli::CliFlags(&cli));
+  kanon::cli::ServeOptions serve;
+  PrintSynopsis("   or: kanon_cli serve", kanon::cli::ServeFlags(&serve));
   std::cerr <<
-      "usage: kanon_cli --input FILE --output FILE --k K\n"
-      "                 [--schema SPEC | --columns N] [--skip-header]\n"
-      "                 [--algorithm rtree|mondrian|grid]\n"
-      "                 [--ldiversity L | --entropy L | --recursive C,L |\n"
-      "                  --alpha A] [--uncompacted]\n"
-      "                 [--bias COL[,COL...]] [--metrics] [--threads N]\n"
-      "   or: kanon_cli serve --input FILE --k K\n"
-      "                 [--schema SPEC | --columns N] [--skip-header]\n"
-      "                 [--producers P] [--rate R] [--queue N] [--batch B]\n"
-      "                 [--snapshot-every N] [--reject]\n"
-      "                 [--release K1[,K1...]]\n"
-      "                 [--wal-dir DIR] [--fsync-every N]\n"
-      "                 [--checkpoint-every N] [--recover-only]\n"
-      "                 [--listen HOST:PORT] [--http-threads N]\n"
-      "                 [--max-body-bytes N]\n"
-      "                 [--domain LO:HI[,LO:HI...]] [--serve-seconds S]\n"
-      "                 [--shards N] [--shard-by hash|range]\n"
-      "                 [--follow LEADER:PORT] [--max-staleness-ms MS]\n"
-      "                 [--stale-reads serve|reject] [--repl-poll-ms MS]\n"
-      "                 [--dp-height H] [--dp-budget EPS]\n"
-      "                 [--dp-lifetime-budget EPS] [--dp-key SECRET]\n"
-      "                 [--dp-metrics-utility]\n"
+      "(without serve, --input and --output are required; an underscore in\n"
+      " a flag name reads as a hyphen; a malformed value is a usage error)\n"
       "(--input is optional when --listen and --domain are both given:\n"
       " records then arrive over HTTP; --follow makes the process a read\n"
       " replica of LEADER and requires --listen and --domain)\n";
