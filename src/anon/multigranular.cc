@@ -37,48 +37,6 @@ std::vector<PartitionSet> HierarchicalReleases(const RPlusTree& tree) {
   return releases;
 }
 
-namespace {
-
-Status CollectSubtreeRecords(const BufferTree& tree, const BufferNode* node,
-                             Partition* out) {
-  if (node->is_leaf) {
-    return tree.ScanLeaf(
-        node, [out](uint64_t rid, int32_t, std::span<const double>) {
-          out->rids.push_back(rid);
-        });
-  }
-  for (const auto& c : node->children) {
-    KANON_RETURN_IF_ERROR(CollectSubtreeRecords(tree, c.get(), out));
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-StatusOr<PartitionSet> ReleaseAtDepth(const BufferTree& tree, int depth) {
-  PartitionSet out;
-  for (const BufferNode* n : tree.NodesAtDepth(depth)) {
-    if (n->record_count == 0) continue;
-    Partition p;
-    p.box = n->mbr;
-    p.rids.reserve(n->record_count);
-    KANON_RETURN_IF_ERROR(CollectSubtreeRecords(tree, n, &p));
-    out.partitions.push_back(std::move(p));
-  }
-  return out;
-}
-
-StatusOr<std::vector<PartitionSet>> HierarchicalReleases(
-    const BufferTree& tree) {
-  std::vector<PartitionSet> releases;
-  for (int depth = tree.height() - 1; depth >= 0; --depth) {
-    KANON_ASSIGN_OR_RETURN(PartitionSet release,
-                           ReleaseAtDepth(tree, depth));
-    releases.push_back(std::move(release));
-  }
-  return releases;
-}
-
 Status VerifyKBound(const PartitionSet& base_leaves,
                     std::span<const PartitionSet> releases, size_t k,
                     size_t num_records) {

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "anon/partition.h"
-#include "index/buffer_tree.h"
 #include "index/rplus_tree.h"
 
 namespace kanon {
@@ -26,12 +25,6 @@ PartitionSet ReleaseAtDepth(const RPlusTree& tree, int depth);
 
 /// All releases, finest (leaves) first.
 std::vector<PartitionSet> HierarchicalReleases(const RPlusTree& tree);
-
-/// Same algorithm over a flushed buffer tree (leaf payloads are scanned
-/// from paged storage).
-StatusOr<PartitionSet> ReleaseAtDepth(const BufferTree& tree, int depth);
-StatusOr<std::vector<PartitionSet>> HierarchicalReleases(
-    const BufferTree& tree);
 
 /// Verifies the k-bound condition across releases: every partition of every
 /// release must be a union of whole base leaves, and every base leaf must

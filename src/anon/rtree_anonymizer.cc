@@ -9,6 +9,12 @@ namespace kanon {
 
 namespace {
 
+// Fixed parameters of the paged bulk-load backends.
+constexpr CurveOrder kSortCurve = CurveOrder::kHilbert;
+constexpr int kSortGridBits = 10;
+/// Buffer-tree node buffers, in default-size pages.
+constexpr size_t kBufferPages = 8;
+
 RTreeConfig MakeTreeConfig(const RTreeAnonymizerOptions& options) {
   RTreeConfig config;
   config.min_leaf = options.base_k;
@@ -25,39 +31,27 @@ RTreeConfig MakeTreeConfig(const RTreeAnonymizerOptions& options) {
 
 /// Picks the page size for the buffer-tree backend: one leaf per page (the
 /// paper's model — leaves *are* index pages), rounded up to a 256-byte
-/// boundary and capped at the configured page size. An 8 KiB page holding a
+/// boundary and capped at the default page size. An 8 KiB page holding a
 /// 15-record leaf would waste ~85% of every frame and thrash the pool.
-size_t LeafPageSize(const RTreeAnonymizerOptions& options, size_t dim) {
+size_t LeafPageSize(size_t max_leaf, size_t dim) {
   const RecordCodec codec(dim);
-  const size_t max_leaf =
-      std::max(options.base_k * options.leaf_capacity_factor,
-               2 * options.base_k);
   const size_t natural = RecordPageView::kHeaderSize +
                          (max_leaf + 1) * codec.record_size();
   const size_t rounded = (natural + 255) / 256 * 256;
-  return std::min(std::max<size_t>(512, rounded), options.page_size);
+  return std::min(std::max<size_t>(512, rounded), kDefaultPageSize);
 }
 
-BufferTreeConfig MakeBufferConfig(const RTreeAnonymizerOptions& options,
-                                  size_t page_size, size_t dim) {
-  BufferTreeConfig config;
-  const RTreeConfig base = MakeTreeConfig(options);
-  config.min_leaf = base.min_leaf;
-  config.max_leaf = base.max_leaf;
-  config.max_fanout = base.max_fanout;
-  config.split = base.split;
-  config.leaf_admissible = base.leaf_admissible;
-  // options.buffer_pages is expressed in default-size pages; convert so the
-  // clear threshold (in records) is independent of the actual page size.
+/// kBufferPages default-size pages expressed in `page_size` pages, so the
+/// clear threshold (in records) is independent of the actual page size.
+size_t BufferPages(size_t page_size, size_t dim) {
   const RecordCodec codec(dim);
   const size_t per_page =
       (page_size - RecordPageView::kHeaderSize) / codec.record_size();
   const size_t per_default_page =
       (kDefaultPageSize - RecordPageView::kHeaderSize) / codec.record_size();
   const size_t target_records =
-      std::max<size_t>(1, options.buffer_pages * per_default_page);
-  config.buffer_pages = std::max<size_t>(1, target_records / per_page);
-  return config;
+      std::max<size_t>(1, kBufferPages * per_default_page);
+  return std::max<size_t>(1, target_records / per_page);
 }
 
 }  // namespace
@@ -87,8 +81,9 @@ StatusOr<RTreeAnonymizer::BuildResult> RTreeAnonymizer::BuildLeaves(
     }
   }
 
+  const RTreeConfig config = MakeTreeConfig(options);
   if (options.backend == RTreeAnonymizerOptions::Backend::kTupleLoading) {
-    RPlusTree tree(dataset.dim(), MakeTreeConfig(options));
+    RPlusTree tree(dataset.dim(), config);
     for (RecordId r = 0; r < dataset.num_records(); ++r) {
       tree.Insert(dataset.row(r), r, dataset.sensitive(r));
     }
@@ -97,45 +92,14 @@ StatusOr<RTreeAnonymizer::BuildResult> RTreeAnonymizer::BuildLeaves(
     return result;
   }
 
-  if (options.backend == RTreeAnonymizerOptions::Backend::kSortedBulkLoad) {
-    std::unique_ptr<Pager> pager;
-    if (options.use_disk) {
-      KANON_ASSIGN_OR_RETURN(auto file_pager,
-                             FilePager::Create(options.page_size));
-      pager = std::move(file_pager);
-    } else {
-      pager = std::make_unique<MemPager>(options.page_size);
-    }
-    const size_t frames =
-        std::max<size_t>(16, options.memory_budget_bytes / options.page_size);
-    BufferPool pool(pager.get(), frames);
-    // Run size from the memory budget alone: run boundaries are part of
-    // the deterministic pipeline and must not vary with the thread count.
-    const RecordCodec spill_codec(dataset.dim() + 1);
-    const size_t run_records =
-        options.sort_run_records > 0
-            ? options.sort_run_records
-            : std::max<size_t>(
-                  1024, options.memory_budget_bytes / 4 /
-                            spill_codec.record_size());
-    std::unique_ptr<ThreadPool> workers;
-    if (options.threads > 1) {
-      workers = std::make_unique<ThreadPool>(options.threads - 1);
-    }
-    KANON_ASSIGN_OR_RETURN(
-        RPlusTree tree,
-        SortedBulkLoadTree(dataset, MakeTreeConfig(options), options.curve,
-                           options.grid_bits, &pool, run_records,
-                           workers.get()));
-    result.leaves = ExtractLeafGroups(tree, &domain);
-    result.tree_height = tree.height();
-    result.io = pager->stats();
-    result.cache = pool.stats();
-    return result;
-  }
-
-  // Buffer-tree bulk load through a bounded buffer pool.
-  const size_t page_size = LeafPageSize(options, dataset.dim());
+  // The paged backends share one pager and pool: the sorted bulk load
+  // spills its external sort into default-size pages, the buffer tree
+  // stores one leaf per page.
+  const bool sorted =
+      options.backend == RTreeAnonymizerOptions::Backend::kSortedBulkLoad;
+  const size_t page_size = sorted
+                               ? kDefaultPageSize
+                               : LeafPageSize(config.max_leaf, dataset.dim());
   std::unique_ptr<Pager> pager;
   if (options.use_disk) {
     KANON_ASSIGN_OR_RETURN(auto file_pager, FilePager::Create(page_size));
@@ -143,19 +107,37 @@ StatusOr<RTreeAnonymizer::BuildResult> RTreeAnonymizer::BuildLeaves(
   } else {
     pager = std::make_unique<MemPager>(page_size);
   }
-  const size_t frames =
-      std::max<size_t>(8, options.memory_budget_bytes / page_size);
+  const size_t frames = std::max<size_t>(
+      sorted ? 16 : 8, options.memory_budget_bytes / page_size);
   BufferPool pool(pager.get(), frames);
-  BufferTree tree(dataset.dim(),
-                  MakeBufferConfig(options, page_size, dataset.dim()),
-                  &pool);
-  for (RecordId r = 0; r < dataset.num_records(); ++r) {
-    KANON_RETURN_IF_ERROR(
-        tree.Insert(dataset.row(r), r, dataset.sensitive(r)));
+
+  if (sorted) {
+    // Run size from the memory budget alone: run boundaries are part of
+    // the deterministic pipeline and must not vary with the thread count.
+    const RecordCodec spill_codec(dataset.dim() + 1);
+    const size_t run_records = std::max<size_t>(
+        1024, options.memory_budget_bytes / 4 / spill_codec.record_size());
+    std::unique_ptr<ThreadPool> workers;
+    if (options.threads > 1) {
+      workers = std::make_unique<ThreadPool>(options.threads - 1);
+    }
+    KANON_ASSIGN_OR_RETURN(
+        RPlusTree tree,
+        SortedBulkLoadTree(dataset, config, kSortCurve, kSortGridBits, &pool,
+                           run_records, workers.get()));
+    result.leaves = ExtractLeafGroups(tree, &domain);
+    result.tree_height = tree.height();
+  } else {
+    BufferTree tree(dataset.dim(), config,
+                    BufferPages(page_size, dataset.dim()), &pool);
+    for (RecordId r = 0; r < dataset.num_records(); ++r) {
+      KANON_RETURN_IF_ERROR(
+          tree.Insert(dataset.row(r), r, dataset.sensitive(r)));
+    }
+    KANON_RETURN_IF_ERROR(tree.Flush());
+    KANON_ASSIGN_OR_RETURN(result.leaves, ExtractLeafGroups(tree, &domain));
+    result.tree_height = tree.height();
   }
-  KANON_RETURN_IF_ERROR(tree.Flush());
-  KANON_ASSIGN_OR_RETURN(result.leaves, ExtractLeafGroups(tree, &domain));
-  result.tree_height = tree.height();
   result.io = pager->stats();
   result.cache = pool.stats();
   return result;

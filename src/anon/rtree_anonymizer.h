@@ -43,24 +43,17 @@ struct RTreeAnonymizerOptions {
     kSortedBulkLoad,  // external curve sort + top-down build (parallelizable)
   };
   Backend backend = Backend::kBufferTree;
-  /// Memory budget for the buffer pool backing the buffer tree.
+  /// Memory budget for the buffer pool of the paged backends. The sorted
+  /// bulk load also sizes its in-memory sort runs from it.
   size_t memory_budget_bytes = 64ull << 20;
-  size_t page_size = kDefaultPageSize;
-  size_t buffer_pages = 8;
-  /// Back the buffer tree with a real temp file instead of heap pages.
+  /// Back the paged backends with a real temp file instead of heap pages.
   bool use_disk = false;
 
-  // kSortedBulkLoad knobs. The build is deterministic in `threads`: any
-  // value produces the same tree and the same partitions.
   /// Total threads for the sorted bulk load (1 = serial; N spawns N-1
-  /// workers and the calling thread participates).
+  /// workers and the calling thread participates). The build is
+  /// deterministic in `threads`: any value produces the same tree and the
+  /// same partitions.
   size_t threads = 1;
-  /// Space-filling curve and quantization resolution of the sort order.
-  CurveOrder curve = CurveOrder::kHilbert;
-  int grid_bits = 10;
-  /// In-memory sorted-run size in records; 0 derives it from the memory
-  /// budget (and never from `threads`, to keep run boundaries fixed).
-  size_t sort_run_records = 0;
 };
 
 /// Bulk anonymizer: builds the spatial index at base_k, then emits a

@@ -1,17 +1,23 @@
 #include "index/buffer_tree.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/check.h"
 
 namespace kanon {
 
-BufferTree::BufferTree(size_t dim, BufferTreeConfig config, BufferPool* pool)
-    : dim_(dim), config_(config), pool_(pool), codec_(dim) {
+BufferTree::BufferTree(size_t dim, RTreeConfig config, size_t buffer_pages,
+                       BufferPool* pool)
+    : dim_(dim),
+      config_(std::move(config)),
+      buffer_pages_(buffer_pages),
+      pool_(pool),
+      codec_(dim) {
   KANON_CHECK(config_.min_leaf >= 1);
   KANON_CHECK(config_.max_leaf + 1 >= 2 * config_.min_leaf);
   KANON_CHECK(config_.max_fanout >= 2);
-  KANON_CHECK(config_.buffer_pages >= 1);
+  KANON_CHECK(buffer_pages_ >= 1);
   root_ = std::make_unique<BufferNode>(dim_, /*leaf=*/true);
   root_->region = Region::Whole(dim_);
   root_->records = std::make_unique<PageChain>(pool_, &codec_);
@@ -21,7 +27,7 @@ size_t BufferTree::BufferThresholdRecords() const {
   const size_t per_page =
       (pool_->page_size() - RecordPageView::kHeaderSize) /
       codec_.record_size();
-  return std::max<size_t>(1, config_.buffer_pages * per_page);
+  return std::max<size_t>(1, buffer_pages_ * per_page);
 }
 
 Status BufferTree::Insert(std::span<const double> point, uint64_t rid,
@@ -39,8 +45,11 @@ Status BufferTree::Insert(std::span<const double> point, uint64_t rid,
       BufferNode* old_root = root_.get();
       KANON_RETURN_IF_ERROR(SplitLeafRecursive(old_root, &pieces));
       // Even a single piece replaces the old leaf: SplitLeafRecursive
-      // drained the old node's records into the pieces.
-      KANON_RETURN_IF_ERROR(ReplaceChild(old_root, std::move(pieces)));
+      // drained the old node's records into the pieces. A leaf root
+      // shattered into many pieces can overflow the fresh root at once.
+      return SplitOverfull(
+          SpliceChild(&root_, old_root, std::move(pieces),
+                      std::bind_front(&BufferTree::MakeInternal, this)));
     }
     return Status::OK();
   }
@@ -184,17 +193,12 @@ Status BufferTree::Clear(BufferNode* node, bool recurse) {
       if (child->record_count > config_.max_leaf) {
         std::vector<std::unique_ptr<BufferNode>> pieces;
         KANON_RETURN_IF_ERROR(SplitLeafRecursive(child, &pieces));
-        const size_t added = pieces.size() - 1;
-        for (auto& piece : pieces) piece->parent = node;
-        node->children[i] = std::move(pieces[0]);
-        node->children.insert(
-            node->children.begin() + i + 1,
-            std::make_move_iterator(pieces.begin() + 1),
-            std::make_move_iterator(pieces.end()));
-        i += added;
+        i += pieces.size() - 1;
+        SpliceChild(&root_, child, std::move(pieces),
+                    std::bind_front(&BufferTree::MakeInternal, this));
       }
     }
-    KANON_RETURN_IF_ERROR(ResolveOverflow(node));
+    KANON_RETURN_IF_ERROR(SplitOverfull(node));
   } else {
     for (size_t c = 0; c < num_children; ++c) {
       if (staged[c].empty()) continue;
@@ -228,20 +232,10 @@ Status BufferTree::SplitLeafRecursive(
       [&](RecordBatch&& recs, Region region) -> Status {
     std::optional<PointSplit> split;
     if (recs.size() > config_.max_leaf) {
-      split = ChoosePointSplit(recs.values.data(), recs.size(), dim_,
-                               config_.min_leaf, config_.split, &region);
-      if (split && config_.leaf_admissible) {
-        std::vector<int32_t> left_codes, right_codes;
-        for (size_t i = 0; i < recs.size(); ++i) {
-          (recs.values[i * dim_ + split->axis] < split->value ? left_codes
-                                                              : right_codes)
-              .push_back(recs.sensitive[i]);
-        }
-        if (!config_.leaf_admissible(left_codes) ||
-            !config_.leaf_admissible(right_codes)) {
-          split.reset();  // keep as one (overfull) admissible leaf
-        }
-      }
+      split = ChooseLeafSplit(recs.values.data(), recs.sensitive.data(),
+                              recs.size(), dim_, config_.min_leaf,
+                              config_.split, &region,
+                              config_.leaf_admissible);
     }
     if (!split) {
       auto piece = std::make_unique<BufferNode>(dim_, /*leaf=*/true);
@@ -271,106 +265,33 @@ Status BufferTree::SplitLeafRecursive(
   return build(std::move(records), leaf->region);
 }
 
-Status BufferTree::SplitInternal(BufferNode* node) {
-  std::vector<const Region*> regions;
-  regions.reserve(node->fanout());
-  for (const auto& c : node->children) regions.push_back(&c->region);
-  const auto split = ChooseRegionSeparator(
-      std::span<const Region* const>(regions.data(), regions.size()),
-      config_.split);
-  KANON_CHECK_MSG(split.has_value(), "no separating plane (buffer tree)");
-
-  auto [left_region, right_region] =
-      node->region.Cut(split->axis, split->value);
-  auto make_half = [&](Region region) {
-    auto half = std::make_unique<BufferNode>(dim_, /*leaf=*/false);
-    half->region = std::move(region);
-    half->buffer = std::make_unique<PageChain>(pool_, &codec_);
-    return half;
-  };
-  auto left = make_half(std::move(left_region));
-  auto right = make_half(std::move(right_region));
-  for (auto& child : node->children) {
-    BufferNode* dst = child->region.hi[split->axis] <= split->value
-                          ? left.get()
-                          : right.get();
-    child->parent = dst;
-    dst->mbr.ExpandToInclude(child->mbr);
-    dst->record_count += child->record_count;
-    dst->children.push_back(std::move(child));
-  }
-  node->children.clear();
-  // Re-route any records still buffered at the split node.
-  RecordBatch buffered(dim_);
-  KANON_RETURN_IF_ERROR(node->buffer->DrainTo(&buffered));
-  if (!buffered.empty()) {
-    RecordBatch left_stage(dim_), right_stage(dim_);
-    for (size_t i = 0; i < buffered.size(); ++i) {
-      const auto row = buffered.row(i);
-      RecordBatch& dst =
-          left->region.ContainsPoint(row) ? left_stage : right_stage;
-      dst.Append(buffered.rids[i], buffered.sensitive[i], row);
-    }
-    KANON_RETURN_IF_ERROR(left->buffer->AppendBatch(left_stage));
-    KANON_RETURN_IF_ERROR(right->buffer->AppendBatch(right_stage));
-  }
-  std::vector<std::unique_ptr<BufferNode>> replacements;
-  replacements.push_back(std::move(left));
-  replacements.push_back(std::move(right));
-  return ReplaceChild(node, std::move(replacements));
+std::unique_ptr<BufferNode> BufferTree::MakeInternal(Region region) const {
+  auto node = std::make_unique<BufferNode>(dim_, /*leaf=*/false);
+  node->region = std::move(region);
+  node->buffer = std::make_unique<PageChain>(pool_, &codec_);
+  return node;
 }
 
-Status BufferTree::ResolveOverflow(BufferNode* node) {
-  while (node != nullptr && node->fanout() > config_.max_fanout) {
-    BufferNode* parent = node->parent;
-    KANON_RETURN_IF_ERROR(SplitInternal(node));  // destroys `node`
-    node = parent;
-  }
-  return Status::OK();
-}
-
-Status BufferTree::ReplaceChild(
-    BufferNode* old_child,
-    std::vector<std::unique_ptr<BufferNode>> replacements) {
-  KANON_CHECK(!replacements.empty());
-  BufferNode* parent = old_child->parent;
-  if (parent == nullptr) {
-    KANON_CHECK(old_child == root_.get());
-    if (replacements.size() == 1) {
-      replacements[0]->parent = nullptr;
-      root_ = std::move(replacements[0]);
-      return Status::OK();
-    }
-    auto new_root = std::make_unique<BufferNode>(dim_, /*leaf=*/false);
-    new_root->region = Region::Whole(dim_);
-    new_root->buffer = std::make_unique<PageChain>(pool_, &codec_);
-    for (auto& r : replacements) {
-      r->parent = new_root.get();
-      new_root->mbr.ExpandToInclude(r->mbr);
-      new_root->record_count += r->record_count;
-      new_root->children.push_back(std::move(r));
-    }
-    root_ = std::move(new_root);
-    // A fresh root can immediately exceed the fanout (a leaf-root shattered
-    // into many pieces); resolve before returning.
-    return ResolveOverflow(root_.get());
-  }
-  const size_t idx = [&] {
-    for (size_t i = 0; i < parent->children.size(); ++i) {
-      if (parent->children[i].get() == old_child) return i;
-    }
-    KANON_CHECK_MSG(false, "child not found in parent");
-    return size_t{0};
-  }();
-  for (auto& r : replacements) r->parent = parent;
-  parent->children[idx] = std::move(replacements[0]);
-  parent->children.insert(parent->children.begin() + idx + 1,
-                          std::make_move_iterator(replacements.begin() + 1),
-                          std::make_move_iterator(replacements.end()));
-  // Overflow of `parent` is the caller's job: ResolveOverflow's loop (which
-  // reaches here via SplitInternal) advances to the parent itself, and
-  // resolving it here too would walk ancestors the loop is about to free.
-  return Status::OK();
+Status BufferTree::SplitOverfull(BufferNode* node) {
+  return ResolveOverflow(
+      &root_, node, config_.max_fanout, config_.split,
+      std::bind_front(&BufferTree::MakeInternal, this),
+      [this](BufferNode* split, BufferNode* left,
+             BufferNode* right) -> Status {
+        // Re-route any records still buffered at the split node.
+        RecordBatch buffered(dim_);
+        KANON_RETURN_IF_ERROR(split->buffer->DrainTo(&buffered));
+        if (buffered.empty()) return Status::OK();
+        RecordBatch left_stage(dim_), right_stage(dim_);
+        for (size_t i = 0; i < buffered.size(); ++i) {
+          const auto row = buffered.row(i);
+          RecordBatch& dst =
+              left->region.ContainsPoint(row) ? left_stage : right_stage;
+          dst.Append(buffered.rids[i], buffered.sensitive[i], row);
+        }
+        KANON_RETURN_IF_ERROR(left->buffer->AppendBatch(left_stage));
+        return right->buffer->AppendBatch(right_stage);
+      });
 }
 
 Status BufferTree::Flush() {
@@ -415,47 +336,6 @@ Status BufferTree::Flush() {
   return Status::OK();
 }
 
-int BufferTree::height() const {
-  int h = 1;
-  const BufferNode* n = root_.get();
-  while (!n->is_leaf) {
-    n = n->children.front().get();
-    ++h;
-  }
-  return h;
-}
-
-std::vector<const BufferNode*> BufferTree::OrderedLeaves() const {
-  std::vector<const BufferNode*> leaves;
-  std::vector<const BufferNode*> stack = {root_.get()};
-  while (!stack.empty()) {
-    const BufferNode* n = stack.back();
-    stack.pop_back();
-    if (n->is_leaf) {
-      leaves.push_back(n);
-      continue;
-    }
-    for (auto it = n->children.rbegin(); it != n->children.rend(); ++it) {
-      stack.push_back(it->get());
-    }
-  }
-  return leaves;
-}
-
-std::vector<const BufferNode*> BufferTree::NodesAtDepth(int d) const {
-  std::vector<const BufferNode*> out;
-  std::function<void(const BufferNode*, int)> visit =
-      [&](const BufferNode* n, int depth) {
-        if (depth == d || n->is_leaf) {
-          out.push_back(n);
-          return;
-        }
-        for (const auto& c : n->children) visit(c.get(), depth + 1);
-      };
-  visit(root_.get(), 0);
-  return out;
-}
-
 Status BufferTree::ScanLeaf(
     const BufferNode* leaf,
     const std::function<void(uint64_t, int32_t, std::span<const double>)>& fn)
@@ -486,37 +366,7 @@ Status BufferTree::CheckNode(const BufferNode* node) const {
   if (flushed_ && node->buffer->record_count() != 0) {
     return Status::Corruption("non-empty buffer after flush");
   }
-  if (node->children.empty()) {
-    return Status::Corruption("internal node with no children");
-  }
-  size_t count = 0;
-  for (const auto& c : node->children) {
-    if (c->parent != node) return Status::Corruption("broken parent link");
-    for (size_t d = 0; d < dim_; ++d) {
-      if (c->region.lo[d] < node->region.lo[d] ||
-          c->region.hi[d] > node->region.hi[d]) {
-        return Status::Corruption("child region escapes parent");
-      }
-    }
-    count += c->record_count;
-  }
-  for (size_t i = 0; i < node->children.size(); ++i) {
-    for (size_t j = i + 1; j < node->children.size(); ++j) {
-      const Region& a = node->children[i]->region;
-      const Region& b = node->children[j]->region;
-      bool disjoint = false;
-      for (size_t d = 0; d < dim_; ++d) {
-        if (a.hi[d] <= b.lo[d] || b.hi[d] <= a.lo[d]) {
-          disjoint = true;
-          break;
-        }
-      }
-      if (!disjoint) return Status::Corruption("overlapping sibling regions");
-    }
-  }
-  if (count != node->record_count) {
-    return Status::Corruption("internal count mismatch");
-  }
+  KANON_RETURN_IF_ERROR(CheckChildren(*node));
   for (const auto& c : node->children) {
     KANON_RETURN_IF_ERROR(CheckNode(c.get()));
   }

@@ -31,21 +31,6 @@ struct BufferNode {
   std::unique_ptr<PageChain> records;  // leaf payload
   std::vector<std::unique_ptr<BufferNode>> children;
   std::unique_ptr<PageChain> buffer;   // internal-node external buffer
-
-  size_t fanout() const { return children.size(); }
-};
-
-/// Configuration of the buffer-tree loader.
-struct BufferTreeConfig {
-  size_t min_leaf = 5;    // base anonymity parameter k
-  size_t max_leaf = 15;   // c*k
-  size_t max_fanout = 16;
-  /// Pages per internal-node buffer before the buffer is cleared and its
-  /// records pushed one level down.
-  size_t buffer_pages = 8;
-  SplitConfig split;
-  /// See RTreeConfig::leaf_admissible — same contract.
-  std::function<bool(std::span<const int32_t>)> leaf_admissible;
 };
 
 /// Bulk-loads a non-overlapping R⁺-tree with bounded memory: insertions
@@ -55,11 +40,18 @@ struct BufferTreeConfig {
 /// provided BufferPool, whose capacity is the experiment's memory budget and
 /// whose Pager counts the explicit I/Os reported in the paper's Fig 8(b).
 ///
+/// The structure follows the same RTreeConfig as RPlusTree — occupancy
+/// window, fanout, split policy and leaf_admissible — and the same
+/// structural rules (index/node.h). `buffer_pages` is the number of pages
+/// an internal-node buffer holds before it is cleared and its records are
+/// pushed one level down.
+///
 /// Usage: Insert(...) for every record, then Flush() exactly once, then read
 /// the structure (OrderedLeaves / ScanLeaf / NodesAtDepth).
 class BufferTree {
  public:
-  BufferTree(size_t dim, BufferTreeConfig config, BufferPool* pool);
+  BufferTree(size_t dim, RTreeConfig config, size_t buffer_pages,
+             BufferPool* pool);
 
   BufferTree(const BufferTree&) = delete;
   BufferTree& operator=(const BufferTree&) = delete;
@@ -90,14 +82,17 @@ class BufferTree {
   Status Flush();
 
   const BufferNode* root() const { return root_.get(); }
-  int height() const;
+  int height() const { return Height(*root_); }
 
-  /// Leaves in left-to-right order (see RPlusTree::OrderedLeaves).
-  std::vector<const BufferNode*> OrderedLeaves() const;
+  /// Leaves in left-to-right order (see kanon::OrderedLeaves).
+  std::vector<const BufferNode*> OrderedLeaves() const {
+    return kanon::OrderedLeaves(*root_);
+  }
 
-  /// Nodes at depth d, leaves standing in below their depth (for the
-  /// hierarchical multi-granular algorithm).
-  std::vector<const BufferNode*> NodesAtDepth(int d) const;
+  /// Nodes at depth d, leaves standing in below their depth.
+  std::vector<const BufferNode*> NodesAtDepth(int d) const {
+    return kanon::NodesAtDepth(*root_, d);
+  }
 
   /// Streams a leaf's records.
   Status ScanLeaf(const BufferNode* leaf,
@@ -124,14 +119,16 @@ class BufferTree {
   Status Clear(BufferNode* node, bool recurse);
   Status SplitLeafRecursive(BufferNode* leaf,
                             std::vector<std::unique_ptr<BufferNode>>* out);
-  Status SplitInternal(BufferNode* node);
-  Status ResolveOverflow(BufferNode* node);
-  Status ReplaceChild(BufferNode* old_child,
-                      std::vector<std::unique_ptr<BufferNode>> replacements);
+  /// An internal node with an empty buffer chain.
+  std::unique_ptr<BufferNode> MakeInternal(Region region) const;
+  /// kanon::ResolveOverflow with this tree's hooks: halves get their own
+  /// buffers, and the split node's buffered records move into them.
+  Status SplitOverfull(BufferNode* node);
   Status CheckNode(const BufferNode* node) const;
 
   size_t dim_;
-  BufferTreeConfig config_;
+  RTreeConfig config_;
+  size_t buffer_pages_;
   BufferPool* pool_;
   RecordCodec codec_;
   std::unique_ptr<BufferNode> root_;

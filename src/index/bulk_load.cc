@@ -175,20 +175,20 @@ struct Piece {
   size_t size() const { return end - begin; }
 };
 
-/// Tries to cut `piece` with the tree's split policy. On success the
+/// Tries to cut `piece` with the tree's split policy, through the same
+/// admissibility gate as every leaf split (ChooseLeafSplit): a piece
+/// whose cut would fail leaf_admissible stays whole. On success the
 /// range is stably partitioned in place (left records keep their order,
 /// then right records keep theirs — determinism of the serialized leaf
 /// order depends on this), `piece` shrinks to the left half and
-/// `*right_out` receives the right half. Mirrors SplitLeaf's protocol:
-/// a cut is applied only when both halves would satisfy the
-/// admissibility predicate, otherwise the piece stays whole (an
-/// overfull leaf never weakens the guarantee).
+/// `*right_out` receives the right half.
 bool TryCutPiece(BuildArrays* arrays, const RTreeConfig& config, Piece* piece,
                  Piece* right_out) {
   const size_t dim = arrays->dim;
-  const auto split = ChoosePointSplit(
-      arrays->points.data() + piece->begin * dim, piece->size(), dim,
-      config.min_leaf, config.split, &piece->region);
+  const auto split = ChooseLeafSplit(
+      arrays->points.data() + piece->begin * dim,
+      arrays->sensitive.data() + piece->begin, piece->size(), dim,
+      config.min_leaf, config.split, &piece->region, config.leaf_admissible);
   if (!split.has_value()) return false;
 
   BuildArrays left(dim), right(dim);
@@ -201,11 +201,6 @@ bool TryCutPiece(BuildArrays* arrays, const RTreeConfig& config, Piece* piece,
     side.points.insert(side.points.end(), p.begin(), p.end());
   }
   KANON_CHECK(left.rids.size() == split->left_count);
-  if (config.leaf_admissible != nullptr &&
-      (!config.leaf_admissible(left.sensitive) ||
-       !config.leaf_admissible(right.sensitive))) {
-    return false;
-  }
 
   // Commit: left half then right half back into the range.
   std::copy(left.rids.begin(), left.rids.end(),
@@ -275,27 +270,31 @@ std::unique_ptr<Node> MakeLeaf(const BuildArrays& arrays,
 /// Builds the region-disciplined subtree over rows [begin, end) of
 /// `arrays` constrained to `region`: a single (possibly overfull) leaf
 /// when the range fits or refuses every admissible cut, otherwise an
-/// internal node over recursively carved children. The result is a pure
-/// function of the sorted record range and the region.
+/// internal node over recursively carved children. With `workers`, the
+/// children build concurrently (they touch disjoint row ranges). The
+/// result is a pure function of the sorted record range and the region.
 std::unique_ptr<Node> BuildSubtree(BuildArrays* arrays,
                                    const RTreeConfig& config,
                                    const Region& region, size_t begin,
-                                   size_t end) {
+                                   size_t end, ThreadPool* workers = nullptr) {
   if (end - begin <= config.max_leaf) {
     return MakeLeaf(*arrays, region, begin, end);
   }
   auto pieces = CutIntoFanout(arrays, config, region, begin, end);
   if (pieces.size() == 1) return MakeLeaf(*arrays, region, begin, end);
+  std::vector<std::unique_ptr<Node>> children(pieces.size());
+  const auto build = [&](size_t i) {
+    children[i] = BuildSubtree(arrays, config, pieces[i].region,
+                               pieces[i].begin, pieces[i].end);
+  };
+  if (workers != nullptr) {
+    workers->ParallelFor(children.size(), build);
+  } else {
+    for (size_t i = 0; i < children.size(); ++i) build(i);
+  }
   auto node = std::make_unique<Node>(arrays->dim, /*leaf=*/false);
   node->region = region;
-  for (const Piece& piece : pieces) {
-    auto child =
-        BuildSubtree(arrays, config, piece.region, piece.begin, piece.end);
-    child->parent = node.get();
-    node->record_count += child->record_count;
-    node->mbr.ExpandToInclude(child->mbr);
-    node->children.push_back(std::move(child));
-  }
+  for (auto& child : children) AdoptChild(node.get(), std::move(child));
   return node;
 }
 
@@ -361,36 +360,9 @@ StatusOr<RPlusTree> SortedBulkLoadTree(const Dataset& dataset,
                              values.end());
       }));
 
-  // 3. Root-level cut, then one concurrent build per top-level piece.
-  const Region whole = Region::Whole(dim);
-  std::unique_ptr<Node> root;
-  if (n <= config.max_leaf) {
-    root = MakeLeaf(arrays, whole, 0, n);
-  } else {
-    auto pieces = CutIntoFanout(&arrays, config, whole, 0, n);
-    if (pieces.size() == 1) {
-      root = MakeLeaf(arrays, whole, 0, n);
-    } else {
-      std::vector<std::unique_ptr<Node>> subtrees(pieces.size());
-      const auto build = [&](size_t i) {
-        subtrees[i] = BuildSubtree(&arrays, config, pieces[i].region,
-                                   pieces[i].begin, pieces[i].end);
-      };
-      if (workers != nullptr) {
-        workers->ParallelFor(subtrees.size(), build);
-      } else {
-        for (size_t i = 0; i < subtrees.size(); ++i) build(i);
-      }
-      root = std::make_unique<Node>(dim, /*leaf=*/false);
-      root->region = whole;
-      for (auto& child : subtrees) {
-        child->parent = root.get();
-        root->record_count += child->record_count;
-        root->mbr.ExpandToInclude(child->mbr);
-        root->children.push_back(std::move(child));
-      }
-    }
-  }
+  // 3. Top-down build; the root's pieces build concurrently.
+  std::unique_ptr<Node> root =
+      BuildSubtree(&arrays, config, Region::Whole(dim), 0, n, workers);
   return RPlusTree::FromRoot(dim, config, std::move(root));
 }
 

@@ -28,13 +28,4 @@ void Node::RecomputeLeafMbr() {
   }
 }
 
-size_t Node::IndexInParent() const {
-  KANON_CHECK(parent != nullptr);
-  for (size_t i = 0; i < parent->children.size(); ++i) {
-    if (parent->children[i].get() == this) return i;
-  }
-  KANON_CHECK_MSG(false, "node not found in its parent");
-  return 0;
-}
-
 }  // namespace kanon

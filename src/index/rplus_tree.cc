@@ -1,6 +1,7 @@
 #include "index/rplus_tree.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/check.h"
 
@@ -55,101 +56,43 @@ void RPlusTree::Insert(std::span<const double> point, uint64_t rid,
 }
 
 void RPlusTree::SplitLeaf(Node* leaf) {
-  const auto split =
-      ChoosePointSplit(leaf->points.data(), leaf->leaf_size(), dim_,
-                       config_.min_leaf, config_.split, &leaf->region);
-  if (!split) return;  // duplicate-dominated leaf: stays overfull
-  if (config_.leaf_admissible) {
-    std::vector<int32_t> left_codes, right_codes;
-    for (size_t i = 0; i < leaf->leaf_size(); ++i) {
-      (leaf->points[i * dim_ + split->axis] < split->value ? left_codes
-                                                           : right_codes)
-          .push_back(leaf->sensitive[i]);
-    }
-    if (!config_.leaf_admissible(left_codes) ||
-        !config_.leaf_admissible(right_codes)) {
-      return;  // split would violate the publication constraint
-    }
-  }
+  const auto split = ChooseLeafSplit(
+      leaf->points.data(), leaf->sensitive.data(), leaf->leaf_size(), dim_,
+      config_.min_leaf, config_.split, &leaf->region,
+      config_.leaf_admissible);
+  // No cut: duplicate-dominated, or a side would violate the publication
+  // constraint. The leaf stays overfull.
+  if (!split) return;
 
   auto [left_region, right_region] =
       leaf->region.Cut(split->axis, split->value);
-  auto left = std::make_unique<Node>(dim_, /*leaf=*/true);
-  auto right = std::make_unique<Node>(dim_, /*leaf=*/true);
-  left->region = std::move(left_region);
-  right->region = std::move(right_region);
+  std::vector<std::unique_ptr<Node>> halves;
+  halves.push_back(std::make_unique<Node>(dim_, /*leaf=*/true));
+  halves.push_back(std::make_unique<Node>(dim_, /*leaf=*/true));
+  halves[0]->region = std::move(left_region);
+  halves[1]->region = std::move(right_region);
   for (size_t i = 0; i < leaf->leaf_size(); ++i) {
-    Node* dst = leaf->points[i * dim_ + split->axis] < split->value
-                    ? left.get()
-                    : right.get();
-    dst->AppendRecord(leaf->point(i), leaf->rids[i], leaf->sensitive[i]);
+    const size_t side =
+        leaf->points[i * dim_ + split->axis] < split->value ? 0 : 1;
+    halves[side]->AppendRecord(leaf->point(i), leaf->rids[i],
+                               leaf->sensitive[i]);
   }
-  KANON_DCHECK(left->leaf_size() >= config_.min_leaf);
-  KANON_DCHECK(right->leaf_size() >= config_.min_leaf);
-  Node* parent = leaf->parent;  // survives the replacement below
-  ReplaceChild(leaf, std::move(left), std::move(right));
-  ResolveOverflow(parent);
+  KANON_DCHECK(halves[0]->leaf_size() >= config_.min_leaf);
+  KANON_DCHECK(halves[1]->leaf_size() >= config_.min_leaf);
+  const auto make_internal = std::bind_front(&RPlusTree::MakeInternal, this);
+  Node* grown = SpliceChild(&root_, leaf, std::move(halves), make_internal);
+  // In-memory nodes hold nothing beyond their children, so no split can
+  // fail here.
+  const Status resolved = ResolveOverflow(
+      &root_, grown, config_.max_fanout, config_.split, make_internal,
+      [](Node*, Node*, Node*) { return Status::OK(); });
+  KANON_DCHECK(resolved.ok());
 }
 
-void RPlusTree::SplitInternal(Node* node) {
-  std::vector<const Region*> regions;
-  regions.reserve(node->fanout());
-  for (const auto& c : node->children) regions.push_back(&c->region);
-  const auto split = ChooseRegionSeparator(
-      std::span<const Region* const>(regions.data(), regions.size()),
-      config_.split);
-  KANON_CHECK_MSG(split.has_value(),
-                  "no separating plane found for internal node");
-
-  auto [left_region, right_region] =
-      node->region.Cut(split->axis, split->value);
-  auto left = std::make_unique<Node>(dim_, /*leaf=*/false);
-  auto right = std::make_unique<Node>(dim_, /*leaf=*/false);
-  left->region = std::move(left_region);
-  right->region = std::move(right_region);
-  for (auto& child : node->children) {
-    Node* dst = child->region.hi[split->axis] <= split->value ? left.get()
-                                                              : right.get();
-    child->parent = dst;
-    dst->mbr.ExpandToInclude(child->mbr);
-    dst->record_count += child->record_count;
-    dst->children.push_back(std::move(child));
-  }
-  node->children.clear();
-  KANON_DCHECK(!left->children.empty() && !right->children.empty());
-  ReplaceChild(node, std::move(left), std::move(right));
-}
-
-void RPlusTree::ResolveOverflow(Node* node) {
-  while (node != nullptr && node->fanout() > config_.max_fanout) {
-    Node* parent = node->parent;
-    SplitInternal(node);  // destroys `node`, adds one entry to its parent
-    node = parent;
-  }
-}
-
-void RPlusTree::ReplaceChild(Node* old_child, std::unique_ptr<Node> a,
-                             std::unique_ptr<Node> b) {
-  Node* parent = old_child->parent;
-  if (parent == nullptr) {
-    // The root split: grow a new root above the two halves.
-    KANON_CHECK(old_child == root_.get());
-    auto new_root = std::make_unique<Node>(dim_, /*leaf=*/false);
-    new_root->region = Region::Whole(dim_);
-    new_root->mbr = Mbr::Union(a->mbr, b->mbr);
-    new_root->record_count = a->record_count + b->record_count;
-    a->parent = new_root.get();
-    b->parent = new_root.get();
-    new_root->children.push_back(std::move(a));
-    new_root->children.push_back(std::move(b));
-    root_ = std::move(new_root);
-    return;
-  }
-  const size_t idx = old_child->IndexInParent();
-  a->parent = parent;
-  b->parent = parent;
-  parent->children[idx] = std::move(a);
-  parent->children.insert(parent->children.begin() + idx + 1, std::move(b));
+std::unique_ptr<Node> RPlusTree::MakeInternal(Region region) const {
+  auto node = std::make_unique<Node>(dim_, /*leaf=*/false);
+  node->region = std::move(region);
+  return node;
 }
 
 bool RPlusTree::Delete(std::span<const double> point, uint64_t rid) {
@@ -172,49 +115,6 @@ bool RPlusTree::Delete(std::span<const double> point, uint64_t rid) {
     for (const auto& c : n->children) n->mbr.ExpandToInclude(c->mbr);
   }
   return true;
-}
-
-int RPlusTree::height() const {
-  int h = 1;
-  const Node* n = root_.get();
-  while (!n->is_leaf) {
-    n = n->children.front().get();
-    ++h;
-  }
-  return h;
-}
-
-std::vector<const Node*> RPlusTree::OrderedLeaves() const {
-  std::vector<const Node*> leaves;
-  std::vector<const Node*> stack = {root_.get()};
-  while (!stack.empty()) {
-    const Node* n = stack.back();
-    stack.pop_back();
-    if (n->is_leaf) {
-      leaves.push_back(n);
-      continue;
-    }
-    for (auto it = n->children.rbegin(); it != n->children.rend(); ++it) {
-      stack.push_back(it->get());
-    }
-  }
-  return leaves;
-}
-
-std::vector<const Node*> RPlusTree::NodesAtDepth(int d) const {
-  std::vector<const Node*> out;
-  std::function<void(const Node*, int)> visit = [&](const Node* n,
-                                                    int depth) {
-    if (depth == d || n->is_leaf) {
-      // Leaves shallower than `d` stand in for their (absent) descendants so
-      // every record appears in the level view exactly once.
-      out.push_back(n);
-      return;
-    }
-    for (const auto& c : n->children) visit(c.get(), depth + 1);
-  };
-  visit(root_.get(), 0);
-  return out;
 }
 
 size_t RPlusTree::SearchRange(const Mbr& query,
@@ -270,40 +170,9 @@ Status RPlusTree::CheckNode(const Node* node, bool allow_underfull) const {
     }
     return Status::OK();
   }
-  if (node->children.empty()) {
-    return Status::Corruption("internal node with no children");
-  }
-  size_t count = 0;
+  KANON_RETURN_IF_ERROR(CheckChildren(*node));
   Mbr expect(dim_);
-  for (const auto& c : node->children) {
-    if (c->parent != node) return Status::Corruption("broken parent link");
-    for (size_t d = 0; d < dim_; ++d) {
-      if (c->region.lo[d] < node->region.lo[d] ||
-          c->region.hi[d] > node->region.hi[d]) {
-        return Status::Corruption("child region escapes parent region");
-      }
-    }
-    count += c->record_count;
-    expect.ExpandToInclude(c->mbr);
-  }
-  // Sibling regions must be pairwise interior-disjoint.
-  for (size_t i = 0; i < node->children.size(); ++i) {
-    for (size_t j = i + 1; j < node->children.size(); ++j) {
-      const Region& a = node->children[i]->region;
-      const Region& b = node->children[j]->region;
-      bool disjoint = false;
-      for (size_t d = 0; d < dim_; ++d) {
-        if (a.hi[d] <= b.lo[d] || b.hi[d] <= a.lo[d]) {
-          disjoint = true;
-          break;
-        }
-      }
-      if (!disjoint) return Status::Corruption("overlapping sibling regions");
-    }
-  }
-  if (count != node->record_count) {
-    return Status::Corruption("internal record_count mismatch");
-  }
+  for (const auto& c : node->children) expect.ExpandToInclude(c->mbr);
   if (node->record_count > 0 && !(expect == node->mbr)) {
     return Status::Corruption("internal MBR is not the union of children");
   }

@@ -1,7 +1,6 @@
 #ifndef KANON_INDEX_RPLUS_TREE_H_
 #define KANON_INDEX_RPLUS_TREE_H_
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -24,7 +23,7 @@ struct RTreeConfig {
   /// it — this is how l-diversity or (α,k)-style requirements plug into the
   /// index splitting routine (paper Section 6). An inadmissible split
   /// leaves the leaf overfull, which never weakens the guarantee.
-  std::function<bool(std::span<const int32_t>)> leaf_admissible;
+  LeafPredicate leaf_admissible;
 };
 
 /// A non-overlapping R-tree variant (R⁺-tree style) over points, used as a
@@ -71,16 +70,19 @@ class RPlusTree {
   bool Delete(std::span<const double> point, uint64_t rid);
 
   size_t size() const { return root_->record_count; }
-  int height() const;
+  int height() const { return Height(*root_); }
   const Node* root() const { return root_.get(); }
 
-  /// Leaves in left-to-right tree order — the "sequential ordering of nodes
-  /// on the same tree level" the leaf-scan algorithm (Fig 5) relies on.
-  std::vector<const Node*> OrderedLeaves() const;
+  /// Leaves in left-to-right tree order (see kanon::OrderedLeaves).
+  std::vector<const Node*> OrderedLeaves() const {
+    return kanon::OrderedLeaves(*root_);
+  }
 
   /// All nodes at depth `d` (root = depth 0), in left-to-right order. Used
   /// by the hierarchical multi-granular release algorithm.
-  std::vector<const Node*> NodesAtDepth(int d) const;
+  std::vector<const Node*> NodesAtDepth(int d) const {
+    return kanon::NodesAtDepth(*root_, d);
+  }
 
   /// Collects record ids of points inside the closed box `query`, pruning
   /// subtrees by MBR. Returns the number of leaves whose MBR intersected
@@ -104,12 +106,7 @@ class RPlusTree {
  private:
   Node* ChooseLeaf(std::span<const double> point);
   void SplitLeaf(Node* leaf);
-  void SplitInternal(Node* node);
-  /// Splits `node` (and then ancestors) while over max_fanout.
-  void ResolveOverflow(Node* node);
-  /// Swaps `old_child` in its parent for `a` and `b` (or grows a new root).
-  void ReplaceChild(Node* old_child, std::unique_ptr<Node> a,
-                    std::unique_ptr<Node> b);
+  std::unique_ptr<Node> MakeInternal(Region region) const;
   Status CheckNode(const Node* node, bool allow_underfull) const;
 
   size_t dim_;

@@ -231,6 +231,27 @@ std::optional<PointSplit> ChoosePointSplit(const double* points, size_t n,
   return best;
 }
 
+std::optional<PointSplit> ChooseLeafSplit(const double* points,
+                                          const int32_t* sensitive, size_t n,
+                                          size_t dim, size_t min_side,
+                                          const SplitConfig& config,
+                                          const Region* region,
+                                          const LeafPredicate& leaf_admissible) {
+  auto split = ChoosePointSplit(points, n, dim, min_side, config, region);
+  if (!split || !leaf_admissible) return split;
+  std::vector<int32_t> left_codes, right_codes;
+  left_codes.reserve(split->left_count);
+  right_codes.reserve(split->right_count);
+  for (size_t i = 0; i < n; ++i) {
+    (points[i * dim + split->axis] < split->value ? left_codes : right_codes)
+        .push_back(sensitive[i]);
+  }
+  if (!leaf_admissible(left_codes) || !leaf_admissible(right_codes)) {
+    return std::nullopt;
+  }
+  return split;
+}
+
 std::optional<RegionSplit> ChooseRegionSeparator(
     std::span<const Region* const> child_regions, const SplitConfig& config) {
   const size_t m = child_regions.size();

@@ -1,6 +1,7 @@
 #ifndef KANON_INDEX_SPLIT_H_
 #define KANON_INDEX_SPLIT_H_
 
+#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -80,6 +81,22 @@ std::optional<PointSplit> ChoosePointSplit(const double* points, size_t n,
                                            size_t dim, size_t min_side,
                                            const SplitConfig& config,
                                            const Region* region = nullptr);
+
+/// Publication predicate over the sensitive codes of a candidate leaf
+/// (l-diversity, (α,k), ...; see RTreeConfig::leaf_admissible).
+using LeafPredicate = std::function<bool(std::span<const int32_t>)>;
+
+/// ChoosePointSplit over a leaf's records (row-major `points` with their
+/// `sensitive` codes), gated on `leaf_admissible`: when it is set, the cut
+/// is returned only if the codes on *both* sides satisfy it. nullopt keeps
+/// the records in one (possibly overfull) leaf, which never weakens the
+/// guarantee. Every leaf split of every tree builder goes through here.
+std::optional<PointSplit> ChooseLeafSplit(const double* points,
+                                          const int32_t* sensitive, size_t n,
+                                          size_t dim, size_t min_side,
+                                          const SplitConfig& config,
+                                          const Region* region,
+                                          const LeafPredicate& leaf_admissible);
 
 /// A separating hyperplane for an internal node's children: children whose
 /// region satisfies hi[axis] <= value go left, the rest (lo[axis] >= value)

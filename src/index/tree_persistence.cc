@@ -82,15 +82,24 @@ class PageStreamWriter {
   uint32_t crc_ = 0;
 };
 
-/// Counterpart reader.
+/// Counterpart reader. It serves at most `byte_size` bytes — the length
+/// SaveTree wrote — so a damaged length field cannot read past the stream.
 class PageStreamReader {
  public:
-  PageStreamReader(Pager* pager, PageId first)
-      : pager_(pager), buffer_(pager->page_size()), next_(first) {}
+  PageStreamReader(Pager* pager, PageId first, size_t byte_size)
+      : pager_(pager),
+        buffer_(pager->page_size()),
+        next_(first),
+        remaining_(byte_size) {}
 
   uint32_t crc() const { return crc_; }
+  size_t remaining() const { return remaining_; }
 
   Status Read(void* data, size_t n) {
+    if (n > remaining_) {
+      return Status::Corruption("tree snapshot read past its byte size");
+    }
+    remaining_ -= n;
     const size_t total = n;
     char* dst = static_cast<char*>(data);
     while (n > 0) {
@@ -126,6 +135,7 @@ class PageStreamReader {
   Pager* pager_;
   std::vector<char> buffer_;
   PageId next_;
+  size_t remaining_;
   size_t offset_ = 0;
   uint32_t crc_ = 0;
 };
@@ -187,6 +197,11 @@ StatusOr<std::unique_ptr<Node>> ReadNode(PageStreamReader* r, size_t dim,
   if (node->is_leaf) {
     uint64_t count = 0;
     KANON_RETURN_IF_ERROR(r->ReadValue(&count));
+    const size_t record_bytes =
+        sizeof(uint64_t) + sizeof(int32_t) + dim * sizeof(double);
+    if (count > r->remaining() / record_bytes) {
+      return Status::Corruption("leaf record count exceeds the snapshot");
+    }
     node->rids.resize(count);
     node->sensitive.resize(count);
     node->points.resize(count * dim);
@@ -240,7 +255,7 @@ StatusOr<TreeSnapshot> SaveTree(const RPlusTree& tree, Pager* pager) {
 
 StatusOr<RPlusTree> LoadTree(Pager* pager, const TreeSnapshot& snapshot,
                              size_t dim, const RTreeConfig& config) {
-  PageStreamReader reader(pager, snapshot.first_page);
+  PageStreamReader reader(pager, snapshot.first_page, snapshot.byte_size);
   uint32_t magic = 0;
   KANON_RETURN_IF_ERROR(reader.ReadValue(&magic));
   if (magic != kTreeMagic) return Status::Corruption("not a tree snapshot");
@@ -263,7 +278,7 @@ StatusOr<RPlusTree> LoadTree(Pager* pager, const TreeSnapshot& snapshot,
   if (root->record_count != records) {
     return Status::Corruption("snapshot record count mismatch");
   }
-  if (snapshot.crc32 != 0 && reader.crc() != snapshot.crc32) {
+  if (reader.crc() != snapshot.crc32) {
     return Status::Corruption("tree snapshot failed checksum verification");
   }
   return RPlusTree::FromRoot(dim, config, std::move(root));
@@ -279,16 +294,6 @@ StatusOr<TreeSnapshot> SaveTreeToFile(const RPlusTree& tree,
   KANON_CHECK(snapshot.first_page == 0);  // fresh pager allocates from 0
   KANON_RETURN_IF_ERROR(pager->Sync());
   return snapshot;
-}
-
-StatusOr<RPlusTree> LoadTreeFromFile(const std::string& path,
-                                     const TreeSnapshot& snapshot, size_t dim,
-                                     const RTreeConfig& config,
-                                     size_t page_size, Env* env) {
-  KANON_ASSIGN_OR_RETURN(auto pager,
-                         FilePager::Open(path, page_size,
-                                         /*truncate=*/false, env));
-  return LoadTree(pager.get(), snapshot, dim, config);
 }
 
 Status FreeSnapshot(Pager* pager, const TreeSnapshot& snapshot) {

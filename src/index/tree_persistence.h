@@ -13,8 +13,7 @@ struct TreeSnapshot {
   size_t byte_size = 0;
   size_t record_count = 0;
   /// CRC32 of the logical byte stream. LoadTree re-computes it while
-  /// reading and rejects a mismatch (0 = unknown, verification skipped —
-  /// snapshots taken before checksumming existed).
+  /// reading and rejects any mismatch; 0 is a checksum like any other.
   uint32_t crc32 = 0;
 };
 
@@ -27,7 +26,9 @@ StatusOr<TreeSnapshot> SaveTree(const RPlusTree& tree, Pager* pager);
 
 /// Restores a tree saved by SaveTree. `config` must match the structural
 /// parameters the tree was built with (it is validated against the stored
-/// header where possible).
+/// header where possible). Damaged bytes return Corruption: no read goes
+/// past `snapshot.byte_size`, no leaf is sized beyond the bytes left, and
+/// the stream's CRC must equal `snapshot.crc32`.
 StatusOr<RPlusTree> LoadTree(Pager* pager, const TreeSnapshot& snapshot,
                              size_t dim, const RTreeConfig& config);
 
@@ -42,13 +43,6 @@ StatusOr<TreeSnapshot> SaveTreeToFile(const RPlusTree& tree,
                                       const std::string& path,
                                       size_t page_size = kDefaultPageSize,
                                       Env* env = nullptr);
-
-/// Restores a tree written by SaveTreeToFile.
-StatusOr<RPlusTree> LoadTreeFromFile(const std::string& path,
-                                     const TreeSnapshot& snapshot, size_t dim,
-                                     const RTreeConfig& config,
-                                     size_t page_size = kDefaultPageSize,
-                                     Env* env = nullptr);
 
 }  // namespace kanon
 

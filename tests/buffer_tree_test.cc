@@ -16,13 +16,13 @@ struct Rig {
     config.min_leaf = 3;
     config.max_leaf = 9;
     config.max_fanout = 4;
-    config.buffer_pages = 2;
-    tree = std::make_unique<BufferTree>(dim, config, &pool);
+    tree = std::make_unique<BufferTree>(dim, config, buffer_pages, &pool);
   }
 
   MemPager pager;
   BufferPool pool;
-  BufferTreeConfig config;
+  RTreeConfig config;
+  size_t buffer_pages = 2;
   std::unique_ptr<BufferTree> tree;
 };
 
@@ -60,7 +60,8 @@ TEST(BufferTreeTest, CascadingSplitsKeepInvariants) {
   rig.config.min_leaf = 2;
   rig.config.max_leaf = 5;
   rig.config.max_fanout = 2;
-  rig.tree = std::make_unique<BufferTree>(2, rig.config, &rig.pool);
+  rig.tree = std::make_unique<BufferTree>(2, rig.config, rig.buffer_pages,
+                                          &rig.pool);
   InsertRandom(rig.tree.get(), 2000, 7, 2);
   ASSERT_TRUE(rig.tree->Flush().ok());
   EXPECT_EQ(rig.tree->size(), 2000u);
@@ -180,12 +181,12 @@ TEST(BufferTreeTest, PaperExampleScaleConfiguration) {
       RecordPageView::kHeaderSize + 3 * codec.record_size();
   MemPager pager(page_size);
   BufferPool pool(&pager, 64);
-  BufferTreeConfig config;
+  RTreeConfig config;
   config.min_leaf = 1;
   config.max_leaf = 3;  // "a page has a maximum capacity of three records"
   config.max_fanout = 3;
-  config.buffer_pages = 2;  // "node buffers contain at most two pages"
-  BufferTree tree(2, config, &pool);
+  const size_t buffer_pages = 2;  // "node buffers contain at most two pages"
+  BufferTree tree(2, config, buffer_pages, &pool);
   Rng rng(30);
   for (size_t i = 0; i < 200; ++i) {
     const double p[] = {rng.UniformDouble(0, 100),
@@ -289,7 +290,8 @@ TEST(BufferTreeTest, LeafConstraintHonoredDuringBulkLoad) {
     std::set<int32_t> distinct(codes.begin(), codes.end());
     return distinct.size() >= 2;
   };
-  rig.tree = std::make_unique<BufferTree>(1, rig.config, &rig.pool);
+  rig.tree = std::make_unique<BufferTree>(1, rig.config, rig.buffer_pages,
+                                          &rig.pool);
   Rng rng(9);
   for (int i = 0; i < 400; ++i) {
     const double x = rng.UniformDouble(0, 1000);

@@ -131,12 +131,11 @@ TEST(FaultInjectionTest, PageChainAppendPropagates) {
 TEST(FaultInjectionTest, BufferTreeInsertPathPropagates) {
   FaultyPager pager(/*fuse=*/200);
   BufferPool pool(&pager, 2);  // tiny pool: constant eviction traffic
-  BufferTreeConfig config;
+  RTreeConfig config;
   config.min_leaf = 3;
   config.max_leaf = 9;
   config.max_fanout = 4;
-  config.buffer_pages = 1;
-  BufferTree tree(2, config, &pool);
+  BufferTree tree(2, config, /*buffer_pages=*/1, &pool);
   Rng rng(1);
   Status status = Status::OK();
   for (size_t i = 0; i < 100000 && status.ok(); ++i) {

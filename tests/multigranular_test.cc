@@ -4,6 +4,7 @@
 
 #include "anon/leaf_scan.h"
 #include "common/random.h"
+#include "index/buffer_tree.h"
 
 namespace kanon {
 namespace {
@@ -105,14 +106,35 @@ TEST(MultigranularTest, VerifyKBoundRejectsUnderfullBaseLeaves) {
   EXPECT_FALSE(VerifyKBound(base, {}, 5, 2).ok());
 }
 
+// The hierarchical release over a flushed buffer tree: one partition per
+// node at `depth`, holding the records its subtree's leaves store.
+PartitionSet BufferTreeReleaseAtDepth(const BufferTree& tree, int depth) {
+  PartitionSet out;
+  for (const BufferNode* n : tree.NodesAtDepth(depth)) {
+    if (n->record_count == 0) continue;
+    Partition p;
+    p.box = n->mbr;
+    for (const BufferNode* leaf : OrderedLeaves(*n)) {
+      EXPECT_TRUE(tree.ScanLeaf(leaf,
+                                [&p](uint64_t rid, int32_t,
+                                     std::span<const double>) {
+                                  p.rids.push_back(rid);
+                                })
+                      .ok());
+    }
+    out.partitions.push_back(std::move(p));
+  }
+  return out;
+}
+
 TEST(MultigranularTest, BufferTreeHierarchicalReleasesAreKBound) {
   MemPager pager(1024);
   BufferPool pool(&pager, 256);
-  BufferTreeConfig config;
+  RTreeConfig config;
   config.min_leaf = 5;
   config.max_leaf = 15;
   config.max_fanout = 4;
-  BufferTree tree(2, config, &pool);
+  BufferTree tree(2, config, /*buffer_pages=*/8, &pool);
   Rng rng(8);
   const size_t n = 1200;
   std::vector<double> p(2);
@@ -122,16 +144,17 @@ TEST(MultigranularTest, BufferTreeHierarchicalReleasesAreKBound) {
     ASSERT_TRUE(tree.Insert(p, i, 0).ok());
   }
   ASSERT_TRUE(tree.Flush().ok());
-  auto base = ReleaseAtDepth(tree, tree.height() - 1);
-  ASSERT_TRUE(base.ok());
-  EXPECT_TRUE(base->CheckKAnonymous(5).ok());
-  auto releases = HierarchicalReleases(tree);
-  ASSERT_TRUE(releases.ok());
-  ASSERT_EQ(static_cast<int>(releases->size()), tree.height());
-  for (const PartitionSet& r : *releases) {
+  const PartitionSet base = BufferTreeReleaseAtDepth(tree, tree.height() - 1);
+  EXPECT_TRUE(base.CheckKAnonymous(5).ok());
+  std::vector<PartitionSet> releases;
+  for (int depth = tree.height() - 1; depth >= 0; --depth) {
+    releases.push_back(BufferTreeReleaseAtDepth(tree, depth));
+  }
+  ASSERT_EQ(static_cast<int>(releases.size()), tree.height());
+  for (const PartitionSet& r : releases) {
     EXPECT_EQ(r.total_records(), n);
   }
-  EXPECT_TRUE(VerifyKBound(*base, *releases, 5, n).ok());
+  EXPECT_TRUE(VerifyKBound(base, releases, 5, n).ok());
 }
 
 TEST(MultigranularTest, AdversaryIntersectionKeepsKCandidates) {

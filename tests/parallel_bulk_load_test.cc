@@ -222,7 +222,8 @@ TEST(ParallelBulkLoadTest, AnonymizerBackendIsThreadCountInvariant) {
   const Dataset data = AgrawalGenerator(7).Generate(4000);
   RTreeAnonymizerOptions options;
   options.backend = RTreeAnonymizerOptions::Backend::kSortedBulkLoad;
-  options.sort_run_records = 256;
+  // Runs hold the 1,024-record floor, so 4,000 records span four runs.
+  options.memory_budget_bytes = 256 << 10;
   options.threads = 1;
   auto serial = RTreeAnonymizer(options).Anonymize(data, 10);
   ASSERT_TRUE(serial.ok()) << serial.status();

@@ -75,11 +75,10 @@ TEST_P(AnonymizationProperty, BufferTreeChurnKeepsRecordSetExact) {
   const Dataset d = MakeData(n(), dim(), seed());
   MemPager pager(1024);
   BufferPool pool(&pager, 512);
-  BufferTreeConfig config;
+  RTreeConfig config;
   config.min_leaf = k();
   config.max_leaf = 3 * k();
-  config.buffer_pages = 2;
-  BufferTree tree(dim(), config, &pool);
+  BufferTree tree(dim(), config, /*buffer_pages=*/2, &pool);
   Rng rng(seed() ^ 0x777);
   std::set<uint64_t> live;
   for (RecordId r = 0; r < d.num_records(); ++r) {

@@ -19,6 +19,15 @@ RTreeConfig SmallConfig() {
   return config;
 }
 
+// Opens a snapshot file the way RecoverInto does and loads the tree.
+StatusOr<RPlusTree> LoadFromFile(const std::string& path,
+                                 const TreeSnapshot& snapshot) {
+  KANON_ASSIGN_OR_RETURN(auto pager,
+                         FilePager::Open(path, kDefaultPageSize,
+                                         /*truncate=*/false));
+  return LoadTree(pager.get(), snapshot, 2, SmallConfig());
+}
+
 RPlusTree BuildRandom(size_t n, uint64_t seed,
                       std::vector<std::vector<double>>* points = nullptr) {
   RPlusTree tree(2, SmallConfig());
@@ -168,7 +177,7 @@ TEST(TreePersistenceTest, MidIncrementalLoadMatchesUnpersistedRun) {
   const std::string path = dir.file("mid_load_tree.db");
   auto snapshot = SaveTreeToFile(first_half, path);
   ASSERT_TRUE(snapshot.ok()) << snapshot.status();
-  auto resumed = LoadTreeFromFile(path, *snapshot, 2, SmallConfig());
+  auto resumed = LoadFromFile(path, *snapshot);
   ASSERT_TRUE(resumed.ok()) << resumed.status();
   for (size_t i = points.size() / 2; i < points.size(); ++i) {
     resumed->Insert(points[i], i, static_cast<int32_t>(i % 4));
@@ -202,9 +211,43 @@ TEST(TreePersistenceTest, FileSnapshotChecksumCatchesBitRot) {
     f.seekp(777);
     f.put(static_cast<char>(byte ^ 0x08));
   }
-  auto loaded = LoadTreeFromFile(path, *snapshot, 2, SmallConfig());
+  auto loaded = LoadFromFile(path, *snapshot);
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+
+  // A checksum of 0 is compared like any other: it does not switch the
+  // verification off.
+  TreeSnapshot zero_crc = *snapshot;
+  zero_crc.crc32 = 0;
+  EXPECT_EQ(LoadFromFile(path, zero_crc).status().code(),
+            StatusCode::kCorruption);
+
+  // A huge leaf count must be refused before anything is sized by it. The
+  // stream opens with the page link, the magic and five header words;
+  // each internal node on the leftmost path then takes a tag, two region
+  // corners, an MBR flag, two MBR corners and a fanout word, and the
+  // first leaf's count follows the same fields minus the fanout.
+  auto fresh = SaveTreeToFile(tree, path);
+  ASSERT_TRUE(fresh.ok());
+  const size_t node_head = 1 + 2 * 2 * sizeof(double) + 1 +
+                           2 * 2 * sizeof(double);
+  const size_t count_offset =
+      sizeof(PageId) + sizeof(uint32_t) + 5 * sizeof(uint64_t) +
+      static_cast<size_t>(tree.height() - 1) * (node_head + sizeof(uint64_t)) +
+      node_head;
+  ASSERT_LT(count_offset + sizeof(uint64_t), kDefaultPageSize);
+  {
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    uint64_t count = 0;
+    f.seekg(static_cast<std::streamoff>(count_offset));
+    f.read(reinterpret_cast<char*>(&count), sizeof(count));
+    ASSERT_EQ(count, tree.OrderedLeaves().front()->leaf_size());
+    count = uint64_t{1} << 58;
+    f.seekp(static_cast<std::streamoff>(count_offset));
+    f.write(reinterpret_cast<const char*>(&count), sizeof(count));
+  }
+  EXPECT_EQ(LoadFromFile(path, *fresh).status().code(),
+            StatusCode::kCorruption);
 }
 
 }  // namespace
