@@ -52,49 +52,63 @@ StatusOr<std::vector<LeafGroup>> ExtractLeafGroups(const BufferTree& tree,
 
 namespace {
 
-// The LS1-LS4 scan, parameterized over how a range element becomes a
-// LeafGroup so the owned-array and shared-fragment entry points share one
-// implementation.
-template <typename Range, typename Deref>
-PartitionSet LeafScanImpl(const Range& leaves, size_t k1, Deref deref) {
-  PartitionSet out;
-  Partition current;
-  size_t dim = leaves.empty() ? 0 : deref(leaves.front()).mbr.dim();
+const LeafGroup& Deref(const LeafGroup& g) { return g; }
+const LeafGroup& Deref(const std::shared_ptr<const LeafGroup>& g) {
+  return *g;
+}
+
+// The LS1-LS4 scan over owned or shared leaves, parameterized over what a
+// partition keeps of its leaves' records (`add_records`: every rid, or
+// just a count), so each output shape comes from this one grouping rule.
+template <typename Part, typename Leaf, typename AddRecords>
+std::vector<Part> LeafScanImpl(std::span<const Leaf> leaves, size_t k1,
+                               AddRecords add_records) {
+  std::vector<Part> out;
+  const size_t dim = leaves.empty() ? 0 : Deref(leaves.front()).mbr.dim();
+  Part current;
   current.box = Mbr(dim);
   size_t remaining = 0;
-  for (const auto& e : leaves) remaining += deref(e).rids.size();
+  for (const Leaf& e : leaves) remaining += Deref(e).rids.size();
 
-  for (const auto& e : leaves) {
-    const LeafGroup& g = deref(e);
-    current.rids.insert(current.rids.end(), g.rids.begin(), g.rids.end());
+  for (const Leaf& e : leaves) {
+    const LeafGroup& g = Deref(e);
+    add_records(&current, g);
     current.box.ExpandToInclude(g.mbr);
     remaining -= g.rids.size();
     // LS4: if the leftovers cannot form a full group, absorb them here
     // rather than emitting an undersized final partition.
     if (current.size() >= k1 && remaining >= k1) {
-      out.partitions.push_back(std::move(current));
-      current = Partition();
+      out.push_back(std::move(current));
+      current = Part();
       current.box = Mbr(dim);
     }
   }
-  if (!current.rids.empty()) out.partitions.push_back(std::move(current));
+  if (current.size() != 0) out.push_back(std::move(current));
   return out;
+}
+
+void AddRids(Partition* part, const LeafGroup& g) {
+  part->rids.insert(part->rids.end(), g.rids.begin(), g.rids.end());
+}
+
+void AddCount(PartitionBox* part, const LeafGroup& g) {
+  part->records += g.rids.size();
 }
 
 }  // namespace
 
 PartitionSet LeafScan(std::span<const LeafGroup> leaves, size_t k1) {
-  return LeafScanImpl(leaves, k1,
-                      [](const LeafGroup& g) -> const LeafGroup& { return g; });
+  return {LeafScanImpl<Partition>(leaves, k1, AddRids)};
 }
 
 PartitionSet LeafScan(std::span<const std::shared_ptr<const LeafGroup>> leaves,
                       size_t k1) {
-  return LeafScanImpl(
-      leaves, k1,
-      [](const std::shared_ptr<const LeafGroup>& g) -> const LeafGroup& {
-        return *g;
-      });
+  return {LeafScanImpl<Partition>(leaves, k1, AddRids)};
+}
+
+std::vector<PartitionBox> LeafScanBoxes(
+    std::span<const std::shared_ptr<const LeafGroup>> leaves, size_t k1) {
+  return LeafScanImpl<PartitionBox>(leaves, k1, AddCount);
 }
 
 PartitionSet LeafScanWithConstraint(std::span<const LeafGroup> leaves,

@@ -40,6 +40,12 @@ PartitionSet LeafScan(std::span<const LeafGroup> leaves, size_t k1);
 PartitionSet LeafScan(
     std::span<const std::shared_ptr<const LeafGroup>> leaves, size_t k1);
 
+/// The same scan keeping only each partition's record count and box: the
+/// partitions of LeafScan(leaves, k1) in the same order, without copying a
+/// single record id. A release rendered without rids needs nothing more.
+std::vector<PartitionBox> LeafScanBoxes(
+    std::span<const std::shared_ptr<const LeafGroup>> leaves, size_t k1);
+
 /// Generalized leaf scan: accumulate leaves until `constraint` admits the
 /// group (monotone constraints only). Needs the dataset to read sensitive
 /// codes. With KAnonymity(k1) this reduces to LeafScan(leaves, k1).

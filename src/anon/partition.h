@@ -20,6 +20,15 @@ struct Partition {
   size_t size() const { return rids.size(); }
 };
 
+/// A partition without its record ids: how many records it holds and its
+/// box. Everything a release body shows unless the client asks for rids.
+struct PartitionBox {
+  size_t records = 0;
+  Mbr box;
+
+  size_t size() const { return records; }
+};
+
 /// A complete anonymization of a dataset.
 struct PartitionSet {
   std::vector<Partition> partitions;

@@ -2,22 +2,13 @@
 
 #include <bit>
 #include <cmath>
-#include <cstdio>
 
 #include "common/check.h"
+#include "common/number_text.h"
 #include "dp/dp_rng.h"
 
 namespace kanon {
 namespace {
-
-/// %.17g round-trips every finite double exactly; the body must be
-/// byte-stable across processes, so all doubles go through this one
-/// formatter.
-std::string FmtG17(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 int64_t ClampedRound(double v) {
   if (!(v > 0.0)) return 0;
@@ -171,13 +162,20 @@ std::shared_ptr<const DpRelease> BuildDpRelease(
   // leaf row (parents are exact sums), so the leaves are the release;
   // "records" is the *noisy* root total — no exact count ever leaves the
   // mechanism, and no noise-key material does either.
-  std::string body = "{\"semantics\":\"dp\",\"epsilon\":" + FmtG17(epsilon) +
-                     ",\"height\":" + std::to_string(height) +
-                     ",\"dim\":" + std::to_string(domain.dim());
+  // Doubles go through AppendDouble, so the body is byte-stable across
+  // processes.
+  std::string body = "{\"semantics\":\"dp\",\"epsilon\":";
+  AppendDouble(&body, epsilon);
+  body += ",\"height\":" + std::to_string(height) +
+          ",\"dim\":" + std::to_string(domain.dim());
   body += ",\"domain\":[";
   for (size_t a = 0; a < domain.dim(); ++a) {
     if (a > 0) body += ',';
-    body += '[' + FmtG17(domain.lo[a]) + ',' + FmtG17(domain.hi[a]) + ']';
+    body += '[';
+    AppendDouble(&body, domain.lo[a]);
+    body += ',';
+    AppendDouble(&body, domain.hi[a]);
+    body += ']';
   }
   body += "],\"records\":" + std::to_string(counts.counts[1]);
   body += ",\"cells\":[";

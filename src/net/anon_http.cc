@@ -4,12 +4,13 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <span>
 
 #include "common/env.h"
+#include "common/number_text.h"
 #include "durability/checkpoint.h"
 #include "durability/wal.h"
 #include "net/http_parser.h"
@@ -19,14 +20,6 @@
 namespace kanon::net {
 
 namespace {
-
-/// %.17g round-trips every finite double exactly, so two serializations of
-/// the same release compare byte-equal.
-std::string FmtDouble(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 std::string_view TrimWs(std::string_view s) {
   while (!s.empty() && (s.front() == ' ' || s.front() == '\t' ||
@@ -217,33 +210,111 @@ bool ParseU64Param(std::string_view value, uint64_t* out) {
   return ec == std::errc() && ptr == last;
 }
 
-std::string PartitionsJson(const PartitionSet& ps, bool with_rids) {
-  std::string out = "[";
-  for (size_t p = 0; p < ps.partitions.size(); ++p) {
-    const Partition& part = ps.partitions[p];
-    if (p != 0) out += ",";
-    out += "{\"count\":" + std::to_string(part.size()) + ",\"lo\":[";
-    for (size_t i = 0; i < part.box.dim(); ++i) {
-      if (i != 0) out += ",";
-      out += FmtDouble(part.box.lo(i));
-    }
-    out += "],\"hi\":[";
-    for (size_t i = 0; i < part.box.dim(); ++i) {
-      if (i != 0) out += ",";
-      out += FmtDouble(part.box.hi(i));
-    }
-    out += "]";
-    if (with_rids) {
-      out += ",\"rids\":[";
-      for (size_t i = 0; i < part.rids.size(); ++i) {
-        if (i != 0) out += ",";
-        out += std::to_string(part.rids[i]);
-      }
-      out += "]";
-    }
-    out += "}";
+namespace {
+
+/// Appends `values` as a JSON array of numbers.
+void AppendDoubles(std::string* out, const std::vector<double>& values) {
+  out->push_back('[');
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (i != 0) out->push_back(',');
+    AppendDouble(out, values[i]);
   }
-  out += "]";
+  out->push_back(']');
+}
+
+/// One serializer for both partition shapes: a Partition prints its rids
+/// when asked, a PartitionBox has none to print.
+template <typename Part>
+void AppendPartitionsJson(std::string* out, std::span<const Part> parts,
+                          bool with_rids) {
+  out->push_back('[');
+  for (size_t p = 0; p < parts.size(); ++p) {
+    const Part& part = parts[p];
+    if (p != 0) out->push_back(',');
+    out->append("{\"count\":");
+    AppendUint(out, part.size());
+    out->append(",\"lo\":");
+    AppendDoubles(out, part.box.lo());
+    out->append(",\"hi\":");
+    AppendDoubles(out, part.box.hi());
+    if constexpr (requires { part.rids; }) {
+      if (with_rids) {
+        out->append(",\"rids\":[");
+        for (size_t i = 0; i < part.rids.size(); ++i) {
+          if (i != 0) out->push_back(',');
+          AppendUint(out, part.rids[i]);
+        }
+        out->push_back(']');
+      }
+    }
+    out->push_back('}');
+  }
+  out->push_back(']');
+}
+
+/// The body of GET /release/query at an effective k1 (already clamped to
+/// base_k). Only a rids=1 body runs the rid-copying Release; every other
+/// body is rendered from the rid-less boxes in one pass.
+std::string ReleaseBody(const StitchedSnapshot& stitched, size_t k1,
+                        bool summary, bool with_rids) {
+  const StitchedInfo& info = stitched.info();
+  const std::vector<PartitionBox> boxes = stitched.ReleaseBoxes(k1);
+  size_t min_partition = boxes.empty() ? 0 : boxes.front().size();
+  size_t max_partition = 0;
+  for (const PartitionBox& b : boxes) {
+    min_partition = std::min(min_partition, b.size());
+    max_partition = std::max(max_partition, b.size());
+  }
+
+  // A partition costs ~24 bytes of framing plus 2 * dim numbers; 8 bytes
+  // a number fits the Lands End stream (~90 bytes a partition at dim 8),
+  // and a body of longer numbers grows once.
+  std::string body;
+  body.reserve(256 + (summary ? 0 : boxes.size() *
+                                        (24 + 16 * stitched.domain().dim())));
+  body.append("{\"epoch\":");
+  AppendUint(&body, info.epoch);
+  body.append(",\"records\":");
+  AppendUint(&body, info.records);
+  body.append(",\"base_k\":");
+  AppendUint(&body, info.base_k);
+  body.append(",\"k1\":");
+  AppendUint(&body, k1);
+  body.append(",\"shards\":");
+  AppendUint(&body, info.num_shards);
+  // Per-shard epochs make staleness observable: shard i's slice of this
+  // release is exactly as fresh as shard_epochs[i] (0 = not covered yet).
+  body.append(",\"shard_epochs\":[");
+  for (size_t i = 0; i < info.shard_epochs.size(); ++i) {
+    if (i != 0) body.push_back(',');
+    AppendUint(&body, info.shard_epochs[i]);
+  }
+  body.append("],\"num_partitions\":");
+  AppendUint(&body, boxes.size());
+  body.append(",\"min_partition\":");
+  AppendUint(&body, min_partition);
+  body.append(",\"max_partition\":");
+  AppendUint(&body, max_partition);
+  body.append(",\"avg_ncp\":");
+  AppendDouble(&body, AverageBoxNcp(boxes, stitched.domain()));
+  if (!summary) {
+    body.append(",\"partitions\":");
+    if (with_rids) {
+      AppendPartitionsJson<Partition>(&body, stitched.Release(k1).partitions,
+                                      /*with_rids=*/true);
+    } else {
+      AppendPartitionsJson<PartitionBox>(&body, boxes, /*with_rids=*/false);
+    }
+  }
+  body.push_back('}');
+  return body;
+}
+
+}  // namespace
+
+std::string PartitionsJson(const PartitionSet& ps, bool with_rids) {
+  std::string out;
+  AppendPartitionsJson<Partition>(&out, ps.partitions, with_rids);
   return out;
 }
 
@@ -359,38 +430,15 @@ HttpResponse RenderRelease(const StitchedSnapshot* stitched,
   }
 
   if (stitched == nullptr) return NothingPublished();
-  const StitchedInfo& info = stitched->info();
-  const size_t effective_k1 = std::max(k1, info.base_k);
-  const PartitionSet release = stitched->Release(effective_k1);
-
-  // Per-shard epochs make staleness observable: shard i's slice of this
-  // release is exactly as fresh as shard_epochs[i] (0 = not covered yet).
-  std::string shard_epochs = "[";
-  for (size_t i = 0; i < info.shard_epochs.size(); ++i) {
-    if (i != 0) shard_epochs += ",";
-    shard_epochs += std::to_string(info.shard_epochs[i]);
-  }
-  shard_epochs += "]";
-
-  std::string body = "{\"epoch\":" + std::to_string(info.epoch) +
-                     ",\"records\":" + std::to_string(info.records) +
-                     ",\"base_k\":" + std::to_string(info.base_k) +
-                     ",\"k1\":" + std::to_string(effective_k1) +
-                     ",\"shards\":" + std::to_string(info.num_shards) +
-                     ",\"shard_epochs\":" + shard_epochs +
-                     ",\"num_partitions\":" +
-                     std::to_string(release.num_partitions()) +
-                     ",\"min_partition\":" +
-                     std::to_string(release.min_partition_size()) +
-                     ",\"max_partition\":" +
-                     std::to_string(release.max_partition_size()) +
-                     ",\"avg_ncp\":" +
-                     FmtDouble(AverageBoxNcp(release, stitched->domain()));
-  if (!summary) {
-    body += ",\"partitions\":" + PartitionsJson(release, with_rids);
-  }
-  body += "}";
-  return HttpResponse::Json(200, std::move(body));
+  const size_t effective_k1 = std::max(k1, stitched->info().base_k);
+  const auto render = [&] {
+    return ReleaseBody(*stitched, effective_k1, summary, with_rids);
+  };
+  // rids=1 bodies are the largest and the rarest, so they are never
+  // memoized: the memo holds only rid-less bodies.
+  return HttpResponse::Json(
+      200, with_rids ? render()
+                     : stitched->RenderOnce(effective_k1, summary, render));
 }
 
 namespace {
@@ -493,18 +541,17 @@ HttpResponse DpServing::HandleQuery(const StitchedSnapshot* stitched,
   // an already-released hierarchy, so repeat queries cost no budget and
   // raw records are never touched.
   const double count = DpRangeCount(release.counts, release.grid, query);
-  std::string body = "{\"semantics\":\"dp\",\"epsilon\":" +
-                     FmtDouble(release.epsilon) + ",\"lo\":[";
-  for (size_t d = 0; d < dim; ++d) {
-    if (d != 0) body += ",";
-    body += FmtDouble(lo[d]);
-  }
-  body += "],\"hi\":[";
-  for (size_t d = 0; d < dim; ++d) {
-    if (d != 0) body += ",";
-    body += FmtDouble(hi[d]);
-  }
-  body += "],\"count\":" + FmtDouble(count) + "}";
+  std::string body;
+  body.reserve(64 + 48 * dim);
+  body.append("{\"semantics\":\"dp\",\"epsilon\":");
+  AppendDouble(&body, release.epsilon);
+  body.append(",\"lo\":");
+  AppendDoubles(&body, lo);
+  body.append(",\"hi\":");
+  AppendDoubles(&body, hi);
+  body.append(",\"count\":");
+  AppendDouble(&body, count);
+  body.push_back('}');
   HttpResponse resp = HttpResponse::Json(200, std::move(body));
   resp.headers.emplace_back("X-Kanon-Epoch",
                             std::to_string(stitched->info().epoch));

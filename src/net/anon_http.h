@@ -226,9 +226,11 @@ Status ParseRecordLine(std::string_view line, size_t dim,
 /// codec both parse through it, so no malformed number becomes a default.
 bool ParseU64Param(std::string_view value, uint64_t* out);
 
-/// Renders the partition list of a release as a JSON array (deterministic
-/// formatting: %.17g round-trips doubles exactly). Shared by the endpoint
-/// and by tests asserting HTTP and in-process releases are identical.
+/// Renders the partition list of a release as a JSON array. Numbers are
+/// the shortest text that parses back to the exact double (AppendDouble in
+/// common/number_text.h), so the bytes are deterministic. The endpoint
+/// renders through the same serializer, which lets tests assert that HTTP
+/// and in-process releases are identical.
 std::string PartitionsJson(const PartitionSet& ps, bool with_rids);
 
 /// Renders a full GET /release(/query) response off a stitched snapshot —
@@ -237,7 +239,9 @@ std::string PartitionsJson(const PartitionSet& ps, bool with_rids);
 /// `stitched` == nullptr yields the 503 "nothing published yet" response,
 /// with the Retry-After of HttpResponse::FromStatus. `retry_after_s` is
 /// ignored; it stays for source compatibility with older callers.
-/// Shared by AnonHttpFrontend and the follower frontend.
+/// Shared by AnonHttpFrontend and the follower frontend. Every body
+/// without rids is rendered once per (snapshot, k1, summary) and then
+/// copied (StitchedSnapshot::RenderOnce); a rids=1 body is rendered anew.
 HttpResponse RenderRelease(const StitchedSnapshot* stitched,
                            const HttpRequest& request,
                            unsigned retry_after_s = 1);

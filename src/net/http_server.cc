@@ -1,5 +1,6 @@
 #include "net/http_server.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -9,8 +10,10 @@
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include "common/check.h"
 #include "net/http_status.h"
 
 namespace kanon::net {
@@ -53,10 +56,10 @@ HttpResponse HttpResponse::FromStatus(const Status& status) {
   return resp;
 }
 
-std::string SerializeResponse(const HttpResponse& resp, bool keep_alive) {
+std::string SerializeHead(const HttpResponse& resp, bool keep_alive) {
   if (resp.close_connection) keep_alive = false;
   std::string out;
-  out.reserve(resp.body.size() + 128);
+  out.reserve(128);
   out += "HTTP/1.1 ";
   out += std::to_string(resp.status);
   out += ' ';
@@ -75,8 +78,11 @@ std::string SerializeResponse(const HttpResponse& resp, bool keep_alive) {
     out += "\r\n";
   }
   out += "\r\n";
-  out += resp.body;
   return out;
+}
+
+std::string SerializeResponse(const HttpResponse& resp, bool keep_alive) {
+  return SerializeHead(resp, keep_alive) + resp.body;
 }
 
 HttpServer::HttpServer(HttpServerOptions options, HttpHandler handler)
@@ -376,9 +382,7 @@ void HttpServer::Advance(int fd, Conn* conn) {
         return;
       }
       if (conn->parser.ConsumePendingContinue()) {
-        QueueResponse(fd, conn,
-                      std::string(kContinueBytes, sizeof(kContinueBytes) - 1),
-                      /*close_after=*/false);
+        QueueResponse(fd, conn, kContinueBytes, "", /*close_after=*/false);
         if (conns_.find(fd) == conns_.end()) return;
       }
       UpdateReadDeadline(conn);
@@ -388,8 +392,8 @@ void HttpServer::Advance(int fd, Conn* conn) {
       parse_errors_.fetch_add(1, std::memory_order_relaxed);
       HttpResponse resp = HttpResponse::FromStatus(conn->parser.error());
       resp.status = conn->parser.error_http_status();
-      QueueResponse(fd, conn, SerializeResponse(resp, /*keep_alive=*/false),
-                    /*close_after=*/true);
+      QueueResponse(fd, conn, SerializeHead(resp, /*keep_alive=*/false),
+                    std::move(resp.body), /*close_after=*/true);
       return;
     }
   }
@@ -397,18 +401,16 @@ void HttpServer::Advance(int fd, Conn* conn) {
 
 void HttpServer::Dispatch(int fd, uint64_t gen, HttpRequest request) {
   auto task = [this, fd, gen, request = std::move(request)]() {
-    const HttpResponse response = handler_(request);
+    HttpResponse response = handler_(request);
     const bool keep_alive =
         request.keep_alive && !response.close_connection && !draining_.load();
     Completion done;
     done.fd = fd;
     done.gen = gen;
-    done.bytes = SerializeResponse(response, keep_alive);
+    done.head = SerializeHead(response, keep_alive);
     // HEAD gets the GET's header block, Content-Length included, and no
-    // body (RFC 9110 §9.3.2): the body is the serialization's tail.
-    if (request.method == "HEAD") {
-      done.bytes.resize(done.bytes.size() - response.body.size());
-    }
+    // body (RFC 9110 §9.3.2).
+    if (request.method != "HEAD") done.body = std::move(response.body);
     done.close_after = !keep_alive;
     {
       std::lock_guard<std::mutex> lock(completions_mu_);
@@ -435,23 +437,41 @@ void HttpServer::DrainCompletions() {
     Conn* conn = &it->second;
     conn->handling = false;
     responses_.fetch_add(1, std::memory_order_relaxed);
-    QueueResponse(done.fd, conn, std::move(done.bytes), done.close_after);
+    QueueResponse(done.fd, conn, std::move(done.head), std::move(done.body),
+                  done.close_after);
   }
 }
 
-void HttpServer::QueueResponse(int fd, Conn* conn, std::string bytes,
-                               bool close_after) {
-  conn->out += bytes;
+void HttpServer::QueueResponse(int fd, Conn* conn, std::string head,
+                               std::string body, bool close_after) {
+  KANON_DCHECK(conn->out.empty());
+  conn->out.head = std::move(head);
+  conn->out.body = std::move(body);
   conn->close_after_write = conn->close_after_write || close_after;
   FlushWrites(fd, conn);
 }
 
 void HttpServer::FlushWrites(int fd, Conn* conn) {
-  while (conn->out_off < conn->out.size()) {
-    const ssize_t n = write(fd, conn->out.data() + conn->out_off,
-                            conn->out.size() - conn->out_off);
+  Outgoing& out = conn->out;
+  while (out.written < out.size()) {
+    // The unsent tail of the head, then of the body.
+    iovec iov[2];
+    msghdr msg = {};
+    msg.msg_iov = iov;
+    const size_t head_sent = std::min(out.written, out.head.size());
+    if (head_sent < out.head.size()) {
+      iov[msg.msg_iovlen++] = {out.head.data() + head_sent,
+                               out.head.size() - head_sent};
+    }
+    const size_t body_sent = out.written - head_sent;
+    if (body_sent < out.body.size()) {
+      iov[msg.msg_iovlen++] = {out.body.data() + body_sent,
+                               out.body.size() - body_sent};
+    }
+    // MSG_NOSIGNAL: a peer that hung up is EPIPE here, not a SIGPIPE.
+    const ssize_t n = sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n > 0) {
-      conn->out_off += static_cast<size_t>(n);
+      out.written += static_cast<size_t>(n);
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
@@ -466,9 +486,9 @@ void HttpServer::FlushWrites(int fd, Conn* conn) {
     DestroyConn(fd);
     return;
   }
-  // Fully flushed.
-  conn->out.clear();
-  conn->out_off = 0;
+  // Fully flushed. Drop the buffers, so a connection does not keep its
+  // largest response's capacity for its whole life.
+  out = Outgoing();
   if (conn->close_after_write) {
     DestroyConn(fd);
     return;

@@ -36,9 +36,15 @@ struct HttpResponse {
   static HttpResponse FromStatus(const Status& status);
 };
 
-/// Serializes `resp` into wire bytes, the body last. `keep_alive` decides
-/// the Connection header (and is overridden by resp.close_connection).
-/// Exposed for tests.
+/// Serializes the status line and header block of `resp`, through the
+/// blank line that ends it; Content-Length counts resp.body. `keep_alive`
+/// decides the Connection header (and is overridden by
+/// resp.close_connection). The server sends the body after it as a
+/// separate buffer, never concatenated.
+std::string SerializeHead(const HttpResponse& resp, bool keep_alive);
+
+/// SerializeHead followed by the body: the whole response as one string,
+/// for the server's fixed early answers and for tests.
 std::string SerializeResponse(const HttpResponse& resp, bool keep_alive);
 
 /// Request handler. Runs on a worker-pool thread (or on the event loop
@@ -133,12 +139,22 @@ class HttpServer {
  private:
   using Clock = std::chrono::steady_clock;
 
+  /// One response on its way to the socket: the header block, then the
+  /// body, written with one sendmsg so neither is copied into the other.
+  struct Outgoing {
+    std::string head;
+    std::string body;
+    size_t written = 0;  // bytes of head + body already sent
+
+    size_t size() const { return head.size() + body.size(); }
+    bool empty() const { return size() == 0; }
+  };
+
   struct Conn {
     uint64_t gen = 0;      // matches completions to this conn, not a
                            // later one that reused the fd
     HttpParser parser;
-    std::string out;       // response bytes not yet written
-    size_t out_off = 0;
+    Outgoing out;          // the response being written, if any
     bool handling = false; // a request of this conn is in the pool
     bool close_after_write = false;
     bool saw_eof = false;  // peer half-closed; no more request bytes come
@@ -148,7 +164,8 @@ class HttpServer {
   struct Completion {
     int fd = -1;
     uint64_t gen = 0;
-    std::string bytes;
+    std::string head;
+    std::string body;
     bool close_after = false;
   };
 
@@ -159,7 +176,10 @@ class HttpServer {
   /// Parses buffered bytes and dispatches at most one request.
   void Advance(int fd, Conn* conn);
   void Dispatch(int fd, uint64_t gen, HttpRequest request);
-  void QueueResponse(int fd, Conn* conn, std::string bytes, bool close_after);
+  /// Moves a response into the connection, whose previous one is fully
+  /// written by then (one response per connection is in flight).
+  void QueueResponse(int fd, Conn* conn, std::string head, std::string body,
+                     bool close_after);
   /// Writes pending bytes; on completion re-arms reading (or closes).
   void FlushWrites(int fd, Conn* conn);
   void DrainCompletions();

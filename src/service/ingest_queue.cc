@@ -100,6 +100,12 @@ void IngestQueue::Close() {
   not_full_.notify_all();
 }
 
-void IngestQueue::Notify() { not_empty_.notify_all(); }
+void IngestQueue::Notify() {
+  // Pass through mu_ first. The consumer holds it from its `wake` check
+  // until it sleeps, so a notify sent in that window without the lock is
+  // lost, and PublishNow would wait for a record that may never come.
+  { std::lock_guard<std::mutex> lock(mu_); }
+  not_empty_.notify_all();
+}
 
 }  // namespace kanon

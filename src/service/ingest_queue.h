@@ -84,7 +84,8 @@ class IngestQueue {
   /// Stops accepting records; already-queued records remain drainable.
   void Close();
 
-  /// Wakes a blocked DrainBatch so the consumer re-checks `wake`.
+  /// Wakes a blocked DrainBatch so the consumer re-checks `wake`. Make the
+  /// state `wake` reads true before calling.
   void Notify();
 
  private:

@@ -12,6 +12,10 @@ PartitionSet Snapshot::Release(size_t k1) const {
   return LeafScan(fragments_, std::max(k1, info_.base_k));
 }
 
+std::vector<PartitionBox> Snapshot::ReleaseBoxes(size_t k1) const {
+  return LeafScanBoxes(fragments_, std::max(k1, info_.base_k));
+}
+
 std::shared_ptr<const Snapshot> BuildSnapshot(
     const RPlusTree& tree, const Domain& domain,
     const RTreeAnonymizerOptions& anonymizer, size_t dp_height,
@@ -55,10 +59,14 @@ std::shared_ptr<const Snapshot> BuildSnapshot(
                                           std::move(dp_cells), dp_height);
 }
 
-double AverageBoxNcp(const PartitionSet& ps, const Domain& domain) {
+namespace {
+
+// One NCP formula for both partition shapes (Partition and PartitionBox).
+template <typename Part>
+double AverageNcp(std::span<const Part> parts, const Domain& domain) {
   size_t records = 0;
   double penalty = 0.0;
-  for (const Partition& p : ps.partitions) {
+  for (const Part& p : parts) {
     double ncp = 0.0;
     for (size_t a = 0; a < domain.dim(); ++a) {
       const double extent = domain.Extent(a);
@@ -70,6 +78,17 @@ double AverageBoxNcp(const PartitionSet& ps, const Domain& domain) {
   if (records == 0 || domain.dim() == 0) return 0.0;
   return penalty / (static_cast<double>(records) *
                     static_cast<double>(domain.dim()));
+}
+
+}  // namespace
+
+double AverageBoxNcp(const PartitionSet& ps, const Domain& domain) {
+  return AverageNcp<Partition>(ps.partitions, domain);
+}
+
+double AverageBoxNcp(std::span<const PartitionBox> parts,
+                     const Domain& domain) {
+  return AverageNcp(parts, domain);
 }
 
 }  // namespace kanon

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "anon/leaf_scan.h"
@@ -78,6 +79,10 @@ class Snapshot {
   /// lock-free: safe from any thread while the service keeps ingesting.
   PartitionSet Release(size_t k1) const;
 
+  /// Release(k1) without the record ids: each partition's record count and
+  /// box, in the same order, with no rid copied.
+  std::vector<PartitionBox> ReleaseBoxes(size_t k1) const;
+
  private:
   std::vector<LeafFragment> fragments_;
   Domain domain_;
@@ -103,6 +108,7 @@ std::shared_ptr<const Snapshot> BuildSnapshot(
 /// `domain` — the numeric-attribute NCP, computable without the backing
 /// dataset (which the serving layer never exposes to readers).
 double AverageBoxNcp(const PartitionSet& ps, const Domain& domain);
+double AverageBoxNcp(std::span<const PartitionBox> parts, const Domain& domain);
 
 }  // namespace kanon
 

@@ -170,13 +170,25 @@ std::shared_ptr<const StitchedSnapshot>
 ShardedAnonymizationService::CurrentStitched() const {
   std::vector<std::shared_ptr<const Snapshot>> parts;
   parts.reserve(shards_.size());
-  bool any = false;
-  for (const auto& shard : shards_) {
-    parts.push_back(shard->CurrentSnapshot());
-    any = any || parts.back() != nullptr;
+  for (const auto& shard : shards_) parts.push_back(shard->CurrentSnapshot());
+  std::lock_guard<std::mutex> lock(view_mu_);
+  // Keep the newer of each shard's snapshot and the view's part: shard
+  // epochs only grow, so a caller that read a shard before a racing caller
+  // installed a fresher view never rolls that view back.
+  bool changed = false;
+  for (size_t i = 0; i < parts.size(); ++i) {
+    const Snapshot* held = view_ != nullptr ? view_->parts()[i].get() : nullptr;
+    if (held != nullptr && (parts[i] == nullptr ||
+                            parts[i]->info().epoch <= held->info().epoch)) {
+      parts[i] = view_->parts()[i];
+    } else if (parts[i] != nullptr) {
+      changed = true;
+    }
   }
-  if (!any) return nullptr;
-  return std::make_shared<const StitchedSnapshot>(std::move(parts), domain_);
+  if (changed) {
+    view_ = std::make_shared<const StitchedSnapshot>(std::move(parts), domain_);
+  }
+  return view_;
 }
 
 std::shared_ptr<const StitchedSnapshot>

@@ -2,6 +2,7 @@
 #define KANON_SHARD_SHARDED_SERVICE_H_
 
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -88,9 +89,12 @@ class ShardedAnonymizationService {
   std::string degraded_reason() const;
 
   /// The current stitched view: every shard's latest epoch snapshot,
-  /// concatenated. Null until at least one shard has published. Constant
-  /// time per shard (one shared_ptr copy each); the returned object stays
-  /// valid as long as the caller holds it, across Stop and republication.
+  /// concatenated. Null until at least one shard has published. There is
+  /// one view per set of shard snapshots: calls between publications return
+  /// the same object (so its rendered bodies are memoized once), and the
+  /// first call after a shard publishes replaces it. Constant time per
+  /// shard (one shared_ptr copy each); the returned object stays valid as
+  /// long as the caller holds it, across Stop and republication.
   std::shared_ptr<const StitchedSnapshot> CurrentStitched() const;
 
   /// Asks every shard to drain + publish, then returns the stitched view.
@@ -129,6 +133,12 @@ class ShardedAnonymizationService {
   const Domain domain_;
   const ShardRouter router_;
   std::vector<std::unique_ptr<AnonymizationService>> shards_;
+
+  // The view CurrentStitched hands out, rebuilt only when a shard's
+  // snapshot changed. A plain mutex for the same reason as
+  // AnonymizationService::current_mu_.
+  mutable std::mutex view_mu_;
+  mutable std::shared_ptr<const StitchedSnapshot> view_;  // under view_mu_
 };
 
 /// `wal-root/shard-<i>` — the durability directory shard i owns.

@@ -1,5 +1,7 @@
 #include "shard/stitched_snapshot.h"
 
+#include <algorithm>
+
 namespace kanon {
 
 StitchedSnapshot::StitchedSnapshot(
@@ -60,6 +62,53 @@ PartitionSet StitchedSnapshot::Release(size_t k1) const {
                           std::make_move_iterator(ps.partitions.end()));
   }
   return out;
+}
+
+std::vector<PartitionBox> StitchedSnapshot::ReleaseBoxes(size_t k1) const {
+  std::vector<PartitionBox> out;
+  for (const std::shared_ptr<const Snapshot>& part : parts_) {
+    if (part == nullptr) continue;
+    std::vector<PartitionBox> boxes = part->ReleaseBoxes(k1);
+    out.insert(out.end(), std::make_move_iterator(boxes.begin()),
+               std::make_move_iterator(boxes.end()));
+  }
+  return out;
+}
+
+std::string StitchedSnapshot::RenderOnce(
+    size_t k1, bool summary, const std::function<std::string()>& render) const {
+  const RenderKey key(k1, summary);
+  const auto find = [&]() -> std::shared_ptr<const std::string> {
+    const auto it = std::find_if(rendered_.begin(), rendered_.end(),
+                                 [&](const auto& e) { return e.first == key; });
+    return it == rendered_.end() ? nullptr : it->second;
+  };
+  std::shared_ptr<const std::string> body;
+  {
+    std::lock_guard<std::mutex> lock(rendered_mu_);
+    body = find();
+  }
+  if (body == nullptr) {
+    // A kept body lives as long as the snapshot: drop the render's spare
+    // capacity.
+    std::string text = render();
+    text.shrink_to_fit();
+    auto fresh = std::make_shared<const std::string>(std::move(text));
+    std::lock_guard<std::mutex> lock(rendered_mu_);
+    body = find();
+    if (body == nullptr) {
+      body = std::move(fresh);
+      if (rendered_.size() < kMaxRenderedBodies) {
+        rendered_.emplace_back(key, body);
+      }
+    }
+  }
+  return *body;  // the copy runs outside the lock
+}
+
+size_t StitchedSnapshot::rendered_bodies() const {
+  std::lock_guard<std::mutex> lock(rendered_mu_);
+  return rendered_.size();
 }
 
 }  // namespace kanon

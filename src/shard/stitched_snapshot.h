@@ -2,7 +2,11 @@
 #define KANON_SHARD_STITCHED_SNAPSHOT_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <mutex>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -32,11 +36,15 @@ struct StitchedInfo {
 /// in shard order — groups never cross a shard boundary, so every group of
 /// a stitched k1-release comes from exactly one shard's k1-release and the
 /// per-shard k-bound guarantee (Lemma 1 within each shard's snapshot)
-/// carries over to the stitched whole unchanged. Like Snapshot, the object
-/// is immutable after construction: any number of threads may Release from
-/// it with no synchronization.
+/// carries over to the stitched whole unchanged. Like Snapshot, the release
+/// point is immutable after construction: any number of threads may Release
+/// from it with no synchronization. The one mutable part is the memo of
+/// rendered bodies (RenderOnce), a cache of pure functions of that state.
 class StitchedSnapshot {
  public:
+  /// How many rendered bodies one snapshot memoizes (see RenderOnce).
+  static constexpr size_t kMaxRenderedBodies = 16;
+
   /// Derives the info from the parts: part i's epoch and records fill
   /// shard_epochs[i] and shard_records[i] (0 for a null part), and epoch
   /// and records are their sums. At least one part must be non-null; it
@@ -61,6 +69,22 @@ class StitchedSnapshot {
   /// differential anchor the shard tests pin down.
   PartitionSet Release(size_t k1) const;
 
+  /// Release(k1) without the record ids: every partition's record count
+  /// and box, in the same order, with no rid copied.
+  std::vector<PartitionBox> ReleaseBoxes(size_t k1) const;
+
+  /// The body memoized under (k1, summary), rendered by `render` on first
+  /// use. A body is a pure function of this snapshot and its key, so it is
+  /// rendered once per snapshot and dies with it: no invalidation. `render`
+  /// runs outside any lock; when threads race on one key, the first insert
+  /// wins and every caller returns its bytes. At most kMaxRenderedBodies
+  /// keys are kept; past the cap each call renders and keeps nothing.
+  std::string RenderOnce(size_t k1, bool summary,
+                         const std::function<std::string()>& render) const;
+
+  /// How many bodies RenderOnce holds (at most kMaxRenderedBodies).
+  size_t rendered_bodies() const;
+
   /// The element-wise sum of the covered shards' exact DP cell vectors
   /// (see Snapshot::dp_cells), with the shared grid height in *height.
   /// Because the DP grid is data-independent, the sum depends only on the
@@ -75,6 +99,11 @@ class StitchedSnapshot {
   std::vector<std::shared_ptr<const Snapshot>> parts_;
   Domain domain_;
   StitchedInfo info_;
+
+  using RenderKey = std::pair<size_t, bool>;  // (k1, summary)
+  mutable std::mutex rendered_mu_;
+  mutable std::vector<std::pair<RenderKey, std::shared_ptr<const std::string>>>
+      rendered_;  // guarded by rendered_mu_
 };
 
 }  // namespace kanon

@@ -6,8 +6,10 @@
 #   1. every endpoint answers with the documented shape (ingest ack,
 #      release JSON, healthz, Prometheus /metrics),
 #   2. a wrong method is 405 with Allow, and HEAD answers 200 headers,
-#   3. the process exits 0 on SIGTERM after printing "draining", and
-#   4. zero lost acknowledged records: the final snapshot holds at least
+#   3. the process exits 0 on SIGTERM after printing "draining",
+#   4. a full release is byte-identical across two GETs of one
+#      publication, and its epoch advances after a further publication,
+#   5. zero lost acknowledged records: the final snapshot holds at least
 #      every record a client saw {"accepted":N} for (here: exactly, since
 #      this script is the only writer).
 #
@@ -182,6 +184,54 @@ if [ -n "${KANON_DP:-}" ]; then
     || fail "/metrics kanon_dp_rejected_total != 1 after the 429"
   echo "dp read side ok (release memoized, query, 429, 400s, metrics)"
 fi
+# --- Render once per publication ----------------------------------------
+# Two full GETs of one publication return identical bytes (the second is
+# the memoized body). The ingest thread may still publish the tail of the
+# upload, so a pair that straddles a publication is fetched again.
+FULL="$BASE/release/query?k1=$((K * 2))"
+epoch_of() { sed -n 's/^{"epoch":\([0-9]*\),.*/\1/p' "$1"; }
+SAME=""
+for _ in $(seq 1 20); do
+  curl -sS -m 10 "$FULL" > "$WORKDIR/full1.json"
+  curl -sS -m 10 "$FULL" > "$WORKDIR/full2.json"
+  grep -q '"partitions":\[{"count":' "$WORKDIR/full1.json" \
+    || fail "bad full /release/query: $(head -c 300 "$WORKDIR/full1.json")"
+  [ "$(epoch_of "$WORKDIR/full1.json")" = "$(epoch_of "$WORKDIR/full2.json")" ] \
+    || continue
+  cmp -s "$WORKDIR/full1.json" "$WORKDIR/full2.json" \
+    || fail "two full /release/query GETs of one epoch differ"
+  SAME=1
+  break
+done
+[ -n "$SAME" ] || fail "no two full /release/query GETs saw the same epoch"
+EPOCH=$(epoch_of "$WORKDIR/full1.json")
+
+# A further publication advances the body's epoch: some shard receives at
+# least 500 of 500*SHARDS new records, which crosses --snapshot-every.
+MORE=$((500 * SHARDS))
+awk -v n="$MORE" 'BEGIN {
+  srand(11);
+  for (i = 0; i < n; i++)
+    printf "%.6f,%.6f,%d\n", rand() * 1000, rand() * 1000, int(rand() * 8);
+}' | curl -sS -m 10 -H 'Expect:' --data-binary @- "$BASE/ingest" \
+  > "$WORKDIR/more.json"
+grep -q "\"accepted\":$MORE" "$WORKDIR/more.json" \
+  || fail "second ingest not fully acked: $(cat "$WORKDIR/more.json")"
+ROWS=$((ROWS + MORE))
+ACKED=$((ACKED + MORE))
+ADVANCED=""
+for _ in $(seq 1 100); do
+  curl -sS -m 10 "$FULL" > "$WORKDIR/full3.json"
+  if [ "$(epoch_of "$WORKDIR/full3.json")" -gt "$EPOCH" ]; then
+    ADVANCED=1
+    break
+  fi
+  sleep 0.1
+done
+[ -n "$ADVANCED" ] \
+  || fail "body epoch stayed at $EPOCH after $MORE more records"
+echo "release rendered once per publication (epoch $EPOCH -> $(epoch_of "$WORKDIR/full3.json"))"
+
 echo "read side ok (release, query, healthz, metrics)"
 
 # --- Error mapping: malformed ingest is 400, unknown route 404 -----------
