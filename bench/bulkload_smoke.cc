@@ -23,7 +23,6 @@
 #include "data/agrawal_generator.h"
 #include "index/bulk_load.h"
 #include "index/tree_persistence.h"
-#include "storage/buffer_pool.h"
 #include "storage/pager.h"
 
 namespace {
@@ -41,16 +40,11 @@ struct LoadResult {
 /// `pager` so the caller can compare snapshots byte for byte.
 StatusOr<LoadResult> Load(const Dataset& data, const RTreeConfig& config,
                           size_t threads, MemPager* out_pager) {
-  MemPager spill_pager;
-  BufferPool pool(&spill_pager, 1024);
   std::unique_ptr<ThreadPool> workers;
   if (threads > 1) workers = std::make_unique<ThreadPool>(threads - 1);
   Timer timer;
-  KANON_ASSIGN_OR_RETURN(
-      RPlusTree tree,
-      SortedBulkLoadTree(data, config, CurveOrder::kHilbert,
-                         /*grid_bits=*/10, &pool, /*run_records=*/1 << 16,
-                         workers.get()));
+  const RPlusTree tree =
+      TopDownBulkLoad(DatasetRecords(data), config, workers.get());
   LoadResult result;
   result.seconds = timer.ElapsedSeconds();
   result.records = tree.size();

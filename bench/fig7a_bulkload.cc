@@ -21,7 +21,7 @@ int main() {
   const Dataset data = LandsEndGenerator(42).Generate(n);
 
   bench::TablePrinter table(
-      {"k", "rtree_sec", "sorted1_sec", "sorted4_sec", "mondrian_sec",
+      {"k", "rtree_sec", "topdown1_sec", "topdown4_sec", "mondrian_sec",
        "speedup", "rtree_parts", "mondrian_parts"});
   for (const size_t k : {5, 10, 25, 50, 100, 250, 500, 1000}) {
     Timer rtree_timer;
@@ -33,19 +33,19 @@ int main() {
       return 1;
     }
 
-    // Sorted bulk-load backend, serial and on 4 threads. Both produce the
-    // same tree (the parallel pipeline is deterministic), so the column
-    // pair isolates the parallel speedup of the build itself.
-    double sorted_sec[2] = {0, 0};
+    // Top-down bulk-load backend, serial and on 4 threads. Both produce
+    // the same tree (the build is deterministic), so the column pair
+    // isolates the parallel speedup of the build itself.
+    double topdown_sec[2] = {0, 0};
     for (int i = 0; i < 2; ++i) {
-      RTreeAnonymizerOptions so;
-      so.backend = RTreeAnonymizerOptions::Backend::kSortedBulkLoad;
-      so.threads = i == 0 ? 1 : 4;
-      Timer sorted_timer;
-      auto sorted_ps = RTreeAnonymizer(so).Anonymize(data, k);
-      sorted_sec[i] = sorted_timer.ElapsedSeconds();
-      if (!sorted_ps.ok()) {
-        std::cerr << "sorted bulk load failed: " << sorted_ps.status()
+      RTreeAnonymizerOptions to;
+      to.backend = RTreeAnonymizerOptions::Backend::kTopDownBulkLoad;
+      to.threads = i == 0 ? 1 : 4;
+      Timer topdown_timer;
+      auto topdown_ps = RTreeAnonymizer(to).Anonymize(data, k);
+      topdown_sec[i] = topdown_timer.ElapsedSeconds();
+      if (!topdown_ps.ok()) {
+        std::cerr << "top-down bulk load failed: " << topdown_ps.status()
                   << "\n";
         return 1;
       }
@@ -56,7 +56,7 @@ int main() {
     const double mondrian_sec = mondrian_timer.ElapsedSeconds();
 
     table.AddRow({bench::FmtInt(k), bench::Fmt(rtree_sec),
-                  bench::Fmt(sorted_sec[0]), bench::Fmt(sorted_sec[1]),
+                  bench::Fmt(topdown_sec[0]), bench::Fmt(topdown_sec[1]),
                   bench::Fmt(mondrian_sec),
                   bench::Fmt(mondrian_sec / rtree_sec, 1) + "x",
                   bench::FmtInt(rtree_ps->num_partitions()),

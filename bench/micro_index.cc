@@ -7,7 +7,6 @@
 #include "anon/mondrian.h"
 #include "anon/rtree_anonymizer.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "data/dataset.h"
 #include "index/hilbert.h"
 #include "index/rplus_tree.h"
@@ -172,12 +171,12 @@ void BM_ExternalSort(benchmark::State& state) {
 }
 BENCHMARK(BM_ExternalSort)->Arg(20000)->Unit(benchmark::kMillisecond);
 
-void BM_SortedBulkLoad(benchmark::State& state) {
+void BM_TopDownBulkLoad(benchmark::State& state) {
   const size_t threads = static_cast<size_t>(state.range(0));
   const Dataset data = MakeData(50000, 4);
   for (auto _ : state) {
     RTreeAnonymizerOptions options;
-    options.backend = RTreeAnonymizerOptions::Backend::kSortedBulkLoad;
+    options.backend = RTreeAnonymizerOptions::Backend::kTopDownBulkLoad;
     options.threads = threads;
     RTreeAnonymizer anonymizer(options);
     auto built = anonymizer.BuildLeaves(data);
@@ -186,33 +185,7 @@ void BM_SortedBulkLoad(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(data.num_records()) *
                           static_cast<int64_t>(state.iterations()));
 }
-BENCHMARK(BM_SortedBulkLoad)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_ParallelExternalSort(benchmark::State& state) {
-  const size_t threads = static_cast<size_t>(state.range(0));
-  const size_t n = 20000;
-  Rng keys(7);
-  std::vector<uint64_t> key_stream(n);
-  for (auto& k : key_stream) k = keys.Next();
-  const Dataset data = MakeData(n, 4);
-  for (auto _ : state) {
-    MemPager pager(2048);
-    BufferPool pool(&pager, 128);
-    ThreadPool workers(threads > 1 ? threads - 1 : 0);
-    ExternalSorter sorter(4, /*run_records=*/2048, &pool, &workers);
-    for (size_t i = 0; i < n; ++i) {
-      (void)sorter.Add(key_stream[i], i, 0, data.row(i));
-    }
-    size_t emitted = 0;
-    (void)sorter.Finish([&](uint64_t, uint64_t, int32_t,
-                            std::span<const double>) { ++emitted; });
-    benchmark::DoNotOptimize(emitted);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(n) *
-                          static_cast<int64_t>(state.iterations()));
-}
-BENCHMARK(BM_ParallelExternalSort)->Arg(1)->Arg(4)
+BENCHMARK(BM_TopDownBulkLoad)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 void BM_RPlusTreeDelete(benchmark::State& state) {

@@ -3,15 +3,11 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "common/random.h"
 
 namespace kanon {
 
 namespace {
 
-// Fixed parameters of the paged bulk-load backends.
-constexpr CurveOrder kSortCurve = CurveOrder::kHilbert;
-constexpr int kSortGridBits = 10;
 /// Buffer-tree node buffers, in default-size pages.
 constexpr size_t kBufferPages = 8;
 
@@ -54,6 +50,24 @@ size_t BufferPages(size_t page_size, size_t dim) {
   return std::max<size_t>(1, target_records / per_page);
 }
 
+/// Builds the tree of the in-memory backends (tuple loading, top-down).
+RPlusTree BuildInMemory(const Dataset& dataset, const RTreeConfig& config,
+                        const RTreeAnonymizerOptions& options) {
+  if (options.backend == RTreeAnonymizerOptions::Backend::kTupleLoading) {
+    RPlusTree tree(dataset.dim(), config);
+    for (RecordId r = 0; r < dataset.num_records(); ++r) {
+      tree.Insert(dataset.row(r), r, dataset.sensitive(r));
+    }
+    return tree;
+  }
+  // Only the root's pieces build concurrently, and there are at most
+  // max_fanout of them: more threads would sit idle.
+  const size_t threads = std::min(options.threads, config.max_fanout);
+  std::unique_ptr<ThreadPool> workers;
+  if (threads > 1) workers = std::make_unique<ThreadPool>(threads - 1);
+  return TopDownBulkLoad(DatasetRecords(dataset), config, workers.get());
+}
+
 }  // namespace
 
 RTreeAnonymizer::RTreeAnonymizer(RTreeAnonymizerOptions options)
@@ -82,24 +96,15 @@ StatusOr<RTreeAnonymizer::BuildResult> RTreeAnonymizer::BuildLeaves(
   }
 
   const RTreeConfig config = MakeTreeConfig(options);
-  if (options.backend == RTreeAnonymizerOptions::Backend::kTupleLoading) {
-    RPlusTree tree(dataset.dim(), config);
-    for (RecordId r = 0; r < dataset.num_records(); ++r) {
-      tree.Insert(dataset.row(r), r, dataset.sensitive(r));
-    }
+  if (options.backend != RTreeAnonymizerOptions::Backend::kBufferTree) {
+    const RPlusTree tree = BuildInMemory(dataset, config, options);
     result.leaves = ExtractLeafGroups(tree, &domain);
     result.tree_height = tree.height();
     return result;
   }
 
-  // The paged backends share one pager and pool: the sorted bulk load
-  // spills its external sort into default-size pages, the buffer tree
-  // stores one leaf per page.
-  const bool sorted =
-      options.backend == RTreeAnonymizerOptions::Backend::kSortedBulkLoad;
-  const size_t page_size = sorted
-                               ? kDefaultPageSize
-                               : LeafPageSize(config.max_leaf, dataset.dim());
+  // The buffer tree stores one leaf per page.
+  const size_t page_size = LeafPageSize(config.max_leaf, dataset.dim());
   std::unique_ptr<Pager> pager;
   if (options.use_disk) {
     KANON_ASSIGN_OR_RETURN(auto file_pager, FilePager::Create(page_size));
@@ -107,37 +112,18 @@ StatusOr<RTreeAnonymizer::BuildResult> RTreeAnonymizer::BuildLeaves(
   } else {
     pager = std::make_unique<MemPager>(page_size);
   }
-  const size_t frames = std::max<size_t>(
-      sorted ? 16 : 8, options.memory_budget_bytes / page_size);
+  const size_t frames =
+      std::max<size_t>(8, options.memory_budget_bytes / page_size);
   BufferPool pool(pager.get(), frames);
 
-  if (sorted) {
-    // Run size from the memory budget alone: run boundaries are part of
-    // the deterministic pipeline and must not vary with the thread count.
-    const RecordCodec spill_codec(dataset.dim() + 1);
-    const size_t run_records = std::max<size_t>(
-        1024, options.memory_budget_bytes / 4 / spill_codec.record_size());
-    std::unique_ptr<ThreadPool> workers;
-    if (options.threads > 1) {
-      workers = std::make_unique<ThreadPool>(options.threads - 1);
-    }
-    KANON_ASSIGN_OR_RETURN(
-        RPlusTree tree,
-        SortedBulkLoadTree(dataset, config, kSortCurve, kSortGridBits, &pool,
-                           run_records, workers.get()));
-    result.leaves = ExtractLeafGroups(tree, &domain);
-    result.tree_height = tree.height();
-  } else {
-    BufferTree tree(dataset.dim(), config,
-                    BufferPages(page_size, dataset.dim()), &pool);
-    for (RecordId r = 0; r < dataset.num_records(); ++r) {
-      KANON_RETURN_IF_ERROR(
-          tree.Insert(dataset.row(r), r, dataset.sensitive(r)));
-    }
-    KANON_RETURN_IF_ERROR(tree.Flush());
-    KANON_ASSIGN_OR_RETURN(result.leaves, ExtractLeafGroups(tree, &domain));
-    result.tree_height = tree.height();
+  BufferTree tree(dataset.dim(), config, BufferPages(page_size, dataset.dim()),
+                  &pool);
+  for (RecordId r = 0; r < dataset.num_records(); ++r) {
+    KANON_RETURN_IF_ERROR(tree.Insert(dataset.row(r), r, dataset.sensitive(r)));
   }
+  KANON_RETURN_IF_ERROR(tree.Flush());
+  KANON_ASSIGN_OR_RETURN(result.leaves, ExtractLeafGroups(tree, &domain));
+  result.tree_height = tree.height();
   result.io = pager->stats();
   result.cache = pool.stats();
   return result;
@@ -223,33 +209,17 @@ void IncrementalAnonymizer::InsertBatch(const Dataset& dataset,
 }
 
 void IncrementalAnonymizer::Vacuum() {
-  // Collect the live records, then reinsert in a shuffled order: leaf
-  // (spatial) order would feed the adaptive splitter a sorted stream and
-  // produce systematically skewed early cuts.
-  struct Rec {
-    std::vector<double> point;
-    RecordId rid;
-    int32_t sensitive;
-  };
-  std::vector<Rec> records;
-  records.reserve(tree_.size());
+  // Collect the live records and bulk-load them: the top-down cuts see the
+  // whole record multiset at once, so leaf (spatial) order is as good an
+  // input as any.
+  RecordBatch records(tree_.dim());
+  records.Reserve(tree_.size());
   for (const Node* leaf : tree_.OrderedLeaves()) {
     for (size_t i = 0; i < leaf->leaf_size(); ++i) {
-      const auto p = leaf->point(i);
-      records.push_back(Rec{{p.begin(), p.end()},
-                            leaf->rids[i],
-                            leaf->sensitive[i]});
+      records.Append(leaf->rids[i], leaf->sensitive[i], leaf->point(i));
     }
   }
-  Rng rng(0x5eedULL + records.size());
-  for (size_t i = records.size(); i > 1; --i) {
-    std::swap(records[i - 1], records[rng.Uniform(i)]);
-  }
-  RPlusTree rebuilt(tree_.dim(), MakeTreeConfig(options_));
-  for (const Rec& r : records) {
-    rebuilt.Insert(r.point, r.rid, r.sensitive);
-  }
-  tree_ = std::move(rebuilt);
+  tree_ = TopDownBulkLoad(std::move(records), MakeTreeConfig(options_));
 }
 
 PartitionSet IncrementalAnonymizer::Snapshot(const Dataset& dataset,

@@ -38,21 +38,22 @@ struct RTreeAnonymizerOptions {
 
   // Bulk-loading backend knobs.
   enum class Backend {
-    kBufferTree,      // paged buffer-tree load (default; larger-than-memory)
-    kTupleLoading,    // record-at-a-time inserts into the in-memory tree
-    kSortedBulkLoad,  // external curve sort + top-down build (parallelizable)
+    kBufferTree,       // paged buffer-tree load (default; larger-than-memory)
+    kTupleLoading,     // record-at-a-time inserts into the in-memory tree
+    kTopDownBulkLoad,  // in-memory top-down build (parallelizable)
   };
   Backend backend = Backend::kBufferTree;
-  /// Memory budget for the buffer pool of the paged backends. The sorted
-  /// bulk load also sizes its in-memory sort runs from it.
+  /// Memory budget for the buffer pool of the buffer-tree backend.
   size_t memory_budget_bytes = 64ull << 20;
-  /// Back the paged backends with a real temp file instead of heap pages.
+  /// Back the buffer-tree backend with a real temp file instead of heap
+  /// pages.
   bool use_disk = false;
 
-  /// Total threads for the sorted bulk load (1 = serial; N spawns N-1
-  /// workers and the calling thread participates). The build is
-  /// deterministic in `threads`: any value produces the same tree and the
-  /// same partitions.
+  /// Total threads for the top-down bulk load (1 = serial; N spawns N-1
+  /// workers and the calling thread participates). Only the root's at
+  /// most max_fanout pieces build concurrently, so N is capped at
+  /// max_fanout. The build is deterministic in `threads`: any value
+  /// produces the same tree and the same partitions.
   size_t threads = 1;
 };
 
@@ -69,7 +70,8 @@ class RTreeAnonymizer {
   /// Builds the index once and returns its ordered leaf groups, letting the
   /// caller run leaf scans at several granularities (how the k-sweep
   /// benchmarks amortize the build). Also reports pager I/O and buffer-pool
-  /// cache stats (both zero for the in-memory tuple-loading backend).
+  /// cache stats (both zero for the in-memory tuple-loading and top-down
+  /// backends).
   struct BuildResult {
     std::vector<LeafGroup> leaves;
     PagerStats io;

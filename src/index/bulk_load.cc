@@ -15,24 +15,6 @@ namespace kanon {
 
 namespace {
 
-/// The record arrays being carved into a tree, in (curve key, rid) sorted
-/// order. This is the input currency of the region-disciplined top-down
-/// build; concurrent subtree builds touch disjoint index ranges, so no
-/// synchronization is needed.
-struct BuildArrays {
-  BuildArrays() = default;
-  explicit BuildArrays(size_t d) : dim(d) {}
-
-  size_t dim = 0;
-  std::vector<double> points;  // row-major, rids.size() * dim
-  std::vector<uint64_t> rids;
-  std::vector<int32_t> sensitive;
-
-  std::span<const double> row(size_t i) const {
-    return {points.data() + i * dim, dim};
-  }
-};
-
 /// Chunks an ordered rid list into groups of target_size, folding a
 /// too-small tail into the previous group, and computes group MBRs.
 std::vector<LeafGroup> ChunkOrdered(const Dataset& dataset,
@@ -87,14 +69,14 @@ std::vector<LeafGroup> CurveBulkLoad(const Dataset& dataset, CurveOrder order,
 
 StatusOr<std::vector<LeafGroup>> CurveBulkLoadExternal(
     const Dataset& dataset, CurveOrder order, const SortLoadConfig& config,
-    BufferPool* pool, size_t run_records, ThreadPool* workers) {
+    BufferPool* pool, size_t run_records) {
   if (dataset.empty()) return std::vector<LeafGroup>{};
   const Domain domain = dataset.ComputeDomain();
   const GridQuantizer quantizer(domain, config.grid_bits);
   const int shift = std::max(
       0, config.grid_bits * static_cast<int>(dataset.dim()) - 64);
 
-  ExternalSorter sorter(dataset.dim(), run_records, pool, workers);
+  ExternalSorter sorter(dataset.dim(), run_records, pool);
   std::vector<uint32_t> grid(dataset.dim());
   for (RecordId r = 0; r < dataset.num_records(); ++r) {
     quantizer.Quantize(dataset.row(r), grid.data());
@@ -164,7 +146,7 @@ std::vector<LeafGroup> StrBulkLoad(const Dataset& dataset,
 
 namespace {
 
-/// One contiguous range of the arrays with its region of space. `open`
+/// One contiguous range of the records with its region of space. `open`
 /// means a further cut may still be attempted.
 struct Piece {
   Region region;
@@ -182,43 +164,37 @@ struct Piece {
 /// then right records keep theirs — determinism of the serialized leaf
 /// order depends on this), `piece` shrinks to the left half and
 /// `*right_out` receives the right half.
-bool TryCutPiece(BuildArrays* arrays, const RTreeConfig& config, Piece* piece,
-                 Piece* right_out) {
-  const size_t dim = arrays->dim;
+bool TryCutPiece(RecordBatch* records, const RTreeConfig& config,
+                 Piece* piece, Piece* right_out) {
+  const size_t dim = records->dim;
   const auto split = ChooseLeafSplit(
-      arrays->points.data() + piece->begin * dim,
-      arrays->sensitive.data() + piece->begin, piece->size(), dim,
+      records->values.data() + piece->begin * dim,
+      records->sensitive.data() + piece->begin, piece->size(), dim,
       config.min_leaf, config.split, &piece->region, config.leaf_admissible);
   if (!split.has_value()) return false;
 
-  BuildArrays left(dim), right(dim);
+  RecordBatch left(dim), right(dim);
   for (size_t i = piece->begin; i < piece->end; ++i) {
-    BuildArrays& side =
-        arrays->points[i * dim + split->axis] < split->value ? left : right;
-    side.rids.push_back(arrays->rids[i]);
-    side.sensitive.push_back(arrays->sensitive[i]);
-    const auto p = arrays->row(i);
-    side.points.insert(side.points.end(), p.begin(), p.end());
+    RecordBatch& side =
+        records->values[i * dim + split->axis] < split->value ? left : right;
+    side.Append(records->rids[i], records->sensitive[i], records->row(i));
   }
-  KANON_CHECK(left.rids.size() == split->left_count);
+  KANON_CHECK(left.size() == split->left_count);
 
   // Commit: left half then right half back into the range.
-  std::copy(left.rids.begin(), left.rids.end(),
-            arrays->rids.begin() + piece->begin);
-  std::copy(right.rids.begin(), right.rids.end(),
-            arrays->rids.begin() + piece->begin + left.rids.size());
-  std::copy(left.sensitive.begin(), left.sensitive.end(),
-            arrays->sensitive.begin() + piece->begin);
-  std::copy(right.sensitive.begin(), right.sensitive.end(),
-            arrays->sensitive.begin() + piece->begin + left.rids.size());
-  std::copy(left.points.begin(), left.points.end(),
-            arrays->points.begin() + piece->begin * dim);
-  std::copy(right.points.begin(), right.points.end(),
-            arrays->points.begin() + (piece->begin + left.rids.size()) * dim);
+  const auto commit = [records, dim](const RecordBatch& side, size_t at) {
+    std::copy(side.rids.begin(), side.rids.end(), records->rids.begin() + at);
+    std::copy(side.sensitive.begin(), side.sensitive.end(),
+              records->sensitive.begin() + at);
+    std::copy(side.values.begin(), side.values.end(),
+              records->values.begin() + at * dim);
+  };
+  commit(left, piece->begin);
+  commit(right, piece->begin + left.size());
 
   auto halves = piece->region.Cut(split->axis, split->value);
   right_out->region = std::move(halves.second);
-  right_out->begin = piece->begin + left.rids.size();
+  right_out->begin = piece->begin + left.size();
   right_out->end = piece->end;
   right_out->open = true;
   piece->region = std::move(halves.first);
@@ -230,7 +206,7 @@ bool TryCutPiece(BuildArrays* arrays, const RTreeConfig& config, Piece* piece,
 /// repeatedly cutting the largest still-overfull piece (ties break on the
 /// lowest piece index — a deterministic rule). Pieces stay in range
 /// order, so sibling order in the built tree is deterministic too.
-std::vector<Piece> CutIntoFanout(BuildArrays* arrays,
+std::vector<Piece> CutIntoFanout(RecordBatch* records,
                                  const RTreeConfig& config,
                                  const Region& region, size_t begin,
                                  size_t end) {
@@ -247,7 +223,7 @@ std::vector<Piece> CutIntoFanout(BuildArrays* arrays,
     }
     if (best == pieces.size()) break;
     Piece right;
-    if (!TryCutPiece(arrays, config, &pieces[best], &right)) {
+    if (!TryCutPiece(records, config, &pieces[best], &right)) {
       pieces[best].open = false;
       continue;
     }
@@ -256,35 +232,37 @@ std::vector<Piece> CutIntoFanout(BuildArrays* arrays,
   return pieces;
 }
 
-std::unique_ptr<Node> MakeLeaf(const BuildArrays& arrays,
+std::unique_ptr<Node> MakeLeaf(const RecordBatch& records,
                                const Region& region, size_t begin,
                                size_t end) {
-  auto leaf = std::make_unique<Node>(arrays.dim, /*leaf=*/true);
+  auto leaf = std::make_unique<Node>(records.dim, /*leaf=*/true);
   leaf->region = region;
   for (size_t i = begin; i < end; ++i) {
-    leaf->AppendRecord(arrays.row(i), arrays.rids[i], arrays.sensitive[i]);
+    leaf->AppendRecord(records.row(i), records.rids[i],
+                       records.sensitive[i]);
   }
   return leaf;
 }
 
 /// Builds the region-disciplined subtree over rows [begin, end) of
-/// `arrays` constrained to `region`: a single (possibly overfull) leaf
+/// `records` constrained to `region`: a single (possibly overfull) leaf
 /// when the range fits or refuses every admissible cut, otherwise an
 /// internal node over recursively carved children. With `workers`, the
-/// children build concurrently (they touch disjoint row ranges). The
-/// result is a pure function of the sorted record range and the region.
-std::unique_ptr<Node> BuildSubtree(BuildArrays* arrays,
+/// children build concurrently (they touch disjoint row ranges, so no
+/// synchronization is needed). The leaves are a pure function of the
+/// record multiset of the range and the region.
+std::unique_ptr<Node> BuildSubtree(RecordBatch* records,
                                    const RTreeConfig& config,
                                    const Region& region, size_t begin,
                                    size_t end, ThreadPool* workers = nullptr) {
   if (end - begin <= config.max_leaf) {
-    return MakeLeaf(*arrays, region, begin, end);
+    return MakeLeaf(*records, region, begin, end);
   }
-  auto pieces = CutIntoFanout(arrays, config, region, begin, end);
-  if (pieces.size() == 1) return MakeLeaf(*arrays, region, begin, end);
+  auto pieces = CutIntoFanout(records, config, region, begin, end);
+  if (pieces.size() == 1) return MakeLeaf(*records, region, begin, end);
   std::vector<std::unique_ptr<Node>> children(pieces.size());
   const auto build = [&](size_t i) {
-    children[i] = BuildSubtree(arrays, config, pieces[i].region,
+    children[i] = BuildSubtree(records, config, pieces[i].region,
                                pieces[i].begin, pieces[i].end);
   };
   if (workers != nullptr) {
@@ -292,7 +270,7 @@ std::unique_ptr<Node> BuildSubtree(BuildArrays* arrays,
   } else {
     for (size_t i = 0; i < children.size(); ++i) build(i);
   }
-  auto node = std::make_unique<Node>(arrays->dim, /*leaf=*/false);
+  auto node = std::make_unique<Node>(records->dim, /*leaf=*/false);
   node->region = region;
   for (auto& child : children) AdoptChild(node.get(), std::move(child));
   return node;
@@ -300,69 +278,22 @@ std::unique_ptr<Node> BuildSubtree(BuildArrays* arrays,
 
 }  // namespace
 
-StatusOr<RPlusTree> SortedBulkLoadTree(const Dataset& dataset,
-                                       const RTreeConfig& config,
-                                       CurveOrder order, int grid_bits,
-                                       BufferPool* pool, size_t run_records,
-                                       ThreadPool* workers) {
-  const size_t dim = dataset.dim();
-  const size_t n = dataset.num_records();
-  if (n == 0) return RPlusTree(dim, config);
-  if (workers != nullptr && workers->capacity() == 0) workers = nullptr;
-
-  // 1. Curve keys, computed in record-index chunks across the workers
-  // (each chunk writes a disjoint slice of `keys`).
-  const Domain domain = dataset.ComputeDomain();
-  const GridQuantizer quantizer(domain, grid_bits);
-  const int shift = std::max(0, grid_bits * static_cast<int>(dim) - 64);
-  std::vector<uint64_t> keys(n);
-  const auto compute_keys = [&](size_t begin, size_t end) {
-    std::vector<uint32_t> grid(dim);
-    for (size_t r = begin; r < end; ++r) {
-      quantizer.Quantize(dataset.row(r), grid.data());
-      const std::span<const uint32_t> g(grid.data(), grid.size());
-      const CurveKey key = order == CurveOrder::kHilbert
-                               ? HilbertKey(g, grid_bits)
-                               : ZOrderKey(g, grid_bits);
-      keys[r] = static_cast<uint64_t>(key >> shift);
-    }
-  };
-  if (workers != nullptr) {
-    const size_t chunk =
-        std::max<size_t>(1024, n / ((workers->capacity() + 1) * 8));
-    const size_t num_chunks = (n + chunk - 1) / chunk;
-    workers->ParallelFor(num_chunks, [&](size_t c) {
-      compute_keys(c * chunk, std::min(n, (c + 1) * chunk));
-    });
-  } else {
-    compute_keys(0, n);
+RecordBatch DatasetRecords(const Dataset& dataset) {
+  RecordBatch records(dataset.dim());
+  records.Reserve(dataset.num_records());
+  for (RecordId r = 0; r < dataset.num_records(); ++r) {
+    records.Append(r, dataset.sensitive(r), dataset.row(r));
   }
+  return records;
+}
 
-  // 2. External sort by (curve key, rid); the sorter parallelizes run
-  // generation and merging internally.
-  ExternalSorter sorter(dim, run_records, pool, workers);
-  for (RecordId r = 0; r < n; ++r) {
-    KANON_RETURN_IF_ERROR(
-        sorter.Add(keys[r], r, dataset.sensitive(r), dataset.row(r)));
-  }
-  keys.clear();
-  keys.shrink_to_fit();
-  BuildArrays arrays(dim);
-  arrays.rids.reserve(n);
-  arrays.sensitive.reserve(n);
-  arrays.points.reserve(n * dim);
-  KANON_RETURN_IF_ERROR(sorter.Finish(
-      [&arrays](uint64_t, uint64_t rid, int32_t sensitive,
-                std::span<const double> values) {
-        arrays.rids.push_back(rid);
-        arrays.sensitive.push_back(sensitive);
-        arrays.points.insert(arrays.points.end(), values.begin(),
-                             values.end());
-      }));
-
-  // 3. Top-down build; the root's pieces build concurrently.
-  std::unique_ptr<Node> root =
-      BuildSubtree(&arrays, config, Region::Whole(dim), 0, n, workers);
+RPlusTree TopDownBulkLoad(RecordBatch records, const RTreeConfig& config,
+                          ThreadPool* workers) {
+  const size_t dim = records.dim;
+  if (records.empty()) return RPlusTree(dim, config);
+  // Only the root's pieces build concurrently.
+  std::unique_ptr<Node> root = BuildSubtree(
+      &records, config, Region::Whole(dim), 0, records.size(), workers);
   return RPlusTree::FromRoot(dim, config, std::move(root));
 }
 

@@ -10,6 +10,7 @@
 #include "index/mbr.h"
 #include "index/rplus_tree.h"
 #include "storage/buffer_pool.h"
+#include "storage/spill_file.h"
 
 namespace kanon {
 
@@ -60,27 +61,26 @@ std::vector<LeafGroup> StrBulkLoad(const Dataset& dataset,
 /// (ties broken arbitrarily); group quality is unaffected in practice.
 StatusOr<std::vector<LeafGroup>> CurveBulkLoadExternal(
     const Dataset& dataset, CurveOrder order, const SortLoadConfig& config,
-    BufferPool* pool, size_t run_records, ThreadPool* workers = nullptr);
+    BufferPool* pool, size_t run_records);
 
-/// Sort-based bulk construction of a complete R⁺-tree (not just leaf
-/// groups): curve keys are computed in parallel, the records are
-/// externally sorted by (curve key, rid) with spill traffic through
-/// `pool`, and the tree is then built top-down by recursive
-/// region-disciplined cuts of the sorted array — the root-level cut
+/// Copies `dataset` into one RecordBatch, in rid order.
+RecordBatch DatasetRecords(const Dataset& dataset);
+
+/// Top-down bulk construction of a complete R⁺-tree (not just leaf
+/// groups) from `records` in the order they come in: recursive
+/// region-disciplined cuts of the record array, where the root-level cut
 /// yields at most max_fanout pieces whose subtrees build concurrently on
 /// `workers` and are stitched under one root. The result satisfies every
 /// RPlusTree invariant (region tiling, occupancy window, admissibility-
-/// gated splits) and is **deterministic**: for a fixed dataset and
-/// config, any thread count (including the serial workers = nullptr
-/// path) produces a byte-identical tree snapshot under
-/// SaveTree/tree_persistence, because the sorted base order breaks key
-/// ties on rid and every cut decision is a pure function of the record
-/// multiset.
-StatusOr<RPlusTree> SortedBulkLoadTree(const Dataset& dataset,
-                                       const RTreeConfig& config,
-                                       CurveOrder order, int grid_bits,
-                                       BufferPool* pool, size_t run_records,
-                                       ThreadPool* workers = nullptr);
+/// gated splits). Every cut is a pure function of the record multiset,
+/// so the leaves (their records, MBRs and regions, in leaf order) do not
+/// depend on the input order; the input order only fixes the order of
+/// records inside a leaf, because each cut keeps it. The build is
+/// therefore **deterministic**: for fixed records and config, any thread
+/// count (including the serial workers = nullptr path) produces a
+/// byte-identical tree snapshot under SaveTree/tree_persistence.
+RPlusTree TopDownBulkLoad(RecordBatch records, const RTreeConfig& config,
+                          ThreadPool* workers = nullptr);
 
 }  // namespace kanon
 

@@ -30,11 +30,7 @@ uint64_t DoubleToKey(double d) {
 /// flushes.
 constexpr size_t kSinkChunkRecords = 4096;
 
-/// Sorts `batch` by (key, rid) — the one total order every stage of the
-/// pipeline uses. The rid tie-break is what makes the merged stream
-/// intrinsic to the records: no run boundary, merge-pass structure or
-/// partition boundary can reorder equal keys, so serial and parallel
-/// sorts emit bit-identical sequences.
+/// Sorts `batch` by (key, rid), the one order runs and merges share.
 RecordBatch SortByKeyRid(const RecordBatch& batch) {
   const size_t width = batch.dim;
   std::vector<uint32_t> order(batch.size());
@@ -56,20 +52,13 @@ RecordBatch SortByKeyRid(const RecordBatch& batch) {
 }  // namespace
 
 ExternalSorter::ExternalSorter(size_t dim, size_t run_records,
-                               BufferPool* pool, ThreadPool* workers)
+                               BufferPool* pool)
     : dim_(dim),
       run_records_(std::max<size_t>(2, run_records)),
       pool_(pool),
-      workers_(workers != nullptr && workers->capacity() > 0 ? workers
-                                                             : nullptr),
       codec_(dim + 1),
       staging_(dim + 1) {
   staging_.Reserve(run_records_);
-}
-
-size_t ExternalSorter::PageRecords() const {
-  return (pool_->page_size() - RecordPageView::kHeaderSize) /
-         codec_.record_size();
 }
 
 Status ExternalSorter::Add(uint64_t key, uint64_t rid, int32_t sensitive,
@@ -82,60 +71,16 @@ Status ExternalSorter::Add(uint64_t key, uint64_t rid, int32_t sensitive,
   staging_.values.insert(staging_.values.end(), values.begin(),
                          values.end());
   ++record_count_;
-  if (staging_.size() >= run_records_) {
-    if (workers_ != nullptr) {
-      // Stage the full batch; a later FlushPending sorts one batch per
-      // thread concurrently. Run boundaries (every run_records_ records
-      // in arrival order) are exactly the serial sorter's.
-      pending_.push_back(std::move(staging_));
-      staging_ = RecordBatch(dim_ + 1);
-      staging_.Reserve(run_records_);
-      if (pending_.size() > workers_->capacity()) {
-        KANON_RETURN_IF_ERROR(FlushPending());
-      }
-    } else {
-      KANON_RETURN_IF_ERROR(SpillRun());
-    }
-  }
-  return Status::OK();
-}
-
-Status ExternalSorter::SpillSorted(const RecordBatch& sorted,
-                                   BufferPool* pool) {
-  if (sorted.empty()) return Status::OK();
-  auto run = std::make_unique<PageChain>(pool, &codec_);
-  KANON_RETURN_IF_ERROR(run->AppendBatch(sorted));
-  // Record the first key of every page: runs fill pages densely, so page
-  // p starts at record p * PageRecords().
-  std::vector<uint64_t> first_keys;
-  const size_t width = dim_ + 1;
-  for (size_t i = 0; i < sorted.size(); i += PageRecords()) {
-    first_keys.push_back(DoubleToKey(sorted.values[i * width]));
-  }
-  runs_.push_back(std::move(run));
-  run_first_keys_.push_back(std::move(first_keys));
+  if (staging_.size() >= run_records_) KANON_RETURN_IF_ERROR(SpillRun());
   return Status::OK();
 }
 
 Status ExternalSorter::SpillRun() {
   if (staging_.empty()) return Status::OK();
-  KANON_RETURN_IF_ERROR(SpillSorted(SortByKeyRid(staging_), pool_));
+  auto run = std::make_unique<PageChain>(pool_, &codec_);
+  KANON_RETURN_IF_ERROR(run->AppendBatch(SortByKeyRid(staging_)));
+  runs_.push_back(std::move(run));
   staging_.Clear();
-  return Status::OK();
-}
-
-Status ExternalSorter::FlushPending() {
-  if (pending_.empty()) return Status::OK();
-  // CPU-parallel sort, then serial spill through the caller's pool in
-  // staging order (BufferPool is single-threaded; the sorts dominate).
-  std::vector<RecordBatch> sorted(pending_.size());
-  workers_->ParallelFor(pending_.size(), [&](size_t i) {
-    sorted[i] = SortByKeyRid(pending_[i]);
-  });
-  for (const RecordBatch& batch : sorted) {
-    KANON_RETURN_IF_ERROR(SpillSorted(batch, pool_));
-  }
-  pending_.clear();
   return Status::OK();
 }
 
@@ -144,97 +89,39 @@ Status ExternalSorter::Finish(
                              std::span<const double>)>& emit) {
   KANON_CHECK_MSG(!finished_, "Finish called twice");
   finished_ = true;
-  KANON_RETURN_IF_ERROR(FlushPending());
   KANON_RETURN_IF_ERROR(SpillRun());
 
   // The merge fan-in is limited by the pool (one pinned page per cursor,
   // plus headroom for the output run). Merge in passes until one pass can
-  // cover all remaining runs. The fan-in is derived from the caller's
-  // pool alone so the pass structure is independent of the thread count.
-  const size_t max_fanin = std::max<size_t>(2, pool_->capacity() - 4);
+  // cover all remaining runs. A pool of 6 frames or fewer merges
+  // pairwise (two cursors and the output tail page).
+  const size_t capacity = pool_->capacity();
+  const size_t max_fanin = capacity > 6 ? capacity - 4 : 2;
   while (runs_.size() > max_fanin) {
     KANON_RETURN_IF_ERROR(MergePass(max_fanin));
   }
-  if (workers_ != nullptr && runs_.size() > 1) {
-    return ParallelFinalMerge(emit);
-  }
-  return MergeRuns(0, runs_.size(), /*pool=*/nullptr, emit, nullptr, nullptr,
-                   nullptr);
+  return MergeRuns(0, runs_.size(), emit, nullptr, nullptr);
 }
 
 Status ExternalSorter::MergePass(size_t fanin) {
-  const size_t num_groups = (runs_.size() + fanin - 1) / fanin;
-  if (workers_ == nullptr || num_groups < 2) {
-    // Serial pass: one group at a time through the caller's pool,
-    // releasing each group's inputs as soon as it is merged.
-    std::vector<std::unique_ptr<PageChain>> next;
-    std::vector<std::vector<uint64_t>> next_first_keys;
-    for (size_t begin = 0; begin < runs_.size(); begin += fanin) {
-      const size_t end = std::min(begin + fanin, runs_.size());
-      auto merged = std::make_unique<PageChain>(pool_, &codec_);
-      RecordBatch chunk(dim_ + 1);
-      std::vector<uint64_t> first_keys;
-      KANON_RETURN_IF_ERROR(MergeRuns(begin, end, /*pool=*/nullptr,
-                                      /*emit=*/nullptr, &chunk, merged.get(),
-                                      &first_keys));
-      for (size_t r = begin; r < end; ++r) runs_[r]->Clear();
-      next.push_back(std::move(merged));
-      next_first_keys.push_back(std::move(first_keys));
-    }
-    runs_ = std::move(next);
-    run_first_keys_ = std::move(next_first_keys);
-    return Status::OK();
-  }
-
-  // Parallel pass: one task per group, each through a private BufferPool
-  // over the shared pager. Flush the caller's pool first so every input
-  // page image is visible to the task pools.
-  KANON_RETURN_IF_ERROR(pool_->FlushAll());
-  struct GroupResult {
-    std::unique_ptr<BufferPool> pool;
-    std::unique_ptr<PageChain> chain;
-    std::vector<uint64_t> first_keys;
-    Status status;
-  };
-  std::vector<GroupResult> results(num_groups);
-  workers_->ParallelFor(num_groups, [&](size_t g) {
-    GroupResult& result = results[g];
-    const size_t begin = g * fanin;
-    const size_t end = std::min(begin + fanin, runs_.size());
-    result.pool =
-        std::make_unique<BufferPool>(pool_->pager(), (end - begin) + 4);
-    result.chain = std::make_unique<PageChain>(result.pool.get(), &codec_);
-    RecordBatch chunk(dim_ + 1);
-    result.status = MergeRuns(begin, end, result.pool.get(), /*emit=*/nullptr,
-                              &chunk, result.chain.get(), &result.first_keys);
-    // Flush at handoff: the next pass (or final merge) reads this chain
-    // through other pools.
-    if (result.status.ok()) result.status = result.pool->FlushAll();
-  });
-
+  // One group at a time, releasing each group's inputs as soon as it is
+  // merged.
   std::vector<std::unique_ptr<PageChain>> next;
-  std::vector<std::vector<uint64_t>> next_first_keys;
-  Status failed = Status::OK();
-  for (GroupResult& result : results) {
-    if (failed.ok() && !result.status.ok()) failed = result.status;
-    next.push_back(std::move(result.chain));
-    next_first_keys.push_back(std::move(result.first_keys));
-    // The merged chains live on the task pools; keep those pools alive
-    // until the chains are destroyed (merge_pools_ precedes runs_ in
-    // declaration order, so destruction is safe even on error paths).
-    merge_pools_.push_back(std::move(result.pool));
+  for (size_t begin = 0; begin < runs_.size(); begin += fanin) {
+    const size_t end = std::min(begin + fanin, runs_.size());
+    auto merged = std::make_unique<PageChain>(pool_, &codec_);
+    RecordBatch chunk(dim_ + 1);
+    KANON_RETURN_IF_ERROR(
+        MergeRuns(begin, end, /*emit=*/nullptr, &chunk, merged.get()));
+    for (size_t r = begin; r < end; ++r) runs_[r]->Clear();
+    next.push_back(std::move(merged));
   }
-  KANON_RETURN_IF_ERROR(failed);
-  for (auto& run : runs_) run->Clear();
   runs_ = std::move(next);
-  run_first_keys_ = std::move(next_first_keys);
   return Status::OK();
 }
 
-Status ExternalSorter::MergeRuns(size_t begin, size_t end, BufferPool* pool,
-                                 const EmitFn& emit, RecordBatch* chunk,
-                                 PageChain* sink,
-                                 std::vector<uint64_t>* sink_first_keys) {
+Status ExternalSorter::MergeRuns(size_t begin, size_t end, const EmitFn& emit,
+                                 RecordBatch* chunk, PageChain* sink) {
   struct HeapEntry {
     uint64_t key;
     uint64_t rid;
@@ -249,14 +136,7 @@ Status ExternalSorter::MergeRuns(size_t begin, size_t end, BufferPool* pool,
   std::vector<std::unique_ptr<PageChainCursor>> cursors;
   cursors.reserve(end - begin);
   for (size_t r = begin; r < end; ++r) {
-    // Without an override pool, read through the chain's own pool — the
-    // one pool guaranteed to hold its current page images. An override
-    // (private task pool) requires the writer pool to have been flushed.
-    cursors.push_back(
-        pool == nullptr
-            ? std::make_unique<PageChainCursor>(runs_[r].get())
-            : std::make_unique<PageChainCursor>(runs_[r].get(), pool,
-                                                /*start_page=*/0));
+    cursors.push_back(std::make_unique<PageChainCursor>(runs_[r].get()));
     PageChainCursor& cursor = *cursors.back();
     // A cursor that failed to position (unreadable first page) is
     // indistinguishable from an exhausted run by valid() alone — the
@@ -267,21 +147,13 @@ Status ExternalSorter::MergeRuns(size_t begin, size_t end, BufferPool* pool,
                  cursors.size() - 1});
     }
   }
-  const size_t page_records = PageRecords();
-  size_t sunk = 0;
   while (!heap.empty()) {
     const HeapEntry top = heap.top();
     heap.pop();
     PageChainCursor& cursor = *cursors[top.run];
     const auto full = cursor.values();
     if (sink != nullptr) {
-      if (sink_first_keys != nullptr && sunk % page_records == 0) {
-        sink_first_keys->push_back(top.key);
-      }
-      ++sunk;
-      chunk->rids.push_back(cursor.rid());
-      chunk->sensitive.push_back(cursor.sensitive());
-      chunk->values.insert(chunk->values.end(), full.begin(), full.end());
+      chunk->Append(cursor.rid(), cursor.sensitive(), full);
     } else {
       emit(top.key, cursor.rid(), cursor.sensitive(),
            full.subspan(1));  // strip the key slot for the caller
@@ -299,149 +171,6 @@ Status ExternalSorter::MergeRuns(size_t begin, size_t end, BufferPool* pool,
     KANON_RETURN_IF_ERROR(sink->AppendBatch(*chunk));
     chunk->Clear();
   }
-  return Status::OK();
-}
-
-Status ExternalSorter::ParallelFinalMerge(const EmitFn& emit) {
-  KANON_RETURN_IF_ERROR(pool_->FlushAll());
-
-  // Splitters are quantiles of the page-first-key sample recorded at
-  // spill time: they land partition boundaries close to equal page
-  // counts without re-reading any run. Boundaries are pure key values,
-  // so records with equal keys always share a partition and the
-  // concatenated partitions form the global (key, rid) order.
-  std::vector<uint64_t> samples;
-  for (const auto& first_keys : run_first_keys_) {
-    samples.insert(samples.end(), first_keys.begin(), first_keys.end());
-  }
-  std::sort(samples.begin(), samples.end());
-  if (samples.empty()) {
-    return MergeRuns(0, runs_.size(), /*pool=*/nullptr, emit, nullptr,
-                     nullptr, nullptr);
-  }
-  const size_t target_parts = workers_->capacity() + 1;
-  std::vector<uint64_t> splitters;
-  for (size_t p = 1; p < target_parts; ++p) {
-    const uint64_t s = samples[p * samples.size() / target_parts];
-    if ((splitters.empty() || s > splitters.back()) && s > samples.front()) {
-      splitters.push_back(s);
-    }
-  }
-  // Partition p covers keys [lo_p, hi_p): lo_0 = 0, hi_last = +inf.
-  const size_t num_parts = splitters.size() + 1;
-
-  struct PartResult {
-    std::unique_ptr<BufferPool> pool;
-    std::unique_ptr<PageChain> chain;
-    Status status;
-  };
-  std::vector<PartResult> parts(num_parts);
-  workers_->ParallelFor(num_parts, [&](size_t p) {
-    PartResult& part = parts[p];
-    const uint64_t lo = p == 0 ? 0 : splitters[p - 1];
-    const bool bounded = p + 1 < num_parts;
-    const uint64_t hi = bounded ? splitters[p] : 0;
-    part.pool =
-        std::make_unique<BufferPool>(pool_->pager(), runs_.size() + 4);
-    part.chain = std::make_unique<PageChain>(part.pool.get(), &codec_);
-
-    struct HeapEntry {
-      uint64_t key;
-      uint64_t rid;
-      size_t run;
-    };
-    const auto cmp = [](const HeapEntry& a, const HeapEntry& b) {
-      if (a.key != b.key) return a.key > b.key;
-      return a.rid > b.rid;
-    };
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>, decltype(cmp)>
-        heap(cmp);
-    std::vector<std::unique_ptr<PageChainCursor>> cursors;
-    cursors.reserve(runs_.size());
-    for (size_t r = 0; r < runs_.size(); ++r) {
-      const auto& first_keys = run_first_keys_[r];
-      if (first_keys.empty()) continue;
-      // Seek: keys >= lo can start no earlier than one page before the
-      // first page whose first key reaches lo.
-      size_t start_page = 0;
-      if (lo > 0) {
-        const auto it =
-            std::lower_bound(first_keys.begin(), first_keys.end(), lo);
-        start_page = it - first_keys.begin();
-        if (start_page > 0) --start_page;
-      }
-      auto cursor = std::make_unique<PageChainCursor>(
-          runs_[r].get(), part.pool.get(), start_page);
-      while (cursor->valid() && DoubleToKey(cursor->values()[0]) < lo) {
-        part.status = cursor->Next();
-        if (!part.status.ok()) return;
-      }
-      if (!cursor->status().ok()) {
-        part.status = cursor->status();
-        return;
-      }
-      if (cursor->valid()) {
-        const uint64_t key = DoubleToKey(cursor->values()[0]);
-        if (!bounded || key < hi) {
-          heap.push({key, cursor->rid(), cursors.size()});
-          cursors.push_back(std::move(cursor));
-        }
-      }
-    }
-    RecordBatch chunk(dim_ + 1);
-    while (!heap.empty()) {
-      const HeapEntry top = heap.top();
-      heap.pop();
-      PageChainCursor& cursor = *cursors[top.run];
-      const auto full = cursor.values();
-      chunk.rids.push_back(cursor.rid());
-      chunk.sensitive.push_back(cursor.sensitive());
-      chunk.values.insert(chunk.values.end(), full.begin(), full.end());
-      part.status = cursor.Next();
-      if (!part.status.ok()) return;
-      if (cursor.valid()) {
-        const uint64_t key = DoubleToKey(cursor.values()[0]);
-        if (!bounded || key < hi) heap.push({key, cursor.rid(), top.run});
-      }
-      if (chunk.size() >= kSinkChunkRecords) {
-        part.status = part.chain->AppendBatch(chunk);
-        if (!part.status.ok()) return;
-        chunk.Clear();
-      }
-    }
-    if (!chunk.empty()) {
-      part.status = part.chain->AppendBatch(chunk);
-      if (!part.status.ok()) return;
-    }
-  });
-
-  Status failed = Status::OK();
-  for (PartResult& part : parts) {
-    if (failed.ok() && !part.status.ok()) failed = part.status;
-  }
-  if (!failed.ok()) {
-    for (PartResult& part : parts) {
-      part.chain.reset();  // discards partition pages via its own pool
-      merge_pools_.push_back(std::move(part.pool));
-    }
-    return failed;
-  }
-
-  // Concatenate the partitions in splitter order: each is read back
-  // through its own (single-threaded again) pool.
-  for (PartResult& part : parts) {
-    PageChainCursor cursor(part.chain.get());
-    if (!cursor.status().ok()) return cursor.status();
-    while (cursor.valid()) {
-      const auto full = cursor.values();
-      emit(DoubleToKey(full[0]), cursor.rid(), cursor.sensitive(),
-           full.subspan(1));
-      KANON_RETURN_IF_ERROR(cursor.Next());
-    }
-    part.chain.reset();
-    merge_pools_.push_back(std::move(part.pool));
-  }
-  for (auto& run : runs_) run->Clear();
   return Status::OK();
 }
 

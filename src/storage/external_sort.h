@@ -3,16 +3,17 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "storage/buffer_pool.h"
 #include "storage/spill_file.h"
 
 namespace kanon {
 
 /// Bounded-memory external merge sort over records, used by the
-/// space-filling-curve bulk loaders when the data exceeds memory (the
+/// space-filling-curve bulk loader when the data exceeds memory (the
 /// classical alternative to the buffer tree; both achieve
 /// O(N/B log_{M/B} N/B) I/Os and this substrate makes the comparison
 /// measurable through the same pager counters).
@@ -20,31 +21,14 @@ namespace kanon {
 /// The caller streams records in with Add(); each record carries a 64-bit
 /// sort key (e.g. a truncated Hilbert key). When the in-memory staging
 /// batch reaches `run_records`, it is sorted and spilled as a run (a
-/// PageChain). Finish() merges the runs and emits records in key order.
-///
-/// With a ThreadPool the pipeline parallelizes: run generation sorts
-/// several staged batches concurrently, intermediate merge passes run
-/// one group per task, and the final merge is partitioned by key range
-/// so every partition merges concurrently and the caller concatenates
-/// them in splitter order. The output is **deterministic and identical
-/// to the serial sorter at any thread count**, because the emit order
-/// is intrinsic to the records: ties on the sort key always break on
-/// record id, so neither run boundaries, pass structure, nor partition
-/// boundaries can influence the sequence. This assumes rids are unique
-/// within one sort — every caller in the tree feeds dense dataset
-/// RecordIds, which are.
-///
-/// Concurrency discipline: BufferPool stays single-threaded, so each
-/// concurrent task works through a private BufferPool over the shared
-/// (internally locked) Pager; pools are flushed at task handoff points
-/// so no task ever reads a page image another pool still holds dirty.
+/// PageChain). Finish() merges the runs and emits records in (key, rid)
+/// order. The sorter is single-threaded, like the BufferPool it spills
+/// through.
 class ExternalSorter {
  public:
   /// `run_records` is the memory budget expressed in records (the M of the
-  /// I/O model). `workers` = nullptr (or an empty pool) sorts serially;
-  /// the merge fan-in and run boundaries do not depend on it.
-  ExternalSorter(size_t dim, size_t run_records, BufferPool* pool,
-                 ThreadPool* workers = nullptr);
+  /// I/O model).
+  ExternalSorter(size_t dim, size_t run_records, BufferPool* pool);
 
   /// An interrupted sort (destroyed before Finish) releases its spilled
   /// runs back to the pager — see ~PageChain.
@@ -54,12 +38,11 @@ class ExternalSorter {
   ExternalSorter& operator=(const ExternalSorter&) = delete;
 
   size_t record_count() const { return record_count_; }
-  /// Runs spilled so far. With workers, staged batches awaiting their
-  /// parallel sort are not yet counted here.
+  /// Runs spilled so far.
   size_t run_count() const { return runs_.size(); }
 
   /// Adds one record with its sort key. Keys sort as uint64; ties break
-  /// on `rid`, which must be unique within one sort.
+  /// on `rid`.
   Status Add(uint64_t key, uint64_t rid, int32_t sensitive,
              std::span<const double> values);
 
@@ -76,52 +59,27 @@ class ExternalSorter {
                                     int32_t sensitive,
                                     std::span<const double> values)>;
 
-  /// Sorts `batch` by (key, rid) and appends it as a new run (with its
-  /// per-page first keys) through `pool`.
-  Status SpillSorted(const RecordBatch& batch, BufferPool* pool);
+  /// Sorts the staging batch by (key, rid) and appends it as a new run.
   Status SpillRun();
-  /// Sorts every batch staged in pending_ on the workers, then spills
-  /// them in staging order (run boundaries identical to serial).
-  Status FlushPending();
 
-  /// Merges runs [begin, end) through `pool`, emitting records in
-  /// (key, rid) order; when `sink` is set the stream is staged into
-  /// `chunk` and flushed into `sink` periodically, recording sink page
-  /// first keys into `sink_first_keys` (intermediate passes).
-  Status MergeRuns(size_t begin, size_t end, BufferPool* pool,
-                   const EmitFn& emit, RecordBatch* chunk, PageChain* sink,
-                   std::vector<uint64_t>* sink_first_keys);
+  /// Merges runs [begin, end), emitting records in (key, rid) order; when
+  /// `sink` is set the stream is staged into `chunk` and flushed into
+  /// `sink` periodically (intermediate passes).
+  Status MergeRuns(size_t begin, size_t end, const EmitFn& emit,
+                   RecordBatch* chunk, PageChain* sink);
 
-  /// One intermediate pass: merges groups of `fanin` runs (concurrently
-  /// when workers are available) and replaces runs_ with the merged
-  /// generation.
+  /// One intermediate pass: merges groups of `fanin` runs and replaces
+  /// runs_ with the merged generation.
   Status MergePass(size_t fanin);
-
-  /// Key-range-partitioned final merge across all runs on the workers.
-  Status ParallelFinalMerge(const EmitFn& emit);
-
-  /// Records per page of a run chain (fixed: runs fill pages densely).
-  size_t PageRecords() const;
 
   size_t dim_;
   size_t run_records_;
   BufferPool* pool_;
-  ThreadPool* workers_;
   RecordCodec codec_;  // dim_ + 1 doubles: the key rides in slot 0
-  // Private per-task pools from parallel merges. Declared before runs_:
-  // members destroy in reverse order, so chains sunk through these pools
-  // die (and Discard their pages) while the pools still exist.
-  std::vector<std::unique_ptr<BufferPool>> merge_pools_;
   std::vector<std::unique_ptr<PageChain>> runs_;
-  // First key of every page of each run, recorded at spill time; the
-  // parallel final merge derives its key-range splitters and cursor seek
-  // positions from these instead of scanning the runs.
-  std::vector<std::vector<uint64_t>> run_first_keys_;
   // In-memory staging batch; the key is stored as values[0] so a run page
   // is self-contained.
   RecordBatch staging_;
-  // Full staged batches awaiting the parallel run sort (workers only).
-  std::vector<RecordBatch> pending_;
   size_t record_count_ = 0;
   bool finished_ = false;
 };

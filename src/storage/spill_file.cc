@@ -141,18 +141,9 @@ void PageChain::Clear() {
 }
 
 PageChainCursor::PageChainCursor(const PageChain* chain)
-    : chain_(chain), pool_(chain->pool_), values_(chain->codec_->dim()) {
+    : chain_(chain), values_(chain->codec_->dim()) {
   // Position on the first record (if any). A load failure leaves the
   // cursor invalid with the error retained in status().
-  status_ = LoadCurrent();
-}
-
-PageChainCursor::PageChainCursor(const PageChain* chain, BufferPool* pool,
-                                 size_t start_page)
-    : chain_(chain),
-      pool_(pool),
-      page_index_(start_page),
-      values_(chain->codec_->dim()) {
   status_ = LoadCurrent();
 }
 
@@ -160,14 +151,15 @@ Status PageChainCursor::LoadCurrent() {
   valid_ = false;
   while (page_index_ < chain_->pages_.size()) {
     if (!handle_.valid()) {
-      auto fetched = pool_->Fetch(chain_->pages_[page_index_]);
+      auto fetched = chain_->pool_->Fetch(chain_->pages_[page_index_]);
       if (!fetched.ok()) {
         status_ = fetched.status();
         return fetched.status();
       }
       handle_ = std::move(*fetched);
     }
-    RecordPageView view(handle_.data(), pool_->page_size(), chain_->codec_);
+    RecordPageView view(handle_.data(), chain_->pool_->page_size(),
+                        chain_->codec_);
     if (slot_ < view.count()) {
       view.Read(slot_, &rid_, &sensitive_, values_.data());
       valid_ = true;

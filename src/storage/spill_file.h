@@ -144,16 +144,6 @@ class PageChainCursor {
  public:
   explicit PageChainCursor(const PageChain* chain);
 
-  /// Cursor that pins pages through `pool` instead of the chain's own
-  /// BufferPool, starting at page `start_page` of the chain. This is how
-  /// the parallel merge gives each concurrent task a private (BufferPool
-  /// is single-threaded) view of a shared run: the pools share the
-  /// thread-safe Pager underneath. The chain's pages must be flushed to
-  /// the pager (BufferPool::FlushAll) before the first Fetch through a
-  /// foreign pool, or it would read stale page images.
-  PageChainCursor(const PageChain* chain, BufferPool* pool,
-                  size_t start_page);
-
   bool valid() const { return valid_; }
   /// OK while the cursor has only ever seen readable pages; the first
   /// page-read failure is sticky.
@@ -173,7 +163,6 @@ class PageChainCursor {
   Status LoadCurrent();
 
   const PageChain* chain_;
-  BufferPool* pool_;  // the chain's own pool unless overridden
   size_t page_index_ = 0;
   uint32_t slot_ = 0;
   PageHandle handle_;

@@ -186,7 +186,7 @@ TEST_F(CliRunTest, ThreadsSelectsSortedBulkLoadBackend) {
   std::ostringstream log;
   EXPECT_EQ(cli::Run(o, log), 0) << log.str();
   EXPECT_EQ(CountOutputRows(), 1001u);
-  EXPECT_NE(log.str().find("sorted bulk load on 2 threads"),
+  EXPECT_NE(log.str().find("top-down bulk load on 2 threads"),
             std::string::npos)
       << log.str();
 }

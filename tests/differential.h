@@ -9,8 +9,8 @@
 // three strictness levels:
 //
 //   * byte identity       — SnapshotBytes: the serialized tree stream,
-//     for pipelines that promise the exact same tree (sorted bulk loads
-//     at any thread count).
+//     for pipelines that promise the exact same tree (top-down bulk
+//     loads at any thread count).
 //   * release identity    — ExpectSameRelease: identical partitions in
 //     order (rids and box bounds), for same-tree pipelines compared at
 //     the published-output level.

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <set>
-#include <tuple>
 #include <vector>
 
 #include "common/env.h"
@@ -128,6 +127,27 @@ TEST(ExternalSorterTest, MultiPassMergeUnderTinyPool) {
   EXPECT_EQ(count, n);
 }
 
+TEST(ExternalSorterTest, ThreeFramePoolMergesPairwise) {
+  // The fan-in is the pool capacity minus headroom; a pool that small
+  // must fall back to pairwise merges, not to one merge of every run.
+  SortRig rig(/*pool_frames=*/3, /*page_size=*/512);
+  ExternalSorter sorter(1, /*run_records=*/8, &rig.pool);
+  for (size_t i = 0; i < 400; ++i) {
+    const double v[] = {static_cast<double>(i)};
+    ASSERT_TRUE(sorter.Add((i * 7919) % 401, i, 0, {v, 1}).ok());
+  }
+  size_t emitted = 0;
+  uint64_t prev = 0;
+  const Status finish = sorter.Finish(
+      [&](uint64_t key, uint64_t, int32_t, std::span<const double>) {
+        EXPECT_GE(key, prev);
+        prev = key;
+        ++emitted;
+      });
+  ASSERT_TRUE(finish.ok()) << finish;
+  EXPECT_EQ(emitted, 400u);
+}
+
 TEST(ExternalSorterTest, ExtremeKeysRoundTrip) {
   SortRig rig;
   ExternalSorter sorter(1, 4, &rig.pool);
@@ -228,66 +248,9 @@ TEST(ExternalSorterTest, CorruptSpillPageSurfacesStatusNotCrash) {
   EXPECT_GE(env.injected(), 1u);
 }
 
-// Differential harness for the parallel merge: the serial and parallel
-// sorters must emit the identical (key, rid, sensitive, values) sequence —
-// the determinism contract the parallel bulk load builds on.
-using EmittedRecord =
-    std::tuple<uint64_t, uint64_t, int32_t, std::vector<double>>;
-
-std::vector<EmittedRecord> SortWithThreads(size_t n, size_t dim,
-                                           uint64_t seed, size_t run_records,
-                                           size_t pool_frames,
-                                           size_t threads) {
-  SortRig rig(pool_frames, /*page_size=*/512);
-  ThreadPool workers(threads > 1 ? threads - 1 : 0);
-  ExternalSorter sorter(dim, run_records, &rig.pool,
-                        threads > 1 ? &workers : nullptr);
-  Rng rng(seed);
-  std::vector<double> v(dim);
-  for (size_t i = 0; i < n; ++i) {
-    for (auto& x : v) x = rng.UniformDouble(0, 1000);
-    // Narrow key range: duplicate keys exercise the rid tie-break.
-    EXPECT_TRUE(
-        sorter.Add(rng.Uniform(97), i, static_cast<int32_t>(i % 5), v).ok());
-  }
-  std::vector<EmittedRecord> out;
-  EXPECT_TRUE(sorter
-                  .Finish([&](uint64_t key, uint64_t rid, int32_t sens,
-                              std::span<const double> values) {
-                    out.emplace_back(
-                        key, rid, sens,
-                        std::vector<double>(values.begin(), values.end()));
-                  })
-                  .ok());
-  return out;
-}
-
-TEST(ParallelMergeTest, EmitsIdenticalSequenceAtEveryThreadCount) {
-  const auto serial = SortWithThreads(4000, 2, /*seed=*/7,
-                                      /*run_records=*/64,
-                                      /*pool_frames=*/64, /*threads=*/1);
-  ASSERT_EQ(serial.size(), 4000u);
-  for (const size_t threads : {2, 4, 8}) {
-    const auto parallel = SortWithThreads(4000, 2, 7, 64, 64, threads);
-    EXPECT_EQ(parallel, serial) << "threads=" << threads;
-  }
-}
-
-TEST(ParallelMergeTest, MultiPassMergeIdenticalUnderTinyPool) {
-  // Pool smaller than the run count: intermediate passes happen, and the
-  // parallel group-merge path must reproduce the serial stream exactly.
-  const auto serial = SortWithThreads(3000, 1, /*seed=*/8,
-                                      /*run_records=*/32,
-                                      /*pool_frames=*/10, /*threads=*/1);
-  ASSERT_EQ(serial.size(), 3000u);
-  const auto parallel = SortWithThreads(3000, 1, 8, 32, 10, /*threads=*/4);
-  EXPECT_EQ(parallel, serial);
-}
-
 TEST(ParallelMergeTest, ConcurrentSortersShareOnePager) {
-  // Several parallel sorters over private pools on one shared (thread-
-  // safe) pager — the layout the group-parallel merge pass uses. Run
-  // under TSan in CI.
+  // Several sorters on concurrent threads, each over a private pool on
+  // one shared (thread-safe) pager. Run under TSan in CI.
   MemPager pager(512);
   ThreadPool workers(4);
   std::vector<size_t> counts(4, 0);

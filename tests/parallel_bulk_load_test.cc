@@ -1,15 +1,19 @@
-// Differential serial-vs-parallel harness for the bulk-load pipeline
-// (ISSUE 4 tentpole). The contract under test: for a fixed dataset and
-// configuration, SortedBulkLoadTree produces a byte-identical serialized
-// snapshot at EVERY thread count — parallelism is an implementation
-// detail, never an observable one. Each built tree is additionally run
-// through the shared structural invariants (tests/invariants.h).
+// Differential serial-vs-parallel harness for the top-down bulk load. The
+// contract under test: for fixed records and configuration,
+// TopDownBulkLoad produces a byte-identical serialized snapshot at EVERY
+// thread count — parallelism is an implementation detail, never an
+// observable one — and the same leaves for any input order of the
+// records. Each built tree is additionally run through the shared
+// structural invariants (tests/invariants.h).
 
 #include "index/bulk_load.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <ostream>
 #include <vector>
 
 #include "anon/rtree_anonymizer.h"
@@ -18,8 +22,6 @@
 #include "data/agrawal_generator.h"
 #include "differential.h"
 #include "invariants.h"
-#include "storage/buffer_pool.h"
-#include "storage/pager.h"
 
 namespace kanon {
 namespace {
@@ -49,25 +51,27 @@ RTreeConfig SmallConfig() {
   return config;
 }
 
-StatusOr<RPlusTree> BuildWithThreads(const Dataset& data,
-                                     const RTreeConfig& config,
-                                     size_t threads, size_t run_records,
-                                     size_t pool_frames) {
-  MemPager pager(512);
-  BufferPool pool(&pager, pool_frames);
+RPlusTree BuildWithThreads(const Dataset& data, const RTreeConfig& config,
+                           size_t threads) {
   ThreadPool workers(threads > 1 ? threads - 1 : 0);
-  return SortedBulkLoadTree(data, config, CurveOrder::kHilbert,
-                            /*grid_bits=*/10, &pool, run_records,
-                            threads > 1 ? &workers : nullptr);
+  return TopDownBulkLoad(DatasetRecords(data), config,
+                         threads > 1 ? &workers : nullptr);
 }
 
+// `name` is the instance's test id. Each id ends in `_r<records>_f<frames>`,
+// the run size and pool frames of the external-sort loader these instances
+// were first written against; the top-down loader has no spill, but the ids
+// stay as they were so each instance keeps one name across the history.
 struct DiffParams {
   size_t n;
   size_t dim;
   uint64_t seed;
-  size_t run_records;
-  size_t pool_frames;
+  const char* name;
 };
+
+// Print the id, not the struct's bytes: the bytes hold a pointer, which
+// would make the listed test names change from build to build.
+void PrintTo(const DiffParams& p, std::ostream* os) { *os << p.name; }
 
 class ParallelBulkLoadDifferential
     : public ::testing::TestWithParam<DiffParams> {};
@@ -77,84 +81,64 @@ TEST_P(ParallelBulkLoadDifferential, SnapshotByteIdenticalAcrossThreads) {
   const Dataset data = MakeData(p.n, p.dim, p.seed);
   const RTreeConfig config = SmallConfig();
 
-  auto serial =
-      BuildWithThreads(data, config, 1, p.run_records, p.pool_frames);
-  ASSERT_TRUE(serial.ok()) << serial.status();
-  ASSERT_TRUE(serial->CheckInvariants().ok());
-  EXPECT_EQ(serial->size(), p.n);
-  testutil::ExpectTreeLeafInvariants(*serial, config.min_leaf);
-  const std::vector<char> want = SnapshotBytes(*serial);
+  const RPlusTree serial = BuildWithThreads(data, config, 1);
+  ASSERT_TRUE(serial.CheckInvariants().ok());
+  EXPECT_EQ(serial.size(), p.n);
+  testutil::ExpectTreeLeafInvariants(serial, config.min_leaf);
+  const std::vector<char> want = SnapshotBytes(serial);
   ASSERT_FALSE(want.empty());
 
   for (const size_t threads : {2, 4, 8}) {
-    auto parallel =
-        BuildWithThreads(data, config, threads, p.run_records, p.pool_frames);
-    ASSERT_TRUE(parallel.ok()) << parallel.status();
-    ASSERT_TRUE(parallel->CheckInvariants().ok());
-    EXPECT_EQ(parallel->size(), p.n);
-    EXPECT_EQ(SnapshotBytes(*parallel), want) << "threads=" << threads;
+    const RPlusTree parallel = BuildWithThreads(data, config, threads);
+    ASSERT_TRUE(parallel.CheckInvariants().ok());
+    EXPECT_EQ(parallel.size(), p.n);
+    EXPECT_EQ(SnapshotBytes(parallel), want) << "threads=" << threads;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ParallelBulkLoadDifferential,
     ::testing::Values(
-        // Single in-memory run, no merge.
-        DiffParams{300, 2, 11, 1024, 64},
-        // Many runs, single merge pass.
-        DiffParams{3000, 2, 11, 64, 64},
-        // Many runs and a pool small enough to force intermediate passes.
-        DiffParams{2000, 1, 29, 32, 10},
-        // Higher dimensionality (curve key truncation in play).
-        DiffParams{1500, 5, 29, 128, 64},
+        // Small 2-D data: a shallow tree.
+        DiffParams{300, 2, 11, "n300_d2_s11_r1024_f64"},
+        // Larger 2-D data: the root's pieces are deep subtrees.
+        DiffParams{3000, 2, 11, "n3000_d2_s11_r64_f64"},
+        // 1-D data: every cut is on the one axis.
+        DiffParams{2000, 1, 29, "n2000_d1_s29_r32_f10"},
+        // Higher dimensionality.
+        DiffParams{1500, 5, 29, "n1500_d5_s29_r128_f64"},
         // Duplicate-heavy 1-D data: unsplittable groups, overfull leaves.
-        DiffParams{900, 1, 11, 64, 32}),
+        DiffParams{900, 1, 11, "n900_d1_s11_r64_f32"}),
     [](const ::testing::TestParamInfo<DiffParams>& info) {
-      std::string name = "n";
-      name += std::to_string(info.param.n);
-      name += "_d";
-      name += std::to_string(info.param.dim);
-      name += "_s";
-      name += std::to_string(info.param.seed);
-      name += "_r";
-      name += std::to_string(info.param.run_records);
-      name += "_f";
-      name += std::to_string(info.param.pool_frames);
-      return name;
+      return std::string(info.param.name);
     });
 
 TEST(ParallelBulkLoadTest, EmptyAndTinyDatasets) {
   const RTreeConfig config = SmallConfig();
   Dataset empty(Schema::Numeric(2));
-  auto tree = BuildWithThreads(empty, config, 4, 64, 16);
-  ASSERT_TRUE(tree.ok());
-  EXPECT_EQ(tree->size(), 0u);
+  EXPECT_EQ(BuildWithThreads(empty, config, 4).size(), 0u);
 
   const Dataset tiny = MakeData(7, 2, 3);  // fits one (root) leaf
-  auto tiny_serial = BuildWithThreads(tiny, config, 1, 64, 16);
-  auto tiny_parallel = BuildWithThreads(tiny, config, 8, 64, 16);
-  ASSERT_TRUE(tiny_serial.ok());
-  ASSERT_TRUE(tiny_parallel.ok());
-  EXPECT_EQ(tiny_serial->height(), 1);
-  EXPECT_EQ(SnapshotBytes(*tiny_parallel), SnapshotBytes(*tiny_serial));
+  const RPlusTree tiny_serial = BuildWithThreads(tiny, config, 1);
+  const RPlusTree tiny_parallel = BuildWithThreads(tiny, config, 8);
+  EXPECT_EQ(tiny_serial.height(), 1);
+  EXPECT_EQ(SnapshotBytes(tiny_parallel), SnapshotBytes(tiny_serial));
 }
 
 TEST(ParallelBulkLoadTest, AllIdenticalPointsYieldOneOverfullLeaf) {
   Dataset d(Schema::Numeric(2));
   for (size_t i = 0; i < 50; ++i) d.Append({1.0, 2.0}, 0);
-  auto tree = BuildWithThreads(d, SmallConfig(), 4, 16, 16);
-  ASSERT_TRUE(tree.ok());
-  EXPECT_EQ(tree->size(), 50u);
-  ASSERT_TRUE(tree->CheckInvariants().ok());
-  auto serial = BuildWithThreads(d, SmallConfig(), 1, 16, 16);
-  ASSERT_TRUE(serial.ok());
-  EXPECT_EQ(SnapshotBytes(*tree), SnapshotBytes(*serial));
+  const RPlusTree tree = BuildWithThreads(d, SmallConfig(), 4);
+  EXPECT_EQ(tree.size(), 50u);
+  ASSERT_TRUE(tree.CheckInvariants().ok());
+  const RPlusTree serial = BuildWithThreads(d, SmallConfig(), 1);
+  EXPECT_EQ(SnapshotBytes(tree), SnapshotBytes(serial));
 }
 
 TEST(ParallelBulkLoadTest, DuplicateCurveKeysStayEquivalentToTupleLoad) {
   // A spread base plus a growing pile of identical points: the duplicates
-  // share one curve key, concentrate in one leaf neighborhood and force
-  // key ties across cut boundaries. The bulk-loaded tree may arrange the
+  // concentrate in one leaf neighborhood and cannot be separated by any
+  // cut. The bulk-loaded tree may arrange the
   // records differently from the tuple-loaded one (unsplittable groups go
   // overfull, never underfull or double-covered), but it must hold the
   // same records and answer every range query the same.
@@ -175,9 +159,8 @@ TEST(ParallelBulkLoadTest, DuplicateCurveKeysStayEquivalentToTupleLoad) {
   }
   const Domain domain = d.ComputeDomain();
   for (const size_t threads : {size_t{1}, size_t{4}}) {
-    auto bulk = BuildWithThreads(d, config, threads, 256, 16);
-    ASSERT_TRUE(bulk.ok()) << bulk.status();
-    testutil::ExpectEquivalentTrees(*bulk, tuple, config.min_leaf, domain,
+    const RPlusTree bulk = BuildWithThreads(d, config, threads);
+    testutil::ExpectEquivalentTrees(bulk, tuple, config.min_leaf, domain,
                                     /*seed=*/threads);
   }
 }
@@ -201,19 +184,64 @@ TEST(ParallelBulkLoadTest, LeafConstraintRespectedAtEveryThreadCount) {
     const double x = rng.UniformDouble(0, 1000);
     d.Append({x}, x < 500 ? 0 : 1);
   }
-  auto serial = BuildWithThreads(d, config, 1, 64, 32);
-  ASSERT_TRUE(serial.ok());
-  ASSERT_TRUE(serial->CheckInvariants().ok());
-  for (const Node* leaf : serial->OrderedLeaves()) {
+  const RPlusTree serial = BuildWithThreads(d, config, 1);
+  ASSERT_TRUE(serial.CheckInvariants().ok());
+  for (const Node* leaf : serial.OrderedLeaves()) {
     bool diverse = leaf->sensitive.empty();
     for (size_t i = 1; i < leaf->sensitive.size(); ++i) {
       if (leaf->sensitive[i] != leaf->sensitive[0]) diverse = true;
     }
     EXPECT_TRUE(diverse);
   }
-  auto parallel = BuildWithThreads(d, config, 4, 64, 32);
-  ASSERT_TRUE(parallel.ok());
-  EXPECT_EQ(SnapshotBytes(*parallel), SnapshotBytes(*serial));
+  const RPlusTree parallel = BuildWithThreads(d, config, 4);
+  EXPECT_EQ(SnapshotBytes(parallel), SnapshotBytes(serial));
+}
+
+TEST(ParallelBulkLoadTest, LeavesIgnoreInputOrder) {
+  // Every cut is a pure function of the record multiset, so a row-permuted
+  // copy of the data (rids mapped back) must yield the same leaves in the
+  // same order; only the order of records inside a leaf may differ. This
+  // is why the loader needs no presort.
+  Dataset data(Schema::Numeric(3));
+  Rng rng(23);
+  for (size_t i = 0; i < 3000; ++i) {
+    // Coarse grids: most coordinates repeat, many points coincide.
+    data.Append({std::floor(rng.UniformDouble(0, 10)),
+                 std::floor(rng.UniformDouble(0, 4)) * 25,
+                 i % 4 == 0 ? 7.0 : rng.UniformDouble(0, 100)},
+                static_cast<int32_t>(rng.Uniform(5)));
+  }
+  std::vector<RecordId> perm(data.num_records());
+  std::iota(perm.begin(), perm.end(), 0);
+  for (size_t i = perm.size(); i > 1; --i) {
+    std::swap(perm[i - 1], perm[rng.Uniform(i)]);
+  }
+  Dataset permuted(data.schema());
+  for (const RecordId r : perm) permuted.Append(data.row(r), data.sensitive(r));
+
+  const RTreeConfig config = SmallConfig();
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    const RPlusTree want = BuildWithThreads(data, config, threads);
+    const RPlusTree got = BuildWithThreads(permuted, config, threads);
+    ASSERT_TRUE(got.CheckInvariants().ok());
+    EXPECT_EQ(got.height(), want.height());
+    const auto want_leaves = want.OrderedLeaves();
+    const auto got_leaves = got.OrderedLeaves();
+    ASSERT_EQ(got_leaves.size(), want_leaves.size()) << "threads=" << threads;
+    for (size_t l = 0; l < want_leaves.size(); ++l) {
+      std::vector<uint64_t> want_rids = want_leaves[l]->rids;
+      std::vector<uint64_t> got_rids;
+      for (const uint64_t rid : got_leaves[l]->rids) {
+        got_rids.push_back(perm[rid]);
+      }
+      std::sort(want_rids.begin(), want_rids.end());
+      std::sort(got_rids.begin(), got_rids.end());
+      EXPECT_EQ(got_rids, want_rids) << "threads=" << threads << " leaf " << l;
+      EXPECT_EQ(got_leaves[l]->mbr, want_leaves[l]->mbr);
+      EXPECT_EQ(got_leaves[l]->region.lo, want_leaves[l]->region.lo);
+      EXPECT_EQ(got_leaves[l]->region.hi, want_leaves[l]->region.hi);
+    }
+  }
 }
 
 TEST(ParallelBulkLoadTest, AnonymizerBackendIsThreadCountInvariant) {
@@ -221,29 +249,31 @@ TEST(ParallelBulkLoadTest, AnonymizerBackendIsThreadCountInvariant) {
   // and boxes) must not depend on --threads.
   const Dataset data = AgrawalGenerator(7).Generate(4000);
   RTreeAnonymizerOptions options;
-  options.backend = RTreeAnonymizerOptions::Backend::kSortedBulkLoad;
-  // Runs hold the 1,024-record floor, so 4,000 records span four runs.
-  options.memory_budget_bytes = 256 << 10;
+  options.backend = RTreeAnonymizerOptions::Backend::kTopDownBulkLoad;
   options.threads = 1;
   auto serial = RTreeAnonymizer(options).Anonymize(data, 10);
   ASSERT_TRUE(serial.ok()) << serial.status();
   testutil::ExpectPartitionInvariants(data, *serial, 10);
-  options.threads = 4;
-  auto parallel = RTreeAnonymizer(options).Anonymize(data, 10);
-  ASSERT_TRUE(parallel.ok()) << parallel.status();
-  ASSERT_EQ(parallel->num_partitions(), serial->num_partitions());
-  for (size_t i = 0; i < serial->partitions.size(); ++i) {
-    EXPECT_EQ(parallel->partitions[i].rids, serial->partitions[i].rids);
-    EXPECT_EQ(parallel->partitions[i].box, serial->partitions[i].box);
+  // 64 exceeds max_fanout: the pool is capped, the output is not changed.
+  for (const size_t threads : {size_t{4}, size_t{64}}) {
+    options.threads = threads;
+    auto parallel = RTreeAnonymizer(options).Anonymize(data, 10);
+    ASSERT_TRUE(parallel.ok()) << parallel.status();
+    ASSERT_EQ(parallel->num_partitions(), serial->num_partitions());
+    for (size_t i = 0; i < serial->partitions.size(); ++i) {
+      EXPECT_EQ(parallel->partitions[i].rids, serial->partitions[i].rids)
+          << "threads=" << threads;
+      EXPECT_EQ(parallel->partitions[i].box, serial->partitions[i].box);
+    }
   }
 }
 
 TEST(ParallelBulkLoadTest, MatchesBufferTreeCoverageGuarantees) {
-  // The sorted backend must meet the same published-output contract as
+  // The top-down backend must meet the same published-output contract as
   // the default backend (not the same partitions — the same guarantees).
   const Dataset data = MakeData(2500, 3, 17);
   RTreeAnonymizerOptions options;
-  options.backend = RTreeAnonymizerOptions::Backend::kSortedBulkLoad;
+  options.backend = RTreeAnonymizerOptions::Backend::kTopDownBulkLoad;
   options.threads = 4;
   auto ps = RTreeAnonymizer(options).Anonymize(data, 10);
   ASSERT_TRUE(ps.ok()) << ps.status();

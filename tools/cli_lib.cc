@@ -318,9 +318,9 @@ int Run(const CliOptions& options, std::ostream& log) {
     ro.compact = !options.uncompacted;
     ro.split.biased_axes = options.bias;
     if (options.threads > 0) {
-      ro.backend = RTreeAnonymizerOptions::Backend::kSortedBulkLoad;
+      ro.backend = RTreeAnonymizerOptions::Backend::kTopDownBulkLoad;
       ro.threads = options.threads;
-      log << "sorted bulk load on " << options.threads << " thread"
+      log << "top-down bulk load on " << options.threads << " thread"
           << (options.threads == 1 ? "" : "s") << "\n";
     }
     auto ps = RTreeAnonymizer(ro).Anonymize(*dataset, options.k);

@@ -4,9 +4,9 @@
 // (tools/cli_lib.cc). Every value is parsed strictly: a malformed or
 // out-of-range value is a usage error (exit 2), never another value.
 //
-// --threads N (rtree only) selects the parallel sorted bulk-load backend
-// on N threads. The pipeline is deterministic: every thread count yields
-// the same partitions.
+// --threads N (rtree only) selects the in-memory top-down bulk-load
+// backend on N threads. The build is deterministic: every thread count
+// yields the same partitions.
 //
 // Serve mode streams the CSV through the concurrent incremental
 // anonymization service (src/service/) and reports serving statistics.
