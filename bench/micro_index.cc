@@ -188,26 +188,5 @@ void BM_TopDownBulkLoad(benchmark::State& state) {
 BENCHMARK(BM_TopDownBulkLoad)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
-void BM_RPlusTreeDelete(benchmark::State& state) {
-  const Dataset data = MakeData(100000, 3);
-  RTreeConfig config;
-  config.min_leaf = 5;
-  config.max_leaf = 15;
-  RPlusTree tree(3, config);
-  for (RecordId r = 0; r < data.num_records(); ++r) {
-    tree.Insert(data.row(r), r, 0);
-  }
-  size_t i = 0;
-  for (auto _ : state) {
-    // Delete and reinsert so the tree size stays stable.
-    const RecordId r = i % data.num_records();
-    benchmark::DoNotOptimize(tree.Delete(data.row(r), r));
-    tree.Insert(data.row(r), r, 0);
-    ++i;
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(i));
-}
-BENCHMARK(BM_RPlusTreeDelete);
-
 }  // namespace
 }  // namespace kanon

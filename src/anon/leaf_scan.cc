@@ -17,8 +17,8 @@ Mbr ClipRegionToDomain(const Region& region, const Domain& domain) {
 std::vector<LeafGroup> ExtractLeafGroups(const RPlusTree& tree,
                                          const Domain* domain) {
   std::vector<LeafGroup> out;
+  if (tree.size() == 0) return out;  // a lone empty root leaf is no group
   for (const Node* leaf : tree.OrderedLeaves()) {
-    if (leaf->leaf_size() == 0) continue;  // post-deletion empty leaf
     LeafGroup g;
     g.rids = leaf->rids;
     g.mbr = leaf->mbr;
@@ -33,8 +33,8 @@ std::vector<LeafGroup> ExtractLeafGroups(const RPlusTree& tree,
 StatusOr<std::vector<LeafGroup>> ExtractLeafGroups(const BufferTree& tree,
                                                    const Domain* domain) {
   std::vector<LeafGroup> out;
+  if (tree.size() == 0) return out;  // a lone empty root leaf is no group
   for (const BufferNode* leaf : tree.OrderedLeaves()) {
-    if (leaf->record_count == 0) continue;
     LeafGroup g;
     g.mbr = leaf->mbr;
     if (domain != nullptr) {

@@ -195,11 +195,6 @@ void IncrementalAnonymizer::AdoptTree(RPlusTree tree) {
   tree_ = std::move(tree);
 }
 
-bool IncrementalAnonymizer::Delete(std::span<const double> point,
-                                   RecordId rid) {
-  return tree_.Delete(point, rid);
-}
-
 void IncrementalAnonymizer::InsertBatch(const Dataset& dataset,
                                         RecordId begin, RecordId end) {
   KANON_CHECK(begin <= end && end <= dataset.num_records());
@@ -208,8 +203,8 @@ void IncrementalAnonymizer::InsertBatch(const Dataset& dataset,
   }
 }
 
-void IncrementalAnonymizer::Vacuum() {
-  // Collect the live records and bulk-load them: the top-down cuts see the
+void IncrementalAnonymizer::Repack() {
+  // Collect the records and bulk-load them: the top-down cuts see the
   // whole record multiset at once, so leaf (spatial) order is as good an
   // input as any.
   RecordBatch records(tree_.dim());

@@ -91,10 +91,11 @@ class RTreeAnonymizer {
 };
 
 /// Incremental anonymizer (paper Section 2.2): maintains an in-memory
-/// R⁺-tree under record-at-a-time inserts and deletes; any granularity
-/// k >= base_k can be published at any time via Snapshot, without touching
-/// the records already indexed — unlike top-down algorithms, which must
-/// re-anonymize the whole table per batch.
+/// R⁺-tree under record-at-a-time inserts; any granularity k >= base_k can
+/// be published at any time via Snapshot, without touching the records
+/// already indexed — unlike top-down algorithms, which must re-anonymize
+/// the whole table per batch. Records are never removed, so every leaf
+/// but a lone root holds at least base_k records at all times.
 class IncrementalAnonymizer {
  public:
   /// `domain_hint` (when known, e.g. from schema metadata) normalizes split
@@ -105,7 +106,6 @@ class IncrementalAnonymizer {
 
   void Insert(std::span<const double> point, RecordId rid,
               int32_t sensitive);
-  bool Delete(std::span<const double> point, RecordId rid);
 
   /// Inserts every record of `dataset` whose id is in [begin, end).
   void InsertBatch(const Dataset& dataset, RecordId begin, RecordId end);
@@ -125,11 +125,10 @@ class IncrementalAnonymizer {
   /// Publishes the current records as a k-anonymization (k >= base_k).
   PartitionSet Snapshot(const Dataset& dataset, size_t k) const;
 
-  /// Rebuilds the index from the currently live records. Heavy churn
-  /// (deletions leave deficient leaves in place; early inserts fix region
-  /// boundaries that later data outgrows) slowly erodes partition quality;
-  /// an occasional vacuum restores bulk-load quality at bulk-load cost.
-  void Vacuum();
+  /// Rebuilds the index top-down from its records. The first inserts fix
+  /// the tree's region cuts from a tiny sample that later data outgrows;
+  /// a repack recuts them from the whole record set, at bulk-load cost.
+  void Repack();
 
  private:
   RTreeAnonymizerOptions options_;

@@ -34,8 +34,6 @@ Status BufferTree::Insert(std::span<const double> point, uint64_t rid,
                           int32_t sensitive) {
   KANON_DCHECK(point.size() == dim_);
   KANON_CHECK_MSG(!flushed_, "Insert after Flush");
-  KANON_CHECK_MSG((rid & kDeleteFlag) == 0,
-                  "record id uses the reserved deletion bit");
   if (root_->is_leaf) {
     KANON_RETURN_IF_ERROR(root_->records->Append(rid, sensitive, point));
     root_->mbr.ExpandToInclude(point);
@@ -56,73 +54,6 @@ Status BufferTree::Insert(std::span<const double> point, uint64_t rid,
   KANON_RETURN_IF_ERROR(root_->buffer->Append(rid, sensitive, point));
   if (root_->buffer->record_count() >= BufferThresholdRecords()) {
     KANON_RETURN_IF_ERROR(Clear(root_.get(), /*recurse=*/true));
-  }
-  return Status::OK();
-}
-
-Status BufferTree::Delete(std::span<const double> point, uint64_t rid) {
-  KANON_DCHECK(point.size() == dim_);
-  KANON_CHECK_MSG(!flushed_, "Delete after Flush");
-  KANON_CHECK_MSG((rid & kDeleteFlag) == 0,
-                  "record id uses the reserved deletion bit");
-  had_deletes_ = true;
-  if (root_->is_leaf) {
-    RecordBatch ops(dim_);
-    ops.Append(rid | kDeleteFlag, 0, point);
-    return ApplyOpsToLeaf(root_.get(), ops);
-  }
-  KANON_RETURN_IF_ERROR(
-      root_->buffer->Append(rid | kDeleteFlag, 0, point));
-  if (root_->buffer->record_count() >= BufferThresholdRecords()) {
-    KANON_RETURN_IF_ERROR(Clear(root_.get(), /*recurse=*/true));
-  }
-  return Status::OK();
-}
-
-Status BufferTree::ApplyOpsToLeaf(BufferNode* leaf, const RecordBatch& ops) {
-  RecordBatch records(dim_);
-  KANON_RETURN_IF_ERROR(leaf->records->DrainTo(&records));
-  const size_t before = records.size();
-  for (size_t i = 0; i < ops.size(); ++i) {
-    const uint64_t tagged = ops.rids[i];
-    if ((tagged & kDeleteFlag) == 0) {
-      records.Append(tagged, ops.sensitive[i], ops.row(i));
-      continue;
-    }
-    const uint64_t rid = tagged & ~kDeleteFlag;
-    bool found = false;
-    for (size_t r = records.size(); r-- > 0;) {
-      if (records.rids[r] == rid) {
-        // Swap-remove; record order within a leaf carries no meaning.
-        const size_t last = records.size() - 1;
-        records.rids[r] = records.rids[last];
-        records.sensitive[r] = records.sensitive[last];
-        for (size_t d = 0; d < dim_; ++d) {
-          records.values[r * dim_ + d] = records.values[last * dim_ + d];
-        }
-        records.rids.pop_back();
-        records.sensitive.pop_back();
-        records.values.resize(records.values.size() - dim_);
-        found = true;
-        break;
-      }
-    }
-    if (!found) ++unmatched_deletes_;
-  }
-  KANON_RETURN_IF_ERROR(leaf->records->AppendBatch(records));
-  leaf->mbr = Mbr(dim_);
-  for (size_t i = 0; i < records.size(); ++i) {
-    leaf->mbr.ExpandToInclude(records.row(i));
-  }
-  leaf->record_count = records.size();
-  // Ancestor counts track the delta; their MBRs may stay conservatively
-  // loose after shrinks and are tightened once at Flush.
-  const auto after = static_cast<ptrdiff_t>(records.size());
-  const ptrdiff_t delta = after - static_cast<ptrdiff_t>(before);
-  for (BufferNode* n = leaf->parent; n != nullptr; n = n->parent) {
-    n->record_count = static_cast<size_t>(
-        static_cast<ptrdiff_t>(n->record_count) + delta);
-    n->mbr.ExpandToInclude(leaf->mbr);
   }
   return Status::OK();
 }
@@ -171,20 +102,8 @@ Status BufferTree::Clear(BufferNode* node, bool recurse) {
   if (leaf_children) {
     for (size_t c = 0; c < num_children; ++c) {
       if (staged[c].empty()) continue;
-      bool has_delete = false;
-      for (uint64_t rid : staged[c].rids) {
-        if ((rid & kDeleteFlag) != 0) {
-          has_delete = true;
-          break;
-        }
-      }
-      if (has_delete) {
-        KANON_RETURN_IF_ERROR(
-            ApplyOpsToLeaf(node->children[c].get(), staged[c]));
-      } else {
-        KANON_RETURN_IF_ERROR(
-            AppendBatchToLeaf(node->children[c].get(), staged[c]));
-      }
+      KANON_RETURN_IF_ERROR(
+          AppendBatchToLeaf(node->children[c].get(), staged[c]));
     }
     // Split any leaves the batch overfilled. The child list mutates during
     // replacement, so scan by index and skip past the inserted pieces.
@@ -321,18 +240,6 @@ Status BufferTree::Flush() {
       }
     }
   }
-  // Deletions leave internal MBRs conservatively loose; tighten bottom-up.
-  if (had_deletes_) {
-    std::function<void(BufferNode*)> tighten = [&](BufferNode* n) {
-      if (n->is_leaf) return;
-      n->mbr = Mbr(dim_);
-      for (auto& c : n->children) {
-        tighten(c.get());
-        n->mbr.ExpandToInclude(c->mbr);
-      }
-    };
-    tighten(root_.get());
-  }
   return Status::OK();
 }
 
@@ -349,8 +256,7 @@ Status BufferTree::CheckNode(const BufferNode* node) const {
     if (node->records->record_count() != node->record_count) {
       return Status::Corruption("leaf chain count mismatch");
     }
-    if (!had_deletes_ && node->parent != nullptr &&
-        node->record_count < config_.min_leaf) {
+    if (node->parent != nullptr && node->record_count < config_.min_leaf) {
       return Status::Corruption("underfull buffer-tree leaf");
     }
     Status scan_status = Status::OK();

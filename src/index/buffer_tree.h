@@ -59,26 +59,14 @@ class BufferTree {
   size_t dim() const { return dim_; }
   size_t size() const { return root_->record_count; }
 
-  /// Buffered insertion of one record. Record ids must leave the top bit
-  /// clear (it tags buffered deletions).
+  /// Buffered insertion of one record.
   Status Insert(std::span<const double> point, uint64_t rid,
                 int32_t sensitive);
 
-  /// Buffered deletion of the record `rid` located at `point`. The
-  /// deletion travels down the same buffers as insertions, in FIFO order,
-  /// so it always observes a preceding buffered insert of the same record.
-  /// Deletions that reach a leaf without finding their record are counted
-  /// in unmatched_deletes(). Leaves may drop below min occupancy; regions
-  /// stay intact and the anonymization layer's leaf scan restores the
-  /// anonymity floor on emission (same policy as RPlusTree::Delete).
-  Status Delete(std::span<const double> point, uint64_t rid);
-
-  /// Deletions applied at a leaf without finding their record.
-  size_t unmatched_deletes() const { return unmatched_deletes_; }
-
-  /// Pushes every buffered operation to its leaf and tightens internal
-  /// MBRs. Must be called once, after the last Insert/Delete and before
-  /// reading the tree.
+  /// Pushes every buffered record down to its leaf, splitting as it goes.
+  /// Internal MBRs grow with every batch that reaches a leaf, so they are
+  /// tight once the buffers are empty. Must be called once, after the last
+  /// Insert and before reading the tree.
   Status Flush();
 
   const BufferNode* root() const { return root_.get(); }
@@ -105,14 +93,8 @@ class BufferTree {
   Status CheckInvariants() const;
 
  private:
-  /// Top bit of a buffered rid marks a deletion op.
-  static constexpr uint64_t kDeleteFlag = 1ull << 63;
-
   size_t BufferThresholdRecords() const;
   Status AppendBatchToLeaf(BufferNode* leaf, const RecordBatch& batch);
-  /// Applies a mixed insert/delete op sequence to a leaf (rewrites its
-  /// record chain).
-  Status ApplyOpsToLeaf(BufferNode* leaf, const RecordBatch& ops);
   /// Distributes the node's buffer one level down; splits overfull leaves
   /// and overflowing nodes; with `recurse` also clears children whose
   /// buffers filled up (the paper's cascading clears).
@@ -133,8 +115,6 @@ class BufferTree {
   RecordCodec codec_;
   std::unique_ptr<BufferNode> root_;
   bool flushed_ = false;
-  bool had_deletes_ = false;
-  size_t unmatched_deletes_ = 0;
 };
 
 }  // namespace kanon

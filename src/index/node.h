@@ -61,14 +61,6 @@ struct Node {
     ++record_count;
   }
 
-  /// Removes leaf record at position i (swap-with-last; order within a leaf
-  /// carries no meaning). Does not recompute the MBR — callers that need a
-  /// tight box call RecomputeLeafMbr().
-  void RemoveRecordAt(size_t i);
-
-  /// Rebuilds the leaf MBR from the stored points.
-  void RecomputeLeafMbr();
-
  private:
   size_t dim_;
 };

@@ -95,28 +95,6 @@ std::unique_ptr<Node> RPlusTree::MakeInternal(Region region) const {
   return node;
 }
 
-bool RPlusTree::Delete(std::span<const double> point, uint64_t rid) {
-  KANON_DCHECK(point.size() == dim_);
-  Node* leaf = ChooseLeaf(point);
-  size_t idx = leaf->leaf_size();
-  for (size_t i = 0; i < leaf->leaf_size(); ++i) {
-    if (leaf->rids[i] == rid) {
-      idx = i;
-      break;
-    }
-  }
-  if (idx == leaf->leaf_size()) return false;
-  leaf->RemoveRecordAt(idx);
-  leaf->RecomputeLeafMbr();
-  for (Node* n = leaf->parent; n != nullptr; n = n->parent) {
-    --n->record_count;
-    // Exact MBR maintenance: rebuild from children boxes.
-    n->mbr = Mbr(dim_);
-    for (const auto& c : n->children) n->mbr.ExpandToInclude(c->mbr);
-  }
-  return true;
-}
-
 size_t RPlusTree::SearchRange(const Mbr& query,
                               std::vector<uint64_t>* out) const {
   size_t leaves_visited = 0;
@@ -139,7 +117,7 @@ size_t RPlusTree::SearchRange(const Mbr& query,
   return leaves_visited;
 }
 
-Status RPlusTree::CheckNode(const Node* node, bool allow_underfull) const {
+Status RPlusTree::CheckNode(const Node* node) const {
   // MBR within region (MBRs are closed; regions half-open — containment is
   // lo <= mbr.lo and mbr.hi <= region.hi, strict at finite hi boundaries
   // except for degenerate tolerance).
@@ -156,8 +134,7 @@ Status RPlusTree::CheckNode(const Node* node, bool allow_underfull) const {
       return Status::Corruption("leaf record_count mismatch");
     }
     const bool is_root = node->parent == nullptr;
-    if (!is_root && !allow_underfull &&
-        node->leaf_size() < config_.min_leaf) {
+    if (!is_root && node->leaf_size() < config_.min_leaf) {
       return Status::Corruption("underfull leaf");
     }
     for (size_t i = 0; i < node->leaf_size(); ++i) {
@@ -173,18 +150,16 @@ Status RPlusTree::CheckNode(const Node* node, bool allow_underfull) const {
   KANON_RETURN_IF_ERROR(CheckChildren(*node));
   Mbr expect(dim_);
   for (const auto& c : node->children) expect.ExpandToInclude(c->mbr);
-  if (node->record_count > 0 && !(expect == node->mbr)) {
+  if (!(expect == node->mbr)) {
     return Status::Corruption("internal MBR is not the union of children");
   }
   for (const auto& c : node->children) {
-    KANON_RETURN_IF_ERROR(CheckNode(c.get(), allow_underfull));
+    KANON_RETURN_IF_ERROR(CheckNode(c.get()));
   }
   return Status::OK();
 }
 
-Status RPlusTree::CheckInvariants(bool allow_underfull_leaves) const {
-  return CheckNode(root_.get(), allow_underfull_leaves);
-}
+Status RPlusTree::CheckInvariants() const { return CheckNode(root_.get()); }
 
 RPlusTree::TreeStats RPlusTree::ComputeStats() const {
   TreeStats stats;

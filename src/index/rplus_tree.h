@@ -35,15 +35,15 @@ struct RTreeConfig {
 ///    literature universally assumes;
 ///  * every node maintains the MBR of its records, which is the *compacted*
 ///    generalized quasi-identifier value (Section 4 of the paper);
-///  * leaves hold between min_leaf and max_leaf records. A leaf that cannot
-///    be split without a side dropping below min_leaf (duplicate-heavy data)
-///    is left overfull — that preserves k-anonymity trivially. Deletions may
-///    leave leaves underfull; the tree keeps their regions intact (so
-///    routing still works) and the anonymization layer's leaf scan merges
-///    deficient leaves back above k when emitting partitions.
+///  * every leaf except a lone root holds at least min_leaf records, and
+///    at most max_leaf unless it cannot be split without a side dropping
+///    below min_leaf (duplicate-heavy data) — an overfull leaf preserves
+///    k-anonymity trivially.
 ///
-/// Record-at-a-time Insert is the paper's incremental anonymization
-/// mechanism; for bulk loads see BufferTree (index/buffer_tree.h).
+/// The tree is insert-only: a record, once indexed, stays, so the
+/// occupancy floor holds after every operation. Record-at-a-time Insert is
+/// the paper's incremental anonymization mechanism; for bulk loads see
+/// BufferTree (index/buffer_tree.h).
 class RPlusTree {
  public:
   RPlusTree(size_t dim, RTreeConfig config);
@@ -64,10 +64,6 @@ class RPlusTree {
 
   /// Inserts one record. `point` must have dim() coordinates.
   void Insert(std::span<const double> point, uint64_t rid, int32_t sensitive);
-
-  /// Deletes the record `rid` located at `point`. Returns false when no such
-  /// record exists. Never restructures the tree (see class comment).
-  bool Delete(std::span<const double> point, uint64_t rid);
 
   size_t size() const { return root_->record_count; }
   int height() const { return Height(*root_); }
@@ -90,9 +86,8 @@ class RPlusTree {
   size_t SearchRange(const Mbr& query, std::vector<uint64_t>* out) const;
 
   /// Verifies every structural invariant (region tiling, MBR containment,
-  /// occupancy, counts, parent links). `allow_underfull_leaves` tolerates
-  /// post-deletion deficits.
-  Status CheckInvariants(bool allow_underfull_leaves = false) const;
+  /// occupancy, counts, parent links).
+  Status CheckInvariants() const;
 
   struct TreeStats {
     size_t num_leaves = 0;
@@ -107,7 +102,7 @@ class RPlusTree {
   Node* ChooseLeaf(std::span<const double> point);
   void SplitLeaf(Node* leaf);
   std::unique_ptr<Node> MakeInternal(Region region) const;
-  Status CheckNode(const Node* node, bool allow_underfull) const;
+  Status CheckNode(const Node* node) const;
 
   size_t dim_;
   RTreeConfig config_;

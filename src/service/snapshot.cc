@@ -24,7 +24,6 @@ std::shared_ptr<const Snapshot> BuildSnapshot(
   Timer timer;
   std::vector<LeafFragment> fragments;
   for (const Node* leaf : tree.OrderedLeaves()) {
-    if (leaf->leaf_size() == 0) continue;  // post-deletion empty leaf
     auto group = std::make_shared<LeafGroup>();
     group->rids = leaf->rids;
     group->mbr = leaf->mbr;

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <set>
 
 #include "common/random.h"
@@ -200,88 +199,6 @@ TEST(BufferTreeTest, PaperExampleScaleConfiguration) {
   for (const BufferNode* leaf : tree.OrderedLeaves()) {
     EXPECT_LE(leaf->record_count, 3u);
   }
-}
-
-TEST(BufferTreeTest, BufferedDeleteRemovesRecord) {
-  Rig rig(2);
-  Rng rng(20);
-  std::vector<std::array<double, 2>> points(2000);
-  for (size_t i = 0; i < points.size(); ++i) {
-    points[i] = {rng.UniformDouble(0, 1000), rng.UniformDouble(0, 1000)};
-    ASSERT_TRUE(rig.tree->Insert(points[i], i, 0).ok());
-  }
-  // Delete every third record while everything is still buffered or
-  // partially pushed down.
-  size_t deleted = 0;
-  for (size_t i = 0; i < points.size(); i += 3) {
-    ASSERT_TRUE(rig.tree->Delete(points[i], i).ok());
-    ++deleted;
-  }
-  ASSERT_TRUE(rig.tree->Flush().ok());
-  EXPECT_EQ(rig.tree->unmatched_deletes(), 0u);
-  EXPECT_EQ(rig.tree->size(), points.size() - deleted);
-  EXPECT_TRUE(rig.tree->CheckInvariants().ok());
-  std::set<uint64_t> live;
-  for (const BufferNode* leaf : rig.tree->OrderedLeaves()) {
-    ASSERT_TRUE(rig.tree
-                    ->ScanLeaf(leaf,
-                               [&](uint64_t rid, int32_t,
-                                   std::span<const double>) {
-                                 EXPECT_TRUE(live.insert(rid).second);
-                                 EXPECT_NE(rid % 3, 0u);
-                               })
-                    .ok());
-  }
-  EXPECT_EQ(live.size(), points.size() - deleted);
-}
-
-TEST(BufferTreeTest, DeleteOfAbsentRecordCountsUnmatched) {
-  Rig rig(1);
-  const double p[] = {5.0};
-  ASSERT_TRUE(rig.tree->Insert({p, 1}, 1, 0).ok());
-  ASSERT_TRUE(rig.tree->Delete({p, 1}, 999).ok());
-  ASSERT_TRUE(rig.tree->Flush().ok());
-  EXPECT_EQ(rig.tree->unmatched_deletes(), 1u);
-  EXPECT_EQ(rig.tree->size(), 1u);
-}
-
-TEST(BufferTreeTest, InsertThenDeleteInSameBufferCancels) {
-  Rig rig(2);
-  Rng rng(21);
-  // Fill below the clear threshold so both ops sit in the same buffer.
-  for (size_t i = 0; i < 30; ++i) {
-    const double p[] = {rng.UniformDouble(0, 10), rng.UniformDouble(0, 10)};
-    ASSERT_TRUE(rig.tree->Insert({p, 2}, i, 0).ok());
-    if (i % 2 == 0) {
-      ASSERT_TRUE(rig.tree->Delete({p, 2}, i).ok());
-    }
-  }
-  ASSERT_TRUE(rig.tree->Flush().ok());
-  EXPECT_EQ(rig.tree->unmatched_deletes(), 0u);
-  EXPECT_EQ(rig.tree->size(), 15u);
-}
-
-TEST(BufferTreeTest, MassDeletionLeavesConsistentTree) {
-  Rig rig(2);
-  Rng rng(22);
-  std::vector<std::array<double, 2>> points(1500);
-  for (size_t i = 0; i < points.size(); ++i) {
-    points[i] = {rng.UniformDouble(0, 100), rng.UniformDouble(0, 100)};
-    ASSERT_TRUE(rig.tree->Insert(points[i], i, 0).ok());
-  }
-  for (size_t i = 0; i < 1400; ++i) {
-    ASSERT_TRUE(rig.tree->Delete(points[i], i).ok());
-  }
-  ASSERT_TRUE(rig.tree->Flush().ok());
-  EXPECT_EQ(rig.tree->size(), 100u);
-  EXPECT_TRUE(rig.tree->CheckInvariants().ok());
-  // MBRs were tightened at flush: the root box must cover exactly the
-  // survivors.
-  Mbr survivors(2);
-  for (size_t i = 1400; i < points.size(); ++i) {
-    survivors.ExpandToInclude(points[i]);
-  }
-  EXPECT_TRUE(rig.tree->root()->mbr == survivors);
 }
 
 TEST(BufferTreeTest, LeafConstraintHonoredDuringBulkLoad) {

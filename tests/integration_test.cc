@@ -50,26 +50,6 @@ TEST(IntegrationTest, BufferTreeAndTupleLoadingAgreeOnGuarantees) {
   }
 }
 
-TEST(IntegrationTest, IncrementalStreamWithDeletesStaysPublishable) {
-  const Dataset d = LandsEndGenerator(3).Generate(4000);
-  IncrementalAnonymizer inc(d.dim());
-  // Stream in four batches, deleting some of the oldest each time (a
-  // sliding-window publication scenario).
-  for (int batch = 0; batch < 4; ++batch) {
-    inc.InsertBatch(d, batch * 1000, (batch + 1) * 1000);
-    if (batch >= 2) {
-      const RecordId expire_begin = (batch - 2) * 1000;
-      for (RecordId r = expire_begin; r < expire_begin + 500; ++r) {
-        ASSERT_TRUE(inc.Delete(d.row(r), r));
-      }
-    }
-    const PartitionSet view = inc.Snapshot(d, 10);
-    EXPECT_TRUE(view.CheckKAnonymous(10).ok()) << "batch " << batch;
-    EXPECT_EQ(view.total_records(), inc.size());
-  }
-  EXPECT_TRUE(inc.tree().CheckInvariants(true).ok());
-}
-
 TEST(IntegrationTest, MultiGranularReleasesFromOneIndex) {
   const Dataset d = Adult::Synthesize(3000);
   RTreeAnonymizerOptions options;

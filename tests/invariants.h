@@ -25,15 +25,12 @@
 
 namespace kanon::testutil {
 
-/// Invariants 1-3 over a built R⁺-tree. `allow_underfull` relaxes the
-/// occupancy floor (deletion churn legitimately leaves deficient leaves in
-/// place; see RPlusTree::CheckInvariants).
-inline void ExpectTreeLeafInvariants(const RPlusTree& tree, size_t k,
-                                     bool allow_underfull = false) {
+/// Invariants 1-3 over a built R⁺-tree.
+inline void ExpectTreeLeafInvariants(const RPlusTree& tree, size_t k) {
   const auto leaves = tree.OrderedLeaves();
 
   // 1. Occupancy floor.
-  if (!allow_underfull && !(leaves.size() == 1 && tree.root()->is_leaf)) {
+  if (!tree.root()->is_leaf) {
     for (size_t i = 0; i < leaves.size(); ++i) {
       EXPECT_GE(leaves[i]->leaf_size(), k) << "underfull leaf " << i;
     }
@@ -44,9 +41,7 @@ inline void ExpectTreeLeafInvariants(const RPlusTree& tree, size_t k,
   // along the cut axis the left side's max coordinate is strictly below
   // the cut and the right side's min is at or above it.
   for (size_t i = 0; i < leaves.size(); ++i) {
-    if (leaves[i]->leaf_size() == 0) continue;
     for (size_t j = i + 1; j < leaves.size(); ++j) {
-      if (leaves[j]->leaf_size() == 0) continue;
       EXPECT_FALSE(leaves[i]->mbr.Intersects(leaves[j]->mbr))
           << "leaf MBRs overlap: " << i << " " << leaves[i]->mbr.ToString()
           << " vs " << j << " " << leaves[j]->mbr.ToString();
@@ -65,10 +60,7 @@ inline void ExpectTreeLeafInvariants(const RPlusTree& tree, size_t k,
           << "record " << leaf->rids[r] << " outside its leaf MBR";
       size_t covering = 0;
       for (const Node* other : leaves) {
-        if (other->leaf_size() > 0 &&
-            other->mbr.ContainsPoint(leaf->point(r))) {
-          ++covering;
-        }
+        if (other->mbr.ContainsPoint(leaf->point(r))) ++covering;
       }
       EXPECT_EQ(covering, 1u)
           << "record " << leaf->rids[r] << " covered by " << covering

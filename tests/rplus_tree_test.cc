@@ -161,48 +161,6 @@ TEST(RPlusTreeTest, SearchPrunesWithMbrs) {
   EXPECT_LT(visited_small, tree.ComputeStats().num_leaves / 4);
 }
 
-TEST(RPlusTreeTest, DeleteRemovesRecord) {
-  RPlusTree tree(2, SmallConfig());
-  std::vector<std::vector<double>> points;
-  InsertRandom(&tree, 500, 7, 2, &points);
-  EXPECT_TRUE(tree.Delete(points[123], 123));
-  EXPECT_EQ(tree.size(), 499u);
-  EXPECT_FALSE(tree.Delete(points[123], 123));  // already gone
-  std::vector<uint64_t> got;
-  tree.SearchRange(Mbr::FromBounds({0.0, 0.0}, {1000.0, 1000.0}), &got);
-  EXPECT_EQ(got.size(), 499u);
-  for (uint64_t r : got) EXPECT_NE(r, 123u);
-  EXPECT_TRUE(tree.CheckInvariants(/*allow_underfull_leaves=*/true).ok());
-}
-
-TEST(RPlusTreeTest, DeleteAbsentRidFails) {
-  RPlusTree tree(2, SmallConfig());
-  std::vector<std::vector<double>> points;
-  InsertRandom(&tree, 100, 8, 2, &points);
-  // A rid that was never inserted is never deleted, regardless of where the
-  // probe point routes.
-  EXPECT_FALSE(tree.Delete(points[5], 999999));
-  EXPECT_EQ(tree.size(), 100u);
-  EXPECT_TRUE(tree.CheckInvariants().ok());
-}
-
-TEST(RPlusTreeTest, DeleteManyThenReinsert) {
-  RPlusTree tree(2, SmallConfig());
-  std::vector<std::vector<double>> points;
-  InsertRandom(&tree, 1000, 9, 2, &points);
-  for (size_t i = 0; i < 800; ++i) {
-    ASSERT_TRUE(tree.Delete(points[i], i));
-  }
-  EXPECT_EQ(tree.size(), 200u);
-  ASSERT_TRUE(tree.CheckInvariants(true).ok());
-  // Regions stay intact, so reinsertion into the holes works.
-  for (size_t i = 0; i < 800; ++i) {
-    tree.Insert(points[i], i, 0);
-  }
-  EXPECT_EQ(tree.size(), 1000u);
-  EXPECT_TRUE(tree.CheckInvariants(true).ok());
-}
-
 TEST(RPlusTreeTest, MbrsAreTight) {
   RPlusTree tree(1, SmallConfig());
   for (int i = 0; i < 100; ++i) {
@@ -211,13 +169,6 @@ TEST(RPlusTreeTest, MbrsAreTight) {
   }
   EXPECT_EQ(tree.root()->mbr.lo(0), 0.0);
   EXPECT_EQ(tree.root()->mbr.hi(0), 99.0);
-  // Delete the extremes and check the root MBR shrinks.
-  const double lo[] = {0.0};
-  const double hi[] = {99.0};
-  ASSERT_TRUE(tree.Delete({lo, 1}, 0));
-  ASSERT_TRUE(tree.Delete({hi, 1}, 99));
-  EXPECT_EQ(tree.root()->mbr.lo(0), 1.0);
-  EXPECT_EQ(tree.root()->mbr.hi(0), 98.0);
 }
 
 TEST(RPlusTreeTest, OrderedLeavesAreSpatiallyCoherentIn1d) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <vector>
+
 #include "common/random.h"
 #include "data/landsend_generator.h"
 #include "metrics/certainty.h"
@@ -129,58 +133,81 @@ TEST(IncrementalAnonymizerTest, InsertsMaintainAnonymity) {
   EXPECT_TRUE(inc.tree().CheckInvariants().ok());
 }
 
-TEST(IncrementalAnonymizerTest, DeletesKeepPublishedViewAnonymous) {
-  const Dataset d = RandomData(1000, 2, 9);
-  IncrementalAnonymizer inc(2);
-  inc.InsertBatch(d, 0, 1000);
-  // Delete a third of the records.
-  for (RecordId r = 0; r < 1000; r += 3) {
-    EXPECT_TRUE(inc.Delete(d.row(r), r));
-  }
-  const PartitionSet ps = inc.Snapshot(d, 10);
-  EXPECT_EQ(ps.total_records(), inc.size());
-  // Leaf-scan regrouping must re-establish the k floor even though the
-  // underlying tree now has deficient leaves.
-  EXPECT_TRUE(ps.CheckKAnonymous(10).ok());
+TEST(IncrementalAnonymizerTest, EmptySnapshotHasNoPartitions) {
+  // Publishing before the first insert yields nothing: the lone empty root
+  // leaf is not a group.
+  const Dataset d = RandomData(100, 3, 9);
+  IncrementalAnonymizer inc(3);
+  EXPECT_EQ(inc.Snapshot(d, 10).partitions.size(), 0u);
+  EXPECT_TRUE(ExtractLeafGroups(inc.tree()).empty());
+
+  MemPager pager(1024);
+  BufferPool pool(&pager, 8);
+  BufferTree buffered(3, RTreeConfig{}, /*buffer_pages=*/1, &pool);
+  ASSERT_TRUE(buffered.Flush().ok());
+  const auto groups = ExtractLeafGroups(buffered);
+  ASSERT_TRUE(groups.ok());
+  EXPECT_TRUE(groups->empty());
+}
+
+// Repack was once called Vacuum, and the churn it repaired was deletes. The
+// index is insert-only now; the churn left is an arrival order that fixes
+// the tree's top cuts from a handful of early records.
+
+std::vector<RecordId> AscendingOnAttribute0(const Dataset& d) {
+  std::vector<RecordId> order(d.num_records());
+  std::iota(order.begin(), order.end(), RecordId{0});
+  std::stable_sort(order.begin(), order.end(), [&](RecordId a, RecordId b) {
+    return d.value(a, 0) < d.value(b, 0);
+  });
+  return order;
 }
 
 TEST(IncrementalAnonymizerTest, VacuumRestoresOccupancyAfterChurn) {
   const Dataset d = RandomData(2000, 2, 11);
   IncrementalAnonymizer inc(2);
-  inc.InsertBatch(d, 0, 2000);
-  for (RecordId r = 0; r < 1500; ++r) {
-    ASSERT_TRUE(inc.Delete(d.row(r), r));
+  for (RecordId r : AscendingOnAttribute0(d)) {
+    inc.Insert(d.row(r), r, d.sensitive(r));
   }
-  // Heavy churn leaves many deficient/empty leaves behind…
-  size_t deficient = 0;
-  for (const Node* leaf : inc.tree().OrderedLeaves()) {
-    if (leaf->leaf_size() < inc.tree().config().min_leaf) ++deficient;
+  // Sorted arrival splits each leaf as soon as it fills, leaving many
+  // leaves at the occupancy floor…
+  const size_t leaves_before = inc.tree().OrderedLeaves().size();
+  inc.Repack();
+  // …which the rebuild packs into fewer, fuller leaves over the same records.
+  const std::vector<const Node*> leaves = inc.tree().OrderedLeaves();
+  EXPECT_LT(leaves.size(), leaves_before);
+  for (const Node* leaf : leaves) {
+    EXPECT_GT(leaf->leaf_size(), inc.tree().config().min_leaf);
   }
-  EXPECT_GT(deficient, 0u);
-  inc.Vacuum();
-  // …which the rebuild eliminates while keeping the same record set.
-  EXPECT_EQ(inc.size(), 500u);
+  EXPECT_EQ(inc.size(), 2000u);
   EXPECT_TRUE(inc.tree().CheckInvariants().ok());
   const PartitionSet view = inc.Snapshot(d, 10);
-  EXPECT_EQ(view.total_records(), 500u);
+  EXPECT_EQ(view.total_records(), 2000u);
   EXPECT_TRUE(view.CheckKAnonymous(10).ok());
 }
 
 TEST(IncrementalAnonymizerTest, VacuumImprovesQualityAfterChurn) {
+  // Repack rebuilds the tree from the whole record set: better than either
+  // arrival order, and the same for both.
   const Dataset d = LandsEndGenerator(12).Generate(4000);
   const Domain domain = d.ComputeDomain();
-  IncrementalAnonymizer inc(d.dim(), {}, &domain);
-  inc.InsertBatch(d, 0, 4000);
-  Rng rng(13);
-  for (RecordId r = 0; r < 4000; ++r) {
-    if (rng.Bernoulli(0.6)) {
-      ASSERT_TRUE(inc.Delete(d.row(r), r));
-    }
+  std::vector<RecordId> generator_order(d.num_records());
+  std::iota(generator_order.begin(), generator_order.end(), RecordId{0});
+  std::vector<RecordId> ascending = AscendingOnAttribute0(d);
+
+  std::vector<double> repacked_ncp;
+  for (const auto* order : {&generator_order, &ascending}) {
+    IncrementalAnonymizer inc(d.dim(), {}, &domain);
+    for (RecordId r : *order) inc.Insert(d.row(r), r, d.sensitive(r));
+    const double before = AverageNcp(d, inc.Snapshot(d, 10));
+    inc.Repack();
+    EXPECT_EQ(inc.size(), d.num_records());
+    EXPECT_TRUE(inc.tree().CheckInvariants().ok());
+    const double after = AverageNcp(d, inc.Snapshot(d, 10));
+    EXPECT_LT(after, before);
+    repacked_ncp.push_back(after);
   }
-  const double before = AverageNcp(d, inc.Snapshot(d, 10));
-  inc.Vacuum();
-  const double after = AverageNcp(d, inc.Snapshot(d, 10));
-  EXPECT_LE(after, before * 1.05);  // never meaningfully worse
+  EXPECT_EQ(repacked_ncp[0], repacked_ncp[1]);
 }
 
 TEST(IncrementalAnonymizerTest, SnapshotQualityComparableToBulk) {
