@@ -6,9 +6,11 @@
 // hop per record, which batching must amortize. The acceptance bar is that
 // service throughput matches or beats the baseline once the batch size
 // reaches 64. BM_GetRelease shows that the reader path costs the same
-// whether the ingest thread is idle or saturated.
+// whether the ingest thread is idle or saturated. BM_Publish times one
+// publication at the service's cadence on trees of 100k to 1M records.
 
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include <atomic>
 #include <memory>
@@ -18,6 +20,7 @@
 #include "anon/leaf_scan.h"
 #include "anon/rtree_anonymizer.h"
 #include "common/random.h"
+#include "data/landsend_generator.h"
 #include "service/anonymization_service.h"
 
 namespace kanon {
@@ -130,6 +133,54 @@ void BM_GetRelease(benchmark::State& state) {
   service.Stop();
 }
 BENCHMARK(BM_GetRelease)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// One publication as the service's writer makes it: a tree of range(0)
+// Lands End records (seed 1, base_k 10, DP height 10) takes 10k more
+// inserts (untimed), then BuildSnapshot runs and replaces the current
+// snapshot, which drops the previous one (timed). Publish cost tracks the
+// blocks the 10k inserts wrote (blocks_cloned), not the tree size
+// (blocks_shared). tree_bytes_per_record is the heap the tree itself
+// holds, measured by mallinfo2 around the load.
+void BM_Publish(benchmark::State& state) {
+  constexpr size_t kEpoch = 10000;   // the service's snapshot_every
+  constexpr size_t kPublishes = 10;  // fixed: each one grows the tree
+  const size_t n = static_cast<size_t>(state.range(0));
+  const Dataset data = LandsEndGenerator(1).Generate(n + kEpoch * kPublishes);
+  const Domain domain = data.ComputeDomain();
+  RTreeAnonymizerOptions options;
+  options.base_k = 10;
+
+  const size_t heap_before = mallinfo2().uordblks;
+  IncrementalAnonymizer anonymizer(data.dim(), options, &domain);
+  anonymizer.InsertBatch(data, 0, n);
+  const size_t heap_after = mallinfo2().uordblks;
+  DpCellCounter dp(domain, /*height=*/10);
+  dp.Recount(anonymizer.tree());
+  std::shared_ptr<const Snapshot> current =
+      BuildSnapshot(anonymizer.tree(), domain, options, dp, 1);
+
+  RecordId next = n;
+  uint64_t epoch = 1;
+  double cloned = 0.0, shared = 0.0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (const RecordId end = next + kEpoch; next < end; ++next) {
+      anonymizer.Insert(data.row(next), next, data.sensitive(next));
+      dp.Add(data.row(next));
+    }
+    state.ResumeTiming();
+    current = BuildSnapshot(anonymizer.tree(), domain, options, dp, ++epoch);
+    cloned += static_cast<double>(current->info().blocks_cloned);
+    shared += static_cast<double>(current->info().blocks_shared);
+  }
+  const double publishes = static_cast<double>(state.iterations());
+  state.counters["blocks_cloned"] = cloned / publishes;
+  state.counters["blocks_shared"] = shared / publishes;
+  state.counters["tree_bytes_per_record"] =
+      static_cast<double>(heap_after - heap_before) / static_cast<double>(n);
+}
+BENCHMARK(BM_Publish)->Arg(100000)->Arg(600000)->Arg(1000000)
+    ->Iterations(10)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace kanon

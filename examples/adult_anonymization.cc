@@ -2,10 +2,12 @@
 // k-anonymization literature) and reports quality under all three metrics,
 // plus an l-diversity variant.
 //
-//   $ ./build/examples/adult_anonymization [path/to/adult.data] [k]
+//   $ ./build/examples/adult_anonymization [path/to/adult.data] [k] [out.csv]
 //
 // Without a path (or if the file is absent) a distribution-matched
-// synthetic Adult sample is used, so the example always runs offline.
+// synthetic Adult sample is used, so the example always runs offline. The
+// anonymized table goes to out.csv (default: adult_anonymized.csv in the
+// working directory).
 
 #include <cstdlib>
 #include <iostream>
@@ -17,6 +19,7 @@ int main(int argc, char** argv) {
 
   const std::string path = argc > 1 ? argv[1] : "adult.data";
   const size_t k = argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 10;
+  const std::string out = argc > 3 ? argv[3] : "adult_anonymized.csv";
 
   const Dataset data = Adult::LoadOrSynthesize(path, /*fallback_n=*/30000);
   std::cout << "Loaded " << data.num_records() << " records, " << data.dim()
@@ -57,7 +60,6 @@ int main(int argc, char** argv) {
     std::cout << "  " << table->RenderRow(data.schema(), r) << "\n";
   }
 
-  const std::string out = "/tmp/adult_anonymized.csv";
   if (auto s = table->WriteCsv(out, data.schema()); !s.ok()) {
     std::cerr << s << "\n";
     return 1;

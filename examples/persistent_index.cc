@@ -5,6 +5,7 @@
 //
 //   $ ./build/examples/persistent_index
 
+#include <algorithm>
 #include <iostream>
 
 #include "kanon/kanon.h"
@@ -49,7 +50,7 @@ int main() {
   const auto after = restored->OrderedLeaves();
   bool identical = before.size() == after.size();
   for (size_t i = 0; identical && i < before.size(); ++i) {
-    identical = before[i]->rids == after[i]->rids;
+    identical = std::ranges::equal(before[i]->rids(), after[i]->rids());
   }
   std::cout << "restart: " << restored->size() << " records restored; leaf "
             << "partitioning identical: " << (identical ? "yes" : "NO")

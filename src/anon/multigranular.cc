@@ -9,7 +9,8 @@ namespace {
 
 void CollectSubtreeRecords(const Node* node, Partition* out) {
   if (node->is_leaf) {
-    out->rids.insert(out->rids.end(), node->rids.begin(), node->rids.end());
+    const auto rids = node->rids();
+    out->rids.insert(out->rids.end(), rids.begin(), rids.end());
     return;
   }
   for (const auto& c : node->children) CollectSubtreeRecords(c.get(), out);
@@ -22,7 +23,8 @@ PartitionSet ReleaseAtDepth(const RPlusTree& tree, int depth) {
   for (const Node* n : tree.NodesAtDepth(depth)) {
     if (n->record_count == 0) continue;
     Partition p;
-    p.box = n->mbr;  // subtree MBR = compacted generalized value
+    // The subtree MBR is the compacted generalized value.
+    p.box = Mbr::FromView(n->mbr());
     CollectSubtreeRecords(n, &p);
     out.partitions.push_back(std::move(p));
   }

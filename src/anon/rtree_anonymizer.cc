@@ -211,7 +211,7 @@ void IncrementalAnonymizer::Repack() {
   records.Reserve(tree_.size());
   for (const Node* leaf : tree_.OrderedLeaves()) {
     for (size_t i = 0; i < leaf->leaf_size(); ++i) {
-      records.Append(leaf->rids[i], leaf->sensitive[i], leaf->point(i));
+      records.Append(leaf->rids()[i], leaf->sensitive()[i], leaf->point(i));
     }
   }
   tree_ = TopDownBulkLoad(std::move(records), MakeTreeConfig(options_));

@@ -18,42 +18,51 @@ size_t DpGrid::NodeLevel(size_t node) {
   return std::bit_width(node) - 1;
 }
 
+// Both walks below take the axes one at a time. Depth d cuts axis
+// d % dim, and a cut of one axis never moves another's bounds, so each
+// axis narrows its own [lo, hi) over depths axis, axis + dim, ... with the
+// same arithmetic as a depth-ordered walk, and no per-call copy of the
+// domain.
+
 size_t DpGrid::LeafCell(std::span<const double> point) const {
   KANON_DCHECK(point.size() == dim());
-  std::vector<double> lo = domain_.lo;
-  std::vector<double> hi = domain_.hi;
   size_t cell = 0;
-  for (size_t depth = 0; depth < height_; ++depth) {
-    const size_t axis = depth % dim();
-    const double mid = lo[axis] + (hi[axis] - lo[axis]) / 2.0;
-    // Half-open cut [lo, mid) | [mid, hi): a point exactly at the midpoint
-    // goes right, and out-of-domain points clamp into the boundary cell.
-    if (point[axis] < mid) {
-      hi[axis] = mid;
-      cell = cell * 2;
-    } else {
-      lo[axis] = mid;
-      cell = cell * 2 + 1;
+  for (size_t axis = 0; axis < dim(); ++axis) {
+    double lo = domain_.lo[axis];
+    double hi = domain_.hi[axis];
+    for (size_t depth = axis; depth < height_; depth += dim()) {
+      const double mid = lo + (hi - lo) / 2.0;
+      // Half-open cut [lo, mid) | [mid, hi): a point exactly at the
+      // midpoint goes right, and out-of-domain points clamp into the
+      // boundary cell. Depth d decides bit height - 1 - d of the cell.
+      if (point[axis] < mid) {
+        hi = mid;
+      } else {
+        lo = mid;
+        cell |= size_t{1} << (height_ - 1 - depth);
+      }
     }
   }
   return cell;
 }
 
-Mbr DpGrid::NodeBox(size_t node) const {
+void DpGrid::NodeBox(size_t node, Mbr* box) const {
   KANON_DCHECK(node >= 1 && node < num_nodes());
-  std::vector<double> lo = domain_.lo;
-  std::vector<double> hi = domain_.hi;
+  if (box->dim() != dim()) *box = Mbr(dim());
   const size_t level = NodeLevel(node);
-  for (size_t depth = 0; depth < level; ++depth) {
-    const size_t axis = depth % dim();
-    const double mid = lo[axis] + (hi[axis] - lo[axis]) / 2.0;
-    if ((node >> (level - 1 - depth)) & 1) {
-      lo[axis] = mid;
-    } else {
-      hi[axis] = mid;
+  for (size_t axis = 0; axis < dim(); ++axis) {
+    double lo = domain_.lo[axis];
+    double hi = domain_.hi[axis];
+    for (size_t depth = axis; depth < level; depth += dim()) {
+      const double mid = lo + (hi - lo) / 2.0;
+      if ((node >> (level - 1 - depth)) & 1) {
+        lo = mid;
+      } else {
+        hi = mid;
+      }
     }
+    box->SetAxis(axis, lo, hi);
   }
-  return Mbr::FromBounds(std::move(lo), std::move(hi));
 }
 
 void DpGrid::LeafRange(size_t node, size_t* first, size_t* last) const {

@@ -45,11 +45,12 @@ class DpGrid {
 
   /// The leaf cell index in [0, num_leaves()) containing `point`.
   /// Coordinates outside the domain clamp to the boundary cell, so every
-  /// record lands in exactly one cell.
+  /// record lands in exactly one cell. Allocates nothing.
   size_t LeafCell(std::span<const double> point) const;
 
-  /// The closed box of heap node `node` in [1, num_nodes()).
-  Mbr NodeBox(size_t node) const;
+  /// Writes the closed box of heap node `node` in [1, num_nodes()) into
+  /// `*box`, reusing its storage once it has dim() axes.
+  void NodeBox(size_t node, Mbr* box) const;
 
   /// The contiguous leaf-cell range [first, last) beneath `node`.
   void LeafRange(size_t node, size_t* first, size_t* last) const;

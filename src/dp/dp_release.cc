@@ -129,18 +129,20 @@ DpHierarchyCounts NoisyConsistentHierarchy(const std::vector<uint64_t>& cells,
 
 namespace {
 
+// `box` is scratch space every level of the recursion reuses: a node is
+// done with its box before its children overwrite it.
 double RangeCountNode(const DpHierarchyCounts& h, const DpGrid& grid,
-                      const Mbr& query, size_t v) {
+                      const Mbr& query, size_t v, Mbr* box) {
   const int64_t count = h.counts[v];
   if (count == 0) return 0.0;
-  const Mbr box = grid.NodeBox(v);
-  if (!box.Intersects(query)) return 0.0;
-  if (query.ContainsBox(box)) return static_cast<double>(count);
+  grid.NodeBox(v, box);
+  if (!box->Intersects(query)) return 0.0;
+  if (query.ContainsBox(*box)) return static_cast<double>(count);
   if (DpGrid::NodeLevel(v) == h.height) {
-    return static_cast<double>(count) * box.IntersectionFraction(query);
+    return static_cast<double>(count) * box->IntersectionFraction(query);
   }
-  return RangeCountNode(h, grid, query, 2 * v) +
-         RangeCountNode(h, grid, query, 2 * v + 1);
+  return RangeCountNode(h, grid, query, 2 * v, box) +
+         RangeCountNode(h, grid, query, 2 * v + 1, box);
 }
 
 }  // namespace
@@ -148,7 +150,8 @@ double RangeCountNode(const DpHierarchyCounts& h, const DpGrid& grid,
 double DpRangeCount(const DpHierarchyCounts& h, const DpGrid& grid,
                     const Mbr& query) {
   if (h.counts.size() < 2) return 0.0;
-  return RangeCountNode(h, grid, query, 1);
+  Mbr box(grid.dim());
+  return RangeCountNode(h, grid, query, 1, &box);
 }
 
 std::shared_ptr<const DpRelease> BuildDpRelease(
@@ -205,6 +208,7 @@ DpUtilityReport EvaluateReleaseUtility(const std::vector<uint64_t>& cells,
   const size_t fine = std::min<size_t>(grid.height(), 4);
   std::vector<size_t> levels = {coarse};
   if (fine != coarse) levels.push_back(fine);
+  Mbr query(grid.dim());
   for (const size_t level : levels) {
     const size_t first = size_t{1} << level;
     for (size_t v = first; v < first * 2; ++v) {
@@ -214,7 +218,7 @@ DpUtilityReport EvaluateReleaseUtility(const std::vector<uint64_t>& cells,
       for (size_t c = lo; c < hi; ++c) {
         truth += static_cast<double>(cells[c]);
       }
-      const Mbr query = grid.NodeBox(v);
+      grid.NodeBox(v, &query);
       double kanon_est = 0.0;
       for (const Partition& p : kanon.partitions) {
         kanon_est += static_cast<double>(p.size()) *

@@ -33,6 +33,12 @@ struct BufferNode {
   std::unique_ptr<PageChain> buffer;   // internal-node external buffer
 };
 
+// Bounds access for the shared structural rules (index/node.h).
+inline BoxView RegionOf(const BufferNode& n) { return n.region.view(); }
+inline BoxView MbrOf(const BufferNode& n) { return n.mbr.view(); }
+inline const Region& InnerRegion(const BufferNode& n) { return n.region; }
+inline Mbr& InnerMbr(BufferNode& n) { return n.mbr; }
+
 /// Bulk-loads a non-overlapping R⁺-tree with bounded memory: insertions
 /// accumulate in node buffers and move down the tree a batch at a time, so
 /// the I/O cost is O(N/B log_{M/B} N/B) — external-sort-like — instead of

@@ -232,16 +232,16 @@ std::vector<Piece> CutIntoFanout(RecordBatch* records,
   return pieces;
 }
 
+/// A leaf over rows [begin, end), in an exact-fit block: a bulk-loaded
+/// leaf grows only if later inserts reach it.
 std::unique_ptr<Node> MakeLeaf(const RecordBatch& records,
                                const Region& region, size_t begin,
                                size_t end) {
-  auto leaf = std::make_unique<Node>(records.dim, /*leaf=*/true);
-  leaf->region = region;
+  auto block = LeafBlock::Make(region.view(), end - begin);
   for (size_t i = begin; i < end; ++i) {
-    leaf->AppendRecord(records.row(i), records.rids[i],
-                       records.sensitive[i]);
+    block->Append(records.row(i), records.rids[i], records.sensitive[i]);
   }
-  return leaf;
+  return Node::Leaf(std::move(block));
 }
 
 /// Builds the region-disciplined subtree over rows [begin, end) of
@@ -270,8 +270,7 @@ std::unique_ptr<Node> BuildSubtree(RecordBatch* records,
   } else {
     for (size_t i = 0; i < children.size(); ++i) build(i);
   }
-  auto node = std::make_unique<Node>(records->dim, /*leaf=*/false);
-  node->region = region;
+  auto node = Node::Internal(region);
   for (auto& child : children) AdoptChild(node.get(), std::move(child));
   return node;
 }

@@ -29,12 +29,19 @@ void Mbr::ExpandToInclude(std::span<const double> point) {
   }
 }
 
-void Mbr::ExpandToInclude(const Mbr& other) {
+Mbr Mbr::FromView(BoxView box) {
+  Mbr m;
+  m.lo_.assign(box.lo.begin(), box.lo.end());
+  m.hi_.assign(box.hi.begin(), box.hi.end());
+  return m;
+}
+
+void Mbr::ExpandToInclude(BoxView other) {
   if (other.empty()) return;
   KANON_DCHECK(other.dim() == dim());
   for (size_t i = 0; i < dim(); ++i) {
-    lo_[i] = std::min(lo_[i], other.lo_[i]);
-    hi_[i] = std::max(hi_[i], other.hi_[i]);
+    lo_[i] = std::min(lo_[i], other.lo[i]);
+    hi_[i] = std::max(hi_[i], other.hi[i]);
   }
 }
 
@@ -71,12 +78,7 @@ double Mbr::MarginEnlargement(std::span<const double> point) const {
 }
 
 bool Mbr::ContainsPoint(std::span<const double> point) const {
-  if (empty()) return false;
-  KANON_DCHECK(point.size() == dim());
-  for (size_t i = 0; i < dim(); ++i) {
-    if (point[i] < lo_[i] || point[i] > hi_[i]) return false;
-  }
-  return true;
+  return view().ContainsClosed(point);
 }
 
 bool Mbr::ContainsBox(const Mbr& other) const {
@@ -87,11 +89,11 @@ bool Mbr::ContainsBox(const Mbr& other) const {
   return true;
 }
 
-bool Mbr::Intersects(const Mbr& other) const {
+bool Mbr::Intersects(BoxView other) const {
   if (empty() || other.empty()) return false;
   KANON_DCHECK(other.dim() == dim());
   for (size_t i = 0; i < dim(); ++i) {
-    if (other.hi_[i] < lo_[i] || other.lo_[i] > hi_[i]) return false;
+    if (other.hi[i] < lo_[i] || other.lo[i] > hi_[i]) return false;
   }
   return true;
 }
@@ -133,10 +135,27 @@ Region Region::Whole(size_t dim) {
   return r;
 }
 
+Region Region::FromView(BoxView box) {
+  return {{box.lo.begin(), box.lo.end()}, {box.hi.begin(), box.hi.end()}};
+}
+
 bool Region::ContainsPoint(std::span<const double> point) const {
+  return view().ContainsHalfOpen(point);
+}
+
+bool BoxView::ContainsHalfOpen(std::span<const double> point) const {
   KANON_DCHECK(point.size() == dim());
   for (size_t i = 0; i < dim(); ++i) {
     if (point[i] < lo[i] || point[i] >= hi[i]) return false;
+  }
+  return true;
+}
+
+bool BoxView::ContainsClosed(std::span<const double> point) const {
+  if (empty()) return false;
+  KANON_DCHECK(point.size() == dim());
+  for (size_t i = 0; i < dim(); ++i) {
+    if (point[i] < lo[i] || point[i] > hi[i]) return false;
   }
   return true;
 }

@@ -10,6 +10,22 @@
 
 namespace kanon {
 
+/// A read-only view of box bounds stored elsewhere: an Mbr, a Region, or
+/// the inline bounds of a leaf block (index/leaf_block.h). `lo` and `hi`
+/// hold one value per axis and must outlive the view.
+struct BoxView {
+  std::span<const double> lo;
+  std::span<const double> hi;
+
+  size_t dim() const { return lo.size(); }
+  /// Inverted bounds: a box no point has been added to yet.
+  bool empty() const { return dim() == 0 || lo[0] > hi[0]; }
+  /// Half-open membership, the Region rule: lo <= x < hi on every axis.
+  bool ContainsHalfOpen(std::span<const double> point) const;
+  /// Closed membership, the Mbr rule: lo <= x <= hi on every axis.
+  bool ContainsClosed(std::span<const double> point) const;
+};
+
 /// An n-dimensional minimum bounding rectangle (closed box). An empty Mbr
 /// (no points added yet) has inverted bounds. In the anonymization setting
 /// the MBR of a partition *is* the generalized quasi-identifier value — the
@@ -29,6 +45,18 @@ class Mbr {
   /// A box with explicit bounds (lo[i] <= hi[i] required per dimension).
   static Mbr FromBounds(std::vector<double> lo, std::vector<double> hi);
 
+  /// A copy of the viewed bounds (empty if the view is).
+  static Mbr FromView(BoxView box);
+
+  BoxView view() const { return {lo_, hi_}; }
+
+  /// Sets axis `i` to [lo, hi] (lo <= hi), in place.
+  void SetAxis(size_t i, double lo, double hi) {
+    KANON_DCHECK(lo <= hi);
+    lo_[i] = lo;
+    hi_[i] = hi;
+  }
+
   size_t dim() const { return lo_.size(); }
   bool empty() const { return dim() == 0 || lo_[0] > hi_[0]; }
 
@@ -41,7 +69,8 @@ class Mbr {
 
   /// Grows the box to cover `point` / `other`.
   void ExpandToInclude(std::span<const double> point);
-  void ExpandToInclude(const Mbr& other);
+  void ExpandToInclude(const Mbr& other) { ExpandToInclude(other.view()); }
+  void ExpandToInclude(BoxView other);
 
   /// Product of extents. Zero if any side is degenerate, so callers that
   /// rank candidate boxes should break area ties with Margin().
@@ -62,7 +91,8 @@ class Mbr {
 
   /// Closed-box intersection test (shared boundaries count as intersecting,
   /// matching the paper's query-match semantics).
-  bool Intersects(const Mbr& other) const;
+  bool Intersects(const Mbr& other) const { return Intersects(other.view()); }
+  bool Intersects(BoxView other) const;
 
   /// Fraction of this box's volume that lies inside `other`, treating
   /// degenerate extents as matching fully when the slice intersects. Used by
@@ -91,8 +121,10 @@ struct Region {
   std::vector<double> hi;
 
   static Region Whole(size_t dim);
+  static Region FromView(BoxView box);
 
   size_t dim() const { return lo.size(); }
+  BoxView view() const { return {lo, hi}; }
 
   /// Half-open membership: lo[i] <= x[i] < hi[i] on every axis.
   bool ContainsPoint(std::span<const double> point) const;

@@ -13,8 +13,8 @@ RPlusTree::RPlusTree(size_t dim, RTreeConfig config)
   KANON_CHECK_MSG(config_.max_leaf + 1 >= 2 * config_.min_leaf,
                   "max_leaf too small to split into two >= min_leaf halves");
   KANON_CHECK_MSG(config_.max_fanout >= 2, "fanout must be at least 2");
-  root_ = std::make_unique<Node>(dim_, /*leaf=*/true);
-  root_->region = Region::Whole(dim_);
+  root_ = Node::Leaf(LeafBlock::Make(
+      Region::Whole(dim_).view(), LeafBlock::GrowCapacity(config_.max_leaf)));
 }
 
 RPlusTree RPlusTree::FromRoot(size_t dim, RTreeConfig config,
@@ -30,7 +30,7 @@ Node* RPlusTree::ChooseLeaf(std::span<const double> point) {
   while (!node->is_leaf) {
     Node* next = nullptr;
     for (auto& child : node->children) {
-      if (child->region.ContainsPoint(point)) {
+      if (child->region().ContainsHalfOpen(point)) {
         next = child.get();
         break;
       }
@@ -49,33 +49,34 @@ void RPlusTree::Insert(std::span<const double> point, uint64_t rid,
   leaf->AppendRecord(point, rid, sensitive);
   // Maintain subtree MBRs and counts along the ancestor path.
   for (Node* n = leaf->parent; n != nullptr; n = n->parent) {
-    n->mbr.ExpandToInclude(point);
+    n->inner_mbr().ExpandToInclude(point);
     ++n->record_count;
   }
   if (leaf->leaf_size() > config_.max_leaf) SplitLeaf(leaf);
 }
 
 void RPlusTree::SplitLeaf(Node* leaf) {
+  const LeafBlock& block = *leaf->block;
+  const Region region = Region::FromView(block.region());
   const auto split = ChooseLeafSplit(
-      leaf->points.data(), leaf->sensitive.data(), leaf->leaf_size(), dim_,
-      config_.min_leaf, config_.split, &leaf->region,
-      config_.leaf_admissible);
+      block.points().data(), block.sensitive().data(), block.size(), dim_,
+      config_.min_leaf, config_.split, &region, config_.leaf_admissible);
   // No cut: duplicate-dominated, or a side would violate the publication
   // constraint. The leaf stays overfull.
   if (!split) return;
 
-  auto [left_region, right_region] =
-      leaf->region.Cut(split->axis, split->value);
+  // Two fresh exact-fit blocks: the old one may be frozen in a snapshot.
+  const auto [left_region, right_region] =
+      region.Cut(split->axis, split->value);
   std::vector<std::unique_ptr<Node>> halves;
-  halves.push_back(std::make_unique<Node>(dim_, /*leaf=*/true));
-  halves.push_back(std::make_unique<Node>(dim_, /*leaf=*/true));
-  halves[0]->region = std::move(left_region);
-  halves[1]->region = std::move(right_region);
-  for (size_t i = 0; i < leaf->leaf_size(); ++i) {
-    const size_t side =
-        leaf->points[i * dim_ + split->axis] < split->value ? 0 : 1;
-    halves[side]->AppendRecord(leaf->point(i), leaf->rids[i],
-                               leaf->sensitive[i]);
+  halves.push_back(Node::Leaf(
+      LeafBlock::Make(left_region.view(), split->left_count)));
+  halves.push_back(Node::Leaf(
+      LeafBlock::Make(right_region.view(), split->right_count)));
+  for (size_t i = 0; i < block.size(); ++i) {
+    const size_t side = block.point(i)[split->axis] < split->value ? 0 : 1;
+    halves[side]->AppendRecord(block.point(i), block.rids()[i],
+                               block.sensitive()[i]);
   }
   KANON_DCHECK(halves[0]->leaf_size() >= config_.min_leaf);
   KANON_DCHECK(halves[1]->leaf_size() >= config_.min_leaf);
@@ -90,9 +91,7 @@ void RPlusTree::SplitLeaf(Node* leaf) {
 }
 
 std::unique_ptr<Node> RPlusTree::MakeInternal(Region region) const {
-  auto node = std::make_unique<Node>(dim_, /*leaf=*/false);
-  node->region = std::move(region);
-  return node;
+  return Node::Internal(std::move(region));
 }
 
 size_t RPlusTree::SearchRange(const Mbr& query,
@@ -102,12 +101,12 @@ size_t RPlusTree::SearchRange(const Mbr& query,
   while (!stack.empty()) {
     const Node* n = stack.back();
     stack.pop_back();
-    if (!n->mbr.Intersects(query)) continue;
+    if (!query.Intersects(n->mbr())) continue;
     if (n->is_leaf) {
       ++leaves_visited;
       if (out != nullptr) {
         for (size_t i = 0; i < n->leaf_size(); ++i) {
-          if (query.ContainsPoint(n->point(i))) out->push_back(n->rids[i]);
+          if (query.ContainsPoint(n->point(i))) out->push_back(n->rids()[i]);
         }
       }
       continue;
@@ -121,10 +120,11 @@ Status RPlusTree::CheckNode(const Node* node) const {
   // MBR within region (MBRs are closed; regions half-open — containment is
   // lo <= mbr.lo and mbr.hi <= region.hi, strict at finite hi boundaries
   // except for degenerate tolerance).
-  if (!node->mbr.empty()) {
+  const BoxView mbr = node->mbr();
+  const BoxView region = node->region();
+  if (!mbr.empty()) {
     for (size_t d = 0; d < dim_; ++d) {
-      if (node->mbr.lo(d) < node->region.lo[d] ||
-          node->mbr.hi(d) > node->region.hi[d]) {
+      if (mbr.lo[d] < region.lo[d] || mbr.hi[d] > region.hi[d]) {
         return Status::Corruption("node MBR escapes its region");
       }
     }
@@ -138,10 +138,10 @@ Status RPlusTree::CheckNode(const Node* node) const {
       return Status::Corruption("underfull leaf");
     }
     for (size_t i = 0; i < node->leaf_size(); ++i) {
-      if (!node->region.ContainsPoint(node->point(i))) {
+      if (!region.ContainsHalfOpen(node->point(i))) {
         return Status::Corruption("leaf point outside leaf region");
       }
-      if (!node->mbr.ContainsPoint(node->point(i))) {
+      if (!mbr.ContainsClosed(node->point(i))) {
         return Status::Corruption("leaf point outside leaf MBR");
       }
     }
@@ -149,8 +149,8 @@ Status RPlusTree::CheckNode(const Node* node) const {
   }
   KANON_RETURN_IF_ERROR(CheckChildren(*node));
   Mbr expect(dim_);
-  for (const auto& c : node->children) expect.ExpandToInclude(c->mbr);
-  if (!(expect == node->mbr)) {
+  for (const auto& c : node->children) expect.ExpandToInclude(c->mbr());
+  if (!(expect == Mbr::FromView(mbr))) {
     return Status::Corruption("internal MBR is not the union of children");
   }
   for (const auto& c : node->children) {

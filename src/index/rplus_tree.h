@@ -74,6 +74,13 @@ class RPlusTree {
     return kanon::OrderedLeaves(*root_);
   }
 
+  /// Calls `fn(leaf)` for every leaf in OrderedLeaves order, without
+  /// materializing the list.
+  template <typename Fn>
+  void ForEachLeaf(const Fn& fn) const {
+    kanon::ForEachLeaf(*root_, fn);
+  }
+
   /// All nodes at depth `d` (root = depth 0), in left-to-right order. Used
   /// by the hierarchical multi-granular release algorithm.
   std::vector<const Node*> NodesAtDepth(int d) const {

@@ -253,10 +253,10 @@ std::optional<PointSplit> ChooseLeafSplit(const double* points,
 }
 
 std::optional<RegionSplit> ChooseRegionSeparator(
-    std::span<const Region* const> child_regions, const SplitConfig& config) {
+    std::span<const BoxView> child_regions, const SplitConfig& config) {
   const size_t m = child_regions.size();
   if (m < 2) return std::nullopt;
-  const size_t dim = child_regions[0]->dim();
+  const size_t dim = child_regions[0].dim();
   const size_t target = m / 2;
 
   std::optional<RegionSplit> best;
@@ -265,9 +265,9 @@ std::optional<RegionSplit> ChooseRegionSeparator(
     // Candidate planes: every finite child boundary on this axis.
     std::vector<double> candidates;
     candidates.reserve(2 * m);
-    for (const Region* r : child_regions) {
-      if (std::isfinite(r->lo[axis])) candidates.push_back(r->lo[axis]);
-      if (std::isfinite(r->hi[axis])) candidates.push_back(r->hi[axis]);
+    for (const BoxView& r : child_regions) {
+      if (std::isfinite(r.lo[axis])) candidates.push_back(r.lo[axis]);
+      if (std::isfinite(r.hi[axis])) candidates.push_back(r.hi[axis]);
     }
     std::sort(candidates.begin(), candidates.end());
     candidates.erase(std::unique(candidates.begin(), candidates.end()),
@@ -275,10 +275,10 @@ std::optional<RegionSplit> ChooseRegionSeparator(
     for (double v : candidates) {
       size_t left = 0;
       bool valid = true;
-      for (const Region* r : child_regions) {
-        if (r->hi[axis] <= v) {
+      for (const BoxView& r : child_regions) {
+        if (r.hi[axis] <= v) {
           ++left;
-        } else if (r->lo[axis] >= v) {
+        } else if (r.lo[axis] >= v) {
           // right side
         } else {
           valid = false;  // plane slices through this child's region

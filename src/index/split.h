@@ -114,7 +114,7 @@ struct RegionSplit {
 /// always exists; nullopt is only possible for degenerate inputs (< 2
 /// children).
 std::optional<RegionSplit> ChooseRegionSeparator(
-    std::span<const Region* const> child_regions, const SplitConfig& config);
+    std::span<const BoxView> child_regions, const SplitConfig& config);
 
 }  // namespace kanon
 

@@ -140,30 +140,32 @@ class PageStreamReader {
   uint32_t crc_ = 0;
 };
 
-Status WriteBounds(PageStreamWriter* w, const std::vector<double>& values) {
+Status WriteBounds(PageStreamWriter* w, std::span<const double> values) {
   return w->Write(values.data(), values.size() * sizeof(double));
 }
 
 Status WriteNode(PageStreamWriter* w, const Node& node, size_t dim) {
   const uint8_t leaf_flag = node.is_leaf ? 1 : 0;
   KANON_RETURN_IF_ERROR(w->WriteValue(leaf_flag));
-  KANON_RETURN_IF_ERROR(WriteBounds(w, node.region.lo));
-  KANON_RETURN_IF_ERROR(WriteBounds(w, node.region.hi));
-  const uint8_t mbr_empty = node.mbr.empty() ? 1 : 0;
+  const BoxView region = node.region();
+  KANON_RETURN_IF_ERROR(WriteBounds(w, region.lo));
+  KANON_RETURN_IF_ERROR(WriteBounds(w, region.hi));
+  const BoxView mbr = node.mbr();
+  const uint8_t mbr_empty = mbr.empty() ? 1 : 0;
   KANON_RETURN_IF_ERROR(w->WriteValue(mbr_empty));
   if (!mbr_empty) {
-    KANON_RETURN_IF_ERROR(WriteBounds(w, node.mbr.lo()));
-    KANON_RETURN_IF_ERROR(WriteBounds(w, node.mbr.hi()));
+    KANON_RETURN_IF_ERROR(WriteBounds(w, mbr.lo));
+    KANON_RETURN_IF_ERROR(WriteBounds(w, mbr.hi));
   }
   if (node.is_leaf) {
     const uint64_t count = node.leaf_size();
     KANON_RETURN_IF_ERROR(w->WriteValue(count));
     KANON_RETURN_IF_ERROR(
-        w->Write(node.rids.data(), count * sizeof(uint64_t)));
+        w->Write(node.rids().data(), count * sizeof(uint64_t)));
     KANON_RETURN_IF_ERROR(
-        w->Write(node.sensitive.data(), count * sizeof(int32_t)));
+        w->Write(node.sensitive().data(), count * sizeof(int32_t)));
     KANON_RETURN_IF_ERROR(
-        w->Write(node.points.data(), count * dim * sizeof(double)));
+        w->Write(node.points().data(), count * dim * sizeof(double)));
     return Status::OK();
   }
   const uint64_t fanout = node.fanout();
@@ -179,22 +181,21 @@ StatusOr<std::unique_ptr<Node>> ReadNode(PageStreamReader* r, size_t dim,
   uint8_t leaf_flag = 0;
   KANON_RETURN_IF_ERROR(r->ReadValue(&leaf_flag));
   if (leaf_flag > 1) return Status::Corruption("bad node tag");
-  auto node = std::make_unique<Node>(dim, leaf_flag == 1);
-  node->region.lo.resize(dim);
-  node->region.hi.resize(dim);
-  KANON_RETURN_IF_ERROR(
-      r->Read(node->region.lo.data(), dim * sizeof(double)));
-  KANON_RETURN_IF_ERROR(
-      r->Read(node->region.hi.data(), dim * sizeof(double)));
+  Region region;
+  region.lo.resize(dim);
+  region.hi.resize(dim);
+  KANON_RETURN_IF_ERROR(r->Read(region.lo.data(), dim * sizeof(double)));
+  KANON_RETURN_IF_ERROR(r->Read(region.hi.data(), dim * sizeof(double)));
   uint8_t mbr_empty = 0;
   KANON_RETURN_IF_ERROR(r->ReadValue(&mbr_empty));
+  Mbr mbr(dim);
   if (!mbr_empty) {
     std::vector<double> lo(dim), hi(dim);
     KANON_RETURN_IF_ERROR(r->Read(lo.data(), dim * sizeof(double)));
     KANON_RETURN_IF_ERROR(r->Read(hi.data(), dim * sizeof(double)));
-    node->mbr = Mbr::FromBounds(std::move(lo), std::move(hi));
+    mbr = Mbr::FromBounds(std::move(lo), std::move(hi));
   }
-  if (node->is_leaf) {
+  if (leaf_flag == 1) {
     uint64_t count = 0;
     KANON_RETURN_IF_ERROR(r->ReadValue(&count));
     const size_t record_bytes =
@@ -202,18 +203,27 @@ StatusOr<std::unique_ptr<Node>> ReadNode(PageStreamReader* r, size_t dim,
     if (count > r->remaining() / record_bytes) {
       return Status::Corruption("leaf record count exceeds the snapshot");
     }
-    node->rids.resize(count);
-    node->sensitive.resize(count);
-    node->points.resize(count * dim);
+    std::vector<uint64_t> rids(count);
+    std::vector<int32_t> sensitive(count);
+    std::vector<double> points(count * dim);
+    KANON_RETURN_IF_ERROR(r->Read(rids.data(), count * sizeof(uint64_t)));
     KANON_RETURN_IF_ERROR(
-        r->Read(node->rids.data(), count * sizeof(uint64_t)));
+        r->Read(sensitive.data(), count * sizeof(int32_t)));
     KANON_RETURN_IF_ERROR(
-        r->Read(node->sensitive.data(), count * sizeof(int32_t)));
-    KANON_RETURN_IF_ERROR(
-        r->Read(node->points.data(), count * dim * sizeof(double)));
-    node->record_count = count;
-    return node;
+        r->Read(points.data(), count * dim * sizeof(double)));
+    // Appending rebuilds the MBR from the records; a stored MBR that
+    // disagrees with them is corrupt.
+    auto block = LeafBlock::Make(region.view(), count);
+    for (size_t i = 0; i < count; ++i) {
+      block->Append({points.data() + i * dim, dim}, rids[i], sensitive[i]);
+    }
+    if (!(Mbr::FromView(block->mbr()) == mbr)) {
+      return Status::Corruption("leaf MBR does not match its records");
+    }
+    return Node::Leaf(std::move(block));
   }
+  auto node = Node::Internal(std::move(region));
+  node->inner_mbr() = std::move(mbr);
   uint64_t fanout = 0;
   KANON_RETURN_IF_ERROR(r->ReadValue(&fanout));
   if (fanout == 0 || fanout > max_fanout + 1) {

@@ -390,7 +390,7 @@ bool ReplicatedFollower::BootstrapOnce() {
   shape.compact = m.compact;
   anonymizer_ =
       std::make_unique<IncrementalAnonymizer>(m.dim, shape, &domain_);
-  dp_height_ = m.dp_height;
+  dp_cells_ = std::make_unique<DpCellCounter>(domain_, m.dp_height);
   records_.store(0, std::memory_order_release);
   applied_lsn_.store(0, std::memory_order_release);
   if (m.checkpoint_lsn > 0) {
@@ -427,6 +427,7 @@ bool ReplicatedFollower::BootstrapOnce() {
       ++consecutive_failures_;
       return false;
     }
+    dp_cells_->Recount(anonymizer_->tree());
     records_.store(anonymizer_->size(), std::memory_order_release);
     applied_lsn_.store(m.checkpoint_lsn, std::memory_order_release);
   }
@@ -455,6 +456,7 @@ Status ReplicatedFollower::Apply(uint64_t lsn, std::span<const double> point,
   // Same identity as leader recovery replay: record id == lsn - 1, so the
   // follower's rid space is bit-compatible with the leader's.
   anonymizer_->Insert(point, static_cast<RecordId>(lsn - 1), sensitive);
+  dp_cells_->Add(point);
   records_.store(anonymizer_->size(), std::memory_order_release);
   applied_lsn_.store(lsn, std::memory_order_release);
   return Status::OK();
@@ -472,11 +474,12 @@ bool ReplicatedFollower::PublishEpoch(uint64_t epoch) {
     return false;
   }
   // The leader publishes through the same BuildSnapshot: the follower
-  // replays records in LSN order into an identically shaped tree, so the
-  // leaf groups, every k1 release and the DP cell counts come out
-  // identical to the leader's at the same (epoch, records) point.
+  // replays records in LSN order into an identically shaped tree and
+  // counts DP cells per applied record as the leader does, so the leaf
+  // groups, every k1 release and the DP cell counts come out identical to
+  // the leader's at the same (epoch, records) point.
   std::shared_ptr<const Snapshot> snapshot =
-      BuildSnapshot(tree, domain_, anonymizer_->options(), dp_height_, epoch);
+      BuildSnapshot(tree, domain_, anonymizer_->options(), *dp_cells_, epoch);
   const uint64_t records = snapshot->info().records;
   auto current = std::make_shared<const StitchedSnapshot>(
       std::vector<std::shared_ptr<const Snapshot>>{std::move(snapshot)},

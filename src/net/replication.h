@@ -267,7 +267,9 @@ class ReplicatedFollower {
 
   // Replication-thread-only state (no synchronization needed).
   std::unique_ptr<IncrementalAnonymizer> anonymizer_;  // null until bootstrap
-  size_t dp_height_ = 0;  // from the manifest, like the tree shape
+  // DP cell counts of the tree, at the manifest's height (like the tree
+  // shape); null until bootstrap.
+  std::unique_ptr<DpCellCounter> dp_cells_;
   bool bootstrapped_ = false;
   uint64_t consecutive_failures_ = 0;
   uint64_t jitter_state_ = 0;

@@ -15,7 +15,8 @@ AnonymizationService::AnonymizationService(Deferred, size_t dim,
       options_(options),
       domain_(std::move(domain)),
       queue_(dim, options_.queue_capacity, options_.backpressure),
-      anonymizer_(dim, options_.anonymizer, &domain_) {
+      anonymizer_(dim, options_.anonymizer, &domain_),
+      dp_cells_(domain_, options_.dp_height) {
   KANON_CHECK(dim >= 1 && domain_.dim() == dim);
   KANON_CHECK(options_.max_batch >= 1);
 }
@@ -48,6 +49,7 @@ Status AnonymizationService::InitDurability() {
   KANON_ASSIGN_OR_RETURN(recovery_,
                          RecoverInto(recovery_options, &anonymizer_));
   next_rid_ = recovery_.next_lsn - 1;
+  dp_cells_.Recount(anonymizer_.tree());
   WalOptions wal_options;
   wal_options.fsync_every = d.fsync_every;
   wal_options.segment_bytes = d.segment_bytes;
@@ -133,6 +135,8 @@ ServiceStats AnonymizationService::Stats() const {
       last_build_ms_.load(std::memory_order_relaxed);
   stats.snapshot_build_ms_total =
       build_ms_total_.load(std::memory_order_relaxed);
+  stats.publish_blocks_cloned = blocks_cloned_.load(std::memory_order_relaxed);
+  stats.publish_blocks_shared = blocks_shared_.load(std::memory_order_relaxed);
   stats.queue_wait_ms = queue_wait_ms_.load(std::memory_order_relaxed);
   stats.apply_ms = apply_ms_.load(std::memory_order_relaxed);
   if (const auto snapshot = CurrentSnapshot()) {
@@ -277,6 +281,7 @@ void AnonymizationService::ApplyBatch(const IngestBatch& batch) {
   }
   for (size_t i = 0; i < logged; ++i) {
     anonymizer_.Insert(batch.point(i), next_rid_++, batch.sensitives[i]);
+    dp_cells_.Add(batch.point(i));
   }
   if (logged == 0) return;
   inserted_.fetch_add(logged, std::memory_order_release);
@@ -343,9 +348,12 @@ void AnonymizationService::Publish() {
   // reads is exactly what a degraded service keeps doing).
   if (wal_ != nullptr && !wal_->poisoned()) (void)wal_->Sync();
   const uint64_t epoch = snapshots_.load(std::memory_order_relaxed) + 1;
-  std::shared_ptr<const Snapshot> snapshot = BuildSnapshot(
-      tree, domain_, options_.anonymizer, options_.dp_height, epoch);
-  const double build_ms = snapshot->info().build_ms;
+  std::shared_ptr<const Snapshot> snapshot =
+      BuildSnapshot(tree, domain_, options_.anonymizer, dp_cells_, epoch);
+  const SnapshotInfo& info = snapshot->info();
+  const double build_ms = info.build_ms;
+  blocks_cloned_.fetch_add(info.blocks_cloned, std::memory_order_relaxed);
+  blocks_shared_.fetch_add(info.blocks_shared, std::memory_order_relaxed);
   snapshots_.store(epoch, std::memory_order_relaxed);
   last_build_ms_.store(build_ms, std::memory_order_relaxed);
   build_ms_total_.store(

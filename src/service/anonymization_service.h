@@ -223,6 +223,7 @@ class AnonymizationService {
 
   IngestQueue queue_;
   IncrementalAnonymizer anonymizer_;  // ingest thread only
+  DpCellCounter dp_cells_;            // ingest thread only
   uint64_t next_rid_ = 0;             // ingest thread only
   uint64_t since_snapshot_ = 0;       // ingest thread only
 
@@ -262,6 +263,8 @@ class AnonymizationService {
   std::atomic<uint64_t> snapshots_{0};
   std::atomic<double> last_build_ms_{0.0};
   std::atomic<double> build_ms_total_{0.0};
+  std::atomic<uint64_t> blocks_cloned_{0};
+  std::atomic<uint64_t> blocks_shared_{0};
 
   // Ingest-thread time split (written by the ingest thread only; the
   // load+store is not a race because there is exactly one writer).

@@ -35,6 +35,10 @@ struct ServiceStats {
 
   double last_snapshot_build_ms = 0.0;
   double snapshot_build_ms_total = 0.0;  // total time building snapshots
+  // Leaf blocks publications took fresh (written since the previous
+  // publication) vs re-shared unchanged: publish cost tracks the first.
+  uint64_t publish_blocks_cloned = 0;
+  uint64_t publish_blocks_shared = 0;
   double snapshot_age_s = 0.0;  // 0 before the first publication
 
   // Ingest-thread time attribution: of the thread's life, how much was
@@ -146,6 +150,10 @@ inline constexpr ServiceCounter kServiceCounters[] = {
      &ServiceStats::wal_poisoned},
     {"kanon_snapshot_build_ms_total", "counter", ShardMerge::kSum, false,
      &ServiceStats::snapshot_build_ms_total},
+    {"kanon_publish_blocks_cloned_total", "counter", ShardMerge::kSum, false,
+     &ServiceStats::publish_blocks_cloned},
+    {"kanon_publish_blocks_shared_total", "counter", ShardMerge::kSum, false,
+     &ServiceStats::publish_blocks_shared},
     {"kanon_ingest_queue_wait_ms_total", "counter", ShardMerge::kSum, false,
      &ServiceStats::queue_wait_ms},
     {"kanon_ingest_apply_ms_total", "counter", ShardMerge::kSum, false,

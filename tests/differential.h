@@ -39,6 +39,7 @@
 #include "index/rplus_tree.h"
 #include "index/tree_persistence.h"
 #include "invariants.h"
+#include "service/snapshot.h"
 #include "storage/pager.h"
 
 namespace kanon::testutil {
@@ -75,7 +76,7 @@ inline std::vector<RecordRow> TreeRecordMultiset(const RPlusTree& tree) {
   for (const Node* leaf : tree.OrderedLeaves()) {
     for (size_t r = 0; r < leaf->leaf_size(); ++r) {
       const auto p = leaf->point(r);
-      rows.emplace_back(leaf->rids[r], leaf->sensitive[r],
+      rows.emplace_back(leaf->rids()[r], leaf->sensitive()[r],
                         std::vector<double>(p.begin(), p.end()));
     }
   }
@@ -157,6 +158,16 @@ inline std::vector<double> GridPoint(size_t i) {
 }
 
 inline int32_t GridSensitive(size_t i) { return static_cast<int32_t>(i % 5); }
+
+/// The service's publication of `tree` with the DP cells recounted from
+/// its records, as the service holds them after recovery.
+inline std::shared_ptr<const Snapshot> PublishTree(
+    const RPlusTree& tree, const Domain& domain,
+    const RTreeAnonymizerOptions& options, size_t dp_height, uint64_t epoch) {
+  DpCellCounter dp(domain, dp_height);
+  dp.Recount(tree);
+  return BuildSnapshot(tree, domain, options, dp, epoch);
+}
 
 }  // namespace kanon::testutil
 

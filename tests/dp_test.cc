@@ -185,13 +185,49 @@ TEST(DpGridTest, CellMappingAndNodeInvariants) {
     EXPECT_EQ(lf, first);
     EXPECT_EQ(ll, rf);
     EXPECT_EQ(rl, last);
-    const Mbr box = grid.NodeBox(v);
-    EXPECT_TRUE(box.ContainsBox(grid.NodeBox(2 * v)));
-    EXPECT_TRUE(box.ContainsBox(grid.NodeBox(2 * v + 1)));
+    Mbr box, left, right;
+    grid.NodeBox(v, &box);
+    grid.NodeBox(2 * v, &left);
+    grid.NodeBox(2 * v + 1, &right);
+    EXPECT_TRUE(box.ContainsBox(left));
+    EXPECT_TRUE(box.ContainsBox(right));
   }
   // Out-of-domain coordinates clamp into a valid cell.
   const std::vector<double> outside = {-5.0, 1e9};
   EXPECT_LT(grid.LeafCell(outside), grid.num_leaves());
+}
+
+// Pins the binning rule: depth d halves axis d % dim at its exact
+// midpoint, [lo, mid) goes left and [mid, hi) right, and out-of-domain
+// coordinates clamp into the boundary cell. Domain [0, 8] x [0, 4] at
+// height 3 cuts x at 4, then y at 2, then x at 2 or 6.
+TEST(DpGridTest, LeafCellPinsMidpointBoundaryAndOutOfDomainPoints) {
+  Domain domain;
+  domain.lo = {0.0, 0.0};
+  domain.hi = {8.0, 4.0};
+  const DpGrid grid(domain, 3);
+  const auto cell = [&](double x, double y) {
+    return grid.LeafCell(std::vector<double>{x, y});
+  };
+  EXPECT_EQ(cell(3.0, 1.0), 0b001u);  // interior: left, left, right
+  EXPECT_EQ(cell(4.0, 2.0), 0b110u);  // on both midpoints: right, right
+  EXPECT_EQ(cell(2.0, 0.0), 0b001u);  // on the depth-2 midpoint: right
+  EXPECT_EQ(cell(0.0, 0.0), 0b000u);  // lower domain corner
+  EXPECT_EQ(cell(8.0, 4.0), 0b111u);  // upper (closed) domain corner
+  EXPECT_EQ(cell(-5.0, 10.0), 0b010u);  // out of domain: clamps
+  EXPECT_EQ(cell(100.0, -1.0), 0b101u);
+  EXPECT_EQ(cell(std::nextafter(4.0, 0.0), 2.0), 0b011u);
+
+  // The node boxes along the path to cell 6, written into one reused box.
+  Mbr box;
+  grid.NodeBox(1, &box);
+  EXPECT_EQ(box, Mbr::FromBounds({0.0, 0.0}, {8.0, 4.0}));
+  grid.NodeBox(3, &box);
+  EXPECT_EQ(box, Mbr::FromBounds({4.0, 0.0}, {8.0, 4.0}));
+  grid.NodeBox(7, &box);
+  EXPECT_EQ(box, Mbr::FromBounds({4.0, 2.0}, {8.0, 4.0}));
+  grid.NodeBox(8 + 6, &box);
+  EXPECT_EQ(box, Mbr::FromBounds({4.0, 2.0}, {6.0, 4.0}));
 }
 
 TEST(DpGridTest, AccumulateCountsEveryPointExactlyOnce) {

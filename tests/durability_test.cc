@@ -476,8 +476,8 @@ TEST(DurabilityRecoveryTest, CheckpointPlusWalTail) {
   const auto b = recovered.tree().OrderedLeaves();
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i]->rids, b[i]->rids);
-    EXPECT_TRUE(a[i]->mbr == b[i]->mbr);
+    EXPECT_TRUE(std::ranges::equal(a[i]->rids(), b[i]->rids()));
+    EXPECT_EQ(Mbr::FromView(a[i]->mbr()), Mbr::FromView(b[i]->mbr()));
   }
   ASSERT_TRUE(recovered.tree().CheckInvariants().ok());
 }

@@ -551,6 +551,8 @@ TEST(HttpServerTest, MetricsExposeEveryServiceSeriesOnce) {
       "kanon_dropped_total counter",
       "kanon_wal_poisoned gauge",
       "kanon_snapshot_build_ms_total counter",
+      "kanon_publish_blocks_cloned_total counter",
+      "kanon_publish_blocks_shared_total counter",
       "kanon_ingest_queue_wait_ms_total counter",
       "kanon_ingest_apply_ms_total counter",
       "kanon_dp_budget gauge",

@@ -42,9 +42,11 @@ inline void ExpectTreeLeafInvariants(const RPlusTree& tree, size_t k) {
   // the cut and the right side's min is at or above it.
   for (size_t i = 0; i < leaves.size(); ++i) {
     for (size_t j = i + 1; j < leaves.size(); ++j) {
-      EXPECT_FALSE(leaves[i]->mbr.Intersects(leaves[j]->mbr))
-          << "leaf MBRs overlap: " << i << " " << leaves[i]->mbr.ToString()
-          << " vs " << j << " " << leaves[j]->mbr.ToString();
+      const Mbr a = Mbr::FromView(leaves[i]->mbr());
+      const Mbr b = Mbr::FromView(leaves[j]->mbr());
+      EXPECT_FALSE(a.Intersects(b)) << "leaf MBRs overlap: " << i << " "
+                                    << a.ToString() << " vs " << j << " "
+                                    << b.ToString();
     }
   }
 
@@ -54,16 +56,16 @@ inline void ExpectTreeLeafInvariants(const RPlusTree& tree, size_t k) {
   for (size_t i = 0; i < leaves.size(); ++i) {
     const Node* leaf = leaves[i];
     for (size_t r = 0; r < leaf->leaf_size(); ++r) {
-      EXPECT_TRUE(seen.insert(leaf->rids[r]).second)
-          << "rid " << leaf->rids[r] << " appears in more than one leaf";
-      EXPECT_TRUE(leaf->mbr.ContainsPoint(leaf->point(r)))
-          << "record " << leaf->rids[r] << " outside its leaf MBR";
+      EXPECT_TRUE(seen.insert(leaf->rids()[r]).second)
+          << "rid " << leaf->rids()[r] << " appears in more than one leaf";
+      EXPECT_TRUE(leaf->mbr().ContainsClosed(leaf->point(r)))
+          << "record " << leaf->rids()[r] << " outside its leaf MBR";
       size_t covering = 0;
       for (const Node* other : leaves) {
-        if (other->mbr.ContainsPoint(leaf->point(r))) ++covering;
+        if (other->mbr().ContainsClosed(leaf->point(r))) ++covering;
       }
       EXPECT_EQ(covering, 1u)
-          << "record " << leaf->rids[r] << " covered by " << covering
+          << "record " << leaf->rids()[r] << " covered by " << covering
           << " leaf MBRs";
     }
   }

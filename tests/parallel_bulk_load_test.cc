@@ -187,9 +187,10 @@ TEST(ParallelBulkLoadTest, LeafConstraintRespectedAtEveryThreadCount) {
   const RPlusTree serial = BuildWithThreads(d, config, 1);
   ASSERT_TRUE(serial.CheckInvariants().ok());
   for (const Node* leaf : serial.OrderedLeaves()) {
-    bool diverse = leaf->sensitive.empty();
-    for (size_t i = 1; i < leaf->sensitive.size(); ++i) {
-      if (leaf->sensitive[i] != leaf->sensitive[0]) diverse = true;
+    const auto codes = leaf->sensitive();
+    bool diverse = codes.empty();
+    for (size_t i = 1; i < codes.size(); ++i) {
+      if (codes[i] != codes[0]) diverse = true;
     }
     EXPECT_TRUE(diverse);
   }
@@ -229,17 +230,19 @@ TEST(ParallelBulkLoadTest, LeavesIgnoreInputOrder) {
     const auto got_leaves = got.OrderedLeaves();
     ASSERT_EQ(got_leaves.size(), want_leaves.size()) << "threads=" << threads;
     for (size_t l = 0; l < want_leaves.size(); ++l) {
-      std::vector<uint64_t> want_rids = want_leaves[l]->rids;
+      std::vector<uint64_t> want_rids(want_leaves[l]->rids().begin(),
+                                      want_leaves[l]->rids().end());
       std::vector<uint64_t> got_rids;
-      for (const uint64_t rid : got_leaves[l]->rids) {
+      for (const uint64_t rid : got_leaves[l]->rids()) {
         got_rids.push_back(perm[rid]);
       }
       std::sort(want_rids.begin(), want_rids.end());
       std::sort(got_rids.begin(), got_rids.end());
       EXPECT_EQ(got_rids, want_rids) << "threads=" << threads << " leaf " << l;
-      EXPECT_EQ(got_leaves[l]->mbr, want_leaves[l]->mbr);
-      EXPECT_EQ(got_leaves[l]->region.lo, want_leaves[l]->region.lo);
-      EXPECT_EQ(got_leaves[l]->region.hi, want_leaves[l]->region.hi);
+      EXPECT_EQ(Mbr::FromView(got_leaves[l]->mbr()),
+                Mbr::FromView(want_leaves[l]->mbr()));
+      EXPECT_EQ(Mbr::FromView(got_leaves[l]->region()),
+                Mbr::FromView(want_leaves[l]->region()));
     }
   }
 }

@@ -167,8 +167,8 @@ TEST(RPlusTreeTest, MbrsAreTight) {
     const double p[] = {static_cast<double>(i)};
     tree.Insert({p, 1}, i, 0);
   }
-  EXPECT_EQ(tree.root()->mbr.lo(0), 0.0);
-  EXPECT_EQ(tree.root()->mbr.hi(0), 99.0);
+  EXPECT_EQ(tree.root()->mbr().lo[0], 0.0);
+  EXPECT_EQ(tree.root()->mbr().hi[0], 99.0);
 }
 
 TEST(RPlusTreeTest, OrderedLeavesAreSpatiallyCoherentIn1d) {
@@ -181,7 +181,8 @@ TEST(RPlusTreeTest, OrderedLeavesAreSpatiallyCoherentIn1d) {
   // In 1-D, left-to-right leaf order must be sorted by region.
   const auto leaves = tree.OrderedLeaves();
   for (size_t i = 1; i < leaves.size(); ++i) {
-    EXPECT_LE(leaves[i - 1]->region.hi[0], leaves[i]->region.lo[0] + 1e-12);
+    EXPECT_LE(leaves[i - 1]->region().hi[0],
+              leaves[i]->region().lo[0] + 1e-12);
   }
 }
 
@@ -215,7 +216,7 @@ TEST(RPlusTreeTest, LeafConstraintVetoesSplit) {
   std::set<int32_t> distinct;
   for (const Node* leaf : tree.OrderedLeaves()) {
     distinct.clear();
-    distinct.insert(leaf->sensitive.begin(), leaf->sensitive.end());
+    distinct.insert(leaf->sensitive().begin(), leaf->sensitive().end());
     EXPECT_GE(distinct.size(), 2u);
   }
 }
@@ -228,8 +229,8 @@ TEST(RPlusTreeTest, BiasedSplittingOnlyCutsChosenAxis) {
   ASSERT_TRUE(tree.CheckInvariants().ok());
   // All leaf regions must span the full extent of axis 1 (never cut).
   for (const Node* leaf : tree.OrderedLeaves()) {
-    EXPECT_TRUE(std::isinf(leaf->region.lo[1]));
-    EXPECT_TRUE(std::isinf(leaf->region.hi[1]));
+    EXPECT_TRUE(std::isinf(leaf->region().lo[1]));
+    EXPECT_TRUE(std::isinf(leaf->region().hi[1]));
   }
 }
 

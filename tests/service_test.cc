@@ -299,9 +299,10 @@ std::unique_ptr<IncrementalAnonymizer> TupleTree(
 }
 
 // BuildSnapshot is the one publication path of leader and follower. Its
-// fragments are the tree's non-empty leaves in order (regions clipped to
-// the domain; regions replace MBRs when compaction is off), its releases
-// are the leaf scan over them, and its DP cells count every record.
+// fragments are the tree's leaf blocks in order (the same rids, MBRs and
+// regions ExtractLeafGroups copies out), its releases are the leaf scan
+// over the extracted groups (regions clipped to the domain replace MBRs
+// when compaction is off), and its DP cells count every record.
 TEST(SnapshotTest, BuildSnapshotIsTheLeafScanOverExtractedLeaves) {
   const Domain domain = testutil::SquareDomain(0, 100);
   for (const bool compact : {true, false}) {
@@ -310,21 +311,21 @@ TEST(SnapshotTest, BuildSnapshotIsTheLeafScanOverExtractedLeaves) {
     options.compact = compact;
     const auto anonymizer = TupleTree(1500, options, &domain);
     const RPlusTree& tree = anonymizer->tree();
-    const auto snapshot =
-        BuildSnapshot(tree, domain, options, /*dp_height=*/6, /*epoch=*/7);
+    const auto snapshot = testutil::PublishTree(tree, domain, options,
+                                                /*dp_height=*/6, /*epoch=*/7);
 
     std::vector<LeafGroup> leaves = ExtractLeafGroups(tree, &domain);
-    if (!compact) {
-      for (LeafGroup& g : leaves) {
-        if (!g.region.empty()) g.mbr = g.region;
-      }
-    }
     ASSERT_EQ(snapshot->fragments().size(), leaves.size());
     for (size_t i = 0; i < leaves.size(); ++i) {
-      const LeafGroup& got = *snapshot->fragments()[i];
-      EXPECT_EQ(got.rids, leaves[i].rids) << "leaf " << i;
-      EXPECT_TRUE(got.mbr == leaves[i].mbr) << "leaf " << i;
-      EXPECT_TRUE(got.region == leaves[i].region) << "leaf " << i;
+      const LeafBlock& got = *snapshot->fragments()[i];
+      EXPECT_TRUE(std::ranges::equal(got.rids(), leaves[i].rids))
+          << "leaf " << i;
+      EXPECT_EQ(Mbr::FromView(got.mbr()), leaves[i].mbr) << "leaf " << i;
+      EXPECT_EQ(ClipRegionToDomain(got.region(), domain), leaves[i].region)
+          << "leaf " << i;
+    }
+    if (!compact) {
+      for (LeafGroup& g : leaves) g.mbr = g.region;
     }
     for (const size_t k1 : {size_t{5}, size_t{40}}) {
       testutil::ExpectSameRelease(snapshot->Release(k1),
@@ -343,7 +344,7 @@ TEST(SnapshotTest, BuildSnapshotIsTheLeafScanOverExtractedLeaves) {
   RTreeAnonymizerOptions options;
   options.base_k = 5;
   const auto anonymizer = TupleTree(50, options, &domain);
-  EXPECT_EQ(BuildSnapshot(anonymizer->tree(), domain, options, 0, 1)
+  EXPECT_EQ(testutil::PublishTree(anonymizer->tree(), domain, options, 0, 1)
                 ->dp_cells(),
             nullptr);
 }
@@ -357,9 +358,9 @@ TEST(ServiceTest, PublishedSnapshotsMatchAFromScratchTupleTree) {
   const Domain domain = testutil::SquareDomain(0, 100);
   ServiceOptions base_options = SmallServiceOptions(k);
   const auto reference = TupleTree(n, base_options.anonymizer, &domain);
-  const auto want = BuildSnapshot(reference->tree(), domain,
-                                  base_options.anonymizer,
-                                  base_options.dp_height, /*epoch=*/1);
+  const auto want = testutil::PublishTree(reference->tree(), domain,
+                                         base_options.anonymizer,
+                                         base_options.dp_height, /*epoch=*/1);
   for (const uint64_t cadence : {uint64_t{0}, uint64_t{97}, uint64_t{1000}}) {
     ServiceOptions options = base_options;
     options.snapshot_every = cadence;

@@ -173,10 +173,9 @@ TEST(RegionSeparatorTest, FindsPlaneForBinaryCutChildren) {
   Region whole = Region::Whole(2);
   auto [a, b] = whole.Cut(0, 5.0);
   auto [a1, a2] = a.Cut(1, 2.0);
-  std::vector<const Region*> regions = {&a1, &a2, &b};
+  std::vector<BoxView> regions = {a1.view(), a2.view(), b.view()};
   SplitConfig config;
-  const auto s = ChooseRegionSeparator({regions.data(), regions.size()},
-                                       config);
+  const auto s = ChooseRegionSeparator(regions, config);
   ASSERT_TRUE(s.has_value());
   // The only plane separating all three without slicing any is x=5.
   EXPECT_EQ(s->axis, 0u);
@@ -192,10 +191,9 @@ TEST(RegionSeparatorTest, PrefersBalancedPlane) {
   auto [l, r] = whole.Cut(0, 4.0);
   auto [l1, l2] = l.Cut(0, 2.0);
   auto [r1, r2] = r.Cut(0, 6.0);
-  std::vector<const Region*> regions = {&l1, &l2, &r1, &r2};
+  std::vector<BoxView> regions = {l1.view(), l2.view(), r1.view(), r2.view()};
   SplitConfig config;
-  const auto s = ChooseRegionSeparator({regions.data(), regions.size()},
-                                       config);
+  const auto s = ChooseRegionSeparator(regions, config);
   ASSERT_TRUE(s.has_value());
   EXPECT_EQ(s->value, 4.0);
   EXPECT_EQ(s->left_count, 2u);
@@ -203,10 +201,9 @@ TEST(RegionSeparatorTest, PrefersBalancedPlane) {
 
 TEST(RegionSeparatorTest, NulloptForSingleChild) {
   Region whole = Region::Whole(2);
-  std::vector<const Region*> regions = {&whole};
+  std::vector<BoxView> regions = {whole.view()};
   SplitConfig config;
-  EXPECT_FALSE(ChooseRegionSeparator({regions.data(), regions.size()}, config)
-                   .has_value());
+  EXPECT_FALSE(ChooseRegionSeparator(regions, config).has_value());
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <set>
 
@@ -61,8 +62,10 @@ TEST(TreePersistenceTest, RoundTripPreservesStructureAndRecords) {
   const auto loaded_leaves = loaded->OrderedLeaves();
   ASSERT_EQ(original_leaves.size(), loaded_leaves.size());
   for (size_t i = 0; i < original_leaves.size(); ++i) {
-    EXPECT_EQ(original_leaves[i]->rids, loaded_leaves[i]->rids);
-    EXPECT_TRUE(original_leaves[i]->mbr == loaded_leaves[i]->mbr);
+    EXPECT_TRUE(std::ranges::equal(original_leaves[i]->rids(),
+                                   loaded_leaves[i]->rids()));
+    EXPECT_EQ(Mbr::FromView(original_leaves[i]->mbr()),
+              Mbr::FromView(loaded_leaves[i]->mbr()));
   }
 }
 
@@ -189,8 +192,9 @@ TEST(TreePersistenceTest, MidIncrementalLoadMatchesUnpersistedRun) {
   const auto actual = resumed->OrderedLeaves();
   ASSERT_EQ(expected.size(), actual.size());
   for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(expected[i]->rids, actual[i]->rids);
-    EXPECT_TRUE(expected[i]->mbr == actual[i]->mbr);
+    EXPECT_TRUE(std::ranges::equal(expected[i]->rids(), actual[i]->rids()));
+    EXPECT_EQ(Mbr::FromView(expected[i]->mbr()),
+              Mbr::FromView(actual[i]->mbr()));
   }
   // The k-constraint (min leaf occupancy) holds on the resumed tree.
   EXPECT_GE(resumed->ComputeStats().min_leaf_size, SmallConfig().min_leaf);
