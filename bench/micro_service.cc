@@ -157,7 +157,7 @@ void BM_Publish(benchmark::State& state) {
   DpCellCounter dp(domain, /*height=*/10);
   dp.Recount(anonymizer.tree());
   std::shared_ptr<const Snapshot> current =
-      BuildSnapshot(anonymizer.tree(), domain, options, dp, 1);
+      BuildSnapshot(anonymizer.tree(), domain, options.base_k, dp, 1);
 
   RecordId next = n;
   uint64_t epoch = 1;
@@ -169,7 +169,8 @@ void BM_Publish(benchmark::State& state) {
       dp.Add(data.row(next));
     }
     state.ResumeTiming();
-    current = BuildSnapshot(anonymizer.tree(), domain, options, dp, ++epoch);
+    current = BuildSnapshot(anonymizer.tree(), domain, options.base_k, dp,
+                            ++epoch);
     cloned += static_cast<double>(current->info().blocks_cloned);
     shared += static_cast<double>(current->info().blocks_shared);
   }

@@ -4,23 +4,13 @@
 
 namespace kanon {
 
-namespace {
-
-/// Writes `region` intersected with the closed `domain` box into lo/hi.
-void ClipBounds(BoxView region, const Domain& domain, std::span<double> lo,
-                std::span<double> hi) {
+Mbr ClipRegionToDomain(BoxView region, const Domain& domain) {
+  std::vector<double> lo(region.dim()), hi(region.dim());
   for (size_t d = 0; d < region.dim(); ++d) {
     lo[d] = std::max(region.lo[d], domain.lo[d]);
     hi[d] = std::min(region.hi[d], domain.hi[d]);
     if (lo[d] > hi[d]) lo[d] = hi[d];  // region beyond the data: collapse
   }
-}
-
-}  // namespace
-
-Mbr ClipRegionToDomain(BoxView region, const Domain& domain) {
-  std::vector<double> lo(region.dim()), hi(region.dim());
-  ClipBounds(region, domain, lo, hi);
   return Mbr::FromBounds(std::move(lo), std::move(hi));
 }
 
@@ -70,6 +60,9 @@ std::span<const RecordId> LeafRids(const SharedBlock& b) { return b->rids(); }
 size_t LeafDim(const LeafGroup& g) { return g.mbr.dim(); }
 size_t LeafDim(const SharedBlock& b) { return b->dim(); }
 
+BoxView LeafMbr(const LeafGroup& g) { return g.mbr.view(); }
+BoxView LeafMbr(const SharedBlock& b) { return b->mbr(); }
+
 // A snapshot's blocks sit wherever the writer allocated them, in no
 // relation to leaf order, so a scan of a large snapshot would wait on
 // memory at every leaf; asking for the leaves a few places ahead overlaps
@@ -80,11 +73,11 @@ void PrefetchLeaf(const SharedBlock& b) { b->Prefetch(); }
 
 // The LS1-LS4 scan over owned groups or shared blocks, parameterized over
 // what a partition keeps of its leaves' records (`add_records`: every rid,
-// or just a count) and over the box a leaf contributes (`add_box`), so
-// each output shape comes from this one grouping rule.
-template <typename Part, typename Leaf, typename AddRecords, typename AddBox>
+// or just a count), so each output shape comes from this one grouping
+// rule. A partition's box is the union of its leaves' MBRs.
+template <typename Part, typename Leaf, typename AddRecords>
 std::vector<Part> LeafScanImpl(std::span<const Leaf> leaves, size_t k1,
-                               AddRecords add_records, AddBox add_box) {
+                               AddRecords add_records) {
   std::vector<Part> out;
   const size_t dim = leaves.empty() ? 0 : LeafDim(leaves.front());
   Part current;
@@ -99,7 +92,7 @@ std::vector<Part> LeafScanImpl(std::span<const Leaf> leaves, size_t k1,
     const Leaf& e = leaves[i];
     const std::span<const RecordId> rids = LeafRids(e);
     add_records(&current, rids);
-    add_box(&current.box, e);
+    current.box.ExpandToInclude(LeafMbr(e));
     remaining -= rids.size();
     // LS4: if the leftovers cannot form a full group, absorb them here
     // rather than emitting an undersized final partition.
@@ -121,48 +114,19 @@ void AddCount(PartitionBox* part, std::span<const RecordId> rids) {
   part->records += rids.size();
 }
 
-void AddGroupMbr(Mbr* box, const LeafGroup& g) { box->ExpandToInclude(g.mbr); }
-
-/// A block's box: its MBR, or with a `region_domain` its region clipped
-/// to that domain (ClipRegionToDomain into reused scratch bounds).
-class BlockBox {
- public:
-  explicit BlockBox(const Domain* region_domain)
-      : domain_(region_domain),
-        lo_(region_domain != nullptr ? region_domain->dim() : 0),
-        hi_(lo_.size()) {}
-
-  void operator()(Mbr* box, const SharedBlock& b) {
-    if (domain_ == nullptr) {
-      box->ExpandToInclude(b->mbr());
-      return;
-    }
-    ClipBounds(b->region(), *domain_, lo_, hi_);
-    box->ExpandToInclude(BoxView{lo_, hi_});
-  }
-
- private:
-  const Domain* domain_;
-  std::vector<double> lo_, hi_;
-};
-
 }  // namespace
 
 PartitionSet LeafScan(std::span<const LeafGroup> leaves, size_t k1) {
-  return {LeafScanImpl<Partition>(leaves, k1, AddRids, AddGroupMbr)};
+  return {LeafScanImpl<Partition>(leaves, k1, AddRids)};
 }
 
-PartitionSet LeafScan(std::span<const SharedBlock> leaves, size_t k1,
-                      const Domain* region_domain) {
-  return {LeafScanImpl<Partition>(leaves, k1, AddRids,
-                                  BlockBox(region_domain))};
+PartitionSet LeafScan(std::span<const SharedBlock> leaves, size_t k1) {
+  return {LeafScanImpl<Partition>(leaves, k1, AddRids)};
 }
 
 std::vector<PartitionBox> LeafScanBoxes(std::span<const SharedBlock> leaves,
-                                        size_t k1,
-                                        const Domain* region_domain) {
-  return LeafScanImpl<PartitionBox>(leaves, k1, AddCount,
-                                    BlockBox(region_domain));
+                                        size_t k1) {
+  return LeafScanImpl<PartitionBox>(leaves, k1, AddCount);
 }
 
 PartitionSet LeafScanWithConstraint(std::span<const LeafGroup> leaves,

@@ -36,19 +36,17 @@ Mbr ClipRegionToDomain(BoxView region, const Domain& domain);
 PartitionSet LeafScan(std::span<const LeafGroup> leaves, size_t k1);
 
 /// The same scan over shared leaf blocks, the form in which a service
-/// snapshot holds the tree's leaves. Each leaf contributes its MBR, or,
-/// with `region_domain` set, its region clipped to that domain (the
-/// uncompacted view): the partitions LeafScan(ExtractLeafGroups(tree),
-/// k1) gives for the same tree, with the region swapped in likewise.
+/// snapshot holds the tree's leaves. Each leaf contributes its MBR: the
+/// partitions LeafScan(ExtractLeafGroups(tree), k1) gives for the same
+/// tree.
 PartitionSet LeafScan(std::span<const BlockRef<const LeafBlock>> leaves,
-                      size_t k1, const Domain* region_domain = nullptr);
+                      size_t k1);
 
 /// LeafScan over blocks keeping only each partition's record count and
 /// box: the same partitions in the same order, without copying a single
 /// record id. A release rendered without rids needs nothing more.
 std::vector<PartitionBox> LeafScanBoxes(
-    std::span<const BlockRef<const LeafBlock>> leaves, size_t k1,
-    const Domain* region_domain = nullptr);
+    std::span<const BlockRef<const LeafBlock>> leaves, size_t k1);
 
 /// Generalized leaf scan: accumulate leaves until `constraint` admits the
 /// group (monotone constraints only). Needs the dataset to read sensitive

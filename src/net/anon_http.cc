@@ -54,7 +54,8 @@ Status CheckQueryKeys(const QueryParams& params,
       have += a;
     }
     return Status::InvalidArgument("unknown query parameter '" + key +
-                                   "' (have " + have + ")");
+                                   "' (have " +
+                                   (have.empty() ? "none" : have) + ")");
   }
   return Status::OK();
 }
@@ -654,36 +655,24 @@ HttpResponse AnonHttpFrontend::HandleRepl(const HttpRequest& request,
     return HttpResponse::FromStatus(Status::FailedPrecondition(
         "replication requires a durable leader (start with --wal-dir)"));
   }
-  const QueryParams params = ParseQuery(request.query);
-  uint64_t shard = 0;
-  if (const std::string* v = QueryParam(params, "shard")) {
-    if (!ParseU64Param(*v, &shard) || shard >= service_->num_shards()) {
-      return HttpResponse::FromStatus(Status::InvalidArgument(
-          "shard must be in [0, " + std::to_string(service_->num_shards()) +
-          "), got '" + *v + "'"));
-    }
-  }
-  return (this->*handler)(request, params,
-                          ShardWalDir(durability.wal_dir, shard), shard);
+  return (this->*handler)(request, ParseQuery(request.query),
+                          ShardWalDir(durability.wal_dir, 0));
 }
 
 HttpResponse AnonHttpFrontend::HandleReplManifest(const HttpRequest&,
                                                   const QueryParams& params,
-                                                  const std::string& dir,
-                                                  size_t shard) {
-  if (Status s = CheckQueryKeys(params, {"shard"}); !s.ok()) {
+                                                  const std::string& dir) {
+  if (Status s = CheckQueryKeys(params, {}); !s.ok()) {
     return HttpResponse::FromStatus(s);
   }
-  const AnonymizationService* svc = service_->shard(shard);
+  const AnonymizationService* svc = service_->shard(0);
   const ServiceOptions& opts = service_->options().service;
   LeaderManifest m;
   m.shards = service_->num_shards();
-  m.shard = shard;
   m.dim = service_->dim();
   m.base_k = opts.anonymizer.base_k;
   m.leaf_capacity_factor = opts.anonymizer.leaf_capacity_factor;
   m.max_fanout = opts.anonymizer.max_fanout;
-  m.compact = opts.anonymizer.compact;
   m.dp_height = opts.dp_height;
   m.durable_lsn = svc->Stats().wal_synced_lsn;
   if (const auto snapshot = svc->CurrentSnapshot()) {
@@ -702,8 +691,8 @@ HttpResponse AnonHttpFrontend::HandleReplManifest(const HttpRequest&,
 
 HttpResponse AnonHttpFrontend::HandleReplCheckpoint(
     const HttpRequest& request, const QueryParams& params,
-    const std::string& dir, size_t /*shard*/) {
-  if (Status s = CheckQueryKeys(params, {"shard"}); !s.ok()) {
+    const std::string& dir) {
+  if (Status s = CheckQueryKeys(params, {}); !s.ok()) {
     return HttpResponse::FromStatus(s);
   }
   const std::string& path = request.path;
@@ -748,10 +737,8 @@ HttpResponse AnonHttpFrontend::HandleReplCheckpoint(
 
 HttpResponse AnonHttpFrontend::HandleReplWal(const HttpRequest&,
                                              const QueryParams& params,
-                                             const std::string& dir,
-                                             size_t shard) {
-  if (Status s = CheckQueryKeys(
-          params, {"shard", "from_lsn", "max_lsn", "max_bytes"});
+                                             const std::string& dir) {
+  if (Status s = CheckQueryKeys(params, {"from_lsn", "max_lsn", "max_bytes"});
       !s.ok()) {
     return HttpResponse::FromStatus(s);
   }
@@ -771,7 +758,7 @@ HttpResponse AnonHttpFrontend::HandleReplWal(const HttpRequest&,
     return HttpResponse::FromStatus(s);
   }
 
-  const AnonymizationService* svc = service_->shard(shard);
+  const AnonymizationService* svc = service_->shard(0);
   const uint64_t durable_lsn = svc->Stats().wal_synced_lsn;
   // Never ship past the durable horizon: un-fsynced entries could vanish in
   // a crash and have their LSNs reassigned — a follower that applied the

@@ -131,16 +131,16 @@ class DpServing {
 ///                          series with a shard label, queue depth, and the
 ///                          Router's build info, listener stats and
 ///                          per-endpoint latency histograms.
-///   GET  /repl/manifest    Replication bootstrap metadata for one shard
-///                          (?shard=i, default 0): checkpoint manifest,
-///                          durable (fsynced) LSN horizon and the current
-///                          published epoch. 409 unless the leader runs
-///                          with durability on.
+///   GET  /repl/manifest    Replication bootstrap metadata: the leader's
+///                          shard count (a follower needs 1), checkpoint
+///                          manifest, durable (fsynced) LSN horizon and
+///                          the current published epoch. 409 unless the
+///                          leader runs with durability on.
 ///   GET  /repl/checkpoint/<lsn>  The raw checkpoint file bytes named by
 ///                          the manifest (verifiable against its recorded
 ///                          CRC32). 410 Gone once that checkpoint has been
 ///                          superseded and GC'd — re-fetch the manifest.
-///   GET  /repl/wal         ?from_lsn=&max_bytes=&max_lsn=&shard= —
+///   GET  /repl/wal         ?from_lsn=&max_bytes=&max_lsn= —
 ///                          CRC-framed WAL entries straight from the
 ///                          segment files, capped at the durable horizon
 ///                          and at 8 MiB per response. A malformed value
@@ -186,27 +186,28 @@ class AnonHttpFrontend {
   const DpBudgetLedger& dp_ledger() const { return dp_.ledger(); }
 
  private:
-  /// A /repl/* handler, run on the shard the request names. Each one
-  /// rejects query keys it does not know.
+  /// A /repl/* handler, run against the WAL directory `dir` of shard 0
+  /// (a follower needs a 1-shard leader). Each one rejects query keys it
+  /// does not know.
   using ReplHandler = HttpResponse (AnonHttpFrontend::*)(
       const HttpRequest& request, const QueryParams& params,
-      const std::string& dir, size_t shard);
+      const std::string& dir);
 
   std::vector<Route> MakeRoutes();
   HttpResponse HandleIngest(const HttpRequest& request);
   HttpResponse HandleHealthz();
   HttpResponse HandleMetrics();
-  /// Checks durability and the ?shard= parameter, then runs `handler`.
+  /// Checks durability, then runs `handler`.
   HttpResponse HandleRepl(const HttpRequest& request, ReplHandler handler);
   HttpResponse HandleReplManifest(const HttpRequest& request,
                                   const QueryParams& params,
-                                  const std::string& dir, size_t shard);
+                                  const std::string& dir);
   HttpResponse HandleReplCheckpoint(const HttpRequest& request,
                                     const QueryParams& params,
-                                    const std::string& dir, size_t shard);
+                                    const std::string& dir);
   HttpResponse HandleReplWal(const HttpRequest& request,
                              const QueryParams& params,
-                             const std::string& dir, size_t shard);
+                             const std::string& dir);
 
   ShardedAnonymizationService* const service_;
   DpServing dp_;

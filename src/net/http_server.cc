@@ -92,13 +92,14 @@ HttpServer::~HttpServer() { Shutdown(); }
 
 Status HttpServer::Start() {
   if (started_.load()) return Status::FailedPrecondition("already started");
+  if (options_.num_threads == 0) {
+    return Status::InvalidArgument("num_threads must be at least 1");
+  }
   if (Status s = OpenFds(); !s.ok()) {
     CloseFds();
     return s;
   }
-  if (options_.num_threads > 0) {
-    pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-  }
+  pool_ = std::make_unique<ThreadPool>(options_.num_threads);
   started_.store(true);
   loop_thread_ = JoinableThread([this] { Loop(); });
   return Status::OK();
@@ -152,7 +153,7 @@ void HttpServer::Shutdown() {
     draining_.store(true);
     Wake();
     loop_thread_.Join();
-    if (pool_ != nullptr) pool_->Shutdown();
+    pool_->Shutdown();
     CloseFds();
   });
 }
@@ -400,7 +401,7 @@ void HttpServer::Advance(int fd, Conn* conn) {
 }
 
 void HttpServer::Dispatch(int fd, uint64_t gen, HttpRequest request) {
-  auto task = [this, fd, gen, request = std::move(request)]() {
+  pool_->Submit([this, fd, gen, request = std::move(request)]() {
     HttpResponse response = handler_(request);
     const bool keep_alive =
         request.keep_alive && !response.close_connection && !draining_.load();
@@ -417,12 +418,7 @@ void HttpServer::Dispatch(int fd, uint64_t gen, HttpRequest request) {
       completions_.push_back(std::move(done));
     }
     Wake();
-  };
-  if (pool_ != nullptr) {
-    pool_->Submit(std::move(task));
-  } else {
-    task();  // inline mode: handler must not block
-  }
+  });
 }
 
 void HttpServer::DrainCompletions() {

@@ -47,10 +47,9 @@ std::string SerializeHead(const HttpResponse& resp, bool keep_alive);
 /// for the server's fixed early answers and for tests.
 std::string SerializeResponse(const HttpResponse& resp, bool keep_alive);
 
-/// Request handler. Runs on a worker-pool thread (or on the event loop
-/// when the pool is disabled); must be thread-safe and may block — e.g. on
-/// the ingest queue's kBlock backpressure — without stalling other
-/// connections.
+/// Request handler. Runs on a worker-pool thread; must be thread-safe and
+/// may block — e.g. on the ingest queue's kBlock backpressure — without
+/// stalling other connections.
 using HttpHandler = std::function<HttpResponse(const HttpRequest&)>;
 
 struct HttpServerOptions {
@@ -59,8 +58,7 @@ struct HttpServerOptions {
   /// TCP port; 0 binds an ephemeral port (read it back via port()).
   uint16_t port = 0;
   int backlog = 128;
-  /// Handler worker threads (the PR-4 ThreadPool). 0 runs handlers inline
-  /// on the event loop — only sensible for never-blocking handlers.
+  /// Handler worker threads (a ThreadPool); at least 1.
   size_t num_threads = 4;
   /// Connections beyond this are answered 503 and closed at accept.
   size_t max_connections = 1024;
@@ -118,7 +116,8 @@ class HttpServer {
 
   /// Binds, listens and starts the event loop + worker pool. On success
   /// port() returns the actual bound port (the --port 0 contract); an
-  /// error (epoll_create1 included) leaves nothing open.
+  /// error (epoll_create1 included) leaves nothing open. num_threads 0 is
+  /// InvalidArgument.
   Status Start();
 
   uint16_t port() const { return port_; }

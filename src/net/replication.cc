@@ -47,12 +47,10 @@ int64_t NowNs() {
 template <typename Manifest, typename Visit>
 void ForEachManifestField(Manifest& m, Visit&& visit) {
   visit("shards", m.shards);
-  visit("shard", m.shard);
   visit("dim", m.dim);
   visit("base_k", m.base_k);
   visit("leaf_capacity_factor", m.leaf_capacity_factor);
   visit("max_fanout", m.max_fanout);
-  visit("compact", m.compact);
   visit("dp_height", m.dp_height);
   visit("durable_lsn", m.durable_lsn);
   visit("epoch", m.epoch);
@@ -387,7 +385,6 @@ bool ReplicatedFollower::BootstrapOnce() {
   shape.base_k = m.base_k;
   shape.leaf_capacity_factor = m.leaf_capacity_factor;
   shape.max_fanout = m.max_fanout;
-  shape.compact = m.compact;
   anonymizer_ =
       std::make_unique<IncrementalAnonymizer>(m.dim, shape, &domain_);
   dp_cells_ = std::make_unique<DpCellCounter>(domain_, m.dp_height);
@@ -478,16 +475,17 @@ bool ReplicatedFollower::PublishEpoch(uint64_t epoch) {
   // counts DP cells per applied record as the leader does, so the leaf
   // groups, every k1 release and the DP cell counts come out identical to
   // the leader's at the same (epoch, records) point.
-  std::shared_ptr<const Snapshot> snapshot =
-      BuildSnapshot(tree, domain_, anonymizer_->options(), *dp_cells_, epoch);
+  std::shared_ptr<const Snapshot> snapshot = BuildSnapshot(
+      tree, domain_, anonymizer_->options().base_k, *dp_cells_, epoch);
   const uint64_t records = snapshot->info().records;
   auto current = std::make_shared<const StitchedSnapshot>(
       std::vector<std::shared_ptr<const Snapshot>>{std::move(snapshot)},
       domain_);
   {
     std::lock_guard<std::mutex> lock(current_mu_);
-    current_ = std::move(current);
+    current_.swap(current);
   }
+  current.reset();  // the replaced release point, dropped off the lock
   epoch_.store(epoch, std::memory_order_release);
   published_records_.store(records, std::memory_order_release);
   return true;

@@ -34,13 +34,12 @@ const char* ReplStateName(ReplState state);
 /// Everything /repl/manifest reports. EncodeLeaderManifest (the leader) and
 /// DecodeLeaderManifest (ReplicationClient) are the one codec of its body.
 struct LeaderManifest {
+  /// The leader's shard count: a follower refuses anything but 1.
   size_t shards = 0;
-  size_t shard = 0;
   size_t dim = 0;
   size_t base_k = 0;
   size_t leaf_capacity_factor = 0;
   size_t max_fanout = 0;
-  bool compact = true;
   /// DP grid height the leader bins publication cells at (0 = DP off).
   size_t dp_height = 0;
   uint64_t durable_lsn = 0;
@@ -53,7 +52,8 @@ struct LeaderManifest {
 std::string EncodeLeaderManifest(const LeaderManifest& manifest);
 /// A known key that is missing, or whose value is not a whole decimal
 /// number (a string for the checkpoint file), is Corruption; unknown keys
-/// are skipped, so an older or newer leader's extra keys do no harm.
+/// are skipped, so an older or newer leader's extra keys do no harm (an
+/// older leader still sends the retired "shard" and "compact").
 StatusOr<LeaderManifest> DecodeLeaderManifest(std::string_view body);
 
 /// One /repl/wal answer: CRC-framed entries as the body, the tailing state
@@ -141,7 +141,7 @@ struct FollowerOptions {
 /// at the *leader's* epochs so a caught-up follower's /release body is
 /// byte-identical to the leader's. Each bootstrap builds a fresh anonymizer
 /// shaped only by the leader's manifest (base_k, leaf capacity, fanout,
-/// compaction, DP grid height), so no local flag can diverge the trees.
+/// DP grid height), so no local flag can diverge the trees.
 ///
 /// One background thread does it all and never exits on error: leader down
 /// means capped-backoff reconnects, a GC'd WAL range means bootstrapping

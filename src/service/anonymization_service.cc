@@ -348,8 +348,8 @@ void AnonymizationService::Publish() {
   // reads is exactly what a degraded service keeps doing).
   if (wal_ != nullptr && !wal_->poisoned()) (void)wal_->Sync();
   const uint64_t epoch = snapshots_.load(std::memory_order_relaxed) + 1;
-  std::shared_ptr<const Snapshot> snapshot =
-      BuildSnapshot(tree, domain_, options_.anonymizer, dp_cells_, epoch);
+  std::shared_ptr<const Snapshot> snapshot = BuildSnapshot(
+      tree, domain_, options_.anonymizer.base_k, dp_cells_, epoch);
   const SnapshotInfo& info = snapshot->info();
   const double build_ms = info.build_ms;
   blocks_cloned_.fetch_add(info.blocks_cloned, std::memory_order_relaxed);
@@ -361,8 +361,11 @@ void AnonymizationService::Publish() {
       std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(current_mu_);
-    current_ = std::move(snapshot);
+    current_.swap(snapshot);
   }
+  // `snapshot` now holds the replaced release point. Dropping it here,
+  // outside the readers' lock, frees its blocks off their path.
+  snapshot.reset();
   since_snapshot_ = 0;
 }
 

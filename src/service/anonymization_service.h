@@ -55,7 +55,8 @@ struct DurabilityOptions {
 struct ServiceOptions {
   /// Index configuration (base_k, split heuristics, constraints...). The
   /// bulk-loading backend selector is ignored — live inserts go through
-  /// the record-at-a-time path.
+  /// the record-at-a-time path — and so is `compact`: every release is
+  /// published compacted, as leaf MBRs.
   RTreeAnonymizerOptions anonymizer;
 
   /// Capacity of the ingest queue, in records. This is the burst the

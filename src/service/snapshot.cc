@@ -8,13 +8,11 @@
 namespace kanon {
 
 PartitionSet Snapshot::Release(size_t k1) const {
-  return LeafScan(fragments_, std::max(k1, info_.base_k),
-                  compact_ ? nullptr : &domain_);
+  return LeafScan(fragments_, std::max(k1, info_.base_k));
 }
 
 std::vector<PartitionBox> Snapshot::ReleaseBoxes(size_t k1) const {
-  return LeafScanBoxes(fragments_, std::max(k1, info_.base_k),
-                       compact_ ? nullptr : &domain_);
+  return LeafScanBoxes(fragments_, std::max(k1, info_.base_k));
 }
 
 DpCellCounter::DpCellCounter(const Domain& domain, size_t height) {
@@ -36,11 +34,12 @@ DpCells DpCellCounter::Copy() const {
   return std::make_shared<const std::vector<uint64_t>>(cells_);
 }
 
-std::shared_ptr<const Snapshot> BuildSnapshot(
-    const RPlusTree& tree, const Domain& domain,
-    const RTreeAnonymizerOptions& anonymizer, const DpCellCounter& dp,
-    uint64_t epoch) {
-  KANON_CHECK(tree.size() >= anonymizer.base_k);
+std::shared_ptr<const Snapshot> BuildSnapshot(const RPlusTree& tree,
+                                              const Domain& domain,
+                                              size_t base_k,
+                                              const DpCellCounter& dp,
+                                              uint64_t epoch) {
+  KANON_CHECK(tree.size() >= base_k);
   Timer timer;
   SnapshotInfo info;
   std::vector<LeafFragment> fragments;
@@ -53,11 +52,10 @@ std::shared_ptr<const Snapshot> BuildSnapshot(
   DpCells dp_cells = dp.Copy();
   info.epoch = epoch;
   info.records = tree.size();
-  info.base_k = anonymizer.base_k;
+  info.base_k = base_k;
   info.build_ms = timer.ElapsedMillis();
   info.created = std::chrono::steady_clock::now();
-  return std::make_shared<const Snapshot>(std::move(fragments), domain,
-                                          anonymizer.compact, info,
+  return std::make_shared<const Snapshot>(std::move(fragments), domain, info,
                                           std::move(dp_cells), dp.height());
 }
 

@@ -10,7 +10,6 @@
 
 #include "anon/leaf_scan.h"
 #include "anon/partition.h"
-#include "anon/rtree_anonymizer.h"
 #include "data/dataset.h"
 #include "dp/dp_hierarchy.h"
 #include "index/bulk_load.h"
@@ -91,14 +90,12 @@ class DpCellCounter {
 /// all.
 class Snapshot {
  public:
-  /// Snapshots come from BuildSnapshot below. With `compact` off, each
-  /// leaf is published as its region clipped to `domain` instead of its
-  /// MBR (the uncompacted view).
-  Snapshot(std::vector<LeafFragment> fragments, Domain domain, bool compact,
+  /// Snapshots come from BuildSnapshot below. Every leaf is published as
+  /// its MBR: the compacted generalized value of the paper's Section 4.
+  Snapshot(std::vector<LeafFragment> fragments, Domain domain,
            SnapshotInfo info, DpCells dp_cells, size_t dp_height)
       : fragments_(std::move(fragments)),
         domain_(std::move(domain)),
-        compact_(compact),
         info_(info),
         dp_cells_(std::move(dp_cells)),
         dp_height_(dp_height) {}
@@ -128,7 +125,6 @@ class Snapshot {
  private:
   std::vector<LeafFragment> fragments_;
   Domain domain_;
-  bool compact_;
   SnapshotInfo info_;
   DpCells dp_cells_;
   size_t dp_height_ = 0;
@@ -142,11 +138,12 @@ class Snapshot {
 /// one function, so a follower that replayed the leader's records into an
 /// identically configured tree serves byte-identical releases at the same
 /// (epoch, records) point. Writer thread only (it freezes blocks). The
-/// caller guarantees tree.size() >= anonymizer.base_k.
-std::shared_ptr<const Snapshot> BuildSnapshot(
-    const RPlusTree& tree, const Domain& domain,
-    const RTreeAnonymizerOptions& anonymizer, const DpCellCounter& dp,
-    uint64_t epoch);
+/// caller guarantees tree.size() >= base_k.
+std::shared_ptr<const Snapshot> BuildSnapshot(const RPlusTree& tree,
+                                              const Domain& domain,
+                                              size_t base_k,
+                                              const DpCellCounter& dp,
+                                              uint64_t epoch);
 
 /// Mean per-record, per-attribute extent ratio of a partition set against
 /// `domain` — the numeric-attribute NCP, computable without the backing

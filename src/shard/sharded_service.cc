@@ -1,6 +1,7 @@
 #include "shard/sharded_service.h"
 
 #include <sstream>
+#include <utility>
 
 #include "common/check.h"
 #include "common/env.h"
@@ -171,6 +172,10 @@ ShardedAnonymizationService::CurrentStitched() const {
   std::vector<std::shared_ptr<const Snapshot>> parts;
   parts.reserve(shards_.size());
   for (const auto& shard : shards_) parts.push_back(shard->CurrentSnapshot());
+  // A replaced view may hold the last reference to a shard's previous
+  // snapshot; it is dropped after the lock is released (locals die in
+  // reverse order), so no reader waits on its blocks being freed.
+  std::shared_ptr<const StitchedSnapshot> replaced;
   std::lock_guard<std::mutex> lock(view_mu_);
   // Keep the newer of each shard's snapshot and the view's part: shard
   // epochs only grow, so a caller that read a shard before a racing caller
@@ -186,7 +191,9 @@ ShardedAnonymizationService::CurrentStitched() const {
     }
   }
   if (changed) {
-    view_ = std::make_shared<const StitchedSnapshot>(std::move(parts), domain_);
+    replaced = std::exchange(
+        view_, std::make_shared<const StitchedSnapshot>(std::move(parts),
+                                                        domain_));
   }
   return view_;
 }

@@ -161,12 +161,14 @@ inline int32_t GridSensitive(size_t i) { return static_cast<int32_t>(i % 5); }
 
 /// The service's publication of `tree` with the DP cells recounted from
 /// its records, as the service holds them after recovery.
-inline std::shared_ptr<const Snapshot> PublishTree(
-    const RPlusTree& tree, const Domain& domain,
-    const RTreeAnonymizerOptions& options, size_t dp_height, uint64_t epoch) {
+inline std::shared_ptr<const Snapshot> PublishTree(const RPlusTree& tree,
+                                                   const Domain& domain,
+                                                   size_t base_k,
+                                                   size_t dp_height,
+                                                   uint64_t epoch) {
   DpCellCounter dp(domain, dp_height);
   dp.Recount(tree);
-  return BuildSnapshot(tree, domain, options, dp, epoch);
+  return BuildSnapshot(tree, domain, base_k, dp, epoch);
 }
 
 }  // namespace kanon::testutil

@@ -1025,5 +1025,16 @@ TEST(HttpServerTest, SerializeResponseFramesBody) {
   EXPECT_NE(closed.find("Connection: close\r\n"), std::string::npos);
 }
 
+// Handlers always run on the worker pool, never on the event loop: a
+// server without a handler thread does not start.
+TEST(HttpServerTest, ZeroHandlerThreadsIsInvalidArgument) {
+  HttpServerOptions options;
+  options.num_threads = 0;
+  HttpServer server(options, [](const HttpRequest&) {
+    return HttpResponse::Json(200, "{}");
+  });
+  EXPECT_EQ(server.Start().code(), StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace kanon::net

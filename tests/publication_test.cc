@@ -59,10 +59,9 @@ class Stream {
   Rng rng_;
 };
 
-RTreeAnonymizerOptions Options(bool compact) {
+RTreeAnonymizerOptions Options() {
   RTreeAnonymizerOptions options;
   options.base_k = kBaseK;
-  options.compact = compact;
   return options;
 }
 
@@ -153,72 +152,65 @@ TEST(LeafBlockTest, CloneCopiesRecordsAndBoundsAndIsWritable) {
 // At every epoch of a stream with splits, overfull leaves and
 // out-of-domain points, the shared-block publication equals the
 // algorithm it replaced: releases and rid-less boxes are the leaf scan
-// over ExtractLeafGroups (clipped regions when compaction is off), the DP
-// cells are AccumulateCells over every record so far, and every rendered
-// body is byte-identical to that of a tree built from scratch over the
-// same records and published once.
+// over ExtractLeafGroups, the DP cells are AccumulateCells over every
+// record so far, and every rendered body is byte-identical to that of a
+// tree built from scratch over the same records and published once.
 TEST(PublicationTest, EveryEpochMatchesTheFromScratchAlgorithm) {
   const Domain domain = testutil::SquareDomain(0, 100);
   const DpGrid grid(domain, kDpHeight);
-  for (const bool compact : {true, false}) {
-    SCOPED_TRACE(compact ? "compact" : "regions");
-    const RTreeAnonymizerOptions options = Options(compact);
-    IncrementalAnonymizer live(2, options, &domain);
-    DpCellCounter dp(domain, kDpHeight);
-    Stream stream(11);
-    std::vector<double> all_points;
-    std::vector<int32_t> all_sensitive;
-    uint64_t epoch = 0;
-    size_t leaves = 0;
-    while (all_sensitive.size() < 6000) {
-      for (size_t i = 0; i < 397; ++i) {
-        const std::vector<double> p = stream.Next();
-        const int32_t s = stream.Sensitive();
-        live.Insert(p, all_sensitive.size(), s);
-        dp.Add(p);
-        all_points.insert(all_points.end(), p.begin(), p.end());
-        all_sensitive.push_back(s);
-      }
-      const auto snapshot =
-          BuildSnapshot(live.tree(), domain, options, dp, ++epoch);
-      ASSERT_GT(snapshot->fragments().size(), leaves);  // leaves split
-      leaves = snapshot->fragments().size();
-      const SnapshotInfo& info = snapshot->info();
-      ASSERT_EQ(info.records, all_sensitive.size());
-      EXPECT_EQ(info.blocks_cloned + info.blocks_shared,
-                snapshot->fragments().size());
-
-      // The oracle: extracted groups, scanned.
-      std::vector<LeafGroup> groups = ExtractLeafGroups(live.tree(), &domain);
-      if (!compact) {
-        for (LeafGroup& g : groups) g.mbr = g.region;
-      }
-      for (const size_t k1 : kReleaseK1) {
-        const PartitionSet want = LeafScan(groups, k1);
-        testutil::ExpectSameRelease(snapshot->Release(k1), want);
-        const std::vector<PartitionBox> boxes = snapshot->ReleaseBoxes(k1);
-        ASSERT_EQ(boxes.size(), want.partitions.size());
-        for (size_t p = 0; p < boxes.size(); ++p) {
-          EXPECT_EQ(boxes[p].records, want.partitions[p].size());
-          EXPECT_EQ(boxes[p].box, want.partitions[p].box);
-        }
-      }
-      std::vector<uint64_t> cells;
-      AccumulateCells(grid, all_points.data(), all_sensitive.size(), &cells);
-      ASSERT_NE(snapshot->dp_cells(), nullptr);
-      EXPECT_EQ(*snapshot->dp_cells(), cells) << "epoch " << epoch;
-
-      // The same records into a fresh tree, published once.
-      IncrementalAnonymizer scratch(2, options, &domain);
-      for (size_t r = 0; r < all_sensitive.size(); ++r) {
-        scratch.Insert({all_points.data() + 2 * r, 2}, r, all_sensitive[r]);
-      }
-      const auto fresh = testutil::PublishTree(scratch.tree(), domain, options,
-                                               kDpHeight, epoch);
-      EXPECT_EQ(fresh->info().blocks_shared, 0u);
-      EXPECT_EQ(Bodies(snapshot, domain), Bodies(fresh, domain))
-          << "epoch " << epoch;
+  const RTreeAnonymizerOptions options = Options();
+  IncrementalAnonymizer live(2, options, &domain);
+  DpCellCounter dp(domain, kDpHeight);
+  Stream stream(11);
+  std::vector<double> all_points;
+  std::vector<int32_t> all_sensitive;
+  uint64_t epoch = 0;
+  size_t leaves = 0;
+  while (all_sensitive.size() < 6000) {
+    for (size_t i = 0; i < 397; ++i) {
+      const std::vector<double> p = stream.Next();
+      const int32_t s = stream.Sensitive();
+      live.Insert(p, all_sensitive.size(), s);
+      dp.Add(p);
+      all_points.insert(all_points.end(), p.begin(), p.end());
+      all_sensitive.push_back(s);
     }
+    const auto snapshot =
+        BuildSnapshot(live.tree(), domain, options.base_k, dp, ++epoch);
+    ASSERT_GT(snapshot->fragments().size(), leaves);  // leaves split
+    leaves = snapshot->fragments().size();
+    const SnapshotInfo& info = snapshot->info();
+    ASSERT_EQ(info.records, all_sensitive.size());
+    EXPECT_EQ(info.blocks_cloned + info.blocks_shared,
+              snapshot->fragments().size());
+
+    // The oracle: extracted groups, scanned.
+    const std::vector<LeafGroup> groups = ExtractLeafGroups(live.tree());
+    for (const size_t k1 : kReleaseK1) {
+      const PartitionSet want = LeafScan(groups, k1);
+      testutil::ExpectSameRelease(snapshot->Release(k1), want);
+      const std::vector<PartitionBox> boxes = snapshot->ReleaseBoxes(k1);
+      ASSERT_EQ(boxes.size(), want.partitions.size());
+      for (size_t p = 0; p < boxes.size(); ++p) {
+        EXPECT_EQ(boxes[p].records, want.partitions[p].size());
+        EXPECT_EQ(boxes[p].box, want.partitions[p].box);
+      }
+    }
+    std::vector<uint64_t> cells;
+    AccumulateCells(grid, all_points.data(), all_sensitive.size(), &cells);
+    ASSERT_NE(snapshot->dp_cells(), nullptr);
+    EXPECT_EQ(*snapshot->dp_cells(), cells) << "epoch " << epoch;
+
+    // The same records into a fresh tree, published once.
+    IncrementalAnonymizer scratch(2, options, &domain);
+    for (size_t r = 0; r < all_sensitive.size(); ++r) {
+      scratch.Insert({all_points.data() + 2 * r, 2}, r, all_sensitive[r]);
+    }
+    const auto fresh = testutil::PublishTree(scratch.tree(), domain, kBaseK,
+                                             kDpHeight, epoch);
+    EXPECT_EQ(fresh->info().blocks_shared, 0u);
+    EXPECT_EQ(Bodies(snapshot, domain), Bodies(fresh, domain))
+        << "epoch " << epoch;
   }
 }
 
@@ -228,7 +220,7 @@ TEST(PublicationTest, EveryEpochMatchesTheFromScratchAlgorithm) {
 // they were at publication.
 TEST(PublicationTest, SnapshotStaysByteIdenticalAfterMoreInserts) {
   const Domain domain = testutil::SquareDomain(0, 100);
-  const RTreeAnonymizerOptions options = Options(true);
+  const RTreeAnonymizerOptions options = Options();
   IncrementalAnonymizer live(2, options, &domain);
   DpCellCounter dp(domain, kDpHeight);
   Stream stream(5);
@@ -241,7 +233,8 @@ TEST(PublicationTest, SnapshotStaysByteIdenticalAfterMoreInserts) {
     }
   };
   insert(3000);
-  const auto snapshot = BuildSnapshot(live.tree(), domain, options, dp, 1);
+  const auto snapshot =
+      BuildSnapshot(live.tree(), domain, options.base_k, dp, 1);
   const Frozen blocks = CopyFragments(*snapshot);
   const std::vector<uint64_t> cells = *snapshot->dp_cells();
   const std::vector<std::string> bodies = Bodies(snapshot, domain);
@@ -249,7 +242,7 @@ TEST(PublicationTest, SnapshotStaysByteIdenticalAfterMoreInserts) {
   uint64_t cloned = 0;
   for (uint64_t epoch = 2; epoch <= 11; ++epoch) {
     insert(1000);
-    cloned += BuildSnapshot(live.tree(), domain, options, dp, epoch)
+    cloned += BuildSnapshot(live.tree(), domain, options.base_k, dp, epoch)
                   ->info()
                   .blocks_cloned;
   }
@@ -273,7 +266,7 @@ TEST(PublicationTest, SnapshotStaysByteIdenticalAfterMoreInserts) {
 // counts reach ServiceStats.
 TEST(PublicationTest, PublishClonesOnlyWhatChanged) {
   ServiceOptions options;
-  options.anonymizer = Options(true);
+  options.anonymizer = Options();
   options.snapshot_every = 0;
   options.max_batch = 64;
   options.dp_height = kDpHeight;
@@ -318,7 +311,7 @@ TEST(PublicationTest, PublishClonesOnlyWhatChanged) {
 // reported race.
 TEST(PublicationTest, ReaderScansWhileWriterClonesAndSplits) {
   const Domain domain = testutil::SquareDomain(0, 100);
-  const RTreeAnonymizerOptions options = Options(true);
+  const RTreeAnonymizerOptions options = Options();
   IncrementalAnonymizer live(2, options, &domain);
   DpCellCounter dp(domain, kDpHeight);
   Stream stream(9);
@@ -331,7 +324,7 @@ TEST(PublicationTest, ReaderScansWhileWriterClonesAndSplits) {
     }
   };
   insert(2000);
-  const auto base = BuildSnapshot(live.tree(), domain, options, dp, 1);
+  const auto base = BuildSnapshot(live.tree(), domain, options.base_k, dp, 1);
   const std::vector<PartitionBox> want = base->ReleaseBoxes(12);
 
   std::mutex latest_mu;
@@ -369,7 +362,7 @@ TEST(PublicationTest, ReaderScansWhileWriterClonesAndSplits) {
   }
   for (uint64_t epoch = 2; epoch <= 21; ++epoch) {
     insert(500);
-    auto next = BuildSnapshot(live.tree(), domain, options, dp, epoch);
+    auto next = BuildSnapshot(live.tree(), domain, options.base_k, dp, epoch);
     std::lock_guard<std::mutex> lock(latest_mu);
     latest = std::move(next);
   }

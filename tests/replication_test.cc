@@ -433,6 +433,35 @@ TEST(ReplEndpointsTest, ManifestDropsRetiredKeyAndFollowerToleratesIt) {
   canned.Shutdown();
 }
 
+// An older leader's manifest still names the shard it describes and the
+// compaction flag; both are retired, so the codec no longer writes them and
+// skips them as unknown keys when decoding. A new follower therefore still
+// bootstraps from an old leader.
+TEST(ReplEndpointsTest, ManifestWithRetiredShardAndCompactKeysDecodes) {
+  LeaderManifest m;
+  m.shards = 1;
+  m.dim = 2;
+  m.base_k = 5;
+  m.leaf_capacity_factor = 2;
+  m.max_fanout = 16;
+  m.dp_height = 10;
+  m.durable_lsn = 500;
+  m.epoch = 3;
+  m.epoch_records = 480;
+  const std::string body = EncodeLeaderManifest(m);
+  EXPECT_EQ(body.find("\"shard\":"), std::string::npos) << body;
+  EXPECT_EQ(body.find("\"compact\":"), std::string::npos) << body;
+
+  const std::string older =
+      "{\"shards\":1,\"shard\":0,\"dim\":2,\"base_k\":5,"
+      "\"leaf_capacity_factor\":2,\"max_fanout\":16,\"compact\":1,"
+      "\"dp_height\":10,\"durable_lsn\":500,\"epoch\":3,"
+      "\"epoch_records\":480,\"checkpoint_lsn\":0}";
+  const auto decoded = DecodeLeaderManifest(older);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(EncodeLeaderManifest(*decoded), body);
+}
+
 /// A stand-in leader on an ephemeral port that answers with `handler`.
 std::unique_ptr<HttpServer> ServeCanned(HttpHandler handler) {
   HttpServerOptions http;
@@ -533,16 +562,18 @@ TEST(ReplEndpointsTest, MalformedOrUnknownQueryParamsAre400) {
         "/repl/wal?from_lsn=1&bogus=1",
         "/repl/wal?from_lsn=1&from_lsn=5",
         "/repl/manifest?bogus=1",
-        "/repl/checkpoint/1?from_lsn=1"}) {
+        "/repl/checkpoint/1?from_lsn=1",
+        // The retired per-shard addressing is an unknown key like any other.
+        "/repl/wal?from_lsn=1&shard=0",
+        "/repl/manifest?shard=0"}) {
     int status = 0;
     const std::string body = Fetch(leader.port(), target, &status);
     EXPECT_EQ(status, 400) << target << ": " << body;
   }
-  // The keys the follower sends stay valid.
+  // The keys the follower sends (ReplicationClient::FetchWal) stay valid.
   int status = 0;
   (void)Fetch(leader.port(),
-              "/repl/wal?shard=0&from_lsn=1&max_lsn=20&max_bytes=1048576",
-              &status);
+              "/repl/wal?from_lsn=1&max_lsn=20&max_bytes=1048576", &status);
   EXPECT_EQ(status, 200);
   leader.service->Stop();
 }
@@ -977,8 +1008,8 @@ TEST(ReplicationE2eTest, FollowerTreatsHeaderlessWalAnswerAsFault) {
     if (request.path == "/repl/manifest") {
       return HttpResponse::Json(
           200,
-          "{\"shards\":1,\"shard\":0,\"dim\":2,\"base_k\":5,"
-          "\"leaf_capacity_factor\":2,\"max_fanout\":16,\"compact\":1,"
+          "{\"shards\":1,\"dim\":2,\"base_k\":5,"
+          "\"leaf_capacity_factor\":2,\"max_fanout\":16,"
           "\"dp_height\":10,\"durable_lsn\":500,\"epoch\":3,"
           "\"epoch_records\":500,\"checkpoint_lsn\":0}");
     }

@@ -301,20 +301,18 @@ std::unique_ptr<IncrementalAnonymizer> TupleTree(
 // BuildSnapshot is the one publication path of leader and follower. Its
 // fragments are the tree's leaf blocks in order (the same rids, MBRs and
 // regions ExtractLeafGroups copies out), its releases are the leaf scan
-// over the extracted groups (regions clipped to the domain replace MBRs
-// when compaction is off), and its DP cells count every record.
+// over the extracted groups, and its DP cells count every record.
 TEST(SnapshotTest, BuildSnapshotIsTheLeafScanOverExtractedLeaves) {
   const Domain domain = testutil::SquareDomain(0, 100);
-  for (const bool compact : {true, false}) {
-    RTreeAnonymizerOptions options;
-    options.base_k = 5;
-    options.compact = compact;
+  RTreeAnonymizerOptions options;
+  options.base_k = 5;
+  {
     const auto anonymizer = TupleTree(1500, options, &domain);
     const RPlusTree& tree = anonymizer->tree();
-    const auto snapshot = testutil::PublishTree(tree, domain, options,
-                                                /*dp_height=*/6, /*epoch=*/7);
+    const auto snapshot = testutil::PublishTree(
+        tree, domain, options.base_k, /*dp_height=*/6, /*epoch=*/7);
 
-    std::vector<LeafGroup> leaves = ExtractLeafGroups(tree, &domain);
+    const std::vector<LeafGroup> leaves = ExtractLeafGroups(tree, &domain);
     ASSERT_EQ(snapshot->fragments().size(), leaves.size());
     for (size_t i = 0; i < leaves.size(); ++i) {
       const LeafBlock& got = *snapshot->fragments()[i];
@@ -323,9 +321,6 @@ TEST(SnapshotTest, BuildSnapshotIsTheLeafScanOverExtractedLeaves) {
       EXPECT_EQ(Mbr::FromView(got.mbr()), leaves[i].mbr) << "leaf " << i;
       EXPECT_EQ(ClipRegionToDomain(got.region(), domain), leaves[i].region)
           << "leaf " << i;
-    }
-    if (!compact) {
-      for (LeafGroup& g : leaves) g.mbr = g.region;
     }
     for (const size_t k1 : {size_t{5}, size_t{40}}) {
       testutil::ExpectSameRelease(snapshot->Release(k1),
@@ -341,12 +336,11 @@ TEST(SnapshotTest, BuildSnapshotIsTheLeafScanOverExtractedLeaves) {
     EXPECT_EQ(std::accumulate(cells.begin(), cells.end(), uint64_t{0}),
               1500u);
   }
-  RTreeAnonymizerOptions options;
-  options.base_k = 5;
   const auto anonymizer = TupleTree(50, options, &domain);
-  EXPECT_EQ(testutil::PublishTree(anonymizer->tree(), domain, options, 0, 1)
-                ->dp_cells(),
-            nullptr);
+  EXPECT_EQ(
+      testutil::PublishTree(anonymizer->tree(), domain, options.base_k, 0, 1)
+          ->dp_cells(),
+      nullptr);
 }
 
 // Whatever the publication cadence, the service's final snapshot is the
@@ -358,8 +352,7 @@ TEST(ServiceTest, PublishedSnapshotsMatchAFromScratchTupleTree) {
   const Domain domain = testutil::SquareDomain(0, 100);
   ServiceOptions base_options = SmallServiceOptions(k);
   const auto reference = TupleTree(n, base_options.anonymizer, &domain);
-  const auto want = testutil::PublishTree(reference->tree(), domain,
-                                         base_options.anonymizer,
+  const auto want = testutil::PublishTree(reference->tree(), domain, k,
                                          base_options.dp_height, /*epoch=*/1);
   for (const uint64_t cadence : {uint64_t{0}, uint64_t{97}, uint64_t{1000}}) {
     ServiceOptions options = base_options;
