@@ -11,7 +11,7 @@ namespace {
 /// Buffer-tree node buffers, in default-size pages.
 constexpr size_t kBufferPages = 8;
 
-RTreeConfig MakeTreeConfig(const RTreeAnonymizerOptions& options) {
+RTreeConfig MakeTreeConfig(const RTreeIndexOptions& options) {
   RTreeConfig config;
   config.min_leaf = options.base_k;
   config.max_leaf =
@@ -66,6 +66,17 @@ RPlusTree BuildInMemory(const Dataset& dataset, const RTreeConfig& config,
   std::unique_ptr<ThreadPool> workers;
   if (threads > 1) workers = std::make_unique<ThreadPool>(threads - 1);
   return TopDownBulkLoad(DatasetRecords(dataset), config, workers.get());
+}
+
+/// The leaf scan at granularity k (at least base_k) over `leaves`, under
+/// the index's publication constraint when it has one.
+PartitionSet ScanLeaves(const Dataset& dataset,
+                        std::span<const LeafGroup> leaves, size_t k,
+                        const RTreeIndexOptions& options) {
+  if (options.constraint != nullptr) {
+    return LeafScanWithConstraint(leaves, dataset, *options.constraint);
+  }
+  return LeafScan(leaves, std::max(k, options.base_k));
 }
 
 }  // namespace
@@ -132,26 +143,14 @@ StatusOr<RTreeAnonymizer::BuildResult> RTreeAnonymizer::BuildLeaves(
 PartitionSet RTreeAnonymizer::Granularize(const Dataset& dataset,
                                           std::span<const LeafGroup> leaves,
                                           size_t k) const {
-  const size_t k1 = std::max(k, options_.base_k);
-  PartitionSet out;
-  if (options_.compact) {
-    if (options_.constraint != nullptr) {
-      out = LeafScanWithConstraint(leaves, dataset, *options_.constraint);
-    } else {
-      out = LeafScan(leaves, k1);
-    }
-    return out;
-  }
+  if (options_.compact) return ScanLeaves(dataset, leaves, k, options_);
   // Uncompacted emission: scan over the leaf *regions* so the published
   // boxes are the index cells rather than tight record bounds.
   std::vector<LeafGroup> region_view(leaves.begin(), leaves.end());
   for (LeafGroup& g : region_view) {
     if (!g.region.empty()) g.mbr = g.region;
   }
-  if (options_.constraint != nullptr) {
-    return LeafScanWithConstraint(region_view, dataset, *options_.constraint);
-  }
-  return LeafScan(region_view, k1);
+  return ScanLeaves(dataset, region_view, k, options_);
 }
 
 StatusOr<PartitionSet> RTreeAnonymizer::Anonymize(const Dataset& dataset,
@@ -162,8 +161,8 @@ StatusOr<PartitionSet> RTreeAnonymizer::Anonymize(const Dataset& dataset,
 
 namespace {
 
-RTreeAnonymizerOptions WithDomainHint(RTreeAnonymizerOptions options,
-                                      const Domain* domain_hint) {
+RTreeIndexOptions WithDomainHint(RTreeIndexOptions options,
+                                 const Domain* domain_hint) {
   if (domain_hint != nullptr && options.split.domain_extent.empty()) {
     for (size_t a = 0; a < domain_hint->dim(); ++a) {
       options.split.domain_extent.push_back(domain_hint->Extent(a));
@@ -175,7 +174,7 @@ RTreeAnonymizerOptions WithDomainHint(RTreeAnonymizerOptions options,
 }  // namespace
 
 IncrementalAnonymizer::IncrementalAnonymizer(size_t dim,
-                                             RTreeAnonymizerOptions options,
+                                             RTreeIndexOptions options,
                                              const Domain* domain_hint)
     : options_(WithDomainHint(std::move(options), domain_hint)),
       tree_(dim, MakeTreeConfig(options_)) {}
@@ -221,8 +220,7 @@ PartitionSet IncrementalAnonymizer::Snapshot(const Dataset& dataset,
                                              size_t k) const {
   const Domain domain = dataset.ComputeDomain();
   const std::vector<LeafGroup> leaves = ExtractLeafGroups(tree_, &domain);
-  RTreeAnonymizer granularizer(options_);
-  return granularizer.Granularize(dataset, leaves, k);
+  return ScanLeaves(dataset, leaves, k, options_);
 }
 
 }  // namespace kanon

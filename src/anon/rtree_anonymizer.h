@@ -15,8 +15,9 @@
 
 namespace kanon {
 
-/// Options shared by the bulk and incremental R⁺-tree anonymizers.
-struct RTreeAnonymizerOptions {
+/// The shape of an R⁺-tree anonymization index: what the incremental
+/// anonymizer, the serving layer and a follower's manifest-built tree take.
+struct RTreeIndexOptions {
   /// Base anonymity of the index (minimum leaf occupancy). Requested k
   /// values >= base_k are served from the same index via leaf scan, which is
   /// why the paper's Fig 7(a) shows k-independent anonymization times.
@@ -31,6 +32,11 @@ struct RTreeAnonymizerOptions {
   /// index leaf splits and to the leaf scan. Not owned; must outlive the
   /// anonymizer.
   const PartitionConstraint* constraint = nullptr;
+};
+
+/// Options of the bulk anonymizer: the index shape plus how its output is
+/// emitted and which backend builds it.
+struct RTreeAnonymizerOptions : RTreeIndexOptions {
   /// Emit compacted (MBR) boxes. When false, partitions carry their index
   /// *regions* clipped to the data domain — the uncompacted view, kept for
   /// the compaction ablation.
@@ -101,7 +107,7 @@ class IncrementalAnonymizer {
   /// `domain_hint` (when known, e.g. from schema metadata) normalizes split
   /// decisions across attributes of different scales; without it, raw
   /// extents are compared.
-  IncrementalAnonymizer(size_t dim, RTreeAnonymizerOptions options = {},
+  IncrementalAnonymizer(size_t dim, RTreeIndexOptions options = {},
                         const Domain* domain_hint = nullptr);
 
   void Insert(std::span<const double> point, RecordId rid,
@@ -112,7 +118,7 @@ class IncrementalAnonymizer {
 
   size_t size() const { return tree_.size(); }
   const RPlusTree& tree() const { return tree_; }
-  const RTreeAnonymizerOptions& options() const { return options_; }
+  const RTreeIndexOptions& options() const { return options_; }
 
   /// Replaces the (empty) tree with one restored from persistent storage —
   /// the crash-recovery entry point (src/durability/recovery.h). The
@@ -122,7 +128,8 @@ class IncrementalAnonymizer {
   /// constructed with the same constraint.
   void AdoptTree(RPlusTree tree);
 
-  /// Publishes the current records as a k-anonymization (k >= base_k).
+  /// Publishes the current records as a k-anonymization (k >= base_k), as
+  /// compacted boxes (leaf MBRs).
   PartitionSet Snapshot(const Dataset& dataset, size_t k) const;
 
   /// Rebuilds the index top-down from its records. The first inserts fix
@@ -131,7 +138,7 @@ class IncrementalAnonymizer {
   void Repack();
 
  private:
-  RTreeAnonymizerOptions options_;
+  RTreeIndexOptions options_;
   RPlusTree tree_;
 };
 

@@ -6,10 +6,10 @@
 
 namespace kanon {
 
-ThreadPool::ThreadPool(size_t num_threads) : queues_(num_threads) {
+ThreadPool::ThreadPool(size_t num_threads) {
   workers_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -18,9 +18,8 @@ ThreadPool::~ThreadPool() { Shutdown(); }
 void ThreadPool::Submit(std::function<void()> task) {
   {
     std::unique_lock<std::mutex> lock(mu_);
-    if (!stop_ && !queues_.empty()) {
-      queues_[next_queue_].push_back(std::move(task));
-      next_queue_ = (next_queue_ + 1) % queues_.size();
+    if (!stop_ && !workers_.empty()) {
+      queue_.push_back(std::move(task));
       lock.unlock();
       cv_.notify_one();
       return;
@@ -31,35 +30,24 @@ void ThreadPool::Submit(std::function<void()> task) {
   task();
 }
 
-bool ThreadPool::PopTask(size_t me, std::function<void()>* out) {
-  if (queues_.empty()) return false;  // zero-worker pool has no deques
-  if (!queues_[me].empty()) {  // own work: newest first (LIFO)
-    *out = std::move(queues_[me].back());
-    queues_[me].pop_back();
-    return true;
-  }
-  for (size_t k = 1; k < queues_.size(); ++k) {  // steal: oldest first (FIFO)
-    const size_t victim = (me + k) % queues_.size();
-    if (!queues_[victim].empty()) {
-      *out = std::move(queues_[victim].front());
-      queues_[victim].pop_front();
-      return true;
-    }
-  }
-  return false;
+bool ThreadPool::PopTask(std::function<void()>* out) {
+  if (queue_.empty()) return false;
+  *out = std::move(queue_.front());
+  queue_.pop_front();
+  return true;
 }
 
-void ThreadPool::WorkerLoop(size_t me) {
+void ThreadPool::WorkerLoop() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     std::function<void()> task;
-    if (PopTask(me, &task)) {
+    if (PopTask(&task)) {
       lock.unlock();
       task();
       lock.lock();
       continue;
     }
-    if (stop_) return;  // all deques drained and no more work coming
+    if (stop_) return;  // queue drained and no more work coming
     cv_.wait(lock);
   }
 }
@@ -71,14 +59,14 @@ void ThreadPool::Shutdown() {
   }
   cv_.notify_all();
   for (auto& w : workers_) w.Join();
-  // Workers only exit with every deque empty, and Submit runs inline
+  // Workers only exit with the queue empty, and Submit runs inline
   // once stop_ is visible, so nothing is left behind — but drain
   // defensively so the guarantee survives future refactors.
   for (;;) {
     std::function<void()> task;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (!PopTask(0, &task)) break;
+      if (!PopTask(&task)) break;
     }
     task();
   }

@@ -12,14 +12,11 @@
 
 namespace kanon {
 
-/// Fixed-size pool of worker threads with per-worker task deques and
-/// work stealing: a worker pops its own deque LIFO (cache-warm, newest
-/// first) and steals FIFO from the next non-empty neighbour (oldest
-/// first, the classic Chase-Lev discipline). Tasks here are coarse —
-/// sort a run, merge a group of spill chains, build a subtree — so one
-/// pool-wide mutex guards all deques; the stealing structure is about
-/// task-ordering locality, not lock-freedom, and keeps the pool easy to
-/// prove race-free under TSan.
+/// Fixed-size pool of worker threads over one FIFO task queue guarded by
+/// one mutex: tasks start oldest first. Its tasks are coarse — an HTTP
+/// request's handler, a drain of ParallelFor's indices — so the lock is
+/// never the bottleneck, and the pool stays easy to prove race-free under
+/// TSan.
 ///
 /// Execution guarantee: every task Submit() accepts is executed exactly
 /// once — by a worker, by Shutdown()'s drain, or (when the pool is
@@ -63,16 +60,14 @@ class ThreadPool {
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
  private:
-  void WorkerLoop(size_t me);
-  /// Pops the next task for worker `me` (own back first, then steals a
-  /// neighbour's front). Requires mu_ held; returns false when all
-  /// deques are empty.
-  bool PopTask(size_t me, std::function<void()>* out);
+  void WorkerLoop();
+  /// Pops the oldest queued task. Requires mu_ held; returns false when
+  /// the queue is empty.
+  bool PopTask(std::function<void()>* out);
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::vector<std::deque<std::function<void()>>> queues_;  // one per worker
-  size_t next_queue_ = 0;  // round-robin Submit target
+  std::deque<std::function<void()>> queue_;
   bool stop_ = false;
   std::vector<JoinableThread> workers_;
 };

@@ -381,7 +381,7 @@ bool ReplicatedFollower::BootstrapOnce() {
   // Bootstrapping (again) starts from an empty tree shaped by the leader.
   // The last published snapshot stays up: readers keep the old but
   // consistent release until this bootstrap publishes a newer one.
-  RTreeAnonymizerOptions shape;
+  RTreeIndexOptions shape;
   shape.base_k = m.base_k;
   shape.leaf_capacity_factor = m.leaf_capacity_factor;
   shape.max_fanout = m.max_fanout;

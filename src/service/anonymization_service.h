@@ -53,11 +53,9 @@ struct DurabilityOptions {
 
 /// Tuning knobs of the serving layer.
 struct ServiceOptions {
-  /// Index configuration (base_k, split heuristics, constraints...). The
-  /// bulk-loading backend selector is ignored — live inserts go through
-  /// the record-at-a-time path — and so is `compact`: every release is
-  /// published compacted, as leaf MBRs.
-  RTreeAnonymizerOptions anonymizer;
+  /// Index shape (base_k, leaf capacity, fanout, split heuristics,
+  /// constraint). Every release is published compacted, as leaf MBRs.
+  RTreeIndexOptions anonymizer;
 
   /// Capacity of the ingest queue, in records. This is the burst the
   /// service absorbs before backpressure engages.

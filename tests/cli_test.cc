@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -106,6 +107,48 @@ class CliRunTest : public ::testing::Test {
           << "," << rng.Uniform(8) << "\n";
     }
   }
+  /// Logs the fixture's 1,000 records through a durable in-process service
+  /// of `shards` shards over `wal_dir`, then stops it.
+  void FillWal(const std::string& wal_dir, size_t shards, size_t base_k) {
+    ShardedServiceOptions options;
+    options.service.anonymizer.base_k = base_k;
+    options.service.durability.wal_dir = wal_dir;
+    options.service.durability.fsync_every = 32;
+    options.service.durability.checkpoint_every = 400;
+    options.sharding.num_shards = shards;
+    auto service = ShardedAnonymizationService::Create(2, kServeDomain,
+                                                       options);
+    ASSERT_TRUE(service.ok()) << service.status();
+    auto records = ReadNumericCsv(input_, Schema::Numeric(2), CsvOptions());
+    ASSERT_TRUE(records.ok()) << records.status();
+    ASSERT_EQ(records->num_records(), 1000u);
+    for (RecordId r = 0; r < records->num_records(); ++r) {
+      ASSERT_TRUE(
+          (*service)->Ingest(records->row(r), records->sensitive(r)).ok());
+    }
+    (*service)->Stop();
+  }
+
+  /// `kanon_cli serve --recover-only --domain 0:100,0:50 --wal-dir DIR`
+  /// plus `extra` flags; returns RunServe's exit code.
+  static int RecoverOnly(const std::string& wal_dir,
+                         const std::vector<const char*>& extra,
+                         std::ostream& log) {
+    std::vector<const char*> argv = {"serve",      "--recover-only",
+                                     "--domain",   "0:100,0:50",
+                                     "--wal-dir",  wal_dir.c_str()};
+    argv.insert(argv.end(), extra.begin(), extra.end());
+    cli::ServeOptions o;
+    if (!cli::ParseServeArgs(static_cast<int>(argv.size()), argv.data(),
+                             &o)) {
+      return 2;
+    }
+    return cli::RunServe(o, log);
+  }
+
+  /// The fixture's records lie in [0, 100) x [0, 50).
+  inline static const Domain kServeDomain{{0, 0}, {100, 50}};
+
   size_t CountOutputRows() {
     std::ifstream in(output_);
     std::string line;
@@ -221,18 +264,15 @@ TEST_F(CliRunTest, MissingInputFails) {
 
 TEST(CliServeParseTest, ParsesFlagsAndRejectsUnknown) {
   cli::ServeOptions o;
-  std::vector<const char*> argv = {"serve",  "--input", "a.csv",
-                                   "--k",    "25",      "--producers",
-                                   "4",      "--rate",  "5000",
-                                   "--queue", "128",    "--batch",
-                                   "32",     "--snapshot-every", "500",
-                                   "--reject", "--release", "25,100"};
+  std::vector<const char*> argv = {"serve",    "--listen", ":0",
+                                   "--domain", "0:1",      "--k",
+                                   "25",       "--queue",  "128",
+                                   "--batch",  "32",       "--snapshot-every",
+                                   "500",      "--reject", "--release",
+                                   "25,100"};
   ASSERT_TRUE(cli::ParseServeArgs(static_cast<int>(argv.size()),
                                   argv.data(), &o));
-  EXPECT_EQ(o.input, "a.csv");
   EXPECT_EQ(o.service.service.anonymizer.base_k, 25u);
-  EXPECT_EQ(o.producers, 4u);
-  EXPECT_DOUBLE_EQ(o.rate, 5000.0);
   EXPECT_EQ(o.service.service.queue_capacity, 128u);
   EXPECT_EQ(o.service.service.max_batch, 32u);
   EXPECT_EQ(o.service.service.snapshot_every, 500u);
@@ -241,33 +281,40 @@ TEST(CliServeParseTest, ParsesFlagsAndRejectsUnknown) {
 
   cli::ServeOptions missing;
   const char* none[] = {"serve"};
-  EXPECT_FALSE(cli::ParseServeArgs(1, none, &missing));  // --input required
+  EXPECT_FALSE(cli::ParseServeArgs(1, none, &missing));  // --domain required
   cli::ServeOptions unknown;
-  const char* bad[] = {"serve", "--input", "a", "--frobnicate"};
-  EXPECT_FALSE(cli::ParseServeArgs(4, bad, &unknown));
+  const char* bad[] = {"serve", "--listen", ":0", "--domain", "0:1",
+                       "--frobnicate"};
+  EXPECT_FALSE(cli::ParseServeArgs(6, bad, &unknown));
 }
 
-// The write-absorbing ingest tier and its flags are gone: an old command
-// line that still passes them is a usage error (kanon_cli prints usage and
-// exits 2 whenever ParseServeArgs fails), never silently ignored.
+// The write-absorbing ingest tier and serve's in-process CSV replay are
+// gone, and so are their flags: an old command line that still passes one
+// is a usage error (kanon_cli prints usage and exits 2 whenever
+// ParseServeArgs fails), never silently ignored.
 TEST(CliServeParseTest, RemovedIngestTierFlagsAreUsageErrors) {
   const std::vector<std::vector<const char*>> removed = {
-      {"serve", "--input", "a.csv", "--memtable-bytes", "1"},
-      {"serve", "--input", "a.csv", "--merge-mode", "delta"},
-      {"serve", "--input", "a.csv", "--merge-every", "20000"},
+      {"--memtable-bytes", "1"}, {"--merge-mode", "delta"},
+      {"--merge-every", "20000"}, {"--input", "a.csv"},
+      {"--schema", "spec.txt"},  {"--columns", "2"},
+      {"--skip-header"},         {"--producers", "4"},
+      {"--rate", "5000"},
   };
-  for (const auto& argv : removed) {
+  for (const auto& flag : removed) {
+    std::vector<const char*> argv = {"serve", "--listen", ":0", "--domain",
+                                     "0:1"};
+    argv.insert(argv.end(), flag.begin(), flag.end());
     cli::ServeOptions o;
     EXPECT_FALSE(cli::ParseServeArgs(static_cast<int>(argv.size()),
                                      argv.data(), &o))
-        << argv[3];
+        << flag[0];
   }
 }
 
 TEST(CliServeParseTest, DurabilityFlagsBothSpellings) {
   cli::ServeOptions o;
   std::vector<const char*> argv = {
-      "serve",        "--input",       "a.csv", "--wal-dir",
+      "serve",        "--domain",      "0:1",   "--wal-dir",
       "/tmp/wal",     "--fsync-every", "64",    "--checkpoint-every",
       "5000",         "--recover-only"};
   ASSERT_TRUE(cli::ParseServeArgs(static_cast<int>(argv.size()),
@@ -281,7 +328,7 @@ TEST(CliServeParseTest, DurabilityFlagsBothSpellings) {
   // names in docs and scripts).
   cli::ServeOptions u;
   std::vector<const char*> underscore = {
-      "serve",      "--input",       "a.csv", "--wal_dir",
+      "serve",      "--domain",      "0:1",   "--wal_dir",
       "/tmp/wal2",  "--fsync_every", "1",     "--checkpoint_every",
       "100",        "--recover_only"};
   ASSERT_TRUE(cli::ParseServeArgs(static_cast<int>(underscore.size()),
@@ -290,12 +337,19 @@ TEST(CliServeParseTest, DurabilityFlagsBothSpellings) {
   EXPECT_EQ(u.service.service.durability.fsync_every, 1u);
   EXPECT_TRUE(u.recover_only);
 
-  // --recover-only without --wal-dir is malformed.
+  // --recover-only without --wal-dir is malformed, and so is one that
+  // also listens: a recover-only pass ingests nothing.
   cli::ServeOptions bad;
-  std::vector<const char*> no_dir = {"serve", "--input", "a.csv",
+  std::vector<const char*> no_dir = {"serve", "--domain", "0:1",
                                      "--recover-only"};
   EXPECT_FALSE(cli::ParseServeArgs(static_cast<int>(no_dir.size()),
                                    no_dir.data(), &bad));
+  cli::ServeOptions both;
+  std::vector<const char*> listening = {
+      "serve",     "--listen", ":0", "--domain", "0:1", "--wal-dir",
+      "/tmp/wal3", "--recover-only"};
+  EXPECT_FALSE(cli::ParseServeArgs(static_cast<int>(listening.size()),
+                                   listening.data(), &both));
 }
 
 TEST(CliServeParseTest, HttpFlags) {
@@ -317,11 +371,8 @@ TEST(CliServeParseTest, HttpFlags) {
   EXPECT_DOUBLE_EQ(o.domain.lo[1], -5.0);
   EXPECT_DOUBLE_EQ(o.domain.hi[1], 5.0);
   EXPECT_DOUBLE_EQ(o.serve_seconds, 2.5);
-  // HTTP-only serving: --input is not required when --listen + --domain
-  // supply the record source and dimensionality.
-  EXPECT_TRUE(o.input.empty());
 
-  // --listen without --domain (and no --input) has no record source.
+  // --listen without --domain has no record dimensionality.
   cli::ServeOptions no_domain;
   std::vector<const char*> nd = {"serve", "--listen", ":8080"};
   EXPECT_FALSE(cli::ParseServeArgs(static_cast<int>(nd.size()), nd.data(),
@@ -342,34 +393,38 @@ TEST(CliServeParseTest, HttpFlags) {
 
 TEST(CliServeParseTest, ShardFlags) {
   cli::ServeOptions o;
-  std::vector<const char*> argv = {"serve",      "--input", "a.csv",
-                                   "--shards",   "4",       "--shard-by",
-                                   "range"};
+  std::vector<const char*> argv = {"serve",    "--listen", ":0",
+                                   "--domain", "0:1",      "--shards",
+                                   "4",        "--shard-by", "range"};
   ASSERT_TRUE(cli::ParseServeArgs(static_cast<int>(argv.size()),
                                   argv.data(), &o));
   EXPECT_EQ(o.service.sharding.num_shards, 4u);
   EXPECT_EQ(o.service.sharding.shard_by, ShardBy::kRange);
 
   cli::ServeOptions defaults;
-  std::vector<const char*> plain = {"serve", "--input", "a.csv"};
+  std::vector<const char*> plain = {"serve", "--listen", ":0", "--domain",
+                                    "0:1"};
   ASSERT_TRUE(cli::ParseServeArgs(static_cast<int>(plain.size()),
                                   plain.data(), &defaults));
   EXPECT_EQ(defaults.service.sharding.num_shards, 1u);
   EXPECT_EQ(defaults.service.sharding.shard_by, ShardBy::kHash);
 
   cli::ServeOptions underscore;
-  std::vector<const char*> us = {"serve", "--input", "a.csv", "--shard_by",
+  std::vector<const char*> us = {"serve",    "--listen", ":0",
+                                 "--domain", "0:1",      "--shard_by",
                                  "hash"};
   EXPECT_TRUE(cli::ParseServeArgs(static_cast<int>(us.size()), us.data(),
                                   &underscore));
 
   cli::ServeOptions zero;
-  std::vector<const char*> z = {"serve", "--input", "a.csv", "--shards",
+  std::vector<const char*> z = {"serve",    "--listen", ":0",
+                                "--domain", "0:1",      "--shards",
                                 "0"};
   EXPECT_FALSE(cli::ParseServeArgs(static_cast<int>(z.size()), z.data(),
                                    &zero));
   cli::ServeOptions bogus;
-  std::vector<const char*> b = {"serve", "--input", "a.csv", "--shard-by",
+  std::vector<const char*> b = {"serve",    "--listen", ":0",
+                                "--domain", "0:1",      "--shard-by",
                                 "roundrobin"};
   EXPECT_FALSE(cli::ParseServeArgs(static_cast<int>(b.size()), b.data(),
                                    &bogus));
@@ -382,13 +437,14 @@ TEST(CliServeParseTest, MalformedValuesAreUsageErrors) {
   const std::vector<std::pair<const char*, const char*>> malformed = {
       {"--snapshot-every", "abc"}, {"--k", "5x"},
       {"--k", "-1"},               {"--fsync-every", "-1"},
-      {"--queue", "12x"},          {"--rate", "fast"},
+      {"--queue", "12x"},          {"--serve-seconds", "soon"},
       {"--domain", "0:1x0"},       {"--domain", "0:inf"},
       {"--release", "10,x"},       {"--max-staleness-ms", "5s"},
   };
   for (const auto& [flag, value] : malformed) {
     cli::ServeOptions o;
-    const std::vector<const char*> argv = {"serve", "--input", "a.csv", flag,
+    const std::vector<const char*> argv = {"serve",    "--listen", ":0",
+                                           "--domain", "0:1",      flag,
                                            value};
     EXPECT_FALSE(cli::ParseServeArgs(static_cast<int>(argv.size()),
                                      argv.data(), &o))
@@ -451,15 +507,15 @@ TEST(CliServeParseTest, EveryFlagParses) {
   const std::vector<std::vector<const char*>> bad = {
       {"serve", "--follow", "127.0.0.1:0", "--listen", ":0", "--domain", "0:1"},
       {"serve", "--follow", "leader:x", "--listen", ":0", "--domain", "0:1"},
-      {"serve", "--input", "a.csv", "--dp-height", "40"},
-      {"serve", "--input", "a.csv", "--stale-reads", "maybe"},
-      {"serve", "--input", "a.csv", "--repl-poll-ms", "0"},
+      {"serve", "--listen", ":0", "--domain", "0:1", "--dp-height", "40"},
+      {"serve", "--listen", ":0", "--domain", "0:1", "--stale-reads", "maybe"},
+      {"serve", "--listen", ":0", "--domain", "0:1", "--repl-poll-ms", "0"},
   };
   for (const auto& argv : bad) {
     cli::ServeOptions o;
     EXPECT_FALSE(cli::ParseServeArgs(static_cast<int>(argv.size()),
                                      argv.data(), &o))
-        << argv[1] << " " << argv[2];
+        << argv[argv.size() - 2] << " " << argv.back();
   }
 }
 
@@ -485,65 +541,63 @@ TEST(CliServeParseTest, ListenAddressForms) {
 }
 
 TEST_F(CliRunTest, ServeModeEndToEnd) {
-  cli::ServeOptions o;
-  o.input = input_;
-  o.service.service.anonymizer.base_k = 20;
-  o.producers = 3;
-  o.service.service.queue_capacity = 64;
-  o.service.service.max_batch = 16;
-  o.service.service.snapshot_every = 250;
-  o.releases = {20, 50};
+  const std::string wal_dir = dir_.file("wal");
+  FillWal(wal_dir, /*shards=*/1, /*base_k=*/20);
   std::ostringstream log;
-  EXPECT_EQ(cli::RunServe(o, log), 0) << log.str();
-  EXPECT_NE(log.str().find("read 1000 records"), std::string::npos);
-  EXPECT_NE(log.str().find("inserted=1000"), std::string::npos);
+  EXPECT_EQ(RecoverOnly(wal_dir, {"--k", "20", "--release", "20,50"}, log), 0)
+      << log.str();
+  EXPECT_NE(log.str().find("recovery shard=0: recovered=1000"),
+            std::string::npos)
+      << log.str();
   EXPECT_NE(log.str().find("records=1000"), std::string::npos);
+  EXPECT_NE(log.str().find("release k1=20"), std::string::npos);
   EXPECT_NE(log.str().find("release k1=50"), std::string::npos);
 }
 
 TEST_F(CliRunTest, ServeModeDurableRestartRecovers) {
   const std::string wal_dir = dir_.file("wal");
-
-  cli::ServeOptions o;
-  o.input = input_;
-  o.service.service.anonymizer.base_k = 10;
-  o.producers = 2;
-  o.service.service.durability.wal_dir = wal_dir;
-  o.service.service.durability.fsync_every = 32;
-  o.service.service.durability.checkpoint_every = 400;
+  // An empty log directory recovers nothing and publishes nothing, which
+  // is not a failure.
+  std::filesystem::create_directories(wal_dir);
   {
     std::ostringstream log;
-    EXPECT_EQ(cli::RunServe(o, log), 0) << log.str();
-    EXPECT_NE(log.str().find("recovery: recovered=0"), std::string::npos)
+    EXPECT_EQ(RecoverOnly(wal_dir, {}, log), 0) << log.str();
+    EXPECT_NE(log.str().find("recovery shard=0: recovered=0"),
+              std::string::npos)
+        << log.str();
+    EXPECT_NE(log.str().find("no snapshot published"), std::string::npos);
+  }
+  // Everything the service logged comes back, and nothing is ingested, so
+  // a second pass recovers the same records.
+  FillWal(wal_dir, /*shards=*/1, /*base_k=*/10);
+  for (int pass = 0; pass < 2; ++pass) {
+    std::ostringstream log;
+    EXPECT_EQ(RecoverOnly(wal_dir, {"--release", "10"}, log), 0)
+        << log.str();
+    EXPECT_NE(log.str().find("recovery shard=0: recovered=1000"),
+              std::string::npos)
         << log.str();
     EXPECT_NE(log.str().find("durability:"), std::string::npos);
-  }
-  // Restart in recover-only mode: everything the first run ingested comes
-  // back, nothing is re-ingested.
-  o.recover_only = true;
-  {
-    std::ostringstream log;
-    EXPECT_EQ(cli::RunServe(o, log), 0) << log.str();
-    EXPECT_NE(log.str().find("recovery: recovered=1000"), std::string::npos)
-        << log.str();
     EXPECT_NE(log.str().find("records=1000"), std::string::npos);
+    EXPECT_NE(log.str().find("release k1=10"), std::string::npos);
   }
 }
 
 TEST_F(CliRunTest, ServeModeShardedEndToEnd) {
-  cli::ServeOptions o;
-  o.input = input_;
-  o.service.service.anonymizer.base_k = 10;
-  o.producers = 3;
-  o.service.sharding.num_shards = 4;
-  o.releases = {10, 40};
+  const std::string wal_dir = dir_.file("wal");
+  FillWal(wal_dir, /*shards=*/4, /*base_k=*/10);
   std::ostringstream log;
-  EXPECT_EQ(cli::RunServe(o, log), 0) << log.str();
-  EXPECT_NE(log.str().find("inserted=1000"), std::string::npos) << log.str();
-  EXPECT_NE(log.str().find("records=1000"), std::string::npos);
-  // Per-shard breakdown lines appear for every shard.
+  EXPECT_EQ(RecoverOnly(wal_dir, {"--shards", "4", "--release", "10,40"}, log),
+            0)
+      << log.str();
+  EXPECT_NE(log.str().find("records=1000"), std::string::npos) << log.str();
+  // Per-shard recovery and breakdown lines appear for every shard.
   for (int s = 0; s < 4; ++s) {
-    EXPECT_NE(log.str().find("shard " + std::to_string(s) + ": inserted="),
+    const std::string shard = std::to_string(s);
+    EXPECT_NE(log.str().find("recovery shard=" + shard + ": recovered="),
+              std::string::npos)
+        << log.str();
+    EXPECT_NE(log.str().find("shard " + shard + ": inserted="),
               std::string::npos)
         << log.str();
   }
@@ -552,41 +606,31 @@ TEST_F(CliRunTest, ServeModeShardedEndToEnd) {
 
 TEST_F(CliRunTest, ServeModeShardedDurableRestartRecoversPerShard) {
   const std::string wal_dir = dir_.file("wal");
-
-  cli::ServeOptions o;
-  o.input = input_;
-  o.service.service.anonymizer.base_k = 10;
-  o.producers = 2;
-  o.service.sharding.num_shards = 2;
-  o.service.service.durability.wal_dir = wal_dir;
-  o.service.service.durability.fsync_every = 32;
-  o.service.service.durability.checkpoint_every = 400;
+  FillWal(wal_dir, /*shards=*/2, /*base_k=*/10);
+  // Both shards replay their own WAL and the stitched snapshot holds every
+  // record exactly once.
   {
     std::ostringstream log;
-    EXPECT_EQ(cli::RunServe(o, log), 0) << log.str();
-    EXPECT_NE(log.str().find("recovery shard=0: recovered=0"),
-              std::string::npos)
+    EXPECT_EQ(RecoverOnly(wal_dir, {"--shards", "2", "--release", "10"}, log),
+              0)
         << log.str();
-    EXPECT_NE(log.str().find("recovery shard=1: recovered=0"),
-              std::string::npos);
-  }
-  // Restart in recover-only mode: both shards replay their own WAL and
-  // the stitched snapshot holds every record exactly once.
-  o.recover_only = true;
-  {
-    std::ostringstream log;
-    EXPECT_EQ(cli::RunServe(o, log), 0) << log.str();
-    EXPECT_NE(log.str().find("recovery shard=0: recovered="),
-              std::string::npos)
-        << log.str();
+    size_t recovered = 0;
+    for (int s = 0; s < 2; ++s) {
+      const std::string key =
+          "recovery shard=" + std::to_string(s) + ": recovered=";
+      const size_t at = log.str().find(key);
+      ASSERT_NE(at, std::string::npos) << log.str();
+      recovered += std::stoul(log.str().substr(at + key.size()));
+    }
+    EXPECT_EQ(recovered, 1000u);
     EXPECT_NE(log.str().find("records=1000"), std::string::npos)
         << log.str();
+    EXPECT_NE(log.str().find("release k1=10"), std::string::npos);
   }
   // Reopening the same directory with a different shard count is refused.
-  o.service.sharding.num_shards = 4;
   {
     std::ostringstream log;
-    EXPECT_EQ(cli::RunServe(o, log), 1);
+    EXPECT_EQ(RecoverOnly(wal_dir, {"--shards", "4"}, log), 1);
     EXPECT_NE(log.str().find("--shards=2"), std::string::npos) << log.str();
   }
 }
@@ -640,14 +684,6 @@ TEST_F(CliRunTest, ServeFollowModeReportsLeadersRelease) {
       << log.str();
   server.Shutdown();
   (*leader)->Stop();
-}
-
-TEST_F(CliRunTest, ServeModeMissingInputFails) {
-  cli::ServeOptions o;
-  o.input = "/nonexistent/in.csv";
-  std::ostringstream log;
-  EXPECT_EQ(cli::RunServe(o, log), 1);
-  EXPECT_NE(log.str().find("/nonexistent/in.csv"), std::string::npos);
 }
 
 TEST_F(CliRunTest, SchemaSpecDrivesNames) {

@@ -421,8 +421,8 @@ TEST(DurabilityCheckpointTest, ManifestRoundTripIsAtomic) {
   EXPECT_EQ(LoadManifest(dir.path()).status().code(), StatusCode::kNotFound);
 }
 
-RTreeAnonymizerOptions SmallAnonOptions() {
-  RTreeAnonymizerOptions options;
+RTreeIndexOptions SmallAnonOptions() {
+  RTreeIndexOptions options;
   options.base_k = 3;
   options.max_fanout = 4;
   return options;
@@ -535,7 +535,7 @@ TEST(DurabilityRecoveryTest, RejectsMismatchedConfiguration) {
   Checkpointer checkpointer(dir.path());
   ASSERT_TRUE(checkpointer.Checkpoint(original.tree(), 40).ok());
 
-  RTreeAnonymizerOptions different = SmallAnonOptions();
+  RTreeIndexOptions different = SmallAnonOptions();
   different.base_k = 7;  // different min_leaf/max_leaf
   IncrementalAnonymizer recovered(2, different);
   RecoveryOptions options;

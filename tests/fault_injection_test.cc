@@ -21,8 +21,8 @@ namespace {
 
 using testutil::ScratchDir;
 
-RTreeAnonymizerOptions SmallAnonOptions() {
-  RTreeAnonymizerOptions options;
+RTreeIndexOptions SmallAnonOptions() {
+  RTreeIndexOptions options;
   options.base_k = 3;
   options.max_fanout = 4;
   return options;

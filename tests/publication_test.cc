@@ -59,8 +59,8 @@ class Stream {
   Rng rng_;
 };
 
-RTreeAnonymizerOptions Options() {
-  RTreeAnonymizerOptions options;
+RTreeIndexOptions Options() {
+  RTreeIndexOptions options;
   options.base_k = kBaseK;
   return options;
 }
@@ -158,7 +158,7 @@ TEST(LeafBlockTest, CloneCopiesRecordsAndBoundsAndIsWritable) {
 TEST(PublicationTest, EveryEpochMatchesTheFromScratchAlgorithm) {
   const Domain domain = testutil::SquareDomain(0, 100);
   const DpGrid grid(domain, kDpHeight);
-  const RTreeAnonymizerOptions options = Options();
+  const RTreeIndexOptions options = Options();
   IncrementalAnonymizer live(2, options, &domain);
   DpCellCounter dp(domain, kDpHeight);
   Stream stream(11);
@@ -220,7 +220,7 @@ TEST(PublicationTest, EveryEpochMatchesTheFromScratchAlgorithm) {
 // they were at publication.
 TEST(PublicationTest, SnapshotStaysByteIdenticalAfterMoreInserts) {
   const Domain domain = testutil::SquareDomain(0, 100);
-  const RTreeAnonymizerOptions options = Options();
+  const RTreeIndexOptions options = Options();
   IncrementalAnonymizer live(2, options, &domain);
   DpCellCounter dp(domain, kDpHeight);
   Stream stream(5);
@@ -311,7 +311,7 @@ TEST(PublicationTest, PublishClonesOnlyWhatChanged) {
 // reported race.
 TEST(PublicationTest, ReaderScansWhileWriterClonesAndSplits) {
   const Domain domain = testutil::SquareDomain(0, 100);
-  const RTreeAnonymizerOptions options = Options();
+  const RTreeIndexOptions options = Options();
   IncrementalAnonymizer live(2, options, &domain);
   DpCellCounter dp(domain, kDpHeight);
   Stream stream(9);

@@ -289,7 +289,7 @@ TEST(ServiceTest, CadencePublishesDuringIngest) {
 /// The grid stream of tests/differential.h inserted record-at-a-time
 /// into a fresh anonymizer: the from-scratch tuple-path reference.
 std::unique_ptr<IncrementalAnonymizer> TupleTree(
-    size_t n, const RTreeAnonymizerOptions& options, const Domain* domain) {
+    size_t n, const RTreeIndexOptions& options, const Domain* domain) {
   auto anonymizer =
       std::make_unique<IncrementalAnonymizer>(2, options, domain);
   for (size_t i = 0; i < n; ++i) {
@@ -304,7 +304,7 @@ std::unique_ptr<IncrementalAnonymizer> TupleTree(
 // over the extracted groups, and its DP cells count every record.
 TEST(SnapshotTest, BuildSnapshotIsTheLeafScanOverExtractedLeaves) {
   const Domain domain = testutil::SquareDomain(0, 100);
-  RTreeAnonymizerOptions options;
+  RTreeIndexOptions options;
   options.base_k = 5;
   {
     const auto anonymizer = TupleTree(1500, options, &domain);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <numeric>
 #include <vector>
 
@@ -47,6 +48,23 @@ TEST(ThreadPoolTest, ShutdownIsIdempotent) {
   EXPECT_EQ(ran.load(), 100);
 }
 
+// Tasks start in the order they were submitted: with one worker held on
+// its first task, the rest queue up and then run oldest first.
+TEST(ThreadPoolTest, QueuedTasksRunOldestFirst) {
+  std::vector<int> order;
+  {
+    ThreadPool pool(1);
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    pool.Submit([released] { released.wait(); });
+    for (int i = 0; i < 8; ++i) {
+      pool.Submit([&order, i] { order.push_back(i); });
+    }
+    release.set_value();
+  }  // destructor drains
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
 TEST(ThreadPoolTest, ParallelForVisitsEachIndexOnce) {
   ThreadPool pool(3);
   constexpr size_t kN = 10000;
@@ -78,7 +96,7 @@ TEST(ThreadPoolTest, SequentialParallelForsReusePool) {
 }
 
 // TSan stress: many producer threads race Submit against each other, the
-// workers' steals, and a concurrent Shutdown. The execution guarantee
+// workers' pops, and a concurrent Shutdown. The execution guarantee
 // (every accepted task runs exactly once) must hold through the race.
 TEST(ThreadPoolStressTest, RacingSubmitStealShutdown) {
   for (int round = 0; round < 20; ++round) {

@@ -10,11 +10,9 @@
 #include <fstream>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <thread>
 
 #include "common/env.h"
-#include "common/thread.h"
 #include "kanon/kanon.h"
 
 namespace kanon::cli {
@@ -36,7 +34,7 @@ void InstallDrainSignalHandlers() {
 }
 
 /// Builds the schema (from a spec file, an explicit column count, or the
-/// input's first row) and reads the CSV. Shared by Run and RunServe.
+/// input's first row) and reads the CSV.
 StatusOr<Dataset> LoadInput(const std::string& input,
                             const std::string& schema_path, size_t columns,
                             bool skip_header, std::ostream& log) {
@@ -198,13 +196,7 @@ std::vector<Flag> CliFlags(CliOptions* o) {
 std::vector<Flag> ServeFlags(ServeOptions* o) {
   ServiceOptions& service = o->service.service;
   return {
-      {"input", "FILE", Text(&o->input)},
-      {"schema", "SPEC", Text(&o->schema_path)},
-      {"columns", "N", Unsigned(&o->columns)},
-      {"skip-header", "", Switch(&o->skip_header)},
       {"k", "K", Unsigned(&service.anonymizer.base_k, 1)},
-      {"producers", "P", Unsigned(&o->producers, 1)},
-      {"rate", "R", Real(&o->rate)},
       {"queue", "N", Unsigned(&service.queue_capacity, 1)},
       {"batch", "B", Unsigned(&service.max_batch, 1)},
       {"snapshot-every", "N", Unsigned(&service.snapshot_every)},
@@ -408,16 +400,14 @@ bool ParseServeArgs(int argc, const char* const* argv,
   if (o.follow) {
     // A follower's records arrive only via replication: local ingest and
     // durability paths are contradictions, not defaults to ignore.
-    return o.listen && o.domain.dim() > 0 && o.input.empty() && !durable &&
+    return o.listen && o.domain.dim() > 0 && !durable &&
            o.service.sharding.num_shards == 1 && !o.recover_only;
   }
-  // A record source is required: --input, or HTTP ingest (--listen plus
-  // --domain, which supplies the dimensionality --input would have), or a
-  // recover-only replay with --domain.
-  const bool source_ok =
-      !o.input.empty() ||
-      (o.domain.dim() > 0 && (o.listen || o.recover_only));
-  return source_ok && (!o.recover_only || durable);
+  // A leader takes its dimensionality from --domain, and either serves
+  // HTTP ingest (--listen) or replays its WAL directory and ingests
+  // nothing (--recover-only).
+  return o.domain.dim() > 0 && o.listen != o.recover_only &&
+         (!o.recover_only || durable);
 }
 
 namespace {
@@ -520,24 +510,6 @@ int RunFollower(const ServeOptions& options, std::ostream& log) {
 
 int RunServe(const ServeOptions& options, std::ostream& log) {
   if (options.follow) return RunFollower(options, log);
-  // Two record sources: a CSV replayed by producer threads (--input) and
-  // records POSTed over HTTP (--listen). HTTP-only serving has no file to
-  // infer the dimensionality and domain from, so --domain supplies both.
-  std::optional<Dataset> dataset;
-  Domain domain = options.domain;
-  if (!options.input.empty()) {
-    auto loaded = LoadInput(options.input, options.schema_path,
-                            options.columns, options.skip_header, log);
-    if (!loaded.ok()) {
-      log << loaded.status() << "\n";
-      return 1;
-    }
-    dataset = *std::move(loaded);
-    log << "read " << dataset->num_records() << " records\n";
-    if (dataset->empty()) return 1;
-    domain = dataset->ComputeDomain();
-  }
-  const size_t n = dataset ? dataset->num_records() : 0;
   const size_t k = options.service.service.anonymizer.base_k;
   const size_t shards = options.service.sharding.num_shards;
   const bool durable = options.service.service.durability.enabled();
@@ -577,36 +549,24 @@ int RunServe(const ServeOptions& options, std::ostream& log) {
         << " mean_ops=" << fault_options.mean_ops_between_faults
         << " break_after=" << fault_options.break_after_ops << "\n";
   }
-  auto service_or = ShardedAnonymizationService::Create(domain.dim(), domain,
-                                                        service_options);
+  auto service_or = ShardedAnonymizationService::Create(
+      options.domain.dim(), options.domain, service_options);
   if (!service_or.ok()) {
     log << service_or.status() << "\n";
     return 1;
   }
   ShardedAnonymizationService& service = **service_or;
   if (durable) {
-    if (shards == 1) {
-      // The single-shard line keeps the exact pre-sharding format — the
-      // crash-recovery harness greps it.
-      const RecoveryResult& r = service.shard_recovery(0);
-      log << "recovery: recovered=" << r.recovered
+    for (size_t i = 0; i < service.num_shards(); ++i) {
+      const RecoveryResult& r = service.shard_recovery(i);
+      log << "recovery shard=" << i << ": recovered=" << r.recovered
           << " checkpoint_lsn=" << r.checkpoint_lsn
           << " replayed=" << r.replayed << " next_lsn=" << r.next_lsn
           << " torn_tail=" << (r.truncated_torn_tail ? 1 : 0) << "\n";
-    } else {
-      for (size_t i = 0; i < service.num_shards(); ++i) {
-        const RecoveryResult& r = service.shard_recovery(i);
-        log << "recovery shard=" << i << ": recovered=" << r.recovered
-            << " checkpoint_lsn=" << r.checkpoint_lsn
-            << " replayed=" << r.replayed << " next_lsn=" << r.next_lsn
-            << " torn_tail=" << (r.truncated_torn_tail ? 1 : 0) << "\n";
-      }
     }
   }
 
-  // The HTTP front-end (when --listen is given) starts before the
-  // producers so scripted clients can connect as soon as the "listening
-  // on" line appears.
+  // A recover-only pass reports what it recovered and serves nothing.
   std::unique_ptr<net::AnonHttpFrontend> frontend;
   std::unique_ptr<net::HttpServer> server;
   if (options.listen) {
@@ -615,55 +575,18 @@ int RunServe(const ServeOptions& options, std::ostream& log) {
         std::to_string(shards) + (shards == 1 ? " shard" : " shards");
     server = Listen(options.http, frontend.get(), role, log);
     if (server == nullptr) return 1;
-  }
-
-  // Each producer streams a stripe of the file at its share of the target
-  // rate, which interleaves into an approximately file-ordered stream.
-  const size_t producers = options.producers;
-  const double per_producer_rate =
-      options.rate > 0.0 ? options.rate / static_cast<double>(producers)
-                         : 0.0;
-  Timer timer;
-  if (!options.recover_only && dataset) {
-    std::vector<JoinableThread> threads;
-    for (size_t t = 0; t < producers; ++t) {
-      threads.emplace_back([&, t] {
-        using Clock = std::chrono::steady_clock;
-        const auto start = Clock::now();
-        size_t sent = 0;
-        for (RecordId r = t; r < n; r += producers) {
-          if (per_producer_rate > 0.0) {
-            std::this_thread::sleep_until(
-                start + std::chrono::duration_cast<Clock::duration>(
-                            std::chrono::duration<double>(
-                                static_cast<double>(sent) /
-                                per_producer_rate)));
-          }
-          // In kReject mode drops are expected under burst; they are
-          // counted by the service and reported below.
-          (void)service.Ingest(dataset->row(r), dataset->sensitive(r));
-          ++sent;
-        }
-      });
-    }
-  }  // joins the producers
-
-  if (server != nullptr) {
     ServeUntilDrained(server.get(), options.serve_seconds, log);
   }
   service.Stop();
-  const double elapsed_s = timer.ElapsedSeconds();
 
   const ShardedServiceStats sharded_stats = service.Stats();
   const ServiceStats& stats = sharded_stats.total;
   log << FormatServiceStats(stats) << "\n";
-  if (shards > 1) {
-    for (size_t i = 0; i < sharded_stats.shards.size(); ++i) {
-      const ServiceStats& s = sharded_stats.shards[i];
-      log << "shard " << i << ": inserted=" << s.inserted
-          << " snapshots=" << s.snapshots << " rejected=" << s.rejected
-          << " health=" << ServiceHealthName(s.health) << "\n";
-    }
+  for (size_t i = 0; i < sharded_stats.shards.size(); ++i) {
+    const ServiceStats& s = sharded_stats.shards[i];
+    log << "shard " << i << ": inserted=" << s.inserted
+        << " snapshots=" << s.snapshots << " rejected=" << s.rejected
+        << " health=" << ServiceHealthName(s.health) << "\n";
   }
   if (server != nullptr) {
     const net::HttpServerStats hs = server->stats();
@@ -689,23 +612,13 @@ int RunServe(const ServeOptions& options, std::ostream& log) {
     log << "service degraded to read-only: " << stats.degraded_reason
         << "\n";
   }
-  if (!options.recover_only && dataset) {
-    log << "streamed " << n << " records with " << producers
-        << " producers in " << elapsed_s << "s ("
-        << static_cast<double>(stats.inserted) / elapsed_s << " rec/s)\n";
-  }
-
   const auto stitched = service.CurrentStitched();
   if (stitched == nullptr) {
+    // Not a failure: a near-empty log, a disk that died before k records
+    // landed, or a serve window in which no client sent records.
     log << "no snapshot published: fewer than k=" << k
         << " records were ingested\n";
-    // A recover-only pass over a near-empty log is not a failure, and
-    // neither is a fault run whose disk died before k records landed, nor
-    // an HTTP serve window in which no client happened to send records.
-    return options.recover_only || server != nullptr ||
-                   stats.health == ServiceHealth::kDegraded
-               ? 0
-               : 1;
+    return 0;
   }
   ReportFinalSnapshot(*stitched, log);
   const StitchedInfo& info = stitched->info();

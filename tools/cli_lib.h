@@ -63,25 +63,21 @@ StatusOr<size_t> InferColumns(const std::string& path);
 /// process exit code.
 int Run(const CliOptions& options, std::ostream& log = std::cerr);
 
-/// Options of the `kanon_cli serve` subcommand: stream a CSV through the
-/// concurrent sharded service and/or front it with the HTTP server
-/// (src/net/), or follow a leader as a read replica. At least one record
-/// source is required: --input, or --listen with --domain (records arrive
-/// over HTTP). Flags that tune a library component write straight into
-/// that component's options below; the rest are the CLI's own.
+/// Options of the `kanon_cli serve` subcommand: a leader fronts the
+/// concurrent sharded service with the HTTP server (src/net/), where
+/// records arrive by POST /ingest (--listen), or replays its WAL directory
+/// and reports what it recovered (--recover-only); a follower serves a
+/// read replica of a leader (--follow). Flags that tune a library
+/// component write straight into that component's options below; the rest
+/// are the CLI's own.
 struct ServeOptions {
   ServeOptions() { service.service.anonymizer.base_k = kDefaultK; }
 
-  std::string input;
-  std::string schema_path;
-  size_t columns = 0;  // 0 = infer from the first row
-  bool skip_header = false;
-  size_t producers = 2;     // concurrent client threads
-  double rate = 0.0;        // target records/sec across producers (0 = max)
   std::vector<size_t> releases;  // extra k1 granularities to report
   bool recover_only = false;  // recover + report, ingest nothing
-  /// Quasi-identifier domain for HTTP-only serving and followers (no
-  /// --input to infer it from); its dim() is the record dimensionality.
+  /// Quasi-identifier domain of every role; its dim() is the record
+  /// dimensionality. Split normalization and the DP grid derive from it,
+  /// so a leader's serving run and its recovery must pass the same one.
   Domain domain;
   /// Stop serving after this many seconds even without a signal
   /// (0 = until signaled). Primarily for scripted smoke tests.
@@ -114,10 +110,10 @@ bool ParseListenAddress(const std::string& spec, std::string* host,
 /// flag, a missing or malformed value, or missing required flags.
 bool ParseServeArgs(int argc, const char* const* argv, ServeOptions* options);
 
-/// Streams the input through the sharded service with the configured
-/// producer count and target rate (or follows a leader with --follow),
-/// then prints the serving statistics and the final snapshot's releases.
-/// Returns the process exit code.
+/// Recovers the sharded service from --wal-dir (when given), serves it
+/// over HTTP until a signal or --serve-seconds (unless --recover-only), or
+/// follows a leader with --follow; then prints the serving statistics and
+/// the final snapshot's releases. Returns the process exit code.
 int RunServe(const ServeOptions& options, std::ostream& log = std::cerr);
 
 /// One row of a subcommand's flag table: `--name VALUE`, or the switch

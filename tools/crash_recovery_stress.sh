@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
-# Crash-recovery stress test: SIGKILL the serving process at a random point
-# mid-ingest, restart in --recover-only mode, and assert
+# Crash-recovery stress test: stream records into `kanon_cli serve
+# --listen` over POST /ingest (200-row batches, one curl each), SIGKILL the
+# server at a random point mid-ingest, so the kill lands mid-request,
+# mid-WAL-append or mid-checkpoint, then restart in --recover-only mode with
+# the same --domain and assert
 #
-#   1. record conservation: every recovered record is counted exactly once
-#      (recovered == next_lsn - 1 — the LSN-dense invariant; duplicates or
-#      losses within the durable horizon would break it), and
+#   1. record conservation, per shard: every recovered record is counted
+#      exactly once (recovered == next_lsn - 1 — the LSN-dense invariant;
+#      duplicates or losses within the durable horizon would break it), and
 #   2. the recovered release is k-anonymous (min_partition >= k once at
 #      least k records survived).
 #
@@ -19,14 +22,8 @@
 # Env:   KANON_FAULT_SEED       base seed; enables fault injection
 #        KANON_FAULT_MEAN_OPS   mean data-plane ops between faults
 #        KANON_FAULT_BREAK_AFTER hard disk-death op index
-#        KANON_HTTP=1           drive ingest over the HTTP front-end
-#                               (curl POST /ingest against --listen) so the
-#                               SIGKILL lands mid-HTTP-request; the
-#                               durability invariants must hold identically
 #        KANON_SHARDS=N         serve and recover with N shards: the kill
 #                               lands across N independent WAL directories
-#                               and the conservation invariant must hold
-#                               per shard (recovered_i == next_lsn_i - 1)
 #        KANON_REPL=1           replication chaos mode: one leader + one
 #                               --follow read replica; each iteration
 #                               SIGKILLs the leader mid-tail and restarts it
@@ -45,11 +42,9 @@ K=10
 ROWS=20000
 FAULT_BASE_SEED=${KANON_FAULT_SEED:-}
 SHARDS=${KANON_SHARDS:-1}
-
-SHARD_ARGS=""
-if [ "$SHARDS" -gt 1 ]; then
-  SHARD_ARGS="--shards $SHARDS"
-fi
+# Every run and its recovery share one domain: split normalization and the
+# DP grid derive from it.
+DOMAIN="0:1000,0:1000"
 
 mkdir -p "$WORKDIR"
 INPUT="$WORKDIR/stream.csv"
@@ -88,7 +83,7 @@ if [ -n "${KANON_REPL:-}" ]; then
   LEADER_LOG="$WORKDIR/leader_0.log"
   rm -rf "$WAL_DIR"
 
-  "$CLI" serve --listen 127.0.0.1:0 --domain "0:1000,0:1000" --k "$K" \
+  "$CLI" serve --listen 127.0.0.1:0 --domain "$DOMAIN" --k "$K" \
     --wal-dir "$WAL_DIR" --fsync-every 64 --checkpoint-every 2000 \
     --snapshot-every 500 > "$LEADER_LOG" 2>&1 &
   LEADER_PID=$!
@@ -97,7 +92,7 @@ if [ -n "${KANON_REPL:-}" ]; then
 
   FOLLOWER_LOG="$WORKDIR/follower.log"
   "$CLI" serve --follow "127.0.0.1:$LEADER_PORT" \
-    --listen 127.0.0.1:0 --domain "0:1000,0:1000" --k "$K" \
+    --listen 127.0.0.1:0 --domain "$DOMAIN" --k "$K" \
     --repl-poll-ms 10 --max-staleness-ms 30000 \
     > "$FOLLOWER_LOG" 2>&1 &
   FOLLOWER_PID=$!
@@ -126,7 +121,7 @@ if [ -n "${KANON_REPL:-}" ]; then
     STARTED=""
     for _ in $(seq 1 40); do
       "$CLI" serve --listen "127.0.0.1:$LEADER_PORT" \
-        --domain "0:1000,0:1000" --k "$K" \
+        --domain "$DOMAIN" --k "$K" \
         --wal-dir "$WAL_DIR" --fsync-every 64 --checkpoint-every 2000 \
         --snapshot-every 500 > "$LEADER_LOG" 2>&1 &
       LEADER_PID=$!
@@ -192,78 +187,47 @@ for i in $(seq 1 "$ITERATIONS"); do
     export KANON_FAULT_SEED=$((FAULT_BASE_SEED + i))
   fi
 
-  # Rate-limit so the kill lands mid-ingest, then SIGKILL after a random
-  # 0.1-0.7s — sometimes mid-WAL-append, sometimes mid-checkpoint.
-  PUMP=""
-  if [ -n "${KANON_HTTP:-}" ]; then
-    # HTTP mode: records arrive over POST /ingest instead of --input, so
-    # the kill also lands mid-request / mid-response on the socket path.
-    "$CLI" serve --listen 127.0.0.1:0 --domain "0:1000,0:1000" --k "$K" \
-      --wal-dir "$WAL_DIR" --fsync-every 64 --checkpoint-every 2000 \
-      $SHARD_ARGS > "$LOG" 2>&1 &
-    PID=$!
-    PORT=""
-    for _ in $(seq 1 100); do
-      PORT=$(sed -n 's/^listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "$LOG")
-      [ -n "$PORT" ] && break
-      kill -0 "$PID" 2> /dev/null || break
-      sleep 0.05
-    done
-    [ -n "$PORT" ] || fail "iteration $i: server never printed its port"
-    # Stream the file as 200-row NDJSON batches until the server dies.
-    split -l 200 --filter="curl -s -o /dev/null -m 5 -H 'Expect:' \
-      --data-binary @- http://127.0.0.1:$PORT/ingest || true" \
-      "$INPUT" > /dev/null 2>&1 &
-    PUMP=$!
-  else
-    "$CLI" serve --input "$INPUT" --k "$K" --rate 30000 \
-      --wal-dir "$WAL_DIR" --fsync-every 64 --checkpoint-every 2000 \
-      $SHARD_ARGS > "$LOG" 2>&1 &
-    PID=$!
-  fi
+  "$CLI" serve --listen 127.0.0.1:0 --domain "$DOMAIN" --k "$K" \
+    --wal-dir "$WAL_DIR" --fsync-every 64 --checkpoint-every 2000 \
+    --shards "$SHARDS" > "$LOG" 2>&1 &
+  PID=$!
+  PORT=$(wait_port "$LOG" "$PID")
+  [ -n "$PORT" ] || fail "iteration $i: server never printed its port"
+  # Stream the file as 200-row batches until the server dies, and SIGKILL
+  # it after a random 0.1-0.7s.
+  split -l 200 --filter="curl -s -o /dev/null -m 5 -H 'Expect:' \
+    --data-binary @- http://127.0.0.1:$PORT/ingest || true" \
+    "$INPUT" > /dev/null 2>&1 &
+  PUMP=$!
   sleep "0.$(( (RANDOM % 7) + 1 ))"
   kill -9 "$PID" 2> /dev/null
   wait "$PID" 2> /dev/null
-  if [ -n "$PUMP" ]; then
-    kill "$PUMP" 2> /dev/null
-    wait "$PUMP" 2> /dev/null
-  fi
+  kill "$PUMP" 2> /dev/null
+  wait "$PUMP" 2> /dev/null
 
   # Recovery models restarting on healthy hardware: no fault injection.
   RECOVERY_LOG="$WORKDIR/recover_$i.log"
-  env -u KANON_FAULT_SEED "$CLI" serve --input "$INPUT" --k "$K" \
-    --recover-only $SHARD_ARGS \
+  env -u KANON_FAULT_SEED "$CLI" serve --recover-only --domain "$DOMAIN" \
+    --k "$K" --shards "$SHARDS" \
     --wal-dir "$WAL_DIR" --fsync-every 64 --checkpoint-every 2000 \
     > "$RECOVERY_LOG" 2>&1 \
     || fail "iteration $i: recovery exited non-zero (see $RECOVERY_LOG)"
 
-  if [ "$SHARDS" -gt 1 ]; then
-    # Per-shard conservation: every shard replays its own WAL directory
-    # and must hold exactly one record per assigned LSN.
-    RECOVERED=0
-    MAX_SHARD_RECOVERED=0
-    for s in $(seq 0 $((SHARDS - 1))); do
-      LINE=$(grep "^recovery shard=$s:" "$RECOVERY_LOG") \
-        || fail "iteration $i: no recovery line for shard $s in $RECOVERY_LOG"
-      R=$(echo "$LINE" | sed -n 's/.*recovered=\([0-9]*\).*/\1/p')
-      NL=$(echo "$LINE" | sed -n 's/.*next_lsn=\([0-9]*\).*/\1/p')
-      [ "$R" -eq $((NL - 1)) ] \
-        || fail "iteration $i shard $s: recovered=$R != next_lsn-1=$((NL - 1))"
-      RECOVERED=$((RECOVERED + R))
-      [ "$R" -gt "$MAX_SHARD_RECOVERED" ] && MAX_SHARD_RECOVERED=$R
-    done
-  else
-    LINE=$(grep '^recovery:' "$RECOVERY_LOG") \
-      || fail "iteration $i: no recovery line in $RECOVERY_LOG"
-    RECOVERED=$(echo "$LINE" | sed -n 's/.*recovered=\([0-9]*\).*/\1/p')
-    NEXT_LSN=$(echo "$LINE" | sed -n 's/.*next_lsn=\([0-9]*\).*/\1/p')
-
-    # Exactly-once: the tree holds one record per assigned LSN, no more, no
-    # fewer — double-replay or lost-acked-record both break this equality.
-    [ "$RECOVERED" -eq $((NEXT_LSN - 1)) ] \
-      || fail "iteration $i: recovered=$RECOVERED != next_lsn-1=$((NEXT_LSN - 1))"
-    MAX_SHARD_RECOVERED=$RECOVERED
-  fi
+  # Exactly-once, per shard: every shard replays its own WAL directory and
+  # its tree holds one record per assigned LSN, no more, no fewer —
+  # double-replay or a lost logged record both break this equality.
+  RECOVERED=0
+  MAX_SHARD_RECOVERED=0
+  for s in $(seq 0 $((SHARDS - 1))); do
+    LINE=$(grep "^recovery shard=$s:" "$RECOVERY_LOG") \
+      || fail "iteration $i: no recovery line for shard $s in $RECOVERY_LOG"
+    R=$(echo "$LINE" | sed -n 's/.*recovered=\([0-9]*\).*/\1/p')
+    NL=$(echo "$LINE" | sed -n 's/.*next_lsn=\([0-9]*\).*/\1/p')
+    [ "$R" -eq $((NL - 1)) ] \
+      || fail "iteration $i shard $s: recovered=$R != next_lsn-1=$((NL - 1))"
+    RECOVERED=$((RECOVERED + R))
+    [ "$R" -gt "$MAX_SHARD_RECOVERED" ] && MAX_SHARD_RECOVERED=$R
+  done
 
   # A shard publishes on recovery only once it holds >= k records, so the
   # stitched snapshot (and its k bound) is owed whenever any shard does.

@@ -8,23 +8,21 @@
 // backend on N threads. The build is deterministic: every thread count
 // yields the same partitions.
 //
-// Serve mode streams the CSV through the concurrent incremental
-// anonymization service (src/service/) and reports serving statistics.
+// Serve mode runs the concurrent incremental anonymization service
+// (src/service/) behind the epoll HTTP/1.1 server (src/net/): --listen
+// serves POST /ingest, GET /release[/query], GET /healthz and GET /metrics.
+// Port 0 binds an ephemeral port; the actual address is printed as
+// "listening on HOST:PORT". The record dimensionality and domain come from
+// --domain (one LO:HI range per quasi-identifier). The server runs until
+// SIGTERM/SIGINT (or --serve-seconds), then drains gracefully: in-flight
+// requests finish, the WAL flushes, and a final snapshot publishes before
+// exit.
 //
 // With --wal-dir the service write-ahead-logs every ingested record and
 // periodically checkpoints the index (src/durability/); restarting with
-// the same directory recovers the checkpoint plus the WAL tail before
-// ingesting. --recover-only performs the recovery, prints what it
-// restored, and exits without streaming the input.
-//
-// With --listen the serve mode also fronts the service with the epoll
-// HTTP/1.1 server (src/net/): POST /ingest, GET /release[/query],
-// GET /healthz, GET /metrics. Port 0 binds an ephemeral port; the actual
-// address is printed as "listening on HOST:PORT". Without --input the
-// record dimensionality and domain come from --domain (one LO:HI range
-// per quasi-identifier). The server runs until SIGTERM/SIGINT (or
-// --serve-seconds), then drains gracefully: in-flight requests finish,
-// the WAL flushes, and a final snapshot publishes before exit.
+// the same directory (and the same --domain) recovers the checkpoint plus
+// the WAL tail before serving. --recover-only, in place of --listen,
+// performs the recovery, prints what it restored, and exits.
 //
 // With --follow LEADER:PORT the process is a read replica instead: it
 // bootstraps from the leader's checkpoint (GET /repl/checkpoint/<lsn>),
@@ -95,9 +93,9 @@ void Usage() {
   std::cerr <<
       "(without serve, --input and --output are required; an underscore in\n"
       " a flag name reads as a hyphen; a malformed value is a usage error)\n"
-      "(--input is optional when --listen and --domain are both given:\n"
-      " records then arrive over HTTP; --follow makes the process a read\n"
-      " replica of LEADER and requires --listen and --domain)\n";
+      "(serve requires --domain and either --listen, where records arrive\n"
+      " over HTTP, or --recover-only with --wal-dir; --follow makes the\n"
+      " process a read replica of LEADER and requires --listen)\n";
 }
 
 }  // namespace
