@@ -50,22 +50,14 @@ size_t BufferPages(size_t page_size, size_t dim) {
   return std::max<size_t>(1, target_records / per_page);
 }
 
-/// Builds the tree of the in-memory backends (tuple loading, top-down).
-RPlusTree BuildInMemory(const Dataset& dataset, const RTreeConfig& config,
-                        const RTreeAnonymizerOptions& options) {
-  if (options.backend == RTreeAnonymizerOptions::Backend::kTupleLoading) {
-    RPlusTree tree(dataset.dim(), config);
-    for (RecordId r = 0; r < dataset.num_records(); ++r) {
-      tree.Insert(dataset.row(r), r, dataset.sensitive(r));
-    }
-    return tree;
+/// Builds the tree of the tuple-loading backend: record-at-a-time
+/// inserts into the in-memory tree.
+RPlusTree BuildInMemory(const Dataset& dataset, const RTreeConfig& config) {
+  RPlusTree tree(dataset.dim(), config);
+  for (RecordId r = 0; r < dataset.num_records(); ++r) {
+    tree.Insert(dataset.row(r), r, dataset.sensitive(r));
   }
-  // Only the root's pieces build concurrently, and there are at most
-  // max_fanout of them: more threads would sit idle.
-  const size_t threads = std::min(options.threads, config.max_fanout);
-  std::unique_ptr<ThreadPool> workers;
-  if (threads > 1) workers = std::make_unique<ThreadPool>(threads - 1);
-  return TopDownBulkLoad(DatasetRecords(dataset), config, workers.get());
+  return tree;
 }
 
 /// The leaf scan at granularity k (at least base_k) over `leaves`, under
@@ -107,8 +99,8 @@ StatusOr<RTreeAnonymizer::BuildResult> RTreeAnonymizer::BuildLeaves(
   }
 
   const RTreeConfig config = MakeTreeConfig(options);
-  if (options.backend != RTreeAnonymizerOptions::Backend::kBufferTree) {
-    const RPlusTree tree = BuildInMemory(dataset, config, options);
+  if (options.backend == RTreeAnonymizerOptions::Backend::kTupleLoading) {
+    const RPlusTree tree = BuildInMemory(dataset, config);
     result.leaves = ExtractLeafGroups(tree, &domain);
     result.tree_height = tree.height();
     return result;

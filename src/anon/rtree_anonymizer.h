@@ -44,9 +44,8 @@ struct RTreeAnonymizerOptions : RTreeIndexOptions {
 
   // Bulk-loading backend knobs.
   enum class Backend {
-    kBufferTree,       // paged buffer-tree load (default; larger-than-memory)
-    kTupleLoading,     // record-at-a-time inserts into the in-memory tree
-    kTopDownBulkLoad,  // in-memory top-down build (parallelizable)
+    kBufferTree,    // paged buffer-tree load (default; larger-than-memory)
+    kTupleLoading,  // record-at-a-time inserts into the in-memory tree
   };
   Backend backend = Backend::kBufferTree;
   /// Memory budget for the buffer pool of the buffer-tree backend.
@@ -54,13 +53,6 @@ struct RTreeAnonymizerOptions : RTreeIndexOptions {
   /// Back the buffer-tree backend with a real temp file instead of heap
   /// pages.
   bool use_disk = false;
-
-  /// Total threads for the top-down bulk load (1 = serial; N spawns N-1
-  /// workers and the calling thread participates). Only the root's at
-  /// most max_fanout pieces build concurrently, so N is capped at
-  /// max_fanout. The build is deterministic in `threads`: any value
-  /// produces the same tree and the same partitions.
-  size_t threads = 1;
 };
 
 /// Bulk anonymizer: builds the spatial index at base_k, then emits a
@@ -76,8 +68,7 @@ class RTreeAnonymizer {
   /// Builds the index once and returns its ordered leaf groups, letting the
   /// caller run leaf scans at several granularities (how the k-sweep
   /// benchmarks amortize the build). Also reports pager I/O and buffer-pool
-  /// cache stats (both zero for the in-memory tuple-loading and top-down
-  /// backends).
+  /// cache stats (both zero for the in-memory tuple-loading backend).
   struct BuildResult {
     std::vector<LeafGroup> leaves;
     PagerStats io;

@@ -1,7 +1,5 @@
 #include "common/thread_pool.h"
 
-#include <atomic>
-#include <memory>
 #include <utility>
 
 namespace kanon {
@@ -70,41 +68,6 @@ void ThreadPool::Shutdown() {
     }
     task();
   }
-}
-
-void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
-  if (capacity() == 0 || n == 1) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  struct State {
-    std::atomic<size_t> next{0};
-    std::atomic<size_t> completed{0};
-    std::mutex mu;
-    std::condition_variable done;
-  };
-  auto state = std::make_shared<State>();
-  auto drain = [state, n, &fn] {
-    size_t i;
-    while ((i = state->next.fetch_add(1)) < n) {
-      fn(i);
-      if (state->completed.fetch_add(1) + 1 == n) {
-        // Lock so the finish signal cannot slip between the waiter's
-        // predicate check and its wait.
-        std::lock_guard<std::mutex> lock(state->mu);
-        state->done.notify_all();
-      }
-    }
-  };
-  // Helper tasks capture fn by reference: ParallelFor does not return
-  // until completed == n, and a helper that outlives its useful life
-  // (claimed index >= n) never touches fn again.
-  const size_t helpers = std::min(capacity(), n - 1);
-  for (size_t h = 0; h < helpers; ++h) Submit(drain);
-  drain();  // the caller participates
-  std::unique_lock<std::mutex> lock(state->mu);
-  state->done.wait(lock, [&] { return state->completed.load() == n; });
 }
 
 }  // namespace kanon

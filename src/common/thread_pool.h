@@ -13,10 +13,9 @@
 namespace kanon {
 
 /// Fixed-size pool of worker threads over one FIFO task queue guarded by
-/// one mutex: tasks start oldest first. Its tasks are coarse — an HTTP
-/// request's handler, a drain of ParallelFor's indices — so the lock is
-/// never the bottleneck, and the pool stays easy to prove race-free under
-/// TSan.
+/// one mutex: tasks start oldest first. Its tasks are coarse — one HTTP
+/// request's handler each — so the lock is never the bottleneck, and the
+/// pool stays easy to prove race-free under TSan.
 ///
 /// Execution guarantee: every task Submit() accepts is executed exactly
 /// once — by a worker, by Shutdown()'s drain, or (when the pool is
@@ -30,17 +29,12 @@ namespace kanon {
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers. Zero is legal and makes Submit() run
-  /// everything inline and ParallelFor() degrade to the caller's loop —
-  /// the natural spelling of "--threads 1".
+  /// everything inline.
   explicit ThreadPool(size_t num_threads);
   ~ThreadPool();  // implies Shutdown()
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Number of worker threads (callers typically add themselves:
-  /// ParallelFor uses capacity() workers plus the calling thread).
-  size_t capacity() const { return workers_.size(); }
 
   /// Enqueues `task` for execution. After Shutdown() (or with zero
   /// workers) the task runs inline before Submit returns.
@@ -50,14 +44,6 @@ class ThreadPool {
   /// are joined. Idempotent; concurrent Submit() calls remain safe and
   /// keep the execution guarantee.
   void Shutdown();
-
-  /// Runs fn(0) … fn(n-1), each exactly once, distributing indices over
-  /// the workers *and* the calling thread; returns when all have
-  /// completed. Indices are claimed from one atomic counter, so any
-  /// invocation may run on any thread in any order — fn must only write
-  /// state disjoint per index. Not re-entrant from inside a pool task
-  /// (a worker blocking here could deadlock the pool).
-  void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
  private:
   void WorkerLoop();

@@ -247,52 +247,32 @@ std::unique_ptr<Node> MakeLeaf(const RecordBatch& records,
 /// Builds the region-disciplined subtree over rows [begin, end) of
 /// `records` constrained to `region`: a single (possibly overfull) leaf
 /// when the range fits or refuses every admissible cut, otherwise an
-/// internal node over recursively carved children. With `workers`, the
-/// children build concurrently (they touch disjoint row ranges, so no
-/// synchronization is needed). The leaves are a pure function of the
-/// record multiset of the range and the region.
+/// internal node over recursively carved children. The leaves are a pure
+/// function of the record multiset of the range and the region.
 std::unique_ptr<Node> BuildSubtree(RecordBatch* records,
                                    const RTreeConfig& config,
                                    const Region& region, size_t begin,
-                                   size_t end, ThreadPool* workers = nullptr) {
+                                   size_t end) {
   if (end - begin <= config.max_leaf) {
     return MakeLeaf(*records, region, begin, end);
   }
   auto pieces = CutIntoFanout(records, config, region, begin, end);
   if (pieces.size() == 1) return MakeLeaf(*records, region, begin, end);
-  std::vector<std::unique_ptr<Node>> children(pieces.size());
-  const auto build = [&](size_t i) {
-    children[i] = BuildSubtree(records, config, pieces[i].region,
-                               pieces[i].begin, pieces[i].end);
-  };
-  if (workers != nullptr) {
-    workers->ParallelFor(children.size(), build);
-  } else {
-    for (size_t i = 0; i < children.size(); ++i) build(i);
-  }
   auto node = Node::Internal(region);
-  for (auto& child : children) AdoptChild(node.get(), std::move(child));
+  for (const Piece& piece : pieces) {
+    AdoptChild(node.get(), BuildSubtree(records, config, piece.region,
+                                        piece.begin, piece.end));
+  }
   return node;
 }
 
 }  // namespace
 
-RecordBatch DatasetRecords(const Dataset& dataset) {
-  RecordBatch records(dataset.dim());
-  records.Reserve(dataset.num_records());
-  for (RecordId r = 0; r < dataset.num_records(); ++r) {
-    records.Append(r, dataset.sensitive(r), dataset.row(r));
-  }
-  return records;
-}
-
-RPlusTree TopDownBulkLoad(RecordBatch records, const RTreeConfig& config,
-                          ThreadPool* workers) {
+RPlusTree TopDownBulkLoad(RecordBatch records, const RTreeConfig& config) {
   const size_t dim = records.dim;
   if (records.empty()) return RPlusTree(dim, config);
-  // Only the root's pieces build concurrently.
-  std::unique_ptr<Node> root = BuildSubtree(
-      &records, config, Region::Whole(dim), 0, records.size(), workers);
+  std::unique_ptr<Node> root =
+      BuildSubtree(&records, config, Region::Whole(dim), 0, records.size());
   return RPlusTree::FromRoot(dim, config, std::move(root));
 }
 

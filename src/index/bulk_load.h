@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "data/dataset.h"
 #include "index/mbr.h"
 #include "index/rplus_tree.h"
@@ -63,24 +62,17 @@ StatusOr<std::vector<LeafGroup>> CurveBulkLoadExternal(
     const Dataset& dataset, CurveOrder order, const SortLoadConfig& config,
     BufferPool* pool, size_t run_records);
 
-/// Copies `dataset` into one RecordBatch, in rid order.
-RecordBatch DatasetRecords(const Dataset& dataset);
-
 /// Top-down bulk construction of a complete R⁺-tree (not just leaf
 /// groups) from `records` in the order they come in: recursive
-/// region-disciplined cuts of the record array, where the root-level cut
-/// yields at most max_fanout pieces whose subtrees build concurrently on
-/// `workers` and are stitched under one root. The result satisfies every
-/// RPlusTree invariant (region tiling, occupancy window, admissibility-
-/// gated splits). Every cut is a pure function of the record multiset,
-/// so the leaves (their records, MBRs and regions, in leaf order) do not
-/// depend on the input order; the input order only fixes the order of
-/// records inside a leaf, because each cut keeps it. The build is
-/// therefore **deterministic**: for fixed records and config, any thread
-/// count (including the serial workers = nullptr path) produces a
-/// byte-identical tree snapshot under SaveTree/tree_persistence.
-RPlusTree TopDownBulkLoad(RecordBatch records, const RTreeConfig& config,
-                          ThreadPool* workers = nullptr);
+/// region-disciplined cuts of the record array, each yielding at most
+/// max_fanout pieces. The result satisfies every RPlusTree invariant
+/// (region tiling, occupancy window, admissibility-gated splits). Every
+/// cut is a pure function of the record multiset, so the leaves (their
+/// records, MBRs and regions, in leaf order) do not depend on the input
+/// order; the input order only fixes the order of records inside a leaf,
+/// because each cut keeps it. This is the builder behind
+/// IncrementalAnonymizer::Repack.
+RPlusTree TopDownBulkLoad(RecordBatch records, const RTreeConfig& config);
 
 }  // namespace kanon
 

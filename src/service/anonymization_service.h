@@ -104,14 +104,14 @@ struct ServiceOptions {
 /// locks and keeps its single-threaded insert speed. Readers never see the
 /// live tree: they copy the current Snapshot pointer (a constant-time
 /// critical section — snapshots are built entirely off-lock) and run the
-/// leaf scan over its frozen leaf groups, so GetRelease neither blocks
+/// leaf scan over its shared leaf blocks, so GetRelease neither blocks
 /// ingest nor is blocked by it, at any requested granularity k1 >= base_k
 /// (Lemma 1 keeps any set of such releases jointly safe).
 class AnonymizationService {
  public:
   /// `domain` is the quasi-identifier domain the stream is drawn from
   /// (from schema metadata in practice). It normalizes split decisions and
-  /// anchors the uncompacted regions and NCP summaries of every snapshot.
+  /// anchors the NCP summaries of every snapshot and the DP cell grid.
   /// When durability is configured, recovery runs inside the constructor
   /// (before the ingest thread starts) and any durability failure aborts —
   /// use Create to handle such failures as a Status instead.

@@ -64,19 +64,10 @@ TEST(CliParseTest, RejectsUnknownFlagAndMissingValue) {
   CliOptions o3;
   EXPECT_FALSE(
       Parse({"--input", "a", "--output", "b", "--recursive", "3"}, &o3));
-}
-
-TEST(CliParseTest, ThreadsFlag) {
-  CliOptions o;
-  ASSERT_TRUE(Parse({"--input", "a", "--output", "b", "--threads", "4"}, &o));
-  EXPECT_EQ(o.threads, 4u);
-  CliOptions off;
-  ASSERT_TRUE(Parse({"--input", "a", "--output", "b"}, &off));
-  EXPECT_EQ(off.threads, 0u);  // default backend
-  CliOptions bad;
-  EXPECT_FALSE(Parse({"--input", "a", "--output", "b", "--threads"}, &bad));
+  // The bulk build has no thread count: --threads is an unknown flag.
+  CliOptions o4;
   EXPECT_FALSE(
-      Parse({"--input", "a", "--output", "b", "--threads", "0"}, &bad));
+      Parse({"--input", "a", "--output", "b", "--threads", "4"}, &o4));
 }
 
 // A malformed number is a usage error, never the prefix that happens to
@@ -218,20 +209,6 @@ TEST_F(CliRunTest, EveryAlgorithmRuns) {
     std::ostringstream log;
     EXPECT_EQ(cli::Run(o, log), 0) << algorithm << ": " << log.str();
   }
-}
-
-TEST_F(CliRunTest, ThreadsSelectsSortedBulkLoadBackend) {
-  CliOptions o;
-  o.input = input_;
-  o.output = output_;
-  o.k = 15;
-  o.threads = 2;
-  std::ostringstream log;
-  EXPECT_EQ(cli::Run(o, log), 0) << log.str();
-  EXPECT_EQ(CountOutputRows(), 1001u);
-  EXPECT_NE(log.str().find("top-down bulk load on 2 threads"),
-            std::string::npos)
-      << log.str();
 }
 
 TEST_F(CliRunTest, ConstraintSelectionLogsName) {
@@ -552,6 +529,15 @@ TEST_F(CliRunTest, ServeModeEndToEnd) {
   EXPECT_NE(log.str().find("records=1000"), std::string::npos);
   EXPECT_NE(log.str().find("release k1=20"), std::string::npos);
   EXPECT_NE(log.str().find("release k1=50"), std::string::npos);
+}
+
+TEST_F(CliRunTest, RecoverOnlyRefusesMissingWalDir) {
+  // A mistyped --wal-dir is an error, not a new empty deployment.
+  const std::string wal_dir = dir_.file("nosuch/typo");
+  std::ostringstream log;
+  EXPECT_EQ(RecoverOnly(wal_dir, {}, log), 1) << log.str();
+  EXPECT_NE(log.str().find(wal_dir), std::string::npos) << log.str();
+  EXPECT_FALSE(std::filesystem::exists(dir_.file("nosuch")));
 }
 
 TEST_F(CliRunTest, ServeModeDurableRestartRecovers) {

@@ -3,14 +3,14 @@
 
 // The shared differential-equivalence oracle. The repo's strongest
 // correctness arguments are differential: two pipelines that are allowed
-// to differ in execution strategy (thread count, publication cadence,
+// to differ in execution strategy (publication cadence,
 // bulk vs record-at-a-time loading) must agree on what they publish. This
 // header is the single vocabulary those comparisons are written in, at
 // three strictness levels:
 //
 //   * byte identity       — SnapshotBytes: the serialized tree stream,
-//     for pipelines that promise the exact same tree (top-down bulk
-//     loads at any thread count).
+//     for pipelines that promise the exact same tree (two top-down
+//     bulk loads of the same records).
 //   * release identity    — ExpectSameRelease: identical partitions in
 //     order (rids and box bounds), for same-tree pipelines compared at
 //     the published-output level.

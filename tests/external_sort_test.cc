@@ -8,7 +8,7 @@
 
 #include "common/env.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
+#include "common/thread.h"
 #include "index/bulk_load.h"
 
 namespace kanon {
@@ -252,26 +252,30 @@ TEST(ParallelMergeTest, ConcurrentSortersShareOnePager) {
   // Several sorters on concurrent threads, each over a private pool on
   // one shared (thread-safe) pager. Run under TSan in CI.
   MemPager pager(512);
-  ThreadPool workers(4);
   std::vector<size_t> counts(4, 0);
-  workers.ParallelFor(4, [&](size_t s) {
-    BufferPool pool(&pager, 16);
-    ExternalSorter sorter(1, /*run_records=*/32, &pool);
-    Rng rng(100 + s);
-    for (size_t i = 0; i < 500; ++i) {
-      const double v[] = {static_cast<double>(i)};
-      ASSERT_TRUE(sorter.Add(rng.Next(), i, 0, {v, 1}).ok());
+  {
+    std::vector<JoinableThread> sorters;
+    for (size_t s = 0; s < counts.size(); ++s) {
+      sorters.emplace_back([&pager, &counts, s] {
+        BufferPool pool(&pager, 16);
+        ExternalSorter sorter(1, /*run_records=*/32, &pool);
+        Rng rng(100 + s);
+        for (size_t i = 0; i < 500; ++i) {
+          const double v[] = {static_cast<double>(i)};
+          ASSERT_TRUE(sorter.Add(rng.Next(), i, 0, {v, 1}).ok());
+        }
+        uint64_t prev = 0;
+        ASSERT_TRUE(sorter
+                        .Finish([&](uint64_t key, uint64_t, int32_t,
+                                    std::span<const double>) {
+                          ASSERT_GE(key, prev);
+                          prev = key;
+                          ++counts[s];
+                        })
+                        .ok());
+      });
     }
-    uint64_t prev = 0;
-    ASSERT_TRUE(sorter
-                    .Finish([&](uint64_t key, uint64_t, int32_t,
-                                std::span<const double>) {
-                      ASSERT_GE(key, prev);
-                      prev = key;
-                      ++counts[s];
-                    })
-                    .ok());
-  });
+  }  // joins every sorter
   for (size_t s = 0; s < 4; ++s) EXPECT_EQ(counts[s], 500u);
 }
 

@@ -189,7 +189,6 @@ std::vector<Flag> CliFlags(CliOptions* o) {
       {"uncompacted", "", Switch(&o->uncompacted)},
       {"bias", "COL[,COL...]", UnsignedList(&o->bias)},
       {"metrics", "", Switch(&o->metrics)},
-      {"threads", "N", Unsigned(&o->threads, 1)},
   };
 }
 
@@ -309,12 +308,6 @@ int Run(const CliOptions& options, std::ostream& log) {
     ro.constraint = constraint.get();
     ro.compact = !options.uncompacted;
     ro.split.biased_axes = options.bias;
-    if (options.threads > 0) {
-      ro.backend = RTreeAnonymizerOptions::Backend::kTopDownBulkLoad;
-      ro.threads = options.threads;
-      log << "top-down bulk load on " << options.threads << " thread"
-          << (options.threads == 1 ? "" : "s") << "\n";
-    }
     auto ps = RTreeAnonymizer(ro).Anonymize(*dataset, options.k);
     if (!ps.ok()) {
       log << ps.status() << "\n";
@@ -515,6 +508,14 @@ int RunServe(const ServeOptions& options, std::ostream& log) {
   const bool durable = options.service.service.durability.enabled();
   ShardedServiceOptions service_options = options.service;
   DurabilityOptions& durability = service_options.service.durability;
+
+  // A recover-only pass reads a deployment that exists: a missing
+  // directory is a wrong path, not an empty log, so it creates nothing.
+  if (options.recover_only && !Env::Default()->FileExists(durability.wal_dir)) {
+    log << "--recover-only: WAL directory " << durability.wal_dir
+        << " does not exist\n";
+    return 1;
+  }
 
   // KANON_FAULT_SEED routes all durability I/O through a FaultInjectionEnv
   // — the operational fault drill. The same seed injects the same faults,

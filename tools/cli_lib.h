@@ -39,12 +39,6 @@ struct CliOptions {
   bool uncompacted = false;
   std::vector<size_t> bias;
   bool metrics = false;
-  /// --threads N (rtree only): build the index with the in-memory
-  /// top-down bulk-load backend on N threads (at most max_fanout of them
-  /// do work). 0 keeps the default buffer-tree backend; 1 runs the
-  /// top-down backend serially. Any N produces the same partitions (the
-  /// build is deterministic).
-  size_t threads = 0;
 };
 
 /// Parses argv into options. Returns false on an unknown flag, a missing

@@ -4,10 +4,6 @@
 // (tools/cli_lib.cc). Every value is parsed strictly: a malformed or
 // out-of-range value is a usage error (exit 2), never another value.
 //
-// --threads N (rtree only) selects the in-memory top-down bulk-load
-// backend on N threads. The build is deterministic: every thread count
-// yields the same partitions.
-//
 // Serve mode runs the concurrent incremental anonymization service
 // (src/service/) behind the epoll HTTP/1.1 server (src/net/): --listen
 // serves POST /ingest, GET /release[/query], GET /healthz and GET /metrics.
