@@ -14,7 +14,6 @@
 #include "index/hilbert.h"
 #include "index/rplus_tree.h"
 #include "storage/buffer_pool.h"
-#include "storage/external_sort.h"
 
 namespace kanon {
 namespace {
@@ -150,29 +149,6 @@ void BM_Compaction(benchmark::State& state) {
   state.SetItemsProcessed(50000 * static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_Compaction)->Unit(benchmark::kMillisecond);
-
-void BM_ExternalSort(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Rng keys(7);
-  std::vector<uint64_t> key_stream(n);
-  for (auto& k : key_stream) k = keys.Next();
-  const Dataset data = MakeData(n, 4);
-  for (auto _ : state) {
-    MemPager pager(2048);
-    BufferPool pool(&pager, 128);
-    ExternalSorter sorter(4, /*run_records=*/2048, &pool);
-    for (size_t i = 0; i < n; ++i) {
-      (void)sorter.Add(key_stream[i], i, 0, data.row(i));
-    }
-    size_t emitted = 0;
-    (void)sorter.Finish([&](uint64_t, uint64_t, int32_t,
-                            std::span<const double>) { ++emitted; });
-    benchmark::DoNotOptimize(emitted);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(n) *
-                          static_cast<int64_t>(state.iterations()));
-}
-BENCHMARK(BM_ExternalSort)->Arg(20000)->Unit(benchmark::kMillisecond);
 
 // IncrementalAnonymizer::Repack, the one-time top-down rebuild of a tree
 // of N Lands End records inserted with the domain hint, as the service

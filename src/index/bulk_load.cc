@@ -9,7 +9,6 @@
 #include "common/check.h"
 #include "index/hilbert.h"
 #include "index/node.h"
-#include "storage/external_sort.h"
 
 namespace kanon {
 
@@ -64,35 +63,6 @@ std::vector<LeafGroup> CurveBulkLoad(const Dataset& dataset, CurveOrder order,
   std::sort(keyed.begin(), keyed.end());
   std::vector<RecordId> ordered(n);
   for (size_t i = 0; i < n; ++i) ordered[i] = keyed[i].second;
-  return ChunkOrdered(dataset, ordered, config);
-}
-
-StatusOr<std::vector<LeafGroup>> CurveBulkLoadExternal(
-    const Dataset& dataset, CurveOrder order, const SortLoadConfig& config,
-    BufferPool* pool, size_t run_records) {
-  if (dataset.empty()) return std::vector<LeafGroup>{};
-  const Domain domain = dataset.ComputeDomain();
-  const GridQuantizer quantizer(domain, config.grid_bits);
-  const int shift = std::max(
-      0, config.grid_bits * static_cast<int>(dataset.dim()) - 64);
-
-  ExternalSorter sorter(dataset.dim(), run_records, pool);
-  std::vector<uint32_t> grid(dataset.dim());
-  for (RecordId r = 0; r < dataset.num_records(); ++r) {
-    quantizer.Quantize(dataset.row(r), grid.data());
-    const std::span<const uint32_t> g(grid.data(), grid.size());
-    const CurveKey key = order == CurveOrder::kHilbert
-                             ? HilbertKey(g, config.grid_bits)
-                             : ZOrderKey(g, config.grid_bits);
-    KANON_RETURN_IF_ERROR(sorter.Add(static_cast<uint64_t>(key >> shift), r,
-                                     dataset.sensitive(r), dataset.row(r)));
-  }
-  std::vector<RecordId> ordered;
-  ordered.reserve(dataset.num_records());
-  KANON_RETURN_IF_ERROR(sorter.Finish(
-      [&ordered](uint64_t, uint64_t rid, int32_t, std::span<const double>) {
-        ordered.push_back(rid);
-      }));
   return ChunkOrdered(dataset, ordered, config);
 }
 

@@ -4,11 +4,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/status.h"
 #include "data/dataset.h"
 #include "index/mbr.h"
 #include "index/rplus_tree.h"
-#include "storage/buffer_pool.h"
 #include "storage/spill_file.h"
 
 namespace kanon {
@@ -50,17 +48,6 @@ std::vector<LeafGroup> CurveBulkLoad(const Dataset& dataset, CurveOrder order,
 /// one attribute at a time so groups form spatial tiles.
 std::vector<LeafGroup> StrBulkLoad(const Dataset& dataset,
                                    const SortLoadConfig& config);
-
-/// Larger-than-memory variant of CurveBulkLoad: records are sorted by
-/// curve key with a bounded-memory external merge sort whose page traffic
-/// flows through `pool` (so its I/O is measurable against the buffer
-/// tree's). `run_records` is the in-memory run size — the M of the
-/// external-sort I/O model. The curve key is truncated to 64 bits for
-/// sorting, which at grid_bits * dim > 64 coarsens the order slightly
-/// (ties broken arbitrarily); group quality is unaffected in practice.
-StatusOr<std::vector<LeafGroup>> CurveBulkLoadExternal(
-    const Dataset& dataset, CurveOrder order, const SortLoadConfig& config,
-    BufferPool* pool, size_t run_records);
 
 /// Top-down bulk construction of a complete R⁺-tree (not just leaf
 /// groups) from `records` in the order they come in: recursive

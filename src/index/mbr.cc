@@ -52,31 +52,6 @@ double Mbr::Volume() const {
   return v;
 }
 
-double Mbr::Margin() const {
-  if (empty()) return 0.0;
-  double m = 0.0;
-  for (size_t i = 0; i < dim(); ++i) m += Extent(i);
-  return m;
-}
-
-double Mbr::Enlargement(std::span<const double> point) const {
-  if (empty()) return 0.0;
-  double grown = 1.0;
-  for (size_t i = 0; i < dim(); ++i) {
-    grown *= std::max(hi_[i], point[i]) - std::min(lo_[i], point[i]);
-  }
-  return grown - Volume();
-}
-
-double Mbr::MarginEnlargement(std::span<const double> point) const {
-  if (empty()) return 0.0;
-  double grown = 0.0;
-  for (size_t i = 0; i < dim(); ++i) {
-    grown += std::max(hi_[i], point[i]) - std::min(lo_[i], point[i]);
-  }
-  return grown - Margin();
-}
-
 bool Mbr::ContainsPoint(std::span<const double> point) const {
   return view().ContainsClosed(point);
 }

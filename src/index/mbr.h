@@ -72,19 +72,9 @@ class Mbr {
   void ExpandToInclude(const Mbr& other) { ExpandToInclude(other.view()); }
   void ExpandToInclude(BoxView other);
 
-  /// Product of extents. Zero if any side is degenerate, so callers that
-  /// rank candidate boxes should break area ties with Margin().
+  /// Product of extents; zero for an empty box or when any side is
+  /// degenerate (a flat box has no volume).
   double Volume() const;
-
-  /// Sum of extents (the "perimeter" proxy used by R*-style heuristics).
-  double Margin() const;
-
-  /// Volume increase caused by expanding this box to include `point`.
-  double Enlargement(std::span<const double> point) const;
-
-  /// Margin increase caused by expanding this box to include `point` —
-  /// discriminates when volumes are degenerate (flat boxes).
-  double MarginEnlargement(std::span<const double> point) const;
 
   bool ContainsPoint(std::span<const double> point) const;
   bool ContainsBox(const Mbr& other) const;

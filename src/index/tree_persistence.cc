@@ -306,17 +306,4 @@ StatusOr<TreeSnapshot> SaveTreeToFile(const RPlusTree& tree,
   return snapshot;
 }
 
-Status FreeSnapshot(Pager* pager, const TreeSnapshot& snapshot) {
-  std::vector<char> buffer(pager->page_size());
-  PageId page = snapshot.first_page;
-  while (page != kInvalidPageId) {
-    KANON_RETURN_IF_ERROR(pager->Read(page, buffer.data()));
-    PageId next;
-    std::memcpy(&next, buffer.data(), sizeof(next));
-    pager->Free(page);
-    page = next;
-  }
-  return Status::OK();
-}
-
 }  // namespace kanon

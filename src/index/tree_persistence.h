@@ -32,9 +32,6 @@ StatusOr<TreeSnapshot> SaveTree(const RPlusTree& tree, Pager* pager);
 StatusOr<RPlusTree> LoadTree(Pager* pager, const TreeSnapshot& snapshot,
                              size_t dim, const RTreeConfig& config);
 
-/// Releases the snapshot's pages back to the pager.
-Status FreeSnapshot(Pager* pager, const TreeSnapshot& snapshot);
-
 /// Saves `tree` as the sole content of the named file (the snapshot starts
 /// at page 0) and fsyncs it before returning — the checkpoint primitive of
 /// the durability subsystem (src/durability/checkpoint.h). `env` = nullptr

@@ -61,7 +61,6 @@
 #include "shard/sharded_service.h"
 #include "shard/stitched_snapshot.h"
 #include "storage/buffer_pool.h"
-#include "storage/external_sort.h"
 #include "storage/page.h"
 #include "storage/pager.h"
 #include "storage/spill_file.h"

@@ -34,10 +34,9 @@ struct PagerStats {
 ///
 /// Allocate/Free/Read/Write are thread-safe (one internal mutex), so
 /// several BufferPools — each still single-threaded — can share one
-/// backing store from concurrent tasks (the parallel external merge
-/// does exactly this). stats()/ResetStats() and set_verify_checksums()
-/// are for quiesced use: call them only when no other thread is inside
-/// the pager.
+/// backing store from concurrent threads. stats()/ResetStats() and
+/// set_verify_checksums() are for quiesced use: call them only when no
+/// other thread is inside the pager.
 class Pager {
  public:
   virtual ~Pager() = default;

@@ -1,7 +1,5 @@
 #include "storage/spill_file.h"
 
-#include <utility>
-
 namespace kanon {
 
 Status PageChain::Append(uint64_t rid, int32_t sensitive,
@@ -99,21 +97,6 @@ Status PageChain::Scan(
   return Status::OK();
 }
 
-Status PageChain::Drain(std::vector<SpilledRecord>* out) {
-  out->reserve(out->size() + record_count_);
-  KANON_RETURN_IF_ERROR(
-      Scan([out](uint64_t rid, int32_t sensitive,
-                 std::span<const double> values) {
-        SpilledRecord r;
-        r.rid = rid;
-        r.sensitive = sensitive;
-        r.values.assign(values.begin(), values.end());
-        out->push_back(std::move(r));
-      }));
-  Clear();
-  return Status::OK();
-}
-
 Status PageChain::DrainTo(RecordBatch* out) {
   KANON_DCHECK(out->dim == codec_->dim());
   out->Reserve(out->size() + record_count_);
@@ -138,44 +121,6 @@ void PageChain::Clear() {
   for (PageId pid : pages_) pool_->Discard(pid);
   pages_.clear();
   record_count_ = 0;
-}
-
-PageChainCursor::PageChainCursor(const PageChain* chain)
-    : chain_(chain), values_(chain->codec_->dim()) {
-  // Position on the first record (if any). A load failure leaves the
-  // cursor invalid with the error retained in status().
-  status_ = LoadCurrent();
-}
-
-Status PageChainCursor::LoadCurrent() {
-  valid_ = false;
-  while (page_index_ < chain_->pages_.size()) {
-    if (!handle_.valid()) {
-      auto fetched = chain_->pool_->Fetch(chain_->pages_[page_index_]);
-      if (!fetched.ok()) {
-        status_ = fetched.status();
-        return fetched.status();
-      }
-      handle_ = std::move(*fetched);
-    }
-    RecordPageView view(handle_.data(), chain_->pool_->page_size(),
-                        chain_->codec_);
-    if (slot_ < view.count()) {
-      view.Read(slot_, &rid_, &sensitive_, values_.data());
-      valid_ = true;
-      return Status::OK();
-    }
-    handle_.Release();
-    ++page_index_;
-    slot_ = 0;
-  }
-  return Status::OK();
-}
-
-Status PageChainCursor::Next() {
-  KANON_DCHECK(valid_);
-  ++slot_;
-  return LoadCurrent();
 }
 
 }  // namespace kanon

@@ -11,13 +11,6 @@
 
 namespace kanon {
 
-/// One buffered record as it travels through paged storage.
-struct SpilledRecord {
-  uint64_t rid = 0;
-  int32_t sensitive = 0;
-  std::vector<double> values;
-};
-
 /// A flat, allocation-friendly batch of records (structure-of-arrays).
 /// The buffer tree moves records between levels in these batches; the flat
 /// `values` array is directly consumable by ChoosePointSplit.
@@ -56,9 +49,8 @@ struct RecordBatch {
 };
 
 /// An unbounded append-only run of records stored as a chain of record pages
-/// in a BufferPool. This is the "external buffer" attached to buffer-tree
-/// internal nodes, and doubles as a paged dataset spill for
-/// larger-than-memory loads.
+/// in a BufferPool: the "external buffer" attached to buffer-tree internal
+/// nodes.
 ///
 /// Only the tail page is pinned during appends; a full scan touches every
 /// page in the chain exactly once (streaming, one pin at a time).
@@ -67,9 +59,10 @@ class PageChain {
   PageChain(BufferPool* pool, const RecordCodec* codec)
       : pool_(pool), codec_(codec) {}
 
-  /// Releases every page on destruction: an abandoned chain (say, an
-  /// external sort interrupted before Finish) returns its spill pages to
-  /// the pager instead of leaking them for the life of the backing file.
+  /// Releases every page on destruction: a chain abandoned while it still
+  /// holds records (say, a buffer tree torn down on an error path) returns
+  /// its pages to the pager instead of leaking them for the life of the
+  /// backing file.
   ~PageChain() { Clear(); }
 
   PageChain(PageChain&& other) noexcept
@@ -112,65 +105,19 @@ class PageChain {
                                        std::span<const double> values)>& fn)
       const;
 
-  /// Moves every record into `out` and clears this chain, releasing pages.
-  Status Drain(std::vector<SpilledRecord>* out);
-
-  /// Flat-batch drain (no per-record allocation); `out` must have the
-  /// codec's dimensionality and is appended to.
+  /// Moves every record into `out` (no per-record allocation) and clears
+  /// this chain, releasing its pages. `out` must have the codec's
+  /// dimensionality and is appended to.
   Status DrainTo(RecordBatch* out);
 
   /// Releases every page back to the pager.
   void Clear();
 
  private:
-  friend class PageChainCursor;
-
   BufferPool* pool_;
   const RecordCodec* codec_;
   std::vector<PageId> pages_;
   size_t record_count_ = 0;
-};
-
-/// Streaming cursor over a PageChain, pinning one page at a time. Used by
-/// the external-sort merge, which advances one cursor per run.
-///
-/// Errors do not vanish: a failed page read (I/O error, checksum
-/// mismatch) makes the cursor invalid AND is retained in status(), so a
-/// merge loop that only tests valid() can still distinguish "run
-/// exhausted" from "run unreadable" after the fact. The constructor's
-/// initial positioning participates — before this, a cursor whose very
-/// first page was corrupt looked exactly like an empty run.
-class PageChainCursor {
- public:
-  explicit PageChainCursor(const PageChain* chain);
-
-  bool valid() const { return valid_; }
-  /// OK while the cursor has only ever seen readable pages; the first
-  /// page-read failure is sticky.
-  const Status& status() const { return status_; }
-  uint64_t rid() const { return rid_; }
-  int32_t sensitive() const { return sensitive_; }
-  std::span<const double> values() const {
-    return {values_.data(), values_.size()};
-  }
-
-  /// Advances past the current record. The constructor positions the
-  /// cursor on the first record, so iterate with
-  /// `for (; cursor.valid(); cursor.Next())`.
-  Status Next();
-
- private:
-  Status LoadCurrent();
-
-  const PageChain* chain_;
-  size_t page_index_ = 0;
-  uint32_t slot_ = 0;
-  PageHandle handle_;
-  bool valid_ = false;
-  Status status_;
-  uint64_t rid_ = 0;
-  int32_t sensitive_ = 0;
-  std::vector<double> values_;
 };
 
 }  // namespace kanon

@@ -12,7 +12,6 @@
 #include "index/buffer_tree.h"
 #include "service/anonymization_service.h"
 #include "storage/buffer_pool.h"
-#include "storage/external_sort.h"
 #include "storage/spill_file.h"
 #include "scratch_dir.h"
 
@@ -146,21 +145,25 @@ TEST(FaultInjectionTest, BufferTreeInsertPathPropagates) {
   EXPECT_EQ(status.code(), StatusCode::kIoError);
 }
 
-TEST(FaultInjectionTest, ExternalSorterFinishPropagates) {
-  FaultyPager pager(/*fuse=*/50);
+TEST(FaultInjectionTest, PageChainDrainPropagates) {
+  // A read that fails while a chain drains its evicted pages comes out of
+  // DrainTo as the pager's IoError. The flush leaves every resident frame
+  // clean, so the only I/O the drain issues is reads.
+  FaultyPager pager(/*fuse=*/1000);
   BufferPool pool(&pager, 4);
-  ExternalSorter sorter(1, /*run_records=*/16, &pool);
-  Rng rng(2);
-  Status status = Status::OK();
-  for (size_t i = 0; i < 10000 && status.ok(); ++i) {
-    const double v[] = {0.0};
-    status = sorter.Add(rng.Next(), i, 0, {v, 1});
+  RecordCodec codec(1);
+  PageChain chain(&pool, &codec);
+  for (size_t i = 0; i < 300; ++i) {
+    const double v[] = {static_cast<double>(i)};
+    ASSERT_TRUE(chain.Append(i, 0, {v, 1}).ok());
   }
-  if (status.ok()) {
-    status = sorter.Finish(
-        [](uint64_t, uint64_t, int32_t, std::span<const double>) {});
-  }
+  ASSERT_GT(chain.page_count(), pool.capacity());
+  ASSERT_TRUE(pool.FlushAll().ok());
+  pager.Rearm(0);
+  RecordBatch out(1);
+  const Status status = chain.DrainTo(&out);
   EXPECT_EQ(status.code(), StatusCode::kIoError);
+  EXPECT_NE(status.ToString().find("read"), std::string::npos) << status;
 }
 
 TEST(FaultInjectionTest, RecoveryAfterRearm) {

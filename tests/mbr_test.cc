@@ -9,7 +9,6 @@ TEST(MbrTest, EmptyBoxBehaviour) {
   Mbr m(2);
   EXPECT_TRUE(m.empty());
   EXPECT_EQ(m.Volume(), 0.0);
-  EXPECT_EQ(m.Margin(), 0.0);
   const double p[] = {1.0, 1.0};
   EXPECT_FALSE(m.ContainsPoint({p, 2}));
 }
@@ -27,16 +26,6 @@ TEST(MbrTest, ExpandFromPoints) {
   EXPECT_EQ(m.lo(1), 2.0);
   EXPECT_EQ(m.hi(1), 5.0);
   EXPECT_EQ(m.Volume(), 6.0);
-  EXPECT_EQ(m.Margin(), 5.0);
-}
-
-TEST(MbrTest, EnlargementComputations) {
-  Mbr m = Mbr::FromBounds({0.0, 0.0}, {2.0, 2.0});
-  const double inside[] = {1.0, 1.0};
-  const double outside[] = {4.0, 1.0};
-  EXPECT_EQ(m.Enlargement({inside, 2}), 0.0);
-  EXPECT_EQ(m.Enlargement({outside, 2}), 4.0);  // 4x2 - 2x2
-  EXPECT_EQ(m.MarginEnlargement({outside, 2}), 2.0);
 }
 
 TEST(MbrTest, ContainsAndIntersects) {

@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "common/env.h"
+#include "common/thread.h"
 #include "storage/buffer_pool.h"
 #include "storage/page.h"
 #include "storage/pager.h"
@@ -254,17 +256,114 @@ TEST(PageChainTest, DrainEmptiesAndFreesPages) {
     const double v[] = {static_cast<double>(i)};
     ASSERT_TRUE(chain.Append(i, 0, {v, 1}).ok());
   }
-  std::vector<SpilledRecord> out;
-  ASSERT_TRUE(chain.Drain(&out).ok());
+  RecordBatch out(1);
+  ASSERT_TRUE(chain.DrainTo(&out).ok());
   EXPECT_EQ(out.size(), 50u);
-  EXPECT_EQ(out[10].rid, 10u);
-  EXPECT_EQ(out[10].values[0], 10.0);
+  EXPECT_EQ(out.rids[10], 10u);
+  EXPECT_EQ(out.row(10)[0], 10.0);
   EXPECT_EQ(chain.record_count(), 0u);
   EXPECT_EQ(chain.page_count(), 0u);
   // Freed pages are recycled by the next chain.
   PageChain chain2(&pool, &codec);
   const double v[] = {1.0};
   ASSERT_TRUE(chain2.Append(0, 0, {v, 1}).ok());
+}
+
+TEST(PageChainTest, DestroyedChainReturnsItsPages) {
+  // A chain dropped while it still holds records (an error path that
+  // never drains) hands its pages back: a second identical fill reuses
+  // them instead of growing the backing store.
+  MemPager pager(512);
+  BufferPool pool(&pager, /*capacity_frames=*/4);
+  RecordCodec codec(1);
+  auto fill = [&] {
+    PageChain chain(&pool, &codec);
+    for (size_t i = 0; i < 500; ++i) {
+      const double v[] = {static_cast<double>(i)};
+      ASSERT_TRUE(chain.Append(i, 0, {v, 1}).ok());
+    }
+    ASSERT_GT(chain.page_count(), pool.capacity());
+  };
+  fill();
+  ASSERT_TRUE(pool.FlushAll().ok());
+  const size_t high_water = pager.num_pages();
+  ASSERT_GT(high_water, 0u);
+  fill();
+  ASSERT_TRUE(pool.FlushAll().ok());
+  EXPECT_EQ(pager.num_pages(), high_water);
+}
+
+TEST(PageChainTest, CorruptPageSurfacesStatusNotCrash) {
+  // A chain page that fails its checksum when read back after eviction
+  // surfaces as a Corruption Status from Scan and from DrainTo, not as an
+  // abort. The fault env corrupts the first pager read; the 4-frame pool
+  // evicts the chain's head pages while it fills, so that first read is
+  // the head page's, under the call being tested.
+  for (const bool drain : {false, true}) {
+    SCOPED_TRACE(drain ? "DrainTo" : "Scan");
+    FaultInjectionOptions fo;
+    fo.corrupt_nth_read = 1;
+    FaultInjectionEnv env(Env::Default(), fo);
+    auto pager = FilePager::Create(/*page_size=*/512, /*dir=*/"", &env);
+    ASSERT_TRUE(pager.ok());
+    BufferPool pool(pager->get(), /*capacity_frames=*/4);
+    RecordCodec codec(2);
+    PageChain chain(&pool, &codec);
+    for (size_t i = 0; i < 200; ++i) {
+      const double v[] = {static_cast<double>(i), 0.5};
+      ASSERT_TRUE(chain.Append(i, 0, {v, 2}).ok());
+    }
+    ASSERT_GT(chain.page_count(), pool.capacity());
+    ASSERT_EQ(env.injected(), 0u);
+    RecordBatch out(2);
+    const Status status =
+        drain ? chain.DrainTo(&out)
+              : chain.Scan([](uint64_t, int32_t, std::span<const double>) {});
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::kCorruption) << status;
+    EXPECT_EQ(env.injected(), 1u);
+  }
+}
+
+TEST(PagerConcurrencyTest, ConcurrentPoolsShareOnePager) {
+  // Concurrent threads, each with a private (single-threaded) BufferPool
+  // on one shared pager, fill and drain chains with evictions on every
+  // side; every record must come back intact. Pager I/O and page
+  // allocation are the shared state. Run under TSan in CI.
+  MemPager pager(512);
+  std::vector<size_t> counts(4, 0);
+  {
+    std::vector<JoinableThread> workers;
+    for (size_t w = 0; w < counts.size(); ++w) {
+      workers.emplace_back([&pager, &counts, w] {
+        BufferPool pool(&pager, /*capacity_frames=*/8);
+        RecordCodec codec(2);
+        for (int round = 0; round < 3; ++round) {
+          PageChain a(&pool, &codec), b(&pool, &codec);
+          for (size_t i = 0; i < 400; ++i) {
+            const double v[] = {static_cast<double>(w),
+                                static_cast<double>(i)};
+            ASSERT_TRUE((i % 2 ? b : a)
+                            .Append(i, static_cast<int32_t>(w), {v, 2})
+                            .ok());
+          }
+          RecordBatch out(2);
+          ASSERT_TRUE(a.DrainTo(&out).ok());
+          ASSERT_TRUE(b.DrainTo(&out).ok());
+          ASSERT_EQ(out.size(), 400u);
+          for (size_t j = 0; j < out.size(); ++j) {
+            const uint64_t rid = j < 200 ? 2 * j : 2 * (j - 200) + 1;
+            ASSERT_EQ(out.rids[j], rid);
+            ASSERT_EQ(out.sensitive[j], static_cast<int32_t>(w));
+            ASSERT_EQ(out.row(j)[0], static_cast<double>(w));
+            ASSERT_EQ(out.row(j)[1], static_cast<double>(rid));
+          }
+          counts[w] += out.size();
+        }
+      });
+    }
+  }  // joins every worker
+  for (size_t w = 0; w < counts.size(); ++w) EXPECT_EQ(counts[w], 1200u);
 }
 
 TEST(NamedFilePagerTest, PersistsAcrossReopen) {

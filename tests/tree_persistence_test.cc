@@ -131,19 +131,6 @@ TEST(TreePersistenceTest, GarbageRejected) {
             StatusCode::kCorruption);
 }
 
-TEST(TreePersistenceTest, FreeSnapshotRecyclesPages) {
-  const RPlusTree tree = BuildRandom(1000, 6);
-  MemPager pager(512);
-  auto snapshot = SaveTree(tree, &pager);
-  ASSERT_TRUE(snapshot.ok());
-  const size_t used = pager.num_pages();
-  ASSERT_TRUE(FreeSnapshot(&pager, *snapshot).ok());
-  // All pages returned: the next save reuses them without growing the file.
-  auto again = SaveTree(tree, &pager);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(pager.num_pages(), used);
-}
-
 TEST(TreePersistenceTest, WorksOnRealFilePager) {
   const RPlusTree tree = BuildRandom(800, 7);
   auto pager = FilePager::Create(4096);
